@@ -59,7 +59,6 @@ from .repconv import (
 from .symilp import (
     BarycenterLattice,
     CorePoint,
-    Fiber,
     InvariantSubspace,
     LinearProgram,
     block_group,
@@ -71,6 +70,7 @@ from .symilp import (
     is_core_point,
     orbit_barycenter,
     solve_lp_reduced,
+    symmetric_ilp,
     symmetric_ilp_feasible,
     symmetric_ilp_optimize,
 )
@@ -101,7 +101,6 @@ __all__ = [
     "CorePoint",
     "EmptyPolyhedronError",
     "FacetOrbit",
-    "Fiber",
     "FiberOrbit",
     "HPolyhedron",
     "IncidenceData",
@@ -154,6 +153,7 @@ __all__ = [
     "slice_decomposition",
     "solve_lp",
     "solve_lp_reduced",
+    "symmetric_ilp",
     "symmetric_ilp_feasible",
     "symmetric_ilp_optimize",
     "volume",

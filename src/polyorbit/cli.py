@@ -47,12 +47,7 @@ from .repconv import (
     write_dot,
 )
 from .symdetect import affine_symmetry_group, restricted_symmetries_H
-from .symilp import (
-    _feasibility_candidates,
-    _objective_candidates,
-    symmetric_ilp_feasible,
-    symmetric_ilp_optimize,
-)
+from .symilp import symmetric_ilp
 
 __all__ = [
     "PolyFile",
@@ -358,15 +353,6 @@ def _brute_ilp(P: HPolyhedron, c: Optional[Vector]):
     return None if best is None else best[1]
 
 
-def _block_sums_of(blocks: Sequence[int], z: Vector) -> tuple[int, ...]:
-    sums = []
-    off = 0
-    for nb in blocks:
-        sums.append(int(sum(z[off:off + nb])))
-        off += nb
-    return tuple(sums)
-
-
 def cmd_ilp(pf: PolyFile, args) -> int:
     P = pf.to_hpolyhedron()
     sense, c, shift = None, None, Fraction(0)
@@ -384,19 +370,7 @@ def cmd_ilp(pf: PolyFile, args) -> int:
     else:
         goal = None if c is None else \
             (tuple(-x for x in c) if sense == "minimize" else c)
-        if goal is None:
-            z = symmetric_ilp_feasible(P, pf.blocks, jobs=args.jobs)
-            cands = _feasibility_candidates(P, pf.blocks, None, 1_000_000)
-        else:
-            res = symmetric_ilp_optimize(P, pf.blocks, goal, jobs=args.jobs)
-            z = None if res is None else res[1]
-            cands = _objective_candidates(P, pf.blocks, vector(goal), None, 1_000_000)
-        if cands is None:
-            tested = 0
-        elif z is None:
-            tested = len(cands)
-        else:
-            tested = cands.index(_block_sums_of(pf.blocks, z)) + 1
+        z, tested = symmetric_ilp(P, pf.blocks, goal)
 
     if z is None:
         print("infeasible")
@@ -418,15 +392,22 @@ def cmd_ilp(pf: PolyFile, args) -> int:
 # Entry point
 
 
-def _env_jobs() -> int:
-    raw = os.environ.get("POLYORBIT_JOBS", "1")
+def _jobs_arg(raw: str) -> int:
+    """A worker count of at least 1, from --jobs or POLYORBIT_JOBS."""
     try:
         jobs = int(raw)
     except ValueError:
-        raise PolyhedronError(f"POLYORBIT_JOBS must be an integer, got {raw!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
     if jobs < 1:
-        raise PolyhedronError("POLYORBIT_JOBS must be at least 1")
+        raise argparse.ArgumentTypeError("must be at least 1")
     return jobs
+
+
+def _env_jobs() -> int:
+    try:
+        return _jobs_arg(os.environ.get("POLYORBIT_JOBS", "1"))
+    except argparse.ArgumentTypeError as exc:
+        raise PolyhedronError(f"POLYORBIT_JOBS {exc}")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -438,7 +419,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, handler, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="polyhedron file (H- or V-representation)")
-        p.add_argument("--jobs", type=int, default=_env_jobs(),
+        p.add_argument("--jobs", type=_jobs_arg, default=_env_jobs(),
                        help="worker count; never changes any output byte")
         p.set_defaults(handler=handler)
         return p

@@ -11,14 +11,17 @@ on coordinate blocks a single balanced point per fiber decides integral
 feasibility of the whole fiber.
 
 The block machinery indexes fibers by integer block sums; the barycenters of
-integral orbits form the scaled lattice with steps 1/n_j per block.
+integral orbits form the scaled lattice with steps 1/n_j per block.  The
+block-sum ranges come from LPs on the fixed space itself, in one coordinate
+per block, and the sweep tests each fiber's balanced point against the rows
+of P scaled once to integers, so its hot loop is integer arithmetic.
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
+from operator import mul
 from typing import Optional, Sequence, Union
 
 from .polycore import (
@@ -31,6 +34,7 @@ from .polycore import (
     dot,
     frac,
     identity_matrix,
+    integerize,
     invert_matrix,
     mat_mul,
     mat_vec,
@@ -53,17 +57,14 @@ GroupLike = Union[PermutationGroup, Sequence]
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """max c.x over P; the only supported sense is maximization."""
+    """max c.x over P."""
     P: HPolyhedron
     c: Vector
-    sense: str = "max"
 
     def __post_init__(self):
         object.__setattr__(self, "c", vector(self.c))
         if len(self.c) != self.P.n:
             raise PolyhedronError("objective length does not match dimension")
-        if self.sense != "max":
-            raise PolyhedronError("only sense='max' is supported")
 
 
 @dataclass(frozen=True)
@@ -86,13 +87,6 @@ class InvariantSubspace:
 
     def project(self, x: Sequence) -> Vector:
         return mat_vec(self.projector, x)
-
-
-@dataclass(frozen=True)
-class Fiber:
-    """Pre-image of an anchor point under the projection onto the fixed space."""
-    anchor: Vector
-    sums: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -124,9 +118,6 @@ class BarycenterLattice:
                 out[t] = Fraction(sums[j], nb)
             off += nb
         return tuple(out)
-
-    def fiber(self, sums: Sequence[int]) -> Fiber:
-        return Fiber(self.anchor(sums), tuple(int(s) for s in sums))
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +208,28 @@ def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
     """True iff every generator permutes the normalized rows and fixes c.
 
     Row i is compared as the primitive vector (a_i | b_i) together with its
-    equality flag; c is fixed when c.(g x) = c.x for all x.
+    equality flag; c is fixed when c.(g x) = c.x for all x.  A permutation
+    matrix is its own inverse transpose, so a PermutationGroup moves row
+    coordinates directly instead of multiplying matrices.
     """
     P, c = lp.P, lp.c
-    mats, _ = _linear_action(G, P.n)
     eq = set(P.equality_rows)
-    base = sorted((primitive(P.A[i] + (P.b[i],)), (i + 1) in eq) for i in range(P.m))
+    prims = [(primitive(P.A[i] + (P.b[i],)), (i + 1) in eq) for i in range(P.m)]
+    base = sorted(prims)
+    if isinstance(G, PermutationGroup):
+        if G.degree != P.n:
+            raise PolyhedronError("group degree does not match dimension")
+        for g in G.generators:
+            # (g x)_{g(i)} = x_i; rows move the same way, since (g^-1)^T = g
+            src = g.inverse().images
+            if tuple(c[k - 1] for k in g.images) != c:
+                return False
+            rows = sorted((tuple(r[k - 1] for k in src) + (r[-1],), flag)
+                          for r, flag in prims)
+            if rows != base:
+                return False
+        return True
+    mats, _ = _linear_action(G, P.n)
     for g in mats:
         if mat_vec(transpose(g), c) != c:
             return False
@@ -427,24 +434,43 @@ def _block_sums(blocks: tuple[int, ...], x: Vector) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
+def _fixed_space_system(P: HPolyhedron, blocks: tuple[int, ...]) -> HPolyhedron:
+    """P on the fixed space of the block group, in block coordinates y.
+
+    Substitutes x = sum_j y_j 1_{block j}: row i becomes (its sum over each
+    block | b_i).  The rows of one orbit coincide there; duplicates are
+    dropped.
+    """
+    eq = set(P.equality_rows)
+    rows = {}
+    for i, (a, bb) in enumerate(zip(P.A, P.b), start=1):
+        rows.setdefault((_block_sums(blocks, a), bb, i in eq), None)
+    keys = list(rows)
+    return HPolyhedron(tuple(k[0] for k in keys), tuple(k[1] for k in keys),
+                       tuple(t for t, k in enumerate(keys, start=1) if k[2]))
+
+
 def _sum_ranges(P, blocks, bounds, fiber_budget):
     """Integer ranges of the block sums over P, or None when P is empty.
 
     Exact LP bounds per block sum, intersected with user bounds; an unbounded
-    direction without a user bound is an error rather than a truncation.
+    direction without a user bound is an error rather than a truncation.  P
+    must be invariant under the block group: an invariant LP attains its
+    optimum on the fixed space, so the LPs run there, in one variable y_j per
+    block, where the block sum is n_j y_j.  Optimum values are unique, so the
+    ranges equal those of the LPs on P.
     """
-    n = P.n
+    Q = _fixed_space_system(P, blocks)
+    k = len(blocks)
     ranges = []
     total = 1
-    off = 0
     for j, nb in enumerate(blocks):
-        ind = [Fraction(0)] * n
-        for t in range(off, off + nb):
-            ind[t] = Fraction(1)
-        hi_res = solve_lp(P, ind)
+        ind = [Fraction(0)] * k
+        ind[j] = Fraction(nb)
+        hi_res = solve_lp(Q, ind)
         if hi_res.status == "infeasible":
             return None
-        lo_res = solve_lp(P, ind, maximize=False)
+        lo_res = solve_lp(Q, ind, maximize=False)
         user_lo, user_hi = (None, None) if bounds is None else bounds[j]
         lo = lo_res.value if lo_res.is_optimal else None
         hi = hi_res.value if hi_res.is_optimal else None
@@ -460,32 +486,35 @@ def _sum_ranges(P, blocks, bounds, fiber_budget):
         if total > fiber_budget:
             raise PolyhedronError(
                 f"fiber enumeration exceeds budget {fiber_budget}; tighten bounds")
-        off += nb
     return ranges
 
 
-def _sweep(P, blocks, cands, jobs):
-    """First fiber in list order whose balanced point lies in P.
+def _sweep(P, blocks, cands):
+    """First fiber in list order whose balanced point lies in P, and the
+    number of fibers probed: (point, its 1-based position), or
+    (None, len(cands)) when no balanced point lies in P.
 
-    Candidates are pre-sorted by a total order, and parallel chunks are
-    consecutive, so the winner is independent of the worker count.
+    The candidates are block sums within the ranges that _sum_ranges bounds
+    on the fixed space.  Each row (a_i | b_i) of P is scaled once to integers
+    by the lcm of its denominators, a positive factor, so a probe of the
+    integral balanced point takes integer dot products only.  The sweep is
+    serial.
     """
-    def probe(s):
+    eq = set(P.equality_rows)
+    rows = []
+    for i, (a, bb) in enumerate(zip(P.A, P.b), start=1):
+        *ai, bi = integerize(a + (bb,))
+        rows.append((ai, bi, i in eq))
+    for tested, s in enumerate(cands, start=1):
         z = canonical_core_point(blocks, s).z
-        return z if P.contains(z) else None
-
-    if jobs <= 1:
-        for s in cands:
-            hit = probe(s)
-            if hit is not None:
-                return hit
-        return None
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        for i in range(0, len(cands), jobs):
-            for hit in ex.map(probe, cands[i:i + jobs]):
-                if hit is not None:
-                    return hit
-    return None
+        zi = [v.numerator for v in z]
+        for ai, bi, is_eq in rows:
+            v = sum(map(mul, ai, zi))
+            if (v != bi) if is_eq else (v > bi):
+                break
+        else:
+            return z, tested
+    return None, len(cands)
 
 
 def _require_block_invariance(P, blocks, c):
@@ -494,37 +523,53 @@ def _require_block_invariance(P, blocks, c):
         raise PolyhedronError("the system is not invariant under the block group")
 
 
-def _feasibility_candidates(P, blocks, bounds, fiber_budget):
-    """Fiber block-sum candidates in the deterministic sweep order, nearest to
-    the LP relaxation point first (lexicographic tiebreak); None when empty."""
-    ranges = _sum_ranges(P, blocks, bounds, fiber_budget)
-    if ranges is None:
-        return None
-    rel = solve_lp(P, zero_vector(P.n))
-    if rel.status == "infeasible":
-        return None
-    ref = _block_sums(blocks, rel.point)
-    return sorted(product(*ranges),
-                  key=lambda s: (sum(abs(frac(sj) - rj) for sj, rj in zip(s, ref)), s))
+def _scale_to_int(values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """(d, d * values) for d the lcm of the denominators: a positive factor,
+    so sums and comparisons keep their order and ties."""
+    d = math.lcm(*(v.denominator for v in values))
+    return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def _objective_candidates(P, blocks, c, bounds, fiber_budget):
-    """Candidates ordered by decreasing fiber objective, then lexicographic.
+def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] = None,
+                  bounds: Optional[Sequence] = None,
+                  fiber_budget: int = 1_000_000) -> tuple[Optional[Vector], int]:
+    """Integral feasibility (c None) or max c.x over a block-symmetric P.
 
-    Invariance forces c constant per block, so the objective restricted to a
-    fiber is a linear function of the block sums.
+    Returns (point, fibers tested): the balanced point of the first fiber in
+    sweep order that lies in P and its 1-based position in that order, or
+    (None, number of fibers) when there is none, (None, 0) when P is empty.
+
+    Fibers are indexed by integer block sums within exact LP bounds
+    (optionally capped by user bounds, and required when a direction is
+    unbounded).  Feasibility takes them nearest to the LP relaxation point
+    first, optimization in decreasing fiber objective; ties go to the
+    lexicographically smaller sums.  Per fiber only the balanced point needs
+    testing: it is majorized blockwise by every integral point with the same
+    sums, so an invariant convex set containing any of them contains it.
     """
+    blocks = _check_blocks(blocks, P.n)
+    goal = zero_vector(P.n) if c is None else vector(c)
+    _require_block_invariance(P, blocks, goal)
     ranges = _sum_ranges(P, blocks, bounds, fiber_budget)
     if ranges is None:
-        return None
-    offs = []
-    off = 0
-    for nb in blocks:
-        offs.append(off)
-        off += nb
-    cb = [c[o] for o in offs]
-    return sorted(product(*ranges),
-                  key=lambda s: (-sum(cj * sj for cj, sj in zip(cb, s)), s))
+        return None, 0
+    if c is not None:
+        # invariance forces c constant per block, so the objective on a
+        # fiber is a linear function of the block sums
+        _, cb = _scale_to_int([cs / nb for cs, nb in zip(_block_sums(blocks, goal), blocks)])
+
+        def key(s):
+            return -sum(map(mul, cb, s)), s
+    else:
+        rel = solve_lp(P, zero_vector(P.n))
+        if rel.status == "infeasible":
+            return None, 0
+        # d times the l1 distance of the block sums to the relaxation's
+        d, ref = _scale_to_int(_block_sums(blocks, rel.point))
+
+        def key(s):
+            return sum(abs(sj * d - rj) for sj, rj in zip(s, ref)), s
+    return _sweep(P, blocks, sorted(product(*ranges), key=key))
 
 
 def symmetric_ilp_feasible(P: HPolyhedron, blocks: Sequence[int],
@@ -532,19 +577,11 @@ def symmetric_ilp_feasible(P: HPolyhedron, blocks: Sequence[int],
                            fiber_budget: int = 1_000_000) -> Optional[Vector]:
     """An integral point of a block-symmetric P, or None when there is none.
 
-    Enumerates fibers by integer block sums within exact LP bounds (optionally
-    capped by user bounds, and required when a direction is unbounded), nearest
-    to the relaxation point first.  Per fiber only the balanced point needs
-    testing: it is majorized blockwise by every integral point with the same
-    sums, so an invariant convex set containing any of them contains it.
-    Infeasible only after every fiber is exhausted.
+    The feasibility sweep of symmetric_ilp, nearest to the relaxation point
+    first; infeasible only after every fiber is exhausted.  jobs is accepted
+    and ignored: the sweep is serial.
     """
-    blocks = _check_blocks(blocks, P.n)
-    _require_block_invariance(P, blocks, zero_vector(P.n))
-    cands = _feasibility_candidates(P, blocks, bounds, fiber_budget)
-    if cands is None:
-        return None
-    return _sweep(P, blocks, cands, jobs)
+    return symmetric_ilp(P, blocks, None, bounds, fiber_budget)[0]
 
 
 def symmetric_ilp_optimize(P: HPolyhedron, blocks: Sequence[int], c: Sequence,
@@ -555,15 +592,11 @@ def symmetric_ilp_optimize(P: HPolyhedron, blocks: Sequence[int], c: Sequence,
     An invariant objective is constant on each block (so constant on every
     fiber), which turns optimization into the feasibility sweep taken in
     decreasing fiber objective.  Returns (optimum, argmax) or None when no
-    integral point exists; the projection bounds rule out unbounded objectives.
+    integral point exists; the projection bounds rule out unbounded
+    objectives.  jobs is accepted and ignored: the sweep is serial.
     """
-    blocks = _check_blocks(blocks, P.n)
     c = vector(c)
-    _require_block_invariance(P, blocks, c)
-    cands = _objective_candidates(P, blocks, c, bounds, fiber_budget)
-    if cands is None:
-        return None
-    hit = _sweep(P, blocks, cands, jobs)
+    hit, _ = symmetric_ilp(P, blocks, c, bounds, fiber_budget)
     if hit is None:
         return None
     return dot(c, hit), hit

@@ -262,6 +262,26 @@ class TestIlpCmd:
         code, _, err = run(capsys, "ilp", FIX / "ilp-huge.ine")
         assert code == 2 and "too large" in err
 
+    # exact stdout, exit code and stderr on every ILP fixture, at two worker
+    # counts; "fibers tested" is the 1-based position of the answer's fiber in
+    # the sweep order, or every fiber of an infeasible system (none here: the
+    # block sum of ilp-infeas.ine has no integer in its range)
+    PINNED = [
+        ("cube3-blocks.ine", 0, "feasible\npoint 0 0 0\nfibers tested 1\n", ""),
+        ("cube3-obj.ine", 0,
+         "feasible\npoint 1 1 1\nobjective 3\nfibers tested 1\n", ""),
+        ("ilp-infeas.ine", 1, "infeasible\nfibers tested 0\n", ""),
+        ("ilp-huge.ine", 2, "",
+         "warning: no blocks header; falling back to brute-force enumeration\n"
+         "error: instance too large for brute-force enumeration; add a blocks header\n"),
+    ]
+
+    @pytest.mark.parametrize("jobs", ["1", "4"])
+    @pytest.mark.parametrize("fixture,code,out,err", PINNED,
+                             ids=[p[0] for p in PINNED])
+    def test_fixture_output_pinned(self, fixture, code, out, err, jobs, capsys):
+        assert run(capsys, "ilp", FIX / fixture, "--jobs", jobs) == (code, out, err)
+
     def test_v_input_rejected(self, capsys):
         code, _, err = run(capsys, "ilp", FIX / "cube3.ext")
         assert code == 2 and "H-representation" in err
@@ -298,6 +318,14 @@ class TestJobsDeterminism:
         monkeypatch.setenv("POLYORBIT_JOBS", "4")
         code, out, _ = run(capsys, "count", FIX / "cube3.ine")
         assert (code, out) == (0, "27\n")
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_nonpositive_jobs_is_an_input_error(self, jobs, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["convert", str(FIX / "cube3.ine"), "--jobs", jobs])
+        cap = capsys.readouterr()
+        assert exc.value.code == 2
+        assert cap.out == "" and "--jobs" in cap.err and "at least 1" in cap.err
 
     def test_bad_env_var_is_an_input_error(self, monkeypatch, capsys):
         monkeypatch.setenv("POLYORBIT_JOBS", "many")

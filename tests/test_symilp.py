@@ -17,10 +17,12 @@ from polyorbit.polycore import (
     vector,
     zero_vector,
 )
+from polyorbit.cli import _brute_ilp
 from polyorbit.symilp import (
     BarycenterLattice,
     CorePoint,
     LinearProgram,
+    _sum_ranges,
     block_group,
     canonical_core_point,
     check_invariance,
@@ -30,6 +32,7 @@ from polyorbit.symilp import (
     is_core_point,
     orbit_barycenter,
     solve_lp_reduced,
+    symmetric_ilp,
     symmetric_ilp_feasible,
     symmetric_ilp_optimize,
 )
@@ -430,3 +433,234 @@ class TestSymmetricILP:
             c = random_invariant_objective(rng, blocks)
             assert symmetric_ilp_optimize(P, blocks, c, jobs=1) == \
                 symmetric_ilp_optimize(P, blocks, c, jobs=4)
+
+
+# ---------------------------------------------------------------------------
+# the integer sweep against the Fraction-based definitions it replaces
+
+
+def block_spans(blocks):
+    out, off = [], 0
+    for nb in blocks:
+        out.append((off, off + nb))
+        off += nb
+    return out
+
+
+def block_indicator(n, lo, hi):
+    return tuple(F(int(lo <= t < hi)) for t in range(n))
+
+
+def full_sum_ranges(P, blocks, bounds=None):
+    """Block-sum ranges from LPs on the full system; "unbounded" when a
+    direction has neither an LP bound nor a user bound, None when P is empty."""
+    out = []
+    for j, (lo_i, hi_i) in enumerate(block_spans(blocks)):
+        ind = block_indicator(P.n, lo_i, hi_i)
+        top = solve_lp(P, ind)
+        if top.status == "infeasible":
+            return None
+        bot = solve_lp(P, ind, maximize=False)
+        lo = bot.value if bot.is_optimal else None
+        hi = top.value if top.is_optimal else None
+        user_lo, user_hi = (None, None) if bounds is None else bounds[j]
+        if user_lo is not None:
+            lo = F(user_lo) if lo is None else max(lo, F(user_lo))
+        if user_hi is not None:
+            hi = F(user_hi) if hi is None else min(hi, F(user_hi))
+        if lo is None or hi is None:
+            return "unbounded"
+        out.append(range(math.ceil(lo), math.floor(hi) + 1))
+    return out
+
+
+def fraction_sweep_order(P, blocks, c):
+    """Fiber candidates in sweep order, listed with Fraction sort keys:
+    nearest to the relaxation point first (c None), else by decreasing fiber
+    objective; lexicographic ties.  None when P is empty."""
+    ranges = full_sum_ranges(P, blocks)
+    if ranges is None:
+        return None
+    spans = block_spans(blocks)
+    if c is None:
+        rel = solve_lp(P, zero_vector(P.n))
+        ref = [sum(rel.point[lo:hi], F(0)) for lo, hi in spans]
+        key = lambda s: (sum(abs(F(sj) - rj) for sj, rj in zip(s, ref)), s)
+    else:
+        cb = [F(c[lo]) for lo, _ in spans]
+        key = lambda s: (-sum(cj * sj for cj, sj in zip(cb, s)), s)
+    return sorted(product(*ranges), key=key)
+
+
+def per_block(blocks, values):
+    """The vector that holds values[j] on every coordinate of block j."""
+    return tuple(v for v, nb in zip(values, blocks) for _ in range(nb))
+
+
+def rational_invariant_system(rng, blocks, mode):
+    """Block-invariant rows with rational entries in A and b, an invariant
+    equality row, and a rational box.
+
+    mode "lattice": the equality passes through an integral point of the box;
+    "off-lattice": it holds for no integral point; "window": two inequalities
+    K + 1/3 <= sum(x) <= K + 2/3, which no integral point meets either.
+    """
+    n = sum(blocks)
+    elems = list(block_group(blocks).elements())
+    rows = {}
+    for _ in range(2):
+        a = tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n))
+        bb = F(rng.randint(-1, 9), rng.choice((1, 2)))
+        for g in elems:
+            rows.setdefault(apply_perm(g, a), bb)
+    A = sorted(rows)
+    b = [rows[a] for a in A]
+    half = F(rng.choice((3, 4, 5)), 2)
+    for i in range(n):
+        for s in (1, -1):
+            e = [F(0)] * n
+            e[i] = F(s)
+            A.append(tuple(e))
+            b.append(half)
+    if mode == "window":
+        K = rng.randint(-1, 1)
+        A += [(F(1),) * n, (F(-1),) * n]
+        b += [K + F(2, 3), -(K + F(1, 3))]
+        return HPolyhedron.from_rows(A, b)
+    w = per_block(blocks, [F(rng.randint(1, 3), rng.choice((1, 2))) for _ in blocks])
+    z0 = [rng.randint(-1, 1) for _ in range(n)]
+    beta = dot(w, z0)
+    if mode == "off-lattice":
+        # w.x runs over multiples of 1/2 on integral points
+        beta += F(1, 3)
+    A.append(w)
+    b.append(beta)
+    return HPolyhedron.from_rows(A, b, equality_rows=(len(A),))
+
+
+class TestIntegerSweepOracle:
+    SHAPES = [(2,), (3,), (2, 1), (2, 2), (1, 3), (2, 1, 1)]
+
+    def cases(self):
+        rng = random.Random(2013)
+        for t in range(18):
+            blocks = self.SHAPES[t % len(self.SHAPES)]
+            mode = ("lattice", "lattice", "off-lattice", "window")[t % 4]
+            P = rational_invariant_system(rng, blocks, mode)
+            c = None
+            if t % 3:
+                c = per_block(blocks, [F(rng.randint(-3, 3), rng.choice((1, 2, 3)))
+                                       for _ in blocks])
+            yield P, blocks, c
+
+    def test_agrees_with_brute_force_and_fraction_order(self):
+        seen = set()
+        for P, blocks, c in self.cases():
+            z, tested = symmetric_ilp(P, blocks, c)
+            brute = _brute_ilp(P, c)
+            assert (z is None) == (brute is None)
+            cands = fraction_sweep_order(P, blocks, c)
+            if cands is None:
+                assert tested == 0
+            elif z is None:
+                assert tested == len(cands)
+            else:
+                assert P.contains(z) and all(v.denominator == 1 for v in z)
+                sums = tuple(int(sum(z[lo:hi])) for lo, hi in block_spans(blocks))
+                assert tested == cands.index(sums) + 1
+                assert z == canonical_core_point(blocks, sums).z
+            if c is None:
+                assert symmetric_ilp_feasible(P, blocks) == z
+            else:
+                got = symmetric_ilp_optimize(P, blocks, c)
+                assert got == (None if z is None else (dot(c, z), z))
+                if z is not None:
+                    assert dot(c, z) == dot(c, brute)
+            seen.add((z is None, c is None, bool(cands)))
+        # feasible and infeasible answers, with and without an objective, and
+        # infeasible systems whose every fiber was probed
+        assert {(False, True, True), (False, False, True),
+                (True, True, True), (True, False, True)} <= seen
+
+
+def perm_matrices(G):
+    """Generators of a permutation group as matrices, (M x)_{g(i)} = x_i."""
+    out = []
+    for g in G.generators:
+        n = g.degree
+        M = [[F(0)] * n for _ in range(n)]
+        for i in range(1, n + 1):
+            M[g(i) - 1][i - 1] = F(1)
+        out.append(tuple(tuple(r) for r in M))
+    return out
+
+
+class TestFastPathEquivalence:
+    def test_permutation_group_matches_matrix_generators(self):
+        rng = random.Random(17)
+        groups = [block_group((2, 2)), block_group((3, 1)), block_group((1, 1, 2)),
+                  PermutationGroup([Permutation((2, 3, 4, 1))]),
+                  PermutationGroup([], degree=4)]
+        systems = [cube_h(4), random_invariant_system(rng, (2, 2)),
+                   random_invariant_system(rng, (3, 1)),
+                   rational_invariant_system(rng, (2, 2), "lattice"),
+                   rational_invariant_system(rng, (1, 3), "window")]
+        P = systems[1]
+        # one right-hand side moved: no longer invariant
+        systems.append(HPolyhedron(P.A, (P.b[0] + 1,) + P.b[1:]))
+        # an orbit with only one of its rows marked as an equality
+        systems.append(HPolyhedron.from_rows(
+            [(1, -1, 0, 0), (-1, 1, 0, 0)], [0, 0], equality_rows=(1,)))
+        objectives = [(0, 0, 0, 0), (1, 1, 1, 1), (F(1, 2), F(1, 2), 3, 3),
+                      (2, 2, 2, F(-1, 3)), (1, 2, 3, 4)]
+        verdicts = set()
+        for G in groups:
+            mats = perm_matrices(G)
+            for P in systems:
+                for c in objectives:
+                    lp = LinearProgram(P, c)
+                    fast = check_invariance(lp, G)
+                    assert fast == check_invariance(lp, mats)
+                    verdicts.add(fast)
+        assert verdicts == {True, False}
+
+    def test_permutation_group_degree_mismatch(self):
+        with pytest.raises(PolyhedronError):
+            check_invariance(LinearProgram(cube_h(3), (0, 0, 0)), block_group((2, 2)))
+
+    def test_fixed_space_ranges_match_full_lps(self):
+        rng = random.Random(29)
+        checked = 0
+        for t in range(12):
+            blocks = [(2, 2), (3, 1), (2, 1, 1), (4,)][t % 4]
+            if t % 2:
+                P = random_invariant_system(rng, blocks)
+            else:
+                P = rational_invariant_system(rng, blocks, ("lattice", "window")[t % 4 // 2])
+            bounds = None
+            if t % 3 == 2:
+                bounds = [(rng.choice((None, -1)), rng.choice((None, F(3, 2))))
+                          for _ in blocks]
+            want = full_sum_ranges(P, blocks, bounds)
+            assert _sum_ranges(P, blocks, bounds, 10 ** 6) == want
+            checked += want is not None
+        assert checked
+
+    def test_empty_system_has_no_ranges(self):
+        P = HPolyhedron.from_rows([(1, 1), (-1, -1)], [-1, -1])
+        assert full_sum_ranges(P, (2,)) is None
+        assert _sum_ranges(P, (2,), None, 10 ** 6) is None
+
+    def test_unbounded_ranges_need_user_bounds(self):
+        # x1 + x2 >= 1/2 on the first block, a bounded second block
+        P = HPolyhedron.from_rows(
+            [(-1, -1, 0), (0, 0, 1), (0, 0, -1)], [F(-1, 2), F(5, 2), F(1, 3)])
+        assert full_sum_ranges(P, (2, 1)) == "unbounded"
+        with pytest.raises(PolyhedronError, match="unbounded; supply bounds"):
+            _sum_ranges(P, (2, 1), None, 10 ** 6)
+        with pytest.raises(PolyhedronError, match="unbounded; supply bounds"):
+            _sum_ranges(P, (2, 1), [(0, None), (None, None)], 10 ** 6)
+        for bounds in ([(None, 3), (None, None)], [(1, 4), (0, 1)]):
+            want = full_sum_ranges(P, (2, 1), bounds)
+            assert want != "unbounded"
+            assert _sum_ranges(P, (2, 1), bounds, 10 ** 6) == want
