@@ -1,9 +1,11 @@
 """Lattice-point counting, Ehrhart interpolation, and symmetric slicing.
 
 Everything is built on one exact enumeration backbone: integer points are
-listed coordinate by coordinate, with the feasible interval of each next
-coordinate taken from a pair of rational LPs, so the search never leaves the
-bounding box of the remaining subsystem.  On top of that sit the Ehrhart
+listed coordinate by coordinate over a chain of projections.  The polyhedron
+is converted once to vertices and rays; their projections onto the first k
+coordinates, converted back to integer facet rows, give the feasible interval
+of x_k over each fixed prefix in closed form, so the search never leaves the
+projection and solves no LP.  On top of that sit the Ehrhart
 quasi-polynomial (interpolated per residue class of the dilation factor and
 re-checked against a direct count), the exact volume (a fan over the facets
 from a relative-interior point, each facet triangulated by pulling), and a
@@ -15,11 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
 from math import ceil, factorial, floor, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .polycore import (
     AffineHull,
+    EmptyPolyhedronError,
     HPolyhedron,
     Matrix,
     PolyhedronError,
@@ -43,7 +48,7 @@ from .polycore import (
     vector,
     zero_vector,
 )
-from .repconv import _parallel_map, convert_dd
+from .repconv import convert_dd, dd_cone
 from .symilp import (
     LinearProgram,
     _check_blocks,
@@ -72,68 +77,98 @@ __all__ = [
 def count_lattice_points(P: HPolyhedron) -> int:
     """Number of integer points of a bounded polyhedron, counted exactly.
 
-    The first coordinate is bounded by two exact LPs and scanned; each value
-    is substituted into the system and the remainder is counted recursively.
-    The last coordinate is resolved in closed form, so no LP ever runs on a
-    one-dimensional subsystem.  An unbounded polyhedron is rejected.
+    P is converted once to vertices and rays, and for each k = 1..n those are
+    projected onto the first k coordinates and converted back to facet rows,
+    primitive integer rows of the projection proj_k(P).  Coordinates are then
+    fixed in order: for a fixed integer prefix the values of x_k that extend
+    to a point of P form the fiber of proj_k(P) over the prefix, an interval
+    read in closed form from the level-k rows with integer floor and ceiling.
+    The last level adds the number of integers in its interval, so no LP is
+    solved.  An empty P counts 0.  An unbounded interval met on the way is an
+    error, so an unbounded P is rejected unless the walk runs out of integer
+    prefixes before it reaches an unbounded coordinate (then it counts 0).
     """
     if P.n == 0:
         eq = set(P.equality_rows)
         ok = all((bb == 0) if i in eq else (bb >= 0)
                  for i, bb in enumerate(P.b, start=1))
         return 1 if ok else 0
-    return _count(list(P.A), list(P.b), frozenset(P.equality_rows), P.n)
-
-
-def _count(A: list, b: list, eq: frozenset, n: int) -> int:
-    if n == 1:
-        return _segment_count(A, b, eq)
-    Q = HPolyhedron(tuple(A), tuple(b), tuple(sorted(eq)))
-    e1 = (Fraction(1),) + (Fraction(0),) * (n - 1)
-    top = solve_lp(Q, e1)
-    if top.status == "infeasible":
+    try:
+        V = convert_dd(P)
+    except EmptyPolyhedronError:
         return 0
-    bot = solve_lp(Q, e1, maximize=False)
-    if top.status != "optimal" or bot.status != "optimal":
-        raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
+    levels = [_projection_rows(V, k) for k in range(1, P.n + 1)]
+    return _walk(levels, [])
+
+
+def _projection_rows(V: VPolyhedron, k: int) -> tuple[list, list]:
+    """Facet rows of the projection of V onto its first k coordinates.
+
+    Returns (equalities, inequalities), each row a.x = beta or a.x <= beta
+    stored as (a_1..a_{k-1}, a_k, beta) in primitive integers.
+    """
+    gens = dict.fromkeys(tuple(v[:k]) + (-1,) for v in V.vertices)
+    gens.update(dict.fromkeys(tuple(r[:k]) + (0,) for r in V.rays if any(r[:k])))
+    lin, rays = dd_cone(list(gens), k + 1)
+    eqs = [(g[:k - 1], g[k - 1], g[k]) for g in lin if any(g[:k])]
+    les = [(g[:k - 1], g[k - 1], g[k]) for g in rays if any(g[:k])]
+    return eqs, les
+
+
+def _walk(levels: Sequence[tuple[list, list]], prefix: list[int]) -> int:
+    """Integer points of P whose first coordinates are the given prefix."""
+    bounds = _fiber(*levels[len(prefix)], prefix)
+    if bounds is None:
+        return 0
+    lo, hi = bounds
+    if len(prefix) + 1 == len(levels):
+        return max(hi - lo + 1, 0)
     total = 0
-    for v in range(ceil(bot.value), floor(top.value) + 1):
-        sub_b = [bb - row[0] * v for row, bb in zip(A, b)]
-        sub_A = [row[1:] for row in A]
-        total += _count(sub_A, sub_b, eq, n - 1)
+    for v in range(lo, hi + 1):
+        prefix.append(v)
+        total += _walk(levels, prefix)
+        prefix.pop()
     return total
 
 
-def _segment_count(A: list, b: list, eq: frozenset) -> int:
-    """Integer count of {x : a_i x <= b_i} over one variable, in closed form."""
-    lo: Optional[Fraction] = None
-    hi: Optional[Fraction] = None
-    pin: Optional[Fraction] = None
-    for i, (row, bb) in enumerate(zip(A, b), start=1):
-        a = row[0]
-        if i in eq:
-            if a == 0:
-                if bb != 0:
-                    return 0
-            else:
-                v = bb / a
-                if pin is not None and v != pin:
-                    return 0
-                pin = v
-        elif a == 0:
-            if bb < 0:
-                return 0
-        elif a > 0:
-            hi = bb / a if hi is None else min(hi, bb / a)
-        else:
-            lo = bb / a if lo is None else max(lo, bb / a)
+def _fiber(eqs: list, les: list, prefix: Sequence[int]) -> Optional[tuple[int, int]]:
+    """Integer bounds (lo, hi) of the next coordinate over a fixed prefix.
+
+    Equalities pin the value, and None means that no integer fits.  Without a
+    pin, a side with no bounding row is unbounded, which is an error.
+    """
+    pin: Optional[int] = None
+    for head, c, beta in eqs:
+        r = beta - sum(map(mul, head, prefix))
+        if c == 0:
+            if r != 0:
+                return None
+            continue
+        q, rem = divmod(r, c)
+        if rem or (pin is not None and q != pin):
+            return None
+        pin = q
+    lo: Optional[int] = None
+    hi: Optional[int] = None
+    for head, c, beta in les:
+        r = beta - sum(map(mul, head, prefix))
+        if c > 0:
+            top = r // c
+            if hi is None or top < hi:
+                hi = top
+        elif c < 0:
+            bot = -(r // -c)
+            if lo is None or bot > lo:
+                lo = bot
+        elif r < 0:
+            return None
     if pin is not None:
         if (lo is not None and pin < lo) or (hi is not None and pin > hi):
-            return 0
-        return 1 if pin.denominator == 1 else 0
+            return None
+        return pin, pin
     if lo is None or hi is None:
         raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
-    return max(floor(hi) - ceil(lo) + 1, 0)
+    return lo, hi
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +436,7 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
 
     fiber_rows = matrix([[dot(a, bv) for bv in basis_rows] for a in P.A])
     orbits = []
-    for sums in _lex_product(ranges) if ranges is not None else ():
+    for sums in product(*ranges) if ranges is not None else ():
         full = [0] * k
         for j, s in zip(live, sums):
             full[j] = s
@@ -415,24 +450,12 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     return SliceDecomposition(blocks, inv_slice, basis, tuple(orbits))
 
 
-def _lex_product(ranges: Sequence[range]):
-    """Cartesian product of integer ranges in lexicographic order."""
-    if not ranges:
-        yield ()
-        return
-    for head in ranges[0]:
-        for tail in _lex_product(ranges[1:]):
-            yield (head,) + tail
-
-
 def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int], jobs: int = 1) -> int:
     """Lattice-point count assembled fiber by fiber from the decomposition.
 
     Counts the representative fiber of each orbit and multiplies by the orbit
-    size; fiber counts are independent and merged by addition in input order,
-    so the result does not depend on the worker count.
+    size.  jobs is accepted and ignored: fibers are counted serially, in
+    integer arithmetic on one thread.
     """
     dec = slice_decomposition(P, blocks)
-    counts = _parallel_map(lambda fo: count_lattice_points(fo.fiber),
-                           dec.fiber_orbits, jobs)
-    return sum(fo.orbit_size * m for fo, m in zip(dec.fiber_orbits, counts))
+    return sum(fo.orbit_size * count_lattice_points(fo.fiber) for fo in dec.fiber_orbits)

@@ -86,7 +86,7 @@ def integerize(row: Sequence) -> tuple[int, ...]:
     """Scale a rational row by the positive lcm of denominators."""
     fr = [frac(x) for x in row]
     mult = lcm(*(x.denominator for x in fr)) if fr else 1
-    return tuple(int(x * mult) for x in fr)
+    return tuple(x.numerator * (mult // x.denominator) for x in fr)
 
 
 def primitive(row: Sequence) -> tuple[int, ...]:
@@ -368,10 +368,6 @@ class VPolyhedron:
         if self.rays:
             return len(self.rays[0])
         return 0
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.vertices
 
     def vertex(self, j: int) -> Vector:
         """1-based vertex access."""

@@ -19,6 +19,8 @@ from __future__ import annotations
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
+from operator import mul
 from typing import Callable, Optional, Sequence, Union
 
 from .polycore import (
@@ -65,30 +67,31 @@ def dd_cone(rows: Sequence[Sequence], n: int) -> tuple[list[tuple[int, ...]], li
 
     Returns (lineality, rays) as primitive integer tuples; the cone equals
     span(lineality) + cone(rays).  Rows are inserted in the given order and
-    rays are created in a fixed order, so the output is deterministic.
+    rays are created in a fixed order, so the output is deterministic.  Each
+    row is scaled once to a primitive integer row (the cone does not change),
+    after which the method runs in integer arithmetic: every update combines
+    two generators with positive integer multipliers, a positive multiple of
+    the rational combination, so the primitive results are the same.
     """
     lin: list[tuple[int, ...]] = [tuple(1 if j == i else 0 for j in range(n))
                                   for i in range(n)]
     rays: list[tuple[int, ...]] = []
     masks: list[int] = []      # per ray: bit t set iff tight on inserted row t
-    inserted: list[Vector] = []
-    for raw in rows:
-        a = vector(raw)
-        t = len(inserted)
-        lin_vals = [dot(a, l) for l in lin]
-        if any(v != 0 for v in lin_vals):
+    for t, a in enumerate(primitive(raw) for raw in rows):
+        lin_vals = [sum(map(mul, a, l)) for l in lin]
+        if any(lin_vals):
             # the row cuts the lineality space: one direction becomes a ray,
             # the rest of the basis and all rays are projected onto {a.x = 0}
             i0 = next(i for i, v in enumerate(lin_vals) if v != 0)
             l0, v0 = lin[i0], lin_vals[i0]
-            lin = [l if v == 0 else primitive(vec_sub(l, vec_scale(v / v0, l0)))
+            s0 = 1 if v0 > 0 else -1
+            lin = [l if v == 0 else _combine(abs(v0), l, -s0 * v, l0)
                    for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != i0]
             r0 = l0 if v0 < 0 else tuple(-x for x in l0)
-            vr0 = dot(a, r0)
             new_rays, new_masks, seen = [], [], set()
             for r, m in zip(rays, masks):
-                vr = dot(a, r)
-                rp = r if vr == 0 else primitive(vec_sub(r, vec_scale(vr / vr0, r0)))
+                vr = sum(map(mul, a, r))
+                rp = r if vr == 0 else _combine(abs(v0), r, vr, r0)
                 if not any(rp) or rp in seen:
                     continue
                 seen.add(rp)
@@ -98,45 +101,53 @@ def dd_cone(rows: Sequence[Sequence], n: int) -> tuple[list[tuple[int, ...]], li
             new_masks.append((1 << t) - 1)
             rays, masks = new_rays, new_masks
         else:
-            vals = [dot(a, r) for r in rays]
+            vals = [sum(map(mul, a, r)) for r in rays]
             if any(v > 0 for v in vals):
                 plus = [i for i, v in enumerate(vals) if v > 0]
                 minus = [i for i, v in enumerate(vals) if v < 0]
-                created, seen = [], set()
+                created, created_masks, seen = [], [], set()
+                # the common tight rows of an adjacent pair have rank
+                # n - 2 - dim(lineality), so a pair tight on fewer rows is
+                # not adjacent (Fukuda-Prodon, "Double description method
+                # revisited", 1996)
+                need = n - 2 - len(lin)
                 for ip in minus:
                     for iq in plus:
                         z = masks[ip] & masks[iq]
+                        if z.bit_count() < need:
+                            continue
                         # combinatorial adjacency: no third ray tight on the
                         # common tight set of the pair
                         if any(masks[ir] & z == z
                                for ir in range(len(rays)) if ir != ip and ir != iq):
                             continue
-                        w = primitive(vec_sub(vec_scale(vals[iq], rays[ip]),
-                                              vec_scale(vals[ip], rays[iq])))
+                        w = _combine(vals[iq], rays[ip], -vals[ip], rays[iq])
                         if w in seen:
                             continue
                         seen.add(w)
                         created.append(w)
+                        # a positive combination of two rays is tight exactly
+                        # where both are, and on the new row
+                        created_masks.append(z | (1 << t))
                 kept_rays, kept_masks = [], []
                 for i, (r, m) in enumerate(zip(rays, masks)):
                     if vals[i] > 0:
                         continue
                     kept_rays.append(r)
                     kept_masks.append(m | (1 << t) if vals[i] == 0 else m)
-                all_rows = inserted + [a]
-                for w in created:
-                    mw = 0
-                    for s, row_s in enumerate(all_rows):
-                        if dot(row_s, w) == 0:
-                            mw |= 1 << s
-                    kept_rays.append(w)
-                    kept_masks.append(mw)
-                rays, masks = kept_rays, kept_masks
+                rays = kept_rays + created
+                masks = kept_masks + created_masks
             else:
                 masks = [m | (1 << t) if vals[i] == 0 else m
                          for i, m in enumerate(masks)]
-        inserted.append(a)
     return lin, rays
+
+
+def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive form of p*u + q*w, for integer vectors and multipliers."""
+    v = tuple(p * x + q * y for x, y in zip(u, w))
+    g = gcd(*v)
+    return v if g <= 1 else tuple(x // g for x in v)
 
 
 def _h_to_v(P: HPolyhedron) -> VPolyhedron:

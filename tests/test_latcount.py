@@ -1,5 +1,6 @@
 """Counting, Ehrhart interpolation, volume, and slice decomposition."""
 import random
+import sys
 from fractions import Fraction as F
 from itertools import product
 from math import ceil, factorial, floor
@@ -102,6 +103,64 @@ class TestCountLatticePoints:
         for _ in range(8):
             P = random_polytope(rng, rng.randint(2, 3), denom=rng.choice([1, 2]))
             assert count_lattice_points(P) == box_count(P)
+
+    def test_oracle_on_equalities_flats_and_dilates(self):
+        rng = random.Random(20261018)
+        for _ in range(24):
+            n = rng.randint(1, 3)
+            P = random_polytope(rng, n, denom=rng.choice([1, 2, 3]))
+            A, b, eq = list(P.A), list(P.b), ()
+            a = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            c = F(rng.randint(-2, 2), rng.choice([1, 2]))
+            shape = rng.choice(["plain", "equality", "flat"])
+            if shape == "equality":      # a.x = c, marked as an equality row
+                A.append(a)
+                b.append(c)
+                eq = (len(A),)
+            elif shape == "flat":        # the same hyperplane as two inequalities
+                A += [a, tuple(-x for x in a)]
+                b += [c, -c]
+            Q = HPolyhedron.from_rows(A, b, eq)
+            for lam in (1, 2, 3):
+                D = Q.dilate(lam)
+                assert count_lattice_points(D) == box_count(D)
+
+    def test_unbounded_without_integer_first_coordinate(self):
+        # 1/5 <= x1 <= 4/5 with x2 free holds no integer point
+        P = HPolyhedron.from_rows([(-1, 0), (1, 0)], [F(-1, 5), F(4, 5)])
+        assert count_lattice_points(P) == 0
+
+    def test_unbounded_fiber_rejected(self):
+        # 0 <= x1 <= 1 with x2 free: every integer x1 has an unbounded fiber
+        P = HPolyhedron.from_rows([(-1, 0), (1, 0)], [0, 1])
+        with pytest.raises(PolyhedronError, match="unbounded"):
+            count_lattice_points(P)
+
+    def test_one_dimensional(self):
+        assert count_lattice_points(HPolyhedron.from_rows([(-3,), (2,)], [1, 7])) == 4
+        assert count_lattice_points(HPolyhedron.from_rows([(2,)], [4], (1,))) == 1
+        assert count_lattice_points(HPolyhedron.from_rows([(2,)], [3], (1,))) == 0
+        assert count_lattice_points(HPolyhedron.from_rows([(2,), (-2,)], [1, -1])) == 0
+        with pytest.raises(PolyhedronError, match="unbounded"):
+            count_lattice_points(HPolyhedron.from_rows([(-1,)], [0]))
+
+    def test_counting_solves_no_lp(self, monkeypatch):
+        rng = random.Random(5)
+        cases = [random_polytope(rng, 3, denom=2) for _ in range(3)]
+        cases += [cube_h(3).dilate(2), simplex_h(2),
+                  HPolyhedron.from_rows([(1, -1), (-1, 1), (1, 0), (-1, 0)], [0, 0, 2, 0])]
+        expected = [box_count(P) for P in cases]
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("lattice counting solved an LP")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polyorbit") and hasattr(module, "solve_lp"):
+                monkeypatch.setattr(module, "solve_lp", no_lp)
+        assert [count_lattice_points(P) for P in cases] == expected
+        assert count_lattice_points(HPolyhedron.from_rows([(1, 0), (-1, 0)], [0, -1])) == 0
+        with pytest.raises(PolyhedronError, match="unbounded"):
+            count_lattice_points(HPolyhedron.from_rows([(1, 0), (0, 1)], [0, 0]))
 
 
 class TestQuasiPolynomial:

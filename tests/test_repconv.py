@@ -1,4 +1,5 @@
 """Representation conversion: plain double description and the orbit methods."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from polyorbit.polycore import (
     dot,
     incidence,
     primitive,
+    remove_redundancy,
 )
 from polyorbit.permgrp import Permutation, PermutationGroup, set_stabilizer
 from polyorbit.repconv import (
@@ -79,6 +81,30 @@ def test_dd_cone_deterministic():
     rows = [(1, 2, -3), (-2, 1, -1), (0, -1, -1), (1, 1, -5), (-1, -1, 0)]
     fr = [tuple(map(Fraction, r)) for r in rows]
     assert dd_cone(fr, 3) == dd_cone(fr, 3)
+
+
+def test_dd_round_trip_returns_irredundant_rows():
+    """H -> V -> H on seeded rational full-dimensional polytopes gives back the
+    primitive rows of remove_redundancy(P); every vertex is tight on n rows."""
+    rng = random.Random(1996)
+    for _ in range(30):
+        n = rng.randint(1, 4)
+        A, b = [], []
+        for i in range(n):
+            for s in (1, -1):
+                A.append(tuple(Fraction(s * (i == j)) for j in range(n)))
+                b.append(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+        for _ in range(rng.randint(0, 5)):
+            A.append(tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)))
+            b.append(Fraction(rng.randint(1, 6), rng.randint(1, 3)))
+        k = rng.randrange(len(A))          # a positive multiple of a row
+        A.append(tuple(2 * x for x in A[k]))
+        b.append(2 * b[k])
+        P = HPolyhedron.from_rows(A, b)    # the origin is an interior point
+        V = convert_dd(P)
+        assert normalized_rows(convert_dd(V)) == normalized_rows(remove_redundancy(P))
+        for v in V.vertices:
+            assert sum(dot(a, v) == bb for a, bb in zip(P.A, P.b)) >= n
 
 
 # ---------------------------------------------------------------------------
