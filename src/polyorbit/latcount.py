@@ -51,9 +51,9 @@ from .polycore import (
 from .repconv import convert_dd, dd_cone
 from .symilp import (
     LinearProgram,
-    _check_blocks,
     block_group,
     canonical_core_point,
+    check_blocks,
     check_invariance,
     fiber_barycenter_lattice,
 )
@@ -398,7 +398,7 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     basis of the fiber direction lattice, with an integral base point, so
     counting integer coordinate vectors counts integral fiber points.
     """
-    blocks = _check_blocks(blocks, P.n)
+    blocks = check_blocks(blocks, P.n)
     n = P.n
     if not check_invariance(LinearProgram(P, zero_vector(n)), block_group(blocks)):
         raise PolyhedronError("polyhedron is not invariant under the block action")

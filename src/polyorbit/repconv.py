@@ -55,7 +55,7 @@ from .permgrp import (
     orbit_of_set,
     set_stabilizer,
 )
-from .symdetect import realize_row_permutation, realize_vertex_permutation
+from .symdetect import realize_row_permutations, realize_vertex_permutations
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +480,6 @@ class FacetOrbit:
     key: tuple[int, ...]
     orbit: SetOrbit
     row: tuple[int, ...]
-    status: str = "processed"
 
     @property
     def size(self) -> int:
@@ -548,10 +547,8 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
         raise PolyhedronError("decomposition requires a polytope, not rays")
     if G.degree != V.k:
         raise PolyhedronError("group degree does not match the number of vertices")
-    for g in G.generators:
-        if realize_vertex_permutation(V, g) is None:
-            raise PolyhedronError(
-                "group generator is not an affine symmetry of the vertex set")
+    if any(amap is None for amap in realize_vertex_permutations(V, G.generators)):
+        raise PolyhedronError("group generator is not an affine symmetry of the vertex set")
     geo = _Geometry(V.vertices)
     orbits = _facet_orbit_engine(geo.local, G, levels, 0, jobs)
     entries = {}
@@ -576,10 +573,8 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup,
         raise PolyhedronError("decomposition requires a full-dimensional polytope")
     if remove_redundancy(P).m != P.m:
         raise PolyhedronError("decomposition requires an irredundant description")
-    for g in G.generators:
-        if realize_row_permutation(P, g) is None:
-            raise PolyhedronError(
-                "group generator is not an affine symmetry of the rows")
+    if any(L is None for L in realize_row_permutations(P, G.generators)):
+        raise PolyhedronError("group generator is not an affine symmetry of the rows")
 
     # interior point via the uniform-slack program, then the polar dual:
     # row i becomes the dual point a_i / (b_i - a_i.c), whose facets are the

@@ -1,21 +1,33 @@
 """Affine symmetry detection for polytopes.
 
-The detector reduces geometry to combinatorics: vertices are centered at
-their barycenter (a fixed point of every affine symmetry) and expressed in a
-rational basis of their span, and the complete graph on vertex indices is
-edge-colored with the invariant form x_i^t Q^{-1} x_j, Q = sum x_i x_i^t.
-Color-preserving graph automorphisms are exactly the candidate symmetries;
-each one is then realized as a concrete affine map and verified exactly, so
-nothing reported can fail to be a symmetry.
+The detector reduces geometry to combinatorics, and does its linear algebra
+once per point set, in integers.  The homogenized vertices (1, v), scaled by
+one common denominator, are integer rows X.  One fraction-free echelon pass
+picks a greedy row basis B (an affine basis of the vertices) and the pivot
+columns C; one adjugate of the square matrix [X_B; (0, e_j) for j not in C]
+gives integer coefficients L and a scalar D with D X_j = sum_b L_jb X_b for
+every vertex j, each identity checked exactly.  This is the integer affine
+frame of the point set.
 
-The same machinery applies to inequality rows: normalized homogenized rows
+The complete graph on vertex indices is edge-colored with the affine
+invariant c_i^t Q^{-1} c_j of the vertices c_i centered at their barycenter,
+Q = sum c_i c_i^t, read off L in integers.  Color-preserving graph
+automorphisms are exactly the candidate symmetries.  A candidate sigma is an
+affine symmetry exactly when the frame's identities survive relabeling,
+D X_sigma(j) = sum_b L_jb X_sigma(b); its map is then one integer product
+with the frame's adjugate, and it is verified on every vertex before it is
+returned, so nothing reported can fail to be a symmetry.
+
+The same machinery applies to inequality rows: primitive homogenized rows
 (a | b) transform linearly under affine maps of the ambient space, so the
-uncentered gram construction detects the symmetries visible on the H-side.
+uncentered gram of their frame detects the symmetries visible on the H-side.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 from typing import Optional, Sequence
 
 from .polycore import (
@@ -23,25 +35,13 @@ from .polycore import (
     HPolyhedron,
     Matrix,
     PolyhedronError,
+    VerificationError,
     VPolyhedron,
-    Vector,
     affine_hull,
     det,
-    dot,
-    identity_matrix,
-    invert_matrix,
-    mat_mul,
-    mat_vec,
-    matrix,
+    frac,
     primitive,
-    rank,
     remove_redundancy,
-    row_space_basis,
-    solve_linear,
-    transpose,
-    vec_scale,
-    vec_sub,
-    zero_vector,
 )
 from .permgrp import Permutation, PermutationGroup
 
@@ -61,7 +61,7 @@ class SymmetryGraph:
     @classmethod
     def from_gram(cls, gram: Sequence[Sequence[Fraction]]) -> "SymmetryGraph":
         k = len(gram)
-        g = tuple(tuple(Fraction(x) for x in row) for row in gram)
+        g = tuple(tuple(frac(x) for x in row) for row in gram)
         classes: dict = {}
         for i in range(k):
             for j in range(i, k):
@@ -69,46 +69,144 @@ class SymmetryGraph:
         return cls(k, g, {v: tuple(ps) for v, ps in classes.items()})
 
 
-def _span_coordinates(vectors: Sequence[Vector]) -> tuple[list, list]:
-    """Coordinates of each vector in a rational basis of their joint span.
+# ---------------------------------------------------------------------------
+# Integer affine frame
 
-    Returns (basis rows, coordinate vectors).  A zero span yields an empty
-    basis and empty coordinate tuples.
+
+def _adjugate(M: Sequence[Sequence[int]]) -> tuple[int, list]:
+    """(D, R) with M R = D I for a nonsingular square integer matrix M.
+
+    Fraction-free Gauss-Jordan elimination on [M | I]: every division is
+    exact, the left block ends as D I with D = +-det M, and the right block
+    is R = D M^{-1}.
     """
-    basis = row_space_basis(vectors)
-    if not basis:
-        return [], [() for _ in vectors]
-    bt = transpose(matrix(basis))
-    coords = []
-    for v in vectors:
-        c = solve_linear(bt, v)
-        if c is None:
-            raise PolyhedronError("vector outside its own span basis")
-        coords.append(tuple(c))
-    return [tuple(r) for r in basis], coords
+    r = len(M)
+    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(M)]
+    prev = 1
+    for c in range(r):
+        piv = next((i for i in range(c, r) if a[i][c]), None)
+        if piv is None:
+            raise VerificationError("frame matrix is singular")
+        a[c], a[piv] = a[piv], a[c]
+        top = a[c]
+        p = top[c]
+        for i in range(r):
+            if i != c:
+                f = a[i][c]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
+        prev = p
+    return prev, [row[r:] for row in a]
 
 
-def _gram_matrix(coords: Sequence[Vector]) -> list:
-    """gram[i][j] = c_i^t Q^{-1} c_j with Q = sum c_i c_i^t (must span)."""
-    k = len(coords)
-    d = len(coords[0]) if coords else 0
-    if d == 0:
-        return [[Fraction(0)] * k for _ in range(k)]
-    Q = [[Fraction(0)] * d for _ in range(d)]
-    for c in coords:
-        for a in range(d):
-            if c[a]:
-                for b in range(d):
-                    Q[a][b] += c[a] * c[b]
-    Qinv = invert_matrix(Q)
-    images = [mat_vec(Qinv, c) for c in coords]
-    gram = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        for j in range(i, k):
-            val = dot(coords[i], images[j])
-            gram[i][j] = val
-            gram[j][i] = val
-    return gram
+class _IntegerFrame:
+    """Integer rows with exact integer coordinates over a greedy row basis.
+
+    basis holds the indices of the greedy maximal independent subset of the
+    rows and pivots the pivot columns of their echelon form.  The square
+    matrix N = [rows[basis]; e_j for each non-pivot column j] is invertible,
+    and R = D N^{-1} is an integer matrix.  coeffs[j] are the integers with
+    D * rows[j] == sum_b coeffs[j][b] * rows[basis[b]], checked for every j.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
+        self.rows = [tuple(x) for x in rows]
+        basis: list = []
+        echelon: list = []          # (pivot, row), increasing pivots
+        for i, x in enumerate(self.rows):
+            for p, e in echelon:
+                if x[p]:
+                    f, ep = x[p], e[p]
+                    x = [ep * a - f * b for a, b in zip(x, e)]
+            lead = next((c for c, a in enumerate(x) if a), None)
+            if lead is None:
+                continue
+            g = gcd(*x)
+            echelon.append((lead, [a // g for a in x]))
+            echelon.sort(key=lambda pe: pe[0])
+            basis.append(i)
+            if len(basis) == ncols:
+                break
+        self.basis = tuple(basis)
+        self.pivots = tuple(p for p, _ in echelon)
+        self.units = [tuple(int(a == j) for a in range(ncols))
+                      for j in range(ncols) if j not in self.pivots]
+        self.D, self.R = _adjugate([self.rows[b] for b in basis] + self.units)
+        # row j of X R is D (coordinates of X_j in [X_B; units]), and its
+        # unit part is zero exactly when X_j lies in the span of X_B
+        r = len(basis)
+        rcols = list(zip(*self.R))[:r]
+        self.coeffs = [tuple(sum(map(mul, x, col)) for col in rcols) for x in self.rows]
+        bcols = list(zip(*(self.rows[b] for b in basis)))
+        for x, lam in zip(self.rows, self.coeffs):
+            if any(self.D * a != sum(map(mul, lam, col)) for a, col in zip(x, bcols)):
+                raise VerificationError("row outside the span of its frame basis")
+
+    def image_matrix(self, img: Sequence[int]) -> Optional[list]:
+        """Integer T with X_j T = D X_img[j] for every row j, or None.
+
+        The relabeling img has such a T exactly when the frame's identities
+        survive it, D X_img[j] = sum_b L_jb X_img[basis[b]] for every j; both
+        sides lie in the row space, which the pivot columns coordinatize, so
+        those columns decide.  T = R [X_img[basis]; units] then moves each
+        basis row to its image and fixes every unit row; it is verified on
+        all rows."""
+        D, rows = self.D, self.rows
+        cols = [tuple(rows[img[b]][c] for b in self.basis) for c in self.pivots]
+        for lam, j in zip(self.coeffs, img):
+            x = rows[j]
+            if any(D * x[c] != sum(map(mul, lam, col)) for c, col in zip(self.pivots, cols)):
+                return None
+        cols = list(zip(*([rows[img[b]] for b in self.basis] + self.units)))
+        T = [[sum(map(mul, r, col)) for col in cols] for r in self.R]
+        tcols = list(zip(*T))
+        for x, j in zip(rows, img):
+            if any(sum(map(mul, x, tc)) != D * a for tc, a in zip(tcols, rows[j])):
+                return None
+        return T
+
+    def gram(self, centered: bool) -> SymmetryGraph:
+        """Gram graph of the rows, from their coefficients.
+
+        With L the coefficient matrix, Q = L^t L and g = L (D_Q Q^{-1}) L^t,
+        the uncentered value X_i^t (sum_j X_j X_j^t)^+ X_j is g_ij / D_Q.  For
+        homogenized vertices (1, v) that value is 1/k plus the centered
+        c_i^t Q_c^{-1} c_j, which is what centered=True returns."""
+        lam = self.coeffs
+        k = len(lam)
+        lcols = list(zip(*lam))
+        Q = [[sum(map(mul, u, v)) for v in lcols] for u in lcols]
+        dq, RQ = _adjugate(Q)
+        rqcols = list(zip(*RQ))
+        Y = [tuple(sum(map(mul, x, col)) for col in rqcols) for x in lam]
+        classes: dict = {}         # g_ij -> pairs (i, j), i <= j; one value per g
+        for i in range(k):
+            yi = Y[i]
+            for j in range(i, k):
+                classes.setdefault(sum(map(mul, yi, lam[j])), []).append((i + 1, j + 1))
+        gram = [[None] * k for _ in range(k)]
+        color_classes = {}
+        for g, pairs in classes.items():
+            val = Fraction(k * g - dq, k * dq) if centered else Fraction(g, dq)
+            for i, j in pairs:
+                gram[i - 1][j - 1] = gram[j - 1][i - 1] = val
+            color_classes[val] = tuple(pairs)
+        return SymmetryGraph(k, tuple(map(tuple, gram)), color_classes)
+
+
+def _vertex_frame(V: VPolyhedron) -> _IntegerFrame:
+    """Frame of the homogenized vertices (1, v), scaled by one common
+    denominator to integer rows."""
+    s = lcm(*(x.denominator for v in V.vertices for x in v))
+    rows = [(s,) + tuple(x.numerator * (s // x.denominator) for x in v) for v in V.vertices]
+    return _IntegerFrame(rows, V.n + 1)
+
+
+def _polytope_frame(V: VPolyhedron) -> _IntegerFrame:
+    if V.rays:
+        raise PolyhedronError("symmetry graph requires a bounded polytope (no rays)")
+    if not V.vertices:
+        raise PolyhedronError("symmetry graph requires at least one vertex")
+    return _vertex_frame(V)
 
 
 def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
@@ -117,22 +215,14 @@ def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
     Unbounded inputs are rejected: rays have no barycenter to anchor the
     affine-to-linear reduction.
     """
-    if V.rays:
-        raise PolyhedronError("symmetry graph requires a bounded polytope (no rays)")
-    if not V.vertices:
-        raise PolyhedronError("symmetry graph requires at least one vertex")
-    k = V.k
-    bary = vec_scale(Fraction(1, k), tuple(sum(col) for col in zip(*V.vertices)))
-    centered = [vec_sub(v, bary) for v in V.vertices]
-    _, coords = _span_coordinates(centered)
-    return SymmetryGraph.from_gram(_gram_matrix(coords))
+    return _polytope_frame(V).gram(centered=True)
 
 
 # ---------------------------------------------------------------------------
 # Automorphisms of the colored graph
 
 
-def _refine_colors(gram: Sequence[Sequence[Fraction]]) -> list:
+def _refine_colors(gram: Sequence[Sequence[int]]) -> list:
     """Stable vertex coloring: start from diagonal colors, repeatedly refine
     by the multiset of (neighbor color, edge color) pairs."""
     k = len(gram)
@@ -159,12 +249,16 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
     smallest cell first, and a stabilizer-chain search collects one generator
     per new point reached in each basic orbit.  Pairwise color consistency is
     enforced along every branch, so reported permutations are automorphisms
-    by construction.
+    by construction.  Edge colors are compared as the integer ranks of the
+    color classes, which order and equate exactly as the gram values do.
     """
     k = Gr.k
     if k <= 1:
         return []
-    gram = Gr.gram
+    gram = [[0] * k for _ in range(k)]
+    for rank, value in enumerate(sorted(Gr.color_classes)):
+        for i, j in Gr.color_classes[value]:
+            gram[i - 1][j - 1] = gram[j - 1][i - 1] = rank
     colors = _refine_colors(gram)
     cell_size = {c: colors.count(c) for c in set(colors)}
     # assignment order: smallest color cells first, lowest index first
@@ -181,7 +275,10 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
         return True
 
     def complete(level: int, w0: int) -> Optional[Permutation]:
-        """One automorphism fixing order[:level], sending order[level] to w0."""
+        """One automorphism fixing order[:level], sending order[level] to w0.
+
+        Depth-first over the positions order[level+1:], with an explicit
+        stack: nxt[p] is the next image to try at position p."""
         img = [-1] * k          # img[v] = image of vertex v (0-based)
         used = [False] * k
         for p in range(level):
@@ -191,24 +288,26 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
             return None         # w0 is a fixed prefix vertex; injectivity fails
         img[order[level]] = w0
         used[w0] = True
-
-        def dfs(p: int) -> bool:
+        nxt = [0] * (k + 1)
+        p = level + 1
+        while p > level:
             if p == k:
-                return True
+                return Permutation(tuple(img[i] + 1 for i in range(k)))
             v = order[p]
-            for w in range(k):
-                if used[w] or not consistent(img, v, w, p):
-                    continue
+            if img[v] >= 0:     # back from p + 1: release the last choice
+                used[img[v]] = False
+                img[v] = -1
+            w = nxt[p]
+            while w < k and (used[w] or not consistent(img, v, w, p)):
+                w += 1
+            if w < k:
                 img[v] = w
                 used[w] = True
-                if dfs(p + 1):
-                    return True
-                img[v] = -1
-                used[w] = False
-            return False
-
-        if dfs(level + 1):
-            return Permutation(tuple(img[i] + 1 for i in range(k)))
+                nxt[p] = w + 1
+                p += 1
+                nxt[p] = 0
+            else:
+                p -= 1
         return None
 
     found: list = []
@@ -258,74 +357,27 @@ class AffineSymmetries:
     realizations: dict   # Permutation -> AffineMap
 
 
-def _linearly_independent_subset(vectors: Sequence[Vector], target: int) -> list:
-    """Indices of a greedy maximal linearly independent subset (size target)."""
-    chosen: list = []
-    for i, v in enumerate(vectors):
-        if any(x != 0 for x in v) and rank([vectors[j] for j in chosen] + [v]) > len(chosen):
-            chosen.append(i)
-            if len(chosen) == target:
-                break
-    return chosen
-
-
-def _solve_linear_action(coords: Sequence[Vector], sigma: Permutation) -> Optional[list]:
-    """d x d matrix M with M c_i = c_{sigma(i)} for all i, or None."""
-    d = len(coords[0]) if coords else 0
-    if d == 0:
-        return []
-    idx = _linearly_independent_subset(coords, d)
-    if len(idx) < d:
-        return None
-    U = transpose([coords[i] for i in idx])            # columns c_i
-    W = transpose([coords[sigma(i + 1) - 1] for i in idx])
-    M = mat_mul(W, invert_matrix(U))
-    for i, c in enumerate(coords):
-        if tuple(mat_vec(M, c)) != tuple(coords[sigma(i + 1) - 1]):
-            return None
-    return M
-
-
 class _VertexRealizer:
-    """Solves vertex permutations into affine maps for one fixed vertex set."""
+    """Solves vertex permutations into affine maps for one fixed vertex set.
 
-    def __init__(self, V: VPolyhedron):
+    The map moves the basis vertices of the frame to their images and fixes
+    the directions e_j of the non-pivot coordinates, so a lower-dimensional
+    vertex set gets the map that is the identity on that complement."""
+
+    def __init__(self, V: VPolyhedron, frame: Optional[_IntegerFrame] = None):
         if V.rays:
             raise PolyhedronError("affine realization requires a bounded polytope")
-        self.V = V
-        k, n = V.k, V.n
-        self.bary = vec_scale(Fraction(1, k), tuple(sum(col) for col in zip(*V.vertices)))
-        centered = [vec_sub(v, self.bary) for v in V.vertices]
-        self.basis, self.coords = _span_coordinates(centered)
-        self.d = len(self.basis)
-        if self.d:
-            pivots = [next(j for j, x in enumerate(row) if x != 0) for row in self.basis]
-            comp = [j for j in range(n) if j not in pivots]
-            cols = [list(r) for r in self.basis] + \
-                   [[Fraction(1) if a == j else Fraction(0) for a in range(n)] for j in comp]
-            self.S = transpose(cols)
-            self.S_inv = invert_matrix(self.S)
+        self.k, self.n = V.k, V.n
+        self.frame = _vertex_frame(V) if frame is None else frame
 
     def realize(self, sigma: Permutation) -> Optional[AffineMap]:
-        V, n, d = self.V, self.V.n, self.d
-        M = _solve_linear_action(self.coords, sigma)
-        if M is None:
+        n, D = self.n, self.frame.D
+        T = self.frame.image_matrix([sigma(i + 1) - 1 for i in range(self.k)])
+        if T is None:
             return None
-        if d:
-            block = [[Fraction(0)] * n for _ in range(n)]
-            for a in range(d):
-                for b in range(d):
-                    block[a][b] = M[a][b]
-            for a in range(d, n):
-                block[a][a] = Fraction(1)
-            A = mat_mul(mat_mul(self.S, block), self.S_inv)
-        else:
-            A = identity_matrix(n)
-        t = vec_sub(self.bary, mat_vec(A, self.bary))
-        amap = AffineMap(matrix(A), tuple(t))
-        if all(amap.apply(V.vertices[i]) == V.vertices[sigma(i + 1) - 1] for i in range(V.k)):
-            return amap
-        return None
+        # (1, x) |-> T^t (1, x) / D: row 0 of T is the translation
+        A = tuple(tuple(Fraction(T[b][a], D) for b in range(1, n + 1)) for a in range(1, n + 1))
+        return AffineMap(A, tuple(Fraction(T[0][a], D) for a in range(1, n + 1)))
 
 
 def realize_vertex_permutation(V: VPolyhedron, sigma: Permutation) -> Optional[AffineMap]:
@@ -333,16 +385,23 @@ def realize_vertex_permutation(V: VPolyhedron, sigma: Permutation) -> Optional[A
     return _VertexRealizer(V).realize(sigma)
 
 
+def realize_vertex_permutations(V: VPolyhedron, perms: Sequence[Permutation]) -> list:
+    """realize_vertex_permutation for each permutation, over one frame of V."""
+    realizer = _VertexRealizer(V)
+    return [realizer.realize(sigma) for sigma in perms]
+
+
 def affine_symmetry_group(V: VPolyhedron) -> AffineSymmetries:
     """Affine symmetry group of a polytope from its vertex set.
 
-    Every generator permutation is realized as a concrete AffineMap, solved
-    exactly in span coordinates and verified on all vertices; candidates
-    without a realization are discarded.
+    One integer frame of the vertices gives the gram colors and the
+    realizations.  Every generator permutation is realized as a concrete
+    AffineMap and verified on all vertices; candidates without a
+    realization are discarded.
     """
-    graph = build_symmetry_graph(V)
-    gens = graph_automorphisms(graph)
-    realizer = _VertexRealizer(V)
+    frame = _polytope_frame(V)
+    gens = graph_automorphisms(frame.gram(centered=True))
+    realizer = _VertexRealizer(V, frame)
     realizations: dict = {}
     kept = []
     for sigma in gens:
@@ -359,30 +418,26 @@ class _RowRealizer:
     def __init__(self, P: HPolyhedron):
         self.n = P.n
         self.m = P.m
-        self.rows = [tuple(Fraction(x) for x in primitive(tuple(P.A[i]) + (P.b[i],)))
-                     for i in range(P.m)]
-        if rank(self.rows) < self.n + 1:
+        self.frame = _IntegerFrame(
+            [primitive(tuple(P.A[i]) + (P.b[i],)) for i in range(P.m)], self.n + 1)
+        if len(self.frame.basis) < self.n + 1:
             raise PolyhedronError(
                 "homogenized rows do not span; input must be bounded and full-dimensional")
-        idx = _linearly_independent_subset(self.rows, self.n + 1)
-        self.idx = idx
-        self.U_inv = invert_matrix(transpose([self.rows[i] for i in idx]))
 
     def realize(self, sigma: Permutation) -> Optional[Matrix]:
-        n, rows = self.n, self.rows
-        W = transpose([rows[sigma(i + 1) - 1] for i in self.idx])
-        Lt = mat_mul(W, self.U_inv)   # transpose of the right-acting matrix
-        if any(tuple(mat_vec(Lt, rows[i])) != tuple(rows[sigma(i + 1) - 1])
-               for i in range(self.m)):
+        n, frame = self.n, self.frame
+        # (a | b) L = (a | b)_sigma with L = T / D
+        T = frame.image_matrix([sigma(i + 1) - 1 for i in range(self.m)])
+        if T is None:
             return None
-        L = transpose(Lt)
+        D = frame.D
         # an affine map acts on (a | b) with last row (0, ..., 0, 1) and an
         # invertible linear block
-        if tuple(L[n]) != tuple(zero_vector(n)) + (Fraction(1),):
+        if T[n] != [0] * n + [D]:
             return None
-        if det([row[:n] for row in L[:n]]) == 0:
+        if det([row[:n] for row in T[:n]]) == 0:
             return None
-        return L
+        return tuple(tuple(Fraction(x, D) for x in row) for row in T)
 
 
 def realize_row_permutation(P: HPolyhedron, sigma: Permutation) -> Optional[Matrix]:
@@ -392,6 +447,12 @@ def realize_row_permutation(P: HPolyhedron, sigma: Permutation) -> Optional[Matr
     rows span R^(n+1).
     """
     return _RowRealizer(P).realize(sigma)
+
+
+def realize_row_permutations(P: HPolyhedron, perms: Sequence[Permutation]) -> list:
+    """realize_row_permutation for each permutation, over one frame of P."""
+    realizer = _RowRealizer(P)
+    return [realizer.realize(sigma) for sigma in perms]
 
 
 def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
@@ -410,7 +471,6 @@ def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
     if cleaned.m != P.m or cleaned.equality_rows:
         raise PolyhedronError("restricted symmetry detection needs an irredundant description")
     realizer = _RowRealizer(P)
-    gram = _gram_matrix(realizer.rows)
-    gens = graph_automorphisms(SymmetryGraph.from_gram(gram))
+    gens = graph_automorphisms(realizer.frame.gram(centered=False))
     kept = [sigma for sigma in gens if realizer.realize(sigma) is not None]
     return PermutationGroup(kept, degree=P.m)

@@ -304,7 +304,8 @@ def orbit_barycenter(G: GroupLike, z: Sequence, budget: int = 200_000) -> Vector
 # block symmetric-group products
 
 
-def _check_blocks(blocks, n: Optional[int] = None) -> tuple[int, ...]:
+def check_blocks(blocks, n: Optional[int] = None) -> tuple[int, ...]:
+    """Validated block sizes (n1, ..., nk), summing to n when n is given."""
     if isinstance(blocks, PermutationGroup):
         raise PolyhedronError(
             "a block decomposition (n1, ..., nk) is required, not a general group")
@@ -318,7 +319,7 @@ def _check_blocks(blocks, n: Optional[int] = None) -> tuple[int, ...]:
 
 def block_group(blocks: Sequence[int]) -> PermutationGroup:
     """Direct product of symmetric groups on consecutive coordinate blocks."""
-    blocks = _check_blocks(blocks)
+    blocks = check_blocks(blocks)
     n = sum(blocks)
     gens = []
     off = 0
@@ -333,7 +334,7 @@ def block_group(blocks: Sequence[int]) -> PermutationGroup:
 
 def fiber_barycenter_lattice(blocks: Sequence[int]) -> BarycenterLattice:
     """Lattice of integral-orbit barycenters for a block product of symmetric groups."""
-    blocks = _check_blocks(blocks)
+    blocks = check_blocks(blocks)
     n = sum(blocks)
     steps = tuple(Fraction(1, nb) for nb in blocks)
     basis = []
@@ -349,7 +350,7 @@ def fiber_barycenter_lattice(blocks: Sequence[int]) -> BarycenterLattice:
 
 def fiber_polyhedron(P: HPolyhedron, blocks: Sequence[int], sums: Sequence[int]) -> HPolyhedron:
     """P intersected with the fiber of given integer block sums."""
-    blocks = _check_blocks(blocks, P.n)
+    blocks = check_blocks(blocks, P.n)
     if len(sums) != len(blocks):
         raise PolyhedronError("one integer sum per block is required")
     A = list(P.A)
@@ -374,7 +375,7 @@ def canonical_core_point(blocks: Sequence[int], sums: Sequence[int]) -> CorePoin
     written in descending order.  Its orbit is the set of arrangements within
     each block, of size prod C(n_j, s_j mod n_j).
     """
-    blocks = _check_blocks(blocks)
+    blocks = check_blocks(blocks)
     if len(sums) != len(blocks):
         raise PolyhedronError("one integer sum per block is required")
     coords = []
@@ -547,7 +548,7 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     testing: it is majorized blockwise by every integral point with the same
     sums, so an invariant convex set containing any of them contains it.
     """
-    blocks = _check_blocks(blocks, P.n)
+    blocks = check_blocks(blocks, P.n)
     goal = zero_vector(P.n) if c is None else vector(c)
     _require_block_invariance(P, blocks, goal)
     ranges = _sum_ranges(P, blocks, bounds, fiber_budget)

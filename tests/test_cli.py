@@ -1,11 +1,15 @@
 """CLI tests: file parsing, each subcommand against known answers, exit
 codes, and byte-identical output across worker counts."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
 
+import polyorbit
 from polyorbit import (
     HPolyhedron,
     PolyFile,
@@ -331,3 +335,16 @@ class TestJobsDeterminism:
         monkeypatch.setenv("POLYORBIT_JOBS", "many")
         code, _, err = run(capsys, "count", FIX / "cube3.ine")
         assert code == 2 and "POLYORBIT_JOBS" in err
+
+
+class TestModuleEntryPoint:
+    @pytest.mark.parametrize("args", [("automorphisms", "cube3.ext"),
+                                      ("convert", "cube3.ine", "--jobs", "2")])
+    def test_python_m_polyorbit_matches_main(self, args, capsys):
+        argv = [str(FIX / a) if "." in a else a for a in args]
+        code, out, _ = run(capsys, *argv)
+        src = str(Path(polyorbit.__file__).resolve().parent.parent)
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-m", "polyorbit", *argv], capture_output=True,
+                              text=True, env=dict(os.environ, PYTHONPATH=path), timeout=120)
+        assert (proc.returncode, proc.stderr, proc.stdout) == (code, "", out)

@@ -5,19 +5,44 @@ Brute-force oracles: permutation scans over all k! candidates for small k,
 and independently computed gram values for the square.
 """
 import itertools
+import random
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 
-from polyorbit.polycore import HPolyhedron, PolyhedronError, VPolyhedron, mat_vec, vec_add
+from polyorbit.cli import parse_polyfile
+from polyorbit.polycore import (
+    AffineMap,
+    HPolyhedron,
+    PolyhedronError,
+    VPolyhedron,
+    invert_matrix,
+    mat_vec,
+    primitive,
+    row_space_basis,
+    solve_linear,
+    vec_add,
+    vec_sub,
+)
 from polyorbit.permgrp import Permutation, PermutationGroup
+from polyorbit.repconv import adjacency_decomposition
 from polyorbit.symdetect import (
     SymmetryGraph,
     affine_symmetry_group,
     build_symmetry_graph,
     graph_automorphisms,
+    realize_row_permutation,
+    realize_row_permutations,
+    realize_vertex_permutation,
+    realize_vertex_permutations,
     restricted_symmetries_H,
 )
+
+from shapes import cross_v, cube_v
+
+FIX = Path(__file__).parent / "fixtures"
 
 
 def cube_vertices(n):
@@ -142,6 +167,19 @@ def test_automorphisms_match_brute_force(gram):
         assert p in G
 
 
+
+def test_automorphisms_of_random_graphs_match_brute_force():
+    # seeded random graphs on 6 vertices: their colorings refine poorly, so
+    # the search has to backtrack
+    rng = random.Random("graphs/6")
+    for _ in range(40):
+        gram = [[F(2) if i == j else F(0) for j in range(6)] for i in range(6)]
+        for i, j in itertools.combinations(range(6), 2):
+            if rng.random() < 0.5:
+                gram[i][j] = gram[j][i] = F(1)
+        gens = graph_automorphisms(SymmetryGraph.from_gram(gram))
+        assert group_order(gens, 6) == len(consistent_permutations(gram))
+
 # -- affine symmetry groups -----------------------------------------------------
 
 def test_cube_affine_group_order_48():
@@ -240,3 +278,160 @@ def test_h_side_rejects_non_full_dimensional():
     b = [F(0), F(0)]   # x <= 0 and -x <= 0 force x = 0
     with pytest.raises(PolyhedronError):
         restricted_symmetries_H(HPolyhedron.from_rows(A, b))
+
+
+def test_automorphisms_of_long_cycle_need_no_deep_recursion():
+    # cycle distances on k = 200 points: the dihedral group of order 2k; the
+    # search must not recurse once per vertex
+    k = 200
+    gram = [[F(min(abs(i - j), k - abs(i - j))) for j in range(k)] for i in range(k)]
+    graph = SymmetryGraph.from_gram(gram)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 100)
+    try:
+        gens = graph_automorphisms(graph)
+    finally:
+        sys.setrecursionlimit(limit)
+    for g in gens:
+        assert all(gram[g(i + 1) - 1][g(j + 1) - 1] == gram[i][j]
+                   for i in range(k) for j in range(k))
+    assert group_order(gens, k) == 2 * k
+
+
+# -- realizations against maps solved directly ------------------------------------
+
+def unimodular_image(points, seed):
+    """x -> U x + t for a seeded integer U with det +-1 and a rational t,
+    with the points shuffled."""
+    rng = random.Random(seed)
+    n = len(points[0])
+    U = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    U = [[-x for x in row] if rng.random() < 0.5 else row for row in U]
+    rng.shuffle(U)
+    t = tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n))
+    pts = [tuple(vec_add(mat_vec(U, p), t)) for p in points]
+    rng.shuffle(pts)
+    return VPolyhedron.from_points(pts), U, t
+
+
+def solved_vertex_map(V, sigma):
+    """x -> A x + t with A v_i + t = v_sigma(i) for every vertex and A e_j = e_j
+    for each coordinate j that is not a pivot of the vertex differences,
+    solved by solve_linear one output coordinate at a time; None if the
+    equations have no solution."""
+    n, pts = V.n, V.vertices
+    pivots = {next(j for j, x in enumerate(r) if x)
+              for r in row_space_basis([vec_sub(p, pts[0]) for p in pts[1:]] or [pts[0]])
+              } if len(pts) > 1 else set()
+    free = [j for j in range(n) if j not in pivots]
+    rows = [tuple(p) + (F(1),) for p in pts] + \
+           [tuple(F(int(a == j)) for a in range(n)) + (F(0),) for j in free]
+    A, t = [], []
+    for a in range(n):
+        rhs = [pts[sigma(i + 1) - 1][a] for i in range(len(pts))] + [F(int(a == j)) for j in free]
+        sol = solve_linear(rows, rhs)
+        if sol is None:
+            return None
+        A.append(tuple(sol[:n]))
+        t.append(sol[n])
+    return AffineMap(tuple(A), tuple(t))
+
+
+def hypersimplex(k, n):
+    return [tuple(F(int(i in S)) for i in range(n)) for S in itertools.combinations(range(n), k)]
+
+
+@pytest.mark.parametrize("name,points,order", [
+    ("cube", list(cube_v(3).vertices), 48),
+    ("cross", list(cross_v(3).vertices), 48),
+    ("hypersimplex", hypersimplex(3, 6), 1440),   # 5-dimensional in R^6
+    ("point", [(F(2), F(-1), F(3))], 1),
+    ("segment", [(F(0), F(1), F(2)), (F(3), F(1), F(-1))], 2),
+])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_realizations_match_solved_maps(name, points, order, seed):
+    V, _, _ = unimodular_image(points, f"{name}/{seed}")
+    res = affine_symmetry_group(V)
+    G = res.perm_group
+    assert G.order() == order
+    # generators, their pairwise products, and the identity
+    perms = list(G.generators) + [g * h for g in G.generators for h in G.generators] + \
+        [Permutation.identity(V.k)]
+    realized = realize_vertex_permutations(V, perms)
+    for sigma, amap in zip(perms, realized):
+        expected = solved_vertex_map(V, sigma)
+        assert expected is not None
+        assert amap == expected == realize_vertex_permutation(V, sigma)
+        if sigma in res.realizations:
+            assert res.realizations[sigma] == expected
+
+
+def test_transpositions_of_asymmetric_quadrilateral_are_not_realized():
+    V = parse_polyfile((FIX / "quad-asym.ext").read_text()).to_vpolyhedron()
+    perms = [Permutation.from_cycles(V.k, [c]) for c in itertools.combinations(range(1, V.k + 1), 2)]
+    assert all(solved_vertex_map(V, s) is None for s in perms)
+    assert realize_vertex_permutations(V, perms) == [None] * len(perms)
+    assert affine_symmetry_group(V).perm_group.order() == 1
+
+
+def rectangle_h():
+    # [-1, 1] x [-2, 2]: rows x <= 1, -x <= 1, y <= 2, -y <= 2
+    return HPolyhedron.from_rows([(1, 0), (-1, 0), (0, 1), (0, -1)], [1, 1, 2, 2])
+
+
+def solved_row_action(P, sigma):
+    """L with r_i L = r_sigma(i) on the primitive rows r_i = (a_i | b_i), one
+    column at a time by solve_linear; None if there is none."""
+    rows = [tuple(F(x) for x in primitive(tuple(P.A[i]) + (P.b[i],))) for i in range(P.m)]
+    cols = []
+    for c in range(P.n + 1):
+        sol = solve_linear(rows, [rows[sigma(i + 1) - 1][c] for i in range(P.m)])
+        if sol is None:
+            return None
+        cols.append(sol)
+    return tuple(zip(*cols))
+
+
+def test_row_realizations_match_solved_actions():
+    # the cube's rows in the coordinates of a unimodular image; an integer
+    # translation keeps every row primitive, so no symmetry is lost to the
+    # row scaling
+    _, U, _ = unimodular_image(list(cube_v(3).vertices), "cube-rows")
+    t = (F(2), F(-3), F(1))
+    Uinv = invert_matrix(U)
+    P0 = cube_h(3)
+    A = [tuple(mat_vec(list(zip(*Uinv)), a)) for a in P0.A]   # a U^{-1}
+    b = [bb + sum(x * y for x, y in zip(a, t)) for a, bb in zip(A, P0.b)]
+    P = HPolyhedron.from_rows(A, b)
+    G = restricted_symmetries_H(P)
+    assert G.order() == 48
+    perms = list(G.generators) + [g * h for g in G.generators for h in G.generators]
+    for sigma, L in zip(perms, realize_row_permutations(P, perms)):
+        assert L is not None
+        assert L == solved_row_action(P, sigma) == realize_row_permutation(P, sigma)
+
+
+def test_row_swap_that_breaks_the_system_is_not_realized():
+    P = rectangle_h()
+    flip = Permutation.from_cycles(4, [(1, 2)])       # x -> -x
+    swap = Permutation.from_cycles(4, [(1, 3)])       # x <= 1 with y <= 2
+    assert realize_row_permutation(P, flip) == solved_row_action(P, flip) is not None
+    assert realize_row_permutation(P, swap) is None
+    assert restricted_symmetries_H(P).order() == 4
+
+
+def test_decomposition_rejects_a_non_symmetric_generator():
+    V = parse_polyfile((FIX / "quad-asym.ext").read_text()).to_vpolyhedron()
+    with pytest.raises(PolyhedronError, match="not an affine symmetry"):
+        adjacency_decomposition(V, PermutationGroup([Permutation.from_cycles(4, [(1, 2)])]))
+    P = rectangle_h()
+    with pytest.raises(PolyhedronError, match="not an affine symmetry"):
+        adjacency_decomposition(P, PermutationGroup([Permutation.from_cycles(4, [(1, 3)])]))
