@@ -6,8 +6,8 @@ conversion up to symmetry (orbit ledgers of facets/vertices), affine symmetry
 detection, symmetric integer feasibility via core points, and lattice-point
 counting / Ehrhart / volume with slice decompositions.
 
-All arithmetic is exact over Q (fractions.Fraction); results are deterministic
-and independent of the worker count.
+All arithmetic is exact over Q (fractions.Fraction); everything runs on one
+thread, and results are deterministic.
 """
 
 from .polycore import (

@@ -10,8 +10,9 @@ constant term first) and a ``blocks`` header for the symmetric routes.
 
 Subcommands: automorphisms, convert, count, ehrhart, volume, ilp.  Exit
 codes: 0 success, 1 infeasible or empty (a computed answer), 2 input error,
-3 internal verification failure.  ``--jobs`` (default from POLYORBIT_JOBS)
-never changes any output byte.
+3 internal verification failure or any other internal error (one stderr
+line, never a traceback).  ``--jobs`` (default from POLYORBIT_JOBS) is
+accepted and ignored: every subcommand runs serially.
 """
 
 from __future__ import annotations
@@ -420,7 +421,8 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="polyhedron file (H- or V-representation)")
         p.add_argument("--jobs", type=_jobs_arg, default=_env_jobs(),
-                       help="worker count; never changes any output byte")
+                       help="worker count (at least 1); accepted and ignored, "
+                            "every subcommand runs serially")
         p.set_defaults(handler=handler)
         return p
 
@@ -465,6 +467,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (PolyhedronError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

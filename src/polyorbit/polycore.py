@@ -3,6 +3,15 @@
 Everything in this package computes over the rationals; floating point is never
 used, not even as a pre-filter.  Vectors are tuples of Fraction, matrices are
 tuples of row tuples.  Inequality systems are written A x <= b throughout.
+
+Every exact elimination runs on one kernel, gauss_jordan: fraction-free
+Gauss-Jordan elimination of an integer matrix, which returns D times the
+reduced row echelon form.  Rational rows are scaled to integers first, which
+leaves the reduced form unchanged, so rank, det, nullspace, row_space_basis,
+solve_linear, invert_matrix and affinely_independent_subset read their
+results off it; symmetry detection uses it directly for its integer frames.
+The simplex pivots of solve_lp and the unimodular column reduction of
+integer_kernel_basis are separate algorithms.
 """
 from __future__ import annotations
 
@@ -104,141 +113,121 @@ def primitive(row: Sequence) -> tuple[int, ...]:
 # Exact linear algebra
 
 
+def gauss_jordan(rows: Iterable[Sequence[int]], stop: Optional[int] = None
+                 ) -> tuple[int, list[int], list[list[int]], int]:
+    """Fraction-free Gauss-Jordan elimination of an integer matrix.
+
+    Returns (D, pivots, M, sign).  M is D times the reduced row echelon form
+    (RREF) of the rows: row r < len(pivots) holds D in column pivots[r] and 0
+    in every other pivot column, and the rows after the pivot rows are zero
+    in every column before stop.  Pivots are taken only in columns before
+    stop (all columns by default), so [N | I] with stop = len(N) ends as
+    [D I | D N^-1] for a nonsingular N.  Each pivot is the first nonzero
+    entry at or below the current row; sign is (-1)^(row swaps), and D is
+    the minor on the pivot rows and columns, so a nonsingular square N has
+    det N = sign * D.
+
+    One step with pivot row t and pivot p replaces every other row x by
+    (p x - x_c t) / D_prev.  The division is exact because every entry is a
+    minor of the input (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", 1968); rows with x_c = 0 are
+    rescaled by p / D_prev all the same, which keeps them on the common
+    scale D.
+    """
+    m = [list(r) for r in rows]
+    if stop is None:
+        stop = len(m[0]) if m else 0
+    D, sign, pivots = 1, 1, []
+    for c in range(stop):
+        r = len(pivots)
+        if r == len(m):
+            break
+        piv = next((i for i in range(r, len(m)) if m[i][c]), None)
+        if piv is None:
+            continue
+        if piv != r:
+            m[r], m[piv] = m[piv], m[r]
+            sign = -sign
+        top = m[r]
+        p = top[c]
+        for i, x in enumerate(m):
+            if i == r:
+                continue
+            f = x[c]
+            if f:
+                m[i] = [(p * a - f * b) // D for a, b in zip(x, top)]
+            elif p != D:
+                m[i] = [p * a // D for a in x]
+        D = p
+        pivots.append(c)
+    return D, pivots, m, sign
+
+
 def rank(rows: Sequence[Sequence]) -> int:
-    """Exact rank via fraction-free (Bareiss-style) elimination on integers."""
-    m = [list(integerize(r)) for r in rows]
-    if not m:
-        return 0
-    ncols = len(m[0])
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for i in range(r + 1, len(m)):
-            for j in range(c + 1, ncols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
-        r += 1
-        if r == len(m):
-            break
-    return r
-
-
-def _echelon(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Reduced row echelon form over Q (returns a fresh list of lists)."""
-    m = [[frac(x) for x in row] for row in rows]
-    if not m:
-        return m
-    ncols = len(m[0])
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        inv = m[r][c]
-        m[r] = [x / inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        r += 1
-        if r == len(m):
-            break
-    return m
+    """Exact rank: the pivot count of the integerized rows."""
+    return len(gauss_jordan(integerize(r) for r in rows)[1])
 
 
 def row_space_basis(rows: Sequence[Sequence]) -> Matrix:
-    ech = _echelon(rows)
-    return tuple(tuple(r) for r in ech if any(x != 0 for x in r))
+    """The nonzero rows of the reduced row echelon form."""
+    D, pivots, m, _ = gauss_jordan(integerize(r) for r in rows)
+    return tuple(tuple(Fraction(x, D) for x in m[r]) for r in range(len(pivots)))
 
 
 def nullspace(rows: Sequence[Sequence], n: Optional[int] = None) -> Matrix:
-    """Basis of {x : A x = 0}, one vector per free column."""
+    """Basis of {x : A x = 0}, one vector per free column, read off the
+    reduced row echelon form."""
     if n is None:
         n = len(rows[0]) if rows else 0
-    ech = _echelon(rows) if rows else []
-    ech = [r for r in ech if any(x != 0 for x in r)]
-    pivots = []
-    for r in ech:
-        pivots.append(next(j for j, x in enumerate(r) if x != 0))
-    free = [j for j in range(n) if j not in pivots]
+    D, pivots, m, _ = gauss_jordan(integerize(r) for r in rows)
     basis = []
-    for j in free:
+    for j in range(n):
+        if j in pivots:
+            continue
         v = [Fraction(0)] * n
         v[j] = Fraction(1)
-        for r, pc in zip(ech, pivots):
-            v[pc] = -r[j]
+        for row, pc in zip(m, pivots):
+            v[pc] = Fraction(-row[j], D)
         basis.append(tuple(v))
     return tuple(basis)
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
-    """One exact solution of A x = b, or None if inconsistent."""
-    rows = [list(r) + [bb] for r, bb in zip(A, b)]
+    """One exact solution of A x = b (free variables 0), or None if
+    inconsistent, which a nonzero right-hand side left on a zero row shows."""
     n = len(A[0]) if A else 0
-    ech = [r for r in _echelon(rows) if any(v != 0 for v in r[:n])]
-    # reduced echelon form: free variables 0, each pivot reads off directly
+    D, pivots, m, _ = gauss_jordan(
+        (integerize(tuple(r) + (bb,)) for r, bb in zip(A, b)), stop=n)
+    if any(row[n] for row in m[len(pivots):]):
+        return None
     x = [Fraction(0)] * n
-    for r in reversed(ech):
-        nz = next(j for j, v in enumerate(r[:n]) if v != 0)
-        x[nz] = (r[n] - sum(r[j] * x[j] for j in range(nz + 1, n))) / r[nz]
-    # verify (guards the inconsistent case where a 0 = c row existed)
-    for row, bb in zip(A, b):
-        if dot(row, x) != bb:
-            return None
+    for row, pc in zip(m, pivots):
+        x[pc] = Fraction(row[n], D)
     return tuple(x)
 
 
 def invert_matrix(A: Sequence[Sequence]) -> Matrix:
+    """Exact inverse, the right block of the elimination of [A | I]."""
     n = len(A)
-    aug = [[frac(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(A)]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        inv = aug[c][c]
-        aug[c] = [x / inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[c])]
-    return tuple(tuple(row[n:]) for row in aug)
+    D, pivots, m, _ = gauss_jordan(
+        (integerize(tuple(row) + tuple(int(i == j) for j in range(n)))
+         for i, row in enumerate(A)), stop=n)
+    if len(pivots) < n:
+        raise ValueError("matrix is singular")
+    return tuple(tuple(Fraction(x, D) for x in row[n:]) for row in m)
 
 
 def det(A: Sequence[Sequence]) -> Fraction:
-    """Exact determinant (fraction-free on the integerized matrix)."""
+    """Exact determinant: sign * D of the integerized rows, over the product
+    of their scale factors."""
     n = len(A)
-    if n == 0:
-        return Fraction(1)
-    denom = Fraction(1)
-    m = []
+    D, pivots, _, sign = gauss_jordan(integerize(r) for r in A)
+    if len(pivots) < n:
+        return Fraction(0)
+    denom = 1
     for row in A:
-        ints = [frac(x) for x in row]
-        mult = lcm(*(x.denominator for x in ints))
-        denom *= mult
-        m.append([int(x * mult) for x in ints])
-    sign = 1
-    prev = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            sign = -sign
-        for i in range(c + 1, n):
-            for j in range(c + 1, n):
-                m[i][j] = (m[c][c] * m[i][j] - m[i][c] * m[c][j]) // prev
-            m[i][c] = 0
-        prev = m[c][c]
-    return Fraction(sign * m[n - 1][n - 1]) / denom
+        denom *= lcm(*(frac(x).denominator for x in row))
+    return Fraction(sign * D, denom)
 
 
 def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[int, ...]]:
@@ -651,18 +640,14 @@ def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
 
 def affinely_independent_subset(points: Sequence[Sequence]) -> list[int]:
     """0-based indices of a maximal affinely independent subset, greedy in
-    input order (deterministic)."""
+    input order (deterministic): point 0 and every point whose difference
+    from it is a pivot column of the differences taken as columns."""
     pts = [vector(p) for p in points]
     if not pts:
         return []
-    chosen = [0]
-    dirs: list[Vector] = []
-    for idx in range(1, len(pts)):
-        cand = dirs + [vec_sub(pts[idx], pts[chosen[0]])]
-        if rank(cand) > len(dirs):
-            dirs = [tuple(r) for r in row_space_basis(cand)]
-            chosen.append(idx)
-    return chosen
+    diffs = [vec_sub(p, pts[0]) for p in pts[1:]]
+    pivots = gauss_jordan(integerize(r) for r in zip(*diffs))[1]
+    return [0] + [j + 1 for j in pivots]
 
 
 def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
@@ -710,10 +695,16 @@ def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
             i += 1
             continue
         others = [j for j in active if j != idx]
-        sub = HPolyhedron(tuple(A[j] for j in others), tuple(b[j] for j in others),
-                          tuple(pos + 1 for pos, j in enumerate(others) if marked[j]))
-        res = solve_lp(sub, A[idx])
-        if res.status == "optimal" and res.value <= b[idx]:
+        if others:
+            sub = HPolyhedron(tuple(A[j] for j in others), tuple(b[j] for j in others),
+                              tuple(pos + 1 for pos, j in enumerate(others) if marked[j]))
+            res = solve_lp(sub, A[idx])
+            redundant = res.status == "optimal" and res.value <= b[idx]
+        else:
+            # over all of R^n, a.x is bounded only for a = 0, and 0 <= b_i
+            # holds on a nonempty set
+            redundant = not any(A[idx])
+        if redundant:
             active = others
         else:
             i += 1

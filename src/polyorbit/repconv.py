@@ -6,7 +6,8 @@ methods: adjacency decomposition (seed one facet, walk to neighbors across
 ridges, keep one representative per orbit) and incidence decomposition
 (enumerate the facets through one representative point of each input orbit).
 Both catalog facet orbits in an OrbitLedger keyed by canonical incident-vertex
-sets, so any two runs agree key-for-key regardless of scheduling.
+sets, so any two runs agree key-for-key.  Everything runs serially on one
+thread; the jobs parameters are accepted and ignored.
 
 For an H-description the heavy work happens on the polar dual: the rows map
 to dual points whose facets are exactly the input's vertices, and the facet
@@ -16,12 +17,11 @@ row per facet orbit.
 """
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 from operator import mul
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from .polycore import (
     EmptyPolyhedronError,
@@ -221,16 +221,6 @@ def convert_dd(P: Union[HPolyhedron, VPolyhedron]) -> Union[VPolyhedron, HPolyhe
 # ever passes index sets around.
 
 
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    """Order-preserving map; results are merged by the caller in input order,
-    which keeps every pipeline schedule-independent."""
-    items = list(items)
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as ex:
-        return list(ex.map(fn, items))
-
-
 def _supporting_row(pts: Sequence[Vector], S: frozenset) -> tuple[Vector, Fraction]:
     """(a, delta) with a.x <= delta over pts and equality exactly on S.
 
@@ -259,6 +249,40 @@ def _supporting_row(pts: Sequence[Vector], S: frozenset) -> tuple[Vector, Fracti
     return a, delta
 
 
+def _rotate_about(pts: Sequence[Vector], face: frozenset, c: Vector, delta: Fraction,
+                  skip: frozenset, away: Optional[int] = None
+                  ) -> Optional[tuple[Vector, Fraction, list[int]]]:
+    """Rotate the hyperplane c.x = delta about aff(face) to the first points
+    outside skip, or None when face already spans a hyperplane.
+
+    The hyperplanes through aff(face) form a pencil spanned by c and any
+    second functional g vanishing on the face directions; g is oriented so
+    that the point away (if given) is not above it.  The rotated row is
+    g + t c at the largest parameter t over the points outside skip, and the
+    1-based indices attaining it come back with the rotated row.
+    """
+    members = sorted(face)
+    base = pts[members[0] - 1]
+    ns = nullspace([vec_sub(pts[i - 1], base) for i in members[1:]], len(base))
+    if len(ns) == 1:
+        return None
+    g = next(v for v in ns if rank([v, c]) == 2)
+    if away is not None and dot(g, pts[away - 1]) > dot(g, base):
+        g = tuple(-x for x in g)
+    gamma = dot(g, base)
+    t_best: Optional[Fraction] = None
+    arg: list[int] = []
+    for i, p in enumerate(pts):
+        if (i + 1) in skip:
+            continue
+        tv = (dot(g, p) - gamma) / (delta - dot(c, p))
+        if t_best is None or tv > t_best:
+            t_best, arg = tv, [i + 1]
+        elif tv == t_best:
+            arg.append(i + 1)
+    return vec_add(g, vec_scale(t_best, c)), gamma + t_best * delta, arg
+
+
 def _initial_facet(pts: Sequence[Vector]) -> frozenset:
     """Deterministic seed facet: maximize the first coordinate, then rotate
     the supporting hyperplane to enlarge the optimal face until it spans
@@ -267,28 +291,12 @@ def _initial_facet(pts: Sequence[Vector]) -> frozenset:
     d = len(pts[0])
     c = tuple(Fraction(1 if j == 0 else 0) for j in range(d))
     delta = max(dot(c, p) for p in pts)
-    S = {i + 1 for i, p in enumerate(pts) if dot(c, p) == delta}
+    S = frozenset(i + 1 for i, p in enumerate(pts) if dot(c, p) == delta)
     while True:
-        members = sorted(S)
-        base = pts[members[0] - 1]
-        dirs = [vec_sub(pts[i - 1], base) for i in members[1:]]
-        if rank(dirs) == d - 1:
-            return frozenset(S)
-        ns = nullspace(dirs, d)
-        g = next(v for v in ns if rank([v, c]) == 2)
-        gbase = dot(g, base)
-        t_best: Optional[Fraction] = None
-        arg: list[int] = []
-        for i, p in enumerate(pts):
-            if (i + 1) in S:
-                continue
-            tv = (dot(g, p) - gbase) / (delta - dot(c, p))
-            if t_best is None or tv > t_best:
-                t_best, arg = tv, [i + 1]
-            elif tv == t_best:
-                arg.append(i + 1)
-        delta = gbase + t_best * delta
-        c = vec_add(g, vec_scale(t_best, c))
+        step = _rotate_about(pts, S, c, delta, S)
+        if step is None:
+            return S
+        c, delta, arg = step
         S |= set(arg)
 
 
@@ -296,33 +304,12 @@ def _neighbor_facet(pts: Sequence[Vector], F: frozenset, c: Vector,
                     delta: Fraction, R: frozenset) -> frozenset:
     """The unique facet other than F containing the ridge R.
 
-    The hyperplanes through aff(R) form a pencil spanned by F's supporting
-    row and any second functional vanishing on R; the neighbor is cut out at
-    the extreme admissible pencil parameter, a finite maximum over the
-    vertices outside F.
+    The neighbor is cut out at the extreme admissible parameter of the pencil
+    of hyperplanes through aff(R), a finite maximum over the vertices outside
+    F, with the second functional oriented to support F.
     """
-    d = len(pts[0])
-    members = sorted(R)
-    base = pts[members[0] - 1]
-    dirs = [vec_sub(pts[i - 1], base) for i in members[1:]]
-    ns = nullspace(dirs, d)
-    g = next(v for v in ns if rank([v, c]) == 2)
-    # orient g to support F with equality exactly on R
     f0 = next(i for i in sorted(F) if i not in R)
-    if dot(g, pts[f0 - 1]) > dot(g, base):
-        g = tuple(-x for x in g)
-    gamma = dot(g, base)
-    t_best: Optional[Fraction] = None
-    arg: list[int] = []
-    for i, p in enumerate(pts):
-        if (i + 1) in F:
-            continue
-        tv = (dot(g, p) - gamma) / (delta - dot(c, p))
-        if t_best is None or tv > t_best:
-            t_best, arg = tv, [i + 1]
-        elif tv == t_best:
-            arg.append(i + 1)
-    return frozenset(set(R) | set(arg))
+    return R | set(_rotate_about(pts, R, c, delta, F, away=f0)[2])
 
 
 def _plain_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
@@ -340,7 +327,7 @@ def _plain_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
     return out
 
 
-def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup, jobs: int) -> list[SetOrbit]:
+def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
     """One representative point per point orbit; all facets through it come
     from the dual of its tangent cone.  Every facet contains some vertex, so
     the union over the orbit representatives covers everything."""
@@ -360,8 +347,8 @@ def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup, jobs: int) -> list[S
 
     out: list[SetOrbit] = []
     seen: set = set()
-    for result in _parallel_map(facets_at, reps, jobs):
-        for orb in result:
+    for p0 in reps:
+        for orb in facets_at(p0):
             if orb.representative not in seen:
                 seen.add(orb.representative)
                 out.append(orb)
@@ -369,14 +356,14 @@ def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup, jobs: int) -> list[S
 
 
 def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
-                levels: tuple[int, int], depth: int, jobs: int) -> list[SetOrbit]:
+                levels: tuple[int, int], depth: int) -> list[SetOrbit]:
     """Breadth-first walk over facet orbits.
 
     A pending representative's ridges are the facets of its own vertex set,
     computed up to the facet stabilizer; rotating one ridge per stabilizer
     orbit reaches a member of every neighboring facet orbit.  The frontier is
     processed in sorted rounds and results are merged in batch order, so the
-    ledger is identical for any worker count.
+    ledger is deterministic.
     """
 
     def process(key: tuple[int, ...]) -> list[SetOrbit]:
@@ -391,7 +378,7 @@ def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
         sub_gens = [Permutation(tuple(pos[g(v)] for v in members))
                     for g in stab.generators]
         sub_group = PermutationGroup(sub_gens, degree=len(members))
-        ridges = _facet_orbit_engine(sub_pts, sub_group, levels, depth + 1, 1)
+        ridges = _facet_orbit_engine(sub_pts, sub_group, levels, depth + 1)
         found = []
         for ridge in ridges:
             R = frozenset(members[j - 1] for j in ridge.representative)
@@ -404,8 +391,8 @@ def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
     while frontier:
         batch = sorted(frontier)
         frontier = []
-        for result in _parallel_map(process, batch, jobs if depth == 0 else 1):
-            for orb in result:
+        for key in batch:
+            for orb in process(key):
                 if orb.representative not in entries:
                     entries[orb.representative] = orb
                     frontier.append(orb.representative)
@@ -413,7 +400,7 @@ def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
 
 
 def _facet_orbit_engine(pts: Sequence[Vector], G: PermutationGroup,
-                        levels: tuple[int, int], depth: int, jobs: int) -> list[SetOrbit]:
+                        levels: tuple[int, int], depth: int) -> list[SetOrbit]:
     """Facet orbits of conv(pts), one SetOrbit per orbit, discovery order.
 
     pts must be distinct and affinely span their space.  The levels policy
@@ -432,9 +419,9 @@ def _facet_orbit_engine(pts: Sequence[Vector], G: PermutationGroup,
         # one from the other; enumerate directly
         return _plain_orbits(pts, G)
     if depth < l1:
-        return _idm_orbits(pts, G, jobs)
+        return _idm_orbits(pts, G)
     if depth < l2:
-        return _adm_orbits(pts, G, levels, depth, jobs)
+        return _adm_orbits(pts, G, levels, depth)
     return _plain_orbits(pts, G)
 
 
@@ -542,7 +529,7 @@ def _check_levels(levels) -> tuple[int, int]:
 
 
 def _decompose_points(V: VPolyhedron, G: PermutationGroup,
-                      levels: tuple[int, int], jobs: int) -> OrbitLedger:
+                      levels: tuple[int, int]) -> OrbitLedger:
     if V.rays:
         raise PolyhedronError("decomposition requires a polytope, not rays")
     if G.degree != V.k:
@@ -550,7 +537,7 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
     if any(amap is None for amap in realize_vertex_permutations(V, G.generators)):
         raise PolyhedronError("group generator is not an affine symmetry of the vertex set")
     geo = _Geometry(V.vertices)
-    orbits = _facet_orbit_engine(geo.local, G, levels, 0, jobs)
+    orbits = _facet_orbit_engine(geo.local, G, levels, 0)
     entries = {}
     for orb in orbits:
         a, delta = _supporting_row(geo.local, frozenset(orb.representative))
@@ -560,7 +547,7 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
 
 
 def _decompose_rows(P: HPolyhedron, G: PermutationGroup,
-                    levels: tuple[int, int], jobs: int) -> OrbitLedger:
+                    levels: tuple[int, int]) -> OrbitLedger:
     n = P.n
     if P.equality_rows:
         raise PolyhedronError("decomposition requires an inequality-only description")
@@ -592,7 +579,7 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup,
     if len(set(dual_pts)) != P.m:
         raise PolyhedronError("duplicate inequality rows")
 
-    dual_orbits = _facet_orbit_engine(dual_pts, G, levels, 0, jobs)
+    dual_orbits = _facet_orbit_engine(dual_pts, G, levels, 0)
 
     tight_sets: list[frozenset] = []
     seen: set = set()
@@ -647,13 +634,14 @@ def adjacency_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     G must act by affine symmetries on the inequality indices (H input) or
     vertex indices (V input); this is verified up front and violations are
     rejected.  The input must be a bounded polytope, and full-dimensional and
-    irredundant when given by rows.
+    irredundant when given by rows.  jobs is accepted and ignored: the walk
+    is serial.
     """
     lv = _check_levels(levels)
     if isinstance(P, VPolyhedron):
-        return _decompose_points(P, G, lv, jobs)
+        return _decompose_points(P, G, lv)
     if isinstance(P, HPolyhedron):
-        return _decompose_rows(P, G, lv, jobs)
+        return _decompose_rows(P, G, lv)
     raise TypeError("expected an HPolyhedron or VPolyhedron")
 
 
@@ -666,13 +654,14 @@ def incidence_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     its tangent cone) and canonicalized; the union over the orbit
     representatives covers every facet because each facet touches some input
     element.  Preconditions match adjacency_decomposition, and so does the
-    resulting ledger.
+    resulting ledger.  jobs is accepted and ignored: the representatives are
+    processed serially.
     """
     levels = (1, 1)   # run the incidence method at depth 0, plain below
     if isinstance(P, VPolyhedron):
-        return _decompose_points(P, G, levels, jobs)
+        return _decompose_points(P, G, levels)
     if isinstance(P, HPolyhedron):
-        return _decompose_rows(P, G, levels, jobs)
+        return _decompose_rows(P, G, levels)
     raise TypeError("expected an HPolyhedron or VPolyhedron")
 
 
@@ -713,7 +702,8 @@ def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger,
     of the representative facet are enumerated by a plain conversion of its
     vertex set and rotated to their neighbor facets.  Symmetry carries any
     adjacent pair onto a pair involving a representative, so this sees every
-    edge, including self-loops.
+    edge, including self-loops.  jobs is accepted and ignored: the orbits are
+    processed serially.
     """
     geo = _Geometry(list(ledger.vertices))
     pts = geo.local
@@ -740,9 +730,9 @@ def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger,
         return sorted(found)
 
     edges = set()
-    for key, nbrs in zip(keys, _parallel_map(neighbors_of, keys, jobs)):
+    for key in keys:
         i = node_of[key]
-        for nk in nbrs:
+        for nk in neighbors_of(key):
             j = node_of.get(nk)
             if j is None:
                 raise PolyhedronError("ledger is not complete: missing neighbor orbit")

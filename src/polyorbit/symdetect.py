@@ -1,13 +1,14 @@
 """Affine symmetry detection for polytopes.
 
 The detector reduces geometry to combinatorics, and does its linear algebra
-once per point set, in integers.  The homogenized vertices (1, v), scaled by
-one common denominator, are integer rows X.  One fraction-free echelon pass
-picks a greedy row basis B (an affine basis of the vertices) and the pivot
-columns C; one adjugate of the square matrix [X_B; (0, e_j) for j not in C]
-gives integer coefficients L and a scalar D with D X_j = sum_b L_jb X_b for
-every vertex j, each identity checked exactly.  This is the integer affine
-frame of the point set.
+once per point set, in integers, on polycore's fraction-free Gauss-Jordan
+kernel.  The homogenized vertices (1, v), scaled by one common denominator,
+are integer rows X.  The pivot columns of X^t are a greedy row basis B (an
+affine basis of the vertices), and those of X_B are the pivot columns C; the
+adjugate of the square matrix [X_B; (0, e_j) for j not in C], read off the
+elimination of [N | I], gives integer coefficients L and a scalar D with
+D X_j = sum_b L_jb X_b for every vertex j, each identity checked exactly.
+This is the integer affine frame of the point set.
 
 The complete graph on vertex indices is edge-colored with the affine
 invariant c_i^t Q^{-1} c_j of the vertices c_i centered at their barycenter,
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -40,6 +41,7 @@ from .polycore import (
     affine_hull,
     det,
     frac,
+    gauss_jordan,
     primitive,
     remove_redundancy,
 )
@@ -74,60 +76,34 @@ class SymmetryGraph:
 
 
 def _adjugate(M: Sequence[Sequence[int]]) -> tuple[int, list]:
-    """(D, R) with M R = D I for a nonsingular square integer matrix M.
-
-    Fraction-free Gauss-Jordan elimination on [M | I]: every division is
-    exact, the left block ends as D I with D = +-det M, and the right block
-    is R = D M^{-1}.
-    """
+    """(D, R) with M R = D I for a nonsingular square integer matrix M: the
+    right block of the fraction-free elimination of [M | I]."""
     r = len(M)
-    a = [list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(M)]
-    prev = 1
-    for c in range(r):
-        piv = next((i for i in range(c, r) if a[i][c]), None)
-        if piv is None:
-            raise VerificationError("frame matrix is singular")
-        a[c], a[piv] = a[piv], a[c]
-        top = a[c]
-        p = top[c]
-        for i in range(r):
-            if i != c:
-                f = a[i][c]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], top)]
-        prev = p
-    return prev, [row[r:] for row in a]
+    D, pivots, a, _ = gauss_jordan(
+        (list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(M)), stop=r)
+    if len(pivots) < r:
+        raise VerificationError("frame matrix is singular")
+    return D, [row[r:] for row in a]
 
 
 class _IntegerFrame:
     """Integer rows with exact integer coordinates over a greedy row basis.
 
     basis holds the indices of the greedy maximal independent subset of the
-    rows and pivots the pivot columns of their echelon form.  The square
-    matrix N = [rows[basis]; e_j for each non-pivot column j] is invertible,
-    and R = D N^{-1} is an integer matrix.  coeffs[j] are the integers with
-    D * rows[j] == sum_b coeffs[j][b] * rows[basis[b]], checked for every j.
+    rows and pivots the pivot columns of their reduced echelon form.  The
+    square matrix N = [rows[basis]; e_j for each non-pivot column j] is
+    invertible, and R = D N^{-1} is an integer matrix.  coeffs[j] are the
+    integers with D * rows[j] == sum_b coeffs[j][b] * rows[basis[b]],
+    checked for every j.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
         self.rows = [tuple(x) for x in rows]
-        basis: list = []
-        echelon: list = []          # (pivot, row), increasing pivots
-        for i, x in enumerate(self.rows):
-            for p, e in echelon:
-                if x[p]:
-                    f, ep = x[p], e[p]
-                    x = [ep * a - f * b for a, b in zip(x, e)]
-            lead = next((c for c, a in enumerate(x) if a), None)
-            if lead is None:
-                continue
-            g = gcd(*x)
-            echelon.append((lead, [a // g for a in x]))
-            echelon.sort(key=lambda pe: pe[0])
-            basis.append(i)
-            if len(basis) == ncols:
-                break
+        # the greedy row basis is the pivot columns of X^t, and the pivot
+        # columns of X_B are those of the row space
+        basis = gauss_jordan(zip(*self.rows))[1]
         self.basis = tuple(basis)
-        self.pivots = tuple(p for p, _ in echelon)
+        self.pivots = tuple(gauss_jordan(self.rows[b] for b in basis)[1])
         self.units = [tuple(int(a == j) for a in range(ncols))
                       for j in range(ncols) if j not in self.pivots]
         self.D, self.R = _adjugate([self.rows[b] for b in basis] + self.units)

@@ -18,6 +18,7 @@ from polyorbit import (
     parse_polyfile,
     write_polyfile,
 )
+from polyorbit import cli
 from polyorbit.cli import main
 from polyorbit.polycore import matrix, primitive
 
@@ -335,6 +336,27 @@ class TestJobsDeterminism:
         monkeypatch.setenv("POLYORBIT_JOBS", "many")
         code, _, err = run(capsys, "count", FIX / "cube3.ine")
         assert code == 2 and "POLYORBIT_JOBS" in err
+
+
+class TestErrorContract:
+    @pytest.mark.parametrize("command", ["automorphisms", "convert"])
+    def test_one_row_half_line_is_an_input_error(self, command, tmp_path, capsys):
+        # x >= 0 in R^1: one row, whose redundancy test once built a
+        # zero-row LP and escaped as a ValueError traceback
+        path = tmp_path / "half-line.ine"
+        path.write_text("H-representation\nbegin\n1 2 rational\n0 1\nend\n")
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err == ("error: homogenized rows do not span; "
+                       "input must be bounded and full-dimensional\n")
+
+    def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):
+        def broken(pf, args):
+            raise ValueError("boom")
+
+        monkeypatch.setattr(cli, "cmd_automorphisms", broken)
+        code, out, err = run(capsys, "automorphisms", FIX / "cube3.ext")
+        assert (code, out, err) == (3, "", "internal error: ValueError: boom\n")
 
 
 class TestModuleEntryPoint:

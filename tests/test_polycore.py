@@ -282,6 +282,13 @@ class TestRemoveRedundancy:
         R = remove_redundancy(P)
         assert len(R.equality_rows) == 2
 
+    def test_single_row(self):
+        # no zero-row subsystem: a lone nonzero row is kept, a lone 0 <= 1 goes
+        R = remove_redundancy(HPolyhedron.from_rows([[-1]], [0]))
+        assert (R.A, R.b, R.equality_rows) == (((-1,),), (0,), ())
+        R = remove_redundancy(HPolyhedron.from_rows([[-1], [0]], [0, 1]))
+        assert (R.A, R.b) == (((-1,),), (0,))
+
     def test_empty_flagged(self):
         P = HPolyhedron.from_rows([[1], [-1]], [0, -1])
         with pytest.raises(EmptyPolyhedronError):
