@@ -22,6 +22,7 @@ from .polycore import (
     VerificationError,
     VPolyhedron,
     affine_hull,
+    convert_dd,
     incidence,
     rank,
     remove_redundancy,
@@ -51,7 +52,6 @@ from .repconv import (
     OrbitLedger,
     adjacency_decomposition,
     adjacency_graph,
-    convert_dd,
     incidence_decomposition,
     shortest_path,
     write_dot,

@@ -81,6 +81,8 @@ class PolyFile:
     def to_hpolyhedron(self) -> HPolyhedron:
         if self.kind != "H":
             raise PolyhedronError("an H-representation file is required here")
+        if not self.rows:
+            raise PolyhedronError("an H-representation needs at least one row")
         A = matrix([[-x for x in row[1:]] for row in self.rows])
         b = vector([row[0] for row in self.rows])
         return HPolyhedron(A, b, self.linearity)

@@ -32,11 +32,14 @@ from .polycore import (
     VerificationError,
     VPolyhedron,
     affine_hull,
+    convert_dd,
+    convert_dd_incidence,
+    dd_cone,
     det,
     dot,
     feasible_point,
     frac,
-    incidence,
+    index_set,
     integer_kernel_basis,
     matrix,
     nullspace,
@@ -48,7 +51,6 @@ from .polycore import (
     vector,
     zero_vector,
 )
-from .repconv import convert_dd, dd_cone
 from .symilp import (
     LinearProgram,
     block_group,
@@ -109,7 +111,7 @@ def _projection_rows(V: VPolyhedron, k: int) -> tuple[list, list]:
     """
     gens = dict.fromkeys(tuple(v[:k]) + (-1,) for v in V.vertices)
     gens.update(dict.fromkeys(tuple(r[:k]) + (0,) for r in V.rays if any(r[:k])))
-    lin, rays = dd_cone(list(gens), k + 1)
+    lin, rays, _ = dd_cone(list(gens), k + 1)
     eqs = [(g[:k - 1], g[k - 1], g[k]) for g in lin if any(g[:k])]
     les = [(g[:k - 1], g[k - 1], g[k]) for g in rays if any(g[:k])]
     return eqs, les
@@ -300,15 +302,10 @@ def volume(P: HPolyhedron, apex: Optional[Sequence] = None) -> Fraction:
     if c is None:
         c = vec_scale(Fraction(1, len(work)),
                       [sum(p[t] for p in work) for t in range(d)])
-    sub = VPolyhedron.from_points(work)
-    H = convert_dd(sub)
-    inc = incidence(H, sub)
-    skip = set(H.equality_rows)
+    # work spans its d coordinates, so every row of the conversion is a facet
     total = Fraction(0)
-    for i in range(1, H.m + 1):
-        if i in skip:
-            continue
-        face = tuple(sorted(inc.row_set(i)))
+    for mask in convert_dd_incidence(VPolyhedron.from_points(work))[1]:
+        face = tuple(sorted(index_set(mask)))
         for simplex in _pull(work, face, d - 1):
             total += abs(det([vec_sub(work[j - 1], c) for j in simplex]))
     return total / factorial(d)
@@ -327,15 +324,9 @@ def _pull(pts: Sequence[Vector], face: tuple[int, ...], fdim: int) -> list[tuple
     fpts = [pts[j - 1] for j in face]
     frame = affine_hull(fpts)
     local = [frame.coordinates(p) for p in fpts]
-    sub = VPolyhedron.from_points(local)
-    H = convert_dd(sub)
-    inc = incidence(H, sub)
-    skip = set(H.equality_rows)
     out = []
-    for i in range(1, H.m + 1):
-        if i in skip:
-            continue
-        child = tuple(sorted(face[j - 1] for j in inc.row_set(i)))
+    for mask in convert_dd_incidence(VPolyhedron.from_points(local))[1]:
+        child = tuple(sorted(face[j - 1] for j in index_set(mask)))
         if v in child:
             continue
         out.extend(s + (v,) for s in _pull(pts, child, fdim - 1))

@@ -1,4 +1,5 @@
-"""Exact rational polyhedra: core types, linear algebra, and linear programming.
+"""Exact rational polyhedra: core types, linear algebra, linear programming
+and double description.
 
 Everything in this package computes over the rationals; floating point is never
 used, not even as a pre-filter.  Vectors are tuples of Fraction, matrices are
@@ -12,12 +13,21 @@ solve_linear, invert_matrix and affinely_independent_subset read their
 results off it; symmetry detection uses it directly for its integer frames.
 The simplex pivots of solve_lp and the unimodular column reduction of
 integer_kernel_basis are separate algorithms.
+
+Representation conversion is one integer double description, dd_cone, of
+a homogenization cone; convert_dd_incidence also returns, for each output
+element, the input elements it is tight on.  remove_redundancy, affine_hull
+of an H-description and the facet incidence sets of repconv and latcount
+read those masks, so canonical forms need no LP; solve_lp is left to
+optimization.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
+from operator import and_, mul
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -538,6 +548,191 @@ def feasible_point(P: HPolyhedron) -> Optional[Vector]:
 
 
 # ---------------------------------------------------------------------------
+# Double description
+
+
+def dd_cone(rows: Sequence[Sequence], n: int
+            ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """Double description of the cone {x in R^n : r.x <= 0 for every row r}.
+
+    Returns (lineality, rays, masks): lineality and rays are primitive integer
+    tuples with cone = span(lineality) + cone(rays), and masks[j] has bit t
+    set exactly when rays[j] is tight on rows[t] (every lineality direction
+    is tight on every row).  Rows are inserted in the given order and rays
+    are created in a fixed order, so the output is deterministic.  Each row
+    is scaled once to a primitive integer row (the cone does not change),
+    after which the method runs in integer arithmetic: every update combines
+    two generators with positive integer multipliers, a positive multiple of
+    the rational combination, so the primitive results are the same.
+    """
+    lin: list[tuple[int, ...]] = [tuple(1 if j == i else 0 for j in range(n))
+                                  for i in range(n)]
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    for t, a in enumerate(primitive(raw) for raw in rows):
+        lin_vals = [sum(map(mul, a, l)) for l in lin]
+        if any(lin_vals):
+            # the row cuts the lineality space: one direction becomes a ray,
+            # the rest of the basis and all rays are projected onto {a.x = 0}
+            i0 = next(i for i, v in enumerate(lin_vals) if v != 0)
+            l0, v0 = lin[i0], lin_vals[i0]
+            s0 = 1 if v0 > 0 else -1
+            lin = [l if v == 0 else _combine(abs(v0), l, -s0 * v, l0)
+                   for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != i0]
+            r0 = l0 if v0 < 0 else tuple(-x for x in l0)
+            new_rays, new_masks, seen = [], [], set()
+            for r, m in zip(rays, masks):
+                vr = sum(map(mul, a, r))
+                rp = r if vr == 0 else _combine(abs(v0), r, vr, r0)
+                if not any(rp) or rp in seen:
+                    continue
+                seen.add(rp)
+                new_rays.append(rp)
+                new_masks.append(m | (1 << t))
+            new_rays.append(r0)
+            new_masks.append((1 << t) - 1)
+            rays, masks = new_rays, new_masks
+        else:
+            vals = [sum(map(mul, a, r)) for r in rays]
+            if any(v > 0 for v in vals):
+                plus = [i for i, v in enumerate(vals) if v > 0]
+                minus = [i for i, v in enumerate(vals) if v < 0]
+                created, created_masks, seen = [], [], set()
+                # the common tight rows of an adjacent pair have rank
+                # n - 2 - dim(lineality), so a pair tight on fewer rows is
+                # not adjacent (Fukuda-Prodon, "Double description method
+                # revisited", 1996)
+                need = n - 2 - len(lin)
+                for ip in minus:
+                    for iq in plus:
+                        z = masks[ip] & masks[iq]
+                        if z.bit_count() < need:
+                            continue
+                        # combinatorial adjacency: no third ray tight on the
+                        # common tight set of the pair
+                        if any(masks[ir] & z == z
+                               for ir in range(len(rays)) if ir != ip and ir != iq):
+                            continue
+                        w = _combine(vals[iq], rays[ip], -vals[ip], rays[iq])
+                        if w in seen:
+                            continue
+                        seen.add(w)
+                        created.append(w)
+                        # a positive combination of two rays is tight exactly
+                        # where both are, and on the new row
+                        created_masks.append(z | (1 << t))
+                kept_rays, kept_masks = [], []
+                for i, (r, m) in enumerate(zip(rays, masks)):
+                    if vals[i] > 0:
+                        continue
+                    kept_rays.append(r)
+                    kept_masks.append(m | (1 << t) if vals[i] == 0 else m)
+                rays = kept_rays + created
+                masks = kept_masks + created_masks
+            else:
+                masks = [m | (1 << t) if vals[i] == 0 else m
+                         for i, m in enumerate(masks)]
+    return lin, rays, masks
+
+
+def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive form of p*u + q*w, for integer vectors and multipliers."""
+    v = tuple(p * x + q * y for x, y in zip(u, w))
+    g = gcd(*v)
+    return v if g <= 1 else tuple(x // g for x in v)
+
+
+def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, list[int]]:
+    n = P.n
+    cone_rows: list[tuple] = [(Fraction(-1),) + tuple(zero_vector(n))]  # x0 >= 0
+    pos = []                   # the cone row of each input row
+    eq = set(P.equality_rows)
+    for i in range(P.m):
+        row = (-P.b[i],) + tuple(P.A[i])
+        pos.append(len(cone_rows))
+        cone_rows.append(row)
+        if (i + 1) in eq:
+            cone_rows.append(tuple(-x for x in row))
+    lin, rays, masks = dd_cone(cone_rows, n + 1)
+    masks = [sum(1 << i for i, t in enumerate(pos) if m >> t & 1) for m in masks]
+    verts, recs, vmasks, rmasks = [], [], [], []
+    for r, m in zip(rays, masks):
+        if r[0] > 0:
+            verts.append(tuple(Fraction(x, r[0]) for x in r[1:]))
+            vmasks.append(m)
+        else:
+            recs.append(tuple(Fraction(x) for x in r[1:]))
+            rmasks.append(m)
+    for l in lin:
+        tail = tuple(Fraction(x) for x in l[1:])
+        recs.append(tail)
+        recs.append(tuple(-x for x in tail))
+        rmasks += [(1 << P.m) - 1] * 2
+    if not verts:
+        raise EmptyPolyhedronError("polyhedron has no points")
+    return VPolyhedron.from_points(verts, recs), vmasks + rmasks
+
+
+def _v_to_h(V: VPolyhedron) -> tuple[HPolyhedron, list[int]]:
+    if not V.vertices:
+        raise EmptyPolyhedronError("no points given")
+    n = V.n
+    cone_rows = [tuple(v) + (Fraction(-1),) for v in V.vertices]
+    cone_rows += [tuple(r) + (Fraction(0),) for r in V.rays]
+    lin, rays, masks = dd_cone(cone_rows, n + 1)
+    A: list[tuple] = []
+    b: list[Fraction] = []
+    eq_rows: list[int] = []
+    tight: list[int] = []
+    for l in lin:
+        if not any(l[:n]):
+            continue
+        A.append(tuple(Fraction(x) for x in l[:n]))
+        b.append(Fraction(l[n]))
+        eq_rows.append(len(A))
+        tight.append((1 << len(cone_rows)) - 1)
+    for r, m in zip(rays, masks):
+        if not any(r[:n]):
+            continue                       # the trivial row 0.x <= 1
+        A.append(tuple(Fraction(x) for x in r[:n]))
+        b.append(Fraction(r[n]))
+        tight.append(m)
+    return HPolyhedron.from_rows(A, b, tuple(eq_rows)), tight
+
+
+def convert_dd_incidence(P: Union[HPolyhedron, VPolyhedron]
+                         ) -> tuple[Union[VPolyhedron, HPolyhedron], list[int]]:
+    """convert_dd(P) together with the incidence the conversion found.
+
+    One mask per output element, with bit i set when the element is tight on
+    input element i + 1.  For H input: one mask per vertex, then per ray of
+    the result (a line comes as two opposite rays), over the rows of P.  For
+    V input: one mask per row of the result, over the vertices and then the
+    rays of P.  A vertex v is tight on row i
+    when a_i.v = b_i, a ray r when a_i.r = 0, as in incidence().
+    """
+    if isinstance(P, HPolyhedron):
+        return _h_to_v(P)
+    if isinstance(P, VPolyhedron):
+        return _v_to_h(P)
+    raise TypeError("expected an HPolyhedron or VPolyhedron")
+
+
+def convert_dd(P: Union[HPolyhedron, VPolyhedron]) -> Union[VPolyhedron, HPolyhedron]:
+    """Exact representation conversion; direction chosen by input type.
+
+    Output is irredundant for each representation's notion of redundancy
+    (extreme generators / facet rows modulo the lineality or hull equalities).
+    """
+    return convert_dd_incidence(P)[0]
+
+
+def index_set(mask: int) -> FaceIndexSet:
+    """The 1-based indices of the set bits of a mask."""
+    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+
+
+# ---------------------------------------------------------------------------
 # Incidence, affine hulls, redundancy
 
 
@@ -553,8 +748,7 @@ class IncidenceData:
     row_masks: tuple[int, ...]
 
     def row_set(self, i: int) -> FaceIndexSet:
-        mask = self.row_masks[i - 1]
-        return frozenset(j + 1 for j in range(self.k) if mask >> j & 1)
+        return index_set(self.row_masks[i - 1])
 
     def column_set(self, j: int) -> FaceIndexSet:
         return frozenset(i + 1 for i in range(self.m)
@@ -569,7 +763,8 @@ class IncidenceData:
 
 def incidence(P: HPolyhedron, V: VPolyhedron) -> IncidenceData:
     """Exact row/generator incidence: vertex v is on row i iff a_i.v = b_i;
-    ray r is on row i iff a_i.r = 0."""
+    ray r is on row i iff a_i.r = 0.  Computed by Fraction dot products, so
+    it checks the masks of convert_dd_incidence independently."""
     gens = list(V.vertices) + list(V.rays)
     nverts = len(V.vertices)
     masks = []
@@ -611,20 +806,20 @@ class AffineHull:
 def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
     """Affine hull with an exact rational direction basis.
 
-    Accepts a VPolyhedron, a plain point sequence, or an HPolyhedron (for the
-    latter, implicit equalities are located by exact LP per row).
+    Accepts a VPolyhedron, a plain point sequence, or an HPolyhedron.  For
+    the latter, one double description of P gives the implicit equalities,
+    the rows tight on every generator; their null space is the direction
+    space, and the first vertex the base point.
     """
     if isinstance(obj, HPolyhedron):
-        x0 = feasible_point(obj)
-        if x0 is None:
+        try:
+            V, masks = _h_to_v(obj)
+        except EmptyPolyhedronError:
             raise EmptyPolyhedronError("empty polyhedron has no affine hull")
-        eq_rows = []
-        for i in range(obj.m):
-            res = solve_lp(obj, obj.A[i], maximize=False)
-            if res.is_optimal and res.value == obj.b[i]:
-                eq_rows.append(obj.A[i])
+        on_all = reduce(and_, masks)
+        eq_rows = [obj.A[i] for i in range(obj.m) if on_all >> i & 1]
         dirs = nullspace(eq_rows, obj.n) if eq_rows else identity_matrix(obj.n)
-        return AffineHull(x0, dirs)
+        return AffineHull(V.vertices[0], dirs)
     if isinstance(obj, VPolyhedron):
         pts = list(obj.vertices)
         rays = list(obj.rays)
@@ -651,15 +846,18 @@ def affinely_independent_subset(points: Sequence[Sequence]) -> list[int]:
 
 
 def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
-    """Irredundant subsystem defining the same set, by exact LP per row.
+    """Irredundant subsystem defining the same set, read off one double
+    description of P.
 
-    Implicit equalities are detected first and reported via equality_rows on
-    the result.  Raises EmptyPolyhedronError for an empty input.
+    Exact duplicates (and positive multiples) are dropped first, keeping the
+    first copy; an equality mark on any copy survives on the kept one.  The
+    implicit equalities are the rows tight on every generator, and are
+    reported via equality_rows on the result.  Another row is kept when it
+    is tight on some vertex and its set of tight generators is not strictly
+    inside that of another such row, so that it cuts out a facet; of the
+    rows that cut out the same facet, the last is kept.  Raises
+    EmptyPolyhedronError for an empty input.
     """
-    if feasible_point(P) is None:
-        raise EmptyPolyhedronError("system is infeasible")
-    # drop exact duplicates (and positive multiples) first, keep first copies;
-    # an equality mark on any duplicate survives on the kept copy
     in_eq = set(P.equality_rows)
     seen = {}
     keep = []
@@ -672,43 +870,21 @@ def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
             marked.append((i + 1) in in_eq)
         elif (i + 1) in in_eq:
             marked[seen[key]] = True
-    A = [P.A[i] for i in keep]
-    b = [P.b[i] for i in keep]
-
-    # implicit equalities: a_i x = b_i over the whole set
-    eq_flags = []
-    Q = HPolyhedron(tuple(A), tuple(b),
-                    tuple(j + 1 for j in range(len(A)) if marked[j]))
-    for i in range(len(A)):
-        if marked[i]:
-            eq_flags.append(True)
-            continue
-        res = solve_lp(Q, A[i], maximize=False)
-        eq_flags.append(res.is_optimal and res.value == b[i])
-
-    # sequential irredundancy filter over the inequality rows
-    active = list(range(len(A)))
-    i = 0
-    while i < len(active):
-        idx = active[i]
-        if eq_flags[idx]:
-            i += 1
-            continue
-        others = [j for j in active if j != idx]
-        if others:
-            sub = HPolyhedron(tuple(A[j] for j in others), tuple(b[j] for j in others),
-                              tuple(pos + 1 for pos, j in enumerate(others) if marked[j]))
-            res = solve_lp(sub, A[idx])
-            redundant = res.status == "optimal" and res.value <= b[idx]
-        else:
-            # over all of R^n, a.x is bounded only for a = 0, and 0 <= b_i
-            # holds on a nonempty set
-            redundant = not any(A[idx])
-        if redundant:
-            active = others
-        else:
-            i += 1
-    newA = tuple(A[j] for j in active)
-    newb = tuple(b[j] for j in active)
+    A = tuple(P.A[i] for i in keep)
+    b = tuple(P.b[i] for i in keep)
+    try:
+        V, masks = _h_to_v(HPolyhedron(A, b, tuple(j + 1 for j, f in enumerate(marked) if f)))
+    except EmptyPolyhedronError:
+        raise EmptyPolyhedronError("system is infeasible")
+    # tight[i]: the generators tight on row i, vertices in the low bits
+    tight = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(A))]
+    every = (1 << len(masks)) - 1
+    on_vertex = (1 << len(V.vertices)) - 1
+    eq_flags = [t == every for t in tight]
+    rows = [t for t, e in zip(tight, eq_flags) if not e]
+    active = [i for i, t in enumerate(tight) if eq_flags[i] or (
+        t & on_vertex
+        and not any(t | u == u and t != u for u in rows)
+        and t not in (tight[j] for j in range(i + 1, len(A)) if not eq_flags[j]))]
     eqs = tuple(pos + 1 for pos, j in enumerate(active) if eq_flags[j])
-    return HPolyhedron(newA, newb, eqs)
+    return HPolyhedron(tuple(A[j] for j in active), tuple(b[j] for j in active), eqs)

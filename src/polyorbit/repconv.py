@@ -1,37 +1,40 @@
 """Representation conversion for polytopes, plain and up to symmetries.
 
-The base converter is the double description method run on a homogenization
-cone, entirely in exact rational arithmetic.  On top of it sit two orbitwise
-methods: adjacency decomposition (seed one facet, walk to neighbors across
-ridges, keep one representative per orbit) and incidence decomposition
-(enumerate the facets through one representative point of each input orbit).
-Both catalog facet orbits in an OrbitLedger keyed by canonical incident-vertex
-sets, so any two runs agree key-for-key.  Everything runs serially on one
-thread; the jobs parameters are accepted and ignored.
+The base converter is the double description method of polycore, run on a
+homogenization cone in integer arithmetic; it also reports which input
+elements each output element is tight on, and every facet incidence set
+below is read from those masks.  On top of it sit two orbitwise methods for
+vertex input: adjacency decomposition (seed one facet, walk to neighbors
+across ridges, keep one representative per orbit) and incidence
+decomposition (enumerate the facets through one representative point of
+each input orbit).  Both catalog facet orbits in an OrbitLedger keyed by
+canonical incident-vertex sets, so any two runs agree key-for-key.
+Everything runs serially on one thread; the jobs parameters are accepted
+and ignored.
 
-For an H-description the heavy work happens on the polar dual: the rows map
-to dual points whose facets are exactly the input's vertices, and the facet
-orbits of the input are its row orbits.  Either way a completed ledger knows
-the full vertex list, the group acting on vertex indices, and one supporting
-row per facet orbit.
+For an H-description one double description gives every vertex together
+with the rows it is tight on; the row group acts on those tight sets, which
+gives the group on vertex indices, and the facet orbits of the input are its
+row orbits.  Either way a completed ledger knows the full vertex list, the
+group acting on vertex indices, and one supporting row per facet orbit.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
-from operator import mul
 from typing import Optional, Sequence, Union
 
 from .polycore import (
-    EmptyPolyhedronError,
     HPolyhedron,
     PolyhedronError,
     VPolyhedron,
     Vector,
     affine_hull,
+    convert_dd,
+    convert_dd_incidence,
+    dd_cone,
     dot,
-    incidence,
+    index_set,
     invert_matrix,
     mat_mul,
     mat_vec,
@@ -39,177 +42,24 @@ from .polycore import (
     primitive,
     rank,
     remove_redundancy,
-    solve_linear,
-    solve_lp,
     transpose,
     vec_add,
     vec_scale,
     vec_sub,
     vector,
-    zero_vector,
 )
 from .permgrp import (
     Permutation,
     PermutationGroup,
     SetOrbit,
+    is_equivalent,
     orbit_of_set,
     set_stabilizer,
 )
 from .symdetect import realize_row_permutations, realize_vertex_permutations
 
-
-# ---------------------------------------------------------------------------
-# Double description on cones
-
-
-def dd_cone(rows: Sequence[Sequence], n: int) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]]]:
-    """Double description of the cone {x in R^n : r.x <= 0 for every row r}.
-
-    Returns (lineality, rays) as primitive integer tuples; the cone equals
-    span(lineality) + cone(rays).  Rows are inserted in the given order and
-    rays are created in a fixed order, so the output is deterministic.  Each
-    row is scaled once to a primitive integer row (the cone does not change),
-    after which the method runs in integer arithmetic: every update combines
-    two generators with positive integer multipliers, a positive multiple of
-    the rational combination, so the primitive results are the same.
-    """
-    lin: list[tuple[int, ...]] = [tuple(1 if j == i else 0 for j in range(n))
-                                  for i in range(n)]
-    rays: list[tuple[int, ...]] = []
-    masks: list[int] = []      # per ray: bit t set iff tight on inserted row t
-    for t, a in enumerate(primitive(raw) for raw in rows):
-        lin_vals = [sum(map(mul, a, l)) for l in lin]
-        if any(lin_vals):
-            # the row cuts the lineality space: one direction becomes a ray,
-            # the rest of the basis and all rays are projected onto {a.x = 0}
-            i0 = next(i for i, v in enumerate(lin_vals) if v != 0)
-            l0, v0 = lin[i0], lin_vals[i0]
-            s0 = 1 if v0 > 0 else -1
-            lin = [l if v == 0 else _combine(abs(v0), l, -s0 * v, l0)
-                   for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != i0]
-            r0 = l0 if v0 < 0 else tuple(-x for x in l0)
-            new_rays, new_masks, seen = [], [], set()
-            for r, m in zip(rays, masks):
-                vr = sum(map(mul, a, r))
-                rp = r if vr == 0 else _combine(abs(v0), r, vr, r0)
-                if not any(rp) or rp in seen:
-                    continue
-                seen.add(rp)
-                new_rays.append(rp)
-                new_masks.append(m | (1 << t))
-            new_rays.append(r0)
-            new_masks.append((1 << t) - 1)
-            rays, masks = new_rays, new_masks
-        else:
-            vals = [sum(map(mul, a, r)) for r in rays]
-            if any(v > 0 for v in vals):
-                plus = [i for i, v in enumerate(vals) if v > 0]
-                minus = [i for i, v in enumerate(vals) if v < 0]
-                created, created_masks, seen = [], [], set()
-                # the common tight rows of an adjacent pair have rank
-                # n - 2 - dim(lineality), so a pair tight on fewer rows is
-                # not adjacent (Fukuda-Prodon, "Double description method
-                # revisited", 1996)
-                need = n - 2 - len(lin)
-                for ip in minus:
-                    for iq in plus:
-                        z = masks[ip] & masks[iq]
-                        if z.bit_count() < need:
-                            continue
-                        # combinatorial adjacency: no third ray tight on the
-                        # common tight set of the pair
-                        if any(masks[ir] & z == z
-                               for ir in range(len(rays)) if ir != ip and ir != iq):
-                            continue
-                        w = _combine(vals[iq], rays[ip], -vals[ip], rays[iq])
-                        if w in seen:
-                            continue
-                        seen.add(w)
-                        created.append(w)
-                        # a positive combination of two rays is tight exactly
-                        # where both are, and on the new row
-                        created_masks.append(z | (1 << t))
-                kept_rays, kept_masks = [], []
-                for i, (r, m) in enumerate(zip(rays, masks)):
-                    if vals[i] > 0:
-                        continue
-                    kept_rays.append(r)
-                    kept_masks.append(m | (1 << t) if vals[i] == 0 else m)
-                rays = kept_rays + created
-                masks = kept_masks + created_masks
-            else:
-                masks = [m | (1 << t) if vals[i] == 0 else m
-                         for i, m in enumerate(masks)]
-    return lin, rays
-
-
-def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[int, ...]:
-    """The primitive form of p*u + q*w, for integer vectors and multipliers."""
-    v = tuple(p * x + q * y for x, y in zip(u, w))
-    g = gcd(*v)
-    return v if g <= 1 else tuple(x // g for x in v)
-
-
-def _h_to_v(P: HPolyhedron) -> VPolyhedron:
-    n = P.n
-    cone_rows: list[tuple] = [(Fraction(-1),) + tuple(zero_vector(n))]  # x0 >= 0
-    eq = set(P.equality_rows)
-    for i in range(P.m):
-        row = (-P.b[i],) + tuple(P.A[i])
-        cone_rows.append(row)
-        if (i + 1) in eq:
-            cone_rows.append(tuple(-x for x in row))
-    lin, rays = dd_cone(cone_rows, n + 1)
-    verts, recs = [], []
-    for r in rays:
-        if r[0] > 0:
-            verts.append(tuple(Fraction(x, r[0]) for x in r[1:]))
-        else:
-            recs.append(tuple(Fraction(x) for x in r[1:]))
-    for l in lin:
-        tail = tuple(Fraction(x) for x in l[1:])
-        recs.append(tail)
-        recs.append(tuple(-x for x in tail))
-    if not verts:
-        raise EmptyPolyhedronError("polyhedron has no points")
-    return VPolyhedron.from_points(verts, recs)
-
-
-def _v_to_h(V: VPolyhedron) -> HPolyhedron:
-    if not V.vertices:
-        raise EmptyPolyhedronError("no points given")
-    n = V.n
-    cone_rows = [tuple(v) + (Fraction(-1),) for v in V.vertices]
-    cone_rows += [tuple(r) + (Fraction(0),) for r in V.rays]
-    lin, rays = dd_cone(cone_rows, n + 1)
-    A: list[tuple] = []
-    b: list[Fraction] = []
-    eq_rows: list[int] = []
-    for l in lin:
-        if not any(l[:n]):
-            continue
-        A.append(tuple(Fraction(x) for x in l[:n]))
-        b.append(Fraction(l[n]))
-        eq_rows.append(len(A))
-    for r in rays:
-        if not any(r[:n]):
-            continue                       # the trivial row 0.x <= 1
-        A.append(tuple(Fraction(x) for x in r[:n]))
-        b.append(Fraction(r[n]))
-    return HPolyhedron.from_rows(A, b, tuple(eq_rows))
-
-
-def convert_dd(P: Union[HPolyhedron, VPolyhedron]) -> Union[VPolyhedron, HPolyhedron]:
-    """Exact representation conversion; direction chosen by input type.
-
-    Output is irredundant for each representation's notion of redundancy
-    (extreme generators / facet rows modulo the lineality or hull equalities).
-    """
-    if isinstance(P, HPolyhedron):
-        return _h_to_v(P)
-    if isinstance(P, VPolyhedron):
-        return _v_to_h(P)
-    raise TypeError("expected an HPolyhedron or VPolyhedron")
+# convert_dd is polycore's, like dd_cone; both stay importable from here,
+# where polybench/spans.py and earlier callers look them up.
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +162,28 @@ def _neighbor_facet(pts: Sequence[Vector], F: frozenset, c: Vector,
     return R | set(_rotate_about(pts, R, c, delta, F, away=f0)[2])
 
 
+def _known_key(known: dict, G: PermutationGroup, orb: SetOrbit) -> Optional[tuple]:
+    """The key of the orbit orb in known (key -> SetOrbit), or None.
+
+    An expanded orbit's representative is canonical.  An orbit past the
+    budget of orbit_of_set keeps the set it was found from, so it is compared
+    with the unexpanded orbits of its size by a transporter search."""
+    if orb.representative in known:
+        return orb.representative
+    if orb.expanded:
+        return None
+    return next((key for key, other in known.items()
+                 if not other.expanded and other.size == orb.size
+                 and is_equivalent(G, key, orb.representative) is not None), None)
+
+
 def _plain_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
-    V = VPolyhedron.from_points(pts)
-    H = convert_dd(V)
-    inc = incidence(H, V)
-    out: list[SetOrbit] = []
-    seen: set = set()
-    for i in range(1, H.m + 1):
-        orb = orbit_of_set(G, inc.row_set(i))
-        if orb.representative in seen:
-            continue
-        seen.add(orb.representative)
-        out.append(orb)
-    return out
+    found: dict = {}
+    for mask in convert_dd_incidence(VPolyhedron.from_points(pts))[1]:
+        orb = orbit_of_set(G, index_set(mask))
+        if _known_key(found, G, orb) is None:
+            found[orb.representative] = orb
+    return list(found.values())
 
 
 def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
@@ -332,27 +191,18 @@ def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
     from the dual of its tangent cone.  Every facet contains some vertex, so
     the union over the orbit representatives covers everything."""
     d = len(pts[0])
-    reps = sorted(min(orb) for orb in G.point_orbits())
-
-    def facets_at(p0: int) -> list[SetOrbit]:
+    found: dict = {}
+    for p0 in sorted(min(orb) for orb in G.point_orbits()):
         v0 = pts[p0 - 1]
         rows = [vec_sub(p, v0) for i, p in enumerate(pts) if i + 1 != p0]
-        lin, rays = dd_cone(rows, d)
-        found = []
-        for a in rays:
-            av0 = dot(a, v0)
-            S = frozenset(i + 1 for i, p in enumerate(pts) if dot(a, p) == av0)
-            found.append(orbit_of_set(G, S))
-        return found
-
-    out: list[SetOrbit] = []
-    seen: set = set()
-    for p0 in reps:
-        for orb in facets_at(p0):
-            if orb.representative not in seen:
-                seen.add(orb.representative)
-                out.append(orb)
-    return out
+        # row t is point t + 1, or t + 2 past p0; a ray of the cone is tight
+        # on the rows of the points on its facet
+        for mask in dd_cone(rows, d)[2]:
+            S = frozenset(j if j < p0 else j + 1 for j in index_set(mask)) | {p0}
+            orb = orbit_of_set(G, S)
+            if _known_key(found, G, orb) is None:
+                found[orb.representative] = orb
+    return list(found.values())
 
 
 def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
@@ -393,7 +243,7 @@ def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
         frontier = []
         for key in batch:
             for orb in process(key):
-                if orb.representative not in entries:
+                if _known_key(entries, G, orb) is None:
                     entries[orb.representative] = orb
                     frontier.append(orb.representative)
     return list(entries.values())
@@ -546,64 +396,33 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
     return OrbitLedger(entries, tuple(geo.ambient), G)
 
 
-def _decompose_rows(P: HPolyhedron, G: PermutationGroup,
-                    levels: tuple[int, int]) -> OrbitLedger:
+def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
     n = P.n
     if P.equality_rows:
         raise PolyhedronError("decomposition requires an inequality-only description")
     if G.degree != P.m:
         raise PolyhedronError("group degree does not match the number of rows")
-    lin, rays = dd_cone([tuple(P.A[i]) for i in range(P.m)], n)
+    lin, rays, _ = dd_cone(P.A, n)
     if lin or rays:
         raise PolyhedronError("decomposition requires a bounded polytope")
     if affine_hull(P).dim != n:
         raise PolyhedronError("decomposition requires a full-dimensional polytope")
-    if remove_redundancy(P).m != P.m:
+    cleaned = remove_redundancy(P)
+    if cleaned.m != P.m or cleaned.equality_rows:
         raise PolyhedronError("decomposition requires an irredundant description")
     if any(L is None for L in realize_row_permutations(P, G.generators)):
         raise PolyhedronError("group generator is not an affine symmetry of the rows")
 
-    # interior point via the uniform-slack program, then the polar dual:
-    # row i becomes the dual point a_i / (b_i - a_i.c), whose facets are the
-    # vertices of P, computed up to symmetry by the same engine
-    slack = HPolyhedron.from_rows(
-        [tuple(P.A[i]) + (Fraction(1),) for i in range(P.m)], list(P.b))
-    res = solve_lp(slack, tuple(zero_vector(n)) + (Fraction(1),), maximize=True)
-    if not res.is_optimal or res.value <= 0:
-        raise PolyhedronError("could not find an interior point")
-    center = tuple(res.point[:n])
-    dual_pts = []
-    for i in range(P.m):
-        gap = P.b[i] - dot(P.A[i], center)
-        dual_pts.append(vec_scale(1 / gap, P.A[i]))
-    if len(set(dual_pts)) != P.m:
-        raise PolyhedronError("duplicate inequality rows")
-
-    dual_orbits = _facet_orbit_engine(dual_pts, G, levels, 0)
-
-    tight_sets: list[frozenset] = []
-    seen: set = set()
-    for orb in dual_orbits:
-        if not orb.expanded:
-            orb = orbit_of_set(G, orb.representative, budget=10_000_000)
-        for X in sorted(orb.elements, key=sorted):
-            if X not in seen:
-                seen.add(X)
-                tight_sets.append(X)
-    verts = set()
-    for T in tight_sets:
-        members = sorted(T)
-        x = solve_linear([P.A[i - 1] for i in members], [P.b[i - 1] for i in members])
-        if x is None:
-            raise PolyhedronError("internal error: inconsistent tight rows")
-        verts.add(tuple(x))
-    vert_list = sorted(verts)
-    vert_tight = [frozenset(i + 1 for i in range(P.m)
-                            if dot(P.A[i], v) == P.b[i]) for v in vert_list]
-    tight_to_vertex = {T: j + 1 for j, T in enumerate(vert_tight)}
+    # every vertex with the rows it is tight on; a row permutation in G maps
+    # the tight set of a vertex onto the tight set of its image
+    V, masks = convert_dd_incidence(P)
+    order = sorted(range(len(V.vertices)), key=V.vertices.__getitem__)
+    vert_list = [V.vertices[j] for j in order]
+    vert_tight = [masks[j] for j in order]
+    vertex_of = {T: j + 1 for j, T in enumerate(vert_tight)}
     vgens = []
     for g in G.generators:
-        images = tuple(tight_to_vertex[frozenset(g(i) for i in T)]
+        images = tuple(vertex_of[sum(1 << (g(i) - 1) for i in index_set(T))]
                        for T in vert_tight)
         vgens.append(Permutation(images))
     vertex_group = PermutationGroup(vgens, degree=len(vert_list))
@@ -611,8 +430,7 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup,
     entries = {}
     for row_orbit in sorted(G.point_orbits(), key=min):
         rep = min(row_orbit)
-        S = frozenset(j + 1 for j, v in enumerate(vert_list)
-                      if dot(P.A[rep - 1], v) == P.b[rep - 1])
+        S = frozenset(j + 1 for j, T in enumerate(vert_tight) if T >> (rep - 1) & 1)
         orb = orbit_of_set(vertex_group, S)
         if orb.size != len(row_orbit):
             raise PolyhedronError("internal error: row and facet orbits disagree")
@@ -629,7 +447,8 @@ def adjacency_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     representative, computes its ridges (facets of the facet, up to the
     stabilizer), rotates each ridge to the neighboring facet and inserts
     unseen orbits, until no pending orbit remains.  For an H-description the
-    walk runs on the polar dual, enumerating the vertices up to symmetry.
+    facet orbits are the row orbits and one double description gives the
+    vertices, so levels is checked but chooses no method there.
 
     G must act by affine symmetries on the inequality indices (H input) or
     vertex indices (V input); this is verified up front and violations are
@@ -641,7 +460,7 @@ def adjacency_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     if isinstance(P, VPolyhedron):
         return _decompose_points(P, G, lv)
     if isinstance(P, HPolyhedron):
-        return _decompose_rows(P, G, lv)
+        return _decompose_rows(P, G)
     raise TypeError("expected an HPolyhedron or VPolyhedron")
 
 
@@ -653,15 +472,16 @@ def incidence_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     to it are enumerated through a lower-dimensional conversion (the dual of
     its tangent cone) and canonicalized; the union over the orbit
     representatives covers every facet because each facet touches some input
-    element.  Preconditions match adjacency_decomposition, and so does the
-    resulting ledger.  jobs is accepted and ignored: the representatives are
-    processed serially.
+    element.  For an H-description there is no walk to choose: the ledger
+    comes from one double description, as in adjacency_decomposition.
+    Preconditions match adjacency_decomposition, and so does the resulting
+    ledger.  jobs is accepted and ignored: the representatives are processed
+    serially.
     """
-    levels = (1, 1)   # run the incidence method at depth 0, plain below
     if isinstance(P, VPolyhedron):
-        return _decompose_points(P, G, levels)
+        return _decompose_points(P, G, (1, 1))   # incidence method at depth 0
     if isinstance(P, HPolyhedron):
-        return _decompose_rows(P, G, levels)
+        return _decompose_rows(P, G)
     raise TypeError("expected an HPolyhedron or VPolyhedron")
 
 
@@ -710,6 +530,7 @@ def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger,
     group = ledger.vertex_group
     keys = list(ledger.entries)
     node_of = {key: i + 1 for i, key in enumerate(keys)}
+    known = {key: e.orbit for key, e in ledger.entries.items()}
 
     def neighbors_of(key: tuple[int, ...]) -> list[tuple[int, ...]]:
         if geo.d <= 1:
@@ -720,13 +541,11 @@ def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger,
         sub_ambient = [pts[i - 1] for i in members]
         hull = affine_hull(sub_ambient)
         sub_V = VPolyhedron.from_points([hull.coordinates(p) for p in sub_ambient])
-        sub_H = convert_dd(sub_V)
-        inc = incidence(sub_H, sub_V)
         found = set()
-        for r in range(1, sub_H.m + 1):
-            R = frozenset(members[j - 1] for j in inc.row_set(r))
-            S = _neighbor_facet(pts, F, c, delta, R)
-            found.add(orbit_of_set(group, S).representative)
+        for mask in convert_dd_incidence(sub_V)[1]:
+            R = frozenset(members[j - 1] for j in index_set(mask))
+            orb = orbit_of_set(group, _neighbor_facet(pts, F, c, delta, R))
+            found.add(_known_key(known, group, orb) or orb.representative)
         return sorted(found)
 
     edges = set()

@@ -31,6 +31,7 @@ from .polycore import (
     PolyhedronError,
     VPolyhedron,
     Vector,
+    convert_dd,
     dot,
     frac,
     identity_matrix,
@@ -50,7 +51,6 @@ from .polycore import (
 )
 from .polycore import AffineMap
 from .permgrp import OrbitBudgetExceeded, Permutation, PermutationGroup
-from .repconv import convert_dd
 
 GroupLike = Union[PermutationGroup, Sequence]
 

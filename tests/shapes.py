@@ -1,6 +1,6 @@
 """Fixture polytopes shared across test modules."""
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 from polyorbit.polycore import HPolyhedron, VPolyhedron
 
@@ -38,6 +38,16 @@ def cross_h(n: int) -> HPolyhedron:
         A.append(tuple(Fraction(s) for s in signs))
         b.append(Fraction(1))
     return HPolyhedron.from_rows(A, b)
+
+
+def cut_v(n: int) -> VPolyhedron:
+    """Cut polytope CUT_n: the 2^(n-1) cut vectors of K_n in R^(n choose 2)."""
+    pairs = list(combinations(range(n), 2))
+    pts = []
+    for bits in product((0, 1), repeat=n - 1):
+        side = bits + (1,)
+        pts.append(tuple(Fraction(int(side[i] != side[j])) for i, j in pairs))
+    return VPolyhedron.from_points(pts)
 
 
 def simplex_v(n: int) -> VPolyhedron:

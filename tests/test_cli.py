@@ -350,6 +350,14 @@ class TestErrorContract:
         assert err == ("error: homogenized rows do not span; "
                        "input must be bounded and full-dimensional\n")
 
+    @pytest.mark.parametrize("command", ["count", "volume", "ehrhart", "ilp"])
+    def test_zero_row_h_file_is_an_input_error(self, command, tmp_path, capsys):
+        # no rows at all once read as R^0 and got an answer with exit 0
+        path = tmp_path / "zero.ine"
+        path.write_text("H-representation\nbegin\n0 3 rational\nend\n")
+        code, out, err = run(capsys, command, path)
+        assert (code, out, err) == (2, "", "error: an H-representation needs at least one row\n")
+
     def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):
         def broken(pf, args):
             raise ValueError("boom")

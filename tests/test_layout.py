@@ -1,0 +1,34 @@
+"""Package layout: the names the benchmark tracer wraps exist, and no module
+reaches into another module's private names."""
+import ast
+import importlib
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "polyorbit"
+
+
+def _entry_points():
+    spec = importlib.util.spec_from_file_location("polybench_spans", ROOT / "polybench" / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    return sorted({target for targets, _ in spans.ENTRY_POINTS.values() for target in targets})
+
+
+@pytest.mark.parametrize("module, path", _entry_points())
+def test_traced_entry_point_resolves(module, path):
+    owner = importlib.import_module(f"polyorbit.{module}")
+    for part in path.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+@pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_name_is_imported_from_another_module(source):
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            private = [a.name for a in node.names if a.name.startswith("_")]
+            assert not private, f"{source.name} imports {private} from {node.module}"

@@ -1,4 +1,5 @@
 """Core exact-arithmetic layer: linear algebra, LP, incidence, redundancy."""
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,8 +12,11 @@ from polyorbit.polycore import (
     VPolyhedron,
     affine_hull,
     affinely_independent_subset,
+    convert_dd_incidence,
     det,
     dot,
+    feasible_point,
+    identity_matrix,
     incidence,
     integer_kernel_basis,
     invert_matrix,
@@ -23,6 +27,7 @@ from polyorbit.polycore import (
     remove_redundancy,
     solve_linear,
     solve_lp,
+    vec_sub,
     vector,
 )
 
@@ -311,3 +316,150 @@ class TestRemoveRedundancy:
         probes = [(F(1, 2), F(1, 2)), (1, 1), (F(3, 2), 0), (0, 0), (1, F(11, 10))]
         for p in probes:
             assert P.contains(p) == R.contains(p)
+
+
+# ---------------------------------------------------------------------------
+# LP references for the double-description canonical forms
+
+
+def tight_on_all_of(Q, i):
+    """Row i (0-based) attains its right-hand side at its minimum over Q."""
+    res = solve_lp(Q, Q.A[i], maximize=False)
+    return res.is_optimal and res.value == Q.b[i]
+
+
+def lp_remove_redundancy(P):
+    """Reference: duplicates dropped as in remove_redundancy, then one LP per
+    row for the implicit equalities and a sequential LP filter."""
+    if feasible_point(P) is None:
+        raise EmptyPolyhedronError("system is infeasible")
+    in_eq = set(P.equality_rows)
+    seen, keep, marked = {}, [], []
+    for i in range(P.m):
+        key = primitive(tuple(P.A[i]) + (P.b[i],))
+        if key not in seen:
+            seen[key] = len(keep)
+            keep.append(i)
+            marked.append((i + 1) in in_eq)
+        elif (i + 1) in in_eq:
+            marked[seen[key]] = True
+    A = [P.A[i] for i in keep]
+    b = [P.b[i] for i in keep]
+    Q = HPolyhedron(tuple(A), tuple(b), tuple(j + 1 for j in range(len(A)) if marked[j]))
+    eq_flags = [marked[i] or tight_on_all_of(Q, i) for i in range(len(A))]
+    active = list(range(len(A)))
+    i = 0
+    while i < len(active):
+        idx = active[i]
+        if eq_flags[idx]:
+            i += 1
+            continue
+        others = [j for j in active if j != idx]
+        if others:
+            sub = HPolyhedron(tuple(A[j] for j in others), tuple(b[j] for j in others),
+                              tuple(pos + 1 for pos, j in enumerate(others) if marked[j]))
+            res = solve_lp(sub, A[idx])
+            redundant = res.status == "optimal" and res.value <= b[idx]
+        else:
+            redundant = not any(A[idx])
+        if redundant:
+            active = others
+        else:
+            i += 1
+    return HPolyhedron(tuple(A[j] for j in active), tuple(b[j] for j in active),
+                       tuple(pos + 1 for pos, j in enumerate(active) if eq_flags[j]))
+
+
+def lp_affine_hull(P):
+    """Reference: a feasible point and the null space of the rows whose
+    minimum over P is their right-hand side."""
+    x0 = feasible_point(P)
+    if x0 is None:
+        raise EmptyPolyhedronError("empty polyhedron has no affine hull")
+    eq_rows = [P.A[i] for i in range(P.m) if tight_on_all_of(P, i)]
+    return x0, (nullspace(eq_rows, P.n) if eq_rows else identity_matrix(P.n))
+
+
+def seeded_system(rng):
+    """A small rational system: a full or partial box, random rows, and at
+    random an equality pair (lower-dimensional), a zero row, a positive
+    multiple of a row and marked equalities; a partial box is often
+    unbounded or has lines, and some systems are empty."""
+    n = rng.randint(1, 4)
+    A, b = [], []
+    box = rng.random() < 0.6
+    for i in range(n):
+        for s in (1, -1):
+            if box or rng.random() < 0.5:
+                A.append(tuple(F(s * (i == j)) for j in range(n)))
+                b.append(F(rng.randint(0, 4) if rng.random() < 0.9 else -1, rng.randint(1, 2)))
+    for _ in range(rng.randint(0, 5)):
+        A.append(tuple(F(rng.randint(-2, 2)) for _ in range(n)))
+        b.append(F(rng.randint(-1, 4) if rng.random() < 0.85 else -2, rng.randint(1, 3)))
+    if rng.random() < 0.25:
+        a = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+        c = F(rng.randint(-1, 2))
+        A += [a, tuple(-x for x in a)]
+        b += [c, -c]
+    if rng.random() < 0.2:
+        A.append((F(0),) * n)
+        b.append(F(rng.randint(0, 1)))
+    if rng.random() < 0.3 and A:
+        k, f = rng.randrange(len(A)), rng.randint(1, 3)
+        A.append(tuple(f * x for x in A[k]))
+        b.append(f * b[k])
+    order = list(range(len(A)))
+    rng.shuffle(order)
+    eqs = ()
+    if rng.random() < 0.2 and A:
+        eqs = sorted(rng.sample(range(1, len(A) + 1), rng.randint(1, min(2, len(A)))))
+    return HPolyhedron.from_rows([A[i] for i in order], [b[i] for i in order], eqs)
+
+
+def outcome(f, P):
+    try:
+        R = f(P)
+        return R.A, R.b, R.equality_rows
+    except EmptyPolyhedronError as exc:
+        return "empty", str(exc)
+
+
+class TestDoubleDescriptionCanonicalForms:
+    def test_remove_redundancy_and_affine_hull_match_lp_reference(self):
+        rng = random.Random(1996)
+        seen = dict(empty=0, lower=0, unbounded=0, lines=0, zero=0, marked=0)
+        for _ in range(1000):
+            P = seeded_system(rng)
+            want = outcome(lp_remove_redundancy, P)
+            assert outcome(remove_redundancy, P) == want, P
+            seen["zero"] += any(not any(a) for a in P.A)
+            seen["marked"] += bool(P.equality_rows)
+            if want[0] == "empty":
+                seen["empty"] += 1
+                with pytest.raises(EmptyPolyhedronError, match="no affine hull"):
+                    affine_hull(P)
+                continue
+            x0, dirs = lp_affine_hull(P)
+            h = affine_hull(P)
+            assert h.directions == dirs
+            assert P.contains(h.point)
+            assert rank(list(dirs) + [vec_sub(h.point, x0)]) == len(dirs)
+            V, _ = convert_dd_incidence(P)
+            seen["lower"] += h.dim < P.n
+            seen["unbounded"] += bool(V.rays)
+            seen["lines"] += any(tuple(-x for x in r) in V.rays for r in V.rays)
+        # every kind of system the reference must agree on was generated
+        assert min(seen.values()) >= 30, seen
+
+    def test_masks_match_incidence(self):
+        rng = random.Random(56)
+        for _ in range(300):
+            P = seeded_system(rng)
+            try:
+                V, masks = convert_dd_incidence(P)
+            except EmptyPolyhedronError:
+                continue
+            inc = incidence(P, V)
+            assert masks == [sum(1 << (i - 1) for i in S) for S in inc.column_sets()]
+            H, rows = convert_dd_incidence(V)
+            assert tuple(rows) == incidence(H, V).row_masks

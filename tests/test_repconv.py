@@ -1,6 +1,8 @@
 """Representation conversion: plain double description and the orbit methods."""
 import random
 from fractions import Fraction
+from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -14,7 +16,9 @@ from polyorbit.polycore import (
     primitive,
     remove_redundancy,
 )
-from polyorbit.permgrp import Permutation, PermutationGroup, set_stabilizer
+from polyorbit import repconv
+from polyorbit.cli import parse_polyfile
+from polyorbit.permgrp import Permutation, PermutationGroup, orbit_of_set, set_stabilizer
 from polyorbit.repconv import (
     AdjacencyGraphUpToSymmetry,
     adjacency_decomposition,
@@ -32,9 +36,13 @@ from shapes import (
     cross_v,
     cube_h,
     cube_v,
+    cut_v,
     santos_prismatoid,
+    simplex_h,
     simplex_v,
 )
+
+FIX = Path(__file__).parent / "fixtures"
 
 
 def normalized_rows(H: HPolyhedron) -> set:
@@ -52,19 +60,23 @@ def group_of(P):
 
 
 def test_dd_cone_no_rows_is_whole_space():
-    lin, rays = dd_cone([], 3)
-    assert len(lin) == 3 and rays == []
+    lin, rays, masks = dd_cone([], 3)
+    assert len(lin) == 3 and rays == [] and masks == []
 
 
 def test_dd_cone_orthant():
     rows = [(-1, 0, 0), (0, -1, 0), (0, 0, -1)]  # -x_i <= 0
-    lin, rays = dd_cone([tuple(map(Fraction, r)) for r in rows], 3)
+    lin, rays, masks = dd_cone([tuple(map(Fraction, r)) for r in rows], 3)
     assert lin == []
     assert set(rays) == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+    # e_i is tight on every row but -x_i <= 0
+    assert {r: m for r, m in zip(rays, masks)} == {
+        (1, 0, 0): 0b110, (0, 1, 0): 0b101, (0, 0, 1): 0b011}
 
 
 def test_dd_cone_halfspace_keeps_lineality():
-    lin, rays = dd_cone([(Fraction(1), Fraction(0))], 2)
+    lin, rays, masks = dd_cone([(Fraction(1), Fraction(0))], 2)
+    assert masks == [0]
     assert set(rays) == {(-1, 0)}
     assert set(lin) == {(0, 1)}
 
@@ -72,9 +84,11 @@ def test_dd_cone_halfspace_keeps_lineality():
 def test_dd_cone_square_cone():
     # cone over the square: x, y between -z and z
     rows = [(1, 0, -1), (-1, 0, -1), (0, 1, -1), (0, -1, -1)]
-    lin, rays = dd_cone([tuple(map(Fraction, r)) for r in rows], 3)
+    lin, rays, masks = dd_cone([tuple(map(Fraction, r)) for r in rows], 3)
     assert lin == []
     assert set(rays) == {(1, 1, 1), (1, -1, 1), (-1, 1, 1), (-1, -1, 1)}
+    for r, m in zip(rays, masks):
+        assert m == sum(1 << t for t, row in enumerate(rows) if dot(row, r) == 0)
 
 
 def test_dd_cone_deterministic():
@@ -263,6 +277,46 @@ def test_preconditions_rejected():
                                 levels=(0, -1))
 
 
+def _h(A, b, eq=()):
+    return HPolyhedron.from_rows(A, b, eq)
+
+
+SQUARE_A = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+@pytest.mark.parametrize("P, G, error, message", [
+    pytest.param(_h([(1,), (-1,)], [0, -1]), None, EmptyPolyhedronError,
+                 "empty polyhedron has no affine hull", id="empty"),
+    pytest.param(_h([(1, 0), (-1, 0)], [0, -1]), None, PolyhedronError,
+                 "decomposition requires a bounded polytope", id="empty-with-a-line"),
+    pytest.param(_h([(-1, 0), (0, -1), (-1, -1)], [0, 0, -1]), None, PolyhedronError,
+                 "decomposition requires a bounded polytope", id="unbounded"),
+    pytest.param(_h([(1,), (-1,)], [0, 0]), None, PolyhedronError,
+                 "decomposition requires a full-dimensional polytope", id="point"),
+    pytest.param(_h(SQUARE_A, [1, -1, 1, 1]), None, PolyhedronError,
+                 "decomposition requires a full-dimensional polytope", id="segment"),
+    pytest.param(_h(SQUARE_A + [(1, 1)], [1, 1, 1, 1, 5]), None, PolyhedronError,
+                 "decomposition requires an irredundant description", id="redundant"),
+    pytest.param(_h(SQUARE_A + [(2, 0)], [1, 1, 1, 1, 2]), None, PolyhedronError,
+                 "decomposition requires an irredundant description", id="duplicate"),
+    pytest.param(_h(SQUARE_A + [(0, 0)], [1, 1, 1, 1, 0]), None, PolyhedronError,
+                 "decomposition requires an irredundant description", id="zero-row"),
+    pytest.param(_h(SQUARE_A, [1, 1, 1, 1], (1,)), None, PolyhedronError,
+                 "decomposition requires an inequality-only description", id="equality-rows"),
+    pytest.param(cube_h(3), PermutationGroup([], degree=5), PolyhedronError,
+                 "group degree does not match the number of rows", id="wrong-degree"),
+    pytest.param(cube_h(3), PermutationGroup([Permutation((3, 2, 1, 4, 5, 6))]),
+                 PolyhedronError, "group generator is not an affine symmetry of the rows",
+                 id="non-symmetric-generator"),
+])
+@pytest.mark.parametrize("decompose", [adjacency_decomposition, incidence_decomposition])
+def test_h_preconditions_raise_their_own_messages(P, G, error, message, decompose):
+    G = G or PermutationGroup([], degree=P.m)
+    with pytest.raises(error) as info:
+        decompose(P, G)
+    assert type(info.value) is error and str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # incidence decomposition
 
@@ -306,6 +360,46 @@ def test_oracle_equivalence_and_counts(P):
     assert led.facet_rows() == normalized_rows(H)
     assert led.total_elements == H.m
     assert sum(e.orbit.size for e in led.entries.values()) == H.m
+
+
+LEVELS = {"adm": (0, 1), "idm": (1, 1), "plain": (0, 0)}
+
+
+@pytest.mark.parametrize("P", [
+    cube_v(3), cube_v(4), cross_v(4), simplex_v(4), cut_v(4), santos_prismatoid(),
+    "cube3.ext", "quad-asym.ext",
+    cube_h(4), cross_h(3), simplex_h(4), "cube3.ine", "cube3-blocks.ine",
+], ids=["cube_v3", "cube_v4", "cross_v4", "simplex_v4", "cut_v4", "santos", "cube3.ext",
+        "quad-asym.ext", "cube_h4", "cross_h3", "simplex_h4", "cube3.ine", "cube3-blocks.ine"])
+def test_ledger_orbit_sizes_sum_to_plain_dd(P):
+    """V input: the facet-orbit sizes of every ledger sum to the facet count
+    of a plain conversion.  H input: the vertex-orbit sizes sum to its
+    vertex count."""
+    if isinstance(P, str):
+        pf = parse_polyfile((FIX / P).read_text())
+        P = pf.to_vpolyhedron() if pf.kind == "V" else pf.to_hpolyhedron()
+    G = group_of(P)
+    plain = convert_dd(P)
+    for levels in LEVELS.values():
+        led = adjacency_decomposition(P, G, levels)
+        if isinstance(P, VPolyhedron):
+            assert sum(e.size for e in led.entries.values()) == plain.m, levels
+        else:
+            assert sum(len(orb) for orb in led.vertex_orbits()) == len(plain.vertices)
+            assert set(led.vertices) == set(plain.vertices)
+
+
+@pytest.mark.parametrize("V, orbits", [pytest.param(cut_v(5), 2, id="cut5"),
+                                       pytest.param(cross_v(6), 1, id="cross6")])
+@pytest.mark.parametrize("method", list(LEVELS))
+def test_orbits_over_the_set_budget_are_counted_once(V, orbits, method, monkeypatch):
+    # with 20 sets per orbit, no facet orbit is expanded; each one must still
+    # be reported once (CUT_5 once gave 8, 31 and 41 orbits)
+    monkeypatch.setattr(repconv, "orbit_of_set", partial(orbit_of_set, budget=20))
+    G = affine_symmetry_group(V).perm_group
+    led = adjacency_decomposition(V, G, LEVELS[method])
+    assert led.orbit_count == orbits
+    assert led.total_elements == convert_dd(V).m
 
 
 def test_every_facet_supporting():

@@ -15,6 +15,7 @@ import pytest
 from polyorbit.cli import parse_polyfile
 from polyorbit.polycore import (
     AffineMap,
+    EmptyPolyhedronError,
     HPolyhedron,
     PolyhedronError,
     VPolyhedron,
@@ -278,6 +279,45 @@ def test_h_side_rejects_non_full_dimensional():
     b = [F(0), F(0)]   # x <= 0 and -x <= 0 force x = 0
     with pytest.raises(PolyhedronError):
         restricted_symmetries_H(HPolyhedron.from_rows(A, b))
+
+
+SQUARE_A = [(1, 0), (-1, 0), (0, 1), (0, -1)]
+
+
+@pytest.mark.parametrize("A, b, eq, error, message", [
+    pytest.param([(1,), (-1,)], [0, -1], (), EmptyPolyhedronError,
+                 "empty polyhedron has no affine hull", id="empty"),
+    pytest.param([(1, 0), (-1, 0)], [0, -1], (), EmptyPolyhedronError,
+                 "empty polyhedron has no affine hull", id="empty-with-a-line"),
+    pytest.param([(1, 0), (0, 1)], [1, 1], (), PolyhedronError,
+                 "homogenized rows do not span; input must be bounded and full-dimensional",
+                 id="unbounded"),
+    pytest.param([(1,), (-1,)], [0, 0], (), PolyhedronError,
+                 "restricted symmetry detection needs a full-dimensional input", id="point"),
+    pytest.param(SQUARE_A, [1, 1, 1, 1], (1,), PolyhedronError,
+                 "restricted symmetry detection needs a full-dimensional input",
+                 id="equality-rows"),
+    pytest.param(SQUARE_A + [(1, 1)], [1, 1, 1, 1, 5], (), PolyhedronError,
+                 "restricted symmetry detection needs an irredundant description",
+                 id="redundant"),
+    pytest.param(SQUARE_A + [(2, 0)], [1, 1, 1, 1, 2], (), PolyhedronError,
+                 "restricted symmetry detection needs an irredundant description",
+                 id="duplicate"),
+    pytest.param(SQUARE_A + [(0, 0)], [1, 1, 1, 1, 0], (), PolyhedronError,
+                 "restricted symmetry detection needs an irredundant description",
+                 id="zero-row"),
+])
+def test_h_side_preconditions_raise_their_own_messages(A, b, eq, error, message):
+    with pytest.raises(error) as info:
+        restricted_symmetries_H(HPolyhedron.from_rows(A, b, eq))
+    assert type(info.value) is error and str(info.value) == message
+
+
+def test_h_side_accepts_an_unbounded_system_whose_rows_span():
+    # x, y >= 0 and x + y >= 1: irredundant, full-dimensional, and the
+    # homogenized rows span R^3, so the swap of x and y is found
+    P = HPolyhedron.from_rows([(-1, 0), (0, -1), (-1, -1)], [0, 0, -1])
+    assert restricted_symmetries_H(P).order() == 2
 
 
 def test_automorphisms_of_long_cycle_need_no_deep_recursion():
