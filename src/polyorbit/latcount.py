@@ -10,15 +10,17 @@ quasi-polynomial (interpolated per residue class of the dilation factor and
 re-checked against a direct count), the exact volume (a fan over the facets
 from a relative-interior point, each facet triangulated by pulling), and a
 slice decomposition that splits an invariant polytope into fibers over the
-integral anchors of its invariant subspace.
+integral anchors of its invariant subspace.  The slice decomposition takes
+its block sums from symilp.block_sum_image and tests each candidate against
+integer facet rows of their projection, so no routine here solves an LP.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import ceil, factorial, floor, lcm
+from itertools import accumulate, product
+from math import ceil, factorial, floor, lcm, prod
 from operator import mul
 from typing import Optional, Sequence
 
@@ -37,15 +39,14 @@ from .polycore import (
     dd_cone,
     det,
     dot,
-    feasible_point,
     frac,
+    identity_matrix,
     index_set,
     integer_kernel_basis,
     matrix,
     nullspace,
     primitive,
     solve_linear,
-    solve_lp,
     vec_scale,
     vec_sub,
     vector,
@@ -54,10 +55,13 @@ from .polycore import (
 from .symilp import (
     LinearProgram,
     block_group,
+    block_sum_image,
     canonical_core_point,
     check_blocks,
     check_invariance,
+    coordinate_bounds,
     fiber_barycenter_lattice,
+    fixed_space_system,
 )
 
 __all__ = [
@@ -224,14 +228,22 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> tuple[Fraction, ...]:
     return sol
 
 
+# integer prefixes over the first n - 1 coordinates that ehrhart may walk
+_EHRHART_PREFIX_BUDGET = 1_000_000
+
+
 def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
     """Ehrhart quasi-polynomial of a bounded, full-dimensional polytope.
 
     The period is the lcm of the vertex-coordinate denominators (an error if
-    it exceeds period_bound).  For each residue class the dilate counts at
-    degree+1 sample points are interpolated exactly, then the component is
-    verified against one further direct count; a mismatch is an error, never
-    a silently wrong polynomial.  An integral polytope yields period 1.
+    it exceeds period_bound).  The bounding box of the largest dilate counted
+    may hold at most _EHRHART_PREFIX_BUDGET integer prefixes over its first
+    n - 1 coordinates, which bounds the nodes of the counting walk; a larger
+    input is an error rather than a run of hours.  For each residue class
+    the dilate counts at degree+1 sample points are interpolated exactly,
+    then the component is verified against one further direct count; a
+    mismatch is an error, never a silently wrong polynomial.  An integral
+    polytope yields period 1.
     """
     V = convert_dd(P)
     if V.rays:
@@ -247,6 +259,13 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
             k = lcm(k, c.denominator)
     if k > period_bound:
         raise PolyhedronError(f"period {k} exceeds the allowed bound {period_bound}")
+    top = k * (d + 2)   # the largest dilate counted below
+    prefixes = prod(floor(max(c)) - ceil(min(c)) + 1
+                    for c in ([top * v[t] for v in pts] for t in range(d - 1)))
+    if prefixes > _EHRHART_PREFIX_BUDGET:
+        raise PolyhedronError(
+            f"Ehrhart counting exceeds budget {_EHRHART_PREFIX_BUDGET}: dilate {top}"
+            f" spans {prefixes} integer prefixes")
     components = []
     for i in range(k):
         lams = [i + k * j for j in range(d + 3) if i + k * j > 0]
@@ -366,79 +385,58 @@ class SliceDecomposition:
     fiber_orbits: tuple[FiberOrbit, ...]
 
 
-def _block_offsets(blocks: Sequence[int]) -> list[int]:
-    offs = [0]
-    for nb in blocks:
-        offs.append(offs[-1] + nb)
-    return offs
-
-
-def _indicator(n: int, lo: int, hi: int) -> Vector:
-    return tuple(Fraction(1) if lo <= t < hi else Fraction(0) for t in range(n))
-
-
 def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposition:
     """Decompose a block-invariant polytope into fibers over integral anchors.
 
     Anchors are the integral sum vectors of the blocks of size >= 2 whose
     fiber meets P; singleton blocks already lie inside the invariant subspace
     and stay as free directions of every fiber, so a fully trivial action
-    keeps the whole polytope as its one fiber.  The block action fixes every
-    block sum, hence each anchor orbit is a singleton.  Fibers are written in
-    the difference basis of each block plus the singleton axes, a lattice
-    basis of the fiber direction lattice, with an integral base point, so
-    counting integer coordinate vectors counts integral fiber points.
+    keeps the whole polytope as its one fiber.  Candidate sums range over the
+    extent of block_sum_image, and a candidate's fiber meets P exactly when
+    it satisfies the integer facet rows of that image projected onto the
+    blocks of size >= 2.  The block action fixes every block sum, hence
+    each anchor orbit is a singleton.  Fibers are written in the difference
+    basis of each block plus the singleton axes, a lattice basis of the
+    fiber direction lattice, with an integral base point, so counting
+    integer coordinate vectors counts integral fiber points.
     """
     blocks = check_blocks(blocks, P.n)
     n = P.n
     if not check_invariance(LinearProgram(P, zero_vector(n)), block_group(blocks)):
         raise PolyhedronError("polyhedron is not invariant under the block action")
-    offs = _block_offsets(blocks)
-    k = len(blocks)
-    # invariant slice in barycenter coordinates: x = sum_j t_j 1_{B_j}
-    cols = [_indicator(n, offs[j], offs[j + 1]) for j in range(k)]
-    slice_rows = matrix([[dot(a, col) for col in cols] for a in P.A])
-    inv_slice = HPolyhedron(slice_rows, P.b, P.equality_rows)
-
-    live = [j for j in range(k) if blocks[j] >= 2]
-    basis_rows: list[Vector] = []
-    for j in range(k):
-        if blocks[j] == 1:
-            basis_rows.append(_indicator(n, offs[j], offs[j] + 1))
-        else:
-            for t in range(offs[j], offs[j + 1] - 1):
-                e = [Fraction(0)] * n
-                e[t], e[t + 1] = Fraction(1), Fraction(-1)
-                basis_rows.append(tuple(e))
-    basis = matrix(basis_rows)
-
+    # e_t - e_{t+1} inside a block, e_t for a singleton
+    eye = identity_matrix(n)
+    basis = tuple(eye[t] if nb == 1 else vec_sub(eye[t], eye[t + 1])
+                  for off, nb in zip(accumulate(blocks, initial=0), blocks)
+                  for t in range(off, off + max(nb - 1, 1)))
+    fiber_rows = matrix([[dot(a, bv) for bv in basis] for a in P.A])
     lattice = fiber_barycenter_lattice(blocks)
-    ranges = []
-    for j in live:
-        ind = _indicator(n, offs[j], offs[j + 1])
-        hi = solve_lp(P, ind)
-        if hi.status == "infeasible":
-            ranges = None
-            break
-        lo = solve_lp(P, ind, maximize=False)
-        if hi.status != "optimal" or lo.status != "optimal":
-            raise PolyhedronError("slice decomposition requires bounded block sums")
-        ranges.append(range(ceil(lo.value), floor(hi.value) + 1))
+    live = [j for j in range(len(blocks)) if blocks[j] >= 2]
 
-    fiber_rows = matrix([[dot(a, bv) for bv in basis_rows] for a in P.A])
     orbits = []
-    for sums in product(*ranges) if ranges is not None else ():
-        full = [0] * k
-        for j, s in zip(live, sums):
-            full[j] = s
-        base = canonical_core_point(blocks, full).z
-        fiber_b = tuple(bb - dot(a, base) for a, bb in zip(P.A, P.b))
-        fiber = HPolyhedron(fiber_rows, fiber_b, P.equality_rows)
-        if feasible_point(fiber) is None:
-            continue
-        anchor = lattice.anchor(full)
-        orbits.append(FiberOrbit(tuple(sums), anchor, base, 1, fiber))
-    return SliceDecomposition(blocks, inv_slice, basis, tuple(orbits))
+    image = block_sum_image(P, blocks)
+    if image is not None:
+        extent = coordinate_bounds(image)
+        if any(None in extent[j] for j in live):
+            raise PolyhedronError("slice decomposition requires bounded block sums")
+        cands = product(*(range(ceil(extent[j][0]), floor(extent[j][1]) + 1)
+                          for j in live))
+        if live:
+            # the live block sums of P form the image projected onto them
+            shadow = VPolyhedron(*(tuple(tuple(g[j] for j in live) for g in gens)
+                                   for gens in (image.vertices, image.rays)))
+            eqs, les = _projection_rows(shadow, len(live))
+            cands = [s for s in cands if (fit := _fiber(eqs, les, s[:-1])) is not None
+                     and fit[0] <= s[-1] <= fit[1]]
+        for sums in cands:
+            full = [0] * len(blocks)
+            for j, s in zip(live, sums):
+                full[j] = s
+            base = canonical_core_point(blocks, full).z
+            fiber_b = tuple(bb - dot(a, base) for a, bb in zip(P.A, P.b))
+            fiber = HPolyhedron(fiber_rows, fiber_b, P.equality_rows)
+            orbits.append(FiberOrbit(tuple(sums), lattice.anchor(full), base, 1, fiber))
+    return SliceDecomposition(blocks, fixed_space_system(P, blocks), basis, tuple(orbits))
 
 
 def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int], jobs: int = 1) -> int:

@@ -18,8 +18,10 @@ Representation conversion is one integer double description, dd_cone, of
 a homogenization cone; convert_dd_incidence also returns, for each output
 element, the input elements it is tight on.  remove_redundancy, affine_hull
 of an H-description and the facet incidence sets of repconv and latcount
-read those masks, so canonical forms need no LP; solve_lp is left to
-optimization.
+read those masks, so canonical forms need no LP.  solve_lp is left to
+optimization: symilp.solve_lp_reduced, the relaxation point that orders
+symilp.symmetric_ilp's feasibility sweep, and the brute-force ILP oracle of
+the CLI, cli._brute_ilp.  Lattice counting solves none.
 """
 from __future__ import annotations
 

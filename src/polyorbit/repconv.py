@@ -22,9 +22,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .polycore import (
+    EmptyPolyhedronError,
     HPolyhedron,
     PolyhedronError,
     VPolyhedron,
@@ -162,6 +163,22 @@ def _neighbor_facet(pts: Sequence[Vector], F: frozenset, c: Vector,
     return R | set(_rotate_about(pts, R, c, delta, F, away=f0)[2])
 
 
+def _neighbor_orbits(pts: Sequence[Vector], G: PermutationGroup, key: tuple[int, ...],
+                     ridges: Callable) -> Iterator[SetOrbit]:
+    """Orbits of the facets adjacent to the facet key, one at a time, so
+    that no more than one expanded orbit need be alive: ridges(members,
+    local) gets the sorted vertices of the facet and their coordinates in
+    its hull, and lists ridges as 1-based indices into members."""
+    F = frozenset(key)
+    c, delta = _supporting_row(pts, F)
+    members = sorted(F)
+    hull = affine_hull([pts[i - 1] for i in members])
+    local = [hull.coordinates(pts[i - 1]) for i in members]
+    return (orbit_of_set(G, _neighbor_facet(pts, F, c, delta,
+                                            frozenset(members[j - 1] for j in R)))
+            for R in ridges(members, local))
+
+
 def _known_key(known: dict, G: PermutationGroup, orb: SetOrbit) -> Optional[tuple]:
     """The key of the orbit orb in known (key -> SetOrbit), or None.
 
@@ -216,24 +233,13 @@ def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
     ledger is deterministic.
     """
 
-    def process(key: tuple[int, ...]) -> list[SetOrbit]:
-        F = frozenset(key)
-        c, delta = _supporting_row(pts, F)
-        members = sorted(F)
-        sub_ambient = [pts[i - 1] for i in members]
-        hull = affine_hull(sub_ambient)
-        sub_pts = [hull.coordinates(p) for p in sub_ambient]
-        stab = set_stabilizer(G, F)
+    def ridges(members, local):
         pos = {v: j + 1 for j, v in enumerate(members)}
         sub_gens = [Permutation(tuple(pos[g(v)] for v in members))
-                    for g in stab.generators]
+                    for g in set_stabilizer(G, frozenset(members)).generators]
         sub_group = PermutationGroup(sub_gens, degree=len(members))
-        ridges = _facet_orbit_engine(sub_pts, sub_group, levels, depth + 1)
-        found = []
-        for ridge in ridges:
-            R = frozenset(members[j - 1] for j in ridge.representative)
-            found.append(orbit_of_set(G, _neighbor_facet(pts, F, c, delta, R)))
-        return found
+        return [r.representative
+                for r in _facet_orbit_engine(local, sub_group, levels, depth + 1)]
 
     seed = orbit_of_set(G, _initial_facet(pts))
     entries: dict[tuple[int, ...], SetOrbit] = {seed.representative: seed}
@@ -242,7 +248,7 @@ def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
         batch = sorted(frontier)
         frontier = []
         for key in batch:
-            for orb in process(key):
+            for orb in _neighbor_orbits(pts, G, key, ridges):
                 if _known_key(entries, G, orb) is None:
                     entries[orb.representative] = orb
                     frontier.append(orb.representative)
@@ -405,9 +411,13 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
     lin, rays, _ = dd_cone(P.A, n)
     if lin or rays:
         raise PolyhedronError("decomposition requires a bounded polytope")
-    if affine_hull(P).dim != n:
+    try:
+        cleaned = remove_redundancy(P)
+    except EmptyPolyhedronError:
+        raise EmptyPolyhedronError("empty polyhedron has no affine hull")
+    # an implicit equality lowers the dimension unless it is 0 = 0
+    if any(any(cleaned.A[i - 1]) for i in cleaned.equality_rows):
         raise PolyhedronError("decomposition requires a full-dimensional polytope")
-    cleaned = remove_redundancy(P)
     if cleaned.m != P.m or cleaned.equality_rows:
         raise PolyhedronError("decomposition requires an irredundant description")
     if any(L is None for L in realize_row_permutations(P, G.generators)):
@@ -532,27 +542,14 @@ def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger,
     node_of = {key: i + 1 for i, key in enumerate(keys)}
     known = {key: e.orbit for key, e in ledger.entries.items()}
 
-    def neighbors_of(key: tuple[int, ...]) -> list[tuple[int, ...]]:
-        if geo.d <= 1:
-            return []
-        F = frozenset(key)
-        c, delta = _supporting_row(pts, F)
-        members = sorted(F)
-        sub_ambient = [pts[i - 1] for i in members]
-        hull = affine_hull(sub_ambient)
-        sub_V = VPolyhedron.from_points([hull.coordinates(p) for p in sub_ambient])
-        found = set()
-        for mask in convert_dd_incidence(sub_V)[1]:
-            R = frozenset(members[j - 1] for j in index_set(mask))
-            orb = orbit_of_set(group, _neighbor_facet(pts, F, c, delta, R))
-            found.add(_known_key(known, group, orb) or orb.representative)
-        return sorted(found)
+    def ridges(members, local):
+        return map(index_set, convert_dd_incidence(VPolyhedron.from_points(local))[1])
 
     edges = set()
-    for key in keys:
+    for key in keys if geo.d > 1 else ():
         i = node_of[key]
-        for nk in neighbors_of(key):
-            j = node_of.get(nk)
+        for orb in _neighbor_orbits(pts, group, key, ridges):
+            j = node_of.get(_known_key(known, group, orb) or orb.representative)
             if j is None:
                 raise PolyhedronError("ledger is not complete: missing neighbor orbit")
             edges.add((min(i, j), max(i, j)))

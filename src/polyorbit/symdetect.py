@@ -33,12 +33,12 @@ from typing import Optional, Sequence
 
 from .polycore import (
     AffineMap,
+    EmptyPolyhedronError,
     HPolyhedron,
     Matrix,
     PolyhedronError,
     VerificationError,
     VPolyhedron,
-    affine_hull,
     det,
     frac,
     gauss_jordan,
@@ -440,10 +440,13 @@ def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
     acts on 1-based row indices.  Requires an irredundant, full-dimensional
     description.
     """
-    n = P.n
-    if affine_hull(P).dim != n:
+    try:
+        cleaned = remove_redundancy(P)
+    except EmptyPolyhedronError:
+        raise EmptyPolyhedronError("empty polyhedron has no affine hull")
+    # an implicit equality lowers the dimension unless it is 0 = 0
+    if any(any(cleaned.A[i - 1]) for i in cleaned.equality_rows):
         raise PolyhedronError("restricted symmetry detection needs a full-dimensional input")
-    cleaned = remove_redundancy(P)
     if cleaned.m != P.m or cleaned.equality_rows:
         raise PolyhedronError("restricted symmetry detection needs an irredundant description")
     realizer = _RowRealizer(P)

@@ -11,20 +11,25 @@ on coordinate blocks a single balanced point per fiber decides integral
 feasibility of the whole fiber.
 
 The block machinery indexes fibers by integer block sums; the barycenters of
-integral orbits form the scaled lattice with steps 1/n_j per block.  The
-block-sum ranges come from LPs on the fixed space itself, in one coordinate
-per block, and the sweep tests each fiber's balanced point against the rows
-of P scaled once to integers, so its hot loop is integer arithmetic.
+integral orbits form the scaled lattice with steps 1/n_j per block.  An
+invariant P holds the barycenter of each of its points, with the same block
+sums, so block_sum_image reads the block sums of P off one double
+description of P on the fixed space, in one coordinate per block; the ILP
+sweep and the slice decomposition of latcount take their ranges from it
+without an LP.  The sweep tests each fiber's balanced point against the
+rows of P scaled once to integers, so its hot loop is integer arithmetic.
 """
+from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import accumulate, product
 from operator import mul
 from typing import Optional, Sequence, Union
 
 from .polycore import (
+    EmptyPolyhedronError,
     HPolyhedron,
     LPResult,
     Matrix,
@@ -110,14 +115,7 @@ class BarycenterLattice:
     def anchor(self, sums: Sequence[int]) -> Vector:
         if len(sums) != len(self.blocks):
             raise PolyhedronError("one integer sum per block is required")
-        n = sum(self.blocks)
-        out = [Fraction(0)] * n
-        off = 0
-        for j, nb in enumerate(self.blocks):
-            for t in range(off, off + nb):
-                out[t] = Fraction(sums[j], nb)
-            off += nb
-        return tuple(out)
+        return tuple(Fraction(s, nb) for s, nb in zip(sums, self.blocks) for _ in range(nb))
 
 
 # ---------------------------------------------------------------------------
@@ -332,20 +330,19 @@ def block_group(blocks: Sequence[int]) -> PermutationGroup:
     return PermutationGroup(gens, degree=n)
 
 
+def block_indicators(blocks: Sequence[int]) -> Matrix:
+    """The 0/1 indicator vector of each block, in block order."""
+    n = sum(blocks)
+    return tuple(tuple(Fraction(int(s <= t < s + nb)) for t in range(n))
+                 for s, nb in zip(accumulate(blocks, initial=0), blocks))
+
+
 def fiber_barycenter_lattice(blocks: Sequence[int]) -> BarycenterLattice:
     """Lattice of integral-orbit barycenters for a block product of symmetric groups."""
     blocks = check_blocks(blocks)
-    n = sum(blocks)
     steps = tuple(Fraction(1, nb) for nb in blocks)
-    basis = []
-    off = 0
-    for j, nb in enumerate(blocks):
-        row = [Fraction(0)] * n
-        for t in range(off, off + nb):
-            row[t] = steps[j]
-        basis.append(tuple(row))
-        off += nb
-    return BarycenterLattice(blocks, steps, tuple(basis))
+    basis = tuple(tuple(st * x for x in row) for st, row in zip(steps, block_indicators(blocks)))
+    return BarycenterLattice(blocks, steps, basis)
 
 
 def fiber_polyhedron(P: HPolyhedron, blocks: Sequence[int], sums: Sequence[int]) -> HPolyhedron:
@@ -353,19 +350,8 @@ def fiber_polyhedron(P: HPolyhedron, blocks: Sequence[int], sums: Sequence[int])
     blocks = check_blocks(blocks, P.n)
     if len(sums) != len(blocks):
         raise PolyhedronError("one integer sum per block is required")
-    A = list(P.A)
-    b = list(P.b)
-    eqs = list(P.equality_rows)
-    off = 0
-    for j, nb in enumerate(blocks):
-        row = [Fraction(0)] * P.n
-        for t in range(off, off + nb):
-            row[t] = Fraction(1)
-        A.append(tuple(row))
-        b.append(frac(sums[j]))
-        eqs.append(len(A))
-        off += nb
-    return HPolyhedron(tuple(A), tuple(b), tuple(eqs))
+    return HPolyhedron(tuple(P.A) + block_indicators(blocks), tuple(P.b) + vector(sums),
+                       tuple(P.equality_rows) + tuple(range(P.m + 1, P.m + len(blocks) + 1)))
 
 
 def canonical_core_point(blocks: Sequence[int], sums: Sequence[int]) -> CorePoint:
@@ -427,21 +413,18 @@ def is_core_point(G: GroupLike, z: Sequence, budget: int = 200_000) -> Optional[
 
 
 def _block_sums(blocks: tuple[int, ...], x: Vector) -> tuple[Fraction, ...]:
-    out = []
-    off = 0
-    for nb in blocks:
-        out.append(sum(x[off:off + nb], Fraction(0)))
-        off += nb
-    return tuple(out)
+    return tuple(sum(x[off:off + nb], Fraction(0))
+                 for off, nb in zip(accumulate(blocks, initial=0), blocks))
 
 
-def _fixed_space_system(P: HPolyhedron, blocks: tuple[int, ...]) -> HPolyhedron:
+def fixed_space_system(P: HPolyhedron, blocks: Sequence[int]) -> HPolyhedron:
     """P on the fixed space of the block group, in block coordinates y.
 
     Substitutes x = sum_j y_j 1_{block j}: row i becomes (its sum over each
     block | b_i).  The rows of one orbit coincide there; duplicates are
     dropped.
     """
+    blocks = check_blocks(blocks, P.n)
     eq = set(P.equality_rows)
     rows = {}
     for i, (a, bb) in enumerate(zip(P.A, P.b), start=1):
@@ -451,30 +434,47 @@ def _fixed_space_system(P: HPolyhedron, blocks: tuple[int, ...]) -> HPolyhedron:
                        tuple(t for t, k in enumerate(keys, start=1) if k[2]))
 
 
+def block_sum_image(P: HPolyhedron, blocks: Sequence[int]) -> Optional[VPolyhedron]:
+    """The block-sum vectors (s_1, ..., s_k) of the points of a block-invariant
+    P, as vertices and rays; None when P is empty.
+
+    An invariant convex P holds the barycenter of each of its points, and the
+    barycenter has the same block sums, so the block sums of P are those of
+    P on the fixed space.  One conversion of fixed_space_system(P, blocks)
+    gives that set in y, and s_j = n_j y_j scales it (a line comes as two
+    opposite rays).
+    """
+    try:
+        V = convert_dd(fixed_space_system(P, blocks))
+    except EmptyPolyhedronError:
+        return None
+    return VPolyhedron(*(tuple(tuple(nb * x for nb, x in zip(blocks, g)) for g in gens)
+                         for gens in (V.vertices, V.rays)))
+
+
+def coordinate_bounds(V: VPolyhedron) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
+    """(min, max) of each coordinate over a nonempty V; a side is None when
+    some ray leaves in that direction."""
+    return [(None if any(r[t] < 0 for r in V.rays) else min(v[t] for v in V.vertices),
+             None if any(r[t] > 0 for r in V.rays) else max(v[t] for v in V.vertices))
+            for t in range(V.n)]
+
+
 def _sum_ranges(P, blocks, bounds, fiber_budget):
     """Integer ranges of the block sums over P, or None when P is empty.
 
-    Exact LP bounds per block sum, intersected with user bounds; an unbounded
-    direction without a user bound is an error rather than a truncation.  P
-    must be invariant under the block group: an invariant LP attains its
-    optimum on the fixed space, so the LPs run there, in one variable y_j per
-    block, where the block sum is n_j y_j.  Optimum values are unique, so the
-    ranges equal those of the LPs on P.
+    The exact extent of each block sum, read off block_sum_image, is
+    intersected with user bounds; an unbounded direction without a user
+    bound is an error rather than a truncation.  P must be invariant under
+    the block group.
     """
-    Q = _fixed_space_system(P, blocks)
-    k = len(blocks)
+    image = block_sum_image(P, blocks)
+    if image is None:
+        return None
     ranges = []
     total = 1
-    for j, nb in enumerate(blocks):
-        ind = [Fraction(0)] * k
-        ind[j] = Fraction(nb)
-        hi_res = solve_lp(Q, ind)
-        if hi_res.status == "infeasible":
-            return None
-        lo_res = solve_lp(Q, ind, maximize=False)
+    for j, (lo, hi) in enumerate(coordinate_bounds(image)):
         user_lo, user_hi = (None, None) if bounds is None else bounds[j]
-        lo = lo_res.value if lo_res.is_optimal else None
-        hi = hi_res.value if hi_res.is_optimal else None
         if user_lo is not None:
             lo = frac(user_lo) if lo is None else max(lo, frac(user_lo))
         if user_hi is not None:
@@ -495,11 +495,10 @@ def _sweep(P, blocks, cands):
     number of fibers probed: (point, its 1-based position), or
     (None, len(cands)) when no balanced point lies in P.
 
-    The candidates are block sums within the ranges that _sum_ranges bounds
-    on the fixed space.  Each row (a_i | b_i) of P is scaled once to integers
-    by the lcm of its denominators, a positive factor, so a probe of the
-    integral balanced point takes integer dot products only.  The sweep is
-    serial.
+    The candidates are block sums within the ranges of _sum_ranges.  Each
+    row (a_i | b_i) of P is scaled once to integers by the lcm of its
+    denominators, a positive factor, so a probe of the integral balanced
+    point takes integer dot products only.  The sweep is serial.
     """
     eq = set(P.equality_rows)
     rows = []
@@ -540,13 +539,14 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     sweep order that lies in P and its 1-based position in that order, or
     (None, number of fibers) when there is none, (None, 0) when P is empty.
 
-    Fibers are indexed by integer block sums within exact LP bounds
-    (optionally capped by user bounds, and required when a direction is
-    unbounded).  Feasibility takes them nearest to the LP relaxation point
-    first, optimization in decreasing fiber objective; ties go to the
-    lexicographically smaller sums.  Per fiber only the balanced point needs
-    testing: it is majorized blockwise by every integral point with the same
-    sums, so an invariant convex set containing any of them contains it.
+    Fibers are indexed by integer block sums within their exact extent over
+    P, read off block_sum_image (optionally capped by user bounds, and
+    required when a direction is unbounded).  Feasibility takes them nearest
+    to the point of one LP relaxation first, optimization in decreasing
+    fiber objective; ties go to the lexicographically smaller sums.  Per
+    fiber only the balanced point needs testing: it is majorized blockwise
+    by every integral point with the same sums, so an invariant convex set
+    containing any of them contains it.
     """
     blocks = check_blocks(blocks, P.n)
     goal = zero_vector(P.n) if c is None else vector(c)

@@ -4,6 +4,7 @@ codes, and byte-identical output across worker counts."""
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -209,6 +210,17 @@ class TestEhrhartCmd:
         code, _, err = run(capsys, "ehrhart", FIX / "segment-half.ine",
                            "--period-bound", "1")
         assert code == 2 and "period" in err
+
+    @pytest.mark.parametrize("name", ["ilp-huge.ine", "santos.ext"])
+    def test_oversized_input_refused_at_once(self, capsys, name):
+        # the dilates 1..5 of [0, 1000]^3 and 1..7 of santos.ext hold far
+        # more integer prefixes than the walk's budget
+        start = time.perf_counter()
+        code, out, err = run(capsys, "ehrhart", FIX / name)
+        assert time.perf_counter() - start < 30
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Ehrhart counting exceeds budget 1000000:")
+        assert err.count("\n") == 1
 
 
 class TestVolumeCmd:

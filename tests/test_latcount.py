@@ -4,6 +4,7 @@ import sys
 from fractions import Fraction as F
 from itertools import product
 from math import ceil, factorial, floor
+from pathlib import Path
 
 import pytest
 
@@ -15,6 +16,8 @@ from polyorbit.polycore import (
     VerificationError,
     VPolyhedron,
     dot,
+    feasible_point,
+    matrix,
     solve_lp,
     vec_add,
     vec_scale,
@@ -27,9 +30,19 @@ from polyorbit.latcount import (
     slice_decomposition,
     volume,
 )
+from polyorbit.cli import main
 from polyorbit.repconv import convert_dd
+from polyorbit.symilp import block_group, canonical_core_point, fiber_barycenter_lattice
 from shapes import birkhoff, cube_h, simplex_h
-from test_symilp import enum_integral, random_invariant_system
+from test_symilp import (
+    apply_perm,
+    enum_integral,
+    random_invariant_system,
+    rational_invariant_system,
+)
+
+
+FIX = Path(__file__).parent / "fixtures"
 
 
 def box_count(P):
@@ -162,6 +175,24 @@ class TestCountLatticePoints:
         with pytest.raises(PolyhedronError, match="unbounded"):
             count_lattice_points(HPolyhedron.from_rows([(1, 0), (0, 1)], [0, 0]))
 
+    def test_symmetric_counting_solves_no_lp(self, monkeypatch, capsys):
+        rng = random.Random(17)
+        cases = [(cube_h(3), (3,)), (unit_box(3), (1, 2)), (cube_h(2), (1, 1))]
+        cases += [(random_invariant_system(rng, blocks), blocks)
+                  for blocks in [(2,), (2, 2), (1, 2), (2, 1, 2)]]
+        expected = [count_lattice_points(P) for P, _ in cases]
+
+        def no_lp(*args, **kwargs):
+            raise AssertionError("lattice counting solved an LP")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polyorbit") and hasattr(module, "solve_lp"):
+                monkeypatch.setattr(module, "solve_lp", no_lp)
+        assert [count_with_symmetry(P, blocks) for P, blocks in cases] == expected
+        capsys.readouterr()
+        assert main(["count", "--symmetric", str(FIX / "cube3-blocks.ine")]) == 0
+        assert capsys.readouterr() == ("27\n", "")
+
 
 class TestQuasiPolynomial:
     def test_evaluation_picks_residue_class(self):
@@ -254,6 +285,20 @@ class TestEhrhart:
         monkeypatch.setattr(lc, "count_lattice_points", lying)
         with pytest.raises(VerificationError):
             lc.ehrhart(cube_h(2))
+
+    def test_prefix_budget(self, monkeypatch):
+        import polyorbit.latcount as lc
+        # the largest dilate of [-1, 1]^3 is 5, with 11 * 11 prefixes over
+        # (x1, x2); that of a triangle of period 2 is 2 * (2 + 2) = 8, and
+        # x1 takes the 5 values 0..4 in it
+        tri = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 1)], [0, 0, F(1, 2)])
+        for P, top, prefixes in [(cube_h(3), 5, 121), (tri, 8, 5)]:
+            monkeypatch.setattr(lc, "_EHRHART_PREFIX_BUDGET", prefixes)
+            lc.ehrhart(P)
+            monkeypatch.setattr(lc, "_EHRHART_PREFIX_BUDGET", prefixes - 1)
+            with pytest.raises(PolyhedronError, match=(
+                    f"budget {prefixes - 1}: dilate {top} spans {prefixes} integer")):
+                lc.ehrhart(P)
 
 
 class TestVolume:
@@ -420,6 +465,131 @@ class TestSliceDecomposition:
         P = HPolyhedron.from_rows([(1, 1)], [1])
         with pytest.raises(PolyhedronError, match="bounded"):
             slice_decomposition(P, (2,))
+
+
+def lp_slice_decomposition(P, blocks):
+    """The LP route to the slice decomposition, kept as an oracle: block-sum
+    ranges from 2k LPs on the full P, one feasibility LP per candidate fiber
+    and the invariant slice with one row per row of P.  Returns (slice,
+    basis, fiber orbits)."""
+    n, k = P.n, len(blocks)
+    offs = [0]
+    for nb in blocks:
+        offs.append(offs[-1] + nb)
+
+    def indicator(lo, hi):
+        return tuple(F(int(lo <= t < hi)) for t in range(n))
+
+    cols = [indicator(offs[j], offs[j + 1]) for j in range(k)]
+    inv_slice = HPolyhedron(matrix([[dot(a, col) for col in cols] for a in P.A]),
+                            P.b, P.equality_rows)
+    live = [j for j in range(k) if blocks[j] >= 2]
+    basis_rows = []
+    for j in range(k):
+        if blocks[j] == 1:
+            basis_rows.append(indicator(offs[j], offs[j] + 1))
+        else:
+            for t in range(offs[j], offs[j + 1] - 1):
+                e = [F(0)] * n
+                e[t], e[t + 1] = F(1), F(-1)
+                basis_rows.append(tuple(e))
+    lattice = fiber_barycenter_lattice(blocks)
+    ranges = []
+    for j in live:
+        ind = indicator(offs[j], offs[j + 1])
+        hi = solve_lp(P, ind)
+        if hi.status == "infeasible":
+            ranges = None
+            break
+        lo = solve_lp(P, ind, maximize=False)
+        if hi.status != "optimal" or lo.status != "optimal":
+            raise PolyhedronError("slice decomposition requires bounded block sums")
+        ranges.append(range(ceil(lo.value), floor(hi.value) + 1))
+    fiber_rows = matrix([[dot(a, bv) for bv in basis_rows] for a in P.A])
+    orbits = []
+    for sums in product(*ranges) if ranges is not None else ():
+        full = [0] * k
+        for j, s in zip(live, sums):
+            full[j] = s
+        base = canonical_core_point(blocks, full).z
+        fiber = HPolyhedron(fiber_rows, tuple(bb - dot(a, base) for a, bb in zip(P.A, P.b)),
+                            P.equality_rows)
+        if feasible_point(fiber) is not None:
+            orbits.append((tuple(sums), lattice.anchor(full), base, fiber))
+    return inv_slice, matrix(basis_rows), orbits
+
+
+def slice_rows(S):
+    eq = set(S.equality_rows)
+    return [(a, bb, i in eq) for i, (a, bb) in enumerate(zip(S.A, S.b), start=1)]
+
+
+def oracle_systems(count):
+    """Seeded block-invariant systems: integral and rational boxes with
+    orbit rows, invariant equality rows, empty systems, and block sums left
+    unbounded on a live block or on a singleton."""
+    rng = random.Random(2013)
+    shapes = [(2,), (3,), (1, 2), (2, 1), (2, 2), (1, 1), (1, 3), (2, 1, 1), (1, 1, 2)]
+    for t in range(count):
+        blocks = shapes[t % len(shapes)]
+        kind = ("box", "lattice", "off-lattice", "window", "empty", "unbounded")[t % 6]
+        if kind == "box":
+            P = random_invariant_system(rng, blocks, extra_rows=rng.randint(1, 3))
+        elif kind == "unbounded":
+            # orbit rows, both bounds on a random set of blocks and one
+            # bound, above or below, on the others
+            n = sum(blocks)
+            rows = {}
+            a = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+            bb = F(rng.randint(0, 6), rng.choice((1, 2)))
+            for g in block_group(blocks).elements():
+                rows.setdefault(apply_perm(g, a), bb)
+            A, b = sorted(rows), [rows[r] for r in sorted(rows)]
+            sides = [rng.choice([(1, -1), (1,), (-1,)]) for _ in blocks]
+            off = 0
+            for j, nb in enumerate(blocks):
+                for i in range(off, off + nb):
+                    for sgn in sides[j]:
+                        A.append(tuple(F(sgn * (i == q)) for q in range(n)))
+                        b.append(F(2))
+                off += nb
+            P = HPolyhedron.from_rows(A, b)
+        else:
+            P = rational_invariant_system(
+                rng, blocks, "lattice" if kind == "empty" else kind)
+            if kind == "empty":
+                n = sum(blocks)
+                P = HPolyhedron(P.A + ((F(1),) * n, (F(-1),) * n),
+                                P.b + (F(-1, 2), F(-1, 2)), P.equality_rows)
+        yield P, blocks
+
+
+class TestSliceDecompositionOracle:
+    def test_matches_lp_reference(self):
+        outcomes = set()
+        for P, blocks in oracle_systems(324):
+            try:
+                want = lp_slice_decomposition(P, blocks)
+            except PolyhedronError as exc:
+                with pytest.raises(PolyhedronError) as got:
+                    slice_decomposition(P, blocks)
+                assert str(got.value) == str(exc)
+                outcomes.add("unbounded")
+                continue
+            dec = slice_decomposition(P, blocks)
+            inv_slice, basis, orbits = want
+            assert dec.basis == basis
+            assert [(fo.sums, fo.anchor, fo.base_point, fo.fiber) for fo in dec.fiber_orbits] \
+                == orbits
+            assert all(fo.orbit_size == 1 for fo in dec.fiber_orbits)
+            # the same rows up to duplicates, and each kept once
+            got_rows = slice_rows(dec.invariant_slice)
+            assert len(set(got_rows)) == len(got_rows)
+            assert set(got_rows) == set(slice_rows(inv_slice))
+            outcomes.add("fibers" if orbits else "none")
+            if orbits and any(nb == 1 for nb in blocks):
+                outcomes.add("singleton")
+        assert outcomes == {"unbounded", "fibers", "none", "singleton"}
 
 
 class TestCountWithSymmetry:

@@ -1,5 +1,6 @@
-"""Package layout: the names the benchmark tracer wraps exist, and no module
-reaches into another module's private names."""
+"""Package layout: the names the benchmark tracer wraps exist, no module
+reaches into another module's private names, and lattice counting imports no
+LP routine."""
 import ast
 import importlib
 import importlib.util
@@ -32,3 +33,10 @@ def test_no_private_name_is_imported_from_another_module(source):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             private = [a.name for a in node.names if a.name.startswith("_")]
             assert not private, f"{source.name} imports {private} from {node.module}"
+
+
+def test_lattice_counting_imports_no_lp_routine():
+    imported = {a.asname or a.name
+                for node in ast.walk(ast.parse((PACKAGE / "latcount.py").read_text()))
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
+    assert not imported & {"solve_lp", "feasible_point"}

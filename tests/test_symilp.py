@@ -664,3 +664,12 @@ class TestFastPathEquivalence:
             want = full_sum_ranges(P, (2, 1), bounds)
             assert want != "unbounded"
             assert _sum_ranges(P, (2, 1), bounds, 10 ** 6) == want
+        # the mirror image, x1 + x2 <= -1/2, is unbounded below
+        Q = HPolyhedron.from_rows([tuple(-x for x in a) for a in P.A], P.b)
+        assert full_sum_ranges(Q, (2, 1)) == "unbounded"
+        with pytest.raises(PolyhedronError, match="unbounded; supply bounds"):
+            _sum_ranges(Q, (2, 1), [(None, 0), (None, None)], 10 ** 6)
+        for bounds in ([(-3, None), (None, None)], [(-4, -1), (-1, 0)]):
+            want = full_sum_ranges(Q, (2, 1), bounds)
+            assert want != "unbounded"
+            assert _sum_ranges(Q, (2, 1), bounds, 10 ** 6) == want
