@@ -1,19 +1,34 @@
 """Permutation groups on {1,...,N}: BSGS, orbits of sets, backtrack searches.
 
 All points are 1-based, matching the index convention used for vertices and
-inequality rows everywhere else in the package.  Groups are stored as a base
-and strong generating set (stabilizer chain) built by a deterministic
-Schreier-Sims procedure, so identical generator lists always produce identical
-chains, transversals, and search orders.
+inequality rows everywhere else in the package.  A permutation stores its
+images behind a fixed 0, ``_p = (0,) + images``, so ``p(x)`` is ``_p[x]``
+and a product is one C-level ``tuple(map(...))`` over the other factor.
+Products, inverses and identities skip the validation of the public
+constructors, since a product of permutations is a permutation.
+
+Groups are stored as a base and strong generating set (stabilizer chain)
+built by a deterministic Schreier-Sims procedure, so identical generator
+lists always produce identical chains, transversals, and search orders.  Each
+level of the chain keeps the inverse of every transversal element, so a sift
+multiplies and never inverts, and the set of (orbit point, generator) pairs
+whose Schreier generator it has already sifted: transversal entries are never
+replaced and generator lists only grow, so a Schreier generator that sifted
+once sifts to the identity for the rest of the construction and is skipped.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence
 
 
 class OrbitBudgetExceeded(Exception):
     """An orbit expansion grew past the caller's element budget."""
+
+
+def _inverse(p: tuple) -> tuple:
+    """Inverse of a padded image tuple: position j holds the i with p[i] = j."""
+    return tuple(sorted(range(len(p)), key=p.__getitem__))
 
 
 class Permutation:
@@ -23,21 +38,31 @@ class Permutation:
     (p * q)(x) = p(q(x)).
     """
 
-    __slots__ = ("images",)
+    __slots__ = ("_p",)
 
     def __init__(self, images: Sequence[int]):
-        self.images = tuple(images)
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+        images = tuple(images)
+        if sorted(images) != list(range(1, len(images) + 1)):
             raise ValueError("not a permutation of 1..n")
+        self._p = (0,) + images
+
+    @classmethod
+    def _trusted(cls, p: tuple) -> "Permutation":
+        """Wrap a padded image tuple known to be a permutation, unchecked."""
+        perm = object.__new__(cls)
+        perm._p = p
+        return perm
 
     @classmethod
     def identity(cls, degree: int) -> "Permutation":
-        return cls(range(1, degree + 1))
+        return cls._trusted(tuple(range(degree + 1)))
 
     @classmethod
     def from_cycles(cls, degree: int, cycles: Iterable[Sequence[int]]) -> "Permutation":
         images = list(range(1, degree + 1))
         for cyc in cycles:
+            if not all(1 <= a <= degree for a in cyc):
+                raise ValueError(f"cycle {tuple(cyc)} not within 1..{degree}")
             for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
                 images[a - 1] = b
         return cls(images)
@@ -60,42 +85,49 @@ class Permutation:
         return cls.from_cycles(degree, cycles)
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return self._p[1:]
+
+    @property
     def degree(self) -> int:
-        return len(self.images)
+        return len(self._p) - 1
 
     def __call__(self, point: int) -> int:
-        return self.images[point - 1]
+        if not 0 < point < len(self._p):
+            raise ValueError(f"point {point} outside 1..{self.degree}")
+        return self._p[point]
 
     def apply_set(self, points: Iterable[int]) -> frozenset:
-        return frozenset(self.images[p - 1] for p in points)
+        points = frozenset(points)
+        if points and not (0 < min(points) and max(points) < len(self._p)):
+            raise ValueError(f"set {sorted(points)} not within 1..{self.degree}")
+        return frozenset(map(self._p.__getitem__, points))
 
     def __mul__(self, other: "Permutation") -> "Permutation":
-        oi = other.images
-        si = self.images
-        return Permutation(tuple(si[oi[i] - 1] for i in range(len(si))))
+        if len(self._p) != len(other._p):
+            raise ValueError(f"degrees {self.degree} and {other.degree} differ")
+        return Permutation._trusted(tuple(map(self._p.__getitem__, other._p)))
 
     def inverse(self) -> "Permutation":
-        inv = [0] * len(self.images)
-        for i, img in enumerate(self.images):
-            inv[img - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._trusted(_inverse(self._p))
 
     def is_identity(self) -> bool:
-        return all(img == i + 1 for i, img in enumerate(self.images))
+        return self._p == tuple(range(len(self._p)))
 
     def cycles(self) -> list[tuple[int, ...]]:
+        p = self._p
         seen = set()
         out = []
-        for start in range(1, self.degree + 1):
-            if start in seen or self(start) == start:
+        for start in range(1, len(p)):
+            if start in seen or p[start] == start:
                 continue
             cyc = [start]
             seen.add(start)
-            x = self(start)
+            x = p[start]
             while x != start:
                 cyc.append(x)
                 seen.add(x)
-                x = self(x)
+                x = p[x]
             out.append(tuple(cyc))
         return out
 
@@ -106,13 +138,14 @@ class Permutation:
         return "".join("(" + " ".join(str(x) for x in c) + ")" for c in cycs)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Permutation) and self.images == other.images
+        return isinstance(other, Permutation) and self._p == other._p
 
     def __hash__(self) -> int:
-        return hash(self.images)
+        return hash(self._p)
 
     def __lt__(self, other: "Permutation") -> bool:
-        return self.images < other.images
+        # the common leading 0 leaves the order of the image tuples unchanged
+        return self._p < other._p
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
@@ -123,6 +156,8 @@ class _ChainLevel:
     base_point: int
     gens: list          # strong generators fixing all earlier base points
     orbit: dict         # point -> transversal element u with u(base_point) = point
+    inv: dict           # point -> padded image tuple of orbit[point]^-1
+    checked: set = field(default_factory=set)   # (point, index into gens) already sifted
 
 
 class PermutationGroup:
@@ -146,6 +181,7 @@ class PermutationGroup:
             raise ValueError("mixed degrees")
         self.degree = degree
         self.generators = tuple(gens)
+        self._identity = tuple(range(degree + 1))
         prefix = []
         for p in base_prefix:
             if not 1 <= p <= degree:
@@ -157,63 +193,79 @@ class PermutationGroup:
         for p in prefix:
             self._new_level(p)
         for g in gens:
-            self._add_generator(g, 0)
+            self._add_generator(g._p, 0)
 
     # -- chain construction (deterministic Schreier-Sims) ------------------
 
     def _new_level(self, point: int) -> _ChainLevel:
-        lvl = _ChainLevel(point, [], {point: Permutation.identity(self.degree)})
+        e = self._identity
+        lvl = _ChainLevel(point, [], {point: Permutation._trusted(e)}, {point: e})
         self._levels.append(lvl)
         return lvl
 
     def _recompute_orbit(self, idx: int) -> None:
         lvl = self._levels[idx]
-        frontier = sorted(lvl.orbit)
+        orbit, inv = lvl.orbit, lvl.inv
+        frontier = sorted(orbit)
         while frontier:
             new_frontier = []
             for p in frontier:
-                u = lvl.orbit[p]
+                u = orbit[p]._p
                 for g in lvl.gens:
-                    q = g(p)
-                    if q not in lvl.orbit:
-                        lvl.orbit[q] = g * u
+                    q = g._p[p]
+                    if q not in orbit:
+                        gu = tuple(map(g._p.__getitem__, u))
+                        orbit[q] = Permutation._trusted(gu)
+                        inv[q] = _inverse(gu)
                         new_frontier.append(q)
             frontier = sorted(new_frontier)
 
-    def _strip(self, g: Permutation, start: int) -> tuple[Permutation, int]:
-        h = g
-        for i in range(start, len(self._levels)):
-            lvl = self._levels[i]
-            img = h(lvl.base_point)
-            if img not in lvl.orbit:
+    def _strip(self, h: tuple, start: int) -> tuple[tuple, int]:
+        """Sift the padded image tuple h from level start; (residue, level)."""
+        levels = self._levels
+        for i in range(start, len(levels)):
+            lvl = levels[i]
+            img = h[lvl.base_point]
+            if img == lvl.base_point:
+                continue
+            ui = lvl.inv.get(img)
+            if ui is None:
                 return h, i
-            h = lvl.orbit[img].inverse() * h
-        return h, len(self._levels)
+            h = tuple(map(ui.__getitem__, h))
+        return h, len(levels)
 
-    def _add_generator(self, g: Permutation, level: int) -> None:
+    def _add_generator(self, g: tuple, level: int) -> None:
         """Sift g (a member of level's group) and grow the chain if it sticks."""
         h, idx = self._strip(g, level)
-        if h.is_identity():
+        if h == self._identity:
             return
         if idx == len(self._levels):
             # h fixes every existing base point; open a new level on the
             # smallest point it moves.
-            self._new_level(next(p for p in range(1, self.degree + 1) if h(p) != p))
+            self._new_level(next(p for p in range(1, self.degree + 1) if h[p] != p))
         # h fixes base points of all levels < idx, so it is a member of every
         # level group from `level` through idx; record it at each so each
         # level's basic orbit can be computed from that level's own list.
+        perm = Permutation._trusted(h)
         for i in range(level, idx + 1):
-            self._levels[i].gens.append(h)
+            self._levels[i].gens.append(perm)
             self._recompute_orbit(i)
         # Re-close the touched levels: every Schreier generator must sift to
-        # the identity through the deeper chain.
+        # the identity through the deeper chain.  A pair sifted before is
+        # skipped: its transversal elements and generator are unchanged and
+        # the deeper chain has only grown, so it would sift to the identity.
         for i in range(idx, level - 1, -1):
             lvl = self._levels[i]
-            for p in sorted(lvl.orbit):
-                u = lvl.orbit[p]
-                for s in list(lvl.gens):
-                    schreier = lvl.orbit[s(p)].inverse() * (s * u)
-                    if not schreier.is_identity():
+            orbit, inv, checked = lvl.orbit, lvl.inv, lvl.checked
+            for p in sorted(orbit):
+                u = orbit[p]._p
+                for j, s in enumerate(lvl.gens):
+                    if (p, j) in checked:
+                        continue
+                    checked.add((p, j))
+                    sp = s._p
+                    schreier = tuple(map(inv[sp[p]].__getitem__, map(sp.__getitem__, u)))
+                    if schreier != self._identity:
                         self._add_generator(schreier, i + 1)
 
     # -- queries ------------------------------------------------------------
@@ -231,8 +283,8 @@ class PermutationGroup:
     def __contains__(self, g: Permutation) -> bool:
         if g.degree != self.degree:
             return False
-        h, _ = self._strip(g, 0)
-        return h.is_identity()
+        h, _ = self._strip(g._p, 0)
+        return h == self._identity
 
     def elements(self, budget: int = 1_000_000):
         """Iterate all elements (deterministic order); raises if order > budget."""
@@ -241,24 +293,26 @@ class PermutationGroup:
 
         # each element decomposes uniquely as u_0 * u_1 * ... with u_i from
         # level i's transversal, u_0 outermost
-        def rec(i: int, acc: Permutation):
+        def rec(i: int, acc: tuple):
             if i == len(self._levels):
-                yield acc
+                yield Permutation._trusted(acc)
                 return
             lvl = self._levels[i]
             for p in sorted(lvl.orbit):
-                yield from rec(i + 1, acc * lvl.orbit[p])
+                yield from rec(i + 1, tuple(map(acc.__getitem__, lvl.orbit[p]._p)))
 
-        yield from rec(0, Permutation.identity(self.degree))
+        yield from rec(0, self._identity)
 
     def orbit_of_point(self, point: int) -> frozenset:
+        if not 1 <= point <= self.degree:
+            raise ValueError(f"point {point} outside 1..{self.degree}")
         orb = {point}
         frontier = [point]
         while frontier:
             nxt = []
             for p in frontier:
                 for g in self.generators:
-                    q = g(p)
+                    q = g._p[p]
                     if q not in orb:
                         orb.add(q)
                         nxt.append(q)
@@ -308,25 +362,12 @@ class SetOrbit:
         return self.elements is not None
 
 
-def _expand_set_orbit(G: PermutationGroup, S: frozenset, budget: int) -> dict:
-    """BFS over set images.  Returns {X: witness with witness(S) = X};
-    raises OrbitBudgetExceeded when more than `budget` sets appear."""
-    start = frozenset(S)
-    witnesses = {start: Permutation.identity(G.degree)}
-    frontier = [start]
-    while frontier:
-        nxt = []
-        for X in frontier:
-            u = witnesses[X]
-            for g in G.generators:
-                Y = g.apply_set(X)
-                if Y not in witnesses:
-                    if len(witnesses) >= budget:
-                        raise OrbitBudgetExceeded(f"set orbit exceeded budget {budget}")
-                    witnesses[Y] = g * u
-                    nxt.append(Y)
-        frontier = nxt
-    return witnesses
+def _point_set(G: PermutationGroup, S: Iterable[int]) -> frozenset:
+    """S as a frozenset, checked to lie in 1..G.degree."""
+    S = frozenset(S)
+    if S and not (1 <= min(S) and max(S) <= G.degree):
+        raise ValueError(f"set {sorted(S)} not within 1..{G.degree}")
+    return S
 
 
 def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 200_000) -> SetOrbit:
@@ -336,15 +377,24 @@ def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 200_000) -
     lexicographically least member.  On overflow only the input set (as
     representative) and the exact size, via orbit-stabilizer, are returned.
     """
-    S = frozenset(S)
-    try:
-        witnesses = _expand_set_orbit(G, S, budget)
-    except OrbitBudgetExceeded:
-        stab = set_stabilizer(G, S, budget=budget * 10)
-        return SetOrbit(tuple(sorted(S)), G.order() // stab.order(), None)
-    elements = frozenset(witnesses)
-    rep = min(tuple(sorted(X)) for X in elements)
-    return SetOrbit(rep, len(elements), elements)
+    S = _point_set(G, S)
+    maps = [g._p.__getitem__ for g in G.generators]
+    seen = {S}
+    frontier = [S]
+    while frontier:
+        nxt = []
+        for X in frontier:
+            for g in maps:
+                Y = frozenset(map(g, X))
+                if Y not in seen:
+                    if len(seen) >= budget:
+                        stab = set_stabilizer(G, S, budget=budget * 10)
+                        return SetOrbit(tuple(sorted(S)), G.order() // stab.order(), None)
+                    seen.add(Y)
+                    nxt.append(Y)
+        frontier = nxt
+    rep = min(tuple(sorted(X)) for X in seen)
+    return SetOrbit(rep, len(seen), frozenset(seen))
 
 
 def set_stabilizer(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_000) -> PermutationGroup:
@@ -354,17 +404,34 @@ def set_stabilizer(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_00
     the witnesses form a transversal, so the result is the full stabilizer.
     Requires expanding the set orbit (raises OrbitBudgetExceeded past budget).
     """
-    S = frozenset(S)
-    witnesses = _expand_set_orbit(G, S, budget)
+    S = _point_set(G, S)
+    # BFS over set images: witnesses[X] is the image tuple of some g with g(S) = X
+    witnesses = {S: G._identity}
+    frontier = [S]
+    while frontier:
+        nxt = []
+        for X in frontier:
+            u = witnesses[X]
+            for g in G.generators:
+                gp = g._p
+                Y = frozenset(map(gp.__getitem__, X))
+                if Y not in witnesses:
+                    if len(witnesses) >= budget:
+                        raise OrbitBudgetExceeded(f"set orbit exceeded budget {budget}")
+                    witnesses[Y] = tuple(map(gp.__getitem__, u))
+                    nxt.append(Y)
+        frontier = nxt
     gens = []
     seen = set()
     for X in sorted(witnesses, key=sorted):
         u = witnesses[X]
         for a in G.generators:
-            w = witnesses[a.apply_set(X)].inverse() * (a * u)
-            if not w.is_identity() and w.images not in seen:
-                seen.add(w.images)
-                gens.append(w)
+            ap = a._p
+            Y = frozenset(map(ap.__getitem__, X))
+            w = tuple(map(_inverse(witnesses[Y]).__getitem__, map(ap.__getitem__, u)))
+            if w != G._identity and w not in seen:
+                seen.add(w)
+                gens.append(Permutation._trusted(w))
     return PermutationGroup(gens, G.degree)
 
 
@@ -375,8 +442,8 @@ def is_equivalent(G: PermutationGroup, S: Iterable[int], T: Iterable[int]) -> Op
     points of S: below level |S| everything fixes S pointwise, so only the
     first |S| levels are searched, pruning on membership of images in T.
     """
-    S = frozenset(S)
-    T = frozenset(T)
+    S = _point_set(G, S)
+    T = _point_set(G, T)
     if len(S) != len(T):
         return None
     if S == T:
@@ -385,21 +452,22 @@ def is_equivalent(G: PermutationGroup, S: Iterable[int], T: Iterable[int]) -> Op
     levels = chain._levels
     cut = len(chain._base_prefix)
 
-    def dfs(i: int, h: Permutation) -> Optional[Permutation]:
+    def dfs(i: int, h: tuple) -> Optional[tuple]:
         if i == cut:
-            return h if h.apply_set(S) == T else None
+            return h if frozenset(map(h.__getitem__, S)) == T else None
         lvl = levels[i]
         for p in sorted(lvl.orbit):
             # images of base points are final once chosen: deeper transversal
             # elements fix all earlier base points
-            if h(p) not in T:
+            if h[p] not in T:
                 continue
-            res = dfs(i + 1, h * lvl.orbit[p])
+            res = dfs(i + 1, tuple(map(h.__getitem__, lvl.orbit[p]._p)))
             if res is not None:
                 return res
         return None
 
-    return dfs(0, Permutation.identity(G.degree))
+    res = dfs(0, G._identity)
+    return None if res is None else Permutation._trusted(res)
 
 
 def canonical_representative(G: PermutationGroup, S: Iterable[int],

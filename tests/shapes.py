@@ -126,3 +126,9 @@ def birkhoff(n: int) -> HPolyhedron:
         b.append(Fraction(1))
         eqs.append(len(A))
     return HPolyhedron.from_rows(A, b, eqs)
+
+
+def hypersimplex_v(k: int, n: int) -> VPolyhedron:
+    """Hypersimplex Δ(k, n): the 0/1 points of R^n with exactly k ones."""
+    return VPolyhedron.from_points(sorted(
+        tuple(Fraction(int(i in S)) for i in range(n)) for S in combinations(range(n), k)))

@@ -40,3 +40,11 @@ def test_lattice_counting_imports_no_lp_routine():
                 for node in ast.walk(ast.parse((PACKAGE / "latcount.py").read_text()))
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert not imported & {"solve_lp", "feasible_point"}
+
+
+@pytest.mark.parametrize("source", sorted(p for p in PACKAGE.glob("*.py") if p.name != "permgrp.py"),
+                         ids=lambda p: p.name)
+def test_permutation_representation_stays_in_permgrp(source):
+    read = {node.attr for node in ast.walk(ast.parse(source.read_text()))
+            if isinstance(node, ast.Attribute)}
+    assert not read & {"_p", "_levels", "_trusted"}, f"{source.name} reads permgrp internals"

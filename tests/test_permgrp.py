@@ -5,9 +5,11 @@ claim (order, stabilizer, transporter) is checked against an independent
 computation on small groups.
 """
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from shapes import cross_v, cube_v, cut_v, hypersimplex_v, santos_prismatoid
 
 from polyorbit.permgrp import (
     OrbitBudgetExceeded,
@@ -85,6 +87,52 @@ def test_bad_permutation_rejected():
 def test_apply_set():
     p = Permutation.from_cycles(4, [(1, 2, 3, 4)])
     assert p.apply_set({1, 2}) == frozenset({2, 3})
+
+
+def test_images_degree_and_order():
+    p = Permutation((2, 3, 1))
+    assert p.images == (2, 3, 1) and p.degree == 3
+    assert sorted([Permutation((2, 1, 3)), Permutation((1, 2)), p, Permutation((1, 2, 3))]) == \
+        [Permutation((1, 2)), Permutation((1, 2, 3)), Permutation((2, 1, 3)), p]
+
+
+def test_product_of_different_degrees_rejected():
+    with pytest.raises(ValueError):
+        Permutation.identity(3) * Permutation.identity(4)
+
+
+@pytest.mark.parametrize("point", [0, -1, 4])
+def test_point_outside_degree_rejected(point):
+    with pytest.raises(ValueError):
+        Permutation((2, 3, 1))(point)
+
+
+@pytest.mark.parametrize("points", [{0}, {-1, 2}, {1, 4}])
+def test_apply_set_outside_degree_rejected(points):
+    with pytest.raises(ValueError):
+        Permutation((2, 3, 1)).apply_set(points)
+
+
+@pytest.mark.parametrize("text", ["(3 0)", "(1 4)"])
+def test_cycle_outside_degree_rejected(text):
+    with pytest.raises(ValueError):
+        Permutation.parse_cycles(3, text)
+
+
+def test_points_and_sets_outside_degree_rejected():
+    G = schreier_sims([Permutation((2, 3, 1))])
+    for point in (0, -1, 4):
+        with pytest.raises(ValueError):
+            G.orbit_of_point(point)
+    for S in ({0}, {1, 4}):
+        with pytest.raises(ValueError):
+            orbit_of_set(G, S)
+        with pytest.raises(ValueError):
+            set_stabilizer(G, S)
+    with pytest.raises(ValueError):
+        is_equivalent(G, {1}, {4})
+    with pytest.raises(ValueError):
+        is_equivalent(G, {0}, {0})
 
 
 # -- BSGS construction -------------------------------------------------------
@@ -302,3 +350,254 @@ def test_orbit_stabilizer_random(dg, data):
     assert frozenset(orb.representative) in orb.elements
     for el in stab.elements():
         assert el.apply_set(S) == S
+
+
+# -- chain identity against the list-of-images construction -------------------
+#
+# _RefPermutation and _RefGroup are the earlier construction: images in a
+# plain tuple, every product validated, every transversal inverse recomputed,
+# every Schreier generator re-sifted on each re-close.  The current chain must
+# match it level by level.
+
+
+class _RefPermutation:
+    __slots__ = ("images",)
+
+    def __init__(self, images):
+        self.images = tuple(images)
+        if sorted(self.images) != list(range(1, len(self.images) + 1)):
+            raise ValueError("not a permutation of 1..n")
+
+    @classmethod
+    def identity(cls, degree):
+        return cls(range(1, degree + 1))
+
+    def __call__(self, point):
+        return self.images[point - 1]
+
+    def apply_set(self, points):
+        return frozenset(self.images[p - 1] for p in points)
+
+    def __mul__(self, other):
+        oi, si = other.images, self.images
+        return _RefPermutation(tuple(si[oi[i] - 1] for i in range(len(si))))
+
+    def inverse(self):
+        inv = [0] * len(self.images)
+        for i, img in enumerate(self.images):
+            inv[img - 1] = i + 1
+        return _RefPermutation(inv)
+
+    def is_identity(self):
+        return all(img == i + 1 for i, img in enumerate(self.images))
+
+
+class _RefLevel:
+    def __init__(self, base_point, degree):
+        self.base_point = base_point
+        self.gens = []
+        self.orbit = {base_point: _RefPermutation.identity(degree)}
+
+
+class _RefGroup:
+    def __init__(self, generators, degree, base_prefix=()):
+        gens = [g for g in generators if not g.is_identity()]
+        self.degree = degree
+        self.generators = tuple(gens)
+        self.levels = []
+        for p in dict.fromkeys(base_prefix):
+            self.levels.append(_RefLevel(p, degree))
+        for g in gens:
+            self._add_generator(g, 0)
+
+    def _recompute_orbit(self, idx):
+        lvl = self.levels[idx]
+        frontier = sorted(lvl.orbit)
+        while frontier:
+            new_frontier = []
+            for p in frontier:
+                u = lvl.orbit[p]
+                for g in lvl.gens:
+                    q = g(p)
+                    if q not in lvl.orbit:
+                        lvl.orbit[q] = g * u
+                        new_frontier.append(q)
+            frontier = sorted(new_frontier)
+
+    def _strip(self, g, start):
+        h = g
+        for i in range(start, len(self.levels)):
+            lvl = self.levels[i]
+            img = h(lvl.base_point)
+            if img not in lvl.orbit:
+                return h, i
+            h = lvl.orbit[img].inverse() * h
+        return h, len(self.levels)
+
+    def _add_generator(self, g, level):
+        h, idx = self._strip(g, level)
+        if h.is_identity():
+            return
+        if idx == len(self.levels):
+            moved = next(p for p in range(1, self.degree + 1) if h(p) != p)
+            self.levels.append(_RefLevel(moved, self.degree))
+        for i in range(level, idx + 1):
+            self.levels[i].gens.append(h)
+            self._recompute_orbit(i)
+        for i in range(idx, level - 1, -1):
+            lvl = self.levels[i]
+            for p in sorted(lvl.orbit):
+                u = lvl.orbit[p]
+                for s in list(lvl.gens):
+                    schreier = lvl.orbit[s(p)].inverse() * (s * u)
+                    if not schreier.is_identity():
+                        self._add_generator(schreier, i + 1)
+
+    def order(self):
+        n = 1
+        for lvl in self.levels:
+            n *= len(lvl.orbit)
+        return n
+
+    def elements(self):
+        def rec(i, acc):
+            if i == len(self.levels):
+                yield acc
+                return
+            lvl = self.levels[i]
+            for p in sorted(lvl.orbit):
+                yield from rec(i + 1, acc * lvl.orbit[p])
+
+        yield from rec(0, _RefPermutation.identity(self.degree))
+
+
+def _ref_expand(G, S, budget):
+    witnesses = {S: _RefPermutation.identity(G.degree)}
+    frontier = [S]
+    while frontier:
+        nxt = []
+        for X in frontier:
+            for g in G.generators:
+                Y = g.apply_set(X)
+                if Y not in witnesses:
+                    if len(witnesses) >= budget:
+                        raise OrbitBudgetExceeded(budget)
+                    witnesses[Y] = g * witnesses[X]
+                    nxt.append(Y)
+        frontier = nxt
+    return witnesses
+
+
+def _ref_set_stabilizer(G, S, budget):
+    witnesses = _ref_expand(G, S, budget)
+    gens, seen = [], set()
+    for X in sorted(witnesses, key=sorted):
+        u = witnesses[X]
+        for a in G.generators:
+            w = witnesses[a.apply_set(X)].inverse() * (a * u)
+            if not w.is_identity() and w.images not in seen:
+                seen.add(w.images)
+                gens.append(w)
+    return _RefGroup(gens, G.degree)
+
+
+def _ref_orbit_of_set(G, S, budget):
+    """(representative, size, elements or None), as orbit_of_set returns them."""
+    try:
+        elements = frozenset(_ref_expand(G, S, budget))
+    except OrbitBudgetExceeded:
+        return tuple(sorted(S)), G.order() // _ref_set_stabilizer(G, S, budget * 10).order(), None
+    return min(tuple(sorted(X)) for X in elements), len(elements), elements
+
+
+def _assert_same_chain(gens, degree, base_prefix=(), elements=True):
+    G = PermutationGroup(gens, degree, base_prefix=base_prefix)
+    R = _RefGroup([_RefPermutation(g.images) for g in gens], degree, base_prefix)
+    assert G.base == tuple(lvl.base_point for lvl in R.levels)
+    for lvl, ref in zip(G._levels, R.levels):
+        assert [g.images for g in lvl.gens] == [g.images for g in ref.gens]
+        assert {p: u.images for p, u in lvl.orbit.items()} == \
+            {p: u.images for p, u in ref.orbit.items()}
+        assert list(lvl.orbit) == list(ref.orbit)
+    if elements:
+        assert [g.images for g in G.elements()] == [g.images for g in R.elements()]
+    return G, R
+
+
+def _random_gens(rng, degree):
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        images = list(range(1, degree + 1))
+        if rng.random() < 0.5:
+            rng.shuffle(images)
+        else:   # a product of a few transpositions keeps some groups small
+            for _ in range(rng.randint(1, 3)):
+                a, b = rng.sample(range(degree), 2)
+                images[a], images[b] = images[b], images[a]
+        gens.append(Permutation(images))
+    return gens
+
+
+def _orbit_outcome(orbit, G, S, budget):
+    """orbit(G, S, budget) as (representative, size, elements), or the
+    exception type when the stabilizer behind the budget fallback overflows."""
+    try:
+        return orbit(G, S, budget)
+    except OrbitBudgetExceeded:
+        return OrbitBudgetExceeded
+
+
+def _current_orbit(G, S, budget):
+    orb = orbit_of_set(G, S, budget=budget)
+    return orb.representative, orb.size, orb.elements
+
+
+def _assert_same_orbits(G, R, sets, budgets):
+    for S in sets:
+        for budget in budgets:
+            outcome = _orbit_outcome(_current_orbit, G, S, budget)
+            assert outcome == _orbit_outcome(_ref_orbit_of_set, R, S, budget)
+        # outcome is the last budget's, which expands the orbit; the reference
+        # stabilizer sifts one Schreier generator per set and generator
+        if outcome[1] > 1_000:
+            continue
+        stab, ref = set_stabilizer(G, S), _ref_set_stabilizer(R, S, 2_000_000)
+        assert [g.images for g in stab.generators] == [g.images for g in ref.generators]
+        assert stab.base == tuple(lvl.base_point for lvl in ref.levels)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_chain_matches_reference_on_random_generators(seed):
+    rng = random.Random(seed)
+    for _ in range(20):
+        degree = rng.randint(2, 12)
+        gens = _random_gens(rng, degree)
+        small = PermutationGroup(gens, degree).order() <= 5_000
+        prefix = tuple(rng.sample(range(1, degree + 1), rng.randint(1, min(3, degree))))
+        _assert_same_chain(gens, degree, prefix, elements=small)
+        G, R = _assert_same_chain(gens, degree, elements=small)
+        sets = [frozenset(rng.sample(range(1, degree + 1), rng.randint(0, degree)))
+                for _ in range(3)]
+        _assert_same_orbits(G, R, sets, (3, 200_000))
+
+
+SHAPES = {
+    "cube5": cube_v(5),
+    "cross6": cross_v(6),
+    "cut5": cut_v(5),
+    "hypersimplex37": hypersimplex_v(3, 7),
+    "prismatoid": santos_prismatoid(),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES))
+def test_chain_matches_reference_on_vertex_groups(name):
+    from polyorbit.symdetect import affine_symmetry_group
+
+    V = SHAPES[name]
+    gens = list(affine_symmetry_group(V).perm_group.generators)
+    G, R = _assert_same_chain(gens, V.k)
+    _assert_same_chain(gens, V.k, base_prefix=(V.k, 2, 1), elements=False)
+    rng = random.Random(name)
+    sets = [frozenset(rng.sample(range(1, V.k + 1), size)) for size in (1, 2, V.k // 3, V.k // 2)]
+    _assert_same_orbits(G, R, sets, (5, 200_000))
