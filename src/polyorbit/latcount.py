@@ -40,6 +40,7 @@ from .polycore import (
     det,
     dot,
     frac,
+    hull_coordinates,
     identity_matrix,
     index_set,
     integer_kernel_basis,
@@ -340,9 +341,7 @@ def _pull(pts: Sequence[Vector], face: tuple[int, ...], fdim: int) -> list[tuple
     if len(face) == fdim + 1:
         return [face]
     v = face[0]
-    fpts = [pts[j - 1] for j in face]
-    frame = affine_hull(fpts)
-    local = [frame.coordinates(p) for p in fpts]
+    local = hull_coordinates([pts[j - 1] for j in face])
     out = []
     for mask in convert_dd_incidence(VPolyhedron.from_points(local))[1]:
         child = tuple(sorted(face[j - 1] for j in index_set(mask)))

@@ -8,20 +8,22 @@ tuples of row tuples.  Inequality systems are written A x <= b throughout.
 Every exact elimination runs on one kernel, gauss_jordan: fraction-free
 Gauss-Jordan elimination of an integer matrix, which returns D times the
 reduced row echelon form.  Rational rows are scaled to integers first, which
-leaves the reduced form unchanged, so rank, det, nullspace, row_space_basis,
-solve_linear, invert_matrix and affinely_independent_subset read their
-results off it; symmetry detection uses it directly for its integer frames.
+leaves the reduced form unchanged, so rank, det, nullspace,
+integer_nullspace, row_space_basis, solve_linear, invert_matrix,
+hull_coordinates and affinely_independent_subset read their results off it;
+symmetry detection uses it directly for its integer frames.
 The simplex pivots of solve_lp and the unimodular column reduction of
 integer_kernel_basis are separate algorithms.
 
 Representation conversion is one integer double description, dd_cone, of
 a homogenization cone; convert_dd_incidence also returns, for each output
-element, the input elements it is tight on.  remove_redundancy, affine_hull
-of an H-description and the facet incidence sets of repconv and latcount
-read those masks, so canonical forms need no LP.  solve_lp is left to
-optimization: symilp.solve_lp_reduced, the relaxation point that orders
-symilp.symmetric_ilp's feasibility sweep, and the brute-force ILP oracle of
-the CLI, cli._brute_ilp.  Lattice counting solves none.
+element, the input elements it is tight on.  remove_redundancy (through
+irredundant_rows), affine_hull of an H-description and the facet incidence
+sets of repconv and latcount read those masks, so canonical forms need no
+LP.  solve_lp is left to optimization: symilp.solve_lp_reduced, the
+relaxation point that orders symilp.symmetric_ilp's feasibility sweep, and
+the brute-force ILP oracle of the CLI, cli._brute_ilp.  Lattice counting
+solves none.
 """
 from __future__ import annotations
 
@@ -29,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import and_, mul
+from operator import and_, mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
 Rational = Fraction
@@ -105,6 +107,9 @@ def zero_vector(n: int) -> Vector:
 
 def integerize(row: Sequence) -> tuple[int, ...]:
     """Scale a rational row by the positive lcm of denominators."""
+    row = tuple(row)
+    if all(type(x) is int for x in row):
+        return row
     fr = [frac(x) for x in row]
     mult = lcm(*(x.denominator for x in fr)) if fr else 1
     return tuple(x.numerator * (mult // x.denominator) for x in fr)
@@ -186,22 +191,37 @@ def row_space_basis(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x, D) for x in m[r]) for r in range(len(pivots)))
 
 
+def _kernel(rows: Iterable[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
+    """(D, vectors): D times the null space basis of an integer matrix read
+    off its reduced row echelon form, one vector per free column j, which
+    holds D in column j and 0 in the other free columns."""
+    D, pivots, m, _ = gauss_jordan(rows)
+    basis = []
+    for j in range(n):
+        if j in pivots:
+            continue
+        v = [0] * n
+        v[j] = D
+        for row, pc in zip(m, pivots):
+            v[pc] = -row[j]
+        basis.append(v)
+    return D, basis
+
+
 def nullspace(rows: Sequence[Sequence], n: Optional[int] = None) -> Matrix:
     """Basis of {x : A x = 0}, one vector per free column, read off the
     reduced row echelon form."""
     if n is None:
         n = len(rows[0]) if rows else 0
-    D, pivots, m, _ = gauss_jordan(integerize(r) for r in rows)
-    basis = []
-    for j in range(n):
-        if j in pivots:
-            continue
-        v = [Fraction(0)] * n
-        v[j] = Fraction(1)
-        for row, pc in zip(m, pivots):
-            v[pc] = Fraction(-row[j], D)
-        basis.append(tuple(v))
-    return tuple(basis)
+    D, basis = _kernel((integerize(r) for r in rows), n)
+    return tuple(tuple(Fraction(x, D) for x in v) for v in basis)
+
+
+def integer_nullspace(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
+    """nullspace of an integer matrix with each basis vector scaled by a
+    positive factor to a primitive integer vector."""
+    D, basis = _kernel(rows, n)
+    return [primitive(v if D > 0 else [-x for x in v]) for v in basis]
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
@@ -835,6 +855,23 @@ def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
     return AffineHull(base, row_space_basis(diffs) if diffs else ())
 
 
+def hull_coordinates(points: Sequence[Sequence]) -> list[tuple]:
+    """Coordinates of every point in the affine hull of the list, as
+    affine_hull(points).coordinates(p) gives them.
+
+    affine_hull stores its directions as the rows of the reduced row echelon
+    form of the differences p - points[0], so the coordinates of p are the
+    entries of p - points[0] at the pivot columns: one elimination for the
+    whole list, and integer coordinates for integer points.
+    """
+    if not points:
+        raise EmptyPolyhedronError("no points given")
+    base = points[0]
+    diffs = [tuple(map(sub, p, base)) for p in points]
+    pivots = gauss_jordan(integerize(r) for r in diffs[1:])[1]
+    return [tuple(r[c] for c in pivots) for r in diffs]
+
+
 def affinely_independent_subset(points: Sequence[Sequence]) -> list[int]:
     """0-based indices of a maximal affinely independent subset, greedy in
     input order (deterministic): point 0 and every point whose difference
@@ -878,15 +915,32 @@ def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
         V, masks = _h_to_v(HPolyhedron(A, b, tuple(j + 1 for j, f in enumerate(marked) if f)))
     except EmptyPolyhedronError:
         raise EmptyPolyhedronError("system is infeasible")
+    equalities, active = irredundant_rows(masks, len(A), len(V.vertices))
+    eqs = tuple(pos + 1 for pos, j in enumerate(active) if j in equalities)
+    return HPolyhedron(tuple(A[j] for j in active), tuple(b[j] for j in active), eqs)
+
+
+def irredundant_rows(masks: Sequence[int], m: int, vertices: int
+                     ) -> tuple[frozenset, list[int]]:
+    """The roles of the m rows of a nonempty system, read off the masks of
+    its double description (convert_dd_incidence of an H input: one mask per
+    generator, the given number of vertices first).
+
+    Returns (equalities, kept) as 0-based row indices.  The implicit
+    equalities are the rows tight on every generator.  kept lists them with
+    every other row that is tight on some vertex and whose set of tight
+    generators is not strictly inside that of another such row, so that it
+    cuts out a facet; of the rows that cut out the same facet, the last is
+    kept.
+    """
     # tight[i]: the generators tight on row i, vertices in the low bits
-    tight = [sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(len(A))]
+    tight = [sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1) for i in range(m)]
     every = (1 << len(masks)) - 1
-    on_vertex = (1 << len(V.vertices)) - 1
-    eq_flags = [t == every for t in tight]
-    rows = [t for t, e in zip(tight, eq_flags) if not e]
-    active = [i for i, t in enumerate(tight) if eq_flags[i] or (
+    on_vertex = (1 << vertices) - 1
+    equalities = frozenset(i for i, t in enumerate(tight) if t == every)
+    rows = [t for i, t in enumerate(tight) if i not in equalities]
+    kept = [i for i, t in enumerate(tight) if i in equalities or (
         t & on_vertex
         and not any(t | u == u and t != u for u in rows)
-        and t not in (tight[j] for j in range(i + 1, len(A)) if not eq_flags[j]))]
-    eqs = tuple(pos + 1 for pos, j in enumerate(active) if eq_flags[j])
-    return HPolyhedron(tuple(A[j] for j in active), tuple(b[j] for j in active), eqs)
+        and t not in (tight[j] for j in range(i + 1, m) if j not in equalities))]
+    return equalities, kept

@@ -12,6 +12,14 @@ canonical incident-vertex sets, so any two runs agree key-for-key.
 Everything runs serially on one thread; the jobs parameters are accepted
 and ignored.
 
+The facet walk runs in integer arithmetic.  The points are scaled once per
+polytope by the lcm of their denominators, which keeps every incidence set
+and every choice of the walk.  Supporting rows are primitive integer rows
+from an integer null space, a rotation about a ridge compares the
+parameters of the pencil by cross-multiplying integers, and the coordinates
+of a facet's vertices in its hull are read off the pivot columns of one
+elimination (polycore.hull_coordinates).
+
 For an H-description one double description gives every vertex together
 with the rows it is tight on; the row group acts on those tight sets, which
 gives the group on vertex indices, and the facet orbits of the input are its
@@ -22,6 +30,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import mul, sub
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 from .polycore import (
@@ -35,17 +45,15 @@ from .polycore import (
     convert_dd_incidence,
     dd_cone,
     dot,
+    hull_coordinates,
     index_set,
+    integer_nullspace,
     invert_matrix,
+    irredundant_rows,
     mat_mul,
     mat_vec,
-    nullspace,
     primitive,
-    rank,
-    remove_redundancy,
     transpose,
-    vec_add,
-    vec_scale,
     vec_sub,
     vector,
 )
@@ -66,31 +74,31 @@ from .symdetect import realize_row_permutations, realize_vertex_permutations
 # ---------------------------------------------------------------------------
 # Facet-orbit engine (vertex side)
 #
-# All engine functions work on a full-dimensional point list in R^d (d >= 1)
-# with 1-based indices; facets are identified with their full incident-index
-# sets.  Supporting rows are recovered from incidence sets, so recursion only
-# ever passes index sets around.
+# All engine functions work on a full-dimensional list of integer points in
+# R^d (d >= 1) with 1-based indices; facets are identified with their full
+# incident-index sets.  Supporting rows are recovered from incidence sets,
+# so recursion only ever passes index sets around.
 
 
-def _supporting_row(pts: Sequence[Vector], S: frozenset) -> tuple[Vector, Fraction]:
-    """(a, delta) with a.x <= delta over pts and equality exactly on S.
+def _supporting_row(pts: Sequence[Sequence[int]], S: frozenset) -> tuple[tuple[int, ...], int]:
+    """(a, delta), primitive, with a.x <= delta over pts and equality
+    exactly on S.
 
     S must be the full incidence set of a facet, so the normal direction is
     unique up to scale and every point off S is strictly below the hyperplane.
     """
-    d = len(pts[0])
     members = sorted(S)
     base = pts[members[0] - 1]
-    dirs = [vec_sub(pts[i - 1], base) for i in members[1:]]
-    ns = nullspace(dirs, d)
+    ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in members[1:]],
+                           len(base))
     if len(ns) != 1:
         raise PolyhedronError("index set does not span a facet")
-    a = vector(ns[0])
-    delta = dot(a, base)
-    for j in range(len(pts)):
+    a = ns[0]
+    delta = sum(map(mul, a, base))
+    for j, p in enumerate(pts):
         if (j + 1) in S:
             continue
-        val = dot(a, pts[j])
+        val = sum(map(mul, a, p))
         if val == delta:
             raise PolyhedronError("index set is not a full incidence set")
         if val > delta:
@@ -100,49 +108,57 @@ def _supporting_row(pts: Sequence[Vector], S: frozenset) -> tuple[Vector, Fracti
     return a, delta
 
 
-def _rotate_about(pts: Sequence[Vector], face: frozenset, c: Vector, delta: Fraction,
-                  skip: frozenset, away: Optional[int] = None
-                  ) -> Optional[tuple[Vector, Fraction, list[int]]]:
+def _rotate_about(pts: Sequence[Sequence[int]], face: frozenset, c: tuple[int, ...],
+                  delta: int, skip: frozenset, away: Optional[int] = None
+                  ) -> Optional[tuple[tuple[int, ...], int, list[int]]]:
     """Rotate the hyperplane c.x = delta about aff(face) to the first points
     outside skip, or None when face already spans a hyperplane.
 
     The hyperplanes through aff(face) form a pencil spanned by c and any
     second functional g vanishing on the face directions; g is oriented so
     that the point away (if given) is not above it.  The rotated row is
-    g + t c at the largest parameter t over the points outside skip, and the
-    1-based indices attaining it come back with the rotated row.
+    g + t c at the largest parameter t = (g.p - gamma) / (delta - c.p) over
+    the points p outside skip, and the 1-based indices attaining it come
+    back with the rotated row, scaled to a primitive (row | rhs).  Every
+    point outside skip lies strictly below c.x = delta, so each denominator
+    is positive and two parameters compare by cross-multiplying integers.
     """
     members = sorted(face)
     base = pts[members[0] - 1]
-    ns = nullspace([vec_sub(pts[i - 1], base) for i in members[1:]], len(base))
+    ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in members[1:]],
+                           len(base))
     if len(ns) == 1:
         return None
-    g = next(v for v in ns if rank([v, c]) == 2)
-    if away is not None and dot(g, pts[away - 1]) > dot(g, base):
+    k = next(j for j, x in enumerate(c) if x)
+    # the first null vector not parallel to c
+    g = next(v for v in ns if any(x * c[k] != y * v[k] for x, y in zip(v, c)))
+    if away is not None and sum(map(mul, g, pts[away - 1])) > sum(map(mul, g, base)):
         g = tuple(-x for x in g)
-    gamma = dot(g, base)
-    t_best: Optional[Fraction] = None
+    gamma = sum(map(mul, g, base))
+    num, den = 0, 0               # t = num / den, den > 0 once a point is seen
     arg: list[int] = []
     for i, p in enumerate(pts):
         if (i + 1) in skip:
             continue
-        tv = (dot(g, p) - gamma) / (delta - dot(c, p))
-        if t_best is None or tv > t_best:
-            t_best, arg = tv, [i + 1]
-        elif tv == t_best:
+        pn = sum(map(mul, g, p)) - gamma
+        pd = delta - sum(map(mul, c, p))
+        cmp = pn * den - num * pd
+        if not arg or cmp > 0:
+            num, den, arg = pn, pd, [i + 1]
+        elif cmp == 0:
             arg.append(i + 1)
-    return vec_add(g, vec_scale(t_best, c)), gamma + t_best * delta, arg
+    row = primitive([den * x + num * y for x, y in zip(g, c)] + [den * gamma + num * delta])
+    return row[:-1], row[-1], arg
 
 
-def _initial_facet(pts: Sequence[Vector]) -> frozenset:
+def _initial_facet(pts: Sequence[Sequence[int]]) -> frozenset:
     """Deterministic seed facet: maximize the first coordinate, then rotate
     the supporting hyperplane to enlarge the optimal face until it spans
     dimension d-1.  Each rotation pivots within the pencil of hyperplanes
     through the current face, so the face grows strictly."""
-    d = len(pts[0])
-    c = tuple(Fraction(1 if j == 0 else 0) for j in range(d))
-    delta = max(dot(c, p) for p in pts)
-    S = frozenset(i + 1 for i, p in enumerate(pts) if dot(c, p) == delta)
+    c = (1,) + (0,) * (len(pts[0]) - 1)
+    delta = max(p[0] for p in pts)
+    S = frozenset(i + 1 for i, p in enumerate(pts) if p[0] == delta)
     while True:
         step = _rotate_about(pts, S, c, delta, S)
         if step is None:
@@ -151,8 +167,8 @@ def _initial_facet(pts: Sequence[Vector]) -> frozenset:
         S |= set(arg)
 
 
-def _neighbor_facet(pts: Sequence[Vector], F: frozenset, c: Vector,
-                    delta: Fraction, R: frozenset) -> frozenset:
+def _neighbor_facet(pts: Sequence[Sequence[int]], F: frozenset, c: tuple[int, ...],
+                    delta: int, R: frozenset) -> frozenset:
     """The unique facet other than F containing the ridge R.
 
     The neighbor is cut out at the extreme admissible parameter of the pencil
@@ -163,17 +179,17 @@ def _neighbor_facet(pts: Sequence[Vector], F: frozenset, c: Vector,
     return R | set(_rotate_about(pts, R, c, delta, F, away=f0)[2])
 
 
-def _neighbor_orbits(pts: Sequence[Vector], G: PermutationGroup, key: tuple[int, ...],
+def _neighbor_orbits(pts: Sequence[Sequence[int]], G: PermutationGroup, key: tuple[int, ...],
                      ridges: Callable) -> Iterator[SetOrbit]:
     """Orbits of the facets adjacent to the facet key, one at a time, so
     that no more than one expanded orbit need be alive: ridges(members,
-    local) gets the sorted vertices of the facet and their coordinates in
-    its hull, and lists ridges as 1-based indices into members."""
+    local) gets the sorted vertices of the facet and their integer
+    coordinates in its hull, and lists ridges as 1-based indices into
+    members."""
     F = frozenset(key)
     c, delta = _supporting_row(pts, F)
     members = sorted(F)
-    hull = affine_hull([pts[i - 1] for i in members])
-    local = [hull.coordinates(pts[i - 1]) for i in members]
+    local = hull_coordinates([pts[i - 1] for i in members])
     return (orbit_of_set(G, _neighbor_facet(pts, F, c, delta,
                                             frozenset(members[j - 1] for j in R)))
             for R in ridges(members, local))
@@ -286,33 +302,43 @@ def _facet_orbit_engine(pts: Sequence[Vector], G: PermutationGroup,
 
 
 class _Geometry:
-    """Point list in exact hull coordinates plus the lift back to ambient rows."""
+    """Point list in integer hull coordinates plus the lift back to ambient
+    rows.
+
+    The hull coordinates of the points are scaled once by the lcm of their
+    denominators.  A positive uniform scale keeps every facet incidence set
+    and every argmax of the facet walk, and a row a.x <= delta in the scaled
+    coordinates is a.y <= delta / scale in the unscaled ones.
+    """
 
     def __init__(self, points: Sequence[Vector]):
         pts = [vector(p) for p in points]
         if len(set(pts)) != len(pts):
             raise PolyhedronError("duplicate points in the input")
         self.ambient = pts
-        self.hull = affine_hull(pts)
-        self.d = self.hull.dim
-        n = len(pts[0])
-        if self.d == n:
-            self.local = pts
+        local = hull_coordinates(pts)
+        self.d = len(local[0])
+        if self.d == len(pts[0]):
+            local = pts
             self._lift = None
         else:
-            self.local = [self.hull.coordinates(p) for p in pts]
-            D = self.hull.directions
+            self._hull = affine_hull(pts)
+            D = self._hull.directions
             gram = mat_mul(D, transpose(D))
             # coordinates(x) = M (x - point) with M the pseudo-inverse below
             self._lift = mat_mul(invert_matrix(gram), D)
+        self.scale = lcm(*(x.denominator for p in local for x in p))
+        self.local = [tuple(x.numerator * (self.scale // x.denominator) for x in p)
+                      for p in local]
 
-    def ambient_row(self, a: Vector, delta: Fraction) -> tuple[int, ...]:
-        """Lift a supporting row from hull coordinates to the ambient space,
-        normalized to a primitive integer (a | b) tuple."""
+    def ambient_row(self, a: Sequence[int], delta: int) -> tuple[int, ...]:
+        """Lift a supporting row from scaled hull coordinates to the ambient
+        space, normalized to a primitive integer (a | b) tuple."""
+        delta = Fraction(delta, self.scale)
         if self._lift is None:
             return primitive(tuple(a) + (delta,))
         a_amb = mat_vec(transpose(self._lift), a)
-        b_amb = delta + dot(a_amb, self.hull.point)
+        b_amb = delta + dot(a_amb, self._hull.point)
         return primitive(tuple(a_amb) + (b_amb,))
 
 
@@ -411,21 +437,21 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
     lin, rays, _ = dd_cone(P.A, n)
     if lin or rays:
         raise PolyhedronError("decomposition requires a bounded polytope")
+    # every vertex with the rows it is tight on; a row permutation in G maps
+    # the tight set of a vertex onto the tight set of its image
     try:
-        cleaned = remove_redundancy(P)
+        V, masks = convert_dd_incidence(P)
     except EmptyPolyhedronError:
         raise EmptyPolyhedronError("empty polyhedron has no affine hull")
+    equalities, kept = irredundant_rows(masks, P.m, len(V.vertices))
     # an implicit equality lowers the dimension unless it is 0 = 0
-    if any(any(cleaned.A[i - 1]) for i in cleaned.equality_rows):
+    if any(any(P.A[i]) for i in equalities):
         raise PolyhedronError("decomposition requires a full-dimensional polytope")
-    if cleaned.m != P.m or cleaned.equality_rows:
+    if equalities or len(kept) != P.m:
         raise PolyhedronError("decomposition requires an irredundant description")
     if any(L is None for L in realize_row_permutations(P, G.generators)):
         raise PolyhedronError("group generator is not an affine symmetry of the rows")
 
-    # every vertex with the rows it is tight on; a row permutation in G maps
-    # the tight set of a vertex onto the tight set of its image
-    V, masks = convert_dd_incidence(P)
     order = sorted(range(len(V.vertices)), key=V.vertices.__getitem__)
     vert_list = [V.vertices[j] for j in order]
     vert_tight = [masks[j] for j in order]

@@ -173,6 +173,31 @@ class TestConvertCmd:
         assert text.startswith("graph {") and text.endswith("}\n")
         assert sum("label=" in ln for ln in text.splitlines()) == 6
 
+    # rational coordinates, and a midpoint of an edge that a pencil tie puts
+    # on one facet with the two ends of that edge
+    DIAMOND = "facet orbits 1\norbit 1 size 4 rep 1 -3 -3\n"
+    SQUARE_ADM = ("facet orbits 3\norbit 1 size 2 rep 0 1 0\n"
+                  "orbit 2 size 1 rep 2 0 -1\norbit 3 size 1 rep 0 0 1\n")
+    SQUARE_IDM = ("facet orbits 3\norbit 1 size 2 rep 0 1 0\n"
+                  "orbit 2 size 1 rep 0 0 1\norbit 3 size 1 rep 2 0 -1\n")
+    PINNED = [
+        ("diamond-third.ext", (), DIAMOND),
+        ("diamond-third.ext", ("--idm-adm-level", "1", "1"), DIAMOND),
+        ("diamond-third.ext", ("--adjacencies",),
+         DIAMOND + 'graph {\n  o1 [label="orbit 1 (size 4)"];\n  o1 -- o1;\n}\n'),
+        ("square-midpoint.ext", (), SQUARE_ADM),
+        ("square-midpoint.ext", ("--idm-adm-level", "1", "1"), SQUARE_IDM),
+        ("square-midpoint.ext", ("--adjacencies",),
+         SQUARE_ADM + 'graph {\n  o1 [label="orbit 1 (size 2)"];\n'
+         '  o2 [label="orbit 2 (size 1)"];\n  o3 [label="orbit 3 (size 1)"];\n'
+         '  o1 -- o2;\n  o1 -- o3;\n}\n'),
+    ]
+
+    @pytest.mark.parametrize("fixture,args,out", PINNED,
+                             ids=[f"{p[0]}{''.join(p[1])}" for p in PINNED])
+    def test_rational_and_non_vertex_output_pinned(self, fixture, args, out, capsys):
+        assert run(capsys, "convert", FIX / fixture, *args) == (0, out, "")
+
 
 class TestCountCmd:
     def test_cube_h(self, capsys):

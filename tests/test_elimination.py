@@ -14,12 +14,17 @@ from math import prod
 import pytest
 
 from polyorbit.polycore import (
+    EmptyPolyhedronError,
+    affine_hull,
     affinely_independent_subset,
     det,
     gauss_jordan,
+    hull_coordinates,
+    integer_nullspace,
     integerize,
     invert_matrix,
     nullspace,
+    primitive,
     rank,
     row_space_basis,
     solve_linear,
@@ -158,6 +163,7 @@ def test_rank_row_space_nullspace(seed):
         assert row_space_basis(A) == tuple(tuple(r) for r in ref[:len(pivots)])
         ns = nullspace(A, n)
         assert ns == ref_nullspace(A, n)
+        assert integer_nullspace([integerize(r) for r in A], n) == [primitive(v) for v in ns]
         assert len(ns) == n - len(pivots)
         assert all(sum(a * x for a, x in zip(row, v)) == 0 for row in A for v in ns)
 
@@ -208,12 +214,32 @@ def test_affinely_independent_subset(seed):
         assert affinely_independent_subset(pts) == [0] + [i + 1 for i in ref_greedy(diffs)]
 
 
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hull_coordinates_are_affine_hull_coordinates(seed):
+    rng = random.Random(seed)
+    for m, n in shapes(rng):
+        for integer in (False, True):
+            pts = random_matrix(rng, m, n, integer)
+            if integer:
+                pts = [tuple(int(x) for x in p) for p in pts]
+            hull = affine_hull(pts)
+            coords = hull_coordinates(pts)
+            assert coords == [hull.coordinates(p) for p in pts]
+            assert all(len(y) == hull.dim for y in coords)
+            if integer:
+                assert all(type(x) is int for y in coords for x in y)
+
+
 def test_empty_and_degenerate_inputs():
     assert gauss_jordan([]) == (1, [], [], 1)
     assert rank([]) == 0 and rank([(0, 0)]) == 0
     assert row_space_basis([]) == ()
     assert nullspace([], 2) == ((1, 0), (0, 1))
     assert nullspace([(0, 0)], 2) == ((1, 0), (0, 1))
+    assert integer_nullspace([], 2) == [(1, 0), (0, 1)]
+    assert hull_coordinates([(1, 2), (1, 2)]) == [(), ()]
+    with pytest.raises(EmptyPolyhedronError):
+        hull_coordinates([])
     assert solve_linear([], []) == ()
     assert solve_linear([(0,)], [1]) is None
     assert invert_matrix([]) == ()

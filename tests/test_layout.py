@@ -1,6 +1,6 @@
 """Package layout: the names the benchmark tracer wraps exist, no module
-reaches into another module's private names, and lattice counting imports no
-LP routine."""
+reaches into another module's private names, lattice counting imports no
+LP routine, and the facet walk of repconv stays in integer arithmetic."""
 import ast
 import importlib
 import importlib.util
@@ -48,3 +48,18 @@ def test_permutation_representation_stays_in_permgrp(source):
     read = {node.attr for node in ast.walk(ast.parse(source.read_text()))
             if isinstance(node, ast.Attribute)}
     assert not read & {"_p", "_levels", "_trusted"}, f"{source.name} reads permgrp internals"
+
+
+def test_facet_walk_builds_no_fraction():
+    walk = {"_rotate_about", "_supporting_row", "_initial_facet", "_neighbor_facet",
+            "_neighbor_orbits"}
+    banned = {"dot", "vec_scale", "vec_add", "Fraction", "affine_hull", "coordinates"}
+    tree = ast.parse((PACKAGE / "repconv.py").read_text())
+    found = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
+    assert walk <= found
+    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in walk):
+        called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                  for call in ast.walk(fn) if isinstance(call, ast.Call)
+                  and isinstance(call.func, (ast.Name, ast.Attribute))}
+        assert not called & banned, f"{fn.name} calls {sorted(called & banned)}"

@@ -11,10 +11,20 @@ from polyorbit.polycore import (
     HPolyhedron,
     PolyhedronError,
     VPolyhedron,
+    affine_hull,
+    convert_dd_incidence,
     dot,
+    hull_coordinates,
     incidence,
+    index_set,
+    nullspace,
     primitive,
+    rank,
     remove_redundancy,
+    vec_add,
+    vec_scale,
+    vec_sub,
+    vector,
 )
 from polyorbit import repconv
 from polyorbit.cli import parse_polyfile
@@ -37,6 +47,7 @@ from shapes import (
     cube_h,
     cube_v,
     cut_v,
+    hypersimplex_v,
     santos_prismatoid,
     simplex_h,
     simplex_v,
@@ -534,3 +545,172 @@ def test_santos_base_distance_six():
     bases = [i + 1 for i, c in enumerate(counts) if c == peak]
     assert len(bases) == 2 and peak == 24
     assert shortest_path(g, bases[0], bases[1]) == 6
+
+
+# ---------------------------------------------------------------------------
+# integer facet walk against the Fraction reference
+
+
+def _ref_supporting_row(pts, S):
+    """The Fraction form of repconv._supporting_row."""
+    d = len(pts[0])
+    members = sorted(S)
+    base = pts[members[0] - 1]
+    dirs = [vec_sub(pts[i - 1], base) for i in members[1:]]
+    ns = nullspace(dirs, d)
+    if len(ns) != 1:
+        raise PolyhedronError("index set does not span a facet")
+    a = vector(ns[0])
+    delta = dot(a, base)
+    for j in range(len(pts)):
+        if (j + 1) in S:
+            continue
+        val = dot(a, pts[j])
+        if val == delta:
+            raise PolyhedronError("index set is not a full incidence set")
+        if val > delta:
+            a = tuple(-x for x in a)
+            delta = -delta
+        break
+    return a, delta
+
+
+def _ref_rotate_about(pts, face, c, delta, skip, away=None):
+    """The Fraction form of repconv._rotate_about: one Fraction parameter
+    per point."""
+    members = sorted(face)
+    base = pts[members[0] - 1]
+    ns = nullspace([vec_sub(pts[i - 1], base) for i in members[1:]], len(base))
+    if len(ns) == 1:
+        return None
+    g = next(v for v in ns if rank([v, c]) == 2)
+    if away is not None and dot(g, pts[away - 1]) > dot(g, base):
+        g = tuple(-x for x in g)
+    gamma = dot(g, base)
+    t_best = None
+    arg = []
+    for i, p in enumerate(pts):
+        if (i + 1) in skip:
+            continue
+        tv = (dot(g, p) - gamma) / (delta - dot(c, p))
+        if t_best is None or tv > t_best:
+            t_best, arg = tv, [i + 1]
+        elif tv == t_best:
+            arg.append(i + 1)
+    return vec_add(g, vec_scale(t_best, c)), gamma + t_best * delta, arg
+
+
+def _ref_hull_coordinates(pts):
+    hull = affine_hull(pts)
+    return [hull.coordinates(p) for p in pts]
+
+
+def _affine_image(V, seed, extra):
+    """x -> A x + b with a seeded rational A of full column rank, into a
+    space of extra more dimensions."""
+    rng = random.Random(seed)
+    n = V.n
+    while True:
+        A = [tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n))
+             for _ in range(n + extra)]
+        if rank(A) == n:
+            break
+    b = [Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(n + extra)]
+    return VPolyhedron.from_points(
+        [tuple(dot(row, v) + bb for row, bb in zip(A, b)) for v in V.vertices])
+
+
+def _with_points(V, extra):
+    return VPolyhedron.from_points(list(V.vertices) + [vector(p) for p in extra])
+
+
+WALK_SHAPES = {
+    "cube5": lambda: cube_v(5),
+    "cross6": lambda: cross_v(6),
+    "cut5": lambda: cut_v(5),
+    "hypersimplex-3-7": lambda: hypersimplex_v(3, 7),
+    "prismatoid": santos_prismatoid,
+}
+# point sets with points that are not vertices: an edge midpoint (a pencil
+# tie puts three points on one facet), the centre of a facet, an interior
+# point
+NON_VERTEX = {
+    "square-midpoint": lambda: VPolyhedron.from_points([(0, 0), (2, 0), (0, 2), (2, 2), (1, 0)]),
+    "cube3-extra": lambda: _with_points(cube_v(3), [(0, 0, 1), (1, 0, -1), (0, 0, 0)]),
+    "cross4-extra": lambda: _with_points(cross_v(4), [(Fraction(1, 2), Fraction(1, 2), 0, 0),
+                                                      (Fraction(1, 4), 0, 0, 0)]),
+}
+WALK_INPUTS = dict(WALK_SHAPES, **NON_VERTEX, **{
+    f"{name}-image{extra}": (lambda make=make, extra=extra, i=i:
+                             _affine_image(make(), 100 + i, extra))
+    for i, (name, make) in enumerate(WALK_SHAPES.items()) for extra in (0, 1)})
+
+
+def _same_row(a, delta, scale, ref_a, ref_delta):
+    """a.x <= delta over the scaled points is ref_a.x <= ref_delta over the
+    unscaled ones, up to a positive factor."""
+    return primitive(tuple(a) + (Fraction(delta, scale),)) == primitive(tuple(ref_a) + (ref_delta,))
+
+
+@pytest.mark.parametrize("name", list(WALK_INPUTS))
+def test_integer_walk_kernel_matches_fraction_reference(name):
+    V = WALK_INPUTS[name]()
+    geo = repconv._Geometry(V.vertices)
+    pts, scale = geo.local, geo.scale
+    ref = list(V.vertices) if geo.d == V.n else _ref_hull_coordinates(list(V.vertices))
+    assert pts == [tuple(scale * x for x in p) for p in ref]
+    assert all(type(x) is int for p in pts for x in p)
+
+    # the seed facet, one rotation at a time
+    d = geo.d
+    c, delta = (1,) + (0,) * (d - 1), max(p[0] for p in pts)
+    ref_c, ref_delta = vector(c), max(p[0] for p in ref)
+    S = frozenset(i + 1 for i, p in enumerate(pts) if p[0] == delta)
+    while True:
+        step = repconv._rotate_about(pts, S, c, delta, S)
+        ref_step = _ref_rotate_about(ref, S, ref_c, ref_delta, S)
+        assert (step is None) == (ref_step is None)
+        if step is None:
+            break
+        assert step[2] == ref_step[2]
+        assert _same_row(*step[:2], scale, *ref_step[:2])
+        (c, delta, arg), (ref_c, ref_delta, _) = step, ref_step
+        S |= set(arg)
+    assert S == repconv._initial_facet(pts)
+
+    # supporting rows of the first facets and the rotation about each ridge
+    facets = [index_set(m) for m in convert_dd_incidence(VPolyhedron.from_points(ref))[1]]
+    for F in facets[:12]:
+        a, delta = repconv._supporting_row(pts, F)
+        ref_a, ref_delta = _ref_supporting_row(ref, F)
+        assert _same_row(a, delta, scale, ref_a, ref_delta)
+        members = sorted(F)
+        local = hull_coordinates([ref[i - 1] for i in members])
+        for mask in convert_dd_incidence(VPolyhedron.from_points(local))[1]:
+            R = frozenset(members[j - 1] for j in index_set(mask))
+            f0 = next(i for i in members if i not in R)
+            step = repconv._rotate_about(pts, R, a, delta, F, away=f0)
+            ref_step = _ref_rotate_about(ref, R, ref_a, ref_delta, F, away=f0)
+            assert step[2] == ref_step[2]
+            assert _same_row(*step[:2], scale, *ref_step[:2])
+
+
+@pytest.mark.parametrize("name", [*WALK_SHAPES, "square-midpoint", "cube3-extra",
+                                  "cut5-image1", "hypersimplex-3-7-image0"])
+def test_integer_walk_ledgers_match_fraction_reference(name, monkeypatch):
+    V = WALK_INPUTS[name]()
+    G = affine_symmetry_group(V).perm_group
+
+    def ledgers_and_graphs():
+        out = []
+        for levels in LEVELS.values():
+            led = adjacency_decomposition(V, G, levels)
+            rows = [(key, e.size, e.row) for key, e in led.entries.items()]
+            out.append((rows, adjacency_graph(V, G, led)))
+        return out
+
+    walked = ledgers_and_graphs()
+    monkeypatch.setattr(repconv, "_rotate_about", _ref_rotate_about)
+    monkeypatch.setattr(repconv, "_supporting_row", _ref_supporting_row)
+    monkeypatch.setattr(repconv, "hull_coordinates", _ref_hull_coordinates)
+    assert walked == ledgers_and_graphs()
