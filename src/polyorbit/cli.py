@@ -9,10 +9,12 @@ rays.  Trailing option lines declare an objective (``maximize``/``minimize``,
 constant term first) and a ``blocks`` header for the symmetric routes.
 
 Subcommands: automorphisms, convert, count, ehrhart, volume, ilp.  Exit
-codes: 0 success, 1 infeasible or empty (a computed answer), 2 input error,
-3 internal verification failure or any other internal error (one stderr
-line, never a traceback).  ``--jobs`` (default from POLYORBIT_JOBS) is
-accepted and ignored: every subcommand runs serially.
+codes: 0 success, 1 infeasible or empty (a computed answer), 2 input error
+(also an input past a size budget, such as a set orbit of more than
+2,000,000 sets), 3 internal verification failure or any other internal error
+(one stderr line, never a traceback).  ``--jobs`` (default from
+POLYORBIT_JOBS) is checked to be at least 1 and otherwise ignored: every
+subcommand runs serially.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ from math import ceil, floor
 from typing import Optional, Sequence
 
 from .latcount import count_lattice_points, count_with_symmetry, ehrhart, volume
+from .permgrp import OrbitBudgetExceeded
 from .polycore import (
     EmptyPolyhedronError,
     HPolyhedron,
@@ -265,7 +268,7 @@ def cmd_convert(pf: PolyFile, args) -> int:
     if pf.kind == "V":
         V = _bounded_vfile(pf)
         G = affine_symmetry_group(V).perm_group
-        ledger = adjacency_decomposition(V, G, levels, jobs=args.jobs)
+        ledger = adjacency_decomposition(V, G, levels)
         lines = [f"facet orbits {ledger.orbit_count}"]
         for t, e in enumerate(ledger.entries.values(), start=1):
             # stored as (a | delta) for a.x <= delta; file rows carry (b, -a)
@@ -276,7 +279,7 @@ def cmd_convert(pf: PolyFile, args) -> int:
     else:
         P = pf.to_hpolyhedron()
         G = restricted_symmetries_H(P)
-        ledger = adjacency_decomposition(P, G, levels, jobs=args.jobs)
+        ledger = adjacency_decomposition(P, G, levels)
         orbs = sorted(ledger.vertex_group.point_orbits(), key=min)
         lines = [f"vertex orbits {len(orbs)}"]
         for t, orb in enumerate(orbs, start=1):
@@ -286,7 +289,7 @@ def cmd_convert(pf: PolyFile, args) -> int:
         obj, grp = P, G
     print("\n".join(lines))
     if args.adjacencies:
-        dot = write_dot(adjacency_graph(obj, grp, ledger, jobs=args.jobs))
+        dot = write_dot(adjacency_graph(obj, grp, ledger))
         if args.dot:
             with open(args.dot, "w") as fh:
                 fh.write(dot)
@@ -301,7 +304,7 @@ def cmd_count(pf: PolyFile, args) -> int:
         if pf.blocks is None:
             raise PolyhedronError(
                 "--symmetric needs a blocks header in the input file")
-        total = count_with_symmetry(P, pf.blocks, jobs=args.jobs)
+        total = count_with_symmetry(P, pf.blocks)
     else:
         total = count_lattice_points(P)
     print(total)
@@ -466,7 +469,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EmptyPolyhedronError as exc:
         print(f"empty: {exc}", file=sys.stderr)
         return 1
-    except (PolyhedronError, OSError) as exc:
+    except (PolyhedronError, OrbitBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -438,12 +438,11 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     return SliceDecomposition(blocks, fixed_space_system(P, blocks), basis, tuple(orbits))
 
 
-def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int], jobs: int = 1) -> int:
+def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int]) -> int:
     """Lattice-point count assembled fiber by fiber from the decomposition.
 
     Counts the representative fiber of each orbit and multiplies by the orbit
-    size.  jobs is accepted and ignored: fibers are counted serially, in
-    integer arithmetic on one thread.
+    size, in integer arithmetic.
     """
     dec = slice_decomposition(P, blocks)
     return sum(fo.orbit_size * count_lattice_points(fo.fiber) for fo in dec.fiber_orbits)

@@ -15,6 +15,11 @@ multiplies and never inverts, and the set of (orbit point, generator) pairs
 whose Schreier generator it has already sifted: transversal entries are never
 replaced and generator lists only grow, so a Schreier generator that sifted
 once sifts to the identity for the rest of the construction and is skipped.
+
+A set orbit is always expanded in full, under a budget of sets, and keyed by
+its lexicographically least member.  Past the budget orbit_of_set and
+set_stabilizer raise OrbitBudgetExceeded: a key that is not canonical could
+let one orbit be counted twice.
 """
 from __future__ import annotations
 
@@ -353,13 +358,16 @@ def schreier_sims(generators: Sequence[Permutation], degree: Optional[int] = Non
 
 @dataclass(frozen=True)
 class SetOrbit:
-    representative: tuple[int, ...]   # sorted tuple; lex-least iff expanded
+    """A fully expanded set orbit: its lexicographically least member as a
+    sorted tuple, its size and its members as a frozenset of frozensets."""
+    representative: tuple[int, ...]
     size: int
-    elements: Optional[frozenset] = None  # frozenset of frozensets when expanded
+    elements: frozenset
 
     @property
     def expanded(self) -> bool:
-        return self.elements is not None
+        """Always true: no orbit is kept unexpanded."""
+        return True
 
 
 def _point_set(G: PermutationGroup, S: Iterable[int]) -> frozenset:
@@ -370,12 +378,11 @@ def _point_set(G: PermutationGroup, S: Iterable[int]) -> frozenset:
     return S
 
 
-def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 200_000) -> SetOrbit:
-    """Orbit of an index set under G.
-
-    Within budget the orbit is fully expanded and the representative is its
-    lexicographically least member.  On overflow only the input set (as
-    representative) and the exact size, via orbit-stabilizer, are returned.
+def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_000) -> SetOrbit:
+    """Orbit of an index set under G, expanded breadth-first; the
+    representative is its lexicographically least member, so two sets are in
+    one orbit exactly when their representatives agree.  Raises
+    OrbitBudgetExceeded when the orbit has more than budget sets.
     """
     S = _point_set(G, S)
     maps = [g._p.__getitem__ for g in G.generators]
@@ -388,8 +395,7 @@ def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 200_000) -
                 Y = frozenset(map(g, X))
                 if Y not in seen:
                     if len(seen) >= budget:
-                        stab = set_stabilizer(G, S, budget=budget * 10)
-                        return SetOrbit(tuple(sorted(S)), G.order() // stab.order(), None)
+                        raise OrbitBudgetExceeded(f"set orbit exceeded budget {budget}")
                     seen.add(Y)
                     nxt.append(Y)
         frontier = nxt
@@ -471,9 +477,7 @@ def is_equivalent(G: PermutationGroup, S: Iterable[int], T: Iterable[int]) -> Op
 
 
 def canonical_representative(G: PermutationGroup, S: Iterable[int],
-                             budget: int = 200_000) -> tuple[int, ...]:
-    """Lexicographically least sorted tuple in the orbit of S under G."""
-    orb = orbit_of_set(G, S, budget=budget)
-    if not orb.expanded:
-        raise OrbitBudgetExceeded("orbit too large to canonicalize")
-    return orb.representative
+                             budget: int = 2_000_000) -> tuple[int, ...]:
+    """Lexicographically least sorted tuple in the orbit of S under G;
+    raises OrbitBudgetExceeded as orbit_of_set does."""
+    return orbit_of_set(G, S, budget=budget).representative

@@ -8,9 +8,11 @@ vertex input: adjacency decomposition (seed one facet, walk to neighbors
 across ridges, keep one representative per orbit) and incidence
 decomposition (enumerate the facets through one representative point of
 each input orbit).  Both catalog facet orbits in an OrbitLedger keyed by
-canonical incident-vertex sets, so any two runs agree key-for-key.
-Everything runs serially on one thread; the jobs parameters are accepted
-and ignored.
+canonical incident-vertex sets, so any two runs agree key-for-key.  Every
+facet orbit is expanded by permgrp.orbit_of_set and keyed by its
+lexicographically least member, so an orbit is known exactly when its key
+is; an orbit past the set budget stops the conversion.  Everything runs
+serially on one thread.
 
 The facet walk runs in integer arithmetic.  The points are scaled once per
 polytope by the lcm of their denominators, which keeps every incidence set
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul, sub
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .polycore import (
     EmptyPolyhedronError,
@@ -61,7 +63,6 @@ from .permgrp import (
     Permutation,
     PermutationGroup,
     SetOrbit,
-    is_equivalent,
     orbit_of_set,
     set_stabilizer,
 )
@@ -195,28 +196,19 @@ def _neighbor_orbits(pts: Sequence[Sequence[int]], G: PermutationGroup, key: tup
             for R in ridges(members, local))
 
 
-def _known_key(known: dict, G: PermutationGroup, orb: SetOrbit) -> Optional[tuple]:
-    """The key of the orbit orb in known (key -> SetOrbit), or None.
-
-    An expanded orbit's representative is canonical.  An orbit past the
-    budget of orbit_of_set keeps the set it was found from, so it is compared
-    with the unexpanded orbits of its size by a transporter search."""
-    if orb.representative in known:
-        return orb.representative
-    if orb.expanded:
-        return None
-    return next((key for key, other in known.items()
-                 if not other.expanded and other.size == orb.size
-                 and is_equivalent(G, key, orb.representative) is not None), None)
+def _distinct_orbits(G: PermutationGroup, sets: Iterable[frozenset]) -> list[SetOrbit]:
+    """The orbits of the given sets under G, the first one per key, in
+    discovery order."""
+    found: dict = {}
+    for S in sets:
+        orb = orbit_of_set(G, S)
+        found.setdefault(orb.representative, orb)
+    return list(found.values())
 
 
 def _plain_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
-    found: dict = {}
-    for mask in convert_dd_incidence(VPolyhedron.from_points(pts))[1]:
-        orb = orbit_of_set(G, index_set(mask))
-        if _known_key(found, G, orb) is None:
-            found[orb.representative] = orb
-    return list(found.values())
+    return _distinct_orbits(
+        G, map(index_set, convert_dd_incidence(VPolyhedron.from_points(pts))[1]))
 
 
 def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
@@ -224,18 +216,17 @@ def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
     from the dual of its tangent cone.  Every facet contains some vertex, so
     the union over the orbit representatives covers everything."""
     d = len(pts[0])
-    found: dict = {}
-    for p0 in sorted(min(orb) for orb in G.point_orbits()):
-        v0 = pts[p0 - 1]
-        rows = [vec_sub(p, v0) for i, p in enumerate(pts) if i + 1 != p0]
-        # row t is point t + 1, or t + 2 past p0; a ray of the cone is tight
-        # on the rows of the points on its facet
-        for mask in dd_cone(rows, d)[2]:
-            S = frozenset(j if j < p0 else j + 1 for j in index_set(mask)) | {p0}
-            orb = orbit_of_set(G, S)
-            if _known_key(found, G, orb) is None:
-                found[orb.representative] = orb
-    return list(found.values())
+
+    def facets():
+        for p0 in sorted(min(orb) for orb in G.point_orbits()):
+            v0 = pts[p0 - 1]
+            rows = [vec_sub(p, v0) for i, p in enumerate(pts) if i + 1 != p0]
+            # row t is point t + 1, or t + 2 past p0; a ray of the cone is
+            # tight on the rows of the points on its facet
+            for mask in dd_cone(rows, d)[2]:
+                yield frozenset(j if j < p0 else j + 1 for j in index_set(mask)) | {p0}
+
+    return _distinct_orbits(G, facets())
 
 
 def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
@@ -265,7 +256,7 @@ def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
         frontier = []
         for key in batch:
             for orb in _neighbor_orbits(pts, G, key, ridges):
-                if _known_key(entries, G, orb) is None:
+                if orb.representative not in entries:
                     entries[orb.representative] = orb
                     frontier.append(orb.representative)
     return list(entries.values())
@@ -344,11 +335,15 @@ class _Geometry:
 
 @dataclass(frozen=True)
 class FacetOrbit:
-    """One facet orbit: canonical incident-vertex key, the orbit itself and
-    a supporting row for the representative (primitive, ambient)."""
-    key: tuple[int, ...]
+    """One facet orbit: the orbit itself and a supporting row for its
+    representative (primitive, ambient)."""
     orbit: SetOrbit
     row: tuple[int, ...]
+
+    @property
+    def key(self) -> tuple[int, ...]:
+        """The canonical incident-vertex set: the orbit's lex-least member."""
+        return self.orbit.representative
 
     @property
     def size(self) -> int:
@@ -379,15 +374,9 @@ class OrbitLedger:
         return self.vertex_group.point_orbits()
 
     def facet_sets(self) -> set:
-        """Every facet of the polytope as an incident-vertex frozenset, by
-        expanding each orbit."""
-        out: set = set()
-        for e in self.entries.values():
-            orb = e.orbit
-            if not orb.expanded:
-                orb = orbit_of_set(self.vertex_group, e.key, budget=10_000_000)
-            out |= orb.elements
-        return out
+        """Every facet of the polytope as an incident-vertex frozenset, read
+        off the expanded orbits."""
+        return set().union(*(e.orbit.elements for e in self.entries.values()))
 
     def facet_rows(self) -> set:
         """Every facet as a primitive supporting row (a | b), recomputed from
@@ -423,26 +412,27 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
     entries = {}
     for orb in orbits:
         a, delta = _supporting_row(geo.local, frozenset(orb.representative))
-        entries[orb.representative] = FacetOrbit(
-            orb.representative, orb, geo.ambient_row(a, delta))
+        entries[orb.representative] = FacetOrbit(orb, geo.ambient_row(a, delta))
     return OrbitLedger(entries, tuple(geo.ambient), G)
 
 
 def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
-    n = P.n
     if P.equality_rows:
         raise PolyhedronError("decomposition requires an inequality-only description")
     if G.degree != P.m:
         raise PolyhedronError("group degree does not match the number of rows")
-    lin, rays, _ = dd_cone(P.A, n)
-    if lin or rays:
-        raise PolyhedronError("decomposition requires a bounded polytope")
     # every vertex with the rows it is tight on; a row permutation in G maps
     # the tight set of a vertex onto the tight set of its image
     try:
         V, masks = convert_dd_incidence(P)
     except EmptyPolyhedronError:
+        # an empty P gives no rays; its recession cone picks the message
+        lin, rays, _ = dd_cone(P.A, P.n)
+        if lin or rays:
+            raise PolyhedronError("decomposition requires a bounded polytope")
         raise EmptyPolyhedronError("empty polyhedron has no affine hull")
+    if V.rays:
+        raise PolyhedronError("decomposition requires a bounded polytope")
     equalities, kept = irredundant_rows(masks, P.m, len(V.vertices))
     # an implicit equality lowers the dimension unless it is 0 = 0
     if any(any(P.A[i]) for i in equalities):
@@ -471,12 +461,12 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
         if orb.size != len(row_orbit):
             raise PolyhedronError("internal error: row and facet orbits disagree")
         row = primitive(tuple(P.A[rep - 1]) + (P.b[rep - 1],))
-        entries[orb.representative] = FacetOrbit(orb.representative, orb, row)
+        entries[orb.representative] = FacetOrbit(orb, row)
     return OrbitLedger(entries, tuple(vert_list), vertex_group)
 
 
 def adjacency_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGroup,
-                            levels: tuple[int, int] = (0, 1), jobs: int = 1) -> OrbitLedger:
+                            levels: tuple[int, int] = (0, 1)) -> OrbitLedger:
     """Facet orbits by the neighbor-walk method.
 
     Seeds with one facet, then repeatedly takes a pending orbit
@@ -489,8 +479,7 @@ def adjacency_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     G must act by affine symmetries on the inequality indices (H input) or
     vertex indices (V input); this is verified up front and violations are
     rejected.  The input must be a bounded polytope, and full-dimensional and
-    irredundant when given by rows.  jobs is accepted and ignored: the walk
-    is serial.
+    irredundant when given by rows.
     """
     lv = _check_levels(levels)
     if isinstance(P, VPolyhedron):
@@ -500,8 +489,8 @@ def adjacency_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     raise TypeError("expected an HPolyhedron or VPolyhedron")
 
 
-def incidence_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGroup,
-                            jobs: int = 1) -> OrbitLedger:
+def incidence_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGroup
+                            ) -> OrbitLedger:
     """Facet orbits by fixing input orbits.
 
     For one representative of each input-element orbit, all facets incident
@@ -511,8 +500,7 @@ def incidence_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     element.  For an H-description there is no walk to choose: the ledger
     comes from one double description, as in adjacency_decomposition.
     Preconditions match adjacency_decomposition, and so does the resulting
-    ledger.  jobs is accepted and ignored: the representatives are processed
-    serially.
+    ledger.
     """
     if isinstance(P, VPolyhedron):
         return _decompose_points(P, G, (1, 1))   # incidence method at depth 0
@@ -550,23 +538,20 @@ class AdjacencyGraphUpToSymmetry:
         return sorted(out)
 
 
-def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger,
-                    jobs: int = 1) -> AdjacencyGraphUpToSymmetry:
+def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger) -> AdjacencyGraphUpToSymmetry:
     """Facet adjacency graph of a completed ledger.
 
     Recomputed from the representatives alone: for each orbit key, all ridges
     of the representative facet are enumerated by a plain conversion of its
     vertex set and rotated to their neighbor facets.  Symmetry carries any
     adjacent pair onto a pair involving a representative, so this sees every
-    edge, including self-loops.  jobs is accepted and ignored: the orbits are
-    processed serially.
+    edge, including self-loops.
     """
     geo = _Geometry(list(ledger.vertices))
     pts = geo.local
     group = ledger.vertex_group
     keys = list(ledger.entries)
     node_of = {key: i + 1 for i, key in enumerate(keys)}
-    known = {key: e.orbit for key, e in ledger.entries.items()}
 
     def ridges(members, local):
         return map(index_set, convert_dd_incidence(VPolyhedron.from_points(local))[1])
@@ -575,7 +560,7 @@ def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger,
     for key in keys if geo.d > 1 else ():
         i = node_of[key]
         for orb in _neighbor_orbits(pts, group, key, ridges):
-            j = node_of.get(_known_key(known, group, orb) or orb.representative)
+            j = node_of.get(orb.representative)
             if j is None:
                 raise PolyhedronError("ledger is not complete: missing neighbor orbit")
             edges.add((min(i, j), max(i, j)))

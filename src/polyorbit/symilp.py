@@ -574,19 +574,18 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
 
 
 def symmetric_ilp_feasible(P: HPolyhedron, blocks: Sequence[int],
-                           bounds: Optional[Sequence] = None, jobs: int = 1,
+                           bounds: Optional[Sequence] = None,
                            fiber_budget: int = 1_000_000) -> Optional[Vector]:
     """An integral point of a block-symmetric P, or None when there is none.
 
     The feasibility sweep of symmetric_ilp, nearest to the relaxation point
-    first; infeasible only after every fiber is exhausted.  jobs is accepted
-    and ignored: the sweep is serial.
+    first; infeasible only after every fiber is exhausted.
     """
     return symmetric_ilp(P, blocks, None, bounds, fiber_budget)[0]
 
 
 def symmetric_ilp_optimize(P: HPolyhedron, blocks: Sequence[int], c: Sequence,
-                           bounds: Optional[Sequence] = None, jobs: int = 1,
+                           bounds: Optional[Sequence] = None,
                            fiber_budget: int = 1_000_000) -> Optional[tuple[Fraction, Vector]]:
     """max c.x over the integral points of a block-symmetric P.
 
@@ -594,7 +593,7 @@ def symmetric_ilp_optimize(P: HPolyhedron, blocks: Sequence[int], c: Sequence,
     fiber), which turns optimization into the feasibility sweep taken in
     decreasing fiber objective.  Returns (optimum, argmax) or None when no
     integral point exists; the projection bounds rule out unbounded
-    objectives.  jobs is accepted and ignored: the sweep is serial.
+    objectives.
     """
     c = vector(c)
     hit, _ = symmetric_ilp(P, blocks, c, bounds, fiber_budget)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction as F
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -19,9 +20,12 @@ from polyorbit import (
     parse_polyfile,
     write_polyfile,
 )
-from polyorbit import cli
+from polyorbit import cli, repconv
 from polyorbit.cli import main
+from polyorbit.permgrp import orbit_of_set
 from polyorbit.polycore import matrix, primitive
+
+from shapes import cut_v
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -394,6 +398,15 @@ class TestErrorContract:
         path.write_text("H-representation\nbegin\n0 3 rational\nend\n")
         code, out, err = run(capsys, command, path)
         assert (code, out, err) == (2, "", "error: an H-representation needs at least one row\n")
+
+    def test_set_orbit_over_budget_is_an_input_error(self, monkeypatch, tmp_path, capsys):
+        # both facet orbits of CUT_5 have more than 20 sets
+        path = tmp_path / "cut5.ext"
+        rows = matrix((1,) + tuple(v) for v in cut_v(5).vertices)
+        path.write_text(write_polyfile(PolyFile(kind="V", rows=rows)))
+        monkeypatch.setattr(repconv, "orbit_of_set", partial(orbit_of_set, budget=20))
+        code, out, err = run(capsys, "convert", path)
+        assert (code, out, err) == (2, "", "error: set orbit exceeded budget 20\n")
 
     def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):
         def broken(pf, args):

@@ -605,9 +605,3 @@ class TestCountWithSymmetry:
         for blocks in cases + cases:
             P = random_invariant_system(rng, blocks)
             assert count_with_symmetry(P, blocks) == count_lattice_points(P)
-
-    def test_jobs_do_not_change_the_count(self):
-        rng = random.Random(4242)
-        P = random_invariant_system(rng, (2, 2))
-        assert count_with_symmetry(P, (2, 2), jobs=1) == \
-            count_with_symmetry(P, (2, 2), jobs=4)

@@ -1,6 +1,7 @@
 """Package layout: the names the benchmark tracer wraps exist, no module
-reaches into another module's private names, lattice counting imports no
-LP routine, and the facet walk of repconv stays in integer arithmetic."""
+reaches into another module's private names, no library function takes a
+jobs parameter, lattice counting imports no LP routine, and the facet walk
+of repconv stays in integer arithmetic."""
 import ast
 import importlib
 import importlib.util
@@ -33,6 +34,16 @@ def test_no_private_name_is_imported_from_another_module(source):
         if isinstance(node, ast.ImportFrom) and node.module != "__future__":
             private = [a.name for a in node.names if a.name.startswith("_")]
             assert not private, f"{source.name} imports {private} from {node.module}"
+
+
+@pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_function_takes_a_jobs_parameter(source):
+    # everything runs serially; only the CLI reads --jobs, and ignores it
+    for fn in ast.walk(ast.parse(source.read_text())):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            params = fn.args.posonlyargs + fn.args.args + fn.args.kwonlyargs
+            assert "jobs" not in {a.arg for a in params}, \
+                f"{source.name}: {getattr(fn, 'name', 'lambda')} takes jobs"
 
 
 def test_lattice_counting_imports_no_lp_routine():

@@ -239,13 +239,16 @@ def test_orbit_of_set_s4():
     assert frozenset({1, 4}) in orb.elements
 
 
-def test_orbit_of_set_budget_fallback():
+def test_orbit_of_set_budget_is_exact():
     G = schreier_sims(symmetric_gens(8))
-    # 4-subsets of an 8-set: orbit size C(8,4) = 70 > budget 10
-    orb = orbit_of_set(G, {2, 4, 6, 8}, budget=10)
-    assert not orb.expanded
-    assert orb.representative == (2, 4, 6, 8)
-    assert orb.size == 70
+    # 4-subsets of an 8-set: orbit size C(8,4) = 70
+    orb = orbit_of_set(G, {2, 4, 6, 8}, budget=70)
+    assert orb.representative == (1, 2, 3, 4)
+    assert orb.size == len(orb.elements) == 70
+    with pytest.raises(OrbitBudgetExceeded, match="^set orbit exceeded budget 69$"):
+        orbit_of_set(G, {2, 4, 6, 8}, budget=69)
+    with pytest.raises(OrbitBudgetExceeded, match="^set orbit exceeded budget 69$"):
+        canonical_representative(G, {2, 4, 6, 8}, budget=69)
 
 
 def test_canonical_representative():
@@ -502,11 +505,9 @@ def _ref_set_stabilizer(G, S, budget):
 
 
 def _ref_orbit_of_set(G, S, budget):
-    """(representative, size, elements or None), as orbit_of_set returns them."""
-    try:
-        elements = frozenset(_ref_expand(G, S, budget))
-    except OrbitBudgetExceeded:
-        return tuple(sorted(S)), G.order() // _ref_set_stabilizer(G, S, budget * 10).order(), None
+    """(representative, size, elements), as orbit_of_set returns them; past
+    the budget _ref_expand raises."""
+    elements = frozenset(_ref_expand(G, S, budget))
     return min(tuple(sorted(X)) for X in elements), len(elements), elements
 
 
@@ -540,7 +541,7 @@ def _random_gens(rng, degree):
 
 def _orbit_outcome(orbit, G, S, budget):
     """orbit(G, S, budget) as (representative, size, elements), or the
-    exception type when the stabilizer behind the budget fallback overflows."""
+    exception type when the orbit has more than budget sets."""
     try:
         return orbit(G, S, budget)
     except OrbitBudgetExceeded:

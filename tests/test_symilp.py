@@ -422,18 +422,6 @@ class TestSymmetricILP:
                 assert P.contains(z) and dot(c, z) == val
                 assert val == max(dot(c, vector(t)) for t in brute)
 
-    def test_jobs_do_not_change_answers(self):
-        rng = random.Random(5)
-        for _ in range(6):
-            blocks = (2, 2)
-            P = random_invariant_system(rng, blocks)
-            a = symmetric_ilp_feasible(P, blocks, jobs=1)
-            b = symmetric_ilp_feasible(P, blocks, jobs=4)
-            assert a == b
-            c = random_invariant_objective(rng, blocks)
-            assert symmetric_ilp_optimize(P, blocks, c, jobs=1) == \
-                symmetric_ilp_optimize(P, blocks, c, jobs=4)
-
 
 # ---------------------------------------------------------------------------
 # the integer sweep against the Fraction-based definitions it replaces
