@@ -264,6 +264,8 @@ def cmd_automorphisms(pf: PolyFile, args) -> int:
 
 
 def cmd_convert(pf: PolyFile, args) -> int:
+    if args.dot and not args.adjacencies:
+        raise PolyhedronError("--dot needs --adjacencies")
     levels = tuple(args.idm_adm_level)
     if pf.kind == "V":
         V = _bounded_vfile(pf)
@@ -275,7 +277,6 @@ def cmd_convert(pf: PolyFile, args) -> int:
             rep = (e.row[-1],) + tuple(-x for x in e.row[:-1])
             lines.append(f"orbit {t} size {e.size} rep "
                          + " ".join(str(x) for x in rep))
-        obj, grp = V, G
     else:
         P = pf.to_hpolyhedron()
         G = restricted_symmetries_H(P)
@@ -286,10 +287,9 @@ def cmd_convert(pf: PolyFile, args) -> int:
             v = ledger.vertices[min(orb) - 1]
             lines.append(f"orbit {t} size {len(orb)} rep 1 "
                          + " ".join(str(x) for x in v))
-        obj, grp = P, G
     print("\n".join(lines))
     if args.adjacencies:
-        dot = write_dot(adjacency_graph(obj, grp, ledger))
+        dot = write_dot(adjacency_graph(ledger))
         if args.dot:
             with open(args.dot, "w") as fh:
                 fh.write(dot)
@@ -441,7 +441,7 @@ def _build_parser() -> argparse.ArgumentParser:
     conv.add_argument("--adjacencies", action="store_true",
                       help="also emit the facet adjacency graph as DOT")
     conv.add_argument("--dot", metavar="FILE",
-                      help="write the DOT graph here instead of stdout")
+                      help="with --adjacencies, write the DOT graph here instead of stdout")
     cnt = add("count", cmd_count, "exact number of lattice points")
     cnt.add_argument("--symmetric", action="store_true",
                      help="count through the slice decomposition (blocks header)")

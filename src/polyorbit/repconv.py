@@ -5,14 +5,15 @@ homogenization cone in integer arithmetic; it also reports which input
 elements each output element is tight on, and every facet incidence set
 below is read from those masks.  On top of it sit two orbitwise methods for
 vertex input: adjacency decomposition (seed one facet, walk to neighbors
-across ridges, keep one representative per orbit) and incidence
-decomposition (enumerate the facets through one representative point of
-each input orbit).  Both catalog facet orbits in an OrbitLedger keyed by
-canonical incident-vertex sets, so any two runs agree key-for-key.  Every
-facet orbit is expanded by permgrp.orbit_of_set and keyed by its
-lexicographically least member, so an orbit is known exactly when its key
-is; an orbit past the set budget stops the conversion.  Everything runs
-serially on one thread.
+across ridges, keep one representative per orbit, record the orbit pairs
+crossed, off which the adjacency graph is read) and incidence decomposition
+(enumerate the facets through one representative point of each input
+orbit).  Both catalog facet orbits in an OrbitLedger keyed by canonical
+incident-vertex sets, so any two runs agree key-for-key.  Every facet orbit
+is expanded by permgrp.orbit_of_set and keyed by its lexicographically
+least member, so an orbit is known exactly when its key is; an orbit past
+the set budget stops the conversion.  Everything runs serially on one
+thread.
 
 The facet walk runs in integer arithmetic.  The points are scaled once per
 polytope by the lcm of their denominators, which keeps every incidence set
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul, sub
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .polycore import (
     EmptyPolyhedronError,
@@ -180,20 +181,31 @@ def _neighbor_facet(pts: Sequence[Sequence[int]], F: frozenset, c: tuple[int, ..
     return R | set(_rotate_about(pts, R, c, delta, F, away=f0)[2])
 
 
+def _ridges(G: PermutationGroup, members: list[int], local: Sequence[Sequence[int]],
+            levels: tuple[int, int], depth: int) -> list[tuple[int, ...]]:
+    """Ridges of the facet on the sorted vertices members (hull coordinates
+    local), one per orbit of its stabilizer in G, as indices into members."""
+    pos = {v: j + 1 for j, v in enumerate(members)}
+    sub_gens = [Permutation(tuple(pos[g(v)] for v in members))
+                for g in set_stabilizer(G, frozenset(members)).generators]
+    sub_group = PermutationGroup(sub_gens, degree=len(members))
+    return [r.representative
+            for r in _facet_orbit_engine(local, sub_group, levels, depth + 1)[0]]
+
+
 def _neighbor_orbits(pts: Sequence[Sequence[int]], G: PermutationGroup, key: tuple[int, ...],
-                     ridges: Callable) -> Iterator[SetOrbit]:
+                     levels: tuple[int, int], depth: int) -> Iterator[SetOrbit]:
     """Orbits of the facets adjacent to the facet key, one at a time, so
-    that no more than one expanded orbit need be alive: ridges(members,
-    local) gets the sorted vertices of the facet and their integer
-    coordinates in its hull, and lists ridges as 1-based indices into
-    members."""
+    that no more than one expanded orbit need be alive.  Rotating one ridge
+    per stabilizer orbit reaches every neighboring facet orbit, because
+    ridges in one stabilizer orbit lead to neighbors in one facet orbit."""
     F = frozenset(key)
     c, delta = _supporting_row(pts, F)
     members = sorted(F)
     local = hull_coordinates([pts[i - 1] for i in members])
     return (orbit_of_set(G, _neighbor_facet(pts, F, c, delta,
                                             frozenset(members[j - 1] for j in R)))
-            for R in ridges(members, local))
+            for R in _ridges(G, members, local, levels, depth))
 
 
 def _distinct_orbits(G: PermutationGroup, sets: Iterable[frozenset]) -> list[SetOrbit]:
@@ -229,63 +241,49 @@ def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
     return _distinct_orbits(G, facets())
 
 
-def _adm_orbits(pts: Sequence[Vector], G: PermutationGroup,
-                levels: tuple[int, int], depth: int) -> list[SetOrbit]:
-    """Breadth-first walk over facet orbits.
-
-    A pending representative's ridges are the facets of its own vertex set,
-    computed up to the facet stabilizer; rotating one ridge per stabilizer
-    orbit reaches a member of every neighboring facet orbit.  The frontier is
-    processed in sorted rounds and results are merged in batch order, so the
-    ledger is deterministic.
-    """
-
-    def ridges(members, local):
-        pos = {v: j + 1 for j, v in enumerate(members)}
-        sub_gens = [Permutation(tuple(pos[g(v)] for v in members))
-                    for g in set_stabilizer(G, frozenset(members)).generators]
-        sub_group = PermutationGroup(sub_gens, degree=len(members))
-        return [r.representative
-                for r in _facet_orbit_engine(local, sub_group, levels, depth + 1)]
-
-    seed = orbit_of_set(G, _initial_facet(pts))
-    entries: dict[tuple[int, ...], SetOrbit] = {seed.representative: seed}
-    frontier = [seed.representative]
+def _walk(pts: Sequence[Sequence[int]], G: PermutationGroup, start: Iterable[SetOrbit],
+          levels: tuple[int, int], depth: int) -> tuple[list[SetOrbit], frozenset]:
+    """Breadth-first walk over facet orbits from the start orbits: the
+    orbits in discovery order and every (key, neighbor key) pair crossed.
+    The frontier is processed in sorted rounds and results are merged in
+    batch order, so both are deterministic."""
+    entries = {orb.representative: orb for orb in start}
+    pairs = set()
+    frontier = list(entries)
     while frontier:
         batch = sorted(frontier)
         frontier = []
         for key in batch:
-            for orb in _neighbor_orbits(pts, G, key, ridges):
+            for orb in _neighbor_orbits(pts, G, key, levels, depth):
+                pairs.add((key, orb.representative))
                 if orb.representative not in entries:
                     entries[orb.representative] = orb
                     frontier.append(orb.representative)
-    return list(entries.values())
+    return list(entries.values()), frozenset(pairs)
 
 
-def _facet_orbit_engine(pts: Sequence[Vector], G: PermutationGroup,
-                        levels: tuple[int, int], depth: int) -> list[SetOrbit]:
-    """Facet orbits of conv(pts), one SetOrbit per orbit, discovery order.
+def _facet_orbit_engine(pts: Sequence[Vector], G: PermutationGroup, levels: tuple[int, int],
+                        depth: int) -> tuple[list[SetOrbit], Optional[frozenset]]:
+    """Facet orbits of conv(pts), one SetOrbit per orbit, discovery order,
+    and the (key, neighbor key) pairs of the walk, or None without one.
 
     pts must be distinct and affinely span their space.  The levels policy
     (l1, l2) picks the method by recursion depth: below l1 incidence
-    decomposition, below l2 adjacency decomposition with the stabilizer,
-    anything deeper is a plain conversion.
+    decomposition, below l2 adjacency decomposition (the walk from the seed
+    facet) with the stabilizer, anything deeper is a plain conversion.
     """
-    if not pts:
-        return []
-    d = len(pts[0])
+    if not pts or not pts[0]:
+        return [], None
     l1, l2 = levels
-    if d == 0:
-        return []
-    if d <= 1:
+    if len(pts[0]) == 1:
         # a segment's two facets share no ridge, so the walk cannot reach
         # one from the other; enumerate directly
-        return _plain_orbits(pts, G)
+        return _plain_orbits(pts, G), None
     if depth < l1:
-        return _idm_orbits(pts, G)
+        return _idm_orbits(pts, G), None
     if depth < l2:
-        return _adm_orbits(pts, G, levels, depth)
-    return _plain_orbits(pts, G)
+        return _walk(pts, G, [orbit_of_set(G, _initial_facet(pts))], levels, depth)
+    return _plain_orbits(pts, G), None
 
 
 # ---------------------------------------------------------------------------
@@ -354,10 +352,12 @@ class FacetOrbit:
 class OrbitLedger:
     """Facet orbits keyed by canonical incident-vertex sets (discovery order),
     together with the vertex list the keys index into and the group acting on
-    those vertex indices."""
+    those vertex indices.  A ledger from the facet walk also holds the
+    (key, neighbor key) pairs the walk crossed; edges is None otherwise."""
     entries: dict
     vertices: tuple
     vertex_group: PermutationGroup
+    edges: Optional[frozenset] = None
 
     @property
     def orbit_count(self) -> int:
@@ -408,12 +408,12 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
     if any(amap is None for amap in realize_vertex_permutations(V, G.generators)):
         raise PolyhedronError("group generator is not an affine symmetry of the vertex set")
     geo = _Geometry(V.vertices)
-    orbits = _facet_orbit_engine(geo.local, G, levels, 0)
+    orbits, pairs = _facet_orbit_engine(geo.local, G, levels, 0)
     entries = {}
     for orb in orbits:
         a, delta = _supporting_row(geo.local, frozenset(orb.representative))
         entries[orb.representative] = FacetOrbit(orb, geo.ambient_row(a, delta))
-    return OrbitLedger(entries, tuple(geo.ambient), G)
+    return OrbitLedger(entries, tuple(geo.ambient), G, pairs)
 
 
 def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
@@ -538,32 +538,27 @@ class AdjacencyGraphUpToSymmetry:
         return sorted(out)
 
 
-def adjacency_graph(P, G: PermutationGroup, ledger: OrbitLedger) -> AdjacencyGraphUpToSymmetry:
-    """Facet adjacency graph of a completed ledger.
+def adjacency_graph(ledger: OrbitLedger) -> AdjacencyGraphUpToSymmetry:
+    """Facet adjacency graph of a completed ledger, read off the facet walk,
+    with nodes numbered in ledger order.
 
-    Recomputed from the representatives alone: for each orbit key, all ridges
-    of the representative facet are enumerated by a plain conversion of its
-    vertex set and rotated to their neighbor facets.  Symmetry carries any
-    adjacent pair onto a pair involving a representative, so this sees every
-    edge, including self-loops.
+    A ledger from the walk holds the orbit pairs it crossed; any other
+    ledger is walked once from its own orbits at the default levels (0, 1).
+    Symmetry carries any adjacent pair onto a pair involving a
+    representative, so every edge is seen, self-loops included.
     """
-    geo = _Geometry(list(ledger.vertices))
-    pts = geo.local
-    group = ledger.vertex_group
     keys = list(ledger.entries)
     node_of = {key: i + 1 for i, key in enumerate(keys)}
-
-    def ridges(members, local):
-        return map(index_set, convert_dd_incidence(VPolyhedron.from_points(local))[1])
-
+    pairs = ledger.edges
+    if pairs is None:
+        start = [e.orbit for e in ledger.entries.values()]
+        pairs = _walk(_Geometry(list(ledger.vertices)).local, ledger.vertex_group,
+                      start, (0, 1), 0)[1]
     edges = set()
-    for key in keys if geo.d > 1 else ():
-        i = node_of[key]
-        for orb in _neighbor_orbits(pts, group, key, ridges):
-            j = node_of.get(orb.representative)
-            if j is None:
-                raise PolyhedronError("ledger is not complete: missing neighbor orbit")
-            edges.add((min(i, j), max(i, j)))
+    for a, b in pairs:
+        if a not in node_of or b not in node_of:
+            raise PolyhedronError("ledger is not complete: missing neighbor orbit")
+        edges.add(tuple(sorted((node_of[a], node_of[b]))))
     sizes = tuple(ledger.entries[k].orbit.size for k in keys)
     return AdjacencyGraphUpToSymmetry(tuple(keys), sizes, frozenset(edges))
 

@@ -125,7 +125,7 @@ def test_3_santos_prismatoid(tmp_path):
         top = frozenset(i + 1 for i, p in enumerate(V.vertices) if p[4] == 1)
         stab = set_stabilizer(G, top)
         led = adjacency_decomposition(V, stab)
-        g = adjacency_graph(V, stab, led)
+        g = adjacency_graph(led)
         dot = tmp_path / "prismatoid.dot"
         dot.write_text(write_dot(g))
         text = dot.read_text()

@@ -167,6 +167,19 @@ class TestConvertCmd:
         assert code == 0
         assert "graph {" in out and "o1 " in out and out.endswith("}\n")
 
+    def test_dot_without_adjacencies_is_refused(self, tmp_path, capsys, monkeypatch):
+        # refused before any conversion work: a conversion here would crash
+        # with exit 3
+        def refuse(*args):
+            raise AssertionError("conversion started")
+
+        monkeypatch.setattr(cli, "affine_symmetry_group", refuse)
+        dot = tmp_path / "cube3.dot"
+        code, out, err = run(capsys, "convert", FIX / "cube3.ext", "--dot", dot)
+        assert (code, out) == (2, "")
+        assert err == "error: --dot needs --adjacencies\n"
+        assert not dot.exists()
+
     def test_santos_dot_file(self, tmp_path, capsys):
         dot = tmp_path / "santos.dot"
         code, out, _ = run(capsys, "convert", FIX / "santos.ext",

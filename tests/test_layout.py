@@ -1,7 +1,8 @@
 """Package layout: the names the benchmark tracer wraps exist, no module
 reaches into another module's private names, no library function takes a
-jobs parameter, lattice counting imports no LP routine, and the facet walk
-of repconv stays in integer arithmetic."""
+jobs parameter, lattice counting imports no LP routine, the facet walk of
+repconv stays in integer arithmetic, and the adjacency graph converts
+nothing."""
 import ast
 import importlib
 import importlib.util
@@ -63,7 +64,7 @@ def test_permutation_representation_stays_in_permgrp(source):
 
 def test_facet_walk_builds_no_fraction():
     walk = {"_rotate_about", "_supporting_row", "_initial_facet", "_neighbor_facet",
-            "_neighbor_orbits"}
+            "_neighbor_orbits", "_walk"}
     banned = {"dot", "vec_scale", "vec_add", "Fraction", "affine_hull", "coordinates"}
     tree = ast.parse((PACKAGE / "repconv.py").read_text())
     found = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}
@@ -74,3 +75,14 @@ def test_facet_walk_builds_no_fraction():
                   for call in ast.walk(fn) if isinstance(call, ast.Call)
                   and isinstance(call.func, (ast.Name, ast.Attribute))}
         assert not called & banned, f"{fn.name} calls {sorted(called & banned)}"
+
+
+def test_adjacency_graph_converts_nothing():
+    # the graph is read off the facet walk; no second conversion pass
+    tree = ast.parse((PACKAGE / "repconv.py").read_text())
+    fn = next(node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name == "adjacency_graph")
+    called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+              for call in ast.walk(fn) if isinstance(call, ast.Call)
+              and isinstance(call.func, (ast.Name, ast.Attribute))}
+    assert not called & {"convert_dd_incidence", "dd_cone"}

@@ -1,5 +1,6 @@
 """Representation conversion: plain double description and the orbit methods."""
 import random
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from pathlib import Path
@@ -468,7 +469,7 @@ def test_cube_full_group_graph_self_loop():
     P = cube_h(3)
     G = restricted_symmetries_H(P)
     led = adjacency_decomposition(P, G)
-    g = adjacency_graph(P, G, led)
+    g = adjacency_graph(led)
     assert g.node_count == 1
     assert g.edges == frozenset({(1, 1)})
 
@@ -477,7 +478,7 @@ def test_cube_trivial_group_graph_is_octahedral():
     V = cube_v(3)
     triv = PermutationGroup([], degree=8)
     led = adjacency_decomposition(V, triv)
-    g = adjacency_graph(V, triv, led)
+    g = adjacency_graph(led)
     assert g.node_count == 6
     assert len(g.edges) == 12
     for i in range(1, 7):
@@ -487,7 +488,7 @@ def test_cube_trivial_group_graph_is_octahedral():
 def test_shortest_path_basics():
     V = cube_v(3)
     triv = PermutationGroup([], degree=8)
-    g = adjacency_graph(V, triv, adjacency_decomposition(V, triv))
+    g = adjacency_graph(adjacency_decomposition(V, triv))
     assert shortest_path(g, 3, 3) == 0
     n1 = g.neighbors(1)[0]
     assert shortest_path(g, 1, n1) == 1
@@ -505,7 +506,7 @@ def test_unreachable_is_distinct_outcome():
     seg = VPolyhedron.from_points([(Fraction(0),), (Fraction(1),)])
     triv = PermutationGroup([], degree=2)
     led = adjacency_decomposition(seg, triv)
-    g = adjacency_graph(seg, triv, led)
+    g = adjacency_graph(led)
     assert g.node_count == 2 and not g.edges
     assert shortest_path(g, 1, 2) is None
 
@@ -514,7 +515,7 @@ def test_dot_output_format():
     P = cube_h(3)
     G = restricted_symmetries_H(P)
     led = adjacency_decomposition(P, G)
-    g = adjacency_graph(P, G, led)
+    g = adjacency_graph(led)
     text = write_dot(g)
     assert text == 'graph {\n  o1 [label="orbit 1 (size 6)"];\n  o1 -- o1;\n}\n'
 
@@ -522,7 +523,7 @@ def test_dot_output_format():
 def test_dot_multi_node():
     V = cross_v(2)
     triv = PermutationGroup([], degree=4)
-    g = adjacency_graph(V, triv, adjacency_decomposition(V, triv))
+    g = adjacency_graph(adjacency_decomposition(V, triv))
     text = write_dot(g)
     lines = text.splitlines()
     assert lines[0] == "graph {" and lines[-1] == "}"
@@ -537,13 +538,99 @@ def test_santos_base_distance_six():
     top = frozenset(i + 1 for i, p in enumerate(V.vertices) if p[4] == 1)
     stab = set_stabilizer(G, top)
     led = adjacency_decomposition(V, stab)
-    g = adjacency_graph(V, stab, led)
+    g = adjacency_graph(led)
     # base facets are the ones with the most incident vertices
     counts = [len(k) for k in g.keys]
     peak = max(counts)
     bases = [i + 1 for i, c in enumerate(counts) if c == peak]
     assert len(bases) == 2 and peak == 24
     assert shortest_path(g, bases[0], bases[1]) == 6
+
+
+# ---------------------------------------------------------------------------
+# one facet walk behind the ledger and the graph
+
+
+def _key_edges(g):
+    """The edges of a graph as sets of orbit keys; node numbers follow
+    discovery order, which differs between routes."""
+    return {frozenset((g.keys[i - 1], g.keys[j - 1])) for i, j in g.edges}
+
+
+def _ridge_oracle(V):
+    """Facet adjacency from the incidence masks of a plain conversion: two
+    facets are adjacent exactly when no third facet contains their common
+    points."""
+    H, masks = convert_dd_incidence(V)
+    facets = [m for i, m in enumerate(masks, start=1) if i not in H.equality_rows]
+    edges = set()
+    for s, m1 in enumerate(facets):
+        for t in range(s + 1, len(facets)):
+            common = m1 & facets[t]
+            if not any(m & common == common
+                       for u, m in enumerate(facets) if u not in (s, t)):
+                edges.add(frozenset((tuple(sorted(index_set(m1))),
+                                     tuple(sorted(index_set(facets[t]))))))
+    return edges
+
+
+GRAPH_INPUTS = {
+    "cube3.ext": None, "quad-asym.ext": None, "diamond-third.ext": None,
+    "square-midpoint.ext": None, "santos.ext": None,
+    "cube4": partial(cube_v, 4), "cross4": partial(cross_v, 4),
+    "hypersimplex-2-5": partial(hypersimplex_v, 2, 5), "cut5": partial(cut_v, 5),
+}
+
+
+def _graph_input(name):
+    make = GRAPH_INPUTS[name]
+    return make() if make else parse_polyfile((FIX / name).read_text()).to_vpolyhedron()
+
+
+@pytest.mark.parametrize("name", list(GRAPH_INPUTS))
+def test_recorded_and_walked_graphs_agree(name):
+    """The ADM ledger's recorded edges against the graph walked for the IDM
+    and plain ledgers, under the full group; under the trivial group all
+    three against the facet incidences of a plain conversion."""
+    V = _graph_input(name)
+    trivial = PermutationGroup([], degree=len(V.vertices))
+    # the prismatoid's 322 facets make the trivial-group walks and the cubic
+    # oracle slow; it keeps the full-group check
+    groups = [group_of(V)] + ([trivial] if name != "santos.ext" else [])
+    for G in groups:
+        graphs = {}
+        for method, levels in LEVELS.items():
+            led = adjacency_decomposition(V, G, levels)
+            assert (led.edges is not None) == (method == "adm")
+            graphs[method] = _key_edges(adjacency_graph(led))
+        assert graphs["adm"] == graphs["idm"] == graphs["plain"]
+        if G is trivial:
+            assert graphs["adm"] == _ridge_oracle(V)
+
+
+@pytest.mark.parametrize("method", ["adm", "idm"])
+def test_incomplete_ledger_is_refused(method):
+    V = santos_prismatoid()
+    led = adjacency_decomposition(V, group_of(V), LEVELS[method])
+    assert (led.edges is not None) == (method == "adm")
+    for dropped in led.entries:
+        entries = {k: e for k, e in led.entries.items() if k != dropped}
+        with pytest.raises(PolyhedronError, match="^ledger is not complete"):
+            adjacency_graph(replace(led, entries=entries))
+
+
+def test_walk_ledger_graph_rotates_no_ridge(monkeypatch):
+    V = santos_prismatoid()
+    G = group_of(V)
+    led = adjacency_decomposition(V, G)
+    # the same ledger without its edges is walked again, with rotations
+    want = adjacency_graph(replace(led, edges=None))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the graph of a walked ledger rotates no ridge")
+
+    monkeypatch.setattr(repconv, "_rotate_about", refuse)
+    assert adjacency_graph(led) == want
 
 
 # ---------------------------------------------------------------------------
@@ -705,7 +792,7 @@ def test_integer_walk_ledgers_match_fraction_reference(name, monkeypatch):
         for levels in LEVELS.values():
             led = adjacency_decomposition(V, G, levels)
             rows = [(key, e.size, e.row) for key, e in led.entries.items()]
-            out.append((rows, adjacency_graph(V, G, led)))
+            out.append((rows, adjacency_graph(led)))
         return out
 
     walked = ledgers_and_graphs()
