@@ -444,7 +444,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="with --adjacencies, write the DOT graph here instead of stdout")
     cnt = add("count", cmd_count, "exact number of lattice points")
     cnt.add_argument("--symmetric", action="store_true",
-                     help="count through the slice decomposition (blocks header)")
+                     help="count sorted points of each block, weighted by orbit size"
+                          " (blocks header)")
     ehr = add("ehrhart", cmd_ehrhart,
               "Ehrhart quasi-polynomial, one coefficient row per residue class")
     ehr.add_argument("--period-bound", type=int, default=24,

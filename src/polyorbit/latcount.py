@@ -5,14 +5,19 @@ listed coordinate by coordinate over a chain of projections.  The polyhedron
 is converted once to vertices and rays; their projections onto the first k
 coordinates, converted back to integer facet rows, give the feasible interval
 of x_k over each fixed prefix in closed form, so the search never leaves the
-projection and solves no LP.  On top of that sit the Ehrhart
-quasi-polynomial (interpolated per residue class of the dilation factor and
-re-checked against a direct count), the exact volume (a fan over the facets
-from a relative-interior point, each facet triangulated by pulling), and a
-slice decomposition that splits an invariant polytope into fibers over the
-integral anchors of its invariant subspace.  The slice decomposition takes
-its block sums from symilp.block_sum_image and tests each candidate against
-integer facet rows of their projection, so no routine here solves an LP.
+projection and solves no LP.  Every count runs one conversion, one chain and
+one walk.  The walk carries an integer weight per point: the symmetric count
+walks only the sorted points of each block, a fundamental domain of the
+block action, and weighs each by its orbit size; the plain count is the same
+walk with singleton blocks.  On top of that sit the Ehrhart quasi-polynomial
+(interpolated per residue class of the dilation factor on one chain whose
+right-hand sides scale with the dilate, and re-checked at one more dilate),
+the exact volume (a fan over the facets from a relative-interior point, each
+facet triangulated by pulling), and a slice decomposition that splits an
+invariant polytope into fibers over the integral anchors of its invariant
+subspace.  The slice decomposition takes its block sums from
+symilp.block_sum_image and tests each candidate against integer facet rows
+of their projection, so no routine here solves an LP.
 """
 
 from __future__ import annotations
@@ -94,18 +99,30 @@ def count_lattice_points(P: HPolyhedron) -> int:
     solved.  An empty P counts 0.  An unbounded interval met on the way is an
     error, so an unbounded P is rejected unless the walk runs out of integer
     prefixes before it reaches an unbounded coordinate (then it counts 0).
+    This is the weighted walk of count_with_symmetry with every block a
+    singleton, where every weight is 1.
     """
     if P.n == 0:
         eq = set(P.equality_rows)
         ok = all((bb == 0) if i in eq else (bb >= 0)
                  for i, bb in enumerate(P.b, start=1))
         return 1 if ok else 0
+    return _orbit_count(P, (1,) * P.n)
+
+
+def _orbit_count(P: HPolyhedron, blocks: Sequence[int]) -> int:
+    """Integer points of P, each weighted by its orbit size under the blocks.
+
+    P must lie in the sorted domain x_{t+1} <= x_t of every block; one DD
+    and one projection chain feed the weighted walk.  An empty P counts 0.
+    """
     try:
         V = convert_dd(P)
     except EmptyPolyhedronError:
         return 0
     levels = [_projection_rows(V, k) for k in range(1, P.n + 1)]
-    return _walk(levels, [])
+    pos = tuple(p for nb in blocks for p in range(nb))
+    return _walk(levels, pos, [], 1, 1)
 
 
 def _projection_rows(V: VPolyhedron, k: int) -> tuple[list, list]:
@@ -122,18 +139,43 @@ def _projection_rows(V: VPolyhedron, k: int) -> tuple[list, list]:
     return eqs, les
 
 
-def _walk(levels: Sequence[tuple[list, list]], prefix: list[int]) -> int:
-    """Integer points of P whose first coordinates are the given prefix."""
-    bounds = _fiber(*levels[len(prefix)], prefix)
+def _walk(levels: Sequence[tuple[list, list]], pos: Sequence[int], prefix: list[int],
+          weight: int, run: int) -> int:
+    """Weighted integer points of P whose first coordinates are the prefix.
+
+    pos[k] is the place of coordinate k in its block, and P lies in the
+    sorted domain of every block, so a coordinate with pos[k] > 0 is at most
+    the one before it.  A sorted point weighs its orbit size under the block
+    action, prod n_j! / prod (multiplicity)!, built one coordinate at a
+    time: fixing the (p+1)-th coordinate of a block multiplies the weight by
+    (p+1)/r, with r the new run length of equal values, and the division is
+    exact.  weight belongs to the prefix and run is the run length of its
+    last value.  The last level sums its interval in closed form.
+    """
+    k = len(prefix)
+    bounds = _fiber(*levels[k], prefix)
     if bounds is None:
         return 0
     lo, hi = bounds
-    if len(prefix) + 1 == len(levels):
-        return max(hi - lo + 1, 0)
+    p = pos[k]
+    if k + 1 == len(levels):
+        if p == 0:
+            return weight * max(hi - lo + 1, 0)
+        prev = prefix[-1]
+        total = weight * (p + 1) * max(min(hi, prev - 1) - lo + 1, 0)
+        if lo <= prev <= hi:
+            total += weight * (p + 1) // (run + 1)
+        return total
     total = 0
     for v in range(lo, hi + 1):
+        if p == 0:
+            w, r = weight, 1
+        elif v == prefix[-1]:
+            w, r = weight * (p + 1) // (run + 1), run + 1
+        else:
+            w, r = weight * (p + 1), 1
         prefix.append(v)
-        total += _walk(levels, prefix)
+        total += _walk(levels, pos, prefix, w, r)
         prefix.pop()
     return total
 
@@ -240,11 +282,13 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
     it exceeds period_bound).  The bounding box of the largest dilate counted
     may hold at most _EHRHART_PREFIX_BUDGET integer prefixes over its first
     n - 1 coordinates, which bounds the nodes of the counting walk; a larger
-    input is an error rather than a run of hours.  For each residue class
-    the dilate counts at degree+1 sample points are interpolated exactly,
-    then the component is verified against one further direct count; a
-    mismatch is an error, never a silently wrong polynomial.  An integral
-    polytope yields period 1.
+    input is an error rather than a run of hours.  P is converted once and
+    its projection chain built once: proj(lam P) = lam proj(P), so every
+    dilate is walked on that chain with its right-hand sides scaled by lam.
+    For each residue class the dilate counts at degree+1 sample points are
+    interpolated exactly, then the component is verified against the count
+    at one further dilate; a mismatch is an error, never a silently wrong
+    polynomial.  An integral polytope yields period 1.
     """
     V = convert_dd(P)
     if V.rays:
@@ -267,19 +311,34 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
         raise PolyhedronError(
             f"Ehrhart counting exceeds budget {_EHRHART_PREFIX_BUDGET}: dilate {top}"
             f" spans {prefixes} integer prefixes")
+    levels = [_projection_rows(V, t) for t in range(1, P.n + 1)]
     components = []
     for i in range(k):
         lams = [i + k * j for j in range(d + 3) if i + k * j > 0]
         samples = lams[: d + 1]
-        counts = [count_lattice_points(P.dilate(lam)) for lam in samples]
+        counts = [_count_dilate(levels, lam) for lam in samples]
         coeffs = _interpolate(samples, counts)
         probe = lams[d + 1]
-        expect = count_lattice_points(P.dilate(probe))
+        expect = _count_dilate(levels, probe)
         if _eval_poly(coeffs, probe) != expect:
             raise VerificationError(
                 f"quasi-polynomial disagrees with the direct count at dilate {probe}")
         components.append(coeffs)
     return QuasiPolynomial(k, tuple(components), d)
+
+
+def _count_dilate(levels: Sequence[tuple[list, list]], lam: int) -> int:
+    """Integer points of lam*P, from the projection chain of P.
+
+    proj_k(lam P) = lam proj_k(P), so each level keeps its rows and scales
+    every right-hand side beta to lam*beta.  With no coordinates the dilate
+    is the one point of R^0.
+    """
+    if not levels:
+        return 1
+    scaled = [tuple([(head, c, lam * beta) for head, c, beta in rows] for rows in level)
+              for level in levels]
+    return _walk(scaled, (0,) * len(levels), [], 1, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +425,6 @@ class FiberOrbit:
     sums: tuple[int, ...]
     anchor: Vector
     base_point: Vector
-    orbit_size: int
     fiber: HPolyhedron
 
 
@@ -375,13 +433,22 @@ class SliceDecomposition:
     """An invariant polytope split into fibers over its invariant slice.
 
     invariant_slice describes P meet the invariant subspace in barycenter
-    coordinates t (one per block, x = sum_j t_j over block j).  The total
-    lattice-point count equals sum(orbit_size * fiber count) over the orbits.
+    coordinates t (one per block, x = sum_j t_j over block j).  Each anchor
+    orbit is a single anchor, so the total lattice-point count equals the
+    sum of the fiber counts.
     """
     blocks: tuple[int, ...]
     invariant_slice: HPolyhedron
     basis: Matrix
     fiber_orbits: tuple[FiberOrbit, ...]
+
+
+def _invariant_blocks(P: HPolyhedron, blocks: Sequence[int]) -> tuple[int, ...]:
+    """Validated block sizes of a block action that leaves P invariant."""
+    blocks = check_blocks(blocks, P.n)
+    if not check_invariance(LinearProgram(P, zero_vector(P.n)), block_group(blocks)):
+        raise PolyhedronError("polyhedron is not invariant under the block action")
+    return blocks
 
 
 def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposition:
@@ -399,10 +466,8 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     fiber direction lattice, with an integral base point, so counting
     integer coordinate vectors counts integral fiber points.
     """
-    blocks = check_blocks(blocks, P.n)
+    blocks = _invariant_blocks(P, blocks)
     n = P.n
-    if not check_invariance(LinearProgram(P, zero_vector(n)), block_group(blocks)):
-        raise PolyhedronError("polyhedron is not invariant under the block action")
     # e_t - e_{t+1} inside a block, e_t for a singleton
     eye = identity_matrix(n)
     basis = tuple(eye[t] if nb == 1 else vec_sub(eye[t], eye[t + 1])
@@ -434,15 +499,26 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
             base = canonical_core_point(blocks, full).z
             fiber_b = tuple(bb - dot(a, base) for a, bb in zip(P.A, P.b))
             fiber = HPolyhedron(fiber_rows, fiber_b, P.equality_rows)
-            orbits.append(FiberOrbit(tuple(sums), lattice.anchor(full), base, 1, fiber))
+            orbits.append(FiberOrbit(tuple(sums), lattice.anchor(full), base, fiber))
     return SliceDecomposition(blocks, fixed_space_system(P, blocks), basis, tuple(orbits))
 
 
 def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int]) -> int:
-    """Lattice-point count assembled fiber by fiber from the decomposition.
+    """Lattice-point count of a block-invariant polyhedron on a fundamental domain.
 
-    Counts the representative fiber of each orbit and multiplies by the orbit
-    size, in integer arithmetic.
+    Every orbit of the block action on integer points meets the sorted
+    domain x_{t+1} <= x_t of every block in exactly one point (Kaibel and
+    Pfetsch, "Packing and partitioning orbitopes", 2008).  P is cut down to
+    that domain, converted once, and its one projection chain is walked
+    with each sorted point weighted by its orbit size, so the count is
+    exact in integer arithmetic.  An unbounded P is refused as in
+    count_lattice_points.
     """
-    dec = slice_decomposition(P, blocks)
-    return sum(fo.orbit_size * count_lattice_points(fo.fiber) for fo in dec.fiber_orbits)
+    blocks = _invariant_blocks(P, blocks)
+    eye = identity_matrix(P.n)
+    sort_rows = tuple(vec_sub(eye[t + 1], eye[t])
+                      for off, nb in zip(accumulate(blocks, initial=0), blocks)
+                      for t in range(off, off + nb - 1))
+    domain = HPolyhedron(P.A + sort_rows, P.b + (Fraction(0),) * len(sort_rows),
+                         P.equality_rows)
+    return _orbit_count(domain, blocks)

@@ -236,6 +236,13 @@ class TestCountCmd:
         f.write_text("H-representation\nbegin\n1 2 rational\n-1 0\nend\n")
         assert run(capsys, "count", f) == (0, "0\n", "")
 
+    def test_symmetric_unbounded_is_an_input_error(self, tmp_path, capsys):
+        # the orthant x1, x2 >= 0 is invariant under the swap, and unbounded
+        f = tmp_path / "orthant.ine"
+        f.write_text("H-representation\nbegin\n2 3 rational\n0 1 0\n0 0 1\nend\nblocks 2\n")
+        assert run(capsys, "count", "--symmetric", f) == (
+            2, "", "error: cannot count lattice points of an unbounded polyhedron\n")
+
 
 class TestEhrhartCmd:
     def test_half_segment(self, capsys):

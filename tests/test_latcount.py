@@ -2,8 +2,8 @@
 import random
 import sys
 from fractions import Fraction as F
-from itertools import product
-from math import ceil, factorial, floor
+from itertools import permutations, product
+from math import ceil, factorial, floor, gcd
 from pathlib import Path
 
 import pytest
@@ -276,13 +276,13 @@ class TestEhrhart:
 
     def test_mismatching_counts_are_caught(self, monkeypatch):
         import polyorbit.latcount as lc
-        real = lc.count_lattice_points
+        real = lc._count_dilate
 
-        def lying(P):
-            v = real(P)
+        def lying(levels, lam):
+            v = real(levels, lam)
             return v + 1 if v == 81 else v  # 4[-1,1]^2 holds 81 points
 
-        monkeypatch.setattr(lc, "count_lattice_points", lying)
+        monkeypatch.setattr(lc, "_count_dilate", lying)
         with pytest.raises(VerificationError):
             lc.ehrhart(cube_h(2))
 
@@ -397,7 +397,6 @@ class TestSliceDecomposition:
         assert [fo.sums for fo in dec.fiber_orbits] == [(0,), (1,), (2,)]
         assert [fo.anchor for fo in dec.fiber_orbits] == [
             (F(0), F(0)), (F(1, 2), F(1, 2)), (F(1), F(1))]
-        assert all(fo.orbit_size == 1 for fo in dec.fiber_orbits)
         assert [count_lattice_points(fo.fiber) for fo in dec.fiber_orbits] == [1, 2, 1]
 
     def test_invariant_slice_in_barycenter_coordinates(self):
@@ -581,7 +580,6 @@ class TestSliceDecompositionOracle:
             assert dec.basis == basis
             assert [(fo.sums, fo.anchor, fo.base_point, fo.fiber) for fo in dec.fiber_orbits] \
                 == orbits
-            assert all(fo.orbit_size == 1 for fo in dec.fiber_orbits)
             # the same rows up to duplicates, and each kept once
             got_rows = slice_rows(dec.invariant_slice)
             assert len(set(got_rows)) == len(got_rows)
@@ -605,3 +603,120 @@ class TestCountWithSymmetry:
         for blocks in cases + cases:
             P = random_invariant_system(rng, blocks)
             assert count_with_symmetry(P, blocks) == count_lattice_points(P)
+
+    def test_oracle_on_singletons_mixed_blocks_equalities_and_empty(self):
+        # the weighted walk on the sorted domain against the plain walk and
+        # a box scan; boxes of side 5 put repeated values in every block
+        rng = random.Random(4108)
+        shapes = [(1,), (1, 1, 1), (2, 1, 2), (3,), (2, 2), (1, 3), (4,)]
+        seen = set()
+        for t in range(28):
+            blocks = shapes[t % len(shapes)]
+            kind = ("box", "lattice", "off-lattice", "empty")[t % 4]
+            if kind == "box":
+                P = random_invariant_system(rng, blocks, extra_rows=rng.randint(1, 3))
+            else:
+                P = rational_invariant_system(
+                    rng, blocks, "lattice" if kind == "empty" else kind)
+            if kind == "empty":
+                n = sum(blocks)
+                P = HPolyhedron(P.A + ((F(1),) * n, (F(-1),) * n),
+                                P.b + (F(-1, 2), F(-1, 2)), P.equality_rows)
+            want = box_count(P)
+            assert count_with_symmetry(P, blocks) == count_lattice_points(P) == want
+            seen.add(kind if want else "zero")
+        assert seen >= {"box", "lattice", "zero"}
+
+    def test_equality_row_on_a_full_block(self):
+        # x1 + x2 + x3 = 3 on [0, 3]^3: the compositions of 3 into 3 parts
+        A = [(1, 1, 1)] + [tuple(s * (i == j) for j in range(3))
+                           for i in range(3) for s in (1, -1)]
+        P = HPolyhedron.from_rows(A, [3] + [3, 0] * 3, equality_rows=(1,))
+        assert count_with_symmetry(P, (3,)) == count_lattice_points(P) == 10
+
+    def test_lower_dimensional_inside_the_diagonal(self):
+        # x1 = x2 as two inequalities, inside [0, 3]^3
+        A = [(1, -1, 0), (-1, 1, 0)] + [tuple(s * (i == j) for j in range(3))
+                                        for i in range(3) for s in (1, -1)]
+        P = HPolyhedron.from_rows(A, [0, 0] + [3, 0] * 3)
+        for blocks in [(2, 1), (1, 1, 1)]:
+            assert count_with_symmetry(P, blocks) == box_count(P) == 16
+
+    def test_unbounded_refused_as_by_the_plain_walk(self):
+        P = HPolyhedron.from_rows([(-1, 0), (0, -1)], [0, 0])
+        with pytest.raises(PolyhedronError, match="unbounded polyhedron"):
+            count_with_symmetry(P, (2,))
+        # 1/5 <= x1 <= 4/5 holds no integer, so the walk never reaches the
+        # unbounded block (x2, x3)
+        Q = HPolyhedron.from_rows([(-1, 0, 0), (1, 0, 0)], [F(-1, 5), F(4, 5)])
+        assert count_with_symmetry(Q, (1, 2)) == count_lattice_points(Q) == 0
+
+    def test_sorted_point_weights_are_orbit_sizes(self):
+        import polyorbit.latcount as lc
+        total = 0
+        for s in product(range(3), repeat=3):
+            if list(s) != sorted(s, reverse=True):
+                continue
+            # the single sorted point s, as a box of width 0
+            A = [tuple(sg * (i == j) for j in range(3)) for i in range(3) for sg in (1, -1)]
+            b = [c for x in s for c in (x, -x)]
+            w = lc._orbit_count(HPolyhedron.from_rows(A, b), (3,))
+            assert w == len(set(permutations(s)))
+            total += w
+        assert total == 27
+
+
+def dd_cone_calls(monkeypatch, fn, *args):
+    """Number of dd_cone calls made by fn(*args), across all modules."""
+    import polyorbit.polycore as pc
+    real, calls = pc.dd_cone, []
+
+    def counting(*a, **kw):
+        calls.append(None)
+        return real(*a, **kw)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("polyorbit") and getattr(module, "dd_cone", None) is real:
+            monkeypatch.setattr(module, "dd_cone", counting)
+    fn(*args)
+    monkeypatch.undo()
+    return len(calls)
+
+
+class TestOneChainPerCount:
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_scaled_chain_matches_dilates(self, q):
+        import polyorbit.latcount as lc
+        rng = random.Random(90 + q)
+        for d in (1, 2, 3):
+            # random points in (1/q)Z^d, and a vertex of denominator q that
+            # sticks out along x1, so the period is exactly q
+            pts = [tuple(F(rng.randint(-2 * q, 2 * q), q) for _ in range(d))
+                   for _ in range(d + 3)]
+            pts.append((F(4 * q + 1, q),) + (F(0),) * (d - 1))
+            P = convert_dd(VPolyhedron.from_points(pts))
+            V = convert_dd(P)
+            period = 1
+            for v in V.vertices:
+                for c in v:
+                    period = period * c.denominator // gcd(period, c.denominator)
+            assert period == q
+            levels = [lc._projection_rows(V, k) for k in range(1, d + 1)]
+            for lam in range(1, d + 3):
+                assert lc._count_dilate(levels, lam) == count_lattice_points(P.dilate(lam))
+
+    def test_ehrhart_dd_calls_do_not_grow_with_the_period(self, monkeypatch):
+        for P in (cube_h(2), simplex_h(3)):
+            calls = [dd_cone_calls(monkeypatch, ehrhart, P.dilate(F(1, s)))
+                     for s in (1, 2, 3)]
+            assert calls[0] == calls[1] == calls[2]
+            assert calls[0] <= P.n + 2
+
+    def test_symmetric_dd_calls_do_not_grow_with_the_fibers(self, monkeypatch):
+        calls = []
+        for side in (2, 6):
+            A = [tuple(s * (i == j) for j in range(3)) for i in range(3) for s in (1, -1)]
+            P = HPolyhedron.from_rows(A, [side, 0] * 3)
+            calls.append(dd_cone_calls(monkeypatch, count_with_symmetry, P, (3,)))
+            assert count_with_symmetry(P, (3,)) == (side + 1) ** 3
+        assert calls[0] == calls[1] <= 3 + 2

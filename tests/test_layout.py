@@ -1,7 +1,8 @@
 """Package layout: the names the benchmark tracer wraps exist, no module
 reaches into another module's private names, no library function takes a
-jobs parameter, lattice counting imports no LP routine, the facet walk of
-repconv stays in integer arithmetic, and the adjacency graph converts
+jobs parameter, lattice counting imports no LP routine, the symmetric count
+and the Ehrhart interpolation each walk one projection chain, the facet walk
+of repconv stays in integer arithmetic, and the adjacency graph converts
 nothing."""
 import ast
 import importlib
@@ -52,6 +53,20 @@ def test_lattice_counting_imports_no_lp_routine():
                 for node in ast.walk(ast.parse((PACKAGE / "latcount.py").read_text()))
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert not imported & {"solve_lp", "feasible_point"}
+
+
+def test_symmetric_count_and_ehrhart_build_one_chain():
+    # no count per fiber or per dilate: each routine walks its own chain
+    tree = ast.parse((PACKAGE / "latcount.py").read_text())
+    fns = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+           and node.name in {"ehrhart", "count_with_symmetry"}]
+    assert len(fns) == 2
+    for fn in fns:
+        called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+                  for call in ast.walk(fn) if isinstance(call, ast.Call)
+                  and isinstance(call.func, (ast.Name, ast.Attribute))}
+        banned = called & {"count_lattice_points", "slice_decomposition", "dilate"}
+        assert not banned, f"{fn.name} calls {sorted(banned)}"
 
 
 @pytest.mark.parametrize("source", sorted(p for p in PACKAGE.glob("*.py") if p.name != "permgrp.py"),
