@@ -25,11 +25,10 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
-from math import ceil, floor
 from typing import Optional, Sequence
 
-from .latcount import count_lattice_points, count_with_symmetry, ehrhart, volume
+from .latcount import (count_lattice_points, count_with_symmetry, ehrhart,
+                       first_lattice_point, volume)
 from .permgrp import OrbitBudgetExceeded
 from .polycore import (
     EmptyPolyhedronError,
@@ -41,7 +40,6 @@ from .polycore import (
     VPolyhedron,
     dot,
     matrix,
-    solve_lp,
     vector,
 )
 from .repconv import (
@@ -60,9 +58,6 @@ __all__ = [
     "parse_polyfile",
     "write_polyfile",
 ]
-
-_BRUTE_LIMIT = 200_000  # candidate cap for the warned brute-force ILP path
-
 
 class PolyFileError(ValueError):
     """Malformed polyhedron file; the message names the offending line."""
@@ -325,73 +320,30 @@ def cmd_volume(pf: PolyFile, args) -> int:
     return 0
 
 
-def _brute_ilp(P: HPolyhedron, c: Optional[Vector]):
-    """Deterministic box scan: first integral point (feasibility) or the
-    lexicographically least maximizer (optimization).  Refuses unbounded or
-    oversized instances instead of truncating the search."""
-    los, his = [], []
-    size = 1
-    for i in range(P.n):
-        e = tuple(Fraction(int(i == j)) for j in range(P.n))
-        top = solve_lp(P, e)
-        if top.status == "infeasible":
-            return None
-        bot = solve_lp(P, e, maximize=False)
-        if top.status != "optimal" or bot.status != "optimal":
-            raise PolyhedronError(
-                "unbounded variable; brute-force enumeration needs a bounded system")
-        los.append(ceil(bot.value))
-        his.append(floor(top.value))
-        size *= max(his[-1] - los[-1] + 1, 0)
-        if size > _BRUTE_LIMIT:
-            raise PolyhedronError(
-                "instance too large for brute-force enumeration; add a blocks header")
-    best = None
-    for q in product(*(range(lo, hi + 1) for lo, hi in zip(los, his))):
-        z = tuple(Fraction(x) for x in q)
-        if not P.contains(z):
-            continue
-        if c is None:
-            return z
-        val = dot(c, z)
-        if best is None or val > best[0]:
-            best = (val, z)
-    return None if best is None else best[1]
-
-
 def cmd_ilp(pf: PolyFile, args) -> int:
     P = pf.to_hpolyhedron()
-    sense, c, shift = None, None, Fraction(0)
+    c, goal, shift = None, None, Fraction(0)
     if pf.objective is not None:
-        sense = pf.objective[0]
-        shift = pf.objective[1][0]
-        c = vector(pf.objective[1][1:])
-
+        sense, (shift, *coeffs) = pf.objective
+        c = vector(coeffs)
+        goal = tuple(-x for x in c) if sense == "minimize" else c
     tested = None
     if pf.blocks is None:
-        print("warning: no blocks header; falling back to brute-force enumeration",
-              file=sys.stderr)
-        z = _brute_ilp(P, (tuple(-x for x in c) if sense == "minimize" else c)
-                       if c is not None else None)
+        z = first_lattice_point(P, goal)
     else:
-        goal = None if c is None else \
-            (tuple(-x for x in c) if sense == "minimize" else c)
         z, tested = symmetric_ilp(P, pf.blocks, goal)
-
     if z is None:
-        print("infeasible")
-        if tested is not None:
-            print(f"fibers tested {tested}")
-        return 1
-    if not P.contains(z):
+        lines = ["infeasible"]
+    elif not P.contains(z):
         raise VerificationError("computed point violates the input system")
-    print("feasible")
-    print("point " + " ".join(str(x) for x in z))
-    if c is not None:
-        print(f"objective {dot(c, z) + shift}")
+    else:
+        lines = ["feasible", "point " + " ".join(str(x) for x in z)]
+        if c is not None:
+            lines.append(f"objective {dot(c, z) + shift}")
     if tested is not None:
-        print(f"fibers tested {tested}")
-    return 0
+        lines.append(f"fibers tested {tested}")
+    print("\n".join(lines))
+    return 1 if z is None else 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ehr.add_argument("--period-bound", type=int, default=24,
                      help="largest allowed quasi-polynomial period")
     add("volume", cmd_volume, "exact volume, lattice-relative on the hull")
-    add("ilp", cmd_ilp, "integral feasibility / optimization over the file")
+    add("ilp", cmd_ilp, "integral feasibility / optimization: the core-point sweep with"
+        " blocks, else the counting walk's lex-least point or maximizer (10^6 nodes)")
     return top
 
 

@@ -9,7 +9,8 @@ projection and solves no LP.  Every count runs one conversion, one chain and
 one walk.  The walk carries an integer weight per point: the symmetric count
 walks only the sorted points of each block, a fundamental domain of the
 block action, and weighs each by its orbit size; the plain count is the same
-walk with singleton blocks.  On top of that sit the Ehrhart quasi-polynomial
+walk with singleton blocks.  Stopped at its first leaf, the walk solves the
+ILP without blocks.  On top of that sit the Ehrhart quasi-polynomial
 (interpolated per residue class of the dilation factor on one chain whose
 right-hand sides scale with the dilate, and re-checked at one more dilate),
 the exact volume (a fan over the facets from a relative-interior point, each
@@ -24,10 +25,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, product
+from itertools import accumulate, count, product
 from math import ceil, factorial, floor, lcm, prod
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .polycore import (
     AffineHull,
@@ -77,6 +78,7 @@ __all__ = [
     "count_lattice_points",
     "count_with_symmetry",
     "ehrhart",
+    "first_lattice_point",
     "slice_decomposition",
     "volume",
 ]
@@ -102,11 +104,6 @@ def count_lattice_points(P: HPolyhedron) -> int:
     This is the weighted walk of count_with_symmetry with every block a
     singleton, where every weight is 1.
     """
-    if P.n == 0:
-        eq = set(P.equality_rows)
-        ok = all((bb == 0) if i in eq else (bb >= 0)
-                 for i, bb in enumerate(P.b, start=1))
-        return 1 if ok else 0
     return _orbit_count(P, (1,) * P.n)
 
 
@@ -122,7 +119,7 @@ def _orbit_count(P: HPolyhedron, blocks: Sequence[int]) -> int:
         return 0
     levels = [_projection_rows(V, k) for k in range(1, P.n + 1)]
     pos = tuple(p for nb in blocks for p in range(nb))
-    return _walk(levels, pos, [], 1, 1)
+    return _walk(levels, pos, [], 1, 1) if levels else 1
 
 
 def _projection_rows(V: VPolyhedron, k: int) -> tuple[list, list]:
@@ -218,6 +215,57 @@ def _fiber(eqs: list, les: list, prefix: Sequence[int]) -> Optional[tuple[int, i
     if lo is None or hi is None:
         raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
     return lo, hi
+
+
+_FIRST_POINT_BUDGET = 1_000_000  # prefixes the first-point walk may fix
+
+
+def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optional[Vector]:
+    """Lex-least integer point of a bounded P, or the lex-least maximizer of c.
+
+    The projection chain of P is walked depth first, values smallest first,
+    and stops at its first leaf.  A nonzero c is scaled to its primitive
+    integer multiple c' and y = c'.x leads the chain (c'.v prepended to each
+    vertex), walked largest first: y is integral on integer points, so the
+    first leaf maximizes it.  An empty P gives None; rays, or a walk past
+    _FIRST_POINT_BUDGET prefixes, are refused.
+    """
+    try:
+        V = convert_dd(P)
+    except EmptyPolyhedronError:
+        return None
+    if V.rays:
+        raise PolyhedronError("integer programming needs a bounded polyhedron")
+    if down := int(c is not None and any(c)):
+        w = primitive(c)
+        V = VPolyhedron(tuple((dot(w, v),) + v for v in V.vertices))
+    levels = [_projection_rows(V, k) for k in range(1, V.n + 1)]
+    prefix = []
+    return vector(prefix[down:]) if _first_leaf(levels, prefix, down, count(1)) else None
+
+
+def _first_leaf(levels: Sequence[tuple[list, list]], prefix: list[int], down: int,
+                nodes: Iterator[int]) -> bool:
+    """Extend the prefix depth first to a leaf of the chain; False if none.
+
+    The first `down` levels walk largest first, the rest smallest first, and
+    nodes numbers the prefixes fixed over the whole walk.
+    """
+    k = len(prefix)
+    if k == len(levels):
+        return True
+    if next(nodes) > _FIRST_POINT_BUDGET:
+        raise PolyhedronError(f"integer point search exceeds budget {_FIRST_POINT_BUDGET} nodes")
+    bounds = _fiber(*levels[k], prefix)
+    if bounds is None:
+        return False
+    lo, hi = bounds
+    for v in (range(hi, lo - 1, -1) if k < down else range(lo, hi + 1)):
+        prefix.append(v)
+        if _first_leaf(levels, prefix, down, nodes):
+            return True
+        prefix.pop()
+    return False
 
 
 # ---------------------------------------------------------------------------
@@ -334,11 +382,9 @@ def _count_dilate(levels: Sequence[tuple[list, list]], lam: int) -> int:
     every right-hand side beta to lam*beta.  With no coordinates the dilate
     is the one point of R^0.
     """
-    if not levels:
-        return 1
     scaled = [tuple([(head, c, lam * beta) for head, c, beta in rows] for rows in level)
               for level in levels]
-    return _walk(scaled, (0,) * len(levels), [], 1, 1)
+    return _walk(scaled, (0,) * len(levels), [], 1, 1) if levels else 1
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,10 @@ a homogenization cone; convert_dd_incidence also returns, for each output
 element, the input elements it is tight on.  remove_redundancy (through
 irredundant_rows), affine_hull of an H-description and the facet incidence
 sets of repconv and latcount read those masks, so canonical forms need no
-LP.  solve_lp is left to optimization: symilp.solve_lp_reduced, the
-relaxation point that orders symilp.symmetric_ilp's feasibility sweep, and
-the brute-force ILP oracle of the CLI, cli._brute_ilp.  Lattice counting
-solves none.
+LP.  solve_lp is left to optimization: symilp.solve_lp_reduced and the
+relaxation point that orders symilp.symmetric_ilp's feasibility sweep.
+Lattice counting, and the ILP without blocks that runs on its walk, solve
+none.
 """
 from __future__ import annotations
 

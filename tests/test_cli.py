@@ -20,7 +20,7 @@ from polyorbit import (
     parse_polyfile,
     write_polyfile,
 )
-from polyorbit import cli, repconv
+from polyorbit import cli, latcount, repconv
 from polyorbit.cli import main
 from polyorbit.permgrp import orbit_of_set
 from polyorbit.polycore import matrix, primitive
@@ -318,15 +318,30 @@ class TestIlpCmd:
         assert code == 0
         assert out == "feasible\npoint -1 -1 -1\nobjective -3\nfibers tested 1\n"
 
-    def test_no_blocks_falls_back_with_warning(self, capsys):
-        code, out, err = run(capsys, "ilp", FIX / "cube3.ine")
-        assert code == 0
-        assert "warning" in err and "brute-force" in err
-        assert out.splitlines() == ["feasible", "point -1 -1 -1"]
+    def test_no_blocks_walks_without_warning(self, capsys):
+        # without blocks the answer is the lex-least point of the counting walk
+        assert run(capsys, "ilp", FIX / "cube3.ine") == (0, "feasible\npoint -1 -1 -1\n", "")
 
-    def test_oversized_brute_force_refused(self, capsys):
-        code, _, err = run(capsys, "ilp", FIX / "ilp-huge.ine")
-        assert code == 2 and "too large" in err
+    def test_walk_past_node_budget_refused(self, tmp_path, monkeypatch, capsys):
+        # the plane 3(x1 + x2 + x3) = 1 holds no integer point of [-10, 10]^3,
+        # which the walk learns only after 342 nodes: the empty prefix, 21
+        # values of x1 and the 320 pairs (x1, x2) of the plane's projection
+        f = tmp_path / "plane.ine"
+        f.write_text("H-representation\nlinearity 1 1\nbegin\n7 4 rational\n1 -3 -3 -3\n"
+                     + "".join(f"10 {' '.join('1' if j == i else '0' for j in range(3))}\n"
+                               f"10 {' '.join('-1' if j == i else '0' for j in range(3))}\n"
+                               for i in range(3))
+                     + "end\n")
+        assert run(capsys, "ilp", f) == (1, "infeasible\n", "")
+        monkeypatch.setattr(latcount, "_FIRST_POINT_BUDGET", 100)
+        assert run(capsys, "ilp", f) == (
+            2, "", "error: integer point search exceeds budget 100 nodes\n")
+
+    def test_unbounded_without_blocks_refused(self, tmp_path, capsys):
+        f = tmp_path / "orthant.ine"
+        f.write_text("H-representation\nbegin\n2 3 rational\n0 1 0\n0 0 1\nend\n")
+        assert run(capsys, "ilp", f) == (
+            2, "", "error: integer programming needs a bounded polyhedron\n")
 
     # exact stdout, exit code and stderr on every ILP fixture, at two worker
     # counts; "fibers tested" is the 1-based position of the answer's fiber in
@@ -337,9 +352,7 @@ class TestIlpCmd:
         ("cube3-obj.ine", 0,
          "feasible\npoint 1 1 1\nobjective 3\nfibers tested 1\n", ""),
         ("ilp-infeas.ine", 1, "infeasible\nfibers tested 0\n", ""),
-        ("ilp-huge.ine", 2, "",
-         "warning: no blocks header; falling back to brute-force enumeration\n"
-         "error: instance too large for brute-force enumeration; add a blocks header\n"),
+        ("ilp-huge.ine", 0, "feasible\npoint 0 0 0\n", ""),
     ]
 
     @pytest.mark.parametrize("jobs", ["1", "4"])
@@ -355,6 +368,19 @@ class TestIlpCmd:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "ilp", FIX / "no-such-file.ine")
         assert code == 2 and err
+
+
+@pytest.mark.parametrize("head,row,count,ilp", [
+    ("", "5", "1\n", (0, "feasible\npoint \n")),
+    ("", "-1", "0\n", (1, "infeasible\n")),
+    ("linearity 1 1\n", "2", "0\n", (1, "infeasible\n")),
+])
+def test_width_one_file_lives_in_r0(tmp_path, capsys, head, row, count, ilp):
+    # a width-1 file has no coordinates: R^0 holds one point, the empty tuple
+    f = tmp_path / "r0.ine"
+    f.write_text(f"H-representation\n{head}begin\n1 1 rational\n{row}\nend\n")
+    assert run(capsys, "count", f) == (0, count, "")
+    assert run(capsys, "ilp", f) == ilp + ("",)
 
 
 class TestJobsDeterminism:

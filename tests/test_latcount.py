@@ -27,6 +27,7 @@ from polyorbit.latcount import (
     count_lattice_points,
     count_with_symmetry,
     ehrhart,
+    first_lattice_point,
     slice_decomposition,
     volume,
 )
@@ -37,6 +38,7 @@ from shapes import birkhoff, cube_h, simplex_h
 from test_symilp import (
     apply_perm,
     enum_integral,
+    lex_first,
     random_invariant_system,
     rational_invariant_system,
 )
@@ -75,6 +77,82 @@ def random_polytope(rng, n, denom=1):
         A.append(row)
         b.append(F(rng.randint(0, 3 * denom), denom))
     return HPolyhedron.from_rows(A, b)
+
+
+class TestFirstLatticePoint:
+    def test_matches_box_oracle(self):
+        # feasibility, a zero objective, c and -c (the minimize case) on
+        # boxes cut by rows; a third are held on an equality row, and a sixth
+        # are cut to the slab 1/3 <= x1 <= 2/3, which holds no integer point
+        rng = random.Random(20261018)
+        seen = set()
+        for t in range(300):
+            n = 1 + t % 4
+            P = random_polytope(rng, n, denom=1 + t % 3)
+            e1 = (F(1),) + (F(0),) * (n - 1)
+            if t % 3 == 0:
+                P = HPolyhedron.from_rows(
+                    P.A + (tuple(F(rng.randint(-2, 2)) for _ in range(n)),),
+                    P.b + (F(rng.randint(-2, 2), rng.choice([1, 2])),),
+                    equality_rows=(len(P.A) + 1,))
+            elif t % 6 == 1:
+                P = HPolyhedron.from_rows(P.A + (e1, tuple(-x for x in e1)),
+                                          P.b + (F(2, 3), F(-1, 3)))
+            pts = enum_integral(P)
+            c = tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n))
+            for goal in (None, (F(0),) * n, c, tuple(-x for x in c)):
+                assert first_lattice_point(P, goal) == lex_first(pts, goal), (t, goal)
+            seen.add((bool(pts), bool(P.equality_rows)))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_huge_cube_answers_at_once(self):
+        # [0, 1000]^3: three prefixes, where a box scan has 1001^3 points
+        P = HPolyhedron.from_rows(
+            [tuple(F(s * (i == j)) for j in range(3)) for i in range(3) for s in (1, -1)],
+            [1000, 0] * 3)
+        assert first_lattice_point(P) == (0, 0, 0)
+        assert first_lattice_point(P, (F(1, 2), F(-1, 3), 0)) == (1000, 0, 0)
+
+    def test_objective_on_a_flat(self):
+        # x1 + x2 = 3 in [0, 3]^2: the maximizers of x1 + x2 are the whole flat
+        P = HPolyhedron.from_rows([(1, 1), (1, 0), (0, 1), (-1, 0), (0, -1)],
+                                  [3, 3, 3, 0, 0], equality_rows=(1,))
+        assert first_lattice_point(P, (1, 1)) == (0, 3)
+        assert first_lattice_point(P, (2, 1)) == (3, 0)
+
+    def test_empty_and_r0(self):
+        assert first_lattice_point(HPolyhedron.from_rows([(1, 0), (-1, 0)], [0, -1])) is None
+        assert first_lattice_point(HPolyhedron(((),), (F(5),))) == ()
+        assert first_lattice_point(HPolyhedron(((),), (F(-1),))) is None
+        assert first_lattice_point(HPolyhedron(((),), (F(2),), (1,))) is None
+
+    def test_rays_refused(self):
+        # the strip 1/5 <= x1 <= 4/5 holds no integer point, but has rays
+        P = HPolyhedron.from_rows([(-1, 0), (1, 0)], [F(-1, 5), F(4, 5)])
+        with pytest.raises(PolyhedronError, match="bounded"):
+            first_lattice_point(P)
+
+    def test_walk_past_budget_refused(self, monkeypatch):
+        import polyorbit.latcount as lc
+        # 2(x1 + x2) = 1 in [-5, 5]^2: the walk fixes the empty prefix and
+        # the 10 integers x1 of [-9/2, 5], and none extends
+        P = HPolyhedron.from_rows(
+            [(2, 2), (1, 0), (0, 1), (-1, 0), (0, -1)], [1, 5, 5, 5, 5], equality_rows=(1,))
+        assert first_lattice_point(P) is None
+        monkeypatch.setattr(lc, "_FIRST_POINT_BUDGET", 11)
+        assert first_lattice_point(P) is None
+        monkeypatch.setattr(lc, "_FIRST_POINT_BUDGET", 10)
+        with pytest.raises(PolyhedronError, match="budget 10"):
+            first_lattice_point(P)
+
+    def test_solves_no_lp(self, monkeypatch):
+        def no_lp(*args, **kwargs):
+            raise AssertionError("the first-point walk solved an LP")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("polyorbit") and hasattr(module, "solve_lp"):
+                monkeypatch.setattr(module, "solve_lp", no_lp)
+        assert first_lattice_point(cube_h(3), (1, 1, 1)) == (1, 1, 1)
 
 
 class TestCountLatticePoints:

@@ -1,9 +1,9 @@
 """Package layout: the names the benchmark tracer wraps exist, no module
 reaches into another module's private names, no library function takes a
-jobs parameter, lattice counting imports no LP routine, the symmetric count
-and the Ehrhart interpolation each walk one projection chain, the facet walk
-of repconv stays in integer arithmetic, and the adjacency graph converts
-nothing."""
+jobs parameter, lattice counting and the CLI import no LP routine, the
+symmetric count and the Ehrhart interpolation each walk one projection
+chain, the facet walk of repconv stays in integer arithmetic, and the
+adjacency graph converts nothing."""
 import ast
 import importlib
 import importlib.util
@@ -48,9 +48,11 @@ def test_no_function_takes_a_jobs_parameter(source):
                 f"{source.name}: {getattr(fn, 'name', 'lambda')} takes jobs"
 
 
-def test_lattice_counting_imports_no_lp_routine():
+@pytest.mark.parametrize("name", ["latcount.py", "cli.py"])
+def test_lattice_counting_imports_no_lp_routine(name):
+    # the CLI's ilp without blocks runs the counting walk, not an LP box scan
     imported = {a.asname or a.name
-                for node in ast.walk(ast.parse((PACKAGE / "latcount.py").read_text()))
+                for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
                 if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
     assert not imported & {"solve_lp", "feasible_point"}
 

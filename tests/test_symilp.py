@@ -17,7 +17,7 @@ from polyorbit.polycore import (
     vector,
     zero_vector,
 )
-from polyorbit.cli import _brute_ilp
+from polyorbit.latcount import first_lattice_point
 from polyorbit.symilp import (
     BarycenterLattice,
     CorePoint,
@@ -57,6 +57,15 @@ def enum_integral(P, fallback=6):
         hi_i = math.floor(hi.value) if hi.is_optimal else fallback
         ranges.append(range(lo_i, hi_i + 1))
     return [t for t in product(*ranges) if P.contains(vector(t))]
+
+
+def lex_first(points, c=None):
+    """ILP oracle over the box scan of enum_integral, which lists points in
+    lex order: the lex-least point, or with an objective c the lex-least
+    maximizer (max keeps the first of equal keys).  None when empty."""
+    if not points:
+        return None
+    return points[0] if c is None else max(points, key=lambda z: dot(c, z))
 
 
 def apply_perm(p, x):
@@ -545,8 +554,10 @@ class TestIntegerSweepOracle:
         seen = set()
         for P, blocks, c in self.cases():
             z, tested = symmetric_ilp(P, blocks, c)
-            brute = _brute_ilp(P, c)
+            brute = lex_first(enum_integral(P), c)
             assert (z is None) == (brute is None)
+            # the same system without its blocks, as ilp runs it
+            assert first_lattice_point(P, c) == brute
             cands = fraction_sweep_order(P, blocks, c)
             if cands is None:
                 assert tested == 0
