@@ -322,28 +322,34 @@ def cmd_volume(pf: PolyFile, args) -> int:
 
 def cmd_ilp(pf: PolyFile, args) -> int:
     P = pf.to_hpolyhedron()
-    c, goal, shift = None, None, Fraction(0)
+    sense, c, shift = None, None, Fraction(0)
     if pf.objective is not None:
-        sense, (shift, *coeffs) = pf.objective
-        c = vector(coeffs)
-        goal = tuple(-x for x in c) if sense == "minimize" else c
+        sense = pf.objective[0]
+        shift = pf.objective[1][0]
+        c = vector(pf.objective[1][1:])
+    goal = None if c is None else \
+        (tuple(-x for x in c) if sense == "minimize" else c)
+
     tested = None
     if pf.blocks is None:
         z = first_lattice_point(P, goal)
     else:
         z, tested = symmetric_ilp(P, pf.blocks, goal)
+
     if z is None:
-        lines = ["infeasible"]
-    elif not P.contains(z):
+        print("infeasible")
+        if tested is not None:
+            print(f"fibers tested {tested}")
+        return 1
+    if not P.contains(z):
         raise VerificationError("computed point violates the input system")
-    else:
-        lines = ["feasible", "point " + " ".join(str(x) for x in z)]
-        if c is not None:
-            lines.append(f"objective {dot(c, z) + shift}")
+    print("feasible")
+    print("point " + " ".join(str(x) for x in z))
+    if c is not None:
+        print(f"objective {dot(c, z) + shift}")
     if tested is not None:
-        lines.append(f"fibers tested {tested}")
-    print("\n".join(lines))
-    return 1 if z is None else 0
+        print(f"fibers tested {tested}")
+    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +409,8 @@ def _build_parser() -> argparse.ArgumentParser:
     ehr.add_argument("--period-bound", type=int, default=24,
                      help="largest allowed quasi-polynomial period")
     add("volume", cmd_volume, "exact volume, lattice-relative on the hull")
-    add("ilp", cmd_ilp, "integral feasibility / optimization: the core-point sweep with"
-        " blocks, else the counting walk's lex-least point or maximizer (10^6 nodes)")
+    add("ilp", cmd_ilp, "integral feasibility / optimization: core-point sweep with blocks,"
+        " else the lex-least point or maximizer of the counting walk (10^6 prefixes a level)")
     return top
 
 

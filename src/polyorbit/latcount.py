@@ -9,7 +9,7 @@ projection and solves no LP.  Every count runs one conversion, one chain and
 one walk.  The walk carries an integer weight per point: the symmetric count
 walks only the sorted points of each block, a fundamental domain of the
 block action, and weighs each by its orbit size; the plain count is the same
-walk with singleton blocks.  Stopped at its first leaf, the walk solves the
+walk with singleton blocks, and the same walk taken depth first solves the
 ILP without blocks.  On top of that sit the Ehrhart quasi-polynomial
 (interpolated per residue class of the dilation factor on one chain whose
 right-hand sides scale with the dilate, and re-checked at one more dilate),
@@ -217,18 +217,18 @@ def _fiber(eqs: list, les: list, prefix: Sequence[int]) -> Optional[tuple[int, i
     return lo, hi
 
 
-_FIRST_POINT_BUDGET = 1_000_000  # prefixes the first-point walk may fix
+# integer prefixes a walk may fix on level k, at most those of the bounding box over x_1..x_k
+_WALK_BUDGET = 1_000_000
 
 
-def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optional[Vector]:
+def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optional[tuple]:
     """Lex-least integer point of a bounded P, or the lex-least maximizer of c.
 
-    The projection chain of P is walked depth first, values smallest first,
-    and stops at its first leaf.  A nonzero c is scaled to its primitive
-    integer multiple c' and y = c'.x leads the chain (c'.v prepended to each
-    vertex), walked largest first: y is integral on integer points, so the
-    first leaf maximizes it.  An empty P gives None; rays, or a walk past
-    _FIRST_POINT_BUDGET prefixes, are refused.
+    The chain is walked depth first over the first n - 1 coordinates, values
+    smallest first, and the last one is read off its fiber (the high end when
+    c_n > 0).  Without a nonzero c the first leaf is the answer, else the
+    first best leaf.  An empty P gives None; rays, and walks past _WALK_BUDGET
+    prefixes on a level, are refused.
     """
     try:
         V = convert_dd(P)
@@ -236,36 +236,33 @@ def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optiona
         return None
     if V.rays:
         raise PolyhedronError("integer programming needs a bounded polyhedron")
-    if down := int(c is not None and any(c)):
-        w = primitive(c)
-        V = VPolyhedron(tuple((dot(w, v),) + v for v in V.vertices))
-    levels = [_projection_rows(V, k) for k in range(1, V.n + 1)]
-    prefix = []
-    return vector(prefix[down:]) if _first_leaf(levels, prefix, down, count(1)) else None
+    levels = [_projection_rows(V, k) for k in range(1, P.n + 1)]
+    w = primitive(c) if c is not None and any(c) else None
+    leaves = _leaves(levels, [], w is not None and w[-1] > 0, [count(1) for _ in levels])
+    if w is None:
+        return next(leaves, None)
+    return max(leaves, key=lambda z: sum(map(mul, w, z)), default=None)
 
 
-def _first_leaf(levels: Sequence[tuple[list, list]], prefix: list[int], down: int,
-                nodes: Iterator[int]) -> bool:
-    """Extend the prefix depth first to a leaf of the chain; False if none.
-
-    The first `down` levels walk largest first, the rest smallest first, and
-    nodes numbers the prefixes fixed over the whole walk.
-    """
+def _leaves(levels: Sequence[tuple[list, list]], prefix: list[int], up: bool,
+            fixed: list[Iterator[int]]) -> Iterator[tuple[int, ...]]:
+    """Integer points of P over the prefix in lex order, each coordinate
+    taking every value of its fiber but the last, which takes only the low
+    end (the high end when up).  fixed[k] numbers the values of level k+1."""
     k = len(prefix)
     if k == len(levels):
-        return True
-    if next(nodes) > _FIRST_POINT_BUDGET:
-        raise PolyhedronError(f"integer point search exceeds budget {_FIRST_POINT_BUDGET} nodes")
+        yield tuple(prefix)
+        return
     bounds = _fiber(*levels[k], prefix)
-    if bounds is None:
-        return False
-    lo, hi = bounds
-    for v in (range(hi, lo - 1, -1) if k < down else range(lo, hi + 1)):
+    values = range(bounds[0], bounds[1] + 1) if bounds else ()
+    if k + 1 == len(levels):
+        values = values[-1:] if up else values[:1]
+    for v in values:
+        if next(fixed[k]) > _WALK_BUDGET:
+            raise PolyhedronError(f"integer point search exceeds budget {_WALK_BUDGET} prefixes")
         prefix.append(v)
-        if _first_leaf(levels, prefix, down, nodes):
-            return True
+        yield from _leaves(levels, prefix, up, fixed)
         prefix.pop()
-    return False
 
 
 # ---------------------------------------------------------------------------
@@ -319,16 +316,12 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> tuple[Fraction, ...]:
     return sol
 
 
-# integer prefixes over the first n - 1 coordinates that ehrhart may walk
-_EHRHART_PREFIX_BUDGET = 1_000_000
-
-
 def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
     """Ehrhart quasi-polynomial of a bounded, full-dimensional polytope.
 
     The period is the lcm of the vertex-coordinate denominators (an error if
     it exceeds period_bound).  The bounding box of the largest dilate counted
-    may hold at most _EHRHART_PREFIX_BUDGET integer prefixes over its first
+    may hold at most _WALK_BUDGET integer prefixes over its first
     n - 1 coordinates, which bounds the nodes of the counting walk; a larger
     input is an error rather than a run of hours.  P is converted once and
     its projection chain built once: proj(lam P) = lam proj(P), so every
@@ -355,9 +348,9 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
     top = k * (d + 2)   # the largest dilate counted below
     prefixes = prod(floor(max(c)) - ceil(min(c)) + 1
                     for c in ([top * v[t] for v in pts] for t in range(d - 1)))
-    if prefixes > _EHRHART_PREFIX_BUDGET:
+    if prefixes > _WALK_BUDGET:
         raise PolyhedronError(
-            f"Ehrhart counting exceeds budget {_EHRHART_PREFIX_BUDGET}: dilate {top}"
+            f"Ehrhart counting exceeds budget {_WALK_BUDGET}: dilate {top}"
             f" spans {prefixes} integer prefixes")
     levels = [_projection_rows(V, t) for t in range(1, P.n + 1)]
     components = []
@@ -382,9 +375,11 @@ def _count_dilate(levels: Sequence[tuple[list, list]], lam: int) -> int:
     every right-hand side beta to lam*beta.  With no coordinates the dilate
     is the one point of R^0.
     """
+    if not levels:
+        return 1
     scaled = [tuple([(head, c, lam * beta) for head, c, beta in rows] for rows in level)
               for level in levels]
-    return _walk(scaled, (0,) * len(levels), [], 1, 1) if levels else 1
+    return _walk(scaled, (0,) * len(levels), [], 1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -324,8 +324,8 @@ class TestIlpCmd:
 
     def test_walk_past_node_budget_refused(self, tmp_path, monkeypatch, capsys):
         # the plane 3(x1 + x2 + x3) = 1 holds no integer point of [-10, 10]^3,
-        # which the walk learns only after 342 nodes: the empty prefix, 21
-        # values of x1 and the 320 pairs (x1, x2) of the plane's projection
+        # which the walk learns only after fixing 21 values of x1 and the 320
+        # pairs (x1, x2) of the plane's projection
         f = tmp_path / "plane.ine"
         f.write_text("H-representation\nlinearity 1 1\nbegin\n7 4 rational\n1 -3 -3 -3\n"
                      + "".join(f"10 {' '.join('1' if j == i else '0' for j in range(3))}\n"
@@ -333,9 +333,22 @@ class TestIlpCmd:
                                for i in range(3))
                      + "end\n")
         assert run(capsys, "ilp", f) == (1, "infeasible\n", "")
-        monkeypatch.setattr(latcount, "_FIRST_POINT_BUDGET", 100)
+        monkeypatch.setattr(latcount, "_WALK_BUDGET", 320)
+        assert run(capsys, "ilp", f) == (1, "infeasible\n", "")
+        monkeypatch.setattr(latcount, "_WALK_BUDGET", 319)
         assert run(capsys, "ilp", f) == (
-            2, "", "error: integer point search exceeds budget 100 nodes\n")
+            2, "", "error: integer point search exceeds budget 319 prefixes\n")
+
+    def test_lattice_free_box_under_the_old_cap_answers(self, tmp_path, capsys):
+        # 0 <= x1 <= 199999, x2 = ... = x6 = 0 and 2 x7 = 1: a box of
+        # 200,000 points over x1..x6, which the walk fixes on each of six
+        # levels, 1.2 million prefixes in all, before it answers infeasible
+        f = tmp_path / "slab.ine"
+        rows = ["199999 -1 0 0 0 0 0 0", "0 1 0 0 0 0 0 0"]
+        rows += [" ".join("1" if j == i else "0" for j in range(8)) for i in range(2, 7)]
+        f.write_text("H-representation\nlinearity 6 3 4 5 6 7 8\nbegin\n8 8 rational\n"
+                     + "\n".join(rows) + "\n1 0 0 0 0 0 0 -2\nend\n")
+        assert run(capsys, "ilp", f) == (1, "infeasible\n", "")
 
     def test_unbounded_without_blocks_refused(self, tmp_path, capsys):
         f = tmp_path / "orthant.ine"

@@ -81,9 +81,11 @@ def random_polytope(rng, n, denom=1):
 
 class TestFirstLatticePoint:
     def test_matches_box_oracle(self):
-        # feasibility, a zero objective, c and -c (the minimize case) on
-        # boxes cut by rows; a third are held on an equality row, and a sixth
-        # are cut to the slab 1/3 <= x1 <= 2/3, which holds no integer point
+        # feasibility, a zero objective, c and -c (the minimize case), and an
+        # objective with coefficients up to 10^6 over denominators up to 10^4,
+        # on boxes cut by rows; a third are held on an equality row, and a
+        # sixth are cut to the slab 1/3 <= x1 <= 2/3, which holds no integer
+        # point
         rng = random.Random(20261018)
         seen = set()
         for t in range(300):
@@ -100,18 +102,21 @@ class TestFirstLatticePoint:
                                           P.b + (F(2, 3), F(-1, 3)))
             pts = enum_integral(P)
             c = tuple(F(rng.randint(-3, 3), rng.choice([1, 2, 3])) for _ in range(n))
-            for goal in (None, (F(0),) * n, c, tuple(-x for x in c)):
+            big = tuple(F(rng.randint(-10**6, 10**6), rng.randint(1, 10**4)) for _ in range(n))
+            for goal in (None, (F(0),) * n, c, tuple(-x for x in c), big):
                 assert first_lattice_point(P, goal) == lex_first(pts, goal), (t, goal)
             seen.add((bool(pts), bool(P.equality_rows)))
         assert seen == {(True, True), (True, False), (False, True), (False, False)}
 
     def test_huge_cube_answers_at_once(self):
-        # [0, 1000]^3: three prefixes, where a box scan has 1001^3 points
-        P = HPolyhedron.from_rows(
-            [tuple(F(s * (i == j)) for j in range(3)) for i in range(3) for s in (1, -1)],
-            [1000, 0] * 3)
-        assert first_lattice_point(P) == (0, 0, 0)
-        assert first_lattice_point(P, (F(1, 2), F(-1, 3), 0)) == (1000, 0, 0)
+        # [0, 1000]^3: two prefixes, where a box scan has 1001^3 points; a
+        # maximizer walks every prefix over the first n - 1 coordinates
+        def cube(n):
+            return HPolyhedron.from_rows(
+                [tuple(F(s * (i == j)) for j in range(n)) for i in range(n) for s in (1, -1)],
+                [1000, 0] * n)
+        assert first_lattice_point(cube(3)) == (0, 0, 0)
+        assert first_lattice_point(cube(2), (F(1, 2), F(-1, 3))) == (1000, 0)
 
     def test_objective_on_a_flat(self):
         # x1 + x2 = 3 in [0, 3]^2: the maximizers of x1 + x2 are the whole flat
@@ -119,6 +124,8 @@ class TestFirstLatticePoint:
                                   [3, 3, 3, 0, 0], equality_rows=(1,))
         assert first_lattice_point(P, (1, 1)) == (0, 3)
         assert first_lattice_point(P, (2, 1)) == (3, 0)
+        assert first_lattice_point(P, (1, 10**6)) == (0, 3)
+        assert first_lattice_point(P, (F(10**6, 7), F(1, 10**4))) == (3, 0)
 
     def test_empty_and_r0(self):
         assert first_lattice_point(HPolyhedron.from_rows([(1, 0), (-1, 0)], [0, -1])) is None
@@ -132,18 +139,38 @@ class TestFirstLatticePoint:
         with pytest.raises(PolyhedronError, match="bounded"):
             first_lattice_point(P)
 
-    def test_walk_past_budget_refused(self, monkeypatch):
-        import polyorbit.latcount as lc
-        # 2(x1 + x2) = 1 in [-5, 5]^2: the walk fixes the empty prefix and
-        # the 10 integers x1 of [-9/2, 5], and none extends
+    def test_large_objective_walks_the_box(self):
+        # 2x1 + 2x2 = 1 in [-5, 5]^2 holds no integer point: the walk fixes
+        # the 10 values of x1 whatever the size of c, as a box scan would
         P = HPolyhedron.from_rows(
             [(2, 2), (1, 0), (0, 1), (-1, 0), (0, -1)], [1, 5, 5, 5, 5], equality_rows=(1,))
+        assert first_lattice_point(P, (1, 10**6)) is None
+        assert first_lattice_point(P, (1, F(1, 10**4))) is None
+
+    def test_budget_holds_per_level(self, monkeypatch):
+        import polyorbit.latcount as lc
+        # 0 <= x1 <= 9, x2 = 0 and 2 x3 = 1: the walk fixes 10 values on
+        # each of the first two levels, 20 in all, and none extends to x3
+        P = HPolyhedron.from_rows(
+            [(1, 0, 0), (-1, 0, 0), (0, 1, 0), (0, 0, 2)], [9, 0, 0, 1], equality_rows=(3, 4))
+        monkeypatch.setattr(lc, "_WALK_BUDGET", 10)
         assert first_lattice_point(P) is None
-        monkeypatch.setattr(lc, "_FIRST_POINT_BUDGET", 11)
-        assert first_lattice_point(P) is None
-        monkeypatch.setattr(lc, "_FIRST_POINT_BUDGET", 10)
-        with pytest.raises(PolyhedronError, match="budget 10"):
+        assert first_lattice_point(P, (0, 0, 1)) is None
+        monkeypatch.setattr(lc, "_WALK_BUDGET", 9)
+        with pytest.raises(PolyhedronError, match="budget 9 prefixes"):
             first_lattice_point(P)
+
+    def test_first_leaf_stops_the_walk(self, monkeypatch):
+        import polyorbit.latcount as lc
+        # [0, 9]^2 has 10 values of x1: the lex-least point fixes one, and a
+        # maximizer all ten, though the first one fixed is the answer
+        P = HPolyhedron.from_rows([(1, 0), (0, 1), (-1, 0), (0, -1)], [9, 9, 0, 0])
+        monkeypatch.setattr(lc, "_WALK_BUDGET", 9)
+        assert first_lattice_point(P) == (0, 0)
+        with pytest.raises(PolyhedronError, match="budget 9"):
+            first_lattice_point(P, (-1, 1))
+        monkeypatch.setattr(lc, "_WALK_BUDGET", 10)
+        assert first_lattice_point(P, (-1, 1)) == (0, 9)
 
     def test_solves_no_lp(self, monkeypatch):
         def no_lp(*args, **kwargs):
@@ -371,9 +398,9 @@ class TestEhrhart:
         # x1 takes the 5 values 0..4 in it
         tri = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 1)], [0, 0, F(1, 2)])
         for P, top, prefixes in [(cube_h(3), 5, 121), (tri, 8, 5)]:
-            monkeypatch.setattr(lc, "_EHRHART_PREFIX_BUDGET", prefixes)
+            monkeypatch.setattr(lc, "_WALK_BUDGET", prefixes)
             lc.ehrhart(P)
-            monkeypatch.setattr(lc, "_EHRHART_PREFIX_BUDGET", prefixes - 1)
+            monkeypatch.setattr(lc, "_WALK_BUDGET", prefixes - 1)
             with pytest.raises(PolyhedronError, match=(
                     f"budget {prefixes - 1}: dilate {top} spans {prefixes} integer")):
                 lc.ehrhart(P)
