@@ -344,7 +344,7 @@ def cmd_ilp(pf: PolyFile, args) -> int:
     if not P.contains(z):
         raise VerificationError("computed point violates the input system")
     print("feasible")
-    print("point " + " ".join(str(x) for x in z))
+    print("point", *z)
     if c is not None:
         print(f"objective {dot(c, z) + shift}")
     if tested is not None:

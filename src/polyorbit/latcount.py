@@ -13,10 +13,10 @@ walk with singleton blocks, and the same walk taken depth first solves the
 ILP without blocks.  On top of that sit the Ehrhart quasi-polynomial
 (interpolated per residue class of the dilation factor on one chain whose
 right-hand sides scale with the dilate, and re-checked at one more dilate),
-the exact volume (a fan over the facets from a relative-interior point, each
-facet triangulated by pulling), and a slice decomposition that splits an
-invariant polytope into fibers over the integral anchors of its invariant
-subspace.  The slice decomposition takes its block sums from
+the exact volume (a pulling triangulation whose faces are cut from the
+incidence masks of one double description), and a slice decomposition that
+splits an invariant polytope into fibers over the integral anchors of its
+invariant subspace.  The slice decomposition takes its block sums from
 symilp.block_sum_image and tests each candidate against integer facet rows
 of their projection, so no routine here solves an LP.
 """
@@ -46,17 +46,13 @@ from .polycore import (
     det,
     dot,
     frac,
-    hull_coordinates,
     identity_matrix,
-    index_set,
     integer_kernel_basis,
     matrix,
     nullspace,
     primitive,
     solve_linear,
-    vec_scale,
     vec_sub,
-    vector,
     zero_vector,
 )
 from .symilp import (
@@ -386,21 +382,23 @@ def _count_dilate(levels: Sequence[tuple[list, list]], lam: int) -> int:
 # Exact volume
 
 
-def volume(P: HPolyhedron, apex: Optional[Sequence] = None) -> Fraction:
+def volume(P: HPolyhedron) -> Fraction:
     """Volume of a bounded polytope, relative to the lattice of its hull.
 
-    Fans from a relative-interior point (the vertex centroid unless an apex
-    inside the polytope is supplied) over the facets; every facet is
-    triangulated recursively by pulling from its least vertex, and each
-    simplex contributes |det| / d!.  A lower-dimensional polytope is measured
-    in coordinates of a lattice basis of its direction space, so a diagonal
-    unit cell has measure 1, matching the Ehrhart leading coefficient.
-    A zero-dimensional polytope has measure 1 by convention.
+    One double description of P gives its vertices and, per vertex, the rows
+    of P it is tight on; transposed, each row cuts out one vertex bitmask.
+    Every face of P is such a cut, so P is triangulated by pulling on those
+    masks alone: a face is coned from its least vertex over the triangulated
+    facets that avoid it, and each simplex s_0..s_d contributes
+    |det(s_1 - s_0, ..., s_d - s_0)| / d!.  A lower-dimensional polytope is
+    measured in coordinates of a lattice basis of its direction space, so a
+    diagonal unit cell has measure 1, matching the Ehrhart leading
+    coefficient.  A zero-dimensional polytope has measure 1 by convention.
     """
-    V = convert_dd(P)
+    V, masks = convert_dd_incidence(P)
     if V.rays:
         raise PolyhedronError("volume requires a bounded polyhedron")
-    pts = sorted(V.vertices)
+    pts = V.vertices
     hull = affine_hull(pts)
     d = hull.dim
     if d == 0:
@@ -409,46 +407,39 @@ def volume(P: HPolyhedron, apex: Optional[Sequence] = None) -> Fraction:
         # lattice-normalized coordinates on the hull: integer kernel of the
         # hull normals is a basis of Z^n restricted to the direction space
         normals = [primitive(v) for v in nullspace(hull.directions, P.n)]
-        lat = integer_kernel_basis(normals, P.n)
-        frame = AffineHull(pts[0], matrix(lat))
-        try:
-            work = [frame.coordinates(p) for p in pts]
-            c = frame.coordinates(vector(apex)) if apex is not None else None
-        except ValueError:
-            raise PolyhedronError("apex must lie in the affine hull of the polytope")
-    else:
-        work = pts
-        c = vector(apex) if apex is not None else None
-    if c is None:
-        c = vec_scale(Fraction(1, len(work)),
-                      [sum(p[t] for p in work) for t in range(d)])
-    # work spans its d coordinates, so every row of the conversion is a facet
+        frame = AffineHull(pts[0], matrix(integer_kernel_basis(normals, P.n)))
+        pts = [frame.coordinates(p) for p in pts]
+    rows = {sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(P.m)}
     total = Fraction(0)
-    for mask in convert_dd_incidence(VPolyhedron.from_points(work))[1]:
-        face = tuple(sorted(index_set(mask)))
-        for simplex in _pull(work, face, d - 1):
-            total += abs(det([vec_sub(work[j - 1], c) for j in simplex]))
+    for simplex in _pull((1 << len(pts)) - 1, rows, d):
+        s0, *rest = (pts[j] for j in simplex)
+        total += abs(det([vec_sub(s, s0) for s in rest]))
     return total / factorial(d)
 
 
-def _pull(pts: Sequence[Vector], face: tuple[int, ...], fdim: int) -> list[tuple[int, ...]]:
-    """Pulling triangulation of a face given by sorted 1-based indices.
+def _pull(face: int, rows: set[int], fdim: int) -> list[tuple[int, ...]]:
+    """Pulling triangulation of a face of dimension fdim, a vertex bitmask.
 
     The apex is the least vertex of the face; the other simplex vertices come
-    from recursively triangulated facets avoiding the apex.  Returns tuples of
-    fdim + 1 affinely independent indices.
+    from the recursively triangulated facets that avoid it.  Returns tuples of
+    fdim + 1 affinely independent 0-based vertex indices.
     """
-    if len(face) == fdim + 1:
-        return [face]
-    v = face[0]
-    local = hull_coordinates([pts[j - 1] for j in face])
-    out = []
-    for mask in convert_dd_incidence(VPolyhedron.from_points(local))[1]:
-        child = tuple(sorted(face[j - 1] for j in index_set(mask)))
-        if v in child:
-            continue
-        out.extend(s + (v,) for s in _pull(pts, child, fdim - 1))
-    return out
+    if face.bit_count() == fdim + 1:
+        return [tuple(j for j in range(face.bit_length()) if face >> j & 1)]
+    apex = face & -face
+    v = apex.bit_length() - 1
+    return [s + (v,) for child in _facets(face, rows) if not child & apex
+            for s in _pull(child, rows, fdim - 1)]
+
+
+def _facets(face: int, rows: set[int]) -> list[int]:
+    """Facets of a face: its inclusion-maximal proper cuts face & row.
+
+    Every face of a polytope is the set of its vertices tight on some rows,
+    so each facet of a face is its cut by one row, and no larger cut holds it.
+    """
+    cuts = {face & r for r in rows} - {face}
+    return [c for c in cuts if not any(c != o and c & o == c for o in cuts)]
 
 
 # ---------------------------------------------------------------------------

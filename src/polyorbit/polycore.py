@@ -18,9 +18,10 @@ integer_kernel_basis are separate algorithms.
 Representation conversion is one integer double description, dd_cone, of
 a homogenization cone; convert_dd_incidence also returns, for each output
 element, the input elements it is tight on.  remove_redundancy (through
-irredundant_rows), affine_hull of an H-description and the facet incidence
-sets of repconv and latcount read those masks, so canonical forms need no
-LP.  solve_lp is left to optimization: symilp.solve_lp_reduced and the
+irredundant_rows), affine_hull of an H-description, the facet incidence
+sets of repconv and latcount, and the faces that latcount.volume triangulates
+read those masks, so canonical forms need no LP and no face is converted
+again.  solve_lp is left to optimization: symilp.solve_lp_reduced and the
 relaxation point that orders symilp.symmetric_ilp's feasibility sweep.
 Lattice counting, and the ILP without blocks that runs on its walk, solve
 none.

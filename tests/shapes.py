@@ -1,8 +1,24 @@
-"""Fixture polytopes shared across test modules."""
+"""Fixture polytopes and a reference volume shared across test modules."""
 from fractions import Fraction
 from itertools import combinations, product
+from math import factorial
 
-from polyorbit.polycore import HPolyhedron, VPolyhedron
+from polyorbit.polycore import (
+    AffineHull,
+    HPolyhedron,
+    VPolyhedron,
+    affine_hull,
+    convert_dd,
+    convert_dd_incidence,
+    det,
+    hull_coordinates,
+    index_set,
+    integer_kernel_basis,
+    matrix,
+    nullspace,
+    primitive,
+    vec_sub,
+)
 
 
 def cube_h(n: int) -> HPolyhedron:
@@ -132,3 +148,43 @@ def hypersimplex_v(k: int, n: int) -> VPolyhedron:
     """Hypersimplex Δ(k, n): the 0/1 points of R^n with exactly k ones."""
     return VPolyhedron.from_points(sorted(
         tuple(Fraction(int(i in S)) for i in range(n)) for S in combinations(range(n), k)))
+
+
+def reference_volume(P: HPolyhedron) -> Fraction:
+    """Lattice-relative volume of a polytope by a second, independent route.
+
+    Fans from the vertex centroid over the facets of a fresh V-to-H
+    conversion of the vertex list; each facet is triangulated by pulling
+    from its least vertex, with one hull_coordinates and one conversion per
+    face to find that face's facets.  Measured in the same lattice frame of
+    the affine hull as latcount.volume.
+    """
+    pts = sorted(convert_dd(P).vertices)
+    hull = affine_hull(pts)
+    d = hull.dim
+    if d == 0:
+        return Fraction(1)
+    if d < P.n:
+        normals = [primitive(v) for v in nullspace(hull.directions, P.n)]
+        frame = AffineHull(pts[0], matrix(integer_kernel_basis(normals, P.n)))
+        pts = [frame.coordinates(p) for p in pts]
+    c = tuple(sum(p[t] for p in pts) / len(pts) for t in range(d))
+    total = Fraction(0)
+    for mask in convert_dd_incidence(VPolyhedron.from_points(pts))[1]:
+        for simplex in _reference_pull(pts, sorted(index_set(mask)), d - 1):
+            total += abs(det([vec_sub(pts[j - 1], c) for j in simplex]))
+    return total / factorial(d)
+
+
+def _reference_pull(pts, face, fdim):
+    """Pulling triangulation of a face given by sorted 1-based indices."""
+    if len(face) == fdim + 1:
+        return [tuple(face)]
+    v = face[0]
+    local = hull_coordinates([pts[j - 1] for j in face])
+    out = []
+    for mask in convert_dd_incidence(VPolyhedron.from_points(local))[1]:
+        child = sorted(face[j - 1] for j in index_set(mask))
+        if v not in child:
+            out.extend(s + (v,) for s in _reference_pull(pts, child, fdim - 1))
+    return out

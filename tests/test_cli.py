@@ -384,7 +384,7 @@ class TestIlpCmd:
 
 
 @pytest.mark.parametrize("head,row,count,ilp", [
-    ("", "5", "1\n", (0, "feasible\npoint \n")),
+    ("", "5", "1\n", (0, "feasible\npoint\n")),
     ("", "-1", "0\n", (1, "infeasible\n")),
     ("linearity 1 1\n", "2", "0\n", (1, "infeasible\n")),
 ])

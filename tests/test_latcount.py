@@ -20,7 +20,6 @@ from polyorbit.polycore import (
     matrix,
     solve_lp,
     vec_add,
-    vec_scale,
 )
 from polyorbit.latcount import (
     QuasiPolynomial,
@@ -34,7 +33,7 @@ from polyorbit.latcount import (
 from polyorbit.cli import main
 from polyorbit.repconv import convert_dd
 from polyorbit.symilp import block_group, canonical_core_point, fiber_barycenter_lattice
-from shapes import birkhoff, cube_h, simplex_h
+from shapes import birkhoff, cross_h, cube_h, reference_volume, simplex_h
 from test_symilp import (
     apply_perm,
     enum_integral,
@@ -432,24 +431,6 @@ class TestVolume:
         pts = [(0, 0, 0), (1, 1, 0), (0, 1, 1), (1, 2, 1)]
         assert volume(convert_dd(VPolyhedron.from_points(pts))) == 1
 
-    def test_apex_does_not_matter(self):
-        assert volume(cube_h(3), apex=(F(1, 3), 0, F(-1, 2))) == 8
-        rng = random.Random(7)
-        P = simplex_h(3)
-        V = convert_dd(P)
-        for _ in range(5):
-            w = [F(rng.randint(1, 9)) for _ in V.vertices]
-            c = vec_scale(1 / sum(w), [
-                sum(wi * v[t] for wi, v in zip(w, V.vertices))
-                for t in range(3)])
-            assert volume(P, apex=c) == F(1, 6)
-
-    def test_apex_outside_hull_rejected(self):
-        P = HPolyhedron.from_rows(
-            [(1, -1), (-1, 1), (1, 0), (-1, 0)], [0, 0, 1, 0])
-        with pytest.raises(PolyhedronError, match="affine hull"):
-            volume(P, apex=(F(1), F(0)))
-
     def test_unimodular_invariance(self):
         base = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 2, 3)]
         ref = volume(convert_dd(VPolyhedron.from_points(base)))
@@ -483,6 +464,75 @@ class TestVolume:
         P = HPolyhedron.from_rows([(1,), (-1,)], [0, -1])
         with pytest.raises(EmptyPolyhedronError):
             volume(P)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_matches_reference_route(self, seed):
+        P = random_volume_polytope(random.Random(seed))
+        assert volume(P) == reference_volume(P)
+
+    @pytest.mark.parametrize("P", [cube_h(3), cube_h(5), cross_h(3), birkhoff(3)],
+                             ids=["cube3", "cube5", "cross3", "birkhoff3"])
+    def test_one_conversion_per_call(self, monkeypatch, P):
+        # the triangulation reads the masks of one double description
+        import polyorbit.latcount as lc
+        import polyorbit.polycore as pc
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        real = pc.dd_cone
+        for module in (pc, lc):
+            monkeypatch.setattr(module, "dd_cone", counted)
+        volume(P)
+        assert len(calls) == 1
+
+
+def random_volume_polytope(rng):
+    """A seeded polytope with the rows a volume must see through.
+
+    Either lattice points of Z^k mapped into R^n by an integer affine map (so
+    the hull may be lower-dimensional and carries equality rows), or a box cut
+    by random rows (rational vertices).  Then equalities may be split into two
+    inequalities, and rows repeated, scaled, loosened or summed, and shuffled.
+    """
+    n = rng.randint(2, 5)
+    if rng.random() < 0.6:
+        k = rng.randint(1, n)
+        M = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+        t = [rng.randint(-2, 2) for _ in range(n)]
+        pts = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(k + 1, k + 5))]
+        img = [tuple(t[i] + sum(m * x for m, x in zip(M[i], p)) for i in range(n)) for p in pts]
+        H = convert_dd(VPolyhedron.from_points(img))
+        rows = [(a, b, i + 1 in H.equality_rows) for i, (a, b) in enumerate(zip(H.A, H.b))]
+    else:
+        rows = [(tuple(F(s * (i == j)) for j in range(n)), F(2), False)
+                for i in range(n) for s in (1, -1)]
+        for _ in range(rng.randint(0, 4)):
+            a = tuple(F(rng.randint(-3, 3)) for _ in range(n))
+            rows.append((a, F(rng.randint(0, 6), rng.randint(1, 3)), False))
+    out = []
+    for a, b, eq in rows:
+        if eq and rng.random() < 0.5:
+            out += [(a, b, False), (tuple(-x for x in a), -b, False)]
+        else:
+            out.append((a, b, eq))
+    for _ in range(rng.randint(0, 3)):
+        a, b, eq = rng.choice(out)
+        op = rng.randrange(3)
+        if op == 0:
+            q = F(rng.randint(1, 3), rng.randint(1, 2))
+            out.append((tuple(q * x for x in a), q * b, eq))
+        elif op == 1 and not eq:
+            out.append((a, b + rng.randint(1, 3), False))
+        else:
+            a2, b2, eq2 = rng.choice(out)
+            if not (eq or eq2):
+                out.append((tuple(x + y for x, y in zip(a, a2)), b + b2, False))
+    rng.shuffle(out)
+    return HPolyhedron.from_rows([a for a, _, _ in out], [b for _, b, _ in out],
+                                 [i for i, (_, _, eq) in enumerate(out, start=1) if eq])
 
 
 def unit_box(n):

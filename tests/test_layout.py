@@ -2,8 +2,8 @@
 reaches into another module's private names, no library function takes a
 jobs parameter, lattice counting and the CLI import no LP routine, the
 symmetric count and the Ehrhart interpolation each walk one projection
-chain, the facet walk of repconv stays in integer arithmetic, and the
-adjacency graph converts nothing."""
+chain, the facet walk of repconv stays in integer arithmetic, and neither
+the adjacency graph nor the triangulation behind volume converts anything."""
 import ast
 import importlib
 import importlib.util
@@ -13,6 +13,13 @@ import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "polyorbit"
+
+
+def _called(fn: ast.AST) -> set[str]:
+    """Names of the functions and methods a syntax tree calls."""
+    return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
+            for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and isinstance(call.func, (ast.Name, ast.Attribute))}
 
 
 def _entry_points():
@@ -64,9 +71,7 @@ def test_symmetric_count_and_ehrhart_build_one_chain():
            and node.name in {"ehrhart", "count_with_symmetry"}]
     assert len(fns) == 2
     for fn in fns:
-        called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
-                  for call in ast.walk(fn) if isinstance(call, ast.Call)
-                  and isinstance(call.func, (ast.Name, ast.Attribute))}
+        called = _called(fn)
         banned = called & {"count_lattice_points", "slice_decomposition", "dilate"}
         assert not banned, f"{fn.name} calls {sorted(banned)}"
 
@@ -88,9 +93,7 @@ def test_facet_walk_builds_no_fraction():
     assert walk <= found
     for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)
                and node.name in walk):
-        called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
-                  for call in ast.walk(fn) if isinstance(call, ast.Call)
-                  and isinstance(call.func, (ast.Name, ast.Attribute))}
+        called = _called(fn)
         assert not called & banned, f"{fn.name} calls {sorted(called & banned)}"
 
 
@@ -99,7 +102,15 @@ def test_adjacency_graph_converts_nothing():
     tree = ast.parse((PACKAGE / "repconv.py").read_text())
     fn = next(node for node in tree.body
               if isinstance(node, ast.FunctionDef) and node.name == "adjacency_graph")
-    called = {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
-              for call in ast.walk(fn) if isinstance(call, ast.Call)
-              and isinstance(call.func, (ast.Name, ast.Attribute))}
-    assert not called & {"convert_dd_incidence", "dd_cone"}
+    assert not _called(fn) & {"convert_dd_incidence", "dd_cone"}
+
+
+def test_volume_triangulation_converts_nothing():
+    # faces are cut from the masks of volume's one double description
+    tree = ast.parse((PACKAGE / "latcount.py").read_text())
+    fns = [node for node in tree.body if isinstance(node, ast.FunctionDef)
+           and node.name in {"_pull", "_facets"}]
+    assert len(fns) == 2
+    for fn in fns:
+        banned = _called(fn) & {"convert_dd_incidence", "dd_cone", "hull_coordinates"}
+        assert not banned, f"{fn.name} calls {sorted(banned)}"
