@@ -411,25 +411,32 @@ def volume(P: HPolyhedron) -> Fraction:
         pts = [frame.coordinates(p) for p in pts]
     rows = {sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(P.m)}
     total = Fraction(0)
-    for simplex in _pull((1 << len(pts)) - 1, rows, d):
+    for simplex in _pull((1 << len(pts)) - 1, rows, d, {}):
         s0, *rest = (pts[j] for j in simplex)
         total += abs(det([vec_sub(s, s0) for s in rest]))
     return total / factorial(d)
 
 
-def _pull(face: int, rows: set[int], fdim: int) -> list[tuple[int, ...]]:
+def _pull(face: int, rows: set[int], fdim: int, memo: dict) -> list[tuple[int, ...]]:
     """Pulling triangulation of a face of dimension fdim, a vertex bitmask.
 
     The apex is the least vertex of the face; the other simplex vertices come
     from the recursively triangulated facets that avoid it.  Returns tuples of
-    fdim + 1 affinely independent 0-based vertex indices.
+    fdim + 1 affinely independent 0-based vertex indices.  memo maps every
+    face triangulated so far to its simplices, so a face shared by several
+    parents is triangulated once.
     """
     if face.bit_count() == fdim + 1:
         return [tuple(j for j in range(face.bit_length()) if face >> j & 1)]
     apex = face & -face
     v = apex.bit_length() - 1
-    return [s + (v,) for child in _facets(face, rows) if not child & apex
-            for s in _pull(child, rows, fdim - 1)]
+    out = []
+    for child in _facets(face, rows):
+        if not child & apex:
+            if child not in memo:
+                memo[child] = _pull(child, rows, fdim - 1, memo)
+            out.extend(s + (v,) for s in memo[child])
+    return out
 
 
 def _facets(face: int, rows: set[int]) -> list[int]:

@@ -19,7 +19,10 @@ once sifts to the identity for the rest of the construction and is skipped.
 A set orbit is always expanded in full, under a budget of sets, and keyed by
 its lexicographically least member.  Past the budget orbit_of_set and
 set_stabilizer raise OrbitBudgetExceeded: a key that is not canonical could
-let one orbit be counted twice.
+let one orbit be counted twice.  A set stabilizer has the known order
+|G| / |orbit|, so its chain is grown one Schreier generator at a time and
+stops at that order: a set whose orbit has |G| sets gets the trivial group
+at once, and no generator is kept that does not grow the chain.
 """
 from __future__ import annotations
 
@@ -239,11 +242,20 @@ class PermutationGroup:
             h = tuple(map(ui.__getitem__, h))
         return h, len(levels)
 
-    def _add_generator(self, g: tuple, level: int) -> None:
-        """Sift g (a member of level's group) and grow the chain if it sticks."""
+    def _grow(self, g: tuple) -> bool:
+        """Add g to the generators unless it is already a member; whether it
+        was added."""
+        if not self._add_generator(g, 0):
+            return False
+        self.generators += (Permutation._trusted(g),)
+        return True
+
+    def _add_generator(self, g: tuple, level: int) -> bool:
+        """Sift g (a member of level's group) and grow the chain if it
+        sticks; whether it did."""
         h, idx = self._strip(g, level)
         if h == self._identity:
-            return
+            return False
         if idx == len(self._levels):
             # h fixes every existing base point; open a new level on the
             # smallest point it moves.
@@ -272,6 +284,7 @@ class PermutationGroup:
                     schreier = tuple(map(inv[sp[p]].__getitem__, map(sp.__getitem__, u)))
                     if schreier != self._identity:
                         self._add_generator(schreier, i + 1)
+        return True
 
     # -- queries ------------------------------------------------------------
 
@@ -407,8 +420,12 @@ def set_stabilizer(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_00
     """The subgroup {g in G : g(S) = S}, with its own BSGS.
 
     Computed from Schreier generators of the action of G on the orbit of S;
-    the witnesses form a transversal, so the result is the full stabilizer.
-    Requires expanding the set orbit (raises OrbitBudgetExceeded past budget).
+    the witnesses form a transversal, so they generate the full stabilizer,
+    whose order is |G| / |orbit|.  They are sifted in breadth-first order
+    into a chain that starts trivial, only those that grow it are kept, and
+    the search stops once the chain reaches that order, so each kept
+    generator at least doubles it.  Requires expanding the set orbit (raises
+    OrbitBudgetExceeded past budget).
     """
     S = _point_set(G, S)
     # BFS over set images: witnesses[X] is the image tuple of some g with g(S) = X
@@ -427,18 +444,20 @@ def set_stabilizer(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_00
                     witnesses[Y] = tuple(map(gp.__getitem__, u))
                     nxt.append(Y)
         frontier = nxt
-    gens = []
-    seen = set()
-    for X in sorted(witnesses, key=sorted):
-        u = witnesses[X]
+    target = G.order() // len(witnesses)
+    stab = PermutationGroup((), G.degree)
+    if target == 1:
+        return stab
+    for X, u in witnesses.items():
         for a in G.generators:
             ap = a._p
-            Y = frozenset(map(ap.__getitem__, X))
-            w = tuple(map(_inverse(witnesses[Y]).__getitem__, map(ap.__getitem__, u)))
-            if w != G._identity and w not in seen:
-                seen.add(w)
-                gens.append(Permutation._trusted(w))
-    return PermutationGroup(gens, G.degree)
+            au = tuple(map(ap.__getitem__, u))
+            v = witnesses[frozenset(map(ap.__getitem__, X))]
+            # a tree edge of the BFS gives the identity
+            if au != v and stab._grow(tuple(map(_inverse(v).__getitem__, au))) \
+                    and stab.order() == target:
+                return stab
+    return stab
 
 
 def is_equivalent(G: PermutationGroup, S: Iterable[int], T: Iterable[int]) -> Optional[Permutation]:

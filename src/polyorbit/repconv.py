@@ -12,8 +12,9 @@ orbit).  Both catalog facet orbits in an OrbitLedger keyed by canonical
 incident-vertex sets, so any two runs agree key-for-key.  Every facet orbit
 is expanded by permgrp.orbit_of_set and keyed by its lexicographically
 least member, so an orbit is known exactly when its key is; an orbit past
-the set budget stops the conversion.  Everything runs serially on one
-thread.
+the set budget stops the conversion.  Each orbit is expanded once: a facet
+that lies in an orbit already expanded is looked up, not expanded again.
+Everything runs serially on one thread.
 
 The facet walk runs in integer arithmetic.  The points are scaled once per
 polytope by the lcm of their denominators, which keeps every incidence set
@@ -193,29 +194,30 @@ def _ridges(G: PermutationGroup, members: list[int], local: Sequence[Sequence[in
             for r in _facet_orbit_engine(local, sub_group, levels, depth + 1)[0]]
 
 
-def _neighbor_orbits(pts: Sequence[Sequence[int]], G: PermutationGroup, key: tuple[int, ...],
-                     levels: tuple[int, int], depth: int) -> Iterator[SetOrbit]:
-    """Orbits of the facets adjacent to the facet key, one at a time, so
-    that no more than one expanded orbit need be alive.  Rotating one ridge
-    per stabilizer orbit reaches every neighboring facet orbit, because
+def _neighbor_facets(pts: Sequence[Sequence[int]], G: PermutationGroup, key: tuple[int, ...],
+                     levels: tuple[int, int], depth: int) -> Iterator[frozenset]:
+    """Facets adjacent to the facet key, one per orbit of its ridges under
+    its stabilizer.  They reach every neighboring facet orbit, because
     ridges in one stabilizer orbit lead to neighbors in one facet orbit."""
     F = frozenset(key)
     c, delta = _supporting_row(pts, F)
     members = sorted(F)
     local = hull_coordinates([pts[i - 1] for i in members])
-    return (orbit_of_set(G, _neighbor_facet(pts, F, c, delta,
-                                            frozenset(members[j - 1] for j in R)))
+    return (_neighbor_facet(pts, F, c, delta, frozenset(members[j - 1] for j in R))
             for R in _ridges(G, members, local, levels, depth))
 
 
 def _distinct_orbits(G: PermutationGroup, sets: Iterable[frozenset]) -> list[SetOrbit]:
-    """The orbits of the given sets under G, the first one per key, in
-    discovery order."""
-    found: dict = {}
+    """The orbits of the given sets under G in discovery order, each
+    expanded once: a set in an orbit already expanded is skipped."""
+    found = []
+    known: set = set()
     for S in sets:
-        orb = orbit_of_set(G, S)
-        found.setdefault(orb.representative, orb)
-    return list(found.values())
+        if S not in known:
+            orb = orbit_of_set(G, S)
+            found.append(orb)
+            known |= orb.elements
+    return found
 
 
 def _plain_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
@@ -246,19 +248,24 @@ def _walk(pts: Sequence[Sequence[int]], G: PermutationGroup, start: Iterable[Set
     """Breadth-first walk over facet orbits from the start orbits: the
     orbits in discovery order and every (key, neighbor key) pair crossed.
     The frontier is processed in sorted rounds and results are merged in
-    batch order, so both are deterministic."""
+    batch order, so both are deterministic.  Every facet of an expanded
+    orbit is mapped to its key, so only a neighbor in an orbit not yet met
+    is expanded."""
     entries = {orb.representative: orb for orb in start}
+    key_of = {X: key for key, orb in entries.items() for X in orb.elements}
     pairs = set()
     frontier = list(entries)
     while frontier:
         batch = sorted(frontier)
         frontier = []
         for key in batch:
-            for orb in _neighbor_orbits(pts, G, key, levels, depth):
-                pairs.add((key, orb.representative))
-                if orb.representative not in entries:
+            for N in _neighbor_facets(pts, G, key, levels, depth):
+                if N not in key_of:
+                    orb = orbit_of_set(G, N)
                     entries[orb.representative] = orb
+                    key_of.update(dict.fromkeys(orb.elements, orb.representative))
                     frontier.append(orb.representative)
+                pairs.add((key, key_of[N]))
     return list(entries.values()), frozenset(pairs)
 
 

@@ -215,6 +215,55 @@ class TestConvertCmd:
     def test_rational_and_non_vertex_output_pinned(self, fixture, args, out, capsys):
         assert run(capsys, "convert", FIX / fixture, *args) == (0, out, "")
 
+    # CUT_6: 32 vertices in dimension 15 and 3 facet orbits, which sum to the
+    # 368 facets of the plain conversion; the walk at (0 1) meets the orbits
+    # in another order than the incidence method and the plain conversion
+    CUT6_WALK = ("facet orbits 3\n"
+                 "orbit 1 size 80 rep 2 -1 0 0 0 -1 0 0 0 -1 0 0 0 0 0 0\n"
+                 "orbit 2 size 192 rep 6 1 1 1 1 2 -1 -1 -1 -2 -1 -1 -2 -1 -2 -2\n"
+                 "orbit 3 size 96 rep 2 1 1 1 0 1 -1 -1 0 -1 -1 0 -1 0 -1 0\n")
+    CUT6_WALK_GRAPH = ("graph {\n"
+                       '  o1 [label="orbit 1 (size 80)"];\n'
+                       '  o2 [label="orbit 2 (size 192)"];\n'
+                       '  o3 [label="orbit 3 (size 96)"];\n'
+                       "  o1 -- o1;\n"
+                       "  o1 -- o2;\n"
+                       "  o1 -- o3;\n"
+                       "  o2 -- o3;\n"
+                       "  o3 -- o3;\n"
+                       "}\n")
+    CUT6_OTHER = ("facet orbits 3\n"
+                  "orbit 1 size 80 rep 2 -1 0 0 0 -1 0 0 0 -1 0 0 0 0 0 0\n"
+                  "orbit 2 size 96 rep 2 1 1 1 0 1 -1 -1 0 -1 -1 0 -1 0 -1 0\n"
+                  "orbit 3 size 192 rep 6 1 1 1 1 2 -1 -1 -1 -2 -1 -1 -2 -1 -2 -2\n")
+    CUT6_OTHER_GRAPH = ("graph {\n"
+                        '  o1 [label="orbit 1 (size 80)"];\n'
+                        '  o2 [label="orbit 2 (size 96)"];\n'
+                        '  o3 [label="orbit 3 (size 192)"];\n'
+                        "  o1 -- o1;\n"
+                        "  o1 -- o2;\n"
+                        "  o1 -- o3;\n"
+                        "  o2 -- o2;\n"
+                        "  o2 -- o3;\n"
+                        "}\n")
+
+    @pytest.fixture(scope="class")
+    def cut6(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("cut6") / "cut6.ext"
+        rows = matrix((1,) + tuple(v) for v in cut_v(6).vertices)
+        path.write_text(write_polyfile(PolyFile(kind="V", rows=rows)))
+        return path
+
+    @pytest.mark.parametrize("adjacencies", [(), ("--adjacencies",)], ids=["", "adjacencies"])
+    @pytest.mark.parametrize("levels", [("0", "1"), ("1", "1"), ("2", "2")], ids=" ".join)
+    def test_cut6_output_pinned(self, cut6, levels, adjacencies, capsys):
+        walk = levels == ("0", "1")
+        out = self.CUT6_WALK if walk else self.CUT6_OTHER
+        if adjacencies:
+            out += self.CUT6_WALK_GRAPH if walk else self.CUT6_OTHER_GRAPH
+        args = ("convert", cut6, "--idm-adm-level", *levels, *adjacencies)
+        assert run(capsys, *args) == (0, out, "")
+
 
 class TestCountCmd:
     def test_cube_h(self, capsys):

@@ -488,6 +488,21 @@ class TestVolume:
         volume(P)
         assert len(calls) == 1
 
+    def test_each_face_is_triangulated_once(self, monkeypatch):
+        # faces shared by several parents are pulled once per volume call
+        import polyorbit.latcount as lc
+        real, faces = lc._pull, []
+
+        def counted(face, *args):
+            faces.append(face)
+            return real(face, *args)
+
+        monkeypatch.setattr(lc, "_pull", counted)
+        for _ in range(2):
+            faces.clear()
+            assert volume(cube_h(5)) == 32
+            assert len(faces) == len(set(faces)) == 31
+
 
 def random_volume_polytope(rng):
     """A seeded polytope with the rows a volume must see through.

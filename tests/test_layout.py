@@ -86,7 +86,7 @@ def test_permutation_representation_stays_in_permgrp(source):
 
 def test_facet_walk_builds_no_fraction():
     walk = {"_rotate_about", "_supporting_row", "_initial_facet", "_neighbor_facet",
-            "_neighbor_orbits", "_walk"}
+            "_neighbor_facets", "_walk"}
     banned = {"dot", "vec_scale", "vec_add", "Fraction", "affine_hull", "coordinates"}
     tree = ast.parse((PACKAGE / "repconv.py").read_text())
     found = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)}

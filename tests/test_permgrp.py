@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from shapes import cross_v, cube_v, cut_v, hypersimplex_v, santos_prismatoid
 
+from polyorbit import permgrp
 from polyorbit.permgrp import (
     OrbitBudgetExceeded,
     Permutation,
@@ -21,6 +22,7 @@ from polyorbit.permgrp import (
     schreier_sims,
     set_stabilizer,
 )
+from polyorbit.symdetect import affine_symmetry_group
 
 
 def brute_closure(gens, degree):
@@ -266,6 +268,39 @@ def test_set_stabilizer_s4():
     oracle = {p for p in brute_closure(gens, 4) if p.apply_set({1, 2}) == frozenset({1, 2})}
     assert stab.order() == len(oracle) == 4
     assert set(stab.elements()) == oracle
+
+
+def test_set_stabilizer_of_a_regular_orbit_is_trivial(monkeypatch):
+    # a set with |G| images has the trivial stabilizer, known from the
+    # order alone: no Schreier generator is formed, so nothing is inverted
+    def refuse(p):
+        raise AssertionError("a Schreier generator was formed")
+
+    C = schreier_sims([Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])])
+    P = affine_symmetry_group(santos_prismatoid()).perm_group
+    monkeypatch.setattr(permgrp, "_inverse", refuse)
+    for G, S in [(C, {1}), (C, {1, 2, 4}), (P, (1, 2, 4, 9, 18)), (P, (1, 4, 7, 9, 15, 18))]:
+        assert orbit_of_set(G, S).size == G.order()
+        stab = set_stabilizer(G, S)
+        assert stab.generators == () and stab.order() == 1
+
+
+def test_set_stabilizer_keeps_only_generators_that_grow_it():
+    # each kept generator grows the chain, so at least doubles its order
+    rng = random.Random(5)
+    cases = []
+    for _ in range(40):
+        degree = rng.randint(3, 9)
+        S = rng.sample(range(1, degree + 1), rng.randint(1, degree - 1))
+        cases.append((PermutationGroup(_random_gens(rng, degree), degree), S))
+    for V in (cube_v(5), cross_v(6), cut_v(5)):
+        G = affine_symmetry_group(V).perm_group
+        cases += [(G, range(1, V.k // 2 + 1)), (G, (1, 2)), (G, (1, V.k))]
+    for G, S in cases:
+        stab = set_stabilizer(G, S)
+        assert 2 ** len(stab.generators) <= stab.order()
+        assert orbit_of_set(G, S).size * stab.order() == G.order()
+        assert all(g.apply_set(S) == frozenset(S) for g in stab.generators)
 
 
 def test_set_stabilizer_orbit_product():
@@ -562,9 +597,11 @@ def _assert_same_orbits(G, R, sets, budgets):
         # stabilizer sifts one Schreier generator per set and generator
         if outcome[1] > 1_000:
             continue
+        # the same group, from whatever generators
         stab, ref = set_stabilizer(G, S), _ref_set_stabilizer(R, S, 2_000_000)
-        assert [g.images for g in stab.generators] == [g.images for g in ref.generators]
-        assert stab.base == tuple(lvl.base_point for lvl in ref.levels)
+        assert stab.order() == ref.order()
+        assert all(Permutation(g.images) in stab for g in ref.generators)
+        assert all(g.apply_set(S) == S for g in stab.generators)
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -593,8 +630,6 @@ SHAPES = {
 
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_chain_matches_reference_on_vertex_groups(name):
-    from polyorbit.symdetect import affine_symmetry_group
-
     V = SHAPES[name]
     gens = list(affine_symmetry_group(V).perm_group.generators)
     G, R = _assert_same_chain(gens, V.k)

@@ -426,6 +426,26 @@ def test_orbits_over_the_set_budget_are_counted_once(V, method, monkeypatch):
         adjacency_decomposition(V, G, LEVELS[method])
 
 
+@pytest.mark.parametrize("V,method,orbits", [
+    pytest.param(cross_v(6), "adm", 1, id="cross6-adm"),
+    pytest.param(cut_v(5), "idm", 2, id="cut5-idm"),
+])
+def test_each_facet_orbit_is_expanded_once(V, method, orbits, monkeypatch):
+    # a facet in an orbit already expanded is looked up, not expanded again;
+    # the ridge orbits below the top are expanded under facet stabilizers
+    G = affine_symmetry_group(V).perm_group
+    groups = []
+
+    def counted(H, S, *args, **kwargs):
+        groups.append(H)
+        return orbit_of_set(H, S, *args, **kwargs)
+
+    monkeypatch.setattr(repconv, "orbit_of_set", counted)
+    led = adjacency_decomposition(V, G, LEVELS[method])
+    assert led.orbit_count == orbits
+    assert sum(H is G for H in groups) == orbits
+
+
 def test_every_facet_supporting():
     V = cross_v(4)
     G = affine_symmetry_group(V).perm_group
