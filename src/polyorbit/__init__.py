@@ -33,8 +33,6 @@ from .permgrp import (
     Permutation,
     PermutationGroup,
     SetOrbit,
-    canonical_representative,
-    is_equivalent,
     orbit_of_set,
     schreier_sims,
     set_stabilizer,
@@ -57,15 +55,12 @@ from .repconv import (
     write_dot,
 )
 from .symilp import (
-    BarycenterLattice,
     CorePoint,
     InvariantSubspace,
     LinearProgram,
     block_group,
     canonical_core_point,
     check_invariance,
-    fiber_barycenter_lattice,
-    fiber_polyhedron,
     invariant_subspace,
     is_core_point,
     orbit_barycenter,
@@ -97,7 +92,6 @@ __all__ = [
     "AffineHull",
     "AffineMap",
     "AffineSymmetries",
-    "BarycenterLattice",
     "CorePoint",
     "EmptyPolyhedronError",
     "FacetOrbit",
@@ -126,19 +120,15 @@ __all__ = [
     "affine_symmetry_group",
     "block_group",
     "canonical_core_point",
-    "canonical_representative",
     "check_invariance",
     "convert_dd",
     "count_lattice_points",
     "count_with_symmetry",
     "ehrhart",
-    "fiber_barycenter_lattice",
-    "fiber_polyhedron",
     "incidence",
     "incidence_decomposition",
     "invariant_subspace",
     "is_core_point",
-    "is_equivalent",
     "orbit_barycenter",
     "orbit_of_set",
     "parse_polyfile",

@@ -12,15 +12,15 @@ Subcommands: automorphisms, convert, count, ehrhart, volume, ilp.  Exit
 codes: 0 success, 1 infeasible or empty (a computed answer), 2 input error
 (also an input past a size budget, such as a set orbit of more than
 2,000,000 sets), 3 internal verification failure or any other internal error
-(one stderr line, never a traceback).  ``--jobs`` (default from
-POLYORBIT_JOBS) is checked to be at least 1 and otherwise ignored: every
-subcommand runs serially.
+(one stderr line, never a traceback).  ``--jobs`` (default 1) and
+``--period-bound`` are checked to be at least 1 when parsed; ``--jobs`` is
+otherwise ignored: every subcommand runs serially.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
+import functools
 import re
 import sys
 from dataclasses import dataclass
@@ -316,7 +316,8 @@ def cmd_ehrhart(pf: PolyFile, args) -> int:
 
 
 def cmd_volume(pf: PolyFile, args) -> int:
-    print(volume(_input_polytope(pf)))
+    # a V file is measured on its own points, with no conversion to H first
+    print(volume(pf.to_vpolyhedron() if pf.kind == "V" else pf.to_hpolyhedron()))
     return 0
 
 
@@ -356,25 +357,20 @@ def cmd_ilp(pf: PolyFile, args) -> int:
 # Entry point
 
 
-def _jobs_arg(raw: str) -> int:
-    """A worker count of at least 1, from --jobs or POLYORBIT_JOBS."""
+def _positive_int(raw: str) -> int:
+    """An integer of at least 1, for --jobs and --period-bound."""
     try:
-        jobs = int(raw)
+        value = int(raw)
     except ValueError:
         raise argparse.ArgumentTypeError(f"must be an integer, got {raw!r}")
-    if jobs < 1:
+    if value < 1:
         raise argparse.ArgumentTypeError("must be at least 1")
-    return jobs
+    return value
 
 
-def _env_jobs() -> int:
-    try:
-        return _jobs_arg(os.environ.get("POLYORBIT_JOBS", "1"))
-    except argparse.ArgumentTypeError as exc:
-        raise PolyhedronError(f"POLYORBIT_JOBS {exc}")
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; it holds no per-call state, so it is built once."""
     top = argparse.ArgumentParser(
         prog="polyorbit",
         description="Exact polyhedral computations up to symmetry.")
@@ -383,7 +379,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def add(name: str, handler, help_text: str):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="polyhedron file (H- or V-representation)")
-        p.add_argument("--jobs", type=_jobs_arg, default=_env_jobs(),
+        p.add_argument("--jobs", type=_positive_int, default=1,
                        help="worker count (at least 1); accepted and ignored, "
                             "every subcommand runs serially")
         p.set_defaults(handler=handler)
@@ -406,7 +402,7 @@ def _build_parser() -> argparse.ArgumentParser:
                           " (blocks header)")
     ehr = add("ehrhart", cmd_ehrhart,
               "Ehrhart quasi-polynomial, one coefficient row per residue class")
-    ehr.add_argument("--period-bound", type=int, default=24,
+    ehr.add_argument("--period-bound", type=_positive_int, default=24,
                      help="largest allowed quasi-polynomial period")
     add("volume", cmd_volume, "exact volume, lattice-relative on the hull")
     add("ilp", cmd_ilp, "integral feasibility / optimization: core-point sweep with blocks,"

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import accumulate, count, product
 from math import ceil, factorial, floor, lcm, prod
 from operator import mul
-from typing import Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence, Union
 
 from .polycore import (
     AffineHull,
@@ -63,7 +63,6 @@ from .symilp import (
     check_blocks,
     check_invariance,
     coordinate_bounds,
-    fiber_barycenter_lattice,
     fixed_space_system,
 )
 
@@ -382,20 +381,27 @@ def _count_dilate(levels: Sequence[tuple[list, list]], lam: int) -> int:
 # Exact volume
 
 
-def volume(P: HPolyhedron) -> Fraction:
+def volume(P: Union[HPolyhedron, VPolyhedron]) -> Fraction:
     """Volume of a bounded polytope, relative to the lattice of its hull.
 
-    One double description of P gives its vertices and, per vertex, the rows
-    of P it is tight on; transposed, each row cuts out one vertex bitmask.
-    Every face of P is such a cut, so P is triangulated by pulling on those
-    masks alone: a face is coned from its least vertex over the triangulated
-    facets that avoid it, and each simplex s_0..s_d contributes
+    One double description gives, per row of the inequality side, the points
+    tight on it as a bitmask: for H input the rows of P cut the vertices of
+    its conversion, for V input the rows of its conversion cut the given
+    points, duplicates and points that are not vertices included.  Every
+    face of P is such a cut, so P is triangulated by pulling on those masks
+    alone: a face is coned from its least point over the triangulated facets
+    that avoid it, and each simplex s_0..s_d contributes
     |det(s_1 - s_0, ..., s_d - s_0)| / d!.  A lower-dimensional polytope is
     measured in coordinates of a lattice basis of its direction space, so a
     diagonal unit cell has measure 1, matching the Ehrhart leading
     coefficient.  A zero-dimensional polytope has measure 1 by convention.
     """
-    V, masks = convert_dd_incidence(P)
+    Q, masks = convert_dd_incidence(P)
+    if isinstance(P, VPolyhedron):
+        V, rows = P, set(masks)
+    else:
+        V = Q
+        rows = {sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(P.m)}
     if V.rays:
         raise PolyhedronError("volume requires a bounded polyhedron")
     pts = V.vertices
@@ -409,7 +415,6 @@ def volume(P: HPolyhedron) -> Fraction:
         normals = [primitive(v) for v in nullspace(hull.directions, P.n)]
         frame = AffineHull(pts[0], matrix(integer_kernel_basis(normals, P.n)))
         pts = [frame.coordinates(p) for p in pts]
-    rows = {sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(P.m)}
     total = Fraction(0)
     for simplex in _pull((1 << len(pts)) - 1, rows, d, {}):
         s0, *rest = (pts[j] for j in simplex)
@@ -418,11 +423,11 @@ def volume(P: HPolyhedron) -> Fraction:
 
 
 def _pull(face: int, rows: set[int], fdim: int, memo: dict) -> list[tuple[int, ...]]:
-    """Pulling triangulation of a face of dimension fdim, a vertex bitmask.
+    """Pulling triangulation of a face of dimension fdim, a point bitmask.
 
-    The apex is the least vertex of the face; the other simplex vertices come
+    The apex is the least point of the face; the other simplex vertices come
     from the recursively triangulated facets that avoid it.  Returns tuples of
-    fdim + 1 affinely independent 0-based vertex indices.  memo maps every
+    fdim + 1 affinely independent 0-based point indices.  memo maps every
     face triangulated so far to its simplices, so a face shared by several
     parents is triangulated once.
     """
@@ -442,7 +447,7 @@ def _pull(face: int, rows: set[int], fdim: int, memo: dict) -> list[tuple[int, .
 def _facets(face: int, rows: set[int]) -> list[int]:
     """Facets of a face: its inclusion-maximal proper cuts face & row.
 
-    Every face of a polytope is the set of its vertices tight on some rows,
+    Every face of a polytope is the set of its points tight on some rows,
     so each facet of a face is its cut by one row, and no larger cut holds it.
     """
     cuts = {face & r for r in rows} - {face}
@@ -513,7 +518,6 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
                   for off, nb in zip(accumulate(blocks, initial=0), blocks)
                   for t in range(off, off + max(nb - 1, 1)))
     fiber_rows = matrix([[dot(a, bv) for bv in basis] for a in P.A])
-    lattice = fiber_barycenter_lattice(blocks)
     live = [j for j in range(len(blocks)) if blocks[j] >= 2]
 
     orbits = []
@@ -538,7 +542,9 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
             base = canonical_core_point(blocks, full).z
             fiber_b = tuple(bb - dot(a, base) for a, bb in zip(P.A, P.b))
             fiber = HPolyhedron(fiber_rows, fiber_b, P.equality_rows)
-            orbits.append(FiberOrbit(tuple(sums), lattice.anchor(full), base, fiber))
+            # the barycenter of every integral orbit in the fiber: s_j / n_j on block j
+            anchor = tuple(Fraction(s, nb) for s, nb in zip(full, blocks) for _ in range(nb))
+            orbits.append(FiberOrbit(tuple(sums), anchor, base, fiber))
     return SliceDecomposition(blocks, fixed_space_system(P, blocks), basis, tuple(orbits))
 
 

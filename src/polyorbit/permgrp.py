@@ -1,4 +1,4 @@
-"""Permutation groups on {1,...,N}: BSGS, orbits of sets, backtrack searches.
+"""Permutation groups on {1,...,N}: BSGS, orbits and stabilizers of sets.
 
 All points are 1-based, matching the index convention used for vertices and
 inequality rows everywhere else in the package.  A permutation stores its
@@ -74,23 +74,6 @@ class Permutation:
             for a, b in zip(cyc, list(cyc[1:]) + [cyc[0]]):
                 images[a - 1] = b
         return cls(images)
-
-    @classmethod
-    def parse_cycles(cls, degree: int, text: str) -> "Permutation":
-        """Parse cycle notation like "(1 2 3)(4 5)"; "()" is the identity."""
-        text = text.strip()
-        cycles = []
-        if text and text != "()":
-            for part in text.replace(")", ")|").split("|"):
-                part = part.strip()
-                if not part:
-                    continue
-                if not (part.startswith("(") and part.endswith(")")):
-                    raise ValueError(f"bad cycle segment: {part!r}")
-                inner = part[1:-1].replace(",", " ").split()
-                if inner:
-                    cycles.append([int(x) for x in inner])
-        return cls.from_cycles(degree, cycles)
 
     @property
     def images(self) -> tuple[int, ...]:
@@ -173,9 +156,8 @@ class PermutationGroup:
 
     base_prefix forces the base to start with the given points (in order);
     a forced point may end up with a trivial basic orbit, which is harmless.
-    The prefix is what makes pointwise stabilizers and set-transporter
-    searches exact: everything below level len(prefix) fixes each prefix
-    point individually.
+    Everything below level len(prefix) fixes each prefix point individually,
+    as a search for the lex-least image of a set needs.
     """
 
     def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None,
@@ -196,7 +178,6 @@ class PermutationGroup:
                 raise ValueError(f"base point {p} out of range")
             if p not in prefix:
                 prefix.append(p)
-        self._base_prefix = tuple(prefix)
         self._levels: list[_ChainLevel] = []
         for p in prefix:
             self._new_level(p)
@@ -351,13 +332,6 @@ class PermutationGroup:
         """Same group, chain rebuilt with the base forced to start as given."""
         return PermutationGroup(self.generators, self.degree, base_prefix=base_prefix)
 
-    def pointwise_stabilizer(self, points: Sequence[int]) -> "PermutationGroup":
-        """Subgroup fixing each of `points` individually."""
-        chain = self.rebase(tuple(points))
-        k = len(chain._base_prefix)
-        gens = chain._levels[k].gens if len(chain._levels) > k else []
-        return PermutationGroup(gens, self.degree)
-
 
 def schreier_sims(generators: Sequence[Permutation], degree: Optional[int] = None,
                   base_prefix: Sequence[int] = ()) -> PermutationGroup:
@@ -458,45 +432,3 @@ def set_stabilizer(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_00
                     and stab.order() == target:
                 return stab
     return stab
-
-
-def is_equivalent(G: PermutationGroup, S: Iterable[int], T: Iterable[int]) -> Optional[Permutation]:
-    """A witness g in G with g(S) = T, or None.
-
-    Transporter backtrack over a chain whose base is forced to start with the
-    points of S: below level |S| everything fixes S pointwise, so only the
-    first |S| levels are searched, pruning on membership of images in T.
-    """
-    S = _point_set(G, S)
-    T = _point_set(G, T)
-    if len(S) != len(T):
-        return None
-    if S == T:
-        return Permutation.identity(G.degree)
-    chain = G.rebase(tuple(sorted(S)))
-    levels = chain._levels
-    cut = len(chain._base_prefix)
-
-    def dfs(i: int, h: tuple) -> Optional[tuple]:
-        if i == cut:
-            return h if frozenset(map(h.__getitem__, S)) == T else None
-        lvl = levels[i]
-        for p in sorted(lvl.orbit):
-            # images of base points are final once chosen: deeper transversal
-            # elements fix all earlier base points
-            if h[p] not in T:
-                continue
-            res = dfs(i + 1, tuple(map(h.__getitem__, lvl.orbit[p]._p)))
-            if res is not None:
-                return res
-        return None
-
-    res = dfs(0, G._identity)
-    return None if res is None else Permutation._trusted(res)
-
-
-def canonical_representative(G: PermutationGroup, S: Iterable[int],
-                             budget: int = 2_000_000) -> tuple[int, ...]:
-    """Lexicographically least sorted tuple in the orbit of S under G;
-    raises OrbitBudgetExceeded as orbit_of_set does."""
-    return orbit_of_set(G, S, budget=budget).representative

@@ -405,10 +405,6 @@ class AffineMap:
     def apply(self, x: Sequence) -> Vector:
         return vec_add(mat_vec(self.A, x), self.t)
 
-    def compose(self, other: "AffineMap") -> "AffineMap":
-        """self after other: x |-> self(other(x))."""
-        return AffineMap(mat_mul(self.A, other.A), vec_add(mat_vec(self.A, other.t), self.t))
-
     def inverse(self) -> "AffineMap":
         Ainv = invert_matrix(self.A)
         return AffineMap(Ainv, vec_scale(-1, mat_vec(Ainv, self.t)))
@@ -776,9 +772,6 @@ class IncidenceData:
     def column_set(self, j: int) -> FaceIndexSet:
         return frozenset(i + 1 for i in range(self.m)
                          if self.row_masks[i] >> (j - 1) & 1)
-
-    def row_sets(self) -> tuple[FaceIndexSet, ...]:
-        return tuple(self.row_set(i) for i in range(1, self.m + 1))
 
     def column_sets(self) -> tuple[FaceIndexSet, ...]:
         return tuple(self.column_set(j) for j in range(1, self.k + 1))

@@ -12,9 +12,11 @@ orbit).  Both catalog facet orbits in an OrbitLedger keyed by canonical
 incident-vertex sets, so any two runs agree key-for-key.  Every facet orbit
 is expanded by permgrp.orbit_of_set and keyed by its lexicographically
 least member, so an orbit is known exactly when its key is; an orbit past
-the set budget stops the conversion.  Each orbit is expanded once: a facet
-that lies in an orbit already expanded is looked up, not expanded again.
-Everything runs serially on one thread.
+the set budget stops the conversion.  orbit_of_set expands each orbit once:
+a facet that lies in an orbit already expanded is looked up, not expanded
+again.  The set_stabilizer call of _ridges still repeats that breadth-first
+expansion for each walked orbit, to find its witnesses.  Everything runs
+serially on one thread.
 
 The facet walk runs in integer arithmetic.  The points are scaled once per
 polytope by the lcm of their denominators, which keeps every incidence set

@@ -38,7 +38,6 @@ from .polycore import (
     Vector,
     convert_dd,
     dot,
-    frac,
     identity_matrix,
     integerize,
     invert_matrix,
@@ -99,23 +98,6 @@ class CorePoint:
     """Integral point whose orbit hull contains no other integral points."""
     z: Vector
     orbit_size: int
-
-
-@dataclass(frozen=True)
-class BarycenterLattice:
-    """Barycenters of integral orbits of a block symmetric-group product.
-
-    Per block j of size n_j the barycenter coordinate runs over (1/n_j) Z, so
-    anchors are indexed by integer block sums.
-    """
-    blocks: tuple[int, ...]
-    steps: tuple[Fraction, ...]
-    basis: Matrix
-
-    def anchor(self, sums: Sequence[int]) -> Vector:
-        if len(sums) != len(self.blocks):
-            raise PolyhedronError("one integer sum per block is required")
-        return tuple(Fraction(s, nb) for s, nb in zip(sums, self.blocks) for _ in range(nb))
 
 
 # ---------------------------------------------------------------------------
@@ -330,30 +312,6 @@ def block_group(blocks: Sequence[int]) -> PermutationGroup:
     return PermutationGroup(gens, degree=n)
 
 
-def block_indicators(blocks: Sequence[int]) -> Matrix:
-    """The 0/1 indicator vector of each block, in block order."""
-    n = sum(blocks)
-    return tuple(tuple(Fraction(int(s <= t < s + nb)) for t in range(n))
-                 for s, nb in zip(accumulate(blocks, initial=0), blocks))
-
-
-def fiber_barycenter_lattice(blocks: Sequence[int]) -> BarycenterLattice:
-    """Lattice of integral-orbit barycenters for a block product of symmetric groups."""
-    blocks = check_blocks(blocks)
-    steps = tuple(Fraction(1, nb) for nb in blocks)
-    basis = tuple(tuple(st * x for x in row) for st, row in zip(steps, block_indicators(blocks)))
-    return BarycenterLattice(blocks, steps, basis)
-
-
-def fiber_polyhedron(P: HPolyhedron, blocks: Sequence[int], sums: Sequence[int]) -> HPolyhedron:
-    """P intersected with the fiber of given integer block sums."""
-    blocks = check_blocks(blocks, P.n)
-    if len(sums) != len(blocks):
-        raise PolyhedronError("one integer sum per block is required")
-    return HPolyhedron(tuple(P.A) + block_indicators(blocks), tuple(P.b) + vector(sums),
-                       tuple(P.equality_rows) + tuple(range(P.m + 1, P.m + len(blocks) + 1)))
-
-
 def canonical_core_point(blocks: Sequence[int], sums: Sequence[int]) -> CorePoint:
     """Balanced integral point of the fiber with the given block sums.
 
@@ -460,33 +418,30 @@ def coordinate_bounds(V: VPolyhedron) -> list[tuple[Optional[Fraction], Optional
             for t in range(V.n)]
 
 
-def _sum_ranges(P, blocks, bounds, fiber_budget):
+# block-sum vectors a sweep may probe: the product of the block-sum ranges
+_FIBER_BUDGET = 1_000_000
+
+
+def _sum_ranges(P, blocks):
     """Integer ranges of the block sums over P, or None when P is empty.
 
-    The exact extent of each block sum, read off block_sum_image, is
-    intersected with user bounds; an unbounded direction without a user
-    bound is an error rather than a truncation.  P must be invariant under
-    the block group.
+    The exact extent of each block sum is read off block_sum_image; an
+    unbounded direction is an error rather than a truncation, and so is a
+    product of ranges past _FIBER_BUDGET.  P must be invariant under the
+    block group.
     """
     image = block_sum_image(P, blocks)
     if image is None:
         return None
     ranges = []
     total = 1
-    for j, (lo, hi) in enumerate(coordinate_bounds(image)):
-        user_lo, user_hi = (None, None) if bounds is None else bounds[j]
-        if user_lo is not None:
-            lo = frac(user_lo) if lo is None else max(lo, frac(user_lo))
-        if user_hi is not None:
-            hi = frac(user_hi) if hi is None else min(hi, frac(user_hi))
+    for lo, hi in coordinate_bounds(image):
         if lo is None or hi is None:
-            raise PolyhedronError(
-                "projection onto the invariant subspace is unbounded; supply bounds")
+            raise PolyhedronError("projection onto the invariant subspace is unbounded")
         ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
         total *= len(ranges[-1])
-        if total > fiber_budget:
-            raise PolyhedronError(
-                f"fiber enumeration exceeds budget {fiber_budget}; tighten bounds")
+        if total > _FIBER_BUDGET:
+            raise PolyhedronError(f"fiber enumeration exceeds budget {_FIBER_BUDGET}")
     return ranges
 
 
@@ -530,9 +485,8 @@ def _scale_to_int(values: Sequence[Fraction]) -> tuple[int, list[int]]:
     return d, [v.numerator * (d // v.denominator) for v in values]
 
 
-def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] = None,
-                  bounds: Optional[Sequence] = None,
-                  fiber_budget: int = 1_000_000) -> tuple[Optional[Vector], int]:
+def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] = None
+                  ) -> tuple[Optional[Vector], int]:
     """Integral feasibility (c None) or max c.x over a block-symmetric P.
 
     Returns (point, fibers tested): the balanced point of the first fiber in
@@ -540,8 +494,8 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     (None, number of fibers) when there is none, (None, 0) when P is empty.
 
     Fibers are indexed by integer block sums within their exact extent over
-    P, read off block_sum_image (optionally capped by user bounds, and
-    required when a direction is unbounded).  Feasibility takes them nearest
+    P, read off block_sum_image; an unbounded extent, or more than
+    _FIBER_BUDGET fibers, is refused.  Feasibility takes them nearest
     to the point of one LP relaxation first, optimization in decreasing
     fiber objective; ties go to the lexicographically smaller sums.  Per
     fiber only the balanced point needs testing: it is majorized blockwise
@@ -551,7 +505,7 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     blocks = check_blocks(blocks, P.n)
     goal = zero_vector(P.n) if c is None else vector(c)
     _require_block_invariance(P, blocks, goal)
-    ranges = _sum_ranges(P, blocks, bounds, fiber_budget)
+    ranges = _sum_ranges(P, blocks)
     if ranges is None:
         return None, 0
     if c is not None:
@@ -573,20 +527,17 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     return _sweep(P, blocks, sorted(product(*ranges), key=key))
 
 
-def symmetric_ilp_feasible(P: HPolyhedron, blocks: Sequence[int],
-                           bounds: Optional[Sequence] = None,
-                           fiber_budget: int = 1_000_000) -> Optional[Vector]:
+def symmetric_ilp_feasible(P: HPolyhedron, blocks: Sequence[int]) -> Optional[Vector]:
     """An integral point of a block-symmetric P, or None when there is none.
 
     The feasibility sweep of symmetric_ilp, nearest to the relaxation point
     first; infeasible only after every fiber is exhausted.
     """
-    return symmetric_ilp(P, blocks, None, bounds, fiber_budget)[0]
+    return symmetric_ilp(P, blocks)[0]
 
 
-def symmetric_ilp_optimize(P: HPolyhedron, blocks: Sequence[int], c: Sequence,
-                           bounds: Optional[Sequence] = None,
-                           fiber_budget: int = 1_000_000) -> Optional[tuple[Fraction, Vector]]:
+def symmetric_ilp_optimize(P: HPolyhedron, blocks: Sequence[int], c: Sequence
+                           ) -> Optional[tuple[Fraction, Vector]]:
     """max c.x over the integral points of a block-symmetric P.
 
     An invariant objective is constant on each block (so constant on every
@@ -596,7 +547,7 @@ def symmetric_ilp_optimize(P: HPolyhedron, blocks: Sequence[int], c: Sequence,
     objectives.
     """
     c = vector(c)
-    hit, _ = symmetric_ilp(P, blocks, c, bounds, fiber_budget)
+    hit, _ = symmetric_ilp(P, blocks, c)
     if hit is None:
         return None
     return dot(c, hit), hit

@@ -309,6 +309,14 @@ class TestEhrhartCmd:
                            "--period-bound", "1")
         assert code == 2 and "period" in err
 
+    @pytest.mark.parametrize("bound", ["0", "-3"])
+    def test_nonpositive_period_bound_is_an_input_error(self, bound, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ehrhart", str(FIX / "segment-half.ine"), "--period-bound", bound])
+        cap = capsys.readouterr()
+        assert exc.value.code == 2
+        assert cap.out == "" and "--period-bound" in cap.err and "at least 1" in cap.err
+
     @pytest.mark.parametrize("name", ["ilp-huge.ine", "santos.ext"])
     def test_oversized_input_refused_at_once(self, capsys, name):
         # the dilates 1..5 of [0, 1000]^3 and 1..7 of santos.ext hold far
@@ -405,6 +413,13 @@ class TestIlpCmd:
         assert run(capsys, "ilp", f) == (
             2, "", "error: integer programming needs a bounded polyhedron\n")
 
+    def test_unbounded_with_blocks_refused(self, tmp_path, capsys):
+        # the orthant in R^2 under the swap of x1 and x2: the block sum is unbounded
+        f = tmp_path / "orthant-blocks.ine"
+        f.write_text("H-representation\nbegin\n2 3 rational\n0 1 0\n0 0 1\nend\nblocks 2\n")
+        assert run(capsys, "ilp", f) == (
+            2, "", "error: projection onto the invariant subspace is unbounded\n")
+
     # exact stdout, exit code and stderr on every ILP fixture, at two worker
     # counts; "fibers tested" is the 1-based position of the answer's fiber in
     # the sweep order, or every fiber of an infeasible system (none here: the
@@ -468,11 +483,6 @@ class TestJobsDeterminism:
             runs[jobs] = out
         assert runs["1"] == runs["4"]
 
-    def test_env_var_sets_default_jobs(self, monkeypatch, capsys):
-        monkeypatch.setenv("POLYORBIT_JOBS", "4")
-        code, out, _ = run(capsys, "count", FIX / "cube3.ine")
-        assert (code, out) == (0, "27\n")
-
     @pytest.mark.parametrize("jobs", ["0", "-1"])
     def test_nonpositive_jobs_is_an_input_error(self, jobs, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -480,11 +490,6 @@ class TestJobsDeterminism:
         cap = capsys.readouterr()
         assert exc.value.code == 2
         assert cap.out == "" and "--jobs" in cap.err and "at least 1" in cap.err
-
-    def test_bad_env_var_is_an_input_error(self, monkeypatch, capsys):
-        monkeypatch.setenv("POLYORBIT_JOBS", "many")
-        code, _, err = run(capsys, "count", FIX / "cube3.ine")
-        assert code == 2 and "POLYORBIT_JOBS" in err
 
 
 class TestErrorContract:
@@ -517,10 +522,10 @@ class TestErrorContract:
         assert (code, out, err) == (2, "", "error: set orbit exceeded budget 20\n")
 
     def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):
-        def broken(pf, args):
+        def broken(V):
             raise ValueError("boom")
 
-        monkeypatch.setattr(cli, "cmd_automorphisms", broken)
+        monkeypatch.setattr(cli, "affine_symmetry_group", broken)
         code, out, err = run(capsys, "automorphisms", FIX / "cube3.ext")
         assert (code, out, err) == (3, "", "internal error: ValueError: boom\n")
 

@@ -30,9 +30,9 @@ from polyorbit.latcount import (
     slice_decomposition,
     volume,
 )
-from polyorbit.cli import main
+from polyorbit.cli import main, parse_polyfile
 from polyorbit.repconv import convert_dd
-from polyorbit.symilp import block_group, canonical_core_point, fiber_barycenter_lattice
+from polyorbit.symilp import block_group, canonical_core_point, orbit_barycenter
 from shapes import birkhoff, cross_h, cube_h, reference_volume, simplex_h
 from test_symilp import (
     apply_perm,
@@ -488,6 +488,24 @@ class TestVolume:
         volume(P)
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("seed", range(60))
+    def test_v_input_matches_h_route(self, monkeypatch, seed):
+        # a V input is measured on its own points, duplicates, midpoints and
+        # points of lower-dimensional hulls included, in one conversion
+        V = random_point_cloud(random.Random(seed))
+        H = convert_dd(V)
+        assert dd_cone_calls(monkeypatch, volume, V) == 1
+        assert volume(V) == volume(H) == reference_volume(H)
+
+    @pytest.mark.parametrize("name", ["cube3.ext", "diamond-third.ext", "quad-asym.ext",
+                                      "santos.ext", "square-midpoint.ext"])
+    def test_v_file_converts_once(self, monkeypatch, capsys, name):
+        path = Path(__file__).parent / "fixtures" / name
+        assert dd_cone_calls(monkeypatch, main, ["volume", str(path)]) == 1
+        out = capsys.readouterr().out
+        V = parse_polyfile(path.read_text()).to_vpolyhedron()
+        assert out == f"{volume(convert_dd(V))}\n"
+
     def test_each_face_is_triangulated_once(self, monkeypatch):
         # faces shared by several parents are pulled once per volume call
         import polyorbit.latcount as lc
@@ -502,6 +520,23 @@ class TestVolume:
             faces.clear()
             assert volume(cube_h(5)) == 32
             assert len(faces) == len(set(faces)) == 31
+
+
+def random_point_cloud(rng):
+    """Seeded points whose hull is a polytope of dimension 0 to 3 in R^1 to
+    R^4, given with repeated points and midpoints of random pairs."""
+    n = rng.randint(1, 4)
+    k = 0 if rng.random() < 0.1 else rng.randint(1, min(n, 3))
+    M = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(n)]
+    t = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+    pts = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(k + 1, k + 5))]
+    img = [tuple(t[i] + sum(m * x for m, x in zip(M[i], p)) for i in range(n)) for p in pts]
+    for _ in range(rng.randint(0, 3)):
+        img.append(rng.choice(img))
+        p, q = rng.choice(img), rng.choice(img)
+        img.append(tuple((x + y) / 2 for x, y in zip(p, q)))
+    rng.shuffle(img)
+    return VPolyhedron.from_points(img)
 
 
 def random_volume_polytope(rng):
@@ -662,7 +697,7 @@ def lp_slice_decomposition(P, blocks):
                 e = [F(0)] * n
                 e[t], e[t + 1] = F(1), F(-1)
                 basis_rows.append(tuple(e))
-    lattice = fiber_barycenter_lattice(blocks)
+    G = block_group(blocks)
     ranges = []
     for j in live:
         ind = indicator(offs[j], offs[j + 1])
@@ -684,7 +719,8 @@ def lp_slice_decomposition(P, blocks):
         fiber = HPolyhedron(fiber_rows, tuple(bb - dot(a, base) for a, bb in zip(P.A, P.b)),
                             P.equality_rows)
         if feasible_point(fiber) is not None:
-            orbits.append((tuple(sums), lattice.anchor(full), base, fiber))
+            # the anchor is the barycenter of the base point's orbit
+            orbits.append((tuple(sums), orbit_barycenter(G, base), base, fiber))
     return inv_slice, matrix(basis_rows), orbits
 
 

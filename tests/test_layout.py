@@ -1,9 +1,10 @@
-"""Package layout: the names the benchmark tracer wraps exist, no module
-reaches into another module's private names, no library function takes a
-jobs parameter, lattice counting and the CLI import no LP routine, the
-symmetric count and the Ehrhart interpolation each walk one projection
-chain, the facet walk of repconv stays in integer arithmetic, and neither
-the adjacency graph nor the triangulation behind volume converts anything."""
+"""Package layout: the names the benchmark tracer wraps exist, every
+exported name resolves, no module reaches into another module's private
+names, no library function takes a jobs parameter, lattice counting and the
+CLI import no LP routine, the symmetric count and the Ehrhart interpolation
+each walk one projection chain, the facet walk of repconv stays in integer
+arithmetic, and neither the adjacency graph nor the triangulation behind
+volume converts anything."""
 import ast
 import importlib
 import importlib.util
@@ -35,6 +36,16 @@ def test_traced_entry_point_resolves(module, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+@pytest.mark.parametrize("module", ["polyorbit"] + [f"polyorbit.{p.stem}" for p in
+                                                   sorted(PACKAGE.glob("*.py"))
+                                                   if p.stem != "__init__"])
+def test_every_export_resolves(module):
+    # a name deleted from a module must leave its export lists too
+    mod = importlib.import_module(module)
+    missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
+    assert not missing, f"{module}.__all__ lists {missing}"
 
 
 @pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

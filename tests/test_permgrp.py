@@ -1,7 +1,7 @@
-"""Permutation group layer: BSGS orders, membership, set orbits, backtracks.
+"""Permutation group layer: BSGS orders, membership, set orbits, stabilizers.
 
 Brute-force oracles enumerate group closures directly, so every structural
-claim (order, stabilizer, transporter) is checked against an independent
+claim (order, stabilizer, set equivalence) is checked against an independent
 computation on small groups.
 """
 import itertools
@@ -16,8 +16,6 @@ from polyorbit.permgrp import (
     OrbitBudgetExceeded,
     Permutation,
     PermutationGroup,
-    canonical_representative,
-    is_equivalent,
     orbit_of_set,
     schreier_sims,
     set_stabilizer,
@@ -76,9 +74,11 @@ def test_inverse():
 
 def test_cycle_string_roundtrip():
     p = Permutation.from_cycles(7, [(1, 3, 5), (2, 7)])
-    assert Permutation.parse_cycles(7, p.cycle_string()) == p
-    assert Permutation.parse_cycles(4, "()").is_identity()
-    assert Permutation.parse_cycles(4, "(1 2)(3 4)") == Permutation((2, 1, 4, 3))
+    assert p.cycle_string() == "(1 3 5)(2 7)"
+    assert Permutation.from_cycles(7, p.cycles()) == p
+    assert Permutation.identity(4).cycle_string() == "()"
+    assert Permutation.from_cycles(4, []).is_identity()
+    assert Permutation((2, 1, 4, 3)).cycle_string() == "(1 2)(3 4)"
 
 
 def test_bad_permutation_rejected():
@@ -115,10 +115,10 @@ def test_apply_set_outside_degree_rejected(points):
         Permutation((2, 3, 1)).apply_set(points)
 
 
-@pytest.mark.parametrize("text", ["(3 0)", "(1 4)"])
-def test_cycle_outside_degree_rejected(text):
+@pytest.mark.parametrize("cycle", [(3, 0), (1, 4)], ids=["(3 0)", "(1 4)"])
+def test_cycle_outside_degree_rejected(cycle):
     with pytest.raises(ValueError):
-        Permutation.parse_cycles(3, text)
+        Permutation.from_cycles(3, [cycle])
 
 
 def test_points_and_sets_outside_degree_rejected():
@@ -131,10 +131,6 @@ def test_points_and_sets_outside_degree_rejected():
             orbit_of_set(G, S)
         with pytest.raises(ValueError):
             set_stabilizer(G, S)
-    with pytest.raises(ValueError):
-        is_equivalent(G, {1}, {4})
-    with pytest.raises(ValueError):
-        is_equivalent(G, {0}, {0})
 
 
 # -- BSGS construction -------------------------------------------------------
@@ -215,10 +211,12 @@ def test_point_orbits():
 
 
 def test_pointwise_stabilizer_s4():
+    # the stabilizer of a point is the set stabilizer of its singleton, and
+    # fixing a second point stabilizes it inside the first
     G = schreier_sims(symmetric_gens(4))
-    S1 = G.pointwise_stabilizer([1])
+    S1 = set_stabilizer(G, {1})
     assert S1.order() == 6
-    S12 = G.pointwise_stabilizer([1, 2])
+    S12 = set_stabilizer(S1, {2})
     assert S12.order() == 2
     oracle = {p for p in brute_closure(symmetric_gens(4), 4) if p(1) == 1 and p(2) == 2}
     assert set(S12.elements()) == oracle
@@ -227,7 +225,7 @@ def test_pointwise_stabilizer_s4():
 def test_pointwise_stabilizer_of_fixed_point():
     g = Permutation.from_cycles(5, [(1, 2, 3)])
     G = schreier_sims([g])
-    assert G.pointwise_stabilizer([5]).order() == 3   # 5 is already fixed
+    assert set_stabilizer(G, {5}).order() == 3   # 5 is already fixed
 
 
 # -- set orbits ---------------------------------------------------------------
@@ -249,16 +247,15 @@ def test_orbit_of_set_budget_is_exact():
     assert orb.size == len(orb.elements) == 70
     with pytest.raises(OrbitBudgetExceeded, match="^set orbit exceeded budget 69$"):
         orbit_of_set(G, {2, 4, 6, 8}, budget=69)
-    with pytest.raises(OrbitBudgetExceeded, match="^set orbit exceeded budget 69$"):
-        canonical_representative(G, {2, 4, 6, 8}, budget=69)
 
 
 def test_canonical_representative():
+    # the key of an orbit is its lexicographically least member
     G = schreier_sims(symmetric_gens(5))
-    assert canonical_representative(G, {3, 5}) == (1, 2)
-    assert canonical_representative(G, {1, 2}) == (1, 2)
+    assert orbit_of_set(G, {3, 5}).representative == (1, 2)
+    assert orbit_of_set(G, {1, 2}).representative == (1, 2)
     H = PermutationGroup([], degree=5)
-    assert canonical_representative(H, {3, 5}) == (3, 5)
+    assert orbit_of_set(H, {3, 5}).representative == (3, 5)
 
 
 def test_set_stabilizer_s4():
@@ -313,26 +310,29 @@ def test_set_stabilizer_orbit_product():
         assert orb.size * stab.order() == G.order()
 
 
-# -- transporter search -------------------------------------------------------
+# -- set equivalence: two sets share an orbit exactly when their keys agree --
+
+def same_orbit(G, S, T):
+    return orbit_of_set(G, S).representative == orbit_of_set(G, T).representative
+
 
 def test_is_equivalent_s4():
     G = schreier_sims(symmetric_gens(4))
-    w = is_equivalent(G, {1, 2}, {3, 4})
-    assert w is not None and w.apply_set({1, 2}) == frozenset({3, 4})
-    assert w in G
+    assert same_orbit(G, {1, 2}, {3, 4})
+    assert frozenset({3, 4}) in orbit_of_set(G, {1, 2}).elements
 
 
 def test_is_equivalent_negative():
     # <(1 2)(3 4)> cannot map {1} to {3}
     G = schreier_sims([Permutation.from_cycles(4, [(1, 2), (3, 4)])])
-    assert is_equivalent(G, {1}, {3}) is None
-    assert is_equivalent(G, {1}, {2}) is not None
+    assert not same_orbit(G, {1}, {3})
+    assert same_orbit(G, {1}, {2})
 
 
 def test_is_equivalent_size_mismatch_and_identity():
     G = schreier_sims(symmetric_gens(4))
-    assert is_equivalent(G, {1, 2}, {1, 2, 3}) is None
-    assert is_equivalent(G, {2, 3}, {2, 3}).is_identity()
+    assert not same_orbit(G, {1, 2}, {1, 2, 3})
+    assert same_orbit(G, {2, 3}, {2, 3})
 
 
 def test_is_equivalent_matches_brute_force():
@@ -342,13 +342,10 @@ def test_is_equivalent_matches_brute_force():
     closure = brute_closure(gens, 6)
     subsets = [frozenset(c) for k in (1, 2, 3) for c in itertools.combinations(range(1, 7), k)]
     for S in subsets:
+        orbit = orbit_of_set(G, S).elements
         for T in subsets:
-            w = is_equivalent(G, S, T)
             exists = any(p.apply_set(S) == T for p in closure)
-            assert (w is not None) == exists
-            if w is not None:
-                assert w in G
-                assert w.apply_set(S) == T
+            assert same_orbit(G, S, T) == exists == (T in orbit)
 
 
 # -- randomized structural invariants ------------------------------------------

@@ -17,17 +17,14 @@ from polyorbit.polycore import (
     vector,
     zero_vector,
 )
-from polyorbit.latcount import first_lattice_point
+from polyorbit.latcount import first_lattice_point, slice_decomposition
 from polyorbit.symilp import (
-    BarycenterLattice,
     CorePoint,
     LinearProgram,
     _sum_ranges,
     block_group,
     canonical_core_point,
     check_invariance,
-    fiber_barycenter_lattice,
-    fiber_polyhedron,
     invariant_subspace,
     is_core_point,
     orbit_barycenter,
@@ -39,6 +36,7 @@ from polyorbit.symilp import (
 
 from shapes import cube_h
 
+UNBOUNDED = "^projection onto the invariant subspace is unbounded$"
 S3 = PermutationGroup([Permutation((2, 1, 3)), Permutation((2, 3, 1))])
 SIGN1 = ((F(-1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
 
@@ -265,42 +263,53 @@ class TestOrbitBarycenter:
 
 
 class TestFiberLattice:
+    """The anchors of slice_decomposition: on block j the fiber with block
+    sums s is anchored at s_j / n_j, the barycenter of each integral orbit
+    in it."""
+
     def test_s3_lattice(self):
-        lat = fiber_barycenter_lattice((3,))
-        assert lat.steps == (F(1, 3),)
-        assert lat.basis == ((F(1, 3), F(1, 3), F(1, 3)),)
-        assert lat.anchor((4,)) == (F(4, 3), F(4, 3), F(4, 3))
+        anchors = {fo.sums: fo.anchor for fo in slice_decomposition(cube_h(3), (3,)).fiber_orbits}
+        assert sorted(anchors) == [(s,) for s in range(-3, 4)]
+        assert anchors[(2,)] == (F(2, 3),) * 3
+        assert anchors[(-1,)] == (F(-1, 3),) * 3
 
     def test_trivial_blocks_integer_lattice(self):
-        lat = fiber_barycenter_lattice((1, 1))
-        assert lat.steps == (F(1), F(1))
-        assert lat.anchor((3, -2)) == (3, -2)
+        # singleton blocks stay free directions of every fiber, anchored at 0
+        dec = slice_decomposition(cube_h(2), (1, 1))
+        assert [fo.anchor for fo in dec.fiber_orbits] == [(0, 0)]
+        dec = slice_decomposition(cube_h(3), (1, 2))
+        assert [fo.anchor for fo in dec.fiber_orbits] == \
+            [(0, F(s, 2), F(s, 2)) for s in range(-2, 3)]
 
     def test_two_blocks(self):
-        lat = fiber_barycenter_lattice((2, 2))
-        assert lat.basis[0] == (F(1, 2), F(1, 2), F(0), F(0))
-        assert lat.basis[1] == (F(0), F(0), F(1, 2), F(1, 2))
+        dec = slice_decomposition(cube_h(4), (2, 2))
+        assert len(dec.fiber_orbits) == 25
+        for fo in dec.fiber_orbits:
+            s1, s2 = fo.sums
+            assert fo.anchor == (F(s1, 2), F(s1, 2), F(s2, 2), F(s2, 2))
 
     def test_integral_orbit_barycenters_land_on_lattice(self):
-        # small-orbit enumeration: barycenter of z equals anchor(block sums)
-        lat = fiber_barycenter_lattice((2, 2))
-        G = block_group((2, 2))
+        # the barycenter of every integral orbit in [-1, 2]^4 is the anchor
+        # of the fiber with its block sums
+        blocks = (2, 2)
+        G = block_group(blocks)
+        box = HPolyhedron.from_rows([row for i in range(4) for row in
+                                     ([F(i == t) for t in range(4)],
+                                      [-F(i == t) for t in range(4)])], [2, 1] * 4)
+        anchors = {fo.sums: fo.anchor for fo in slice_decomposition(box, blocks).fiber_orbits}
         for z in product(range(-1, 3), repeat=4):
-            sums = (z[0] + z[1], z[2] + z[3])
-            assert orbit_barycenter(G, z) == lat.anchor(sums)
-
-    def test_group_object_rejected(self):
-        with pytest.raises(PolyhedronError):
-            fiber_barycenter_lattice(block_group((3,)))
+            assert orbit_barycenter(G, z) == anchors[(z[0] + z[1], z[2] + z[3])]
 
     def test_fiber_members_project_to_anchor(self):
         blocks = (2, 2)
-        Q = fiber_polyhedron(cube_h(4).dilate(2), blocks, (1, 3))
+        dec = slice_decomposition(cube_h(4).dilate(2), blocks)
         sub = invariant_subspace(blocks, 4)
-        lat = fiber_barycenter_lattice(blocks)
-        anchor = lat.anchor((1, 3))
-        for z in enum_integral(Q):
-            assert sub.project(vector(z)) == anchor
+        for fo in dec.fiber_orbits:
+            for y in enum_integral(fo.fiber):
+                z = fo.base_point
+                for yi, row in zip(y, dec.basis):
+                    z = tuple(a + yi * r for a, r in zip(z, row))
+                assert sub.project(vector(z)) == fo.anchor
 
 
 class TestCanonicalCorePoint:
@@ -382,11 +391,22 @@ class TestSymmetricILP:
             symmetric_ilp_feasible(P, (2,))
 
     def test_unbounded_projection_needs_bounds(self):
+        # an unbounded block sum is refused, not truncated; a row of the
+        # system that bounds it gets an answer
         P = HPolyhedron.from_rows([(-1, -1)], [F(-1, 2)])
-        with pytest.raises(PolyhedronError):
+        with pytest.raises(PolyhedronError, match=UNBOUNDED):
             symmetric_ilp_feasible(P, (2,))
-        z = symmetric_ilp_feasible(P, (2,), bounds=[(None, 3)])
-        assert z is not None and P.contains(z)
+        Q = HPolyhedron.from_rows([(-1, -1), (1, 1)], [F(-1, 2), 3])
+        z = symmetric_ilp_feasible(Q, (2,))
+        assert z is not None and Q.contains(z)
+
+    def test_fiber_budget_refused(self):
+        # 101^3 block-sum vectors under singleton blocks
+        P = cube_h(3).dilate(50)
+        with pytest.raises(PolyhedronError,
+                           match="^fiber enumeration exceeds budget 1000000$"):
+            symmetric_ilp_feasible(P, (1, 1, 1))
+        assert symmetric_ilp_feasible(cube_h(3).dilate(49), (1, 1, 1)) is not None
 
     def test_empty_input_infeasible(self):
         P = HPolyhedron.from_rows([(1, 1), (-1, -1)], [-1, -1])
@@ -448,9 +468,9 @@ def block_indicator(n, lo, hi):
     return tuple(F(int(lo <= t < hi)) for t in range(n))
 
 
-def full_sum_ranges(P, blocks, bounds=None):
+def full_sum_ranges(P, blocks):
     """Block-sum ranges from LPs on the full system; "unbounded" when a
-    direction has neither an LP bound nor a user bound, None when P is empty."""
+    direction has no LP bound, None when P is empty."""
     out = []
     for j, (lo_i, hi_i) in enumerate(block_spans(blocks)):
         ind = block_indicator(P.n, lo_i, hi_i)
@@ -460,11 +480,6 @@ def full_sum_ranges(P, blocks, bounds=None):
         bot = solve_lp(P, ind, maximize=False)
         lo = bot.value if bot.is_optimal else None
         hi = top.value if top.is_optimal else None
-        user_lo, user_hi = (None, None) if bounds is None else bounds[j]
-        if user_lo is not None:
-            lo = F(user_lo) if lo is None else max(lo, F(user_lo))
-        if user_hi is not None:
-            hi = F(user_hi) if hi is None else min(hi, F(user_hi))
         if lo is None or hi is None:
             return "unbounded"
         out.append(range(math.ceil(lo), math.floor(hi) + 1))
@@ -636,39 +651,32 @@ class TestFastPathEquivalence:
                 P = random_invariant_system(rng, blocks)
             else:
                 P = rational_invariant_system(rng, blocks, ("lattice", "window")[t % 4 // 2])
-            bounds = None
-            if t % 3 == 2:
-                bounds = [(rng.choice((None, -1)), rng.choice((None, F(3, 2))))
-                          for _ in blocks]
-            want = full_sum_ranges(P, blocks, bounds)
-            assert _sum_ranges(P, blocks, bounds, 10 ** 6) == want
+            want = full_sum_ranges(P, blocks)
+            assert _sum_ranges(P, blocks) == want
             checked += want is not None
         assert checked
 
     def test_empty_system_has_no_ranges(self):
         P = HPolyhedron.from_rows([(1, 1), (-1, -1)], [-1, -1])
         assert full_sum_ranges(P, (2,)) is None
-        assert _sum_ranges(P, (2,), None, 10 ** 6) is None
+        assert _sum_ranges(P, (2,)) is None
 
     def test_unbounded_ranges_need_user_bounds(self):
         # x1 + x2 >= 1/2 on the first block, a bounded second block
         P = HPolyhedron.from_rows(
             [(-1, -1, 0), (0, 0, 1), (0, 0, -1)], [F(-1, 2), F(5, 2), F(1, 3)])
         assert full_sum_ranges(P, (2, 1)) == "unbounded"
-        with pytest.raises(PolyhedronError, match="unbounded; supply bounds"):
-            _sum_ranges(P, (2, 1), None, 10 ** 6)
-        with pytest.raises(PolyhedronError, match="unbounded; supply bounds"):
-            _sum_ranges(P, (2, 1), [(0, None), (None, None)], 10 ** 6)
-        for bounds in ([(None, 3), (None, None)], [(1, 4), (0, 1)]):
-            want = full_sum_ranges(P, (2, 1), bounds)
-            assert want != "unbounded"
-            assert _sum_ranges(P, (2, 1), bounds, 10 ** 6) == want
+        with pytest.raises(PolyhedronError, match=UNBOUNDED):
+            _sum_ranges(P, (2, 1))
         # the mirror image, x1 + x2 <= -1/2, is unbounded below
         Q = HPolyhedron.from_rows([tuple(-x for x in a) for a in P.A], P.b)
         assert full_sum_ranges(Q, (2, 1)) == "unbounded"
-        with pytest.raises(PolyhedronError, match="unbounded; supply bounds"):
-            _sum_ranges(Q, (2, 1), [(None, 0), (None, None)], 10 ** 6)
-        for bounds in ([(-3, None), (None, None)], [(-4, -1), (-1, 0)]):
-            want = full_sum_ranges(Q, (2, 1), bounds)
+        with pytest.raises(PolyhedronError, match=UNBOUNDED):
+            _sum_ranges(Q, (2, 1))
+        # the bounds must come from the system: a row that caps the first
+        # block sum gives the LP ranges
+        for R, cap in ((P, (1, 1, 0)), (Q, (-1, -1, 0))):
+            capped = HPolyhedron(R.A + (cap,), R.b + (F(3),))
+            want = full_sum_ranges(capped, (2, 1))
             assert want != "unbounded"
-            assert _sum_ranges(Q, (2, 1), bounds, 10 ** 6) == want
+            assert _sum_ranges(capped, (2, 1)) == want
