@@ -4,7 +4,8 @@ The package covers the classic polyhedral workflows in which symmetry makes
 otherwise intractable desk-scale computations cheap: representation
 conversion up to symmetry (orbit ledgers of facets/vertices), affine symmetry
 detection, symmetric integer feasibility via core points, and lattice-point
-counting / Ehrhart / volume with slice decompositions.
+counting / Ehrhart / volume with slice decompositions.  The symmetric LP and
+ILP routines take groups that act by permuting coordinates.
 
 All arithmetic is exact over Q (fractions.Fraction); everything runs on one
 thread, and results are deterministic.

@@ -106,7 +106,7 @@ _RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
 def _parse_rational(tok: str, lineno: int) -> Fraction:
     if not _RATIONAL.match(tok):
         raise PolyFileError(f"line {lineno}: not a rational number: {tok!r}")
-    if "/" in tok and tok.split("/")[1] == "0":
+    if "/" in tok and int(tok.split("/")[1]) == 0:
         raise PolyFileError(f"line {lineno}: zero denominator: {tok!r}")
     return Fraction(tok)
 

@@ -391,10 +391,6 @@ class VPolyhedron:
             return len(self.rays[0])
         return 0
 
-    def vertex(self, j: int) -> Vector:
-        """1-based vertex access."""
-        return self.vertices[j - 1]
-
 
 @dataclass(frozen=True)
 class AffineMap:
@@ -559,11 +555,6 @@ def solve_lp(P: HPolyhedron, c: Sequence, maximize: bool = True) -> LPResult:
             x[bcol - n] -= rhs[i]
     point = tuple(x)
     return LPResult("optimal", dot(c, point), point)
-
-
-def feasible_point(P: HPolyhedron) -> Optional[Vector]:
-    res = solve_lp(P, zero_vector(P.n))
-    return res.point if res.is_optimal else None
 
 
 # ---------------------------------------------------------------------------
@@ -772,9 +763,6 @@ class IncidenceData:
     def column_set(self, j: int) -> FaceIndexSet:
         return frozenset(i + 1 for i in range(self.m)
                          if self.row_masks[i] >> (j - 1) & 1)
-
-    def column_sets(self) -> tuple[FaceIndexSet, ...]:
-        return tuple(self.column_set(j) for j in range(1, self.k + 1))
 
 
 def incidence(P: HPolyhedron, V: VPolyhedron) -> IncidenceData:

@@ -1,14 +1,18 @@
 """Symmetric linear and integer linear programming.
 
-A linear program max c.x over P is invariant under a linear group when the
-group permutes the inequality system and fixes c.  Every invariant LP attains
-its optimum on the fixed space of the group (average an optimal orbit), so it
-collapses to a lower-dimensional LP there.  Integral solutions need not lie in
-the fixed space, but they are never far from it: fibers of the projection onto
-the fixed space carry balanced integral "core points" whose orbit hull holds
-no other integral points, and for direct products of symmetric groups acting
-on coordinate blocks a single balanced point per fiber decides integral
-feasibility of the whole fiber.
+Groups act by permuting coordinates: g sends x to the vector with
+(g x)_{g(i)} = x_i.  A linear program max c.x over P is invariant under such
+a group when the group permutes the inequality system and fixes c.  The
+fixed space of the group is spanned by the indicator vectors of its point
+orbits, and the invariant (Reynolds) projection onto it averages x over each
+orbit, so both are read off the point orbits without elimination.  Every
+invariant LP attains its optimum on the fixed space (average an optimal
+orbit), so it collapses to an LP in one variable per orbit.  Integral
+solutions need not lie in the fixed space, but they are never far from it:
+fibers of the projection onto the fixed space carry balanced integral "core
+points" whose orbit hull holds no other integral points, and for direct
+products of symmetric groups acting on coordinate blocks a single balanced
+point per fiber decides integral feasibility of the whole fiber.
 
 The block machinery indexes fibers by integer block sums; the barycenters of
 integral orbits form the scaled lattice with steps 1/n_j per block.  An
@@ -38,22 +42,15 @@ from .polycore import (
     Vector,
     convert_dd,
     dot,
-    identity_matrix,
     integerize,
-    invert_matrix,
     mat_mul,
     mat_vec,
-    nullspace,
     primitive,
-    rank,
-    row_space_basis,
     solve_lp,
     transpose,
-    vec_sub,
     vector,
     zero_vector,
 )
-from .polycore import AffineMap
 from .permgrp import OrbitBudgetExceeded, Permutation, PermutationGroup
 
 GroupLike = Union[PermutationGroup, Sequence]
@@ -73,14 +70,14 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class InvariantSubspace:
-    """Fixed space of a linear action, with the invariant projector onto it.
+    """Fixed space of a coordinate permutation group, with the invariant
+    projector onto it.
 
-    basis spans {x : g x = x for every generator g}.  projector is the
-    projection onto that space along the unique invariant complement (the sum
-    of the images of g - id); for orthogonal actions, permutation matrices
-    included, this is the orthogonal projection.  It satisfies
-    projector @ projector = projector and projector @ g = g @ projector =
-    projector for every generator.
+    basis holds the indicator vector of each point orbit, the orbits ordered
+    by their largest point.  projector is the orthogonal projection onto
+    their span: it replaces each coordinate by the mean of x over its orbit.
+    It satisfies projector @ projector = projector and projector @ g =
+    g @ projector = projector for every group element g.
     """
     basis: Matrix
     projector: Matrix
@@ -100,56 +97,33 @@ class CorePoint:
     orbit_size: int
 
 
-# ---------------------------------------------------------------------------
-# normalizing group specifications to lists of rational matrices
+def _permutation_group(G: GroupLike, n: Optional[int] = None) -> PermutationGroup:
+    """Normalize a group spec to a PermutationGroup on the n coordinates.
 
-
-def _perm_matrix(p: Permutation) -> Matrix:
-    n = p.degree
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    # x  |->  M x  with (M x)_{p(i)} = x_i
-    for i in range(1, n + 1):
-        rows[p(i) - 1][i - 1] = Fraction(1)
-    return tuple(tuple(r) for r in rows)
-
-
-def _linear_action(G: GroupLike, n: Optional[int] = None) -> tuple[list, int]:
-    """Normalize a group spec to (generator matrices, dimension).
-
-    Accepts a PermutationGroup (coordinate action), a block decomposition
-    (sequence of ints), or an iterable of Permutation / AffineMap /
-    matrix-like generators.  AffineMap generators must have zero translation.
+    Accepts a PermutationGroup, a block decomposition (sequence of ints) or
+    a sequence of Permutation generators; an empty sequence is the trivial
+    group and needs n.  Anything else, or a degree other than n, raises
+    PolyhedronError.
     """
-    if isinstance(G, PermutationGroup):
-        if n is not None and G.degree != n:
-            raise PolyhedronError("group degree does not match dimension")
-        return [_perm_matrix(p) for p in G.generators], G.degree
-    items = list(G)
-    if items and all(isinstance(x, int) for x in items):
-        return _linear_action(block_group(items), n)
-    mats = []
-    for g in items:
-        if isinstance(g, Permutation):
-            mats.append(_perm_matrix(g))
-        elif isinstance(g, AffineMap):
-            if any(v != 0 for v in g.t):
-                raise PolyhedronError("generator must act linearly (zero translation)")
-            mats.append(g.A)
-        else:
-            mats.append(tuple(vector(row) for row in g))
-    for m in mats:
-        if any(len(row) != len(m) for row in m):
-            raise PolyhedronError("generator matrix is not square")
-    dims = {len(m) for m in mats}
-    if len(dims) > 1:
-        raise PolyhedronError("generators act on different dimensions")
-    if n is None:
-        if not mats:
+    if not isinstance(G, PermutationGroup):
+        try:
+            items = list(G)
+        except TypeError:
+            raise PolyhedronError("a group, block sizes or permutations are required") from None
+        if items and all(isinstance(x, int) for x in items):
+            G = block_group(items)
+        elif not all(isinstance(g, Permutation) for g in items):
+            raise PolyhedronError("generators must be permutations of the coordinates")
+        elif not items and n is None:
             raise PolyhedronError("dimension required with an empty generator list")
-        n = len(mats[0])
-    elif dims and dims != {n}:
-        raise PolyhedronError("generator dimension does not match")
-    return mats, n
+        else:
+            degree = items[0].degree if items else n
+            if any(g.degree != degree for g in items):
+                raise PolyhedronError("generators act on different dimensions")
+            G = PermutationGroup(items, degree=degree)
+    if n is not None and G.degree != n:
+        raise PolyhedronError("group degree does not match dimension")
+    return G
 
 
 # ---------------------------------------------------------------------------
@@ -157,31 +131,16 @@ def _linear_action(G: GroupLike, n: Optional[int] = None) -> tuple[list, int]:
 
 
 def invariant_subspace(generators: GroupLike, n: Optional[int] = None) -> InvariantSubspace:
-    """Fixed space of the generated group and the invariant projector onto it.
-
-    The trivial group fixes the whole space.  Raises PolyhedronError when the
-    fixed space has no invariant complement spanned by the images of g - id,
-    which happens exactly when some generator has infinite order.
-    """
-    mats, n = _linear_action(generators, n)
-    eye = identity_matrix(n)
-    if not mats:
-        return InvariantSubspace(eye, eye)
-    diffs = [tuple(vec_sub(g[i], eye[i]) for i in range(n)) for g in mats]
-    fixed = nullspace([row for d in diffs for row in d], n)
-    # complement: the span of all columns of the g - id
-    comp = row_space_basis([col for d in diffs for col in transpose(d)])
-    k = len(fixed)
-    if rank(fixed + comp) != n:
-        raise PolyhedronError(
-            "fixed space and complement do not span; generators must have finite order")
-    if k == 0:
-        proj = tuple(tuple(Fraction(0) for _ in range(n)) for _ in range(n))
-        return InvariantSubspace((), proj)
-    M = transpose(fixed + comp)
-    Minv = invert_matrix(M)
-    proj = mat_mul(transpose(fixed), Minv[:k])
-    return InvariantSubspace(fixed, proj)
+    """Fixed space of the generated group and the invariant projector onto it,
+    read off the point orbits.  The trivial group fixes the whole space."""
+    G = _permutation_group(generators, n)
+    orbits = sorted(G.point_orbits(), key=max)
+    points = range(1, G.degree + 1)
+    basis = tuple(tuple(Fraction(int(i in orb)) for i in points) for orb in orbits)
+    orbit_of = {i: orb for orb in orbits for i in orb}
+    projector = tuple(tuple(Fraction(int(j in orbit_of[i]), len(orbit_of[i])) for j in points)
+                      for i in points)
+    return InvariantSubspace(basis, projector)
 
 
 def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
@@ -189,34 +148,21 @@ def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
 
     Row i is compared as the primitive vector (a_i | b_i) together with its
     equality flag; c is fixed when c.(g x) = c.x for all x.  A permutation
-    matrix is its own inverse transpose, so a PermutationGroup moves row
-    coordinates directly instead of multiplying matrices.
+    matrix is its own inverse transpose, so rows move like points and no
+    matrix is formed.
     """
     P, c = lp.P, lp.c
+    G = _permutation_group(G, P.n)
     eq = set(P.equality_rows)
     prims = [(primitive(P.A[i] + (P.b[i],)), (i + 1) in eq) for i in range(P.m)]
     base = sorted(prims)
-    if isinstance(G, PermutationGroup):
-        if G.degree != P.n:
-            raise PolyhedronError("group degree does not match dimension")
-        for g in G.generators:
-            # (g x)_{g(i)} = x_i; rows move the same way, since (g^-1)^T = g
-            src = g.inverse().images
-            if tuple(c[k - 1] for k in g.images) != c:
-                return False
-            rows = sorted((tuple(r[k - 1] for k in src) + (r[-1],), flag)
-                          for r, flag in prims)
-            if rows != base:
-                return False
-        return True
-    mats, _ = _linear_action(G, P.n)
-    for g in mats:
-        if mat_vec(transpose(g), c) != c:
+    for g in G.generators:
+        # (g x)_{g(i)} = x_i; rows move the same way, since (g^-1)^T = g
+        src = g.inverse().images
+        if tuple(c[k - 1] for k in g.images) != c:
             return False
-        ginv_t = transpose(invert_matrix(g))
-        rows = sorted(
-            (primitive(mat_vec(ginv_t, P.A[i]) + (P.b[i],)), (i + 1) in eq)
-            for i in range(P.m))
+        rows = sorted((tuple(r[k - 1] for k in src) + (r[-1],), flag)
+                      for r, flag in prims)
         if rows != base:
             return False
     return True
@@ -225,21 +171,15 @@ def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
 def solve_lp_reduced(lp: LinearProgram, G: GroupLike) -> LPResult:
     """Solve an invariant LP on the fixed space of G.
 
-    Substitutes x = B y for a basis B of the fixed space, solves the reduced
-    program exactly and maps the argmax back; the optimum equals the full
-    one.  Infeasible and unbounded pass through as statuses.
+    Substitutes x = B y for the orbit indicators B, one variable per point
+    orbit, solves the reduced program exactly and maps the argmax back; the
+    optimum equals the full one.  Infeasible and unbounded pass through as
+    statuses.
     """
-    mats, n = _linear_action(G, lp.P.n)
+    G = _permutation_group(G, lp.P.n)
     if not check_invariance(lp, G):
         raise PolyhedronError("linear program is not invariant under the group")
-    sub = invariant_subspace(mats, n)
-    k = sub.dim
-    if k == 0:
-        origin = zero_vector(n)
-        if lp.P.contains(origin):
-            return LPResult("optimal", Fraction(0), origin)
-        return LPResult("infeasible")
-    B = transpose(sub.basis)  # n x k, columns span the fixed space
+    B = transpose(invariant_subspace(G).basis)  # n x k, columns span the fixed space
     red = HPolyhedron(mat_mul(lp.P.A, B), lp.P.b, lp.P.equality_rows)
     res = solve_lp(red, mat_vec(transpose(B), lp.c))
     if not res.is_optimal:
@@ -251,14 +191,16 @@ def solve_lp_reduced(lp: LinearProgram, G: GroupLike) -> LPResult:
 # orbits of points
 
 
-def _point_orbit(mats: Sequence[Matrix], z: Vector, budget: int) -> set:
+def _point_orbit(G: PermutationGroup, z: Vector, budget: int) -> set:
+    """The orbit of z under G, expanded by permuting its coordinates; raises
+    OrbitBudgetExceeded past budget points."""
     seen = {z}
     frontier = [z]
     while frontier:
         new = []
         for p in frontier:
-            for g in mats:
-                q = mat_vec(g, p)
+            for g in G.generators:
+                q = tuple(p[k - 1] for k in g.images)
                 if q not in seen:
                     if len(seen) >= budget:
                         raise OrbitBudgetExceeded(
@@ -269,15 +211,11 @@ def _point_orbit(mats: Sequence[Matrix], z: Vector, budget: int) -> set:
     return seen
 
 
-def orbit_barycenter(G: GroupLike, z: Sequence, budget: int = 200_000) -> Vector:
-    """Exact barycenter of the orbit of z; equals the invariant projection."""
+def orbit_barycenter(G: GroupLike, z: Sequence) -> Vector:
+    """Exact barycenter of the orbit of z: the mean of z over each coordinate
+    orbit, which is the invariant projection of z.  No orbit is expanded."""
     z = vector(z)
-    mats, _ = _linear_action(G, len(z))
-    orbit = _point_orbit(mats, z, budget)
-    total = zero_vector(len(z))
-    for p in orbit:
-        total = tuple(a + b for a, b in zip(total, p))
-    return tuple(v / len(orbit) for v in total)
+    return invariant_subspace(G, len(z)).project(z)
 
 
 # ---------------------------------------------------------------------------
@@ -343,9 +281,8 @@ def is_core_point(G: GroupLike, z: Sequence, budget: int = 200_000) -> Optional[
     z = vector(z)
     if any(v.denominator != 1 for v in z):
         raise PolyhedronError("a core point candidate must be integral")
-    mats, _ = _linear_action(G, len(z))
     try:
-        orbit = _point_orbit(mats, z, budget)
+        orbit = _point_orbit(_permutation_group(G, len(z)), z, budget)
     except OrbitBudgetExceeded:
         return None
     pts = sorted(orbit)

@@ -85,6 +85,7 @@ class TestPolyFileParsing:
         ("H-representation\nbegin\n1 2 rational\n1 -1 0\nend\n", "line 4"),
         ("H-representation\nbegin\n1 2 rational\n1 1.5\nend\n", "line 4"),
         ("H-representation\nbegin\n1 2 rational\n1 1/0\nend\n", "line 4"),
+        ("H-representation\nbegin\n1 2 rational\n1 1/00\nend\n", "line 4"),
         ("V-representation\nbegin\n1 2 rational\n2 1\nend\n", "line 4"),
         ("H-representation\nbegin\n2 2 rational\n1 -1\nend\n", "line 5"),
         ("H-representation\nbegin\n1 2 rational\n1 -1\nend\nfoo bar\n", "line 6"),
@@ -511,6 +512,13 @@ class TestErrorContract:
         path.write_text("H-representation\nbegin\n0 3 rational\nend\n")
         code, out, err = run(capsys, command, path)
         assert (code, out, err) == (2, "", "error: an H-representation needs at least one row\n")
+
+    def test_zero_denominator_is_an_input_error(self, tmp_path, capsys):
+        # "1/00" once passed the check and escaped Fraction(1, 0) as exit 3
+        path = tmp_path / "zero-den.ine"
+        path.write_text("H-representation\nbegin\n2 2 rational\n1 1/00\n1 -1\nend\n")
+        code, out, err = run(capsys, "count", path)
+        assert (code, out, err) == (2, "", "error: line 4: zero denominator: '1/00'\n")
 
     def test_set_orbit_over_budget_is_an_input_error(self, monkeypatch, tmp_path, capsys):
         # both facet orbits of CUT_5 have more than 20 sets

@@ -16,10 +16,10 @@ from polyorbit.polycore import (
     VerificationError,
     VPolyhedron,
     dot,
-    feasible_point,
     matrix,
     solve_lp,
     vec_add,
+    zero_vector,
 )
 from polyorbit.latcount import (
     QuasiPolynomial,
@@ -718,7 +718,7 @@ def lp_slice_decomposition(P, blocks):
         base = canonical_core_point(blocks, full).z
         fiber = HPolyhedron(fiber_rows, tuple(bb - dot(a, base) for a, bb in zip(P.A, P.b)),
                             P.equality_rows)
-        if feasible_point(fiber) is not None:
+        if solve_lp(fiber, zero_vector(fiber.n)).is_optimal:
             # the anchor is the barycenter of the base point's orbit
             orbits.append((tuple(sums), orbit_barycenter(G, base), base, fiber))
     return inv_slice, matrix(basis_rows), orbits

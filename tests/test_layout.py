@@ -1,10 +1,10 @@
 """Package layout: the names the benchmark tracer wraps exist, every
 exported name resolves, no module reaches into another module's private
 names, no library function takes a jobs parameter, lattice counting and the
-CLI import no LP routine, the symmetric count and the Ehrhart interpolation
-each walk one projection chain, the facet walk of repconv stays in integer
-arithmetic, and neither the adjacency graph nor the triangulation behind
-volume converts anything."""
+CLI import no LP routine, symilp imports no elimination routine, the
+symmetric count and the Ehrhart interpolation each walk one projection
+chain, the facet walk of repconv stays in integer arithmetic, and neither
+the adjacency graph nor the triangulation behind volume converts anything."""
 import ast
 import importlib
 import importlib.util
@@ -21,6 +21,13 @@ def _called(fn: ast.AST) -> set[str]:
     return {call.func.id if isinstance(call.func, ast.Name) else call.func.attr
             for call in ast.walk(fn) if isinstance(call, ast.Call)
             and isinstance(call.func, (ast.Name, ast.Attribute))}
+
+
+def _imported(name: str) -> set[str]:
+    """Names a module of the package imports."""
+    return {a.asname or a.name
+            for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
+            if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
 
 
 def _entry_points():
@@ -69,10 +76,15 @@ def test_no_function_takes_a_jobs_parameter(source):
 @pytest.mark.parametrize("name", ["latcount.py", "cli.py"])
 def test_lattice_counting_imports_no_lp_routine(name):
     # the CLI's ilp without blocks runs the counting walk, not an LP box scan
-    imported = {a.asname or a.name
-                for node in ast.walk(ast.parse((PACKAGE / name).read_text()))
-                if isinstance(node, (ast.Import, ast.ImportFrom)) for a in node.names}
-    assert not imported & {"solve_lp", "feasible_point"}
+    assert not _imported(name) & {"solve_lp", "feasible_point"}
+
+
+def test_symilp_imports_no_elimination_routine():
+    # groups act by permuting coordinates: fixed spaces and barycenters are
+    # read off the point orbits, and no generator is a matrix
+    banned = {"nullspace", "row_space_basis", "rank", "invert_matrix", "identity_matrix",
+              "AffineMap"}
+    assert not _imported("symilp.py") & banned
 
 
 def test_symmetric_count_and_ehrhart_build_one_chain():

@@ -15,7 +15,6 @@ from polyorbit.polycore import (
     convert_dd_incidence,
     det,
     dot,
-    feasible_point,
     identity_matrix,
     incidence,
     integer_kernel_basis,
@@ -29,6 +28,7 @@ from polyorbit.polycore import (
     solve_lp,
     vec_sub,
     vector,
+    zero_vector,
 )
 
 F = Fraction
@@ -331,7 +331,7 @@ def tight_on_all_of(Q, i):
 def lp_remove_redundancy(P):
     """Reference: duplicates dropped as in remove_redundancy, then one LP per
     row for the implicit equalities and a sequential LP filter."""
-    if feasible_point(P) is None:
+    if not solve_lp(P, zero_vector(P.n)).is_optimal:
         raise EmptyPolyhedronError("system is infeasible")
     in_eq = set(P.equality_rows)
     seen, keep, marked = {}, [], []
@@ -373,9 +373,10 @@ def lp_remove_redundancy(P):
 def lp_affine_hull(P):
     """Reference: a feasible point and the null space of the rows whose
     minimum over P is their right-hand side."""
-    x0 = feasible_point(P)
-    if x0 is None:
+    res = solve_lp(P, zero_vector(P.n))
+    if not res.is_optimal:
         raise EmptyPolyhedronError("empty polyhedron has no affine hull")
+    x0 = res.point
     eq_rows = [P.A[i] for i in range(P.m) if tight_on_all_of(P, i)]
     return x0, (nullspace(eq_rows, P.n) if eq_rows else identity_matrix(P.n))
 
@@ -460,6 +461,6 @@ class TestDoubleDescriptionCanonicalForms:
             except EmptyPolyhedronError:
                 continue
             inc = incidence(P, V)
-            assert masks == [sum(1 << (i - 1) for i in S) for S in inc.column_sets()]
+            assert masks == [sum(1 << (i - 1) for i in S) for S in map(inc.column_set, range(1, inc.k + 1))]
             H, rows = convert_dd_incidence(V)
             assert tuple(rows) == incidence(H, V).row_masks

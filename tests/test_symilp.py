@@ -6,14 +6,22 @@ from itertools import permutations, product
 
 import pytest
 
-from polyorbit.permgrp import OrbitBudgetExceeded, Permutation, PermutationGroup
+from polyorbit.permgrp import Permutation, PermutationGroup
 from polyorbit.polycore import (
+    AffineMap,
     HPolyhedron,
     PolyhedronError,
     dot,
+    identity_matrix,
+    invert_matrix,
     mat_mul,
     mat_vec,
+    nullspace,
+    primitive,
+    row_space_basis,
     solve_lp,
+    transpose,
+    vec_sub,
     vector,
     zero_vector,
 )
@@ -73,6 +81,50 @@ def apply_perm(p, x):
     return tuple(out)
 
 
+def as_group(gens, n):
+    """The group a block decomposition or a generator list stands for."""
+    if gens and all(isinstance(x, int) for x in gens):
+        return block_group(gens)
+    return PermutationGroup(gens, degree=n)
+
+
+def random_permutation_group(rng, max_degree=7):
+    """Up to three generators, each permuting a random subset of the points,
+    so the orbits need not be intervals."""
+    n = rng.randint(1, max_degree)
+    gens = []
+    for _ in range(rng.randint(0, 3)):
+        images = list(range(1, n + 1))
+        moved = rng.sample(range(n), rng.randint(1, n))
+        targets = [images[i] for i in moved]
+        rng.shuffle(targets)
+        for i, v in zip(moved, targets):
+            images[i] = v
+        gens.append(Permutation(images))
+    return PermutationGroup(gens, degree=n)
+
+
+def elimination_subspace(G):
+    """Oracle by generic elimination: the fixed space is the null space of
+    the stacked g - id, and the projector projects along the span of the
+    columns of the g - id, the invariant complement."""
+    n = G.degree
+    eye = identity_matrix(n)
+    diffs = [tuple(vec_sub(g[i], eye[i]) for i in range(n)) for g in perm_matrices(G)]
+    if not diffs:
+        return eye, eye
+    fixed = nullspace([row for d in diffs for row in d], n)
+    comp = row_space_basis([col for d in diffs for col in transpose(d)])
+    inv = invert_matrix(transpose(fixed + comp))
+    return fixed, mat_mul(transpose(fixed), inv[:len(fixed)])
+
+
+def orbit_mean(G, z):
+    """Oracle: the mean of the expanded orbit of z."""
+    orbit = {apply_perm(g, vector(z)) for g in G.elements()}
+    return tuple(sum(col, F(0)) / len(orbit) for col in zip(*orbit))
+
+
 def random_invariant_system(rng, blocks, extra_rows=3, box=2):
     """Row-orbit symmetrization plus a bounding box; invariant by construction."""
     n = sum(blocks)
@@ -109,40 +161,66 @@ class TestInvariantSubspace:
         assert sub.project((1, 1)) == (1, 1)
         assert sub.project((1, -1)) == (0, 0)
 
-    def test_hyperoctahedral_fixes_origin_only(self):
-        sub = invariant_subspace([SIGN1, Permutation((2, 3, 1))])
-        assert sub.dim == 0
-        assert sub.project((5, -2, 7)) == (0, 0, 0)
-
     def test_trivial_group_full_space(self):
         sub = invariant_subspace([], 4)
         assert sub.dim == 4
         assert sub.project((1, 2, 3, 4)) == (1, 2, 3, 4)
 
+    def test_orbit_indicators_match_elimination(self):
+        rng = random.Random(23)
+        # orbits {2, 3} and {1, 4}, then {2, 5} and {1, 3}: not intervals
+        groups = [PermutationGroup([Permutation((4, 3, 2, 1))]),
+                  PermutationGroup([Permutation((3, 5, 1, 4, 2))]),
+                  PermutationGroup([], degree=3), S3, block_group((2, 1, 3))]
+        groups += [random_permutation_group(rng) for _ in range(80)]
+        dims = set()
+        for G in groups:
+            sub = invariant_subspace(G)
+            assert (sub.basis, sub.projector) == elimination_subspace(G)
+            dims.add((G.degree, sub.dim))
+        # full, intermediate and one-dimensional fixed spaces all occur
+        assert any(k == n > 1 for n, k in dims) and any(1 < k < n for n, k in dims)
+        assert any(k == 1 < n for n, k in dims)
+
     @pytest.mark.parametrize("gens,n", [
         ([Permutation((2, 1, 3)), Permutation((2, 3, 1))], 3),
-        ([SIGN1, Permutation((2, 3, 1)), Permutation((2, 1, 3))], 3),
+        ([Permutation((3, 2, 1))], 3),
         ((2, 2), 4),
         ((3, 1, 2), 6),
     ])
     def test_projector_identities(self, gens, n):
-        from polyorbit.symilp import _linear_action
         sub = invariant_subspace(gens, n)
         pr = sub.projector
         assert mat_mul(pr, pr) == pr
-        mats, _ = _linear_action(gens, n)
-        for g in mats:
+        for g in perm_matrices(as_group(gens, n)):
             assert mat_mul(pr, g) == pr
             assert mat_mul(g, pr) == pr
 
     def test_projector_equals_orbit_barycenter(self):
         rng = random.Random(7)
-        cases = [((3,), 3), ((2, 2), 4), ([SIGN1, Permutation((2, 1, 3))], 3)]
-        for G, n in cases:
-            sub = invariant_subspace(G, n)
+        cases = [((3,), 3), ((2, 2), 4), ([Permutation((4, 3, 2, 1))], 4)]
+        for gens, n in cases:
+            sub = invariant_subspace(gens, n)
             for _ in range(5):
                 z = tuple(F(rng.randint(-4, 4)) for _ in range(n))
-                assert sub.project(z) == orbit_barycenter(G, z)
+                assert sub.project(z) == orbit_barycenter(gens, z) == \
+                    orbit_mean(as_group(gens, n), z)
+
+    def test_non_permutation_generators_rejected(self):
+        rot = ((F(0), F(-1)), (F(1), F(0)))
+        flip = AffineMap(SIGN1, (F(0),) * 3)
+        for gens, z in (([rot], (1, 2)), ([SIGN1, Permutation((2, 3, 1))], (1, 2, 3)),
+                        ([flip], (1, 2, 3)), (flip, (1, 2, 3)), ([Permutation((2, 1)), 3], (1, 2))):
+            with pytest.raises(PolyhedronError):
+                invariant_subspace(gens)
+            with pytest.raises(PolyhedronError):
+                orbit_barycenter(gens, z)
+
+    def test_wrong_degree_rejected(self):
+        for gens, n in ((S3, 4), ([Permutation((2, 1))], 3), ((2, 2), 3),
+                        ([Permutation((2, 1)), Permutation((2, 3, 1))], None), ([], None)):
+            with pytest.raises(PolyhedronError):
+                invariant_subspace(gens, n)
 
     def test_infinite_order_generator_rejected(self):
         shear = ((F(1), F(1)), (F(0), F(1)))
@@ -168,8 +246,11 @@ class TestCheckInvariance:
         assert check_invariance(LinearProgram(P, (2, 7)), PermutationGroup([], degree=2))
 
     def test_matrix_generator_rotation(self):
+        # the square is invariant under the rotation, but only coordinate
+        # permutations are accepted as group elements
         rot = ((F(0), F(-1)), (F(1), F(0)))
-        assert check_invariance(LinearProgram(cube_h(2), (0, 0)), [rot])
+        with pytest.raises(PolyhedronError):
+            check_invariance(LinearProgram(cube_h(2), (0, 0)), [rot])
 
     def test_asymmetric_rows_fail(self):
         P = HPolyhedron.from_rows([(1, 0), (0, 1)], [1, 2])
@@ -198,8 +279,14 @@ class TestSolveLPReduced:
         assert res.status == "optimal" and res.value == 0
 
     def test_zero_fixed_space(self):
+        # the hyperoctahedral group fixes only the origin, but its sign flip
+        # is refused; without it the group permutes coordinates and fixes
+        # the all-ones vector, so the fixed space is never zero
         G = [SIGN1, Permutation((2, 3, 1)), Permutation((2, 1, 3))]
-        res = solve_lp_reduced(LinearProgram(cube_h(3), (0, 0, 0)), G)
+        with pytest.raises(PolyhedronError):
+            solve_lp_reduced(LinearProgram(cube_h(3), (0, 0, 0)), G)
+        assert invariant_subspace(G[1:]).basis == ((1, 1, 1),)
+        res = solve_lp_reduced(LinearProgram(cube_h(3), (0, 0, 0)), G[1:])
         assert res.status == "optimal"
         assert res.value == 0 and res.point == (0, 0, 0)
 
@@ -241,16 +328,14 @@ class TestOrbitBarycenter:
     def test_fixed_point(self):
         assert orbit_barycenter(S3, (2, 2, 2)) == (2, 2, 2)
 
-    def test_square_vertex_orbit(self):
-        G = [((F(-1), F(0)), (F(0), F(1))), Permutation((2, 1))]
-        assert orbit_barycenter(G, (1, 1)) == (0, 0)
-
     def test_s3_average(self):
         assert orbit_barycenter(S3, (2, 1, 0)) == (1, 1, 1)
 
-    def test_budget_exceeded(self):
-        with pytest.raises(OrbitBudgetExceeded):
-            orbit_barycenter(block_group((8,)), tuple(range(8)), budget=100)
+    def test_large_orbit_not_expanded(self):
+        # 10! points in the orbit; the mean is taken per coordinate orbit
+        z = tuple(range(10))
+        assert orbit_barycenter(block_group((10,)), z) == (F(9, 2),) * 10
+        assert orbit_barycenter(block_group((4, 6)), z) == (F(3, 2),) * 4 + (F(13, 2),) * 6
 
     def test_barycenter_stays_feasible(self):
         # convexity: the barycenter of an orbit of feasible points is feasible
@@ -609,6 +694,23 @@ def perm_matrices(G):
     return out
 
 
+def matrix_invariance(lp, mats):
+    """Oracle: every matrix g fixes c and maps the normalized rows of P onto
+    themselves through g^-T."""
+    P, c = lp.P, lp.c
+    eq = set(P.equality_rows)
+    base = sorted((primitive(P.A[i] + (P.b[i],)), (i + 1) in eq) for i in range(P.m))
+    for g in mats:
+        if mat_vec(transpose(g), c) != c:
+            return False
+        ginv_t = transpose(invert_matrix(g))
+        rows = sorted((primitive(mat_vec(ginv_t, P.A[i]) + (P.b[i],)), (i + 1) in eq)
+                      for i in range(P.m))
+        if rows != base:
+            return False
+    return True
+
+
 class TestFastPathEquivalence:
     def test_permutation_group_matches_matrix_generators(self):
         rng = random.Random(17)
@@ -634,7 +736,7 @@ class TestFastPathEquivalence:
                 for c in objectives:
                     lp = LinearProgram(P, c)
                     fast = check_invariance(lp, G)
-                    assert fast == check_invariance(lp, mats)
+                    assert fast == matrix_invariance(lp, mats)
                     verdicts.add(fast)
         assert verdicts == {True, False}
 
