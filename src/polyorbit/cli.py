@@ -100,15 +100,20 @@ class PolyFile:
         return VPolyhedron.from_points(points, rays)
 
 
-_RATIONAL = re.compile(r"^[+-]?\d+(/\d+)?$")
+_RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
 
 
 def _parse_rational(tok: str, lineno: int) -> Fraction:
-    if not _RATIONAL.match(tok):
+    # built from the match's groups: Fraction(tok) would parse tok again
+    m = _RATIONAL.match(tok)
+    if m is None:
         raise PolyFileError(f"line {lineno}: not a rational number: {tok!r}")
-    if "/" in tok and int(tok.split("/")[1]) == 0:
+    num, den = m.groups()
+    if den is None:
+        return Fraction(int(num))
+    if int(den) == 0:
         raise PolyFileError(f"line {lineno}: zero denominator: {tok!r}")
-    return Fraction(tok)
+    return Fraction(int(num), int(den))
 
 
 def parse_polyfile(text: str) -> PolyFile:
@@ -294,14 +299,17 @@ def cmd_convert(pf: PolyFile, args) -> int:
 
 
 def cmd_count(pf: PolyFile, args) -> int:
-    P = _input_polytope(pf)
     if args.symmetric:
+        # the sorted-domain rows are added to an inequality description
+        P = _input_polytope(pf)
         if pf.blocks is None:
             raise PolyhedronError(
                 "--symmetric needs a blocks header in the input file")
         total = count_with_symmetry(P, pf.blocks)
     else:
-        total = count_lattice_points(P)
+        # a V file is walked on its own points, with no conversion to H first
+        total = count_lattice_points(pf.to_vpolyhedron() if pf.kind == "V"
+                                     else pf.to_hpolyhedron())
     print(total)
     return 0
 

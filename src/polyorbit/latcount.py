@@ -2,11 +2,11 @@
 
 Everything is built on one exact enumeration backbone: integer points are
 listed coordinate by coordinate over a chain of projections.  The polyhedron
-is converted once to vertices and rays; their projections onto the first k
-coordinates, converted back to integer facet rows, give the feasible interval
-of x_k over each fixed prefix in closed form, so the search never leaves the
-projection and solves no LP.  Every count runs one conversion, one chain and
-one walk.  The walk carries an integer weight per point: the symmetric count
+is converted once to vertices and rays (the plain count takes a V input as
+given); their projections onto the first k coordinates, converted back to
+integer facet rows, give the feasible interval of x_k over each fixed prefix
+in closed form, so the search never leaves the projection and solves no LP.
+Every count runs at most one conversion, one chain and one walk.  The walk carries an integer weight per point: the symmetric count
 walks only the sorted points of each block, a fundamental domain of the
 block action, and weighs each by its orbit size; the plain count is the same
 walk with singleton blocks, and the same walk taken depth first solves the
@@ -57,7 +57,6 @@ from .polycore import (
 )
 from .symilp import (
     LinearProgram,
-    block_group,
     block_sum_image,
     canonical_core_point,
     check_blocks,
@@ -83,10 +82,12 @@ __all__ = [
 # Counting by pruned enumeration
 
 
-def count_lattice_points(P: HPolyhedron) -> int:
+def count_lattice_points(P: Union[HPolyhedron, VPolyhedron]) -> int:
     """Number of integer points of a bounded polyhedron, counted exactly.
 
-    P is converted once to vertices and rays, and for each k = 1..n those are
+    An H input is converted once to vertices and rays; a V input is walked
+    on the points and rays it lists, with no conversion, and must list at
+    least one point, as for convert_dd.  For each k = 1..n those are
     projected onto the first k coordinates and converted back to facet rows,
     primitive integer rows of the projection proj_k(P).  Coordinates are then
     fixed in order: for a fixed integer prefix the values of x_k that extend
@@ -102,16 +103,23 @@ def count_lattice_points(P: HPolyhedron) -> int:
     return _orbit_count(P, (1,) * P.n)
 
 
-def _orbit_count(P: HPolyhedron, blocks: Sequence[int]) -> int:
+def _orbit_count(P: Union[HPolyhedron, VPolyhedron], blocks: Sequence[int]) -> int:
     """Integer points of P, each weighted by its orbit size under the blocks.
 
     P must lie in the sorted domain x_{t+1} <= x_t of every block; one DD
-    and one projection chain feed the weighted walk.  An empty P counts 0.
+    of an H input, or the points of a V input, and one projection chain
+    feed the weighted walk.  An empty H input counts 0; a V input with no
+    points raises EmptyPolyhedronError.
     """
-    try:
-        V = convert_dd(P)
-    except EmptyPolyhedronError:
-        return 0
+    if isinstance(P, VPolyhedron):
+        if not P.vertices:
+            raise EmptyPolyhedronError("no points given")
+        V = P
+    else:
+        try:
+            V = convert_dd(P)
+        except EmptyPolyhedronError:
+            return 0
     levels = [_projection_rows(V, k) for k in range(1, P.n + 1)]
     pos = tuple(p for nb in blocks for p in range(nb))
     return _walk(levels, pos, [], 1, 1) if levels else 1
@@ -490,7 +498,7 @@ class SliceDecomposition:
 def _invariant_blocks(P: HPolyhedron, blocks: Sequence[int]) -> tuple[int, ...]:
     """Validated block sizes of a block action that leaves P invariant."""
     blocks = check_blocks(blocks, P.n)
-    if not check_invariance(LinearProgram(P, zero_vector(P.n)), block_group(blocks)):
+    if not check_invariance(LinearProgram(P, zero_vector(P.n)), blocks):
         raise PolyhedronError("polyhedron is not invariant under the block action")
     return blocks
 

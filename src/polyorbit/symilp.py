@@ -20,8 +20,9 @@ invariant P holds the barycenter of each of its points, with the same block
 sums, so block_sum_image reads the block sums of P off one double
 description of P on the fixed space, in one coordinate per block; the ILP
 sweep and the slice decomposition of latcount take their ranges from it
-without an LP.  The sweep tests each fiber's balanced point against the
-rows of P scaled once to integers, so its hot loop is integer arithmetic.
+without an LP.  The sweep tests each fiber's balanced point against one row
+per row orbit of P, in closed form by the rearrangement inequality and in
+integer arithmetic, with the orbit that rejected the last probe first.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import mul
+from operator import getitem, mul
 from typing import Optional, Sequence, Union
 
 from .polycore import (
@@ -42,7 +43,6 @@ from .polycore import (
     Vector,
     convert_dd,
     dot,
-    integerize,
     mat_mul,
     mat_vec,
     primitive,
@@ -97,33 +97,43 @@ class CorePoint:
     orbit_size: int
 
 
-def _permutation_group(G: GroupLike, n: Optional[int] = None) -> PermutationGroup:
-    """Normalize a group spec to a PermutationGroup on the n coordinates.
+def _generators(G: GroupLike, n: Optional[int] = None
+                ) -> tuple[tuple[Permutation, ...], int]:
+    """Generators and degree of a group spec, with no stabilizer chain built.
 
     Accepts a PermutationGroup, a block decomposition (sequence of ints) or
     a sequence of Permutation generators; an empty sequence is the trivial
     group and needs n.  Anything else, or a degree other than n, raises
     PolyhedronError.
     """
-    if not isinstance(G, PermutationGroup):
+    if isinstance(G, PermutationGroup):
+        gens, degree = G.generators, G.degree
+    else:
         try:
             items = list(G)
         except TypeError:
             raise PolyhedronError("a group, block sizes or permutations are required") from None
         if items and all(isinstance(x, int) for x in items):
-            G = block_group(items)
+            blocks = check_blocks(items)
+            gens, degree = _block_generators(blocks), sum(blocks)
         elif not all(isinstance(g, Permutation) for g in items):
             raise PolyhedronError("generators must be permutations of the coordinates")
         elif not items and n is None:
             raise PolyhedronError("dimension required with an empty generator list")
         else:
-            degree = items[0].degree if items else n
-            if any(g.degree != degree for g in items):
+            gens, degree = tuple(items), items[0].degree if items else n
+            if any(g.degree != degree for g in gens):
                 raise PolyhedronError("generators act on different dimensions")
-            G = PermutationGroup(items, degree=degree)
-    if n is not None and G.degree != n:
+    if n is not None and degree != n:
         raise PolyhedronError("group degree does not match dimension")
-    return G
+    return gens, degree
+
+
+def _permutation_group(G: GroupLike, n: Optional[int] = None) -> PermutationGroup:
+    """Normalize a group spec, as accepted by _generators, to a
+    PermutationGroup on the n coordinates."""
+    gens, degree = _generators(G, n)
+    return G if isinstance(G, PermutationGroup) else PermutationGroup(gens, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -149,14 +159,14 @@ def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
     Row i is compared as the primitive vector (a_i | b_i) together with its
     equality flag; c is fixed when c.(g x) = c.x for all x.  A permutation
     matrix is its own inverse transpose, so rows move like points and no
-    matrix is formed.
+    matrix is formed, and neither is a stabilizer chain.
     """
     P, c = lp.P, lp.c
-    G = _permutation_group(G, P.n)
+    gens, _ = _generators(G, P.n)
     eq = set(P.equality_rows)
     prims = [(primitive(P.A[i] + (P.b[i],)), (i + 1) in eq) for i in range(P.m)]
     base = sorted(prims)
-    for g in G.generators:
+    for g in gens:
         # (g x)_{g(i)} = x_i; rows move the same way, since (g^-1)^T = g
         src = g.inverse().images
         if tuple(c[k - 1] for k in g.images) != c:
@@ -235,9 +245,9 @@ def check_blocks(blocks, n: Optional[int] = None) -> tuple[int, ...]:
     return out
 
 
-def block_group(blocks: Sequence[int]) -> PermutationGroup:
-    """Direct product of symmetric groups on consecutive coordinate blocks."""
-    blocks = check_blocks(blocks)
+def _block_generators(blocks: tuple[int, ...]) -> tuple[Permutation, ...]:
+    """A transposition and a full cycle per block (fewer for blocks of size
+    under 3): generators of the symmetric groups on consecutive blocks."""
     n = sum(blocks)
     gens = []
     off = 0
@@ -247,7 +257,12 @@ def block_group(blocks: Sequence[int]) -> PermutationGroup:
         if nb >= 3:
             gens.append(Permutation.from_cycles(n, [tuple(range(off + 1, off + nb + 1))]))
         off += nb
-    return PermutationGroup(gens, degree=n)
+    return tuple(gens)
+
+
+def block_group(blocks: Sequence[int]) -> PermutationGroup:
+    """Direct product of symmetric groups on consecutive coordinate blocks."""
+    return _permutation_group(check_blocks(blocks))
 
 
 def canonical_core_point(blocks: Sequence[int], sums: Sequence[int]) -> CorePoint:
@@ -387,31 +402,50 @@ def _sweep(P, blocks, cands):
     number of fibers probed: (point, its 1-based position), or
     (None, len(cands)) when no balanced point lies in P.
 
-    The candidates are block sums within the ranges of _sum_ranges.  Each
-    row (a_i | b_i) of P is scaled once to integers by the lcm of its
-    denominators, a positive factor, so a probe of the integral balanced
-    point takes integer dot products only.  The sweep is serial.
+    The candidates are block sums within the ranges of _sum_ranges.  P is
+    invariant under the block group, so the balanced point z lies in P
+    exactly when, for each row orbit, the largest value of a row of the
+    orbit at z is at most b, and for an equality orbit the smallest is at
+    least b.  By the rearrangement inequality, with s_j = q_j n_j + r_j,
+    that largest value is sum_j q_j T_j[n_j] + T_j[r_j], where T_j holds the
+    prefix sums of block j's entries of the primitive integer row in
+    descending order; the smallest takes the bottom r_j entries instead.  So
+    one row per orbit is tested, in integers, and each probe builds no
+    point.  The orbit that rejected the last probe is tested first; the
+    order of the tests never changes which fiber is accepted.  The sweep is
+    serial.
     """
     eq = set(P.equality_rows)
-    rows = []
+    spans = list(zip(accumulate(blocks, initial=0), blocks))
+    orbits = {}
     for i, (a, bb) in enumerate(zip(P.A, P.b), start=1):
-        *ai, bi = integerize(a + (bb,))
-        rows.append((ai, bi, i in eq))
+        *ai, bi = primitive(a + (bb,))
+        tops = tuple(tuple(accumulate(sorted(ai[off:off + nb], reverse=True), initial=0))
+                     for off, nb in spans)
+        orbits.setdefault((tops, bi, i in eq), None)
+    tests = []
+    for tops, bi, is_eq in orbits:
+        fulls = tuple(t[-1] for t in tops)
+        # bots[j][r]: sum of the r smallest entries of block j
+        bots = tuple(tuple(t[-1] - t[-1 - r] for r in range(len(t))) for t in tops) \
+            if is_eq else None
+        tests.append((fulls, tops, bots, bi))
     for tested, s in enumerate(cands, start=1):
-        z = canonical_core_point(blocks, s).z
-        zi = [v.numerator for v in z]
-        for ai, bi, is_eq in rows:
-            v = sum(map(mul, ai, zi))
-            if (v != bi) if is_eq else (v > bi):
+        qs, rs = zip(*map(divmod, s, blocks))
+        for k, (fulls, tops, bots, bi) in enumerate(tests):
+            base = sum(map(mul, fulls, qs))
+            if base + sum(map(getitem, tops, rs)) > bi or \
+                    bots is not None and base + sum(map(getitem, bots, rs)) < bi:
+                if k:
+                    tests.insert(0, tests.pop(k))
                 break
         else:
-            return z, tested
+            return canonical_core_point(blocks, s).z, tested
     return None, len(cands)
 
 
 def _require_block_invariance(P, blocks, c):
-    G = block_group(blocks)
-    if not check_invariance(LinearProgram(P, c), G):
+    if not check_invariance(LinearProgram(P, c), blocks):
         raise PolyhedronError("the system is not invariant under the block group")
 
 

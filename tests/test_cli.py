@@ -102,6 +102,15 @@ class TestPolyFileParsing:
         with pytest.raises(PolyFileError, match=fragment):
             parse_polyfile(text)
 
+    @pytest.mark.parametrize("tok,value", [
+        ("+3", F(3)), ("-0", F(0)), ("007", F(7)), ("-4/6", F(-2, 3)),
+        ("+10/4", F(5, 2)), ("0/5", F(0)), ("-007/014", F(-1, 2)),
+    ])
+    def test_rational_tokens(self, tok, value):
+        text = f"H-representation\nbegin\n1 2 rational\n{tok} -1\nend\n"
+        entry = parse_polyfile(text).rows[0][0]
+        assert entry == value and type(entry) is F
+
 
 class TestAutomorphismsCmd:
     def test_cube_v_order_48(self, capsys):

@@ -279,6 +279,42 @@ class TestCountLatticePoints:
         with pytest.raises(PolyhedronError, match="unbounded"):
             count_lattice_points(HPolyhedron.from_rows([(1, 0), (0, 1)], [0, 0]))
 
+    @pytest.mark.parametrize("seed", range(40))
+    def test_v_input_walks_its_own_points(self, monkeypatch, seed):
+        # duplicates, midpoints and lower-dimensional hulls included; one
+        # dd_cone call per projection level and none to convert V to H
+        V = random_point_cloud(random.Random(seed))
+        H = convert_dd(V)
+        assert dd_cone_calls(monkeypatch, count_lattice_points, V) == V.n
+        assert count_lattice_points(V) == count_lattice_points(H) == box_count(H)
+
+    @pytest.mark.parametrize("pts,rays", [
+        ([(0, 0)], [(0, 1)]),                       # integral ray: refused
+        ([(F(1, 2), 0)], [(0, 1)]),                 # no integral x1: counts 0
+        ([(F(1, 2), 0)], [(1, 0), (-1, 0)]),        # a line: refused
+    ])
+    def test_v_input_with_rays_as_its_conversion(self, pts, rays):
+        V = VPolyhedron.from_points(pts, rays)
+        try:
+            expected = count_lattice_points(convert_dd(V))
+        except PolyhedronError as exc:
+            with pytest.raises(PolyhedronError, match=str(exc)):
+                count_lattice_points(V)
+        else:
+            assert count_lattice_points(V) == expected
+
+    def test_v_input_without_points_is_empty(self):
+        with pytest.raises(EmptyPolyhedronError, match="no points given"):
+            count_lattice_points(VPolyhedron.from_points([], [(1, 0)]))
+
+    @pytest.mark.parametrize("name", ["cube3.ext", "diamond-third.ext", "quad-asym.ext",
+                                      "square-midpoint.ext"])
+    def test_v_file_converts_nothing(self, monkeypatch, capsys, name):
+        path = FIX / name
+        V = parse_polyfile(path.read_text()).to_vpolyhedron()
+        assert dd_cone_calls(monkeypatch, main, ["count", str(path)]) == V.n
+        assert capsys.readouterr() == (f"{count_lattice_points(convert_dd(V))}\n", "")
+
     def test_symmetric_counting_solves_no_lp(self, monkeypatch, capsys):
         rng = random.Random(17)
         cases = [(cube_h(3), (3,)), (unit_box(3), (1, 2)), (cube_h(2), (1, 1))]

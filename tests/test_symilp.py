@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import permutations, product
+from operator import mul
 
 import pytest
 
@@ -13,6 +14,7 @@ from polyorbit.polycore import (
     PolyhedronError,
     dot,
     identity_matrix,
+    integerize,
     invert_matrix,
     mat_mul,
     mat_vec,
@@ -26,10 +28,12 @@ from polyorbit.polycore import (
     zero_vector,
 )
 from polyorbit.latcount import first_lattice_point, slice_decomposition
+import polyorbit.symilp as symilp
 from polyorbit.symilp import (
     CorePoint,
     LinearProgram,
     _sum_ranges,
+    _sweep,
     block_group,
     canonical_core_point,
     check_invariance,
@@ -680,6 +684,129 @@ class TestIntegerSweepOracle:
         # infeasible systems whose every fiber was probed
         assert {(False, True, True), (False, False, True),
                 (True, True, True), (True, False, True)} <= seen
+
+
+# ---------------------------------------------------------------------------
+# the orbit sweep against the row-by-row sweep it replaces
+
+
+def reference_sweep(P, blocks, cands):
+    """Oracle: the row-by-row sweep.  Every row of P, scaled to integers, is
+    tested against the balanced point of each candidate in list order."""
+    eq = set(P.equality_rows)
+    rows = []
+    for i, (a, bb) in enumerate(zip(P.A, P.b), start=1):
+        *ai, bi = integerize(a + (bb,))
+        rows.append((ai, bi, i in eq))
+    for tested, s in enumerate(cands, start=1):
+        z = canonical_core_point(blocks, s).z
+        zi = [v.numerator for v in z]
+        for ai, bi, is_eq in rows:
+            v = sum(map(mul, ai, zi))
+            if (v != bi) if is_eq else (v > bi):
+                break
+        else:
+            return z, tested
+    return None, len(cands)
+
+
+def orbit_system(rng, blocks, mode):
+    """A block-invariant system: a rational box, orbits of rational rows and,
+    by mode, an equality orbit.
+
+    "ineq": inequalities only; "orbit-eq": the orbit of an equality row that
+    is not constant on its blocks, so the orbit has several members, through
+    a point constant on every block; "block-eq": an equality row constant on
+    each block, an orbit of one row; "window": K + 1/3 <= sum(x) <= K + 2/3,
+    which no integral point meets.
+    """
+    n = sum(blocks)
+    elems = list(block_group(blocks).elements())
+    rows = {}
+
+    def add_orbit(a, bb, is_eq):
+        for g in elems:
+            rows.setdefault((apply_perm(g, a), bb, is_eq), None)
+
+    for _ in range(rng.randint(1, 3)):
+        add_orbit(tuple(F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)),
+                  F(rng.randint(-2, 9), rng.choice((1, 2))), False)
+    hi, lo = F(rng.randint(2, 6), 2), F(rng.randint(2, 6), 2)
+    for i in range(n):
+        e = tuple(F(int(i == t)) for t in range(n))
+        add_orbit(e, hi, False)
+        add_orbit(tuple(-x for x in e), lo, False)
+    if mode in ("orbit-eq", "block-eq"):
+        z0 = per_block(blocks, [rng.randint(-1, 1) for _ in blocks])
+        if mode == "orbit-eq":
+            a = tuple(F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in range(n))
+        else:
+            a = per_block(blocks, [F(rng.randint(-2, 2), rng.choice((1, 2))) for _ in blocks])
+        add_orbit(a, dot(a, z0), True)
+    elif mode == "window":
+        K = rng.randint(-1, 1)
+        add_orbit((F(1),) * n, K + F(2, 3), False)
+        add_orbit((F(-1),) * n, -(K + F(1, 3)), False)
+    keys = list(rows)
+    rng.shuffle(keys)
+    return HPolyhedron.from_rows([k[0] for k in keys], [k[1] for k in keys],
+                                 tuple(i for i, k in enumerate(keys, start=1) if k[2]))
+
+
+class TestOrbitSweepOracle:
+    SHAPES = [(1,), (2,), (3,), (1, 1), (2, 1), (1, 2), (2, 2), (1, 3), (3, 1),
+              (1, 1, 1), (2, 1, 1), (1, 2, 1)]
+    MODES = ("ineq", "orbit-eq", "block-eq", "window")
+
+    def test_agrees_with_row_by_row_sweep(self):
+        rng = random.Random(2013)
+        seen = set()
+        for t in range(600):
+            blocks = self.SHAPES[t % len(self.SHAPES)]
+            mode = self.MODES[t // len(self.SHAPES) % len(self.MODES)]
+            P = orbit_system(rng, blocks, mode)
+            assert check_invariance(LinearProgram(P, zero_vector(P.n)), blocks)
+            ranges = _sum_ranges(P, blocks)
+            if ranges is None:
+                seen.add((mode, "empty"))
+                continue
+            cands = list(product(*ranges))
+            # shuffled, so that the rejecting orbit changes between probes,
+            # and with candidates beyond the ranges
+            cands += [tuple(rng.randint(-8, 8) for _ in blocks) for _ in range(3)]
+            rng.shuffle(cands)
+            got = _sweep(P, blocks, cands)
+            assert got == reference_sweep(P, blocks, cands), (t, blocks, mode)
+            seen.add((mode, got[0] is None))
+            if mode == "orbit-eq" and len(P.equality_rows) > 1:
+                seen.add(("several equalities", got[0] is None))
+        assert {(m, f) for m in self.MODES[:3] for f in (False, True)} <= seen
+        assert ("window", True) in seen and ("window", False) not in seen
+        assert {("several equalities", False), ("several equalities", True)} <= seen
+
+    def test_one_core_point_per_feasible_answer(self, monkeypatch):
+        calls = []
+        real = symilp.canonical_core_point
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(symilp, "canonical_core_point", counting)
+        rng = random.Random(7)
+        for t in range(40):
+            blocks = self.SHAPES[t % len(self.SHAPES)]
+            mode = self.MODES[t % len(self.MODES)]
+            P = orbit_system(rng, blocks, mode)
+            c = None if t % 2 else per_block(blocks, [rng.randint(-2, 2) for _ in blocks])
+            del calls[:]
+            z, tested = symmetric_ilp(P, blocks, c)
+            assert len(calls) == (z is not None)
+            if z is not None:
+                assert tested >= 1 and calls[0] == (blocks, tuple(
+                    int(sum(z[lo:hi])) for lo, hi in block_spans(blocks)))
+            if mode == "window":
+                assert z is None and not calls
 
 
 def perm_matrices(G):
