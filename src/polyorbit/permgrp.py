@@ -16,6 +16,16 @@ whose Schreier generator it has already sifted: transversal entries are never
 replaced and generator lists only grow, so a Schreier generator that sifted
 once sifts to the identity for the rest of the construction and is skipped.
 
+A caller that knows the order of the group passes it, and the chain stops
+there.  Each basic orbit of a chain lies in the orbit of its base point under
+the true stabilizer, so the product of the basic orbits' sizes is at most
+|G|, and it equals |G| only when every level holds its whole stabilizer: the
+chain is then complete, whether or not every Schreier generator was sifted.
+The generators are sifted in without closure, which suffices when they are a
+strong generating set on the base (the automorphism search delivers one), and
+the closure runs only when they fall short, stopping as soon as the order is
+reached.  A chain that closes below the given order, or grows past it, raises.
+
 A set orbit is always expanded in full, under a budget of sets, and keyed by
 its lexicographically least member.  Past the budget orbit_of_set and
 set_stabilizer raise OrbitBudgetExceeded: a key that is not canonical could
@@ -157,11 +167,12 @@ class PermutationGroup:
     base_prefix forces the base to start with the given points (in order);
     a forced point may end up with a trivial basic orbit, which is harmless.
     Everything below level len(prefix) fixes each prefix point individually,
-    as a search for the lex-least image of a set needs.
+    as a search for the lex-least image of a set needs.  order, when given,
+    must be the order of the group; the chain stops when it reaches it.
     """
 
     def __init__(self, generators: Sequence[Permutation], degree: Optional[int] = None,
-                 base_prefix: Sequence[int] = ()):
+                 base_prefix: Sequence[int] = (), order: Optional[int] = None):
         gens = [g for g in generators if not g.is_identity()]
         if degree is None:
             if not gens:
@@ -181,10 +192,24 @@ class PermutationGroup:
         self._levels: list[_ChainLevel] = []
         for p in prefix:
             self._new_level(p)
+        self._known = order
         for g in gens:
-            self._add_generator(g._p, 0)
+            self._add_generator(g._p, 0, close=order is None)
+        if order is not None and not self._complete():
+            self._close(0, len(self._levels) - 1)
+            if self.order() != order:
+                raise ValueError(f"group has order {self.order()}, not {order}")
 
     # -- chain construction (deterministic Schreier-Sims) ------------------
+
+    def _complete(self) -> bool:
+        """Whether the chain has reached the known order; raises past it."""
+        if self._known is None:
+            return False
+        n = self.order()
+        if n > self._known:
+            raise ValueError(f"group order exceeds {self._known}")
+        return n == self._known
 
     def _new_level(self, point: int) -> _ChainLevel:
         e = self._identity
@@ -231,9 +256,10 @@ class PermutationGroup:
         self.generators += (Permutation._trusted(g),)
         return True
 
-    def _add_generator(self, g: tuple, level: int) -> bool:
+    def _add_generator(self, g: tuple, level: int, close: bool = True) -> bool:
         """Sift g (a member of level's group) and grow the chain if it
-        sticks; whether it did."""
+        sticks, then re-close the touched levels unless close is false;
+        whether it grew."""
         h, idx = self._strip(g, level)
         if h == self._identity:
             return False
@@ -248,10 +274,16 @@ class PermutationGroup:
         for i in range(level, idx + 1):
             self._levels[i].gens.append(perm)
             self._recompute_orbit(i)
-        # Re-close the touched levels: every Schreier generator must sift to
-        # the identity through the deeper chain.  A pair sifted before is
-        # skipped: its transversal elements and generator are unchanged and
-        # the deeper chain has only grown, so it would sift to the identity.
+        if close:
+            self._close(level, idx)
+        return True
+
+    def _close(self, level: int, idx: int) -> None:
+        """Re-close levels idx down to level: every Schreier generator must
+        sift to the identity through the deeper chain.  A pair sifted before
+        is skipped: its transversal elements and generator are unchanged and
+        the deeper chain has only grown, so it would sift to the identity.
+        Stops as soon as the chain reaches a known order."""
         for i in range(idx, level - 1, -1):
             lvl = self._levels[i]
             orbit, inv, checked = lvl.orbit, lvl.inv, lvl.checked
@@ -263,9 +295,9 @@ class PermutationGroup:
                     checked.add((p, j))
                     sp = s._p
                     schreier = tuple(map(inv[sp[p]].__getitem__, map(sp.__getitem__, u)))
-                    if schreier != self._identity:
-                        self._add_generator(schreier, i + 1)
-        return True
+                    if schreier != self._identity and self._add_generator(schreier, i + 1) \
+                            and self._complete():
+                        return
 
     # -- queries ------------------------------------------------------------
 
@@ -330,7 +362,8 @@ class PermutationGroup:
 
     def rebase(self, base_prefix: Sequence[int]) -> "PermutationGroup":
         """Same group, chain rebuilt with the base forced to start as given."""
-        return PermutationGroup(self.generators, self.degree, base_prefix=base_prefix)
+        return PermutationGroup(self.generators, self.degree, base_prefix=base_prefix,
+                                order=self.order())
 
 
 def schreier_sims(generators: Sequence[Permutation], degree: Optional[int] = None,
@@ -396,9 +429,9 @@ def set_stabilizer(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_00
     Computed from Schreier generators of the action of G on the orbit of S;
     the witnesses form a transversal, so they generate the full stabilizer,
     whose order is |G| / |orbit|.  They are sifted in breadth-first order
-    into a chain that starts trivial, only those that grow it are kept, and
-    the search stops once the chain reaches that order, so each kept
-    generator at least doubles it.  Requires expanding the set orbit (raises
+    into a chain that starts trivial and knows that order, only those that
+    grow it are kept, and the search stops once the chain reaches it, so each
+    kept generator at least doubles it.  Requires expanding the set orbit (raises
     OrbitBudgetExceeded past budget).
     """
     S = _point_set(G, S)
@@ -422,6 +455,7 @@ def set_stabilizer(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_00
     stab = PermutationGroup((), G.degree)
     if target == 1:
         return stab
+    stab._known = target
     for X, u in witnesses.items():
         for a in G.generators:
             ap = a._p

@@ -189,9 +189,9 @@ def _ridges(G: PermutationGroup, members: list[int], local: Sequence[Sequence[in
     """Ridges of the facet on the sorted vertices members (hull coordinates
     local), one per orbit of its stabilizer in G, as indices into members."""
     pos = {v: j + 1 for j, v in enumerate(members)}
-    sub_gens = [Permutation(tuple(pos[g(v)] for v in members))
-                for g in set_stabilizer(G, frozenset(members)).generators]
-    sub_group = PermutationGroup(sub_gens, degree=len(members))
+    stab = set_stabilizer(G, frozenset(members))
+    sub_gens = [Permutation(tuple(pos[g(v)] for v in members)) for g in stab.generators]
+    sub_group = PermutationGroup(sub_gens, degree=len(members), order=stab.order())
     return [r.representative
             for r in _facet_orbit_engine(local, sub_group, levels, depth + 1)[0]]
 
@@ -460,7 +460,9 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
         images = tuple(vertex_of[sum(1 << (g(i) - 1) for i in index_set(T))]
                        for T in vert_tight)
         vgens.append(Permutation(images))
-    vertex_group = PermutationGroup(vgens, degree=len(vert_list))
+    # a row permutation that fixes every vertex of a full-dimensional P fixes
+    # its facets, so G acts faithfully on the vertices
+    vertex_group = PermutationGroup(vgens, degree=len(vert_list), order=G.order())
 
     entries = {}
     for row_orbit in sorted(G.point_orbits(), key=min):

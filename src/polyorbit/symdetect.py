@@ -15,9 +15,17 @@ invariant c_i^t Q^{-1} c_j of the vertices c_i centered at their barycenter,
 Q = sum c_i c_i^t, read off L in integers.  Color-preserving graph
 automorphisms are exactly the candidate symmetries.  A candidate sigma is an
 affine symmetry exactly when the frame's identities survive relabeling,
-D X_sigma(j) = sum_b L_jb X_sigma(b); its map is then one integer product
-with the frame's adjugate, and it is verified on every vertex before it is
-returned, so nothing reported can fail to be a symmetry.
+D X_sigma(j) = sum_b L_jb X_sigma(b).  Its map is one integer product with
+the frame's adjugate, which moves the basis vertices to their images by
+construction, and one verification pass checks it on every other vertex:
+that pass holds exactly when the identities survive, so nothing reported can
+fail to be a symmetry and no candidate is checked twice.
+
+The automorphism search runs along one base and finds every basic orbit of
+the stabilizer chain on it, so the order of the group is the product of
+those orbits' sizes and its generators are a strong generating set.  When
+every candidate is realized, the group's chain is built from them at that
+order and sifts no Schreier generator.
 
 The same machinery applies to inequality rows: primitive homogenized rows
 (a | b) transform linearly under affine maps of the ambient space, so the
@@ -90,7 +98,8 @@ class _IntegerFrame:
     """Integer rows with exact integer coordinates over a greedy row basis.
 
     basis holds the indices of the greedy maximal independent subset of the
-    rows and pivots the pivot columns of their reduced echelon form.  The
+    rows, others the indices of the remaining rows, and pivots the pivot
+    columns of their reduced echelon form.  The
     square matrix N = [rows[basis]; e_j for each non-pivot column j] is
     invertible, and R = D N^{-1} is an integer matrix.  coeffs[j] are the
     integers with D * rows[j] == sum_b coeffs[j][b] * rows[basis[b]],
@@ -103,6 +112,7 @@ class _IntegerFrame:
         # columns of X_B are those of the row space
         basis = gauss_jordan(zip(*self.rows))[1]
         self.basis = tuple(basis)
+        self.others = tuple(sorted(set(range(len(self.rows))) - set(basis)))
         self.pivots = tuple(gauss_jordan(self.rows[b] for b in basis)[1])
         self.units = [tuple(int(a == j) for a in range(ncols))
                       for j in range(ncols) if j not in self.pivots]
@@ -120,23 +130,19 @@ class _IntegerFrame:
     def image_matrix(self, img: Sequence[int]) -> Optional[list]:
         """Integer T with X_j T = D X_img[j] for every row j, or None.
 
-        The relabeling img has such a T exactly when the frame's identities
-        survive it, D X_img[j] = sum_b L_jb X_img[basis[b]] for every j; both
-        sides lie in the row space, which the pivot columns coordinatize, so
-        those columns decide.  T = R [X_img[basis]; units] then moves each
-        basis row to its image and fixes every unit row; it is verified on
-        all rows."""
+        T = R [X_img[basis]; units] moves each basis row to its image, since
+        N R = D I, and fixes every unit row.  Some matrix does what T should
+        exactly when the frame's identities survive the relabeling,
+        D X_img[j] = sum_b L_jb X_img[basis[b]], and then T does; so T is
+        checked once, on every row outside the basis, where the identities
+        are not met by construction."""
         D, rows = self.D, self.rows
-        cols = [tuple(rows[img[b]][c] for b in self.basis) for c in self.pivots]
-        for lam, j in zip(self.coeffs, img):
-            x = rows[j]
-            if any(D * x[c] != sum(map(mul, lam, col)) for c, col in zip(self.pivots, cols)):
-                return None
         cols = list(zip(*([rows[img[b]] for b in self.basis] + self.units)))
         T = [[sum(map(mul, r, col)) for col in cols] for r in self.R]
         tcols = list(zip(*T))
-        for x, j in zip(rows, img):
-            if any(sum(map(mul, x, tc)) != D * a for tc, a in zip(tcols, rows[j])):
+        for j in self.others:
+            x = rows[j]
+            if any(sum(map(mul, x, tc)) != D * a for tc, a in zip(tcols, rows[img[j]])):
                 return None
         return T
 
@@ -218,19 +224,17 @@ def _refine_colors(gram: Sequence[Sequence[int]]) -> list:
         colors = new
 
 
-def graph_automorphisms(Gr: SymmetryGraph) -> list:
-    """Generators of the automorphism group of the colored complete graph.
+def _automorphism_search(Gr: SymmetryGraph) -> tuple[list, tuple, int]:
+    """(generators, base, order) of the automorphism group of Gr.
 
-    Colors are refined to a stable partition, vertices are individualized
-    smallest cell first, and a stabilizer-chain search collects one generator
-    per new point reached in each basic orbit.  Pairwise color consistency is
-    enforced along every branch, so reported permutations are automorphisms
-    by construction.  Edge colors are compared as the integer ranks of the
-    color classes, which order and equate exactly as the gram values do.
-    """
+    The search runs along the assignment order and finds every basic orbit
+    of the stabilizer chain on that order, so the generators are a strong
+    generating set on base, the points of the order whose basic orbit is
+    nontrivial, and the order of the group is the product of those orbits'
+    sizes."""
     k = Gr.k
     if k <= 1:
-        return []
+        return [], (), 1
     gram = [[0] * k for _ in range(k)]
     for rank, value in enumerate(sorted(Gr.color_classes)):
         for i, j in Gr.color_classes[value]:
@@ -239,6 +243,19 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
     cell_size = {c: colors.count(c) for c in set(colors)}
     # assignment order: smallest color cells first, lowest index first
     order = sorted(range(k), key=lambda i: (cell_size[colors[i]], colors[i], i))
+    # near[x][c]: the vertices y with gram[x][y] == c, ascending.  An image w
+    # of v agrees with v on its color to the last assigned vertex a, so only
+    # near[img[a]][gram[v][a]] is scanned, in the same ascending order.
+    near = []
+    for row in gram:
+        by_color: dict = {}
+        for y, c in enumerate(row):
+            by_color.setdefault(c, []).append(y)
+        near.append(by_color)
+
+    def near_last(img: list, v: int, upto: int) -> list:
+        a = order[upto - 1]
+        return near[img[a]].get(gram[v][a], [])
 
     def consistent(img: list, v: int, w: int, upto: int) -> bool:
         if colors[v] != colors[w]:
@@ -250,11 +267,13 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
                 return False
         return True
 
-    def complete(level: int, w0: int) -> Optional[Permutation]:
-        """One automorphism fixing order[:level], sending order[level] to w0.
+    def complete(level: int, w0: int) -> Optional[list]:
+        """Images (0-based) of one automorphism fixing order[:level] and
+        sending order[level] to w0.
 
         Depth-first over the positions order[level+1:], with an explicit
-        stack: nxt[p] is the next image to try at position p."""
+        stack: cands[p] are the images to try at position p, and nxt[p] the
+        index of the next one."""
         img = [-1] * k          # img[v] = image of vertex v (0-based)
         used = [False] * k
         for p in range(level):
@@ -264,29 +283,33 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
             return None         # w0 is a fixed prefix vertex; injectivity fails
         img[order[level]] = w0
         used[w0] = True
+        cands = [()] * (k + 1)
         nxt = [0] * (k + 1)
         p = level + 1
         while p > level:
             if p == k:
-                return Permutation(tuple(img[i] + 1 for i in range(k)))
+                return img
             v = order[p]
             if img[v] >= 0:     # back from p + 1: release the last choice
                 used[img[v]] = False
                 img[v] = -1
-            w = nxt[p]
-            while w < k and (used[w] or not consistent(img, v, w, p)):
-                w += 1
-            if w < k:
-                img[v] = w
-                used[w] = True
-                nxt[p] = w + 1
+            i = nxt[p]
+            if i == 0:          # entered from p - 1
+                cands[p] = near_last(img, v, p)
+            cs = cands[p]
+            while i < len(cs) and (used[cs[i]] or not consistent(img, v, cs[i], p)):
+                i += 1
+            if i < len(cs):
+                img[v] = cs[i]
+                used[cs[i]] = True
+                nxt[p] = i + 1
                 p += 1
                 nxt[p] = 0
             else:
                 p -= 1
         return None
 
-    found: list = []
+    found: list = []            # image lists (0-based) of the generators
 
     def orbit_of(v: int) -> set:
         orb = {v}
@@ -295,19 +318,24 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
             nxt = []
             for x in frontier:
                 for g in found:
-                    y = g(x + 1) - 1
+                    y = g[x]
                     if y not in orb:
                         orb.add(y)
                         nxt.append(y)
             frontier = nxt
         return orb
 
+    base, size = [], 1
     for level in range(k - 2, -1, -1):
         v = order[level]
         prefix = {order[p] for p in range(level)}
         orb = orbit_of(v)
-        for w in range(k):
-            if w == v or w in orb or w in prefix:
+        # every generator found so far fixes the prefix, so an image w that
+        # no automorphism reaches rules out the orbit of w as well
+        failed: set = set()
+        a = order[level - 1]    # the prefix is fixed pointwise
+        for w in near[a].get(gram[v][a], []) if level else range(k):
+            if w == v or w in orb or w in prefix or w in failed:
                 continue
             # prefix is fixed pointwise: check consistency against it directly
             if colors[v] != colors[w]:
@@ -316,10 +344,43 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
             if not ok:
                 continue
             g = complete(level, w)
-            if g is not None:
+            if g is None:
+                failed |= orbit_of(w)
+            else:
                 found.append(g)
                 orb = orbit_of(v)
-    return found
+        if len(orb) > 1:
+            base.append(v + 1)
+            size *= len(orb)
+    return ([Permutation(tuple(x + 1 for x in g)) for g in found],
+            tuple(reversed(base)), size)
+
+
+def graph_automorphisms(Gr: SymmetryGraph) -> list:
+    """Generators of the automorphism group of the colored complete graph.
+
+    Colors are refined to a stable partition, vertices are individualized
+    smallest cell first, and a stabilizer-chain search collects one generator
+    per new point reached in each basic orbit.  Pairwise color consistency is
+    enforced along every branch, so reported permutations are automorphisms
+    by construction.  Edge colors are compared as the integer ranks of the
+    color classes, which order and equate exactly as the gram values do.
+    Each position scans only the images that share its color to the last
+    assigned vertex, and an image that no automorphism reaches rules out its
+    whole orbit under the generators found so far, which all fix the points
+    before it.
+    """
+    return _automorphism_search(Gr)[0]
+
+
+def _detected_group(search: tuple[list, tuple, int], kept: list, degree: int
+                    ) -> PermutationGroup:
+    """The group of the kept candidates of a search.  When none was dropped
+    they are the search's strong generating set, and its order is known."""
+    gens, base, order = search
+    if len(kept) == len(gens):
+        return PermutationGroup(kept, degree, base_prefix=base, order=order)
+    return PermutationGroup(kept, degree=degree)
 
 
 # ---------------------------------------------------------------------------
@@ -376,16 +437,16 @@ def affine_symmetry_group(V: VPolyhedron) -> AffineSymmetries:
     realization are discarded.
     """
     frame = _polytope_frame(V)
-    gens = graph_automorphisms(frame.gram(centered=True))
+    search = _automorphism_search(frame.gram(centered=True))
     realizer = _VertexRealizer(V, frame)
     realizations: dict = {}
     kept = []
-    for sigma in gens:
+    for sigma in search[0]:
         amap = realizer.realize(sigma)
         if amap is not None:
             kept.append(sigma)
             realizations[sigma] = amap
-    return AffineSymmetries(PermutationGroup(kept, degree=V.k), realizations)
+    return AffineSymmetries(_detected_group(search, kept, V.k), realizations)
 
 
 class _RowRealizer:
@@ -450,6 +511,6 @@ def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
     if cleaned.m != P.m or cleaned.equality_rows:
         raise PolyhedronError("restricted symmetry detection needs an irredundant description")
     realizer = _RowRealizer(P)
-    gens = graph_automorphisms(realizer.frame.gram(centered=False))
-    kept = [sigma for sigma in gens if realizer.realize(sigma) is not None]
-    return PermutationGroup(kept, degree=P.m)
+    search = _automorphism_search(realizer.frame.gram(centered=False))
+    kept = [sigma for sigma in search[0] if realizer.realize(sigma) is not None]
+    return _detected_group(search, kept, P.m)

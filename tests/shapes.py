@@ -1,8 +1,11 @@
-"""Fixture polytopes and a reference volume shared across test modules."""
+"""Fixture polytopes, their seeded unimodular images, and a reference volume
+shared across test modules."""
+import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
 
+from polyorbit.permgrp import Permutation
 from polyorbit.polycore import (
     AffineHull,
     HPolyhedron,
@@ -14,9 +17,12 @@ from polyorbit.polycore import (
     hull_coordinates,
     index_set,
     integer_kernel_basis,
+    invert_matrix,
+    mat_vec,
     matrix,
     nullspace,
     primitive,
+    vec_add,
     vec_sub,
 )
 
@@ -148,6 +154,66 @@ def hypersimplex_v(k: int, n: int) -> VPolyhedron:
     """Hypersimplex Δ(k, n): the 0/1 points of R^n with exactly k ones."""
     return VPolyhedron.from_points(sorted(
         tuple(Fraction(int(i in S)) for i in range(n)) for S in combinations(range(n), k)))
+
+
+def _unimodular(rng: random.Random, n: int) -> list:
+    """A seeded integer n x n matrix with determinant +-1: shears, sign flips
+    and a row shuffle of the identity."""
+    U = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    for _ in range(2 * n):
+        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
+        if i != j:
+            c = rng.choice((-2, -1, 1, 2))
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    U = [[-x for x in row] if rng.random() < 0.5 else row for row in U]
+    rng.shuffle(U)
+    return U
+
+
+def unimodular_image(points, seed):
+    """(V, U, t): the points moved by x -> U x + t for a seeded integer U with
+    det +-1 and a rational t, and shuffled."""
+    rng = random.Random(seed)
+    n = len(points[0])
+    U = _unimodular(rng, n)
+    t = tuple(Fraction(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n))
+    pts = [tuple(vec_add(mat_vec(U, p), t)) for p in points]
+    rng.shuffle(pts)
+    return VPolyhedron.from_points(pts), U, t
+
+
+def row_image(P: HPolyhedron, seed) -> HPolyhedron:
+    """The rows of P in the coordinates of its image under x -> U x + t, for
+    a seeded unimodular U and an integer t, shuffled: a x <= b becomes
+    (a U^-1) y <= b + a U^-1 t.  Integer rows stay primitive."""
+    rng = random.Random(seed)
+    U = _unimodular(rng, P.n)
+    t = tuple(Fraction(rng.randint(-5, 5)) for _ in range(P.n))
+    Ut = list(zip(*invert_matrix(U)))
+    rows = [(tuple(mat_vec(Ut, a)), b) for a, b in zip(P.A, P.b)]
+    rows = [(a, b + sum(x * y for x, y in zip(a, t))) for a, b in rows]
+    rng.shuffle(rows)
+    return HPolyhedron.from_rows([a for a, _ in rows], [b for _, b in rows])
+
+
+def probe_permutations(rng: random.Random, G, count: int = 30) -> list:
+    """Members of the permutation group G (random words in its generators)
+    and mostly non-members (random transpositions, members times one, and
+    random permutations)."""
+    out = []
+    for _ in range(count):
+        g = Permutation.identity(G.degree)
+        for _ in range(rng.randint(0, 6)):
+            g = rng.choice(G.generators) * g if G.generators else g
+        out.append(g)
+        if G.degree > 1:
+            a, b = rng.sample(range(1, G.degree + 1), 2)
+            t = Permutation.from_cycles(G.degree, [(a, b)])
+            out += [t, g * t]
+        images = list(range(1, G.degree + 1))
+        rng.shuffle(images)
+        out.append(Permutation(images))
+    return out
 
 
 def reference_volume(P: HPolyhedron) -> Fraction:

@@ -25,7 +25,8 @@ from polyorbit.cli import main
 from polyorbit.permgrp import orbit_of_set
 from polyorbit.polycore import matrix, primitive
 
-from shapes import cut_v
+from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, row_image,
+                    santos_prismatoid, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -142,6 +143,166 @@ class TestAutomorphismsCmd:
         f.write_text("H-representation\nbegin\n1 2 floats\n1 -1\nend\n")
         code, _, err = run(capsys, "automorphisms", f)
         assert code == 2 and "line 3" in err
+
+
+# (exit code, stderr, stdout) of `automorphisms` on each fixture and on
+# seeded unimodular images: the order and every generator line, byte for byte
+AUTOMORPHISMS_PINNED = {
+    "cube3-blocks.ine": (0, "",
+        "order 48\n"
+        "generator (5 6)\n"
+        "generator (3 4)\n"
+        "generator (3 5)(4 6)\n"
+        "generator (1 2)\n"
+        "generator (1 3)(2 4)\n"),
+    "cube3-obj.ine": (0, "",
+        "order 48\n"
+        "generator (5 6)\n"
+        "generator (3 4)\n"
+        "generator (3 5)(4 6)\n"
+        "generator (1 2)\n"
+        "generator (1 3)(2 4)\n"),
+    "cube3.ext": (0, "",
+        "order 48\n"
+        "generator (3 5)(4 6)\n"
+        "generator (2 3)(6 7)\n"
+        "generator (1 2)(3 4)(5 6)(7 8)\n"),
+    "cube3.ine": (0, "",
+        "order 48\n"
+        "generator (5 6)\n"
+        "generator (3 4)\n"
+        "generator (3 5)(4 6)\n"
+        "generator (1 2)\n"
+        "generator (1 3)(2 4)\n"),
+    "diamond-third.ext": (0, "",
+        "order 8\n"
+        "generator (3 4)\n"
+        "generator (1 2)\n"
+        "generator (1 3)(2 4)\n"),
+    "ilp-huge.ine": (0, "",
+        "order 48\n"
+        "generator (5 6)\n"
+        "generator (3 4)\n"
+        "generator (3 5)(4 6)\n"
+        "generator (1 2)\n"
+        "generator (1 3)(2 4)\n"),
+    "ilp-infeas.ine": (2, "error: restricted symmetry detection needs a full-dimensional input\n",
+        ""),
+    "quad-asym.ext": (0, "",
+        "order 1\n"),
+    "santos.ext": (0, "",
+        "order 64\n"
+        "generator (9 10)(12 13)(18 19)(21 22)(23 26)(24 25)(27 28)(30 31)(36 37)(39 40)\n"
+        "generator (2 3)(15 16)(17 32)(18 30)(19 31)(20 29)(21 27)(22 28)(33 34)(46 47)\n"
+        "generator (4 5)(7 8)(11 38)(12 36)(13 37)(14 35)(15 33)(16 34)(41 42)(44 45)\n"
+        "generator (1 11)(2 12)(3 13)(5 44)(6 14)(8 41)(9 15)(10 16)(17 23)(19 30)(20 24)"
+        "(22 27)(25 29)(26 32)(33 39)(34 40)(35 43)(36 46)(37 47)(38 48)\n"
+        "generator (1 17 11 23)(2 15 12 9)(3 33 13 39)(4 18)(5 19 44 30)(6 20 14 24)(7 21)"
+        "(8 22 41 27)(10 46 16 36)(25 43 29 35)(26 48 32 38)(28 42)(31 45)(34 37 40 47)\n"),
+    "segment-half.ine": (0, "",
+        "order 1\n"),
+    "square-midpoint.ext": (0, "",
+        "order 2\n"
+        "generator (1 2)(3 4)\n"),
+    "cube5": (0, "",
+        "order 3840\n"
+        "generator (5 9)(6 16)(12 18)(13 24)(14 22)(17 31)(20 26)(21 32)\n"
+        "generator (4 15)(5 14)(8 23)(9 22)(10 27)(17 20)(19 25)(26 31)\n"
+        "generator (3 19)(5 21)(6 16)(9 32)(10 28)(12 18)(13 17)(14 22)(15 29)(20 26)(23 30)"
+        "(24 31)\n"
+        "generator (2 4)(3 12)(6 23)(9 32)(10 22)(11 27)(13 17)(14 28)(15 20)(16 30)(18 19)"
+        "(26 29)\n"
+        "generator (1 2)(3 4)(7 11)(8 28)(10 23)(13 26)(14 32)(15 19)(20 24)(21 22)(25 29)"
+        "(27 30)\n"
+        "generator (1 5 4 8 24 11)(2 7 31 27 25 21)(3 10)(6 19 22 26 28 12)(9 13)"
+        "(14 29 16 18 23 20)(15 30)(17 32)\n"),
+    "cross6": (0, "",
+        "order 46080\n"
+        "generator (9 10)\n"
+        "generator (7 9)(10 12)\n"
+        "generator (5 7)(8 12)\n"
+        "generator (4 5)(6 8)\n"
+        "generator (2 3)\n"
+        "generator (2 4)(3 6)\n"
+        "generator (1 2)(3 11)\n"),
+    "cut5": (0, "",
+        "order 1920\n"
+        "generator (5 14)(6 12)(7 9)(10 16)\n"
+        "generator (4 8)(5 6)(7 9)(10 16)(11 13)(12 14)\n"
+        "generator (3 7)(6 13)(10 15)(11 14)\n"
+        "generator (2 3)(4 10)(7 11)(8 16)(9 13)(12 14)\n"
+        "generator (1 2)(3 10)(6 13)(7 15)(9 16)(11 14)\n"),
+    "hypersimplex37": (0, "",
+        "order 5040\n"
+        "generator (6 21)(7 25)(10 15)(12 33)(13 23)(16 19)(17 22)(20 34)(26 35)(30 31)\n"
+        "generator (4 8)(5 32)(7 30)(9 14)(10 13)(15 23)(17 34)(20 22)(24 28)(25 31)\n"
+        "generator (3 27)(5 24)(6 26)(7 20)(10 15)(11 18)(12 33)(13 23)(16 19)(17 31)(21 35)"
+        "(22 30)(25 34)(28 32)\n"
+        "generator (2 4)(3 16 27 19)(5 33 24 12)(6 22 26 30)(7 34 20 25)(8 9)(10 18 15 11)"
+        "(13 28 23 32)(14 29)(17 21 31 35)\n"
+        "generator (2 6)(3 16)(4 25)(5 32)(7 30)(8 31)(9 17)(10 13)(12 18)(14 34)(15 28)"
+        "(20 22)(23 24)(26 29)\n"
+        "generator (1 2)(3 11)(4 16 8 19)(5 26 32 35)(6 24 21 28)(7 25 31 30)(9 12 14 33)"
+        "(10 15 23 13)(17 34 20 22)(18 27)\n"),
+    "prismatoid": (0, "",
+        "order 64\n"
+        "generator (1 14)(16 23)(18 41)(19 48)(24 33)(26 29)(27 36)(28 39)(30 44)(35 45)\n"
+        "generator (1 16)(6 42)(7 34)(10 43)(12 47)(14 23)(17 31)(18 28)(22 37)(39 41)\n"
+        "generator (2 25)(4 38)(5 15)(8 20)(10 47)(11 40)(12 43)(13 46)(27 35)(36 45)\n"
+        "generator (1 23)(2 11)(3 4)(5 21)(6 36)(7 45)(9 38)(10 30)(12 29)(13 20)(15 32)"
+        "(17 19)(22 24)(26 47)(27 42)(28 41)(31 48)(33 37)(34 35)(43 44)\n"
+        "generator (1 20 23 13)(2 28 11 41)(3 17 4 19)(5 33 21 37)(6 12 36 29)(7 47 45 26)"
+        "(8 16)(9 31 38 48)(10 35 30 34)(14 46)(15 24 32 22)(18 40)(25 39)(27 44 42 43)\n"),
+    "cube_h6": (0, "",
+        "order 46080\n"
+        "generator (10 11)\n"
+        "generator (8 9)\n"
+        "generator (8 10)(9 11)\n"
+        "generator (5 7)\n"
+        "generator (5 8)(7 9)\n"
+        "generator (3 5)(6 7)\n"
+        "generator (2 3)(4 6)\n"
+        "generator (1 2)(4 12)\n"),
+    "cross_h4": (0, "",
+        "order 384\n"
+        "generator (5 8)(6 9)(11 16)(14 15)\n"
+        "generator (4 14)(5 7)(6 12)(13 16)\n"
+        "generator (3 6)(4 7)(8 15)(9 12)(10 16)(11 13)\n"
+        "generator (1 2)(3 10)(4 5)(6 13)(7 14)(8 15)(9 11)(12 16)\n"
+        "generator (1 3)(2 10)(4 11)(5 6)(7 9)(8 12)(13 15)(14 16)\n"),
+}
+
+IMAGES = {
+    "cube5": lambda: unimodular_image(list(cube_v(5).vertices), "cube5")[0],
+    "cross6": lambda: unimodular_image(list(cross_v(6).vertices), "cross6")[0],
+    "cut5": lambda: unimodular_image(list(cut_v(5).vertices), "cut5")[0],
+    "hypersimplex37": lambda: unimodular_image(list(hypersimplex_v(3, 7).vertices),
+                                               "hypersimplex37")[0],
+    "prismatoid": lambda: unimodular_image(list(santos_prismatoid().vertices), "prismatoid")[0],
+    "cube_h6": lambda: row_image(cube_h(6), "cube_h6"),
+    "cross_h4": lambda: row_image(cross_h(4), "cross_h4"),
+}
+
+
+def _write_image(directory: Path, name: str) -> Path:
+    P = IMAGES[name]()
+    if isinstance(P, HPolyhedron):
+        # file rows carry (b, -a) for a.x <= b
+        path = directory / f"{name}.ine"
+        pf = PolyFile(kind="H", rows=matrix((b,) + tuple(-x for x in a)
+                                            for a, b in zip(P.A, P.b)))
+    else:
+        path = directory / f"{name}.ext"
+        pf = PolyFile(kind="V", rows=matrix((1,) + tuple(v) for v in P.vertices))
+    path.write_text(write_polyfile(pf))
+    return path
+
+
+@pytest.mark.parametrize("name", sorted(AUTOMORPHISMS_PINNED))
+def test_automorphisms_output_pinned(name, tmp_path, capsys):
+    path = _write_image(tmp_path, name) if name in IMAGES else FIX / name
+    code, err, out = AUTOMORPHISMS_PINNED[name]
+    assert run(capsys, "automorphisms", path) == (code, out, err)
 
 
 class TestConvertCmd:

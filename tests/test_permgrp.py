@@ -9,7 +9,8 @@ import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from shapes import cross_v, cube_v, cut_v, hypersimplex_v, santos_prismatoid
+from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, probe_permutations,
+                    santos_prismatoid)
 
 from polyorbit import permgrp
 from polyorbit.permgrp import (
@@ -20,7 +21,8 @@ from polyorbit.permgrp import (
     schreier_sims,
     set_stabilizer,
 )
-from polyorbit.symdetect import affine_symmetry_group
+from polyorbit.polycore import convert_dd_incidence, index_set
+from polyorbit.symdetect import affine_symmetry_group, restricted_symmetries_H
 
 
 def brute_closure(gens, degree):
@@ -634,3 +636,90 @@ def test_chain_matches_reference_on_vertex_groups(name):
     rng = random.Random(name)
     sets = [frozenset(rng.sample(range(1, V.k + 1), size)) for size in (1, 2, V.k // 3, V.k // 2)]
     _assert_same_orbits(G, R, sets, (5, 200_000))
+
+
+# -- chains built at a known order ------------------------------------------
+
+def _assert_same_group(known, full, rng):
+    assert known.order() == full.order()
+    assert known.generators == full.generators
+    assert all((g in known) == (g in full) for g in probe_permutations(rng, full))
+
+
+def _schreier_sifts(monkeypatch) -> list:
+    """Levels of the _add_generator calls below the top of the chain, that
+    is the Schreier generators sifted, from here on."""
+    levels = []
+    add = PermutationGroup._add_generator
+
+    def counted(self, g, level, *args, **kwargs):
+        if level > 0:
+            levels.append(level)
+        return add(self, g, level, *args, **kwargs)
+
+    monkeypatch.setattr(PermutationGroup, "_add_generator", counted)
+    return levels
+
+
+H_SHAPES = {"cube_h6": cube_h(6), "cross_h4": cross_h(4), "cube_h3": cube_h(3)}
+
+
+def _detected(name):
+    if name in SHAPES:
+        return affine_symmetry_group(SHAPES[name]).perm_group
+    return restricted_symmetries_H(H_SHAPES[name])
+
+
+@pytest.mark.parametrize("name", sorted(SHAPES) + sorted(H_SHAPES))
+def test_detected_group_sifts_no_schreier_generator(name, monkeypatch):
+    # the search's generators are a strong generating set on its own base,
+    # so the chain reaches the search's order without any closure
+    sifts = _schreier_sifts(monkeypatch)
+    G = _detected(name)
+    assert sifts == []
+    monkeypatch.undo()
+    _assert_same_group(G, PermutationGroup(G.generators, G.degree), random.Random(name))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_known_order_chain_matches_full_closure(seed):
+    rng = random.Random(f"known/{seed}")
+    for _ in range(25):
+        degree = rng.randint(1, 12)
+        gens = _random_gens(rng, degree) if degree > 1 else []
+        prefix = tuple(rng.sample(range(1, degree + 1), rng.randint(0, min(3, degree))))
+        for base_prefix in ((), prefix):
+            full = PermutationGroup(gens, degree, base_prefix=base_prefix)
+            known = PermutationGroup(gens, degree, base_prefix=base_prefix, order=full.order())
+            assert known.base[:len(base_prefix)] == base_prefix
+            _assert_same_group(known, full, rng)
+
+
+@pytest.mark.parametrize("name", ["cube5", "cut5", "prismatoid"])
+def test_relabelled_stabilizer_at_known_order(name):
+    # as the facet walk builds it: the set stabilizer of a facet's vertices,
+    # acting on those vertices, whose order is the stabilizer's
+    V = SHAPES[name]
+    G = affine_symmetry_group(V).perm_group
+    rng = random.Random(name)
+    for facet in convert_dd_incidence(V)[1][:6]:
+        members = sorted(index_set(facet))
+        pos = {v: j + 1 for j, v in enumerate(members)}
+        stab = set_stabilizer(G, members)
+        gens = [Permutation(tuple(pos[g(v)] for v in members)) for g in stab.generators]
+        known = PermutationGroup(gens, len(members), order=stab.order())
+        _assert_same_group(known, PermutationGroup(gens, len(members)), rng)
+
+
+def test_wrong_known_order_raises():
+    gens = symmetric_gens(5)
+    assert PermutationGroup(gens, 5, order=120).order() == 120
+    for order in (60, 121, 240, 1):
+        with pytest.raises(ValueError):
+            PermutationGroup(gens, 5, order=order)
+    # an order larger than the group's, after the closure
+    G = _detected("cube5")
+    with pytest.raises(ValueError):
+        PermutationGroup(G.generators, G.degree, order=2 * G.order())
+    with pytest.raises(ValueError):
+        PermutationGroup([], 4, order=2)

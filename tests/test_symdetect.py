@@ -8,10 +8,12 @@ import itertools
 import random
 import sys
 from fractions import Fraction as F
+from operator import mul
 from pathlib import Path
 
 import pytest
 
+from polyorbit import symdetect
 from polyorbit.cli import parse_polyfile
 from polyorbit.polycore import (
     AffineMap,
@@ -41,7 +43,8 @@ from polyorbit.symdetect import (
     restricted_symmetries_H,
 )
 
-from shapes import cross_v, cube_v
+from shapes import (cross_h, cross_v, cube_v, cut_v, probe_permutations, row_image,
+                    santos_prismatoid, simplex_h, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -180,6 +183,39 @@ def test_automorphisms_of_random_graphs_match_brute_force():
                 gram[i][j] = gram[j][i] = F(1)
         gens = graph_automorphisms(SymmetryGraph.from_gram(gram))
         assert group_order(gens, 6) == len(consistent_permutations(gram))
+
+
+def cycles_gram(lengths, seed):
+    """Disjoint cycles of the given lengths on shuffled labels: edges color 1,
+    non-edges 2, the diagonal 0.  Every vertex has degree 2, so color
+    refinement cannot tell one cycle length from another."""
+    labels = list(range(sum(lengths)))
+    random.Random(seed).shuffle(labels)
+    k = len(labels)
+    gram = [[F(0) if i == j else F(2) for j in range(k)] for i in range(k)]
+    start = 0
+    for n in lengths:
+        for t in range(n):
+            a, b = labels[start + t], labels[start + (t + 1) % n]
+            gram[a][b] = gram[b][a] = F(1)
+        start += n
+    return gram
+
+
+@pytest.mark.parametrize("lengths, order", [
+    ((6, 3, 3), 12 * 6 * 6 * 2),
+    ((4, 4, 8), 8 * 8 * 2 * 16),
+])
+def test_images_no_automorphism_reaches_are_pruned_exactly(lengths, order):
+    # the search meets images in cycles of the wrong length, which it cannot
+    # complete; skipping their orbits must lose no image it can complete
+    for seed in range(12):
+        gram = cycles_gram(lengths, f"{lengths}/{seed}")
+        gens = graph_automorphisms(SymmetryGraph.from_gram(gram))
+        k = len(gram)
+        assert all(gram[g(i + 1) - 1][g(j + 1) - 1] == gram[i][j]
+                   for g in gens for i in range(k) for j in range(k))
+        assert group_order(gens, k) == order
 
 # -- affine symmetry groups -----------------------------------------------------
 
@@ -343,25 +379,6 @@ def test_automorphisms_of_long_cycle_need_no_deep_recursion():
 
 # -- realizations against maps solved directly ------------------------------------
 
-def unimodular_image(points, seed):
-    """x -> U x + t for a seeded integer U with det +-1 and a rational t,
-    with the points shuffled."""
-    rng = random.Random(seed)
-    n = len(points[0])
-    U = [[F(int(i == j)) for j in range(n)] for i in range(n)]
-    for _ in range(2 * n):
-        i, j = rng.sample(range(n), 2) if n > 1 else (0, 0)
-        if i != j:
-            c = rng.choice((-2, -1, 1, 2))
-            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
-    U = [[-x for x in row] if rng.random() < 0.5 else row for row in U]
-    rng.shuffle(U)
-    t = tuple(F(rng.randint(-5, 5), rng.choice((1, 2, 3))) for _ in range(n))
-    pts = [tuple(vec_add(mat_vec(U, p), t)) for p in points]
-    rng.shuffle(pts)
-    return VPolyhedron.from_points(pts), U, t
-
-
 def solved_vertex_map(V, sigma):
     """x -> A x + t with A v_i + t = v_sigma(i) for every vertex and A e_j = e_j
     for each coordinate j that is not a pivot of the vertex differences,
@@ -468,6 +485,18 @@ def test_row_swap_that_breaks_the_system_is_not_realized():
     assert restricted_symmetries_H(P).order() == 4
 
 
+def test_dropped_candidate_leaves_the_realized_group():
+    # the three rows of this triangle have all 3! relabelings as graph
+    # automorphisms, but the primitive rows are not all moved onto each other
+    # by one linear map: the search's order is 6, and a candidate is dropped
+    P = HPolyhedron.from_rows([(1, 0), (-1, 2), (-2, -2)], [1, 3, 1])
+    realized = [sigma for sigma in map(Permutation, itertools.permutations((1, 2, 3)))
+                if realize_row_permutation(P, sigma) is not None]
+    G = restricted_symmetries_H(P)
+    assert G.order() == len(realized) == 2
+    assert all(sigma in G for sigma in realized)
+
+
 def test_decomposition_rejects_a_non_symmetric_generator():
     V = parse_polyfile((FIX / "quad-asym.ext").read_text()).to_vpolyhedron()
     with pytest.raises(PolyhedronError, match="not an affine symmetry"):
@@ -475,3 +504,75 @@ def test_decomposition_rejects_a_non_symmetric_generator():
     P = rectangle_h()
     with pytest.raises(PolyhedronError, match="not an affine symmetry"):
         adjacency_decomposition(P, PermutationGroup([Permutation.from_cycles(4, [(1, 3)])]))
+
+
+# -- one verification pass per candidate ------------------------------------------
+
+def two_pass_image_matrix(frame, img):
+    """The integer T of frame.image_matrix by the older route: the frame's
+    identities D X_img[j] = sum_b L_jb X_img[basis[b]] checked on the pivot
+    columns of every row first, then T checked on every row."""
+    D, rows = frame.D, frame.rows
+    cols = [tuple(rows[img[b]][c] for b in frame.basis) for c in frame.pivots]
+    for lam, j in zip(frame.coeffs, img):
+        x = rows[j]
+        if any(D * x[c] != sum(map(mul, lam, col)) for c, col in zip(frame.pivots, cols)):
+            return None
+    cols = list(zip(*([rows[img[b]] for b in frame.basis] + frame.units)))
+    T = [[sum(map(mul, r, col)) for col in cols] for r in frame.R]
+    tcols = list(zip(*T))
+    for x, j in zip(rows, img):
+        if any(sum(map(mul, x, tc)) != D * a for tc, a in zip(tcols, rows[j])):
+            return None
+    return T
+
+
+def candidate_images(G, rng):
+    """0-based relabelings from probe_permutations: symmetries and mostly
+    non-symmetries."""
+    return [[x - 1 for x in sigma.images] for sigma in probe_permutations(rng, G)]
+
+
+@pytest.mark.parametrize("name", ["cube4", "cross5", "cut5", "hypersimplex36", "prismatoid",
+                                  "quad-asym", "segment", "point"])
+def test_single_pass_image_matrix_matches_two_passes(name):
+    points = {
+        "cube4": lambda: list(cube_v(4).vertices),
+        "cross5": lambda: list(cross_v(5).vertices),
+        "cut5": lambda: list(cut_v(5).vertices),
+        "hypersimplex36": lambda: hypersimplex(3, 6),       # 5-dimensional in R^6
+        "prismatoid": lambda: list(santos_prismatoid().vertices),
+        "quad-asym": lambda: list(parse_polyfile((FIX / "quad-asym.ext").read_text())
+                                  .to_vpolyhedron().vertices),
+        "segment": lambda: [(F(0), F(1), F(2)), (F(3), F(1), F(-1))],
+        "point": lambda: [(F(2), F(-1), F(3))],
+    }[name]()
+    V, _, _ = unimodular_image(points, f"single/{name}")
+    frame = symdetect._vertex_frame(V)
+    G = affine_symmetry_group(V).perm_group
+    accepted = rejected = 0
+    for img in candidate_images(G, random.Random(name)):
+        T = frame.image_matrix(img)
+        assert T == two_pass_image_matrix(frame, img)
+        accepted += T is not None
+        rejected += T is None
+    assert accepted and (rejected or V.k <= 2)
+
+
+@pytest.mark.parametrize("name", ["cube_h4", "cross_h3", "rectangle", "simplex_h3"])
+def test_single_pass_row_image_matrix_matches_two_passes(name):
+    P = {"cube_h4": lambda: row_image(cube_h(4), "single/cube_h4"),
+         "cross_h3": lambda: row_image(cross_h(3), "single/cross_h3"),
+         "rectangle": rectangle_h,
+         "simplex_h3": lambda: simplex_h(3)}[name]()
+    frame = symdetect._RowRealizer(P).frame
+    G = restricted_symmetries_H(P)
+    accepted = rejected = 0
+    for img in candidate_images(G, random.Random(name)):
+        T = frame.image_matrix(img)
+        assert T == two_pass_image_matrix(frame, img)
+        accepted += T is not None
+        rejected += T is None
+    # every row of a simplex is in the frame's basis: each relabeling is a
+    # symmetry, and nothing is left to check
+    assert accepted and (rejected or name == "simplex_h3")
