@@ -39,8 +39,8 @@ from .permgrp import (
     set_stabilizer,
 )
 from .symdetect import (
-    AffineSymmetries,
     affine_symmetry_group,
+    are_affine_symmetries,
     realize_row_permutation,
     realize_vertex_permutation,
     restricted_symmetries_H,
@@ -92,7 +92,6 @@ __all__ = [
     "AdjacencyGraphUpToSymmetry",
     "AffineHull",
     "AffineMap",
-    "AffineSymmetries",
     "CorePoint",
     "EmptyPolyhedronError",
     "FacetOrbit",
@@ -119,6 +118,7 @@ __all__ = [
     "adjacency_graph",
     "affine_hull",
     "affine_symmetry_group",
+    "are_affine_symmetries",
     "block_group",
     "canonical_core_point",
     "check_invariance",

@@ -253,7 +253,7 @@ def _input_polytope(pf: PolyFile) -> HPolyhedron:
 
 def cmd_automorphisms(pf: PolyFile, args) -> int:
     if pf.kind == "V":
-        G = affine_symmetry_group(_bounded_vfile(pf)).perm_group
+        G = affine_symmetry_group(_bounded_vfile(pf))
     else:
         G = restricted_symmetries_H(pf.to_hpolyhedron())
     print(f"order {G.order()}")
@@ -269,7 +269,7 @@ def cmd_convert(pf: PolyFile, args) -> int:
     levels = tuple(args.idm_adm_level)
     if pf.kind == "V":
         V = _bounded_vfile(pf)
-        G = affine_symmetry_group(V).perm_group
+        G = affine_symmetry_group(V)
         ledger = adjacency_decomposition(V, G, levels)
         lines = [f"facet orbits {ledger.orbit_count}"]
         for t, e in enumerate(ledger.entries.values(), start=1):

@@ -26,18 +26,18 @@ strong generating set on the base (the automorphism search delivers one), and
 the closure runs only when they fall short, stopping as soon as the order is
 reached.  A chain that closes below the given order, or grows past it, raises.
 
-A set orbit is always expanded in full, under a budget of sets, and keyed by
-its lexicographically least member.  Past the budget orbit_of_set and
-set_stabilizer raise OrbitBudgetExceeded: a key that is not canonical could
-let one orbit be counted twice.  A set stabilizer has the known order
-|G| / |orbit|, so its chain is grown one Schreier generator at a time and
-stops at that order: a set whose orbit has |G| sets gets the trivial group
-at once, and no generator is kept that does not grow the chain.
+A set orbit is expanded once, in full, under a budget of sets (past it
+OrbitBudgetExceeded: a key that is not canonical could let one orbit be
+counted twice), keyed by its lexicographically least member, and its set
+stabilizer is read off the expansion's Schreier tree.  That stabilizer has
+the known order |G| / |orbit|, so its chain is grown one Schreier generator
+at a time and stops at that order: a set whose orbit has |G| sets gets the
+trivial group at once, and no generator is kept that does not grow it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 
 class OrbitBudgetExceeded(Exception):
@@ -379,23 +379,19 @@ def schreier_sims(generators: Sequence[Permutation], degree: Optional[int] = Non
 @dataclass(frozen=True)
 class SetOrbit:
     """A fully expanded set orbit: its lexicographically least member as a
-    sorted tuple, its size and its members as a frozenset of frozensets."""
+    sorted tuple, its size, its members as a frozenset of frozensets, and
+    the expansion's Schreier tree: the generators it ran under and each
+    member's (parent, generator index) in breadth-first order, None at the
+    root."""
     representative: tuple[int, ...]
     size: int
     elements: frozenset
+    _tree: tuple = field(default=(), compare=False, repr=False)
 
     @property
     def expanded(self) -> bool:
         """Always true: no orbit is kept unexpanded."""
         return True
-
-
-def _point_set(G: PermutationGroup, S: Iterable[int]) -> frozenset:
-    """S as a frozenset, checked to lie in 1..G.degree."""
-    S = frozenset(S)
-    if S and not (1 <= min(S) and max(S) <= G.degree):
-        raise ValueError(f"set {sorted(S)} not within 1..{G.degree}")
-    return S
 
 
 def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_000) -> SetOrbit:
@@ -404,65 +400,77 @@ def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_000)
     one orbit exactly when their representatives agree.  Raises
     OrbitBudgetExceeded when the orbit has more than budget sets.
     """
-    S = _point_set(G, S)
+    S = frozenset(S)
+    if S and not (1 <= min(S) and max(S) <= G.degree):
+        raise ValueError(f"set {sorted(S)} not within 1..{G.degree}")
     maps = [g._p.__getitem__ for g in G.generators]
-    seen = {S}
+    tree = {S: None}
     frontier = [S]
     while frontier:
         nxt = []
         for X in frontier:
-            for g in maps:
+            for i, g in enumerate(maps):
                 Y = frozenset(map(g, X))
-                if Y not in seen:
-                    if len(seen) >= budget:
+                if Y not in tree:
+                    if len(tree) >= budget:
                         raise OrbitBudgetExceeded(f"set orbit exceeded budget {budget}")
-                    seen.add(Y)
+                    tree[Y] = (X, i)
                     nxt.append(Y)
         frontier = nxt
-    rep = min(tuple(sorted(X)) for X in seen)
-    return SetOrbit(rep, len(seen), frozenset(seen))
+    rep = min(tuple(sorted(X)) for X in tree)
+    return SetOrbit(rep, len(tree), frozenset(tree), (G.generators, tree))
 
 
-def set_stabilizer(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_000) -> PermutationGroup:
+def set_stabilizer(G: PermutationGroup, S: Union[SetOrbit, Iterable[int]],
+                   budget: int = 2_000_000) -> PermutationGroup:
     """The subgroup {g in G : g(S) = S}, with its own BSGS.
 
-    Computed from Schreier generators of the action of G on the orbit of S;
-    the witnesses form a transversal, so they generate the full stabilizer,
-    whose order is |G| / |orbit|.  They are sifted in breadth-first order
-    into a chain that starts trivial and knows that order, only those that
-    grow it are kept, and the search stops once the chain reaches it, so each
-    kept generator at least doubles it.  Requires expanding the set orbit (raises
-    OrbitBudgetExceeded past budget).
+    S is an index set, whose orbit is expanded once by orbit_of_set (raises
+    OrbitBudgetExceeded past budget), or a SetOrbit of G, whose
+    representative's stabilizer is read off its Schreier tree with nothing
+    expanded again (an orbit expanded under other generators raises
+    ValueError).  With u_X carrying the tree's root to X, the Schreier
+    generators u_aX^-1 a u_X fix the root, and conjugated by u_T they fix
+    the set T asked for.  They are sifted in breadth-first order into a
+    chain that starts trivial and knows the order |G| / |orbit|; only those
+    that grow it are kept, so each at least doubles it, and the search stops
+    at that order.
     """
-    S = _point_set(G, S)
-    # BFS over set images: witnesses[X] is the image tuple of some g with g(S) = X
-    witnesses = {S: G._identity}
-    frontier = [S]
-    while frontier:
-        nxt = []
-        for X in frontier:
-            u = witnesses[X]
-            for g in G.generators:
-                gp = g._p
-                Y = frozenset(map(gp.__getitem__, X))
-                if Y not in witnesses:
-                    if len(witnesses) >= budget:
-                        raise OrbitBudgetExceeded(f"set orbit exceeded budget {budget}")
-                    witnesses[Y] = tuple(map(gp.__getitem__, u))
-                    nxt.append(Y)
-        frontier = nxt
-    target = G.order() // len(witnesses)
+    orb = S if isinstance(S, SetOrbit) else orbit_of_set(G, S, budget)
+    gens, tree = orb._tree or (None, None)
+    if gens != G.generators:
+        raise ValueError("set orbit was expanded under other generators")
+    target = G.order() // orb.size
     stab = PermutationGroup((), G.degree)
     if target == 1:
         return stab
     stab._known = target
-    for X, u in witnesses.items():
-        for a in G.generators:
-            ap = a._p
-            au = tuple(map(ap.__getitem__, u))
-            v = witnesses[frozenset(map(ap.__getitem__, X))]
-            # a tree edge of the BFS gives the identity
-            if au != v and stab._grow(tuple(map(_inverse(v).__getitem__, au))) \
-                    and stab.order() == target:
-                return stab
+    ps = [g._p for g in G.generators]
+    witness = {next(iter(tree)): G._identity}
+
+    def u(X: frozenset) -> tuple:
+        path = []
+        while X not in witness:
+            path.append(X)
+            X = tree[X][0]
+        w = witness[X]
+        for Y in reversed(path):
+            w = witness[Y] = tuple(map(ps[tree[Y][1]].__getitem__, w))
+        return w
+
+    # u_T: an index set is the root itself, and a SetOrbit asks for its
+    # representative
+    c = u(frozenset(orb.representative)) if orb is S else G._identity
+    c_inv = _inverse(c)
+    for X in tree:
+        uX = u(X)
+        for ap in ps:
+            au = tuple(map(ap.__getitem__, uX))
+            v = u(frozenset(map(ap.__getitem__, X)))
+            # a tree edge gives the identity
+            if au != v:
+                h = tuple(map(_inverse(v).__getitem__, au))
+                if stab._grow(tuple(map(c.__getitem__, map(h.__getitem__, c_inv)))) \
+                        and stab.order() == target:
+                    return stab
     return stab

@@ -14,9 +14,8 @@ is expanded by permgrp.orbit_of_set and keyed by its lexicographically
 least member, so an orbit is known exactly when its key is; an orbit past
 the set budget stops the conversion.  orbit_of_set expands each orbit once:
 a facet that lies in an orbit already expanded is looked up, not expanded
-again.  The set_stabilizer call of _ridges still repeats that breadth-first
-expansion for each walked orbit, to find its witnesses.  Everything runs
-serially on one thread.
+again, and the stabilizer of a walked facet is read off the Schreier tree
+of its orbit's expansion.  Everything runs serially on one thread.
 
 The facet walk runs in integer arithmetic.  The points are scaled once per
 polytope by the lcm of their denominators, which keeps every incidence set
@@ -70,7 +69,7 @@ from .permgrp import (
     orbit_of_set,
     set_stabilizer,
 )
-from .symdetect import realize_row_permutations, realize_vertex_permutations
+from .symdetect import are_affine_symmetries
 
 # convert_dd is polycore's, like dd_cone; both stay importable from here,
 # where polybench/spans.py and earlier callers look them up.
@@ -184,29 +183,30 @@ def _neighbor_facet(pts: Sequence[Sequence[int]], F: frozenset, c: tuple[int, ..
     return R | set(_rotate_about(pts, R, c, delta, F, away=f0)[2])
 
 
-def _ridges(G: PermutationGroup, members: list[int], local: Sequence[Sequence[int]],
+def _ridges(G: PermutationGroup, orb: SetOrbit, local: Sequence[Sequence[int]],
             levels: tuple[int, int], depth: int) -> list[tuple[int, ...]]:
-    """Ridges of the facet on the sorted vertices members (hull coordinates
-    local), one per orbit of its stabilizer in G, as indices into members."""
+    """Ridges of the facet on the vertices of orb's key (hull coordinates
+    local), one per orbit of its stabilizer in G, as indices into the key."""
+    members = orb.representative
     pos = {v: j + 1 for j, v in enumerate(members)}
-    stab = set_stabilizer(G, frozenset(members))
+    stab = set_stabilizer(G, orb)
     sub_gens = [Permutation(tuple(pos[g(v)] for v in members)) for g in stab.generators]
     sub_group = PermutationGroup(sub_gens, degree=len(members), order=stab.order())
     return [r.representative
             for r in _facet_orbit_engine(local, sub_group, levels, depth + 1)[0]]
 
 
-def _neighbor_facets(pts: Sequence[Sequence[int]], G: PermutationGroup, key: tuple[int, ...],
+def _neighbor_facets(pts: Sequence[Sequence[int]], G: PermutationGroup, orb: SetOrbit,
                      levels: tuple[int, int], depth: int) -> Iterator[frozenset]:
-    """Facets adjacent to the facet key, one per orbit of its ridges under
+    """Facets adjacent to the key of orb, one per orbit of its ridges under
     its stabilizer.  They reach every neighboring facet orbit, because
     ridges in one stabilizer orbit lead to neighbors in one facet orbit."""
-    F = frozenset(key)
+    members = orb.representative
+    F = frozenset(members)
     c, delta = _supporting_row(pts, F)
-    members = sorted(F)
     local = hull_coordinates([pts[i - 1] for i in members])
     return (_neighbor_facet(pts, F, c, delta, frozenset(members[j - 1] for j in R))
-            for R in _ridges(G, members, local, levels, depth))
+            for R in _ridges(G, orb, local, levels, depth))
 
 
 def _distinct_orbits(G: PermutationGroup, sets: Iterable[frozenset]) -> list[SetOrbit]:
@@ -261,7 +261,7 @@ def _walk(pts: Sequence[Sequence[int]], G: PermutationGroup, start: Iterable[Set
         batch = sorted(frontier)
         frontier = []
         for key in batch:
-            for N in _neighbor_facets(pts, G, key, levels, depth):
+            for N in _neighbor_facets(pts, G, entries[key], levels, depth):
                 if N not in key_of:
                     orb = orbit_of_set(G, N)
                     entries[orb.representative] = orb
@@ -414,7 +414,7 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
         raise PolyhedronError("decomposition requires a polytope, not rays")
     if G.degree != V.k:
         raise PolyhedronError("group degree does not match the number of vertices")
-    if any(amap is None for amap in realize_vertex_permutations(V, G.generators)):
+    if not are_affine_symmetries(V, G.generators):
         raise PolyhedronError("group generator is not an affine symmetry of the vertex set")
     geo = _Geometry(V.vertices)
     orbits, pairs = _facet_orbit_engine(geo.local, G, levels, 0)
@@ -448,7 +448,7 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
         raise PolyhedronError("decomposition requires a full-dimensional polytope")
     if equalities or len(kept) != P.m:
         raise PolyhedronError("decomposition requires an irredundant description")
-    if any(L is None for L in realize_row_permutations(P, G.generators)):
+    if not are_affine_symmetries(P, G.generators):
         raise PolyhedronError("group generator is not an affine symmetry of the rows")
 
     order = sorted(range(len(V.vertices)), key=V.vertices.__getitem__)

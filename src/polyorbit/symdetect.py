@@ -19,7 +19,8 @@ D X_sigma(j) = sum_b L_jb X_sigma(b).  Its map is one integer product with
 the frame's adjugate, which moves the basis vertices to their images by
 construction, and one verification pass checks it on every other vertex:
 that pass holds exactly when the identities survive, so nothing reported can
-fail to be a symmetry and no candidate is checked twice.
+fail to be a symmetry and no candidate is checked twice.  Detection keeps
+permutations; a map in Fractions is built only on request.
 
 The automorphism search runs along one base and finds every basic orbit of
 the stabilizer chain on it, so the order of the group is the product of
@@ -37,7 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .polycore import (
     AffineMap,
@@ -188,6 +189,9 @@ def _polytope_frame(V: VPolyhedron) -> _IntegerFrame:
         raise PolyhedronError("symmetry graph requires a bounded polytope (no rays)")
     if not V.vertices:
         raise PolyhedronError("symmetry graph requires at least one vertex")
+    # the group acts on distinct points; convert refuses repeats too
+    if len(set(V.vertices)) != V.k:
+        raise PolyhedronError("duplicate points in the input")
     return _vertex_frame(V)
 
 
@@ -373,11 +377,13 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
     return _automorphism_search(Gr)[0]
 
 
-def _detected_group(search: tuple[list, tuple, int], kept: list, degree: int
+def _detected_group(search: tuple[list, tuple, int], realizer, degree: int
                     ) -> PermutationGroup:
-    """The group of the kept candidates of a search.  When none was dropped
-    they are the search's strong generating set, and its order is known."""
+    """The group of the candidates of a search that realizer realizes.  When
+    none is dropped they are the search's strong generating set, and its
+    order is known."""
     gens, base, order = search
+    kept = [sigma for sigma in gens if realizer.realize(sigma) is not None]
     if len(kept) == len(gens):
         return PermutationGroup(kept, degree, base_prefix=base, order=order)
     return PermutationGroup(kept, degree=degree)
@@ -387,70 +393,50 @@ def _detected_group(search: tuple[list, tuple, int], kept: list, degree: int
 # Affine realization
 
 
-@dataclass(frozen=True)
-class AffineSymmetries:
-    """Vertex-permutation group of a polytope with exact affine witnesses."""
-    perm_group: PermutationGroup
-    realizations: dict   # Permutation -> AffineMap
-
-
 class _VertexRealizer:
-    """Solves vertex permutations into affine maps for one fixed vertex set.
-
-    The map moves the basis vertices of the frame to their images and fixes
-    the directions e_j of the non-pivot coordinates, so a lower-dimensional
-    vertex set gets the map that is the identity on that complement."""
+    """Checks vertex permutations on one fixed vertex set: realize returns
+    the frame's integer T, or None.  The map (1, x) |-> T^t (1, x) / D moves
+    the basis vertices to their images and fixes the directions e_j of the
+    non-pivot coordinates, so a lower-dimensional vertex set gets the map
+    that is the identity on that complement."""
 
     def __init__(self, V: VPolyhedron, frame: Optional[_IntegerFrame] = None):
         if V.rays:
             raise PolyhedronError("affine realization requires a bounded polytope")
-        self.k, self.n = V.k, V.n
+        self.k = V.k
         self.frame = _vertex_frame(V) if frame is None else frame
 
-    def realize(self, sigma: Permutation) -> Optional[AffineMap]:
-        n, D = self.n, self.frame.D
-        T = self.frame.image_matrix([sigma(i + 1) - 1 for i in range(self.k)])
-        if T is None:
-            return None
-        # (1, x) |-> T^t (1, x) / D: row 0 of T is the translation
-        A = tuple(tuple(Fraction(T[b][a], D) for b in range(1, n + 1)) for a in range(1, n + 1))
-        return AffineMap(A, tuple(Fraction(T[0][a], D) for a in range(1, n + 1)))
+    def realize(self, sigma: Permutation) -> Optional[list]:
+        return self.frame.image_matrix([sigma(i + 1) - 1 for i in range(self.k)])
 
 
 def realize_vertex_permutation(V: VPolyhedron, sigma: Permutation) -> Optional[AffineMap]:
     """The affine map carrying vertex i to vertex sigma(i), or None."""
-    return _VertexRealizer(V).realize(sigma)
-
-
-def realize_vertex_permutations(V: VPolyhedron, perms: Sequence[Permutation]) -> list:
-    """realize_vertex_permutation for each permutation, over one frame of V."""
     realizer = _VertexRealizer(V)
-    return [realizer.realize(sigma) for sigma in perms]
+    T = realizer.realize(sigma)
+    if T is None:
+        return None
+    n, D = V.n, realizer.frame.D
+    # (1, x) |-> T^t (1, x) / D: row 0 of T is the translation
+    A = tuple(tuple(Fraction(T[b][a], D) for b in range(1, n + 1)) for a in range(1, n + 1))
+    return AffineMap(A, tuple(Fraction(T[0][a], D) for a in range(1, n + 1)))
 
 
-def affine_symmetry_group(V: VPolyhedron) -> AffineSymmetries:
-    """Affine symmetry group of a polytope from its vertex set.
+def affine_symmetry_group(V: VPolyhedron) -> PermutationGroup:
+    """Affine symmetry group of a polytope, acting on its vertex indices.
 
-    One integer frame of the vertices gives the gram colors and the
-    realizations.  Every generator permutation is realized as a concrete
-    AffineMap and verified on all vertices; candidates without a
-    realization are discarded.
+    One integer frame of the vertices gives the gram colors and checks every
+    candidate on all vertices, in integers; failed candidates are discarded.
     """
     frame = _polytope_frame(V)
     search = _automorphism_search(frame.gram(centered=True))
-    realizer = _VertexRealizer(V, frame)
-    realizations: dict = {}
-    kept = []
-    for sigma in search[0]:
-        amap = realizer.realize(sigma)
-        if amap is not None:
-            kept.append(sigma)
-            realizations[sigma] = amap
-    return AffineSymmetries(_detected_group(search, kept, V.k), realizations)
+    return _detected_group(search, _VertexRealizer(V, frame), V.k)
 
 
 class _RowRealizer:
-    """Solves row permutations of an H-description into linear (a | b) actions."""
+    """Checks row permutations of an H-description: realize returns the
+    integer T with (a | b) T / D = (a | b)_sigma on its primitive rows when
+    that is the action of an affine map, or None."""
 
     def __init__(self, P: HPolyhedron):
         self.n = P.n
@@ -461,20 +447,14 @@ class _RowRealizer:
             raise PolyhedronError(
                 "homogenized rows do not span; input must be bounded and full-dimensional")
 
-    def realize(self, sigma: Permutation) -> Optional[Matrix]:
+    def realize(self, sigma: Permutation) -> Optional[list]:
         n, frame = self.n, self.frame
-        # (a | b) L = (a | b)_sigma with L = T / D
         T = frame.image_matrix([sigma(i + 1) - 1 for i in range(self.m)])
-        if T is None:
-            return None
-        D = frame.D
         # an affine map acts on (a | b) with last row (0, ..., 0, 1) and an
         # invertible linear block
-        if T[n] != [0] * n + [D]:
+        if T is None or T[n] != [0] * n + [frame.D] or det([row[:n] for row in T[:n]]) == 0:
             return None
-        if det([row[:n] for row in T[:n]]) == 0:
-            return None
-        return tuple(tuple(Fraction(x, D) for x in row) for row in T)
+        return T
 
 
 def realize_row_permutation(P: HPolyhedron, sigma: Permutation) -> Optional[Matrix]:
@@ -483,13 +463,21 @@ def realize_row_permutation(P: HPolyhedron, sigma: Permutation) -> Optional[Matr
     P must be irredundant, bounded and full-dimensional so that its primitive
     rows span R^(n+1).
     """
-    return _RowRealizer(P).realize(sigma)
-
-
-def realize_row_permutations(P: HPolyhedron, perms: Sequence[Permutation]) -> list:
-    """realize_row_permutation for each permutation, over one frame of P."""
     realizer = _RowRealizer(P)
-    return [realizer.realize(sigma) for sigma in perms]
+    T = realizer.realize(sigma)
+    return None if T is None else tuple(
+        tuple(Fraction(x, realizer.frame.D) for x in row) for row in T)
+
+
+def are_affine_symmetries(P: Union[HPolyhedron, VPolyhedron],
+                          perms: Sequence[Permutation]) -> bool:
+    """Whether realize_vertex_permutation (V input) or realize_row_permutation
+    (H input) realizes every permutation, checked in integers: no map is
+    built."""
+    if not isinstance(P, (HPolyhedron, VPolyhedron)):
+        raise TypeError("expected an HPolyhedron or VPolyhedron")
+    realizer = _VertexRealizer(P) if isinstance(P, VPolyhedron) else _RowRealizer(P)
+    return all(realizer.realize(sigma) is not None for sigma in perms)
 
 
 def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
@@ -512,5 +500,4 @@ def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
         raise PolyhedronError("restricted symmetry detection needs an irredundant description")
     realizer = _RowRealizer(P)
     search = _automorphism_search(realizer.frame.gram(centered=False))
-    kept = [sigma for sigma in search[0] if realizer.realize(sigma) is not None]
-    return _detected_group(search, kept, P.m)
+    return _detected_group(search, realizer, P.m)

@@ -144,6 +144,16 @@ class TestAutomorphismsCmd:
         code, _, err = run(capsys, "automorphisms", f)
         assert code == 2 and "line 3" in err
 
+    def test_repeated_point_is_refused_as_convert_refuses_it(self, tmp_path, capsys):
+        # a square with (0, 0) listed twice once printed "order 4"; the
+        # square's group has order 8
+        f = tmp_path / "square-twice.ext"
+        f.write_text("V-representation\nbegin\n5 3 rational\n"
+                     "1 0 0\n1 1 0\n1 0 1\n1 1 1\n1 0 0\nend\n")
+        refusal = (2, "", "error: duplicate points in the input\n")
+        assert run(capsys, "automorphisms", f) == refusal
+        assert run(capsys, "convert", f) == refusal
+
 
 # (exit code, stderr, stdout) of `automorphisms` on each fixture and on
 # seeded unimodular images: the order and every generator line, byte for byte

@@ -3,8 +3,10 @@ exported name resolves, no module reaches into another module's private
 names, no library function takes a jobs parameter, lattice counting and the
 CLI import no LP routine, symilp imports no elimination routine, the
 symmetric count and the Ehrhart interpolation each walk one projection
-chain, the facet walk of repconv stays in integer arithmetic, and neither
-the adjacency graph nor the triangulation behind volume converts anything."""
+chain, the facet walk of repconv stays in integer arithmetic, neither
+the adjacency graph nor the triangulation behind volume converts anything,
+and symmetry detection and the group check of the decompositions build no
+map."""
 import ast
 import importlib
 import importlib.util
@@ -137,3 +139,24 @@ def test_volume_triangulation_converts_nothing():
     for fn in fns:
         banned = _called(fn) & {"convert_dd_incidence", "dd_cone", "hull_coordinates"}
         assert not banned, f"{fn.name} calls {sorted(banned)}"
+
+
+def test_symmetry_checks_build_no_map():
+    # detection and the check behind the decompositions stay in integers:
+    # only realize_vertex_permutation and realize_row_permutation build maps
+    checks = {"affine_symmetry_group", "restricted_symmetries_H", "are_affine_symmetries",
+              "_detected_group", "realize", "image_matrix"}
+    banned = {"Fraction", "AffineMap", "frac", "realize_vertex_permutation",
+              "realize_row_permutation"}
+    tree = ast.parse((PACKAGE / "symdetect.py").read_text())
+    fns = [node for node in ast.walk(tree)
+           if isinstance(node, ast.FunctionDef) and node.name in checks]
+    assert {fn.name for fn in fns} == checks and len(fns) == len(checks) + 1   # two realize
+    for fn in fns:
+        assert not _called(fn) & banned, f"{fn.name} calls {sorted(_called(fn) & banned)}"
+    tree = ast.parse((PACKAGE / "repconv.py").read_text())
+    for fn in (node for node in tree.body if isinstance(node, ast.FunctionDef)
+               and node.name in {"_decompose_points", "_decompose_rows"}):
+        called = _called(fn)
+        assert "are_affine_symmetries" in called and not called & banned, fn.name
+    assert not _imported("repconv.py") & banned - {"Fraction"}

@@ -276,7 +276,7 @@ def test_set_stabilizer_of_a_regular_orbit_is_trivial(monkeypatch):
         raise AssertionError("a Schreier generator was formed")
 
     C = schreier_sims([Permutation.from_cycles(6, [(1, 2, 3, 4, 5, 6)])])
-    P = affine_symmetry_group(santos_prismatoid()).perm_group
+    P = affine_symmetry_group(santos_prismatoid())
     monkeypatch.setattr(permgrp, "_inverse", refuse)
     for G, S in [(C, {1}), (C, {1, 2, 4}), (P, (1, 2, 4, 9, 18)), (P, (1, 4, 7, 9, 15, 18))]:
         assert orbit_of_set(G, S).size == G.order()
@@ -293,7 +293,7 @@ def test_set_stabilizer_keeps_only_generators_that_grow_it():
         S = rng.sample(range(1, degree + 1), rng.randint(1, degree - 1))
         cases.append((PermutationGroup(_random_gens(rng, degree), degree), S))
     for V in (cube_v(5), cross_v(6), cut_v(5)):
-        G = affine_symmetry_group(V).perm_group
+        G = affine_symmetry_group(V)
         cases += [(G, range(1, V.k // 2 + 1)), (G, (1, 2)), (G, (1, V.k))]
     for G, S in cases:
         stab = set_stabilizer(G, S)
@@ -630,7 +630,7 @@ SHAPES = {
 @pytest.mark.parametrize("name", sorted(SHAPES))
 def test_chain_matches_reference_on_vertex_groups(name):
     V = SHAPES[name]
-    gens = list(affine_symmetry_group(V).perm_group.generators)
+    gens = list(affine_symmetry_group(V).generators)
     G, R = _assert_same_chain(gens, V.k)
     _assert_same_chain(gens, V.k, base_prefix=(V.k, 2, 1), elements=False)
     rng = random.Random(name)
@@ -666,7 +666,7 @@ H_SHAPES = {"cube_h6": cube_h(6), "cross_h4": cross_h(4), "cube_h3": cube_h(3)}
 
 def _detected(name):
     if name in SHAPES:
-        return affine_symmetry_group(SHAPES[name]).perm_group
+        return affine_symmetry_group(SHAPES[name])
     return restricted_symmetries_H(H_SHAPES[name])
 
 
@@ -700,7 +700,7 @@ def test_relabelled_stabilizer_at_known_order(name):
     # as the facet walk builds it: the set stabilizer of a facet's vertices,
     # acting on those vertices, whose order is the stabilizer's
     V = SHAPES[name]
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     rng = random.Random(name)
     for facet in convert_dd_incidence(V)[1][:6]:
         members = sorted(index_set(facet))
@@ -723,3 +723,45 @@ def test_wrong_known_order_raises():
         PermutationGroup(G.generators, G.degree, order=2 * G.order())
     with pytest.raises(ValueError):
         PermutationGroup([], 4, order=2)
+
+
+# -- stabilizers read off an expanded orbit -----------------------------------
+
+@pytest.mark.parametrize("name", sorted(SHAPES) + sorted(H_SHAPES))
+def test_stabilizer_read_off_an_orbit_expanded_from_another_member(name, monkeypatch):
+    # as the facet walk reads it: the orbit was expanded from some member,
+    # and the stabilizer is the representative's
+    G = _detected(name)
+    rng = random.Random(f"tree/{name}")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the orbit was expanded again")
+
+    for size in (1, 2, G.degree // 3, G.degree // 2):
+        S = frozenset(rng.sample(range(1, G.degree + 1), size))
+        members = sorted(orbit_of_set(G, S).elements, key=sorted)
+        start = members[rng.randrange(1, len(members))] if len(members) > 1 else S
+        orb = orbit_of_set(G, start)
+        rep = frozenset(orb.representative)
+        assert start != rep or orb.size == 1
+        ref = set_stabilizer(G, orb.representative)
+        monkeypatch.setattr(permgrp, "orbit_of_set", refuse)
+        stab = set_stabilizer(G, orb)
+        monkeypatch.undo()
+        assert stab.order() == ref.order() == G.order() // orb.size
+        assert all(g.apply_set(rep) == rep for g in stab.generators)
+        assert all(g in stab for g in ref.generators)
+
+
+def test_stabilizer_of_an_orbit_of_other_generators_raises():
+    G = _detected("cube5")
+    # the same group from other generators, and a subgroup
+    for H in (PermutationGroup(G.generators[::-1], G.degree), set_stabilizer(G, {1})):
+        orb = orbit_of_set(H, {1, 2})
+        with pytest.raises(ValueError, match="other generators"):
+            set_stabilizer(G, orb)
+        assert set_stabilizer(H, orb).order() == H.order() // orb.size
+    # an orbit that kept no expansion tree
+    orb = orbit_of_set(G, {1, 2})
+    with pytest.raises(ValueError, match="other generators"):
+        set_stabilizer(G, permgrp.SetOrbit(orb.representative, orb.size, orb.elements))

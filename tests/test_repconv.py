@@ -70,7 +70,7 @@ def normalized_rows(H: HPolyhedron) -> set:
 def group_of(P):
     if isinstance(P, HPolyhedron):
         return restricted_symmetries_H(P)
-    return affine_symmetry_group(P).perm_group
+    return affine_symmetry_group(P)
 
 
 # ---------------------------------------------------------------------------
@@ -252,7 +252,7 @@ def test_cube_trivial_group_six_orbits():
 
 def test_santos_prismatoid_expansion_matches_plain():
     V = santos_prismatoid()
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     led = adjacency_decomposition(V, G)
     H = convert_dd(V)
     assert H.m == 322
@@ -360,7 +360,7 @@ def test_idm_trivial_group_equals_plain():
 def test_levels_policy_idm_at_top():
     # --idm-adm-level style: depth 0 under IDM, everything below plain
     V = cube_v(4)
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     led = adjacency_decomposition(V, G, levels=(1, 1))
     assert list(led.entries) == list(adjacency_decomposition(V, G).entries)
 
@@ -421,7 +421,7 @@ def test_orbits_over_the_set_budget_are_counted_once(V, method, monkeypatch):
     # key; the conversion refuses rather than count an orbit twice (CUT_5
     # once gave 8, 31 and 41 orbits)
     monkeypatch.setattr(repconv, "orbit_of_set", partial(orbit_of_set, budget=20))
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     with pytest.raises(OrbitBudgetExceeded, match="^set orbit exceeded budget 20$"):
         adjacency_decomposition(V, G, LEVELS[method])
 
@@ -433,7 +433,7 @@ def test_orbits_over_the_set_budget_are_counted_once(V, method, monkeypatch):
 def test_each_facet_orbit_is_expanded_once(V, method, orbits, monkeypatch):
     # a facet in an orbit already expanded is looked up, not expanded again;
     # the ridge orbits below the top are expanded under facet stabilizers
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     groups = []
 
     def counted(H, S, *args, **kwargs):
@@ -448,7 +448,7 @@ def test_each_facet_orbit_is_expanded_once(V, method, orbits, monkeypatch):
 
 def test_every_facet_supporting():
     V = cross_v(4)
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     led = adjacency_decomposition(V, G)
     d = 4
     for row in led.facet_rows():
@@ -471,7 +471,7 @@ def test_lower_dimensional_input_handled():
     # planar square floating in R^3
     pts = [(0, 0, 1), (1, 0, 1), (0, 1, 1), (1, 1, 1)]
     V = VPolyhedron.from_points([tuple(map(Fraction, p)) for p in pts])
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     assert G.order() == 8
     led = adjacency_decomposition(V, G)
     assert led.orbit_count == 1 and led.total_elements == 4
@@ -554,7 +554,7 @@ def test_dot_multi_node():
 
 def test_santos_base_distance_six():
     V = santos_prismatoid()
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     top = frozenset(i + 1 for i, p in enumerate(V.vertices) if p[4] == 1)
     stab = set_stabilizer(G, top)
     led = adjacency_decomposition(V, stab)
@@ -805,7 +805,7 @@ def test_integer_walk_kernel_matches_fraction_reference(name):
                                   "cut5-image1", "hypersimplex-3-7-image0"])
 def test_integer_walk_ledgers_match_fraction_reference(name, monkeypatch):
     V = WALK_INPUTS[name]()
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
 
     def ledgers_and_graphs():
         out = []

@@ -30,16 +30,15 @@ from polyorbit.polycore import (
     vec_sub,
 )
 from polyorbit.permgrp import Permutation, PermutationGroup
-from polyorbit.repconv import adjacency_decomposition
+from polyorbit.repconv import adjacency_decomposition, incidence_decomposition
 from polyorbit.symdetect import (
     SymmetryGraph,
     affine_symmetry_group,
+    are_affine_symmetries,
     build_symmetry_graph,
     graph_automorphisms,
     realize_row_permutation,
-    realize_row_permutations,
     realize_vertex_permutation,
-    realize_vertex_permutations,
     restricted_symmetries_H,
 )
 
@@ -220,12 +219,13 @@ def test_images_no_automorphism_reaches_are_pruned_exactly(lengths, order):
 # -- affine symmetry groups -----------------------------------------------------
 
 def test_cube_affine_group_order_48():
-    res = affine_symmetry_group(VPolyhedron.from_points(cube_vertices(3)))
-    assert res.perm_group.order() == 48
+    V = VPolyhedron.from_points(cube_vertices(3))
+    G = affine_symmetry_group(V)
+    assert G.order() == 48
     # one orbit of vertices
-    assert len(res.perm_group.point_orbits()) == 1
-    # no candidate was discarded during realization
-    assert len(res.realizations) == len(res.perm_group.generators)
+    assert len(G.point_orbits()) == 1
+    # every generator has a realization
+    assert all(realize_vertex_permutation(V, g) is not None for g in G.generators)
 
 
 def test_cube_orders_n2_to_n4():
@@ -234,14 +234,14 @@ def test_cube_orders_n2_to_n4():
         expected = 2 ** n
         for i in range(1, n + 1):
             expected *= i
-        assert res.perm_group.order() == expected
+        assert res.order() == expected
 
 
 def test_realizations_permute_vertex_set():
     V = VPolyhedron.from_points(cube_vertices(3))
-    res = affine_symmetry_group(V)
     vset = set(V.vertices)
-    for sigma, amap in res.realizations.items():
+    for sigma in affine_symmetry_group(V).generators:
+        amap = realize_vertex_permutation(V, sigma)
         images = [amap.apply(v) for v in V.vertices]
         assert set(images) == vset
         for i, v in enumerate(V.vertices):
@@ -253,12 +253,12 @@ def test_affine_image_keeps_order():
     t = (F(1, 3), F(-2), F(7))
     moved = [tuple(vec_add(mat_vec(A, v), t)) for v in cube_vertices(3)]
     res = affine_symmetry_group(VPolyhedron.from_points(moved))
-    assert res.perm_group.order() == 48
+    assert res.order() == 48
 
 
 def test_any_triangle_is_affinely_regular():
     res = affine_symmetry_group(VPolyhedron.from_points([(0, 0), (3, 0), (0, 5)]))
-    assert res.perm_group.order() == 6
+    assert res.order() == 6
 
 
 def test_perturbed_cube_strictly_smaller():
@@ -268,14 +268,22 @@ def test_perturbed_cube_strictly_smaller():
     res = affine_symmetry_group(V)
     gram = build_symmetry_graph(V).gram
     oracle = consistent_permutations(gram)
-    assert res.perm_group.order() == len(oracle) < 48
+    assert res.order() == len(oracle) < 48
+
+
+def test_repeated_point_is_refused():
+    # the square with (0, 0) listed twice once gave order 4 instead of 8
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert affine_symmetry_group(VPolyhedron.from_points(square)).order() == 8
+    with pytest.raises(PolyhedronError, match="^duplicate points in the input$"):
+        affine_symmetry_group(VPolyhedron.from_points(square + [(0, 0)]))
 
 
 def test_lower_dimensional_vertex_set():
     # planar square embedded in R^3: span projection keeps detection exact
     pts = [(0, 0, 0), (1, 0, 1), (0, 1, -1), (1, 1, 0)]
     res = affine_symmetry_group(VPolyhedron.from_points(pts))
-    assert res.perm_group.order() == 8
+    assert res.order() == 8
 
 
 # -- restricted H-side symmetries -------------------------------------------------
@@ -292,7 +300,7 @@ def test_simplex_h_matches_v_side():
     b = [F(0), F(0), F(0), F(1)]
     H_order = restricted_symmetries_H(HPolyhedron.from_rows(A, b)).order()
     V_order = affine_symmetry_group(
-        VPolyhedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])).perm_group.order()
+        VPolyhedron.from_points([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)])).order()
     assert H_order == V_order == 24
 
 
@@ -416,27 +424,25 @@ def hypersimplex(k, n):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_realizations_match_solved_maps(name, points, order, seed):
     V, _, _ = unimodular_image(points, f"{name}/{seed}")
-    res = affine_symmetry_group(V)
-    G = res.perm_group
+    G = affine_symmetry_group(V)
     assert G.order() == order
     # generators, their pairwise products, and the identity
     perms = list(G.generators) + [g * h for g in G.generators for h in G.generators] + \
         [Permutation.identity(V.k)]
-    realized = realize_vertex_permutations(V, perms)
-    for sigma, amap in zip(perms, realized):
+    assert are_affine_symmetries(V, perms)
+    for sigma in perms:
         expected = solved_vertex_map(V, sigma)
         assert expected is not None
-        assert amap == expected == realize_vertex_permutation(V, sigma)
-        if sigma in res.realizations:
-            assert res.realizations[sigma] == expected
+        assert realize_vertex_permutation(V, sigma) == expected
 
 
 def test_transpositions_of_asymmetric_quadrilateral_are_not_realized():
     V = parse_polyfile((FIX / "quad-asym.ext").read_text()).to_vpolyhedron()
     perms = [Permutation.from_cycles(V.k, [c]) for c in itertools.combinations(range(1, V.k + 1), 2)]
     assert all(solved_vertex_map(V, s) is None for s in perms)
-    assert realize_vertex_permutations(V, perms) == [None] * len(perms)
-    assert affine_symmetry_group(V).perm_group.order() == 1
+    assert [realize_vertex_permutation(V, s) for s in perms] == [None] * len(perms)
+    assert not any(are_affine_symmetries(V, [s]) for s in perms)
+    assert affine_symmetry_group(V).order() == 1
 
 
 def rectangle_h():
@@ -471,9 +477,11 @@ def test_row_realizations_match_solved_actions():
     G = restricted_symmetries_H(P)
     assert G.order() == 48
     perms = list(G.generators) + [g * h for g in G.generators for h in G.generators]
-    for sigma, L in zip(perms, realize_row_permutations(P, perms)):
+    assert are_affine_symmetries(P, perms)
+    for sigma in perms:
+        L = realize_row_permutation(P, sigma)
         assert L is not None
-        assert L == solved_row_action(P, sigma) == realize_row_permutation(P, sigma)
+        assert L == solved_row_action(P, sigma)
 
 
 def test_row_swap_that_breaks_the_system_is_not_realized():
@@ -504,6 +512,102 @@ def test_decomposition_rejects_a_non_symmetric_generator():
     P = rectangle_h()
     with pytest.raises(PolyhedronError, match="not an affine symmetry"):
         adjacency_decomposition(P, PermutationGroup([Permutation.from_cycles(4, [(1, 3)])]))
+
+
+# -- the integer check against the maps --------------------------------------------
+
+def _triangle_rows():
+    # rows whose primitive forms no linear map permutes in full: 2 of the
+    # 3! relabelings are realized
+    return HPolyhedron.from_rows([(1, 0), (-1, 2), (-2, -2)], [1, 3, 1])
+
+
+CHECK_V = {
+    "cube4": lambda: cube_v(4),
+    "cross4": lambda: cross_v(4),
+    "cut5": lambda: cut_v(5),
+    "hypersimplex36": lambda: VPolyhedron.from_points(hypersimplex(3, 6)),
+    "prismatoid": santos_prismatoid,
+    "quad-asym": lambda: parse_polyfile((FIX / "quad-asym.ext").read_text()).to_vpolyhedron(),
+    "segment": lambda: VPolyhedron.from_points([(0, 1, 2), (3, 1, -1)]),
+    "point": lambda: VPolyhedron.from_points([(2, -1, 3)]),
+}
+CHECK_H = {
+    "cube_h4": lambda: row_image(cube_h(4), "check/cube_h4"),
+    "cross_h3": lambda: row_image(cross_h(3), "check/cross_h3"),
+    "simplex_h3": lambda: simplex_h(3),
+    "rectangle": rectangle_h,
+    "triangle-rows": _triangle_rows,
+}
+
+
+def _checked_permutations(G, name):
+    """Seeded members and non-members of G, random transpositions among them."""
+    rng = random.Random(f"check/{name}")
+    perms = probe_permutations(rng, G, count=6)
+    if G.degree > 1:
+        perms += [Permutation.from_cycles(G.degree, [tuple(rng.sample(range(1, G.degree + 1), 2))])
+                  for _ in range(6)]
+    return perms
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_V))
+def test_vertex_check_accepts_exactly_the_realized_permutations(name):
+    V, _, _ = unimodular_image(list(CHECK_V[name]().vertices), f"check/{name}")
+    accepted = rejected = 0
+    for sigma in _checked_permutations(affine_symmetry_group(V), name):
+        amap = realize_vertex_permutation(V, sigma)
+        assert are_affine_symmetries(V, [sigma]) == (amap is not None)
+        if amap is None:
+            rejected += 1
+            continue
+        accepted += 1
+        assert all(amap.apply(v) == V.vertices[sigma(i + 1) - 1]
+                   for i, v in enumerate(V.vertices))
+    assert accepted and (rejected or V.k <= 2)
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_H))
+def test_row_check_accepts_exactly_the_realized_permutations(name):
+    P = CHECK_H[name]()
+    rows = [tuple(F(x) for x in primitive(tuple(P.A[i]) + (P.b[i],))) for i in range(P.m)]
+    perms = _checked_permutations(restricted_symmetries_H(P), name)
+    if name == "triangle-rows":
+        perms += list(map(Permutation, itertools.permutations((1, 2, 3))))
+    accepted = rejected = 0
+    for sigma in perms:
+        L = realize_row_permutation(P, sigma)
+        assert are_affine_symmetries(P, [sigma]) == (L is not None)
+        if L is None:
+            rejected += 1
+            continue
+        accepted += 1
+        # row i times L is row sigma(i)
+        assert all(tuple(sum(map(mul, r, col)) for col in zip(*L)) == rows[sigma(i + 1) - 1]
+                   for i, r in enumerate(rows))
+    assert accepted and (rejected or name == "simplex_h3")
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_V) + sorted(CHECK_H))
+def test_decompositions_reject_a_non_symmetry_with_their_messages(name):
+    if name in CHECK_V:
+        P = CHECK_V[name]()
+        G = affine_symmetry_group(P)
+        message = "group generator is not an affine symmetry of the vertex set"
+    else:
+        P = CHECK_H[name]()
+        G = restricted_symmetries_H(P)
+        message = "group generator is not an affine symmetry of the rows"
+    bad = [sigma for sigma in _checked_permutations(G, name) if sigma not in G]
+    if not bad:
+        # a simplex's rows, a segment or a point: every relabeling is realized
+        assert name in {"simplex_h3", "segment", "point"}
+        return
+    assert not are_affine_symmetries(P, bad[:1])
+    for method in (adjacency_decomposition, incidence_decomposition):
+        with pytest.raises(PolyhedronError) as info:
+            method(P, PermutationGroup(list(G.generators) + bad[:1], degree=G.degree))
+        assert str(info.value) == message
 
 
 # -- one verification pass per candidate ------------------------------------------
@@ -549,7 +653,7 @@ def test_single_pass_image_matrix_matches_two_passes(name):
     }[name]()
     V, _, _ = unimodular_image(points, f"single/{name}")
     frame = symdetect._vertex_frame(V)
-    G = affine_symmetry_group(V).perm_group
+    G = affine_symmetry_group(V)
     accepted = rejected = 0
     for img in candidate_images(G, random.Random(name)):
         T = frame.image_matrix(img)
