@@ -6,7 +6,14 @@ is converted once to vertices and rays (the plain count takes a V input as
 given); their projections onto the first k coordinates, converted back to
 integer facet rows, give the feasible interval of x_k over each fixed prefix
 in closed form, so the search never leaves the projection and solves no LP.
-Every count runs at most one conversion, one chain and one walk.  The walk carries an integer weight per point: the symmetric count
+The top of the chain, the projection onto every coordinate, is P itself, so
+an H input gives its own rows there.  Every count runs at most one
+conversion, one chain and one walk.  The walk closes its last two levels in
+closed form: over a fixed prefix, the count of the last coordinate is a
+difference of two lower envelopes of floor lines in the one before, summed
+piece by piece with the floor-sum recursion.  So the plain count and the
+Ehrhart walk take the widest coordinate last; the count does not depend on
+the order.  The walk carries an integer weight per point: the symmetric count
 walks only the sorted points of each block, a fundamental domain of the
 block action, and weighs each by its orbit size; the plain count is the same
 walk with singleton blocks, and the same walk taken depth first solves the
@@ -27,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, product
 from math import ceil, factorial, floor, lcm, prod
-from operator import mul
+from operator import mul, sub
 from typing import Iterator, Optional, Sequence, Union
 
 from .polycore import (
@@ -43,9 +50,9 @@ from .polycore import (
     convert_dd,
     convert_dd_incidence,
     dd_cone,
-    det,
     dot,
     frac,
+    gauss_jordan,
     identity_matrix,
     integer_kernel_basis,
     matrix,
@@ -87,18 +94,21 @@ def count_lattice_points(P: Union[HPolyhedron, VPolyhedron]) -> int:
 
     An H input is converted once to vertices and rays; a V input is walked
     on the points and rays it lists, with no conversion, and must list at
-    least one point, as for convert_dd.  For each k = 1..n those are
-    projected onto the first k coordinates and converted back to facet rows,
-    primitive integer rows of the projection proj_k(P).  Coordinates are then
-    fixed in order: for a fixed integer prefix the values of x_k that extend
-    to a point of P form the fiber of proj_k(P) over the prefix, an interval
-    read in closed form from the level-k rows with integer floor and ceiling.
-    The last level adds the number of integers in its interval, so no LP is
-    solved.  An empty P counts 0.  An unbounded interval met on the way is an
-    error, so an unbounded P is rejected unless the walk runs out of integer
-    prefixes before it reaches an unbounded coordinate (then it counts 0).
-    This is the weighted walk of count_with_symmetry with every block a
-    singleton, where every weight is 1.
+    least one point, as for convert_dd.  The coordinates are ordered by the
+    number of integers the points span on each, widest last, and every
+    coordinate a ray moves after them.  For each k = 1..n - 1 the points and
+    rays are projected onto the first k coordinates and converted back to
+    facet rows, primitive integer rows of the projection proj_k(P); level n
+    is P's own rows for an H input.  Coordinates are then fixed in order:
+    for a fixed integer prefix the values of x_k that extend to a point of P
+    form the fiber of proj_k(P) over the prefix, an interval read in closed
+    form from the level-k rows with integer floor and ceiling.  The last two
+    levels are summed in closed form, so no LP is solved.  An empty P
+    counts 0.  An unbounded interval met on the way is an error, so an
+    unbounded P is rejected unless the walk runs out of integer prefixes
+    before it reaches an unbounded coordinate (then it counts 0); the
+    coordinates no ray moves come first.  This is the weighted walk of
+    count_with_symmetry with every block a singleton, where every weight is 1.
     """
     return _orbit_count(P, (1,) * P.n)
 
@@ -108,8 +118,9 @@ def _orbit_count(P: Union[HPolyhedron, VPolyhedron], blocks: Sequence[int]) -> i
 
     P must lie in the sorted domain x_{t+1} <= x_t of every block; one DD
     of an H input, or the points of a V input, and one projection chain
-    feed the weighted walk.  An empty H input counts 0; a V input with no
-    points raises EmptyPolyhedronError.
+    feed the weighted walk.  With singleton blocks the chain takes the
+    widest coordinate last, which does not change the count.  An empty H
+    input counts 0; a V input with no points raises EmptyPolyhedronError.
     """
     if isinstance(P, VPolyhedron):
         if not P.vertices:
@@ -120,9 +131,48 @@ def _orbit_count(P: Union[HPolyhedron, VPolyhedron], blocks: Sequence[int]) -> i
             V = convert_dd(P)
         except EmptyPolyhedronError:
             return 0
-    levels = [_projection_rows(V, k) for k in range(1, P.n + 1)]
+    order = _widest_last(V)[0] if max(blocks, default=1) == 1 else range(P.n)
+    levels = _chain(P, V, order)
     pos = tuple(p for nb in blocks for p in range(nb))
     return _walk(levels, pos, [], 1, 1) if levels else 1
+
+
+def _widest_last(V: VPolyhedron, lam: int = 1) -> tuple[list[int], list[int]]:
+    """The order in which a walk fixes the coordinates, and the spans it
+    sorts by.
+
+    spans[t] counts the integers between the least and the greatest
+    coordinate t of lam times V's points.  The order sorts the coordinates
+    by span, widest last, and puts every coordinate a ray moves after them
+    all; ties keep the given order.
+    """
+    spans = [floor(lam * max(c)) - ceil(lam * min(c)) + 1 for c in zip(*V.vertices)]
+    moved = [any(r[t] for r in V.rays) for t in range(V.n)]
+    return sorted(range(V.n), key=lambda t: (moved[t], spans[t])), spans
+
+
+def _chain(P: Union[HPolyhedron, VPolyhedron], V: VPolyhedron,
+           order: Sequence[int]) -> list[tuple[list, list]]:
+    """Projection chain of P with its coordinates taken in the given order.
+
+    Level k holds the facet rows of the projection onto the first k of them,
+    each level below the top read off one DD of V's points and rays, which
+    generate P.  The top level is P itself: an H input gives its own
+    primitive rows, its equality rows as equalities and redundant rows
+    harmless, and only a V input pays a DD there.
+    """
+    V = VPolyhedron(*(tuple(tuple(g[t] for t in order) for g in gens)
+                      for gens in (V.vertices, V.rays)))
+    n = len(order)
+    if isinstance(P, VPolyhedron) or not n:
+        return [_projection_rows(V, k) for k in range(1, n + 1)]
+    eq = set(P.equality_rows)
+    eqs, les = [], []
+    for i, (a, b) in enumerate(zip(P.A, P.b), start=1):
+        g = primitive(tuple(a[t] for t in order) + (b,))
+        if any(g[:n]):
+            (eqs if i in eq else les).append((g[:n - 1], g[n - 1], g[n]))
+    return [_projection_rows(V, k) for k in range(1, n)] + [(eqs, les)]
 
 
 def _projection_rows(V: VPolyhedron, k: int) -> tuple[list, list]:
@@ -150,7 +200,8 @@ def _walk(levels: Sequence[tuple[list, list]], pos: Sequence[int], prefix: list[
     time: fixing the (p+1)-th coordinate of a block multiplies the weight by
     (p+1)/r, with r the new run length of equal values, and the division is
     exact.  weight belongs to the prefix and run is the run length of its
-    last value.  The last level sums its interval in closed form.
+    last value.  The last level sums its interval in closed form, and so do
+    the last two when both start a block and the last has no equalities.
     """
     k = len(prefix)
     bounds = _fiber(*levels[k], prefix)
@@ -166,6 +217,8 @@ def _walk(levels: Sequence[tuple[list, list]], pos: Sequence[int], prefix: list[
         if lo <= prev <= hi:
             total += weight * (p + 1) // (run + 1)
         return total
+    if k + 2 == len(levels) and p == pos[k + 1] == 0 and not levels[-1][0]:
+        return weight * _plane_count(levels[-1][1], prefix, lo, hi)
     total = 0
     for v in range(lo, hi + 1):
         if p == 0:
@@ -220,6 +273,77 @@ def _fiber(eqs: list, les: list, prefix: Sequence[int]) -> Optional[tuple[int, i
     return lo, hi
 
 
+def _plane_count(les: list, prefix: Sequence[int], lo: int, hi: int) -> int:
+    """Integer points of the last level over the prefix whose next to last
+    coordinate v lies in [lo, hi], the integer fiber of the level before.
+
+    That level is the exact projection of the last, so every such v has a
+    nonempty real fiber: rows without the last coordinate w are implied, and
+    the count hi(v) - lo(v) + 1 of w needs no clipping at 0.  A row
+    a v + c w <= r over the prefix gives hi(v) <= floor((r - a v) / c) when
+    c > 0 and -lo(v) <= floor((r - a v) / |c|) when c < 0, so the count is
+    hi - lo + 1 plus one envelope sum per side.  An empty [lo, hi] counts 0
+    before any row is read.
+    """
+    if lo > hi:
+        return 0
+    above: list = []
+    below: list = []
+    for head, c, beta in les:
+        if c:
+            r = beta - sum(map(mul, head, prefix))
+            (above if c > 0 else below).append((head[-1], abs(c), r))
+    if not above or not below:
+        raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
+    return hi - lo + 1 + _envelope_sum(above, lo, hi) + _envelope_sum(below, lo, hi)
+
+
+def _envelope_sum(rows: list, lo: int, hi: int) -> int:
+    """Sum over the integers lo <= v <= hi of the least floor((r - a v) / c)
+    over the rows (a, c, r), every c > 0.
+
+    The floor of the least line is the least floor, and the least line
+    changes at most once per row, so [lo, hi] splits into pieces, each
+    summed by _floor_sum.  A piece starts with the least row at its first v,
+    found by cross-multiplying, ties to the smaller slope -a/c, which stays
+    least longer.  Only rows of smaller slope can drop below it, and the
+    piece ends at the last v before the first of them does.
+    """
+    total = 0
+    while lo <= hi:
+        a, c, r = rows[0]
+        for row in rows:
+            s = (row[2] - row[0] * lo) * c - (r - a * lo) * row[1]
+            if s < 0 or (s == 0 and row[0] * c > a * row[1]):
+                a, c, r = row
+        rows = [row for row in rows if row[0] * c > a * row[1]]
+        end = hi
+        for aj, cj, rj in rows:
+            end = min(end, (rj * c - r * cj) // (aj * c - a * cj))
+        total += _floor_sum(end - lo + 1, c, -a, r - a * lo)
+        lo = end + 1
+    return total
+
+
+def _floor_sum(n: int, m: int, a: int, b: int) -> int:
+    """Sum of floor((a i + b) / m) over 0 <= i < n, for m > 0.
+
+    Each round reduces a and b mod m and trades the roles of a and m, as in
+    Euclid's algorithm, so it takes O(log) integer steps.
+    """
+    total = 0
+    while n > 0:
+        qa, a = divmod(a, m)
+        qb, b = divmod(b, m)
+        total += qa * (n * (n - 1) // 2) + qb * n
+        y = a * n + b
+        if y < m:
+            break
+        n, b = divmod(y, m)
+        m, a = a, m
+    return total
+
+
 # integer prefixes a walk may fix on level k, at most those of the bounding box over x_1..x_k
 _WALK_BUDGET = 1_000_000
 
@@ -227,8 +351,10 @@ _WALK_BUDGET = 1_000_000
 def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optional[tuple]:
     """Lex-least integer point of a bounded P, or the lex-least maximizer of c.
 
-    The chain is walked depth first over the first n - 1 coordinates, values
-    smallest first, and the last one is read off its fiber (the high end when
+    The chain is built as for a count, but in the given coordinate order,
+    on which the lex order depends.  It is walked depth first over the first
+    n - 1 coordinates, values smallest first, and the last one is read off
+    its fiber (the high end when
     c_n > 0).  Without a nonzero c the first leaf is the answer, else the
     first best leaf.  An empty P gives None; rays, and walks past _WALK_BUDGET
     prefixes on a level, are refused.
@@ -239,7 +365,7 @@ def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optiona
         return None
     if V.rays:
         raise PolyhedronError("integer programming needs a bounded polyhedron")
-    levels = [_projection_rows(V, k) for k in range(1, P.n + 1)]
+    levels = _chain(P, V, range(P.n))
     w = primitive(c) if c is not None and any(c) else None
     leaves = _leaves(levels, [], w is not None and w[-1] > 0, [count(1) for _ in levels])
     if w is None:
@@ -324,11 +450,12 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
 
     The period is the lcm of the vertex-coordinate denominators (an error if
     it exceeds period_bound).  The bounding box of the largest dilate counted
-    may hold at most _WALK_BUDGET integer prefixes over its first
-    n - 1 coordinates, which bounds the nodes of the counting walk; a larger
-    input is an error rather than a run of hours.  P is converted once and
-    its projection chain built once: proj(lam P) = lam proj(P), so every
-    dilate is walked on that chain with its right-hand sides scaled by lam.
+    may hold at most _WALK_BUDGET integer prefixes over all but its widest
+    coordinate, which the walk takes last; that bounds the nodes of the
+    counting walk, and a larger input is an error rather than a run of
+    hours.  P is converted once and its projection chain built once:
+    proj(lam P) = lam proj(P), so every dilate is walked on that chain with
+    its right-hand sides scaled by lam.
     For each residue class the dilate counts at degree+1 sample points are
     interpolated exactly, then the component is verified against the count
     at one further dilate; a mismatch is an error, never a silently wrong
@@ -349,13 +476,13 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
     if k > period_bound:
         raise PolyhedronError(f"period {k} exceeds the allowed bound {period_bound}")
     top = k * (d + 2)   # the largest dilate counted below
-    prefixes = prod(floor(max(c)) - ceil(min(c)) + 1
-                    for c in ([top * v[t] for v in pts] for t in range(d - 1)))
+    order, spans = _widest_last(V, top)
+    prefixes = prod(spans[t] for t in order[:-1])
     if prefixes > _WALK_BUDGET:
         raise PolyhedronError(
             f"Ehrhart counting exceeds budget {_WALK_BUDGET}: dilate {top}"
             f" spans {prefixes} integer prefixes")
-    levels = [_projection_rows(V, t) for t in range(1, P.n + 1)]
+    levels = _chain(P, V, order)
     components = []
     for i in range(k):
         lams = [i + k * j for j in range(d + 3) if i + k * j > 0]
@@ -399,7 +526,8 @@ def volume(P: Union[HPolyhedron, VPolyhedron]) -> Fraction:
     face of P is such a cut, so P is triangulated by pulling on those masks
     alone: a face is coned from its least point over the triangulated facets
     that avoid it, and each simplex s_0..s_d contributes
-    |det(s_1 - s_0, ..., s_d - s_0)| / d!.  A lower-dimensional polytope is
+    |det(s_1 - s_0, ..., s_d - s_0)| / d!, taken on the points scaled once
+    to integers and divided once at the end.  A lower-dimensional polytope is
     measured in coordinates of a lattice basis of its direction space, so a
     diagonal unit cell has measure 1, matching the Ehrhart leading
     coefficient.  A zero-dimensional polytope has measure 1 by convention.
@@ -423,11 +551,15 @@ def volume(P: Union[HPolyhedron, VPolyhedron]) -> Fraction:
         normals = [primitive(v) for v in nullspace(hull.directions, P.n)]
         frame = AffineHull(pts[0], matrix(integer_kernel_basis(normals, P.n)))
         pts = [frame.coordinates(p) for p in pts]
-    total = Fraction(0)
+    scale = lcm(*(x.denominator for p in pts for x in p))
+    pts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
+    total = 0
     for simplex in _pull((1 << len(pts)) - 1, rows, d, {}):
         s0, *rest = (pts[j] for j in simplex)
-        total += abs(det([vec_sub(s, s0) for s in rest]))
-    return total / factorial(d)
+        D, pivots, _, _ = gauss_jordan([tuple(map(sub, s, s0)) for s in rest])
+        if len(pivots) == d:
+            total += abs(D)
+    return Fraction(total, scale ** d * factorial(d))
 
 
 def _pull(face: int, rows: set[int], fdim: int, memo: dict) -> list[tuple[int, ...]]:

@@ -1,18 +1,22 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume
-shared across test modules."""
+and lattice-point count shared across test modules."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial
+from operator import mul
 
 from polyorbit.permgrp import Permutation
 from polyorbit.polycore import (
     AffineHull,
+    EmptyPolyhedronError,
     HPolyhedron,
+    PolyhedronError,
     VPolyhedron,
     affine_hull,
     convert_dd,
     convert_dd_incidence,
+    dd_cone,
     det,
     hull_coordinates,
     index_set,
@@ -254,3 +258,74 @@ def _reference_pull(pts, face, fdim):
         if v not in child:
             out.extend(s + (v,) for s in _reference_pull(pts, child, fdim - 1))
     return out
+
+
+def reference_count(P) -> int:
+    """Integer points of a polyhedron by the plain per-value walk.
+
+    The points of P (a V input as given, an H input converted) are
+    projected onto the first k coordinates for every k = 1..n, in the given
+    order, and each projection is converted back to primitive integer rows
+    by its own double description.  The walk then fixes every coordinate
+    but the last value by value, reading its integer interval off its
+    level's rows, and adds the length of the last interval.  An unbounded
+    interval met on the way raises PolyhedronError, as the counting walk
+    does; an empty H input counts 0.
+    """
+    if isinstance(P, HPolyhedron):
+        try:
+            P = convert_dd(P)
+        except EmptyPolyhedronError:
+            return 0
+    elif not P.vertices:
+        raise EmptyPolyhedronError("no points given")
+    levels = [_reference_rows(P, k) for k in range(1, P.n + 1)]
+    return _reference_walk(levels, []) if levels else 1
+
+
+def _reference_rows(V, k):
+    gens = dict.fromkeys(tuple(v[:k]) + (-1,) for v in V.vertices)
+    gens.update(dict.fromkeys(tuple(r[:k]) + (0,) for r in V.rays if any(r[:k])))
+    lin, rays, _ = dd_cone(list(gens), k + 1)
+    return ([(g[:k - 1], g[k - 1], g[k]) for g in lin if any(g[:k])],
+            [(g[:k - 1], g[k - 1], g[k]) for g in rays if any(g[:k])])
+
+
+def _reference_walk(levels, prefix):
+    bounds = _reference_fiber(*levels[len(prefix)], prefix)
+    if bounds is None:
+        return 0
+    lo, hi = bounds
+    if len(prefix) + 1 == len(levels):
+        return max(hi - lo + 1, 0)
+    return sum(_reference_walk(levels, prefix + [v]) for v in range(lo, hi + 1))
+
+
+def _reference_fiber(eqs, les, prefix):
+    """Integer bounds of the next coordinate over the prefix, or None."""
+    pin = None
+    for head, c, beta in eqs:
+        r = beta - sum(map(mul, head, prefix))
+        if c == 0:
+            if r != 0:
+                return None
+            continue
+        q, rem = divmod(r, c)
+        if rem or (pin is not None and q != pin):
+            return None
+        pin = q
+    lo = hi = None
+    for head, c, beta in les:
+        r = beta - sum(map(mul, head, prefix))
+        if c > 0:
+            hi = r // c if hi is None else min(hi, r // c)
+        elif c < 0:
+            lo = -(r // -c) if lo is None else max(lo, -(r // -c))
+        elif r < 0:
+            return None
+    if pin is not None:
+        return None if (lo is not None and pin < lo) or (hi is not None and pin > hi) \
+            else (pin, pin)
+    if lo is None or hi is None:
+        raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
+    return lo, hi

@@ -473,6 +473,19 @@ class TestCountCmd:
         assert run(capsys, "count", "--symmetric", f) == (
             2, "", "error: cannot count lattice points of an unbounded polyhedron\n")
 
+    def test_santos_count_by_its_slices(self, capsys):
+        # 5931403 is the count the x5-first walk gave; x5 takes only the
+        # values -1, 0 and 1 on santos' prismatoid, so its count is also the
+        # sum over the three full-dimensional 4-D slices, cut from its facets
+        start = time.perf_counter()
+        assert run(capsys, "count", FIX / "santos.ext") == (0, "5931403\n", "")
+        assert time.perf_counter() - start < 60
+        H = convert_dd(parse_polyfile((FIX / "santos.ext").read_text()).to_vpolyhedron())
+        slices = [HPolyhedron.from_rows([a[:4] for a in H.A],
+                                        [b - a[4] * t for a, b in zip(H.A, H.b)])
+                  for t in (-1, 0, 1)]
+        assert sum(latcount.count_lattice_points(S) for S in slices) == 5931403
+
 
 class TestEhrhartCmd:
     def test_half_segment(self, capsys):

@@ -33,7 +33,7 @@ from polyorbit.latcount import (
 from polyorbit.cli import main, parse_polyfile
 from polyorbit.repconv import convert_dd
 from polyorbit.symilp import block_group, canonical_core_point, orbit_barycenter
-from shapes import birkhoff, cross_h, cube_h, reference_volume, simplex_h
+from shapes import birkhoff, cross_h, cube_h, reference_count, reference_volume, simplex_h
 from test_symilp import (
     apply_perm,
     enum_integral,
@@ -962,3 +962,155 @@ class TestOneChainPerCount:
             calls.append(dd_cone_calls(monkeypatch, count_with_symmetry, P, (3,)))
             assert count_with_symmetry(P, (3,)) == (side + 1) ** 3
         assert calls[0] == calls[1] <= 3 + 2
+
+    @pytest.mark.parametrize("args", [("count",), ("ehrhart",), ("ilp",)])
+    def test_h_input_tops_its_chain_with_its_own_rows(self, monkeypatch, capsys, args):
+        # one DD for the vertices and one per projection onto 1 and 2
+        # coordinates; the top level is the three-row-pair cube itself
+        path = str(FIX / "cube3.ine")
+        assert dd_cone_calls(monkeypatch, main, [*args, path]) == 3
+        capsys.readouterr()
+
+
+def oracle_polytope(rng, n):
+    """A seeded polytope in R^n and its kind, for the walk oracle.
+
+    Rational points; an integer affine image of points of Z^k, k < n, so a
+    lower-dimensional hull; the rows of rational points with redundant rows
+    added (loosened, scaled or summed) or with an equality row; or the
+    points cut by a slab 1/2 wide, whose fibers are mostly empty.  The first
+    two come as V input, the rest as H input.
+    """
+    kind = rng.choice(["points", "flat", "redundant", "equality", "slab"])
+    q = rng.choice([1, 2, 3])
+    if kind == "flat":
+        k = rng.randint(0, n - 1)
+        M = [[rng.randint(-1, 1) for _ in range(k)] for _ in range(n)]
+        t = [F(rng.randint(-2, 2), rng.randint(1, 2)) for _ in range(n)]
+        pts = [[rng.randint(-2, 2) for _ in range(k)] for _ in range(rng.randint(k + 1, k + 4))]
+        return kind, VPolyhedron.from_points(
+            [tuple(t[i] + sum(m * x for m, x in zip(M[i], p)) for i in range(n)) for p in pts])
+    V = VPolyhedron.from_points([tuple(F(rng.randint(-4 * q, 4 * q), q) for _ in range(n))
+                                 for _ in range(rng.randint(n + 1, n + 4))])
+    if kind == "points":
+        return kind, V
+    H = convert_dd(V)
+    A, b, eq = list(H.A), list(H.b), list(H.equality_rows)
+    if kind == "redundant":
+        for _ in range(rng.randint(1, 4)):
+            i, j = rng.randrange(len(A)), rng.randrange(len(A))
+            a, c = rng.choice([(A[i], b[i] + F(1, 2)), (tuple(2 * x for x in A[i]), 2 * b[i]),
+                               (vec_add(A[i], A[j]), b[i] + b[j])])
+            A.append(a)
+            b.append(c)
+    else:
+        a = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+        c = F(rng.randint(-4 * q, 4 * q), rng.choice([1, 2]))
+        A.append(a)
+        b.append(c)
+        if kind == "equality":
+            eq.append(len(A))
+        else:
+            A.append(tuple(-x for x in a))
+            b.append(F(1, 2) - c)
+    rows = list(zip(A, b, (i + 1 in eq for i in range(len(A)))))
+    rng.shuffle(rows)
+    return kind, HPolyhedron.from_rows([r[0] for r in rows], [r[1] for r in rows],
+                                       [i + 1 for i, r in enumerate(rows) if r[2]])
+
+
+class TestWalkOracle:
+    """The counting walk against the plain per-value walk of reference_count."""
+
+    @pytest.mark.parametrize("seed", range(100))
+    def test_count_matches_reference(self, seed):
+        rng = random.Random(f"walk-oracle/{seed}")
+        kind, P = oracle_polytope(rng, 1 + seed % 5)
+        assert count_lattice_points(P) == reference_count(P), kind
+        if isinstance(P, VPolyhedron):
+            assert count_lattice_points(convert_dd(P)) == reference_count(P), kind
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_count_does_not_depend_on_the_given_order(self, seed):
+        rng = random.Random(f"walk-order/{seed}")
+        n = 2 + seed % 3
+        kind, P = oracle_polytope(rng, n)
+        order = list(range(n))
+        rng.shuffle(order)
+        if isinstance(P, VPolyhedron):
+            Q = VPolyhedron.from_points([tuple(v[t] for t in order) for v in P.vertices])
+        else:
+            Q = HPolyhedron.from_rows([tuple(a[t] for t in order) for a in P.A], P.b,
+                                      P.equality_rows)
+        assert count_lattice_points(Q) == count_lattice_points(P) == reference_count(Q), kind
+
+    @pytest.mark.parametrize("seed", range(15))
+    def test_ehrhart_matches_reference(self, seed):
+        # rational simplices and more in dims 1-4, integral ones in dim 5,
+        # every other one with a loosened copy of a row
+        rng = random.Random(f"ehrhart-oracle/{seed}")
+        n = 1 + seed % 5
+        q, w = (1, 1) if n == 5 else (rng.choice([1, 2]), 2)
+        P = convert_dd(VPolyhedron.from_points(
+            [tuple(F(rng.randint(-w * q, w * q), q) for _ in range(n)) for _ in range(n + 3)]))
+        if seed % 2:
+            P = HPolyhedron(P.A + P.A[:1], P.b + (P.b[0] + 1,), P.equality_rows)
+        try:
+            poly = ehrhart(P)
+        except PolyhedronError as exc:
+            assert "full-dimensional" in str(exc)
+            return
+        for lam in range(1, 2 * poly.period + 2):
+            assert poly.evaluate(lam) == reference_count(P.dilate(lam))
+
+    def test_floor_sum_matches_brute_force(self):
+        import polyorbit.latcount as lc
+        for n in range(9):
+            for m in range(1, 6):
+                for a in range(-11, 12):
+                    for b in range(-11, 12):
+                        assert lc._floor_sum(n, m, a, b) == \
+                            sum((a * i + b) // m for i in range(n)), (n, m, a, b)
+        for n, m, a, b in [(2000, 97, -10**6, 10**9), (1500, 10**6 + 3, 987654, -10**7)]:
+            assert lc._floor_sum(n, m, a, b) == sum((a * i + b) // m for i in range(n))
+
+    @pytest.mark.parametrize("rows, lo, hi", [
+        ([(1, 1, 0), (-1, 1, 0)], -3, 3),             # both least at v = 0
+        ([(0, 1, 5), (1, 1, 5), (2, 1, 5)], 0, 6),    # all tie at lo
+        ([(2, 1, 5), (1, 1, 5), (0, 1, 5)], -6, 0),   # all tie at hi
+        ([(1, 1, 3), (2, 2, 6), (2, 2, 7)], -4, 4),   # one line, three rows
+        ([(1, 2, 1), (1, 2, 1), (-3, 4, 2)], -5, 5),  # repeated rows
+        ([(0, 3, 4)], 2, 1),                          # an empty range
+    ])
+    def test_envelope_sum_with_ties(self, rows, lo, hi):
+        import polyorbit.latcount as lc
+        expect = sum(min((r - a * v) // c for a, c, r in rows) for v in range(lo, hi + 1))
+        assert lc._envelope_sum(rows, lo, hi) == expect
+
+    def test_envelope_tie_goes_to_the_smaller_slope(self, monkeypatch):
+        # three lines through (0, 5): the steepest is least on all of [0, 6],
+        # so the sum is one piece and one floor sum
+        import polyorbit.latcount as lc
+        calls = []
+        real = lc._floor_sum
+        monkeypatch.setattr(lc, "_floor_sum", lambda *a: calls.append(a) or real(*a))
+        assert lc._envelope_sum([(0, 1, 5), (1, 1, 5), (2, 1, 5)], 0, 6) == \
+            sum(5 - 2 * v for v in range(7))
+        assert calls == [(7, 1, -2, 5)]
+
+    def test_envelope_sum_matches_brute_force(self):
+        import polyorbit.latcount as lc
+        rng = random.Random(2026)
+        for _ in range(3000):
+            rows = [(rng.randint(-5, 5), rng.randint(1, 5), rng.randint(-20, 20))
+                    for _ in range(rng.randint(1, 5))]
+            lo = rng.randint(-8, 8)
+            hi = lo + rng.randint(-1, 10)
+            expect = sum(min((r - a * v) // c for a, c, r in rows) for v in range(lo, hi + 1))
+            assert lc._envelope_sum(rows, lo, hi) == expect, (rows, lo, hi)
+
+    def test_empty_range_counts_zero_before_any_row(self):
+        import polyorbit.latcount as lc
+        assert lc._plane_count([], [], 1, 0) == 0
+        with pytest.raises(PolyhedronError, match="unbounded"):
+            lc._plane_count([((1,), 1, 0)], [], 0, 0)

@@ -3,10 +3,10 @@ exported name resolves, no module reaches into another module's private
 names, no library function takes a jobs parameter, lattice counting and the
 CLI import no LP routine, symilp imports no elimination routine, the
 symmetric count and the Ehrhart interpolation each walk one projection
-chain, the facet walk of repconv stays in integer arithmetic, neither
-the adjacency graph nor the triangulation behind volume converts anything,
-and symmetry detection and the group check of the decompositions build no
-map."""
+chain, the facet walk of repconv and the counting walk of latcount stay in
+integer arithmetic, neither the adjacency graph nor the triangulation
+behind volume converts anything, and symmetry detection and the group check
+of the decompositions build no map."""
 import ast
 import importlib
 import importlib.util
@@ -120,6 +120,18 @@ def test_facet_walk_builds_no_fraction():
                and node.name in walk):
         called = _called(fn)
         assert not called & banned, f"{fn.name} calls {sorted(called & banned)}"
+
+
+def test_counting_walk_builds_no_fraction():
+    # the walk and its closed-form last two levels run on integer rows
+    walk = {"_walk", "_fiber", "_plane_count", "_envelope_sum", "_floor_sum"}
+    tree = ast.parse((PACKAGE / "latcount.py").read_text())
+    fns = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in walk]
+    assert {fn.name for fn in fns} == walk
+    for fn in fns:
+        called = _called(fn)
+        assert not called & {"Fraction", "frac", "dot"}, \
+            f"{fn.name} calls {sorted(called & {'Fraction', 'frac', 'dot'})}"
 
 
 def test_adjacency_graph_converts_nothing():
