@@ -65,16 +65,20 @@ class PolyFileError(ValueError):
 
 @dataclass(frozen=True)
 class PolyFile:
-    """Parsed polyhedron file: kind, body rows, and trailing options."""
+    """Parsed polyhedron file: kind, body rows, trailing options, and the
+    width of the header, which a file with no rows needs to write back."""
     kind: str                                     # "H" | "V"
     rows: Matrix                                  # m x (n+1) exact entries
     linearity: tuple[int, ...] = ()               # 1-based body row indices
     objective: Optional[tuple[str, Vector]] = None  # (sense, n+1 entries)
     blocks: Optional[tuple[int, ...]] = None
+    width: Optional[int] = None                   # n+1; inferred from the rows if None
 
-    @property
-    def width(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+    def __post_init__(self):
+        if self.width is None:
+            object.__setattr__(self, "width", len(self.rows[0]) if self.rows else 0)
+        elif any(len(row) != self.width for row in self.rows):
+            raise ValueError(f"rows do not have the given width {self.width}")
 
     def to_hpolyhedron(self) -> HPolyhedron:
         if self.kind != "H":
@@ -210,7 +214,7 @@ def parse_polyfile(text: str) -> PolyFile:
                 raise PolyFileError(f"line {no}: blocks must be positive integers")
         else:
             raise PolyFileError(f"line {no}: unknown option line {ln!r}")
-    return PolyFile(kind, matrix(rows), linearity, objective, blocks)
+    return PolyFile(kind, matrix(rows), linearity, objective, blocks, width)
 
 
 def write_polyfile(pf: PolyFile) -> str:
@@ -399,7 +403,8 @@ def _build_parser() -> argparse.ArgumentParser:
                "orbit representatives of the converted representation")
     conv.add_argument("--idm-adm-level", type=int, nargs=2, default=(0, 1),
                       metavar=("L1", "L2"),
-                      help="recursion depths for the incidence / adjacency methods")
+                      help="recursion depths for the incidence / adjacency methods"
+                           " (V input; checked but unused for an H input)")
     conv.add_argument("--adjacencies", action="store_true",
                       help="also emit the facet adjacency graph as DOT")
     conv.add_argument("--dot", metavar="FILE",

@@ -3,9 +3,10 @@
 Everything is built on one exact enumeration backbone: integer points are
 listed coordinate by coordinate over a chain of projections.  The polyhedron
 is converted once to vertices and rays (the plain count takes a V input as
-given); their projections onto the first k coordinates, converted back to
-integer facet rows, give the feasible interval of x_k over each fixed prefix
-in closed form, so the search never leaves the projection and solves no LP.
+given), scaled once to integers by polycore.clear_denominators; their
+projections onto the first k coordinates, converted back to integer facet
+rows, give the feasible interval of x_k over each fixed prefix in closed
+form, so the search never leaves the projection and solves no LP.
 The top of the chain, the projection onto every coordinate, is P itself, so
 an H input gives its own rows there.  Every count runs at most one
 conversion, one chain and one walk.  The walk closes its last two levels in
@@ -33,12 +34,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, count, product
-from math import ceil, factorial, floor, lcm, prod
+from math import ceil, factorial, floor, prod
 from operator import mul, sub
 from typing import Iterator, Optional, Sequence, Union
 
 from .polycore import (
-    AffineHull,
     EmptyPolyhedronError,
     HPolyhedron,
     Matrix,
@@ -47,6 +47,7 @@ from .polycore import (
     VerificationError,
     VPolyhedron,
     affine_hull,
+    clear_denominators,
     convert_dd,
     convert_dd_incidence,
     dd_cone,
@@ -55,8 +56,8 @@ from .polycore import (
     gauss_jordan,
     identity_matrix,
     integer_kernel_basis,
+    integer_nullspace,
     matrix,
-    nullspace,
     primitive,
     solve_linear,
     vec_sub,
@@ -157,33 +158,41 @@ def _chain(P: Union[HPolyhedron, VPolyhedron], V: VPolyhedron,
 
     Level k holds the facet rows of the projection onto the first k of them,
     each level below the top read off one DD of V's points and rays, which
-    generate P.  The top level is P itself: an H input gives its own
+    generate P, scaled to integers once for the whole chain.  The top level is P itself: an H input gives its own
     primitive rows, its equality rows as equalities and redundant rows
     harmless, and only a V input pays a DD there.
     """
-    V = VPolyhedron(*(tuple(tuple(g[t] for t in order) for g in gens)
-                      for gens in (V.vertices, V.rays)))
+    gens = _generators(V, order)
     n = len(order)
     if isinstance(P, VPolyhedron) or not n:
-        return [_projection_rows(V, k) for k in range(1, n + 1)]
+        return [_projection_rows(gens, k) for k in range(1, n + 1)]
     eq = set(P.equality_rows)
     eqs, les = [], []
     for i, (a, b) in enumerate(zip(P.A, P.b), start=1):
         g = primitive(tuple(a[t] for t in order) + (b,))
         if any(g[:n]):
             (eqs if i in eq else les).append((g[:n - 1], g[n - 1], g[n]))
-    return [_projection_rows(V, k) for k in range(1, n)] + [(eqs, les)]
+    return [_projection_rows(gens, k) for k in range(1, n)] + [(eqs, les)]
 
 
-def _projection_rows(V: VPolyhedron, k: int) -> tuple[list, list]:
-    """Facet rows of the projection of V onto its first k coordinates.
+def _generators(V: VPolyhedron, order: Sequence[int]) -> list[tuple[int, ...]]:
+    """V's points and rays with their coordinates in the given order, scaled
+    once to integers and homogenized: s p + (-s,) for a point p, s r + (0,)
+    for a ray r, with s the lcm of every denominator."""
+    s, gens = clear_denominators(tuple(g[t] for t in order) for g in [*V.vertices, *V.rays])
+    k = len(V.vertices)
+    return [g + ((-s,) if j < k else (0,)) for j, g in enumerate(gens)]
+
+
+def _projection_rows(gens: Sequence[tuple[int, ...]], k: int) -> tuple[list, list]:
+    """Facet rows of the projection onto the first k coordinates of the
+    polyhedron generated by the homogenized integer generators.
 
     Returns (equalities, inequalities), each row a.x = beta or a.x <= beta
     stored as (a_1..a_{k-1}, a_k, beta) in primitive integers.
     """
-    gens = dict.fromkeys(tuple(v[:k]) + (-1,) for v in V.vertices)
-    gens.update(dict.fromkeys(tuple(r[:k]) + (0,) for r in V.rays if any(r[:k])))
-    lin, rays, _ = dd_cone(list(gens), k + 1)
+    rows = dict.fromkeys(g[:k] + g[-1:] for g in gens if g[-1] or any(g[:k]))
+    lin, rays, _ = dd_cone(list(rows), k + 1)
     eqs = [(g[:k - 1], g[k - 1], g[k]) for g in lin if any(g[:k])]
     les = [(g[:k - 1], g[k - 1], g[k]) for g in rays if any(g[:k])]
     return eqs, les
@@ -469,10 +478,7 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
     if d != P.n:
         raise PolyhedronError(
             "Ehrhart interpolation requires a full-dimensional polytope")
-    k = 1
-    for v in pts:
-        for c in v:
-            k = lcm(k, c.denominator)
+    k = clear_denominators(pts)[0]
     if k > period_bound:
         raise PolyhedronError(f"period {k} exceeds the allowed bound {period_bound}")
     top = k * (d + 2)   # the largest dilate counted below
@@ -530,7 +536,11 @@ def volume(P: Union[HPolyhedron, VPolyhedron]) -> Fraction:
     to integers and divided once at the end.  A lower-dimensional polytope is
     measured in coordinates of a lattice basis of its direction space, so a
     diagonal unit cell has measure 1, matching the Ehrhart leading
-    coefficient.  A zero-dimensional polytope has measure 1 by convention.
+    coefficient: the hull normals come from the integer differences of the
+    scaled points, and one elimination gives every point's coordinates in
+    that basis as integers over one common determinant, divided out at the
+    end with the scale.  A zero-dimensional polytope has measure 1 by
+    convention.
     """
     Q, masks = convert_dd_incidence(P)
     if isinstance(P, VPolyhedron):
@@ -540,19 +550,21 @@ def volume(P: Union[HPolyhedron, VPolyhedron]) -> Fraction:
         rows = {sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(P.m)}
     if V.rays:
         raise PolyhedronError("volume requires a bounded polyhedron")
-    pts = V.vertices
-    hull = affine_hull(pts)
-    d = hull.dim
+    scale, pts = clear_denominators(V.vertices)
+    diffs = [tuple(map(sub, p, pts[0])) for p in pts]
+    normals = integer_nullspace(diffs[1:], P.n)
+    d = P.n - len(normals)
     if d == 0:
         return Fraction(1)
-    if d < P.n:
-        # lattice-normalized coordinates on the hull: integer kernel of the
-        # hull normals is a basis of Z^n restricted to the direction space
-        normals = [primitive(v) for v in nullspace(hull.directions, P.n)]
-        frame = AffineHull(pts[0], matrix(integer_kernel_basis(normals, P.n)))
-        pts = [frame.coordinates(p) for p in pts]
-    scale = lcm(*(x.denominator for p in pts for x in p))
-    pts = [tuple(x.numerator * (scale // x.denominator) for x in p) for p in pts]
+    if normals:
+        # the integer kernel of the hull normals is a basis B of Z^n restricted
+        # to the direction space; [B^T | diffs] reduces to [D I | D Y] with Y
+        # the coordinates of every difference in B
+        B = integer_kernel_basis(normals, P.n)
+        D, _, m, _ = gauss_jordan((tuple(col) + diff for col, diff in zip(zip(*B), zip(*diffs))),
+                                  stop=d)
+        pts = list(zip(*(row[d:] for row in m[:d])))
+        scale *= abs(D)
     total = 0
     for simplex in _pull((1 << len(pts)) - 1, rows, d, {}):
         s0, *rest = (pts[j] for j in simplex)
@@ -670,9 +682,7 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
                           for j in live))
         if live:
             # the live block sums of P form the image projected onto them
-            shadow = VPolyhedron(*(tuple(tuple(g[j] for j in live) for g in gens)
-                                   for gens in (image.vertices, image.rays)))
-            eqs, les = _projection_rows(shadow, len(live))
+            eqs, les = _projection_rows(_generators(image, live), len(live))
             cands = [s for s in cands if (fit := _fiber(eqs, les, s[:-1])) is not None
                      and fit[0] <= s[-1] <= fit[1]]
         for sums in cands:

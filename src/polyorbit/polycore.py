@@ -11,7 +11,9 @@ reduced row echelon form.  Rational rows are scaled to integers first, which
 leaves the reduced form unchanged, so rank, det, nullspace,
 integer_nullspace, row_space_basis, solve_linear, invert_matrix,
 hull_coordinates and affinely_independent_subset read their results off it;
-symmetry detection uses it directly for its integer frames.
+symmetry detection uses it directly for its integer frames.  A point list
+is scaled to integers as a whole by clear_denominators, the one helper the
+other modules use for it.
 The simplex pivots of solve_lp and the unimodular column reduction of
 integer_kernel_basis are separate algorithms.
 
@@ -106,14 +108,20 @@ def zero_vector(n: int) -> Vector:
     return (Fraction(0),) * n
 
 
+def clear_denominators(points: Iterable[Sequence]) -> tuple[int, list[tuple[int, ...]]]:
+    """(s, [s p for each point]) for s the lcm of every denominator in the
+    list: one positive scale, so incidences, orders and ties are kept."""
+    points = [tuple(p) for p in points]
+    s = lcm(*(x.denominator for p in points for x in p))
+    return s, [tuple(x.numerator * (s // x.denominator) for x in p) for p in points]
+
+
 def integerize(row: Sequence) -> tuple[int, ...]:
     """Scale a rational row by the positive lcm of denominators."""
     row = tuple(row)
     if all(type(x) is int for x in row):
         return row
-    fr = [frac(x) for x in row]
-    mult = lcm(*(x.denominator for x in fr)) if fr else 1
-    return tuple(x.numerator * (mult // x.denominator) for x in fr)
+    return clear_denominators([row])[1][0]
 
 
 def primitive(row: Sequence) -> tuple[int, ...]:

@@ -18,12 +18,17 @@ again, and the stabilizer of a walked facet is read off the Schreier tree
 of its orbit's expansion.  Everything runs serially on one thread.
 
 The facet walk runs in integer arithmetic.  The points are scaled once per
-polytope by the lcm of their denominators, which keeps every incidence set
+polytope by polycore.clear_denominators, which keeps every incidence set
 and every choice of the walk.  Supporting rows are primitive integer rows
 from an integer null space, a rotation about a ridge compares the
 parameters of the pencil by cross-multiplying integers, and the coordinates
 of a facet's vertices in its hull are read off the pivot columns of one
-elimination (polycore.hull_coordinates).
+elimination (polycore.hull_coordinates).  A lower-dimensional input is
+walked in its integer hull coordinates; the ambient row of a facet is the
+one primitive row on its scaled ambient points that is orthogonal to the
+integer hull normals, so no row is lifted back through a pseudo-inverse.
+A plain conversion is one integer dd_cone of the cone over the points,
+whose rays with a nonzero normal are the facets.
 
 For an H-description one double description gives every vertex together
 with the rows it is tight on; the row group acts on those tight sets, which
@@ -34,8 +39,6 @@ group acting on vertex indices, and one supporting row per facet orbit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import lcm
 from operator import mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
@@ -45,20 +48,15 @@ from .polycore import (
     PolyhedronError,
     VPolyhedron,
     Vector,
-    affine_hull,
+    clear_denominators,
     convert_dd,
     convert_dd_incidence,
     dd_cone,
-    dot,
     hull_coordinates,
     index_set,
     integer_nullspace,
-    invert_matrix,
     irredundant_rows,
-    mat_mul,
-    mat_vec,
     primitive,
-    transpose,
     vec_sub,
     vector,
 )
@@ -84,17 +82,20 @@ from .symdetect import are_affine_symmetries
 # so recursion only ever passes index sets around.
 
 
-def _supporting_row(pts: Sequence[Sequence[int]], S: frozenset) -> tuple[tuple[int, ...], int]:
+def _supporting_row(pts: Sequence[Sequence[int]], S: frozenset, normals: Sequence = ()
+                    ) -> tuple[tuple[int, ...], int]:
     """(a, delta), primitive, with a.x <= delta over pts and equality
-    exactly on S.
+    exactly on S, and a orthogonal to every row of normals.
 
     S must be the full incidence set of a facet, so the normal direction is
     unique up to scale and every point off S is strictly below the hyperplane.
+    Without normals the points must span their space; with the hull normals
+    of a lower-dimensional list, the row is the one in the direction space.
     """
     members = sorted(S)
     base = pts[members[0] - 1]
-    ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in members[1:]],
-                           len(base))
+    ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in members[1:]]
+                           + list(normals), len(base))
     if len(ns) != 1:
         raise PolyhedronError("index set does not span a facet")
     a = ns[0]
@@ -222,9 +223,12 @@ def _distinct_orbits(G: PermutationGroup, sets: Iterable[frozenset]) -> list[Set
     return found
 
 
-def _plain_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
-    return _distinct_orbits(
-        G, map(index_set, convert_dd_incidence(VPolyhedron.from_points(pts))[1]))
+def _plain_orbits(pts: Sequence[Sequence[int]], G: PermutationGroup) -> list[SetOrbit]:
+    """Facet orbits from one double description of the cone over the
+    points: a ray with a nonzero normal is a facet, tight on its points."""
+    n = len(pts[0])
+    _, rays, masks = dd_cone([tuple(p) + (-1,) for p in pts], n + 1)
+    return _distinct_orbits(G, (index_set(m) for r, m in zip(rays, masks) if any(r[:n])))
 
 
 def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
@@ -300,44 +304,31 @@ def _facet_orbit_engine(pts: Sequence[Vector], G: PermutationGroup, levels: tupl
 
 
 class _Geometry:
-    """Point list in integer hull coordinates plus the lift back to ambient
-    rows.
+    """Point list scaled once to integers, in ambient and in hull
+    coordinates.
 
-    The hull coordinates of the points are scaled once by the lcm of their
-    denominators.  A positive uniform scale keeps every facet incidence set
-    and every argmax of the facet walk, and a row a.x <= delta in the scaled
-    coordinates is a.y <= delta / scale in the unscaled ones.
+    The points are scaled by the lcm of their denominators, a positive
+    uniform scale that keeps every facet incidence set and every argmax of
+    the facet walk.  For a lower-dimensional list, normals are the integer
+    hull normals and local the integer hull coordinates the walk runs on.
     """
 
     def __init__(self, points: Sequence[Vector]):
-        pts = [vector(p) for p in points]
-        if len(set(pts)) != len(pts):
+        self.scale, self.ambient = clear_denominators(points)
+        if not self.ambient:
+            raise EmptyPolyhedronError("no points given")
+        if len(set(self.ambient)) != len(self.ambient):
             raise PolyhedronError("duplicate points in the input")
-        self.ambient = pts
-        local = hull_coordinates(pts)
-        self.d = len(local[0])
-        if self.d == len(pts[0]):
-            local = pts
-            self._lift = None
-        else:
-            self._hull = affine_hull(pts)
-            D = self._hull.directions
-            gram = mat_mul(D, transpose(D))
-            # coordinates(x) = M (x - point) with M the pseudo-inverse below
-            self._lift = mat_mul(invert_matrix(gram), D)
-        self.scale = lcm(*(x.denominator for p in local for x in p))
-        self.local = [tuple(x.numerator * (self.scale // x.denominator) for x in p)
-                      for p in local]
+        base = self.ambient[0]
+        self.normals = integer_nullspace(
+            [tuple(map(sub, p, base)) for p in self.ambient[1:]], len(base))
+        self.local = hull_coordinates(self.ambient) if self.normals else self.ambient
 
-    def ambient_row(self, a: Sequence[int], delta: int) -> tuple[int, ...]:
-        """Lift a supporting row from scaled hull coordinates to the ambient
-        space, normalized to a primitive integer (a | b) tuple."""
-        delta = Fraction(delta, self.scale)
-        if self._lift is None:
-            return primitive(tuple(a) + (delta,))
-        a_amb = mat_vec(transpose(self._lift), a)
-        b_amb = delta + dot(a_amb, self._hull.point)
-        return primitive(tuple(a_amb) + (b_amb,))
+    def ambient_row(self, S: frozenset) -> tuple[int, ...]:
+        """The primitive integer (a | b) of the facet on S: a.x <= delta on
+        the scaled points is (scale a).x <= delta on the given ones."""
+        a, delta = _supporting_row(self.ambient, S, self.normals)
+        return primitive(tuple(self.scale * x for x in a) + (delta,))
 
 
 @dataclass(frozen=True)
@@ -391,11 +382,7 @@ class OrbitLedger:
         """Every facet as a primitive supporting row (a | b), recomputed from
         the expanded incidence sets."""
         geo = _Geometry(list(self.vertices))
-        out = set()
-        for S in self.facet_sets():
-            a, delta = _supporting_row(geo.local, S)
-            out.add(geo.ambient_row(a, delta))
-        return out
+        return {geo.ambient_row(S) for S in self.facet_sets()}
 
 
 def _check_levels(levels) -> tuple[int, int]:
@@ -418,11 +405,9 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
         raise PolyhedronError("group generator is not an affine symmetry of the vertex set")
     geo = _Geometry(V.vertices)
     orbits, pairs = _facet_orbit_engine(geo.local, G, levels, 0)
-    entries = {}
-    for orb in orbits:
-        a, delta = _supporting_row(geo.local, frozenset(orb.representative))
-        entries[orb.representative] = FacetOrbit(orb, geo.ambient_row(a, delta))
-    return OrbitLedger(entries, tuple(geo.ambient), G, pairs)
+    entries = {orb.representative: FacetOrbit(orb, geo.ambient_row(frozenset(orb.representative)))
+               for orb in orbits}
+    return OrbitLedger(entries, tuple(map(vector, V.vertices)), G, pairs)
 
 
 def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
@@ -513,11 +498,7 @@ def incidence_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     Preconditions match adjacency_decomposition, and so does the resulting
     ledger.
     """
-    if isinstance(P, VPolyhedron):
-        return _decompose_points(P, G, (1, 1))   # incidence method at depth 0
-    if isinstance(P, HPolyhedron):
-        return _decompose_rows(P, G)
-    raise TypeError("expected an HPolyhedron or VPolyhedron")
+    return adjacency_decomposition(P, G, (1, 1))   # incidence method at depth 0
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence, Union
 
@@ -48,6 +47,7 @@ from .polycore import (
     PolyhedronError,
     VerificationError,
     VPolyhedron,
+    clear_denominators,
     det,
     frac,
     gauss_jordan,
@@ -179,9 +179,8 @@ class _IntegerFrame:
 def _vertex_frame(V: VPolyhedron) -> _IntegerFrame:
     """Frame of the homogenized vertices (1, v), scaled by one common
     denominator to integer rows."""
-    s = lcm(*(x.denominator for v in V.vertices for x in v))
-    rows = [(s,) + tuple(x.numerator * (s // x.denominator) for x in v) for v in V.vertices]
-    return _IntegerFrame(rows, V.n + 1)
+    s, pts = clear_denominators(V.vertices)
+    return _IntegerFrame([(s,) + p for p in pts], V.n + 1)
 
 
 def _polytope_frame(V: VPolyhedron) -> _IntegerFrame:

@@ -41,6 +41,7 @@ from .polycore import (
     PolyhedronError,
     VPolyhedron,
     Vector,
+    clear_denominators,
     convert_dd,
     dot,
     mat_mul,
@@ -449,13 +450,6 @@ def _require_block_invariance(P, blocks, c):
         raise PolyhedronError("the system is not invariant under the block group")
 
 
-def _scale_to_int(values: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """(d, d * values) for d the lcm of the denominators: a positive factor,
-    so sums and comparisons keep their order and ties."""
-    d = math.lcm(*(v.denominator for v in values))
-    return d, [v.numerator * (d // v.denominator) for v in values]
-
-
 def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] = None
                   ) -> tuple[Optional[Vector], int]:
     """Integral feasibility (c None) or max c.x over a block-symmetric P.
@@ -482,7 +476,8 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     if c is not None:
         # invariance forces c constant per block, so the objective on a
         # fiber is a linear function of the block sums
-        _, cb = _scale_to_int([cs / nb for cs, nb in zip(_block_sums(blocks, goal), blocks)])
+        _, (cb,) = clear_denominators(
+            [[cs / nb for cs, nb in zip(_block_sums(blocks, goal), blocks)]])
 
         def key(s):
             return -sum(map(mul, cb, s)), s
@@ -491,7 +486,7 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
         if rel.status == "infeasible":
             return None, 0
         # d times the l1 distance of the block sums to the relaxation's
-        d, ref = _scale_to_int(_block_sums(blocks, rel.point))
+        d, (ref,) = clear_denominators([_block_sums(blocks, rel.point)])
 
         def key(s):
             return sum(abs(sj * d - rj) for sj, rj in zip(s, ref)), s

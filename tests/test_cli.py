@@ -57,6 +57,23 @@ class TestPolyFileParsing:
         )
         assert parse_polyfile(write_polyfile(pf)) == pf
 
+    @pytest.mark.parametrize("text, width", [
+        ("H-representation\nbegin\n0 3 rational\nend\n", 3),
+        ("H-representation\nbegin\n0 3 rational\nend\nmaximize 0 1 -1\n", 3),
+        ("V-representation\nbegin\n0 3 rational\nend\n", 3),
+        ("V-representation\nbegin\n0 2 rational\nend\nminimize 1/2 3\n", 2),
+    ], ids=["H", "H-objective", "V", "V-objective"])
+    def test_zero_row_files_round_trip(self, text, width):
+        # a file with no rows takes its width from the header
+        pf = parse_polyfile(text)
+        assert not pf.rows and pf.width == width
+        assert write_polyfile(pf) == text
+        assert parse_polyfile(write_polyfile(pf)) == pf
+
+    def test_width_must_match_the_rows(self):
+        with pytest.raises(ValueError, match="width 3"):
+            PolyFile(kind="H", rows=matrix([(1, -1)]), width=3)
+
     def test_h_conversion(self):
         pf = parse_polyfile((FIX / "cube3.ine").read_text())
         P = pf.to_hpolyhedron()
@@ -698,13 +715,27 @@ class TestErrorContract:
         assert err == ("error: homogenized rows do not span; "
                        "input must be bounded and full-dimensional\n")
 
-    @pytest.mark.parametrize("command", ["count", "volume", "ehrhart", "ilp"])
+    @pytest.mark.parametrize("command", ["count", "volume", "ehrhart", "ilp", "automorphisms",
+                                         "convert"])
     def test_zero_row_h_file_is_an_input_error(self, command, tmp_path, capsys):
         # no rows at all once read as R^0 and got an answer with exit 0
         path = tmp_path / "zero.ine"
         path.write_text("H-representation\nbegin\n0 3 rational\nend\n")
         code, out, err = run(capsys, command, path)
         assert (code, out, err) == (2, "", "error: an H-representation needs at least one row\n")
+
+    @pytest.mark.parametrize("command, code, err", [
+        ("automorphisms", 1, "empty: the file lists no vertices\n"),
+        ("convert", 1, "empty: the file lists no vertices\n"),
+        ("count", 1, "empty: no points given\n"),
+        ("ehrhart", 1, "empty: no points given\n"),
+        ("volume", 1, "empty: no points given\n"),
+        ("ilp", 2, "error: an H-representation file is required here\n"),
+    ])
+    def test_zero_row_v_file_is_empty(self, command, code, err, tmp_path, capsys):
+        path = tmp_path / "zero.ext"
+        path.write_text("V-representation\nbegin\n0 3 rational\nend\nmaximize 0 1 1\n")
+        assert run(capsys, command, path) == (code, "", err)
 
     def test_zero_denominator_is_an_input_error(self, tmp_path, capsys):
         # "1/00" once passed the check and escaped Fraction(1, 0) as exit 3

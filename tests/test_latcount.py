@@ -17,6 +17,7 @@ from polyorbit.polycore import (
     VPolyhedron,
     dot,
     matrix,
+    rank,
     solve_lp,
     vec_add,
     zero_vector,
@@ -33,7 +34,8 @@ from polyorbit.latcount import (
 from polyorbit.cli import main, parse_polyfile
 from polyorbit.repconv import convert_dd
 from polyorbit.symilp import block_group, canonical_core_point, orbit_barycenter
-from shapes import birkhoff, cross_h, cube_h, reference_count, reference_volume, simplex_h
+from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, reference_count, reference_volume,
+                    simplex_h)
 from test_symilp import (
     apply_perm,
     enum_integral,
@@ -307,6 +309,25 @@ class TestCountLatticePoints:
         with pytest.raises(EmptyPolyhedronError, match="no points given"):
             count_lattice_points(VPolyhedron.from_points([], [(1, 0)]))
 
+    @pytest.mark.parametrize("seed", range(16))
+    def test_rational_image_into_one_more_dimension(self, seed):
+        # a rational affine map of full column rank into R^(n+1): the hull is
+        # a hyperplane whose lattice basis is no coordinate frame
+        rng = random.Random(700 + seed)
+        base = [cube_v(3), cross_v(3), cube_v(2), cross_v(4)][seed % 4]
+        n = base.n
+        while True:
+            A = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                 for _ in range(n + 1)]
+            if rank(A) == n:
+                break
+        t = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n + 1)]
+        V = VPolyhedron.from_points([tuple(dot(row, v) + c for row, c in zip(A, t))
+                                     for v in base.vertices])
+        H = convert_dd(V)
+        assert len(H.equality_rows) == 1
+        assert volume(V) == volume(H) == reference_volume(H)
+
     @pytest.mark.parametrize("name", ["cube3.ext", "diamond-third.ext", "quad-asym.ext",
                                       "square-midpoint.ext"])
     def test_v_file_converts_nothing(self, monkeypatch, capsys, name):
@@ -531,6 +552,25 @@ class TestVolume:
         V = random_point_cloud(random.Random(seed))
         H = convert_dd(V)
         assert dd_cone_calls(monkeypatch, volume, V) == 1
+        assert volume(V) == volume(H) == reference_volume(H)
+
+    @pytest.mark.parametrize("seed", range(16))
+    def test_rational_image_into_one_more_dimension(self, seed):
+        # a rational affine map of full column rank into R^(n+1): the hull is
+        # a hyperplane whose lattice basis is no coordinate frame
+        rng = random.Random(700 + seed)
+        base = [cube_v(3), cross_v(3), cube_v(2), cross_v(4)][seed % 4]
+        n = base.n
+        while True:
+            A = [tuple(F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n))
+                 for _ in range(n + 1)]
+            if rank(A) == n:
+                break
+        t = [F(rng.randint(-4, 4), rng.randint(1, 5)) for _ in range(n + 1)]
+        V = VPolyhedron.from_points([tuple(dot(row, v) + c for row, c in zip(A, t))
+                                     for v in base.vertices])
+        H = convert_dd(V)
+        assert len(H.equality_rows) == 1
         assert volume(V) == volume(H) == reference_volume(H)
 
     @pytest.mark.parametrize("name", ["cube3.ext", "diamond-third.ext", "quad-asym.ext",
@@ -943,7 +983,8 @@ class TestOneChainPerCount:
                 for c in v:
                     period = period * c.denominator // gcd(period, c.denominator)
             assert period == q
-            levels = [lc._projection_rows(V, k) for k in range(1, d + 1)]
+            gens = lc._generators(V, range(d))
+            levels = [lc._projection_rows(gens, k) for k in range(1, d + 1)]
             for lam in range(1, d + 3):
                 assert lc._count_dilate(levels, lam) == count_lattice_points(P.dilate(lam))
 

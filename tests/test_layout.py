@@ -5,8 +5,10 @@ CLI import no LP routine, symilp imports no elimination routine, the
 symmetric count and the Ehrhart interpolation each walk one projection
 chain, the facet walk of repconv and the counting walk of latcount stay in
 integer arithmetic, neither the adjacency graph nor the triangulation
-behind volume converts anything, and symmetry detection and the group check
-of the decompositions build no map."""
+behind volume converts anything, symmetry detection and the group check
+of the decompositions build no map, only polycore clears denominators, and
+the facet geometry, the projection chain and the volume frame stay in
+integers."""
 import ast
 import importlib
 import importlib.util
@@ -172,3 +174,33 @@ def test_symmetry_checks_build_no_map():
         called = _called(fn)
         assert "are_affine_symmetries" in called and not called & banned, fn.name
     assert not _imported("repconv.py") & banned - {"Fraction"}
+
+
+@pytest.mark.parametrize("source", sorted(p for p in PACKAGE.glob("*.py")
+                                         if p.name != "polycore.py"), ids=lambda p: p.name)
+def test_only_polycore_clears_denominators(source):
+    # a point list is scaled to integers by polycore.clear_denominators
+    assert "lcm" not in _called(ast.parse(source.read_text()))
+
+
+def _top_level(name: str, names: set) -> list:
+    tree = ast.parse((PACKAGE / name).read_text())
+    found = [node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+             and node.name in names]
+    assert {node.name for node in found} == names
+    return found
+
+
+def test_facet_geometry_projection_chain_and_volume_frame_stay_in_integers():
+    banned = {"invert_matrix", "mat_mul", "mat_vec", "transpose", "solve_linear", "coordinates"}
+    for name, names in [("repconv.py", {"_Geometry", "_plain_orbits", "_idm_orbits"}),
+                        ("latcount.py", {"_projection_rows", "volume"})]:
+        for node in _top_level(name, names):
+            assert not _called(node) & banned, f"{node.name} calls {sorted(_called(node) & banned)}"
+
+
+def test_plain_orbits_read_one_integer_cone():
+    # the masks come from dd_cone on the integer points, with no VPolyhedron
+    # built and no H-description thrown away
+    (fn,) = _top_level("repconv.py", {"_plain_orbits"})
+    assert not _called(fn) & {"convert_dd_incidence", "from_points"}

@@ -18,10 +18,14 @@ from polyorbit.polycore import (
     hull_coordinates,
     incidence,
     index_set,
+    invert_matrix,
+    mat_mul,
+    mat_vec,
     nullspace,
     primitive,
     rank,
     remove_redundancy,
+    transpose,
     vec_add,
     vec_scale,
     vec_sub,
@@ -657,12 +661,12 @@ def test_walk_ledger_graph_rotates_no_ridge(monkeypatch):
 # integer facet walk against the Fraction reference
 
 
-def _ref_supporting_row(pts, S):
+def _ref_supporting_row(pts, S, normals=()):
     """The Fraction form of repconv._supporting_row."""
     d = len(pts[0])
     members = sorted(S)
     base = pts[members[0] - 1]
-    dirs = [vec_sub(pts[i - 1], base) for i in members[1:]]
+    dirs = [vec_sub(pts[i - 1], base) for i in members[1:]] + [vector(v) for v in normals]
     ns = nullspace(dirs, d)
     if len(ns) != 1:
         raise PolyhedronError("index set does not span a facet")
@@ -679,6 +683,19 @@ def _ref_supporting_row(pts, S):
             delta = -delta
         break
     return a, delta
+
+
+def _ref_ambient_row(points, S):
+    """The facet row on S of a point list, found in its hull coordinates
+    and lifted back through the pseudo-inverse of the hull directions D:
+    coordinates(x) = (D D^T)^-1 D (x - point), so a row a.y <= delta in
+    hull coordinates is (M^T a).x <= delta + (M^T a).point, M = (D D^T)^-1 D."""
+    hull = affine_hull(points)
+    D = hull.directions
+    M = mat_mul(invert_matrix(mat_mul(D, transpose(D))), D)
+    a, delta = _ref_supporting_row([hull.coordinates(p) for p in points], S)
+    a_amb = mat_vec(transpose(M), a)
+    return primitive(tuple(a_amb) + (delta + dot(a_amb, hull.point),))
 
 
 def _ref_rotate_about(pts, face, c, delta, skip, away=None):
@@ -763,12 +780,12 @@ def test_integer_walk_kernel_matches_fraction_reference(name):
     V = WALK_INPUTS[name]()
     geo = repconv._Geometry(V.vertices)
     pts, scale = geo.local, geo.scale
-    ref = list(V.vertices) if geo.d == V.n else _ref_hull_coordinates(list(V.vertices))
+    ref = _ref_hull_coordinates(list(V.vertices)) if geo.normals else list(V.vertices)
     assert pts == [tuple(scale * x for x in p) for p in ref]
     assert all(type(x) is int for p in pts for x in p)
 
     # the seed facet, one rotation at a time
-    d = geo.d
+    d = V.n - len(geo.normals)
     c, delta = (1,) + (0,) * (d - 1), max(p[0] for p in pts)
     ref_c, ref_delta = vector(c), max(p[0] for p in ref)
     S = frozenset(i + 1 for i, p in enumerate(pts) if p[0] == delta)
@@ -820,3 +837,23 @@ def test_integer_walk_ledgers_match_fraction_reference(name, monkeypatch):
     monkeypatch.setattr(repconv, "_supporting_row", _ref_supporting_row)
     monkeypatch.setattr(repconv, "hull_coordinates", _ref_hull_coordinates)
     assert walked == ledgers_and_graphs()
+
+
+LOWER_DIMENSIONAL = [name for name, make in WALK_INPUTS.items()
+                     if affine_hull(make().vertices).dim < make().n]
+
+
+def test_lower_dimensional_walk_inputs_exist():
+    assert "hypersimplex-3-7" in LOWER_DIMENSIONAL
+    assert {f"{name}-image1" for name in WALK_SHAPES} <= set(LOWER_DIMENSIONAL)
+
+
+@pytest.mark.parametrize("name", LOWER_DIMENSIONAL)
+def test_ambient_rows_match_pseudo_inverse_lift(name):
+    # the row orthogonal to the integer hull normals is the lifted hull row
+    V = WALK_INPUTS[name]()
+    G = affine_symmetry_group(V)
+    for levels in [(0, 0), (0, 1), (1, 1), (0, 2), (1, 2)]:
+        led = adjacency_decomposition(V, G, levels)
+        for key, e in led.entries.items():
+            assert e.row == _ref_ambient_row(list(V.vertices), frozenset(key)), (levels, key)
