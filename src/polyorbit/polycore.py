@@ -357,11 +357,18 @@ class HPolyhedron:
         return len(self.A[0]) if self.A else 0
 
     def contains(self, x: Sequence) -> bool:
+        """Whether x satisfies every row, in integers: x = X / s and each row
+        scaled to integers (a | b), a.X is compared with s b."""
         x = vector(x)
+        if self.A and len(x) != self.n:
+            raise PolyhedronError(
+                f"point has {len(x)} coordinates, the polyhedron has dimension {self.n}")
+        s, (xs,) = clear_denominators([x])
         eq = set(self.equality_rows)
         for i, (row, bb) in enumerate(zip(self.A, self.b), start=1):
-            v = dot(row, x)
-            if (v != bb) if i in eq else (v > bb):
+            *a, b = integerize((*row, bb))
+            v = sum(map(mul, a, xs))
+            if (v != s * b) if i in eq else (v > s * b):
                 return False
         return True
 

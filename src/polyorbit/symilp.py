@@ -15,14 +15,18 @@ products of symmetric groups acting on coordinate blocks a single balanced
 point per fiber decides integral feasibility of the whole fiber.
 
 The block machinery indexes fibers by integer block sums; the barycenters of
-integral orbits form the scaled lattice with steps 1/n_j per block.  An
+integral orbits form the scaled lattice with steps 1/n_j per block.  The
+ILP reads P as one list of primitive integer rows (a | b), made once: the
+invariance check, the block-sum box and the sweep all take it.  An
 invariant P holds the barycenter of each of its points, with the same block
-sums, so block_sum_image reads the block sums of P off one double
-description of P on the fixed space, in one coordinate per block; the ILP
-sweep and the slice decomposition of latcount take their ranges from it
-without an LP.  The sweep tests each fiber's balanced point against one row
-per row orbit of P, in closed form by the rearrangement inequality and in
-integer arithmetic, with the orbit that rejected the last probe first.
+sums, so the block sums of P are read off one integer double description
+of P on the fixed space, in one coordinate per block; the ILP's integer
+box and block_sum_image, from which the slice decomposition of latcount
+takes its ranges, come from that one cone, without an LP.  Fibers are
+ordered by integer keys summed from per-block terms, in one stable sort of
+their indices.  The sweep tests each fiber's balanced point against one
+row per row orbit of P, in closed form by the rearrangement inequality and
+in integer arithmetic, with the orbit that rejected the last probe first.
 """
 from __future__ import annotations
 
@@ -34,7 +38,6 @@ from operator import getitem, mul
 from typing import Optional, Sequence, Union
 
 from .polycore import (
-    EmptyPolyhedronError,
     HPolyhedron,
     LPResult,
     Matrix,
@@ -43,6 +46,7 @@ from .polycore import (
     Vector,
     clear_denominators,
     convert_dd,
+    dd_cone,
     dot,
     mat_mul,
     mat_vec,
@@ -154,6 +158,27 @@ def invariant_subspace(generators: GroupLike, n: Optional[int] = None) -> Invari
     return InvariantSubspace(basis, projector)
 
 
+def _primitive_rows(P: HPolyhedron) -> list[tuple[tuple[int, ...], bool]]:
+    """Each row of P as the primitive integer vector (a_i | b_i), with its
+    equality flag: the one form in which symilp reads a system."""
+    eq = set(P.equality_rows)
+    return [(primitive(a + (bb,)), i in eq) for i, (a, bb) in enumerate(zip(P.A, P.b), start=1)]
+
+
+def _permutes_rows(rows, c: Vector, gens) -> bool:
+    """True iff every generator permutes the primitive rows and fixes c."""
+    base = sorted(rows)
+    for g in gens:
+        # (g x)_{g(i)} = x_i; rows move the same way, since (g^-1)^T = g
+        src = g.inverse().images
+        if tuple(c[k - 1] for k in g.images) != c:
+            return False
+        if sorted((tuple(r[k - 1] for k in src) + (r[-1],), flag)
+                  for r, flag in rows) != base:
+            return False
+    return True
+
+
 def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
     """True iff every generator permutes the normalized rows and fixes c.
 
@@ -162,21 +187,8 @@ def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
     matrix is its own inverse transpose, so rows move like points and no
     matrix is formed, and neither is a stabilizer chain.
     """
-    P, c = lp.P, lp.c
-    gens, _ = _generators(G, P.n)
-    eq = set(P.equality_rows)
-    prims = [(primitive(P.A[i] + (P.b[i],)), (i + 1) in eq) for i in range(P.m)]
-    base = sorted(prims)
-    for g in gens:
-        # (g x)_{g(i)} = x_i; rows move the same way, since (g^-1)^T = g
-        src = g.inverse().images
-        if tuple(c[k - 1] for k in g.images) != c:
-            return False
-        rows = sorted((tuple(r[k - 1] for k in src) + (r[-1],), flag)
-                      for r, flag in prims)
-        if rows != base:
-            return False
-    return True
+    gens, _ = _generators(G, lp.P.n)
+    return _permutes_rows(_primitive_rows(lp.P), lp.c, gens)
 
 
 def solve_lp_reduced(lp: LinearProgram, G: GroupLike) -> LPResult:
@@ -345,22 +357,50 @@ def fixed_space_system(P: HPolyhedron, blocks: Sequence[int]) -> HPolyhedron:
                        tuple(t for t, k in enumerate(keys, start=1) if k[2]))
 
 
+def _block_sum_cone(rows, blocks: tuple[int, ...]):
+    """P on the fixed space of the block group, as one integer double
+    description in homogenized coordinates (x0, y_1, ..., y_k) with
+    x = sum_j y_j 1_{block j}: (vertices, rays, lineality), or None when
+    P is empty.
+
+    rows are _primitive_rows(P).  Each row becomes (-b | its sum over each
+    block); the rows of one orbit coincide there and duplicates are
+    dropped, and an equality row is also added negated.  A vertex has
+    x0 > 0 and stands for y / x0; rays and lineality have x0 = 0.
+    """
+    spans = list(zip(accumulate(blocks, initial=0), blocks))
+    cone = {(-1,) + (0,) * len(blocks): None}   # x0 >= 0
+    for (*a, bb), is_eq in rows:
+        row = (-bb,) + tuple(sum(a[off:off + nb]) for off, nb in spans)
+        cone.setdefault(row, None)
+        if is_eq:
+            cone.setdefault(tuple(-x for x in row), None)
+    lin, gens, _ = dd_cone(list(cone), len(blocks) + 1)
+    verts = [g for g in gens if g[0]]
+    if not verts:
+        return None
+    return verts, [g for g in gens if not g[0]], lin
+
+
 def block_sum_image(P: HPolyhedron, blocks: Sequence[int]) -> Optional[VPolyhedron]:
     """The block-sum vectors (s_1, ..., s_k) of the points of a block-invariant
     P, as vertices and rays; None when P is empty.
 
     An invariant convex P holds the barycenter of each of its points, and the
     barycenter has the same block sums, so the block sums of P are those of
-    P on the fixed space.  One conversion of fixed_space_system(P, blocks)
-    gives that set in y, and s_j = n_j y_j scales it (a line comes as two
+    P on the fixed space.  One integer double description of that system in
+    y gives the set, and s_j = n_j y_j scales it (a line comes as two
     opposite rays).
     """
-    try:
-        V = convert_dd(fixed_space_system(P, blocks))
-    except EmptyPolyhedronError:
+    blocks = check_blocks(blocks, P.n)
+    cone = _block_sum_cone(_primitive_rows(P), blocks)
+    if cone is None:
         return None
-    return VPolyhedron(*(tuple(tuple(nb * x for nb, x in zip(blocks, g)) for g in gens)
-                         for gens in (V.vertices, V.rays)))
+    verts, rays, lin = cone
+    rays += [d for l in lin for d in (l, tuple(-x for x in l))]
+    return VPolyhedron(
+        tuple(tuple(Fraction(nb * x, v[0]) for nb, x in zip(blocks, v[1:])) for v in verts),
+        tuple(tuple(Fraction(nb * x) for nb, x in zip(blocks, r[1:])) for r in rays))
 
 
 def coordinate_bounds(V: VPolyhedron) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
@@ -375,55 +415,56 @@ def coordinate_bounds(V: VPolyhedron) -> list[tuple[Optional[Fraction], Optional
 _FIBER_BUDGET = 1_000_000
 
 
-def _sum_ranges(P, blocks):
+def _sum_ranges(rows, blocks):
     """Integer ranges of the block sums over P, or None when P is empty.
 
-    The exact extent of each block sum is read off block_sum_image; an
-    unbounded direction is an error rather than a truncation, and so is a
-    product of ranges past _FIBER_BUDGET.  P must be invariant under the
-    block group.
+    rows are _primitive_rows(P), and P must be invariant under the block
+    group.  The extent of s_t is read off _block_sum_cone: ceil and floor of
+    n_t y_t / x0 over its vertices, in integers.  An unbounded direction is
+    an error rather than a truncation, and so is a product of ranges past
+    _FIBER_BUDGET.
     """
-    image = block_sum_image(P, blocks)
-    if image is None:
+    cone = _block_sum_cone(rows, blocks)
+    if cone is None:
         return None
+    verts, rays, lin = cone
     ranges = []
     total = 1
-    for lo, hi in coordinate_bounds(image):
-        if lo is None or hi is None:
+    for t, nb in enumerate(blocks, start=1):
+        if any(g[t] for g in rays + lin):
             raise PolyhedronError("projection onto the invariant subspace is unbounded")
-        ranges.append(range(math.ceil(lo), math.floor(hi) + 1))
+        ranges.append(range(min(-(-nb * v[t] // v[0]) for v in verts),
+                            max(nb * v[t] // v[0] for v in verts) + 1))
         total *= len(ranges[-1])
         if total > _FIBER_BUDGET:
             raise PolyhedronError(f"fiber enumeration exceeds budget {_FIBER_BUDGET}")
     return ranges
 
 
-def _sweep(P, blocks, cands):
+def _sweep(rows, blocks, cands):
     """First fiber in list order whose balanced point lies in P, and the
     number of fibers probed: (point, its 1-based position), or
-    (None, len(cands)) when no balanced point lies in P.
+    (None, number of candidates) when no balanced point lies in P.
 
-    The candidates are block sums within the ranges of _sum_ranges.  P is
-    invariant under the block group, so the balanced point z lies in P
-    exactly when, for each row orbit, the largest value of a row of the
-    orbit at z is at most b, and for an equality orbit the smallest is at
-    least b.  By the rearrangement inequality, with s_j = q_j n_j + r_j,
-    that largest value is sum_j q_j T_j[n_j] + T_j[r_j], where T_j holds the
-    prefix sums of block j's entries of the primitive integer row in
-    descending order; the smallest takes the bottom r_j entries instead.  So
-    one row per orbit is tested, in integers, and each probe builds no
-    point.  The orbit that rejected the last probe is tested first; the
-    order of the tests never changes which fiber is accepted.  The sweep is
-    serial.
+    rows are _primitive_rows(P); the candidates are block sums within the
+    ranges of _sum_ranges.  P is invariant under the block group, so the
+    balanced point z lies in P exactly when, for each row orbit, the largest
+    value of a row of the orbit at z is at most b, and for an equality orbit
+    the smallest is at least b.  By the rearrangement inequality, with s_j =
+    q_j n_j + r_j, that largest value is sum_j q_j T_j[n_j] + T_j[r_j], where
+    T_j holds the prefix sums of block j's entries of the primitive integer
+    row in descending order; the smallest takes the bottom r_j entries
+    instead.  So one row per orbit is tested, in integers, and each probe
+    builds no point.  The orbit that rejected the last probe is tested
+    first; the order of the tests never changes which fiber is accepted.
+    The sweep is serial.
     """
-    eq = set(P.equality_rows)
     spans = list(zip(accumulate(blocks, initial=0), blocks))
     orbits = {}
-    for i, (a, bb) in enumerate(zip(P.A, P.b), start=1):
-        *ai, bi = primitive(a + (bb,))
+    for (*ai, bi), is_eq in rows:
         tops = tuple(tuple(accumulate(sorted(ai[off:off + nb], reverse=True), initial=0))
                      for off, nb in spans)
-        orbits.setdefault((tops, bi, i in eq), None)
+        orbits.setdefault((tops, bi, is_eq), None)
     tests = []
     for tops, bi, is_eq in orbits:
         fulls = tuple(t[-1] for t in tops)
@@ -431,6 +472,7 @@ def _sweep(P, blocks, cands):
         bots = tuple(tuple(t[-1] - t[-1 - r] for r in range(len(t))) for t in tops) \
             if is_eq else None
         tests.append((fulls, tops, bots, bi))
+    tested = 0
     for tested, s in enumerate(cands, start=1):
         qs, rs = zip(*map(divmod, s, blocks))
         for k, (fulls, tops, bots, bi) in enumerate(tests):
@@ -442,12 +484,7 @@ def _sweep(P, blocks, cands):
                 break
         else:
             return canonical_core_point(blocks, s).z, tested
-    return None, len(cands)
-
-
-def _require_block_invariance(P, blocks, c):
-    if not check_invariance(LinearProgram(P, c), blocks):
-        raise PolyhedronError("the system is not invariant under the block group")
+    return None, tested
 
 
 def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] = None
@@ -458,39 +495,48 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     sweep order that lies in P and its 1-based position in that order, or
     (None, number of fibers) when there is none, (None, 0) when P is empty.
 
-    Fibers are indexed by integer block sums within their exact extent over
-    P, read off block_sum_image; an unbounded extent, or more than
-    _FIBER_BUDGET fibers, is refused.  Feasibility takes them nearest
-    to the point of one LP relaxation first, optimization in decreasing
-    fiber objective; ties go to the lexicographically smaller sums.  Per
-    fiber only the balanced point needs testing: it is majorized blockwise
-    by every integral point with the same sums, so an invariant convex set
-    containing any of them contains it.
+    Each row of P is made a primitive integer row once, and the invariance
+    check, the fiber ranges and the sweep read that list.  Fibers are
+    indexed by integer block sums within their exact extent over P, read
+    off one integer double description of P on the fixed space; an
+    unbounded extent, or more than _FIBER_BUDGET fibers, is refused.
+    Feasibility takes them nearest (in l1 distance of the block sums) to
+    the point of one LP relaxation first, optimization in decreasing fiber
+    objective, by integer keys summed from per-block terms; ties go to the
+    lexicographically smaller sums.  Per fiber only the balanced point
+    needs testing: it is majorized blockwise by every integral point with
+    the same sums, so an invariant convex set containing any of them
+    contains it.
     """
     blocks = check_blocks(blocks, P.n)
-    goal = zero_vector(P.n) if c is None else vector(c)
-    _require_block_invariance(P, blocks, goal)
-    ranges = _sum_ranges(P, blocks)
+    lp = LinearProgram(P, zero_vector(P.n) if c is None else c)
+    rows = _primitive_rows(P)
+    if not _permutes_rows(rows, lp.c, _block_generators(blocks)):
+        raise PolyhedronError("the system is not invariant under the block group")
+    ranges = _sum_ranges(rows, blocks)
     if ranges is None:
         return None, 0
     if c is not None:
         # invariance forces c constant per block, so the objective on a
         # fiber is a linear function of the block sums
         _, (cb,) = clear_denominators(
-            [[cs / nb for cs, nb in zip(_block_sums(blocks, goal), blocks)]])
-
-        def key(s):
-            return -sum(map(mul, cb, s)), s
+            [[cs / nb for cs, nb in zip(_block_sums(blocks, lp.c), blocks)]])
+        terms = [[-cj * s for s in r] for cj, r in zip(cb, ranges)]
     else:
-        rel = solve_lp(P, zero_vector(P.n))
+        rel = solve_lp(P, lp.c)
         if rel.status == "infeasible":
             return None, 0
         # d times the l1 distance of the block sums to the relaxation's
         d, (ref,) = clear_denominators([_block_sums(blocks, rel.point)])
-
-        def key(s):
-            return sum(abs(sj * d - rj) for sj, rj in zip(s, ref)), s
-    return _sweep(P, blocks, sorted(product(*ranges), key=key))
+        terms = [[abs(s * d - rj) for s in r] for rj, r in zip(ref, ranges)]
+    # the keys in product order, which is lexicographic, so the stable sort
+    # of the indices breaks ties as a sort on (key, s) would
+    keys = [0]
+    for tj in terms:
+        keys = [k + x for k in keys for x in tj]
+    cands = list(product(*ranges))
+    return _sweep(rows, blocks, map(cands.__getitem__,
+                                    sorted(range(len(keys)), key=keys.__getitem__)))
 
 
 def symmetric_ilp_feasible(P: HPolyhedron, blocks: Sequence[int]) -> Optional[Vector]:

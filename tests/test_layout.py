@@ -6,9 +6,10 @@ symmetric count and the Ehrhart interpolation each walk one projection
 chain, the facet walk of repconv and the counting walk of latcount stay in
 integer arithmetic, neither the adjacency graph nor the triangulation
 behind volume converts anything, symmetry detection and the group check
-of the decompositions build no map, only polycore clears denominators, and
+of the decompositions build no map, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
-integers."""
+integers, and the symmetric ILP and its membership check read integer
+rows."""
 import ast
 import importlib
 import importlib.util
@@ -204,3 +205,25 @@ def test_plain_orbits_read_one_integer_cone():
     # built and no H-description thrown away
     (fn,) = _top_level("repconv.py", {"_plain_orbits"})
     assert not _called(fn) & {"convert_dd_incidence", "from_points"}
+
+
+def test_symmetric_ilp_reads_one_integer_row_list():
+    # each row is made primitive once, by _primitive_rows; the fiber ranges
+    # come from one integer cone, with no Fraction system or conversion
+    banned = {"convert_dd", "convert_dd_incidence", "fixed_space_system", "block_sum_image",
+              "primitive", "integerize", "check_invariance"}
+    for fn in _top_level("symilp.py", {"symmetric_ilp", "_sum_ranges", "_sweep"}):
+        called = _called(fn)
+        bad = called & (banned if fn.name == "symmetric_ilp" else banned | {"_block_sums"})
+        assert not bad, f"{fn.name} calls {sorted(bad)}"
+    tree = ast.parse((PACKAGE / "symilp.py").read_text())
+    callers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
+               and "primitive" in _called(node)}
+    assert callers == {"_primitive_rows"}
+
+
+def test_membership_compares_integers():
+    (cls,) = _top_level("polycore.py", {"HPolyhedron"})
+    (fn,) = [node for node in cls.body if isinstance(node, ast.FunctionDef)
+             and node.name == "contains"]
+    assert not _called(fn) & {"dot", "Fraction", "frac"}

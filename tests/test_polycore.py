@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polyorbit.polycore import (
     EmptyPolyhedronError,
     HPolyhedron,
+    PolyhedronError,
     VPolyhedron,
     affine_hull,
     affinely_independent_subset,
@@ -464,3 +465,62 @@ class TestDoubleDescriptionCanonicalForms:
             assert masks == [sum(1 << (i - 1) for i in S) for S in map(inc.column_set, range(1, inc.k + 1))]
             H, rows = convert_dd_incidence(V)
             assert tuple(rows) == incidence(H, V).row_masks
+
+
+# ---------------------------------------------------------------------------
+# membership in integers against Fraction dot products
+
+
+def fraction_contains(P, x):
+    """Oracle: each row as a Fraction dot product against b."""
+    eq = set(P.equality_rows)
+    for i, (a, bb) in enumerate(zip(P.A, P.b), start=1):
+        v = sum((F(p) * F(q) for p, q in zip(a, x)), F(0))
+        if (v != bb) if i in eq else (v > bb):
+            return False
+    return True
+
+
+class TestContains:
+    def test_matches_fraction_dot_products(self):
+        rng = random.Random(2013)
+        seen = set()
+        for t in range(400):
+            n = rng.randint(1, 5)
+            x = tuple(F(rng.randint(-6, 6), rng.choice((1, 1, 2, 3, 7))) for _ in range(n))
+            A, b, eq = [], [], []
+            for i in range(rng.randint(1, 6)):
+                a = [F(rng.randint(-4, 4), rng.choice((1, 2, 5))) for _ in range(n)]
+                value = dot(a, x)
+                # on the row, just off it on either side, or far from it
+                bb = value + rng.choice((0, 0, F(1, 30), -F(1, 30), rng.randint(-3, 3)))
+                A.append(a)
+                b.append(bb)
+                if rng.random() < 0.25:
+                    eq.append(i + 1)
+            P = HPolyhedron.from_rows(A, b, eq)
+            for p in (x, tuple(v.numerator for v in x)):
+                got = P.contains(p)
+                assert got == fraction_contains(P, p), (t, p)
+                seen.add((got, bool(eq), all(v.denominator == 1 for v in p)))
+        # accepted and refused points, with and without equality rows,
+        # integral and not
+        assert seen == {(g, e, i) for g in (True, False) for e in (True, False)
+                        for i in (True, False)}
+
+    def test_point_exactly_on_rows(self):
+        P = HPolyhedron.from_rows([[F(1, 2), F(1, 3)], [F(-2, 3), 1]], [F(1, 3), F(1, 6)],
+                                  equality_rows=(2,))
+        x = (F(1, 4), F(1, 3))          # 1/8 + 1/9 < 1/3, and -1/6 + 1/3 = 1/6
+        assert P.contains(x)
+        assert not P.contains((F(1, 4), F(1, 3) + F(1, 1000)))
+        Q = HPolyhedron.from_rows([[F(1, 2), F(1, 3)]], [F(1, 8) + F(1, 9)])
+        assert Q.contains(x) and not Q.contains((F(1, 4) + F(1, 10**9), F(1, 3)))
+
+    def test_point_of_the_wrong_length_is_refused(self):
+        P = HPolyhedron.from_rows([[1, 0], [0, 1], [-1, 0], [0, -1]], [1, 1, 0, 0])
+        assert P.contains((0, 0))
+        for x in ((0, 0, 7), (0,), ()):
+            with pytest.raises(PolyhedronError, match=f"point has {len(x)} coordinates, "
+                                                      "the polyhedron has dimension 2"):
+                P.contains(x)

@@ -32,6 +32,7 @@ import polyorbit.symilp as symilp
 from polyorbit.symilp import (
     CorePoint,
     LinearProgram,
+    _primitive_rows,
     _sum_ranges,
     _sweep,
     block_group,
@@ -685,6 +686,37 @@ class TestIntegerSweepOracle:
         assert {(False, True, True), (False, False, True),
                 (True, True, True), (True, False, True)} <= seen
 
+    def tie_cases(self):
+        """Objectives under which many fibers share a key: zero (every fiber
+        ties), constant (fibers tie by total sum) and opposite per block."""
+        rng = random.Random(2014)
+        for t, blocks in enumerate(self.SHAPES * 2):
+            P = rational_invariant_system(rng, blocks, ("lattice", "off-lattice")[t % 2])
+            for cb in ([0] * len(blocks), [1] * len(blocks),
+                       [(-1) ** j * F(1, 2) for j in range(len(blocks))]):
+                yield P, blocks, per_block(blocks, cb)
+
+    def test_whole_fiber_order_matches_fraction_keys(self, monkeypatch):
+        orders = []
+        real = symilp._sweep
+
+        def recording(rows, blocks, cands):
+            orders.append(list(cands))
+            return real(rows, blocks, orders[-1])
+
+        monkeypatch.setattr(symilp, "_sweep", recording)
+        all_tied = 0
+        for P, blocks, c in [*self.cases(), *self.tie_cases()]:
+            del orders[:]
+            symmetric_ilp(P, blocks, c)
+            want = fraction_sweep_order(P, blocks, c)
+            assert orders == ([] if want is None else [want]), (blocks, c)
+            if want and c is not None and not any(c) and len(want) > 1:
+                # every key ties: the sweep runs in lexicographic order
+                assert want == sorted(want)
+                all_tied += 1
+        assert all_tied
+
 
 # ---------------------------------------------------------------------------
 # the orbit sweep against the row-by-row sweep it replaces
@@ -766,7 +798,8 @@ class TestOrbitSweepOracle:
             mode = self.MODES[t // len(self.SHAPES) % len(self.MODES)]
             P = orbit_system(rng, blocks, mode)
             assert check_invariance(LinearProgram(P, zero_vector(P.n)), blocks)
-            ranges = _sum_ranges(P, blocks)
+            rows = _primitive_rows(P)
+            ranges = _sum_ranges(rows, blocks)
             if ranges is None:
                 seen.add((mode, "empty"))
                 continue
@@ -775,7 +808,7 @@ class TestOrbitSweepOracle:
             # and with candidates beyond the ranges
             cands += [tuple(rng.randint(-8, 8) for _ in blocks) for _ in range(3)]
             rng.shuffle(cands)
-            got = _sweep(P, blocks, cands)
+            got = _sweep(rows, blocks, cands)
             assert got == reference_sweep(P, blocks, cands), (t, blocks, mode)
             seen.add((mode, got[0] is None))
             if mode == "orbit-eq" and len(P.equality_rows) > 1:
@@ -881,14 +914,14 @@ class TestFastPathEquivalence:
             else:
                 P = rational_invariant_system(rng, blocks, ("lattice", "window")[t % 4 // 2])
             want = full_sum_ranges(P, blocks)
-            assert _sum_ranges(P, blocks) == want
+            assert _sum_ranges(_primitive_rows(P), blocks) == want
             checked += want is not None
         assert checked
 
     def test_empty_system_has_no_ranges(self):
         P = HPolyhedron.from_rows([(1, 1), (-1, -1)], [-1, -1])
         assert full_sum_ranges(P, (2,)) is None
-        assert _sum_ranges(P, (2,)) is None
+        assert _sum_ranges(_primitive_rows(P), (2,)) is None
 
     def test_unbounded_ranges_need_user_bounds(self):
         # x1 + x2 >= 1/2 on the first block, a bounded second block
@@ -896,16 +929,16 @@ class TestFastPathEquivalence:
             [(-1, -1, 0), (0, 0, 1), (0, 0, -1)], [F(-1, 2), F(5, 2), F(1, 3)])
         assert full_sum_ranges(P, (2, 1)) == "unbounded"
         with pytest.raises(PolyhedronError, match=UNBOUNDED):
-            _sum_ranges(P, (2, 1))
+            _sum_ranges(_primitive_rows(P), (2, 1))
         # the mirror image, x1 + x2 <= -1/2, is unbounded below
         Q = HPolyhedron.from_rows([tuple(-x for x in a) for a in P.A], P.b)
         assert full_sum_ranges(Q, (2, 1)) == "unbounded"
         with pytest.raises(PolyhedronError, match=UNBOUNDED):
-            _sum_ranges(Q, (2, 1))
+            _sum_ranges(_primitive_rows(Q), (2, 1))
         # the bounds must come from the system: a row that caps the first
         # block sum gives the LP ranges
         for R, cap in ((P, (1, 1, 0)), (Q, (-1, -1, 0))):
             capped = HPolyhedron(R.A + (cap,), R.b + (F(3),))
             want = full_sum_ranges(capped, (2, 1))
             assert want != "unbounded"
-            assert _sum_ranges(capped, (2, 1)) == want
+            assert _sum_ranges(_primitive_rows(capped), (2, 1)) == want
