@@ -3,13 +3,13 @@
 Everything is built on one exact enumeration backbone: integer points are
 listed coordinate by coordinate over a chain of projections.  The polyhedron
 is converted once to vertices and rays (the plain count takes a V input as
-given), scaled once to integers by polycore.clear_denominators; their
-projections onto the first k coordinates, converted back to integer facet
-rows, give the feasible interval of x_k over each fixed prefix in closed
-form, so the search never leaves the projection and solves no LP.
-The top of the chain, the projection onto every coordinate, is P itself, so
-an H input gives its own rows there.  Every count runs at most one
-conversion, one chain and one walk.  The walk closes its last two levels in
+given), read in integers as VPolyhedron.int_points; their projections onto
+the first k coordinates, converted back to integer facet rows, give the
+feasible interval of x_k over each fixed prefix in closed form, so the
+search never leaves the projection and solves no LP.  The top of the chain,
+the projection onto every coordinate, is P itself, so an H input gives its
+own HPolyhedron.int_rows there.  Every count runs at most one conversion,
+one chain and one walk.  The walk closes its last two levels in
 closed form: over a fixed prefix, the count of the last coordinate is a
 difference of two lower envelopes of floor lines in the one before, summed
 piece by piece with the floor-sum recursion.  So the plain count and the
@@ -46,8 +46,6 @@ from .polycore import (
     Vector,
     VerificationError,
     VPolyhedron,
-    affine_hull,
-    clear_denominators,
     convert_dd,
     convert_dd_incidence,
     dd_cone,
@@ -168,20 +166,20 @@ def _chain(P: Union[HPolyhedron, VPolyhedron], V: VPolyhedron,
         return [_projection_rows(gens, k) for k in range(1, n + 1)]
     eq = set(P.equality_rows)
     eqs, les = [], []
-    for i, (a, b) in enumerate(zip(P.A, P.b), start=1):
-        g = primitive(tuple(a[t] for t in order) + (b,))
+    for i, row in enumerate(P.int_rows, start=1):
+        g = tuple(row[t] for t in order) + row[-1:]
         if any(g[:n]):
             (eqs if i in eq else les).append((g[:n - 1], g[n - 1], g[n]))
     return [_projection_rows(gens, k) for k in range(1, n)] + [(eqs, les)]
 
 
 def _generators(V: VPolyhedron, order: Sequence[int]) -> list[tuple[int, ...]]:
-    """V's points and rays with their coordinates in the given order, scaled
-    once to integers and homogenized: s p + (-s,) for a point p, s r + (0,)
-    for a ray r, with s the lcm of every denominator."""
-    s, gens = clear_denominators(tuple(g[t] for t in order) for g in [*V.vertices, *V.rays])
-    k = len(V.vertices)
-    return [g + ((-s,) if j < k else (0,)) for j, g in enumerate(gens)]
+    """V.int_points with their coordinates in the given order, homogenized:
+    s p + (-s,) for a point p, s r + (0,) for a ray r, with s the lcm of
+    every denominator."""
+    s, pts, rays = V.int_points
+    return ([tuple(p[t] for t in order) + (-s,) for p in pts]
+            + [tuple(r[t] for t in order) + (0,) for r in rays])
 
 
 def _projection_rows(gens: Sequence[tuple[int, ...]], k: int) -> tuple[list, list]:
@@ -473,12 +471,11 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
     V = convert_dd(P)
     if V.rays:
         raise PolyhedronError("Ehrhart counting requires a bounded polyhedron")
-    pts = list(V.vertices)
-    d = affine_hull(pts).dim
+    k, pts, _ = V.int_points
+    d = len(gauss_jordan(tuple(map(sub, p, pts[0])) for p in pts[1:])[1])
     if d != P.n:
         raise PolyhedronError(
             "Ehrhart interpolation requires a full-dimensional polytope")
-    k = clear_denominators(pts)[0]
     if k > period_bound:
         raise PolyhedronError(f"period {k} exceeds the allowed bound {period_bound}")
     top = k * (d + 2)   # the largest dilate counted below
@@ -550,7 +547,7 @@ def volume(P: Union[HPolyhedron, VPolyhedron]) -> Fraction:
         rows = {sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(P.m)}
     if V.rays:
         raise PolyhedronError("volume requires a bounded polyhedron")
-    scale, pts = clear_denominators(V.vertices)
+    scale, pts, _ = V.int_points
     diffs = [tuple(map(sub, p, pts[0])) for p in pts]
     normals = integer_nullspace(diffs[1:], P.n)
     d = P.n - len(normals)

@@ -12,8 +12,9 @@ leaves the reduced form unchanged, so rank, det, nullspace,
 integer_nullspace, row_space_basis, solve_linear, invert_matrix,
 hull_coordinates and affinely_independent_subset read their results off it;
 symmetry detection uses it directly for its integer frames.  A point list
-is scaled to integers as a whole by clear_denominators, the one helper the
-other modules use for it.
+is scaled to integers as a whole by clear_denominators; a polyhedron's own
+rows and points are read in integers, made once per object, as
+HPolyhedron.int_rows and VPolyhedron.int_points.
 The simplex pivots of solve_lp and the unimodular column reduction of
 integer_kernel_basis are separate algorithms.
 
@@ -32,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import reduce
+from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import and_, mul, sub
 from typing import Iterable, Optional, Sequence, Union
@@ -356,17 +357,21 @@ class HPolyhedron:
     def n(self) -> int:
         return len(self.A[0]) if self.A else 0
 
+    @cached_property
+    def int_rows(self) -> tuple[tuple[int, ...], ...]:
+        """Each row as the primitive integer vector (a_i | b_i), made once."""
+        return tuple(primitive((*a, bb)) for a, bb in zip(self.A, self.b))
+
     def contains(self, x: Sequence) -> bool:
         """Whether x satisfies every row, in integers: x = X / s and each row
-        scaled to integers (a | b), a.X is compared with s b."""
+        the primitive (a | b) of int_rows, a.X is compared with s b."""
         x = vector(x)
         if self.A and len(x) != self.n:
             raise PolyhedronError(
                 f"point has {len(x)} coordinates, the polyhedron has dimension {self.n}")
         s, (xs,) = clear_denominators([x])
         eq = set(self.equality_rows)
-        for i, (row, bb) in enumerate(zip(self.A, self.b), start=1):
-            *a, b = integerize((*row, bb))
+        for i, (*a, b) in enumerate(self.int_rows, start=1):
             v = sum(map(mul, a, xs))
             if (v != s * b) if i in eq else (v > s * b):
                 return False
@@ -405,6 +410,12 @@ class VPolyhedron:
         if self.rays:
             return len(self.rays[0])
         return 0
+
+    @cached_property
+    def int_points(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
+        """(s, s vertices, s rays), s the lcm of every denominator; made once."""
+        s, gens = clear_denominators((*self.vertices, *self.rays))
+        return s, tuple(gens[:self.k]), tuple(gens[self.k:])
 
 
 @dataclass(frozen=True)
@@ -669,15 +680,14 @@ def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[in
 
 def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, list[int]]:
     n = P.n
-    cone_rows: list[tuple] = [(Fraction(-1),) + tuple(zero_vector(n))]  # x0 >= 0
+    cone_rows: list[tuple] = [(-1,) + (0,) * n]  # x0 >= 0
     pos = []                   # the cone row of each input row
     eq = set(P.equality_rows)
-    for i in range(P.m):
-        row = (-P.b[i],) + tuple(P.A[i])
+    for i, (*a, bb) in enumerate(P.int_rows, start=1):
         pos.append(len(cone_rows))
-        cone_rows.append(row)
-        if (i + 1) in eq:
-            cone_rows.append(tuple(-x for x in row))
+        cone_rows.append((-bb, *a))
+        if i in eq:
+            cone_rows.append((bb, *(-x for x in a)))
     lin, rays, masks = dd_cone(cone_rows, n + 1)
     masks = [sum(1 << i for i, t in enumerate(pos) if m >> t & 1) for m in masks]
     verts, recs, vmasks, rmasks = [], [], [], []
@@ -702,8 +712,8 @@ def _v_to_h(V: VPolyhedron) -> tuple[HPolyhedron, list[int]]:
     if not V.vertices:
         raise EmptyPolyhedronError("no points given")
     n = V.n
-    cone_rows = [tuple(v) + (Fraction(-1),) for v in V.vertices]
-    cone_rows += [tuple(r) + (Fraction(0),) for r in V.rays]
+    s, pts, recs = V.int_points
+    cone_rows = [p + (-s,) for p in pts] + [r + (0,) for r in recs]
     lin, rays, masks = dd_cone(cone_rows, n + 1)
     A: list[tuple] = []
     b: list[Fraction] = []
@@ -898,23 +908,23 @@ def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
     seen = {}
     keep = []
     marked = []
-    for i in range(P.m):
-        key = primitive(tuple(P.A[i]) + (P.b[i],))
+    for i, key in enumerate(P.int_rows):
         if key not in seen:
             seen[key] = len(keep)
             keep.append(i)
             marked.append((i + 1) in in_eq)
         elif (i + 1) in in_eq:
             marked[seen[key]] = True
-    A = tuple(P.A[i] for i in keep)
-    b = tuple(P.b[i] for i in keep)
+    Q = P if len(keep) == P.m else HPolyhedron(   # no copy dropped: P and its int_rows
+        tuple(P.A[i] for i in keep), tuple(P.b[i] for i in keep),
+        tuple(j + 1 for j, f in enumerate(marked) if f))
     try:
-        V, masks = _h_to_v(HPolyhedron(A, b, tuple(j + 1 for j, f in enumerate(marked) if f)))
+        V, masks = _h_to_v(Q)
     except EmptyPolyhedronError:
         raise EmptyPolyhedronError("system is infeasible")
-    equalities, active = irredundant_rows(masks, len(A), len(V.vertices))
+    equalities, active = irredundant_rows(masks, Q.m, len(V.vertices))
     eqs = tuple(pos + 1 for pos, j in enumerate(active) if j in equalities)
-    return HPolyhedron(tuple(A[j] for j in active), tuple(b[j] for j in active), eqs)
+    return HPolyhedron(tuple(Q.A[j] for j in active), tuple(Q.b[j] for j in active), eqs)
 
 
 def irredundant_rows(masks: Sequence[int], m: int, vertices: int

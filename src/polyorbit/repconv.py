@@ -17,9 +17,9 @@ a facet that lies in an orbit already expanded is looked up, not expanded
 again, and the stabilizer of a walked facet is read off the Schreier tree
 of its orbit's expansion.  Everything runs serially on one thread.
 
-The facet walk runs in integer arithmetic.  The points are scaled once per
-polytope by polycore.clear_denominators, which keeps every incidence set
-and every choice of the walk.  Supporting rows are primitive integer rows
+The facet walk runs in integer arithmetic, on VPolyhedron.int_points: one
+scale per polytope, which keeps every incidence set and every choice of the
+walk.  Supporting rows are primitive integer rows
 from an integer null space, a rotation about a ridge compares the
 parameters of the pencil by cross-multiplying integers, and the coordinates
 of a facet's vertices in its hull are read off the pivot columns of one
@@ -48,7 +48,6 @@ from .polycore import (
     PolyhedronError,
     VPolyhedron,
     Vector,
-    clear_denominators,
     convert_dd,
     convert_dd_incidence,
     dd_cone,
@@ -304,17 +303,17 @@ def _facet_orbit_engine(pts: Sequence[Vector], G: PermutationGroup, levels: tupl
 
 
 class _Geometry:
-    """Point list scaled once to integers, in ambient and in hull
-    coordinates.
+    """A polytope's points in integers, in ambient and in hull coordinates.
 
-    The points are scaled by the lcm of their denominators, a positive
-    uniform scale that keeps every facet incidence set and every argmax of
-    the facet walk.  For a lower-dimensional list, normals are the integer
-    hull normals and local the integer hull coordinates the walk runs on.
+    The points are V.int_points, scaled by the lcm of their denominators, a
+    positive uniform scale that keeps every facet incidence set and every
+    argmax of the facet walk.  For a lower-dimensional list, normals are the
+    integer hull normals and local the integer hull coordinates the walk
+    runs on.
     """
 
-    def __init__(self, points: Sequence[Vector]):
-        self.scale, self.ambient = clear_denominators(points)
+    def __init__(self, V: VPolyhedron):
+        self.scale, self.ambient, _ = V.int_points
         if not self.ambient:
             raise EmptyPolyhedronError("no points given")
         if len(set(self.ambient)) != len(self.ambient):
@@ -381,7 +380,7 @@ class OrbitLedger:
     def facet_rows(self) -> set:
         """Every facet as a primitive supporting row (a | b), recomputed from
         the expanded incidence sets."""
-        geo = _Geometry(list(self.vertices))
+        geo = _Geometry(VPolyhedron(self.vertices))
         return {geo.ambient_row(S) for S in self.facet_sets()}
 
 
@@ -403,7 +402,7 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
         raise PolyhedronError("group degree does not match the number of vertices")
     if not are_affine_symmetries(V, G.generators):
         raise PolyhedronError("group generator is not an affine symmetry of the vertex set")
-    geo = _Geometry(V.vertices)
+    geo = _Geometry(V)
     orbits, pairs = _facet_orbit_engine(geo.local, G, levels, 0)
     entries = {orb.representative: FacetOrbit(orb, geo.ambient_row(frozenset(orb.representative)))
                for orb in orbits}
@@ -421,7 +420,7 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
         V, masks = convert_dd_incidence(P)
     except EmptyPolyhedronError:
         # an empty P gives no rays; its recession cone picks the message
-        lin, rays, _ = dd_cone(P.A, P.n)
+        lin, rays, _ = dd_cone([r[:-1] for r in P.int_rows], P.n)
         if lin or rays:
             raise PolyhedronError("decomposition requires a bounded polytope")
         raise EmptyPolyhedronError("empty polyhedron has no affine hull")
@@ -456,8 +455,7 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
         orb = orbit_of_set(vertex_group, S)
         if orb.size != len(row_orbit):
             raise PolyhedronError("internal error: row and facet orbits disagree")
-        row = primitive(tuple(P.A[rep - 1]) + (P.b[rep - 1],))
-        entries[orb.representative] = FacetOrbit(orb, row)
+        entries[orb.representative] = FacetOrbit(orb, P.int_rows[rep - 1])
     return OrbitLedger(entries, tuple(vert_list), vertex_group)
 
 
@@ -544,7 +542,7 @@ def adjacency_graph(ledger: OrbitLedger) -> AdjacencyGraphUpToSymmetry:
     pairs = ledger.edges
     if pairs is None:
         start = [e.orbit for e in ledger.entries.values()]
-        pairs = _walk(_Geometry(list(ledger.vertices)).local, ledger.vertex_group,
+        pairs = _walk(_Geometry(VPolyhedron(ledger.vertices)).local, ledger.vertex_group,
                       start, (0, 1), 0)[1]
     edges = set()
     for a, b in pairs:

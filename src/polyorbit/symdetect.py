@@ -47,11 +47,8 @@ from .polycore import (
     PolyhedronError,
     VerificationError,
     VPolyhedron,
-    clear_denominators,
-    det,
     frac,
     gauss_jordan,
-    primitive,
     remove_redundancy,
 )
 from .permgrp import Permutation, PermutationGroup
@@ -177,9 +174,9 @@ class _IntegerFrame:
 
 
 def _vertex_frame(V: VPolyhedron) -> _IntegerFrame:
-    """Frame of the homogenized vertices (1, v), scaled by one common
-    denominator to integer rows."""
-    s, pts = clear_denominators(V.vertices)
+    """Frame of the homogenized vertices (1, v) scaled to the integer rows
+    (s, s v) of V.int_points."""
+    s, pts, _ = V.int_points
     return _IntegerFrame([(s,) + p for p in pts], V.n + 1)
 
 
@@ -440,8 +437,7 @@ class _RowRealizer:
     def __init__(self, P: HPolyhedron):
         self.n = P.n
         self.m = P.m
-        self.frame = _IntegerFrame(
-            [primitive(tuple(P.A[i]) + (P.b[i],)) for i in range(P.m)], self.n + 1)
+        self.frame = _IntegerFrame(P.int_rows, self.n + 1)
         if len(self.frame.basis) < self.n + 1:
             raise PolyhedronError(
                 "homogenized rows do not span; input must be bounded and full-dimensional")
@@ -450,8 +446,9 @@ class _RowRealizer:
         n, frame = self.n, self.frame
         T = frame.image_matrix([sigma(i + 1) - 1 for i in range(self.m)])
         # an affine map acts on (a | b) with last row (0, ..., 0, 1) and an
-        # invertible linear block
-        if T is None or T[n] != [0] * n + [frame.D] or det([row[:n] for row in T[:n]]) == 0:
+        # invertible linear block, one with n pivots
+        if (T is None or T[n] != [0] * n + [frame.D]
+                or len(gauss_jordan(row[:n] for row in T[:n])[1]) < n):
             return None
         return T
 

@@ -16,7 +16,7 @@ point per fiber decides integral feasibility of the whole fiber.
 
 The block machinery indexes fibers by integer block sums; the barycenters of
 integral orbits form the scaled lattice with steps 1/n_j per block.  The
-ILP reads P as one list of primitive integer rows (a | b), made once: the
+ILP reads P as one list of primitive integer rows (a | b), P.int_rows: the
 invariance check, the block-sum box and the sweep all take it.  An
 invariant P holds the barycenter of each of its points, with the same block
 sums, so the block sums of P are read off one integer double description
@@ -50,7 +50,6 @@ from .polycore import (
     dot,
     mat_mul,
     mat_vec,
-    primitive,
     solve_lp,
     transpose,
     vector,
@@ -159,10 +158,10 @@ def invariant_subspace(generators: GroupLike, n: Optional[int] = None) -> Invari
 
 
 def _primitive_rows(P: HPolyhedron) -> list[tuple[tuple[int, ...], bool]]:
-    """Each row of P as the primitive integer vector (a_i | b_i), with its
-    equality flag: the one form in which symilp reads a system."""
+    """Each primitive integer row (a_i | b_i) of P.int_rows with its equality
+    flag: the one form in which symilp reads a system."""
     eq = set(P.equality_rows)
-    return [(primitive(a + (bb,)), i in eq) for i, (a, bb) in enumerate(zip(P.A, P.b), start=1)]
+    return [(row, i in eq) for i, row in enumerate(P.int_rows, start=1)]
 
 
 def _permutes_rows(rows, c: Vector, gens) -> bool:
@@ -495,18 +494,17 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     sweep order that lies in P and its 1-based position in that order, or
     (None, number of fibers) when there is none, (None, 0) when P is empty.
 
-    Each row of P is made a primitive integer row once, and the invariance
-    check, the fiber ranges and the sweep read that list.  Fibers are
-    indexed by integer block sums within their exact extent over P, read
-    off one integer double description of P on the fixed space; an
-    unbounded extent, or more than _FIBER_BUDGET fibers, is refused.
-    Feasibility takes them nearest (in l1 distance of the block sums) to
-    the point of one LP relaxation first, optimization in decreasing fiber
-    objective, by integer keys summed from per-block terms; ties go to the
-    lexicographically smaller sums.  Per fiber only the balanced point
-    needs testing: it is majorized blockwise by every integral point with
-    the same sums, so an invariant convex set containing any of them
-    contains it.
+    The invariance check, the fiber ranges and the sweep read one list,
+    P.int_rows with their equality flags.  Fibers are indexed by integer
+    block sums within their exact extent over P, read off one integer double
+    description of P on the fixed space; an unbounded extent, or more than
+    _FIBER_BUDGET fibers, is refused.  Feasibility takes them nearest (in l1
+    distance of the block sums) to the point of one LP relaxation first,
+    optimization in decreasing fiber objective, by integer keys summed from
+    per-block terms; ties go to the lexicographically smaller sums.  Per
+    fiber only the balanced point needs testing: it is majorized blockwise
+    by every integral point with the same sums, so an invariant convex set
+    containing any of them contains it.
     """
     blocks = check_blocks(blocks, P.n)
     lp = LinearProgram(P, zero_vector(P.n) if c is None else c)

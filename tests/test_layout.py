@@ -8,8 +8,9 @@ integer arithmetic, neither the adjacency graph nor the triangulation
 behind volume converts anything, symmetry detection and the group check
 of the decompositions build no map, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
-integers, and the symmetric ILP and its membership check read integer
-rows."""
+integers, the symmetric ILP and its membership check read integer rows,
+and a polyhedron's rows and points become integers only through its own
+int_rows and int_points."""
 import ast
 import importlib
 import importlib.util
@@ -208,7 +209,7 @@ def test_plain_orbits_read_one_integer_cone():
 
 
 def test_symmetric_ilp_reads_one_integer_row_list():
-    # each row is made primitive once, by _primitive_rows; the fiber ranges
+    # the rows are P.int_rows, made primitive in polycore; the fiber ranges
     # come from one integer cone, with no Fraction system or conversion
     banned = {"convert_dd", "convert_dd_incidence", "fixed_space_system", "block_sum_image",
               "primitive", "integerize", "check_invariance"}
@@ -217,9 +218,9 @@ def test_symmetric_ilp_reads_one_integer_row_list():
         bad = called & (banned if fn.name == "symmetric_ilp" else banned | {"_block_sums"})
         assert not bad, f"{fn.name} calls {sorted(bad)}"
     tree = ast.parse((PACKAGE / "symilp.py").read_text())
-    callers = {node.name for node in tree.body if isinstance(node, ast.FunctionDef)
-               and "primitive" in _called(node)}
-    assert callers == {"_primitive_rows"}
+    callers = {node.name for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)
+               and _called(node) & {"primitive", "integerize"}}
+    assert not callers, f"symilp: {sorted(callers)} make rows integer"
 
 
 def test_membership_compares_integers():
@@ -227,3 +228,28 @@ def test_membership_compares_integers():
     (fn,) = [node for node in cls.body if isinstance(node, ast.FunctionDef)
              and node.name == "contains"]
     assert not _called(fn) & {"dot", "Fraction", "frac"}
+
+
+@pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_polyhedron_data_becomes_integer_only_through_its_own_form(source):
+    # rows and points are scaled to integers once per object, by the cached
+    # HPolyhedron.int_rows and VPolyhedron.int_points; no other call hands a
+    # polyhedron's A, b, vertices or rays to an integer scaling helper
+    own = {"int_rows", "int_points"}
+    scalers = {"primitive", "integerize", "clear_denominators"}
+    data = {"A", "b", "vertices", "rays"}
+    tree = ast.parse(source.read_text())
+    skip = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
+            and fn.name in own for node in ast.walk(fn)}
+    bad = [call.lineno for call in ast.walk(tree)
+           if isinstance(call, ast.Call) and id(call) not in skip
+           and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) in scalers
+           and any(isinstance(node, ast.Attribute) and node.attr in data
+                   for arg in call.args + [k.value for k in call.keywords]
+                   for node in ast.walk(arg))]
+    assert not bad, f"{source.name} scales polyhedron data at lines {bad}"
+    if source.name == "polycore.py":
+        for cls, name in (("HPolyhedron", "int_rows"), ("VPolyhedron", "int_points")):
+            (node,) = _top_level("polycore.py", {cls})
+            (fn,) = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == name]
+            assert [ast.unparse(d) for d in fn.decorator_list] == ["cached_property"]

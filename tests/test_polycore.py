@@ -13,6 +13,7 @@ from polyorbit.polycore import (
     VPolyhedron,
     affine_hull,
     affinely_independent_subset,
+    clear_denominators,
     convert_dd_incidence,
     det,
     dot,
@@ -524,3 +525,54 @@ class TestContains:
             with pytest.raises(PolyhedronError, match=f"point has {len(x)} coordinates, "
                                                       "the polyhedron has dimension 2"):
                 P.contains(x)
+
+
+# ---------------------------------------------------------------------------
+# the integer form each polyhedron carries
+
+
+def rational(rng):
+    return F(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4, 6, 35)))
+
+
+class TestIntegerForm:
+    def test_rows_and_points_match_their_helpers_and_are_made_once(self):
+        rng = random.Random(2024)
+        seen = set()
+        for t in range(300):
+            n = rng.randint(1, 4)
+            A, b = [], []
+            for _ in range(rng.randint(0, 6)):
+                zero = rng.random() < 0.15
+                A.append([F(0) if zero else rational(rng) for _ in range(n)])
+                b.append(rational(rng))
+            eq = tuple(i for i in range(1, len(A) + 1) if rng.random() < 0.3)
+            pts = [tuple(rational(rng) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+            pts += rng.sample(pts, min(len(pts), rng.randint(0, 2)))   # repeated points
+            rays = [tuple(rational(rng) for _ in range(n)) for _ in range(rng.choice((0, 0, 1, 2)))]
+            P = HPolyhedron.from_rows(A, b, eq)
+            V = VPolyhedron.from_points(pts, rays)
+            # equal copies whose forms are never read
+            P2, V2 = HPolyhedron.from_rows(A, b, eq), VPolyhedron.from_points(pts, rays)
+            blank = (repr(P), repr(V))
+            rows, points = P.int_rows, V.int_points
+
+            assert rows == tuple(primitive(tuple(a) + (bb,)) for a, bb in zip(P.A, P.b))
+            assert all(type(x) is int for r in rows for x in r)
+            s, gens = clear_denominators(list(pts) + list(rays))
+            assert points == (s, tuple(gens[:len(pts)]), tuple(gens[len(pts):]))
+            assert P.int_rows is rows and V.int_points is points
+            assert P == P2 and hash(P) == hash(P2) and V == V2 and hash(V) == hash(V2)
+            assert (repr(P), repr(V)) == blank
+            seen.add((any(not any(a) for a in A), bool(eq), bool(rays),
+                      len(set(pts)) < len(pts)))
+        # zero rows, equality rows, rays and repeated points each turn up
+        for flag in range(4):
+            assert {key[flag] for key in seen} == {True, False}
+
+    def test_scaled_rows_share_one_form(self):
+        P = HPolyhedron.from_rows([[F(1, 2), F(-3, 4)], [0, 0], [6, 4]], [F(5, 6), F(-2, 3), 10])
+        assert P.int_rows == ((6, -9, 10), (0, 0, -1), (3, 2, 5))
+        V = VPolyhedron.from_points([(F(1, 2), 0), (0, F(1, 3))], [(F(1, 4), 1)])
+        assert V.int_points == (12, ((6, 0), (0, 4)), ((3, 12),))
+        assert VPolyhedron.from_points([]).int_points == (1, (), ())

@@ -778,10 +778,10 @@ def _same_row(a, delta, scale, ref_a, ref_delta):
 @pytest.mark.parametrize("name", list(WALK_INPUTS))
 def test_integer_walk_kernel_matches_fraction_reference(name):
     V = WALK_INPUTS[name]()
-    geo = repconv._Geometry(V.vertices)
+    geo = repconv._Geometry(V)
     pts, scale = geo.local, geo.scale
     ref = _ref_hull_coordinates(list(V.vertices)) if geo.normals else list(V.vertices)
-    assert pts == [tuple(scale * x for x in p) for p in ref]
+    assert list(pts) == [tuple(scale * x for x in p) for p in ref]
     assert all(type(x) is int for p in pts for x in p)
 
     # the seed facet, one rotation at a time
