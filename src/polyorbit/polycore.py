@@ -11,12 +11,12 @@ reduced row echelon form.  Rational rows are scaled to integers first, which
 leaves the reduced form unchanged, so rank, det, nullspace,
 integer_nullspace, row_space_basis, solve_linear, invert_matrix,
 hull_coordinates and affinely_independent_subset read their results off it;
-symmetry detection uses it directly for its integer frames.  A point list
-is scaled to integers as a whole by clear_denominators; a polyhedron's own
-rows and points are read in integers, made once per object, as
-HPolyhedron.int_rows and VPolyhedron.int_points.
-The simplex pivots of solve_lp and the unimodular column reduction of
-integer_kernel_basis are separate algorithms.
+symmetry detection uses it directly for its integer frames.  The simplex of
+solve_lp pivots one integer tableau with the same row step, _bareiss_step.
+A point list is scaled to integers as a whole by clear_denominators; a
+polyhedron's own rows and points are read in integers, made once per
+object, as HPolyhedron.int_rows and VPolyhedron.int_points.  The unimodular
+column reduction of integer_kernel_basis is a separate algorithm.
 
 Representation conversion is one integer double description, dd_cone, of
 a homogenization cone; convert_dd_incidence also returns, for each output
@@ -154,12 +154,7 @@ def gauss_jordan(rows: Iterable[Sequence[int]], stop: Optional[int] = None
     the minor on the pivot rows and columns, so a nonsingular square N has
     det N = sign * D.
 
-    One step with pivot row t and pivot p replaces every other row x by
-    (p x - x_c t) / D_prev.  The division is exact because every entry is a
-    minor of the input (Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", 1968); rows with x_c = 0 are
-    rescaled by p / D_prev all the same, which keeps them on the common
-    scale D.
+    Each step is one _bareiss_step.
     """
     m = [list(r) for r in rows]
     if stop is None:
@@ -175,19 +170,32 @@ def gauss_jordan(rows: Iterable[Sequence[int]], stop: Optional[int] = None
         if piv != r:
             m[r], m[piv] = m[piv], m[r]
             sign = -sign
-        top = m[r]
-        p = top[c]
-        for i, x in enumerate(m):
-            if i == r:
-                continue
-            f = x[c]
-            if f:
-                m[i] = [(p * a - f * b) // D for a, b in zip(x, top)]
-            elif p != D:
-                m[i] = [p * a // D for a in x]
-        D = p
+        D = _bareiss_step(m, r, c, D)
         pivots.append(c)
     return D, pivots, m, sign
+
+
+def _bareiss_step(m: list[list[int]], r: int, c: int, D: int) -> int:
+    """Pivot the integer matrix m on entry (r, c) in place; returns the
+    pivot p = m[r][c], the divisor of the next step.
+
+    Row r is kept, and every other row x becomes (p x - x_c m[r]) / D, D the
+    previous pivot.  The division is exact because every entry is a minor
+    of the input (Bareiss, "Sylvester's identity and multistep
+    integer-preserving Gaussian elimination", 1968); rows with x_c = 0 are
+    rescaled by p / D all the same, which keeps them on a common scale.
+    """
+    top = m[r]
+    p = top[c]
+    for i, x in enumerate(m):
+        if i == r:
+            continue
+        f = x[c]
+        if f:
+            m[i] = [(p * a - f * b) // D for a, b in zip(x, top)]
+        elif p != D:
+            m[i] = [p * a // D for a in x]
+    return p
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -433,7 +441,8 @@ class AffineMap:
 
 
 # ---------------------------------------------------------------------------
-# Exact linear programming (two-phase simplex with Bland's rule)
+# Exact linear programming (two-phase simplex with Bland's rule, pivoted on
+# one fraction-free integer tableau)
 
 
 @dataclass(frozen=True)
@@ -455,6 +464,19 @@ def solve_lp(P: HPolyhedron, c: Sequence, maximize: bool = True) -> LPResult:
     Deterministic: Bland's smallest-index pivoting rule throughout, so reruns
     and alternative-optima situations always yield the same argmax.
     Infeasible and unbounded are ordinary result statuses, not exceptions.
+
+    The variables are x = u - w with u, w >= 0, a slack per inequality row
+    and an artificial per row whose slack cannot start the basis (an
+    equality row, or a row with b < 0, which is negated).  The tableau is
+    the rational one times s, the lcm of every denominator of A and b, and
+    is pivoted in integers by _bareiss_step, as lrs pivots (Avis, "lrs: a
+    revised implementation of the reverse search vertex enumeration
+    algorithm", 2000).  A row that has been a pivot row holds D times its
+    rational row, and any other row a fixed positive multiple of D times
+    it, so signs and ratios read the integers directly and every entry is,
+    up to sign, a minor of the first tableau.  The objective rows of both
+    phases are rows of the same matrix that never pivot, so phase 2 starts
+    priced out; only the returned point is rational.
     """
     c = vector(c)
     if not maximize:
@@ -465,122 +487,86 @@ def solve_lp(P: HPolyhedron, c: Sequence, maximize: bool = True) -> LPResult:
     m, n = P.m, P.n
     if n != len(c):
         raise ValueError("objective length does not match dimension")
-    # variables: u (n), w (n) with x = u - w, slacks s (m); then artificials.
-    total = 2 * n + m
-
-    # rows normalized so the right-hand side is nonnegative
+    total = 2 * n + m                 # u, w and the slacks; then artificials
+    s = lcm(*(x.denominator for row in (*P.A, P.b) for x in row))
     eq = set(P.equality_rows)
-    rows = []
-    rhs = []
-    for i in range(m):
-        a = list(P.A[i])
-        bb = P.b[i]
-        # equality rows get no slack; phase 1 then starts them on an artificial
-        slack = [Fraction(int(j == i and (i + 1) not in eq)) for j in range(m)]
-        row = [frac(v) for v in a] + [-frac(v) for v in a] + slack
-        if bb < 0:
-            row = [-v for v in row]
-            bb = -bb
-        rows.append(row)
-        rhs.append(frac(bb))
-
-    basis = []
-    art_cols = []
-    for i in range(m):
-        # slack column is usable as the initial basis only if its sign survived
-        scol = 2 * n + i
-        if rows[i][scol] == 1:
-            basis.append(scol)
-        else:
-            col = total + len(art_cols)
-            art_cols.append(col)
-            basis.append(col)
-    ncols = total + len(art_cols)
-    # extend rows with artificial columns
-    for i in range(m):
-        ext = [Fraction(0)] * len(art_cols)
-        if basis[i] >= total:
-            ext[basis[i] - total] = Fraction(1)
-        rows[i] = rows[i] + ext
-
-    def pivot(tab, rhs_, basis_, obj, objval, r, col):
-        pv = tab[r][col]
-        tab[r] = [v / pv for v in tab[r]]
-        rhs_[r] /= pv
-        for i in range(len(tab)):
-            if i != r and tab[i][col] != 0:
-                f = tab[i][col]
-                tab[i] = [a - f * bv for a, bv in zip(tab[i], tab[r])]
-                rhs_[i] -= f * rhs_[r]
-        if obj is not None and obj[col] != 0:
-            f = obj[col]
-            for j in range(len(obj)):
-                obj[j] -= f * tab[r][j]
-            objval[0] -= f * rhs_[r]
-        basis_[r] = col
-
-    def run_simplex(tab, rhs_, basis_, obj, objval, allowed):
-        # minimize obj.z; Bland's rule
-        while True:
-            enter = next((j for j in allowed if obj[j] < 0), None)
-            if enter is None:
-                return "optimal"
-            ratios = [(rhs_[i] / tab[i][enter], basis_[i], i)
-                      for i in range(len(tab)) if tab[i][enter] > 0]
-            if not ratios:
-                return "unbounded"
-            _, _, r = min(ratios, key=lambda t: (t[0], t[1]))
-            pivot(tab, rhs_, basis_, obj, objval, r, enter)
-
-    # phase 1: minimize sum of artificials
-    if art_cols:
-        obj = [Fraction(0)] * ncols
-        for col in art_cols:
-            obj[col] = Fraction(1)
-        objval = [Fraction(0)]
-        # price out the basic artificials
-        for i, bcol in enumerate(basis):
-            if bcol >= total:
-                for j in range(ncols):
-                    obj[j] -= rows[i][j]
-                objval[0] -= rhs[i]
-        run_simplex(rows, rhs, basis, obj, objval, range(ncols))
-        if objval[0] != 0:
+    art = [i + 1 in eq or bb < 0 for i, bb in enumerate(P.b)]
+    k = sum(art)
+    arts = iter(range(total, total + k))
+    M: list[list[int]] = []
+    basis: list[int] = []
+    for i, (a, bb) in enumerate(zip(P.A, P.b)):
+        g = -s if bb < 0 else s       # rows are negated to a nonnegative rhs
+        a = [x.numerator * (g // x.denominator) for x in a]
+        row = a + [-x for x in a] + [0] * (m + k) + [bb.numerator * (g // bb.denominator)]
+        if i + 1 not in eq:
+            row[2 * n + i] = g
+        basis.append(next(arts) if art[i] else 2 * n + i)
+        row[basis[-1]] = s
+        M.append(row)
+    # row m: -c.x, minimized in phase 2; row m + 1: the sum of the
+    # artificials, minimized in phase 1, with the basic ones priced out
+    cs = list(integerize(c))
+    M.append([-x for x in cs] + cs + [0] * (m + k + 1))
+    D = 1
+    if k:
+        M.append([-sum(col) for col in zip(*(r for r, a in zip(M, art) if a))])
+        M[-1][total:total + k] = [0] * k
+        D, _ = _simplex(M, basis, D, m + 1, range(total + k))
+        if M.pop()[-1]:
             return LPResult("infeasible")
-        # drive leftover artificials out of the basis
+        # drive leftover artificials out of the basis; such a row has rhs 0,
+        # and is negated for a negative pivot so that D stays positive
         for i in range(m):
             if basis[i] >= total:
-                col = next((j for j in range(total) if rows[i][j] != 0), None)
+                col = next((j for j in range(total) if M[i][j]), None)
                 if col is not None:
-                    pivot(rows, rhs, basis, None, None, i, col)
+                    if M[i][col] < 0:
+                        M[i] = [-x for x in M[i]]
+                    D = _bareiss_step(M, i, col, D)
+                    basis[i] = col
         # Rows still basic in an artificial are identically zero; harmless.
-
-    # phase 2: minimize -c.x = -c.u + c.w
-    obj = [Fraction(0)] * ncols
-    for j in range(n):
-        obj[j] = -c[j]
-        obj[n + j] = c[j]
-    for col in art_cols:
-        obj[col] = Fraction(0)
-    objval = [Fraction(0)]
-    for i, bcol in enumerate(basis):
-        if obj[bcol] != 0:
-            f = obj[bcol]
-            for j in range(ncols):
-                obj[j] -= f * rows[i][j]
-            objval[0] -= f * rhs[i]
-    allowed = [j for j in range(total)]  # artificials never re-enter
-    status = run_simplex(rows, rhs, basis, obj, objval, allowed)
-    if status == "unbounded":
+    D, bounded = _simplex(M, basis, D, m, range(total))  # artificials never re-enter
+    if not bounded:
         return LPResult("unbounded")
-    x = [Fraction(0)] * n
-    for i, bcol in enumerate(basis):
+    x = [0] * n
+    for row, bcol in zip(M, basis):
         if bcol < n:
-            x[bcol] += rhs[i]
+            x[bcol] += row[-1]
         elif bcol < 2 * n:
-            x[bcol - n] -= rhs[i]
-    point = tuple(x)
+            x[bcol - n] -= row[-1]
+    point = tuple(Fraction(v, D) for v in x)
     return LPResult("optimal", dot(c, point), point)
+
+
+def _simplex(M: list[list[int]], basis: list[int], D: int, z: int, cols: range
+             ) -> tuple[int, bool]:
+    """Bland's rule on the integer tableau of solve_lp: minimize row z over
+    the columns cols, pivoting only the rows of basis.  Returns (D, bounded).
+
+    The entering column is the first with a negative entry in row z; the
+    leaving row has the least ratio rhs_i / M[i][e] over M[i][e] > 0,
+    compared crosswise in integers, ties to the smaller basis index.
+    """
+    while True:
+        obj = M[z]
+        e = next((j for j in cols if obj[j] < 0), None)
+        if e is None:
+            return D, True
+        r = None
+        for i in range(len(basis)):
+            y = M[i][e]
+            if y > 0:
+                if r is None:
+                    r = i
+                    continue
+                lhs, rhs = M[i][-1] * M[r][e], M[r][-1] * y
+                if lhs < rhs or lhs == rhs and basis[i] < basis[r]:
+                    r = i
+        if r is None:
+            return D, False
+        D = _bareiss_step(M, r, e, D)
+        basis[r] = e
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,5 @@
-"""Fixture polytopes, their seeded unimodular images, and a reference volume
-and lattice-point count shared across test modules."""
+"""Fixture polytopes, their seeded unimodular images, and a reference volume,
+lattice-point count and LP solver shared across test modules."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -11,6 +11,7 @@ from polyorbit.polycore import (
     AffineHull,
     EmptyPolyhedronError,
     HPolyhedron,
+    LPResult,
     PolyhedronError,
     VPolyhedron,
     affine_hull,
@@ -18,6 +19,8 @@ from polyorbit.polycore import (
     convert_dd_incidence,
     dd_cone,
     det,
+    dot,
+    frac,
     hull_coordinates,
     index_set,
     integer_kernel_basis,
@@ -27,7 +30,9 @@ from polyorbit.polycore import (
     nullspace,
     primitive,
     vec_add,
+    vec_scale,
     vec_sub,
+    vector,
 )
 
 
@@ -329,3 +334,141 @@ def _reference_fiber(eqs, les, prefix):
     if lo is None or hi is None:
         raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
     return lo, hi
+
+
+def reference_solve_lp(P: HPolyhedron, c, maximize: bool = True) -> LPResult:
+    """solve_lp by a dense two-phase simplex over Fraction: the same
+    variables, artificials and Bland's rule, with every row normalized at
+    each pivot.  Maximize (default) or minimize c.x over {A x <= b}.
+
+    Rows listed in P.equality_rows are held at equality (no slack).
+
+    Deterministic: Bland's smallest-index pivoting rule throughout, so reruns
+    and alternative-optima situations always yield the same argmax.
+    Infeasible and unbounded are ordinary result statuses, not exceptions.
+    """
+    c = vector(c)
+    if not maximize:
+        res = reference_solve_lp(P, vec_scale(-1, c), maximize=True)
+        if res.status == "optimal":
+            return LPResult("optimal", -res.value, res.point)
+        return res
+    m, n = P.m, P.n
+    if n != len(c):
+        raise ValueError("objective length does not match dimension")
+    # variables: u (n), w (n) with x = u - w, slacks s (m); then artificials.
+    total = 2 * n + m
+
+    # rows normalized so the right-hand side is nonnegative
+    eq = set(P.equality_rows)
+    rows = []
+    rhs = []
+    for i in range(m):
+        a = list(P.A[i])
+        bb = P.b[i]
+        # equality rows get no slack; phase 1 then starts them on an artificial
+        slack = [Fraction(int(j == i and (i + 1) not in eq)) for j in range(m)]
+        row = [frac(v) for v in a] + [-frac(v) for v in a] + slack
+        if bb < 0:
+            row = [-v for v in row]
+            bb = -bb
+        rows.append(row)
+        rhs.append(frac(bb))
+
+    basis = []
+    art_cols = []
+    for i in range(m):
+        # slack column is usable as the initial basis only if its sign survived
+        scol = 2 * n + i
+        if rows[i][scol] == 1:
+            basis.append(scol)
+        else:
+            col = total + len(art_cols)
+            art_cols.append(col)
+            basis.append(col)
+    ncols = total + len(art_cols)
+    # extend rows with artificial columns
+    for i in range(m):
+        ext = [Fraction(0)] * len(art_cols)
+        if basis[i] >= total:
+            ext[basis[i] - total] = Fraction(1)
+        rows[i] = rows[i] + ext
+
+    def pivot(tab, rhs_, basis_, obj, objval, r, col):
+        pv = tab[r][col]
+        tab[r] = [v / pv for v in tab[r]]
+        rhs_[r] /= pv
+        for i in range(len(tab)):
+            if i != r and tab[i][col] != 0:
+                f = tab[i][col]
+                tab[i] = [a - f * bv for a, bv in zip(tab[i], tab[r])]
+                rhs_[i] -= f * rhs_[r]
+        if obj is not None and obj[col] != 0:
+            f = obj[col]
+            for j in range(len(obj)):
+                obj[j] -= f * tab[r][j]
+            objval[0] -= f * rhs_[r]
+        basis_[r] = col
+
+    def run_simplex(tab, rhs_, basis_, obj, objval, allowed):
+        # minimize obj.z; Bland's rule
+        while True:
+            enter = next((j for j in allowed if obj[j] < 0), None)
+            if enter is None:
+                return "optimal"
+            ratios = [(rhs_[i] / tab[i][enter], basis_[i], i)
+                      for i in range(len(tab)) if tab[i][enter] > 0]
+            if not ratios:
+                return "unbounded"
+            _, _, r = min(ratios, key=lambda t: (t[0], t[1]))
+            pivot(tab, rhs_, basis_, obj, objval, r, enter)
+
+    # phase 1: minimize sum of artificials
+    if art_cols:
+        obj = [Fraction(0)] * ncols
+        for col in art_cols:
+            obj[col] = Fraction(1)
+        objval = [Fraction(0)]
+        # price out the basic artificials
+        for i, bcol in enumerate(basis):
+            if bcol >= total:
+                for j in range(ncols):
+                    obj[j] -= rows[i][j]
+                objval[0] -= rhs[i]
+        run_simplex(rows, rhs, basis, obj, objval, range(ncols))
+        if objval[0] != 0:
+            return LPResult("infeasible")
+        # drive leftover artificials out of the basis
+        for i in range(m):
+            if basis[i] >= total:
+                col = next((j for j in range(total) if rows[i][j] != 0), None)
+                if col is not None:
+                    pivot(rows, rhs, basis, None, None, i, col)
+        # Rows still basic in an artificial are identically zero; harmless.
+
+    # phase 2: minimize -c.x = -c.u + c.w
+    obj = [Fraction(0)] * ncols
+    for j in range(n):
+        obj[j] = -c[j]
+        obj[n + j] = c[j]
+    for col in art_cols:
+        obj[col] = Fraction(0)
+    objval = [Fraction(0)]
+    for i, bcol in enumerate(basis):
+        if obj[bcol] != 0:
+            f = obj[bcol]
+            for j in range(ncols):
+                obj[j] -= f * rows[i][j]
+            objval[0] -= f * rhs[i]
+    allowed = [j for j in range(total)]  # artificials never re-enter
+    status = run_simplex(rows, rhs, basis, obj, objval, allowed)
+    if status == "unbounded":
+        return LPResult("unbounded")
+    x = [Fraction(0)] * n
+    for i, bcol in enumerate(basis):
+        if bcol < n:
+            x[bcol] += rhs[i]
+        elif bcol < 2 * n:
+            x[bcol - n] -= rhs[i]
+    point = tuple(x)
+    return LPResult("optimal", dot(c, point), point)

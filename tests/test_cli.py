@@ -634,9 +634,14 @@ class TestIlpCmd:
     # exact stdout, exit code and stderr on every ILP fixture, at two worker
     # counts; "fibers tested" is the 1-based position of the answer's fiber in
     # the sweep order, or every fiber of an infeasible system (none here: the
-    # block sum of ilp-infeas.ine has no integer in its range)
+    # block sum of ilp-infeas.ine has no integer in its range).  ilp-relax.ine
+    # has no objective and block sums over 0..12, 0..14 and 0..12, so its
+    # sweep starts at the fibers nearest the LP relaxation's point: with ties
+    # in the ratio test going to the larger basis index, solve_lp returns
+    # another point and this prints "point 1 1 7 7 1 1" after 1 fiber
     PINNED = [
         ("cube3-blocks.ine", 0, "feasible\npoint 0 0 0\nfibers tested 1\n", ""),
+        ("ilp-relax.ine", 0, "feasible\npoint 4 3 4 3 3 2\nfibers tested 3\n", ""),
         ("cube3-obj.ine", 0,
          "feasible\npoint 1 1 1\nobjective 3\nfibers tested 1\n", ""),
         ("ilp-infeas.ine", 1, "infeasible\nfibers tested 0\n", ""),

@@ -9,8 +9,8 @@ behind volume converts anything, symmetry detection and the group check
 of the decompositions build no map, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
 integers, the symmetric ILP and its membership check read integer rows,
-and a polyhedron's rows and points become integers only through its own
-int_rows and int_points."""
+the simplex pivots one integer tableau, and a polyhedron's rows and points
+become integers only through its own int_rows and int_points."""
 import ast
 import importlib
 import importlib.util
@@ -228,6 +228,22 @@ def test_membership_compares_integers():
     (fn,) = [node for node in cls.body if isinstance(node, ast.FunctionDef)
              and node.name == "contains"]
     assert not _called(fn) & {"dot", "Fraction", "frac"}
+
+
+def test_simplex_pivots_one_integer_tableau():
+    # the pivots and ratio tests of solve_lp run in integers, by the row step
+    # of gauss_jordan; Fraction and dot make only the returned point
+    fns = {fn.name: fn for fn in _top_level(
+        "polycore.py", {"solve_lp", "_simplex", "_bareiss_step", "gauss_jordan"})}
+    banned = {"Fraction", "frac", "dot"}
+    for name in ("_simplex", "_bareiss_step"):
+        assert not _called(fns[name]) & banned, f"{name} calls {sorted(_called(fns[name]) & banned)}"
+    assert all("_bareiss_step" in _called(fns[name]) for name in ("_simplex", "gauss_jordan", "solve_lp"))
+    calls = [call for call in ast.walk(fns["solve_lp"]) if isinstance(call, ast.Call)
+             and isinstance(call.func, ast.Name)]
+    last_pivot = max(call.lineno for call in calls if call.func.id == "_simplex")
+    early = [call.lineno for call in calls if call.func.id in banned and call.lineno < last_pivot]
+    assert not early, f"solve_lp calls {sorted(banned)} before its last pivot, at lines {early}"
 
 
 @pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
