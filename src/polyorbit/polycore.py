@@ -10,24 +10,27 @@ Gauss-Jordan elimination of an integer matrix, which returns D times the
 reduced row echelon form.  Rational rows are scaled to integers first, which
 leaves the reduced form unchanged, so rank, det, nullspace,
 integer_nullspace, row_space_basis, solve_linear, invert_matrix,
-hull_coordinates and affinely_independent_subset read their results off it;
-symmetry detection uses it directly for its integer frames.  The simplex of
-solve_lp pivots one integer tableau with the same row step, _bareiss_step.
-A point list is scaled to integers as a whole by clear_denominators; a
-polyhedron's own rows and points are read in integers, made once per
-object, as HPolyhedron.int_rows and VPolyhedron.int_points.  The unimodular
-column reduction of integer_kernel_basis is a separate algorithm.
+hull_coordinates and affinely_independent_subset read their results off it,
+and so do the integer affine frames on which symmetry detection checks
+relabelings.  The simplex of solve_lp pivots one integer tableau with the
+same row step, _bareiss_step.  A point list is scaled to integers as a
+whole by clear_denominators.  A polyhedron's derived forms are cached
+properties, each made at most once per object: int_rows and int_points, its
+rows and points in integers; frame, their integer affine frame, which
+records every relabeling it has realized; and HPolyhedron.dd, the one
+double description of an H-description.  The unimodular column reduction
+of integer_kernel_basis is a separate algorithm.
 
 Representation conversion is one integer double description, dd_cone, of
 a homogenization cone; convert_dd_incidence also returns, for each output
 element, the input elements it is tight on.  remove_redundancy (through
-irredundant_rows), affine_hull of an H-description, the facet incidence
-sets of repconv and latcount, and the faces that latcount.volume triangulates
-read those masks, so canonical forms need no LP and no face is converted
-again.  solve_lp is left to optimization: symilp.solve_lp_reduced and the
-relaxation point that orders symilp.symmetric_ilp's feasibility sweep.
-Lattice counting, and the ILP without blocks that runs on its walk, solve
-none.
+irredundant_rows and P.dd), affine_hull of an H-description, the facet
+incidence sets of repconv and latcount, and the faces that latcount.volume
+triangulates read those masks, so canonical forms need no LP and no face is
+converted again.  solve_lp is left to optimization: symilp.solve_lp_reduced
+and the relaxation point that orders symilp.symmetric_ilp's feasibility
+sweep.  Lattice counting, and the ILP without blocks that runs on its walk,
+solve none.
 """
 from __future__ import annotations
 
@@ -334,6 +337,78 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[in
 
 
 # ---------------------------------------------------------------------------
+# Integer affine frame
+
+
+def adjugate(M: Sequence[Sequence[int]]) -> tuple[int, list]:
+    """(D, R) with M R = D I for a nonsingular square integer matrix M: the
+    right block of the fraction-free elimination of [M | I]."""
+    r = len(M)
+    D, pivots, a, _ = gauss_jordan(
+        (list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(M)), stop=r)
+    if len(pivots) < r:
+        raise VerificationError("frame matrix is singular")
+    return D, [row[r:] for row in a]
+
+
+class _IntegerFrame:
+    """Integer rows with exact integer coordinates over a greedy row basis.
+
+    basis holds the indices of the greedy maximal independent subset of the
+    rows, others the indices of the remaining rows, and pivots the pivot
+    columns of their reduced echelon form.  The square matrix N =
+    [rows[basis]; e_j for each non-pivot column j] is invertible, and
+    R = D N^{-1} is an integer matrix.  coeffs[j] are the integers with
+    D * rows[j] == sum_b coeffs[j][b] * rows[basis[b]], checked for every j.
+    images maps each relabeling realized on the frame to its T or None.
+    """
+
+    def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
+        self.rows = [tuple(x) for x in rows]
+        # the greedy row basis is the pivot columns of X^t, and the pivot
+        # columns of X_B are those of the row space
+        basis = gauss_jordan(zip(*self.rows))[1]
+        self.basis = tuple(basis)
+        self.others = tuple(sorted(set(range(len(self.rows))) - set(basis)))
+        self.pivots = tuple(gauss_jordan(self.rows[b] for b in basis)[1])
+        self.units = [tuple(int(a == j) for a in range(ncols))
+                      for j in range(ncols) if j not in self.pivots]
+        self.D, self.R = adjugate([self.rows[b] for b in basis] + self.units)
+        # row j of X R is D (coordinates of X_j in [X_B; units]), and its
+        # unit part is zero exactly when X_j lies in the span of X_B
+        r = len(basis)
+        rcols = list(zip(*self.R))[:r]
+        self.coeffs = [tuple(sum(map(mul, x, col)) for col in rcols) for x in self.rows]
+        bcols = list(zip(*(self.rows[b] for b in basis)))
+        for x, lam in zip(self.rows, self.coeffs):
+            if any(self.D * a != sum(map(mul, lam, col)) for a, col in zip(x, bcols)):
+                raise VerificationError("row outside the span of its frame basis")
+        self.images: dict = {}
+
+    def image_matrix(self, img: Sequence[int]) -> Optional[list]:
+        """Integer T with X_j T = D X_img[j] for every row j, or None.
+
+        T = R [X_img[basis]; units] moves each basis row to its image, since
+        N R = D I, and fixes every unit row.  Some matrix does what T should
+        exactly when the frame's identities survive the relabeling,
+        D X_img[j] = sum_b L_jb X_img[basis[b]], and then T does; so T is
+        checked once, on every row outside the basis, where the identities
+        are not met by construction.  The answer is recorded in images."""
+        img = tuple(img)
+        if img in self.images:
+            return self.images[img]
+        D, rows = self.D, self.rows
+        cols = list(zip(*([rows[img[b]] for b in self.basis] + self.units)))
+        T = [[sum(map(mul, r, col)) for col in cols] for r in self.R]
+        tcols = list(zip(*T))
+        if any(sum(map(mul, rows[j], tc)) != D * a
+               for j in self.others for tc, a in zip(tcols, rows[img[j]])):
+            T = None
+        self.images[img] = T
+        return T
+
+
+# ---------------------------------------------------------------------------
 # Polyhedron representations
 
 
@@ -370,6 +445,16 @@ class HPolyhedron:
         """Each row as the primitive integer vector (a_i | b_i), made once."""
         return tuple(primitive((*a, bb)) for a, bb in zip(self.A, self.b))
 
+    @cached_property
+    def dd(self) -> tuple[VPolyhedron, tuple[int, ...]]:
+        """convert_dd_incidence of P, its one double description; made once."""
+        return _h_to_v(self)
+
+    @cached_property
+    def frame(self) -> _IntegerFrame:
+        """The integer affine frame of int_rows, made once."""
+        return _IntegerFrame(self.int_rows, self.n + 1)
+
     def contains(self, x: Sequence) -> bool:
         """Whether x satisfies every row, in integers: x = X / s and each row
         the primitive (a | b) of int_rows, a.X is compared with s b."""
@@ -391,10 +476,6 @@ class HPolyhedron:
         if f <= 0:
             raise ValueError("dilation factor must be positive")
         return HPolyhedron(self.A, tuple(f * bb for bb in self.b), self.equality_rows)
-
-    def row(self, i: int) -> tuple[Vector, Fraction]:
-        """1-based row access: (a_i, b_i)."""
-        return self.A[i - 1], self.b[i - 1]
 
 
 @dataclass(frozen=True)
@@ -424,6 +505,12 @@ class VPolyhedron:
         """(s, s vertices, s rays), s the lcm of every denominator; made once."""
         s, gens = clear_denominators((*self.vertices, *self.rays))
         return s, tuple(gens[:self.k]), tuple(gens[self.k:])
+
+    @cached_property
+    def frame(self) -> _IntegerFrame:
+        """The integer affine frame of the vertices (1, v), as (s, s v); made once."""
+        s, pts, _ = self.int_points
+        return _IntegerFrame([(s,) + p for p in pts], self.n + 1)
 
 
 @dataclass(frozen=True)
@@ -664,7 +751,7 @@ def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[in
     return v if g <= 1 else tuple(x // g for x in v)
 
 
-def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, list[int]]:
+def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, tuple[int, ...]]:
     n = P.n
     cone_rows: list[tuple] = [(-1,) + (0,) * n]  # x0 >= 0
     pos = []                   # the cone row of each input row
@@ -691,10 +778,10 @@ def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, list[int]]:
         rmasks += [(1 << P.m) - 1] * 2
     if not verts:
         raise EmptyPolyhedronError("polyhedron has no points")
-    return VPolyhedron.from_points(verts, recs), vmasks + rmasks
+    return VPolyhedron.from_points(verts, recs), tuple(vmasks + rmasks)
 
 
-def _v_to_h(V: VPolyhedron) -> tuple[HPolyhedron, list[int]]:
+def _v_to_h(V: VPolyhedron) -> tuple[HPolyhedron, tuple[int, ...]]:
     if not V.vertices:
         raise EmptyPolyhedronError("no points given")
     n = V.n
@@ -718,22 +805,23 @@ def _v_to_h(V: VPolyhedron) -> tuple[HPolyhedron, list[int]]:
         A.append(tuple(Fraction(x) for x in r[:n]))
         b.append(Fraction(r[n]))
         tight.append(m)
-    return HPolyhedron.from_rows(A, b, tuple(eq_rows)), tight
+    return HPolyhedron.from_rows(A, b, tuple(eq_rows)), tuple(tight)
 
 
 def convert_dd_incidence(P: Union[HPolyhedron, VPolyhedron]
-                         ) -> tuple[Union[VPolyhedron, HPolyhedron], list[int]]:
+                         ) -> tuple[Union[VPolyhedron, HPolyhedron], tuple[int, ...]]:
     """convert_dd(P) together with the incidence the conversion found.
 
     One mask per output element, with bit i set when the element is tight on
     input element i + 1.  For H input: one mask per vertex, then per ray of
-    the result (a line comes as two opposite rays), over the rows of P.  For
-    V input: one mask per row of the result, over the vertices and then the
-    rays of P.  A vertex v is tight on row i
-    when a_i.v = b_i, a ray r when a_i.r = 0, as in incidence().
+    the result (a line comes as two opposite rays), over the rows of P; the
+    pair is P.dd, made once per object.  For V input: one mask per row of
+    the result, over the vertices and then the rays of P.  A vertex v is
+    tight on row i when a_i.v = b_i, a ray r when a_i.r = 0, as in
+    incidence().
     """
     if isinstance(P, HPolyhedron):
-        return _h_to_v(P)
+        return P.dd
     if isinstance(P, VPolyhedron):
         return _v_to_h(P)
     raise TypeError("expected an HPolyhedron or VPolyhedron")
@@ -828,7 +916,7 @@ def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
     """
     if isinstance(obj, HPolyhedron):
         try:
-            V, masks = _h_to_v(obj)
+            V, masks = obj.dd
         except EmptyPolyhedronError:
             raise EmptyPolyhedronError("empty polyhedron has no affine hull")
         on_all = reduce(and_, masks)
@@ -905,7 +993,7 @@ def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
         tuple(P.A[i] for i in keep), tuple(P.b[i] for i in keep),
         tuple(j + 1 for j, f in enumerate(marked) if f))
     try:
-        V, masks = _h_to_v(Q)
+        V, masks = Q.dd
     except EmptyPolyhedronError:
         raise EmptyPolyhedronError("system is infeasible")
     equalities, active = irredundant_rows(masks, Q.m, len(V.vertices))

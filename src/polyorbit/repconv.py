@@ -30,11 +30,14 @@ integer hull normals, so no row is lifted back through a pseudo-inverse.
 A plain conversion is one integer dd_cone of the cone over the points,
 whose rays with a nonzero normal are the facets.
 
-For an H-description one double description gives every vertex together
-with the rows it is tight on; the row group acts on those tight sets, which
-gives the group on vertex indices, and the facet orbits of the input are its
-row orbits.  Either way a completed ledger knows the full vertex list, the
-group acting on vertex indices, and one supporting row per facet orbit.
+For an H-description its one double description, HPolyhedron.dd, which
+symmetry detection reads too, gives every vertex together with the rows it
+is tight on; the row group acts on those tight sets, which gives the group
+on vertex indices, and the facet orbits of the input are its row orbits.
+The group check before either decomposition realizes only the relabelings
+that the object's frame has not yet checked.  Either way a completed ledger
+knows the full vertex list, the group acting on vertex indices, and one
+supporting row per facet orbit.
 """
 from __future__ import annotations
 
@@ -46,6 +49,7 @@ from .polycore import (
     EmptyPolyhedronError,
     HPolyhedron,
     PolyhedronError,
+    VerificationError,
     VPolyhedron,
     Vector,
     convert_dd,
@@ -454,7 +458,7 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
         S = frozenset(j + 1 for j, T in enumerate(vert_tight) if T >> (rep - 1) & 1)
         orb = orbit_of_set(vertex_group, S)
         if orb.size != len(row_orbit):
-            raise PolyhedronError("internal error: row and facet orbits disagree")
+            raise VerificationError("internal error: row and facet orbits disagree")
         entries[orb.representative] = FacetOrbit(orb, P.int_rows[rep - 1])
     return OrbitLedger(entries, tuple(vert_list), vertex_group)
 

@@ -1,14 +1,15 @@
 """Affine symmetry detection for polytopes.
 
 The detector reduces geometry to combinatorics, and does its linear algebra
-once per point set, in integers, on polycore's fraction-free Gauss-Jordan
+once per polyhedron, in integers, on polycore's fraction-free Gauss-Jordan
 kernel.  The homogenized vertices (1, v), scaled by one common denominator,
 are integer rows X.  The pivot columns of X^t are a greedy row basis B (an
 affine basis of the vertices), and those of X_B are the pivot columns C; the
 adjugate of the square matrix [X_B; (0, e_j) for j not in C], read off the
 elimination of [N | I], gives integer coefficients L and a scalar D with
 D X_j = sum_b L_jb X_b for every vertex j, each identity checked exactly.
-This is the integer affine frame of the point set.
+This is the integer affine frame of the point set, VPolyhedron.frame, made
+once per object in polycore.
 
 The complete graph on vertex indices is edge-colored with the affine
 invariant c_i^t Q^{-1} c_j of the vertices c_i centered at their barycenter,
@@ -19,8 +20,10 @@ D X_sigma(j) = sum_b L_jb X_sigma(b).  Its map is one integer product with
 the frame's adjugate, which moves the basis vertices to their images by
 construction, and one verification pass checks it on every other vertex:
 that pass holds exactly when the identities survive, so nothing reported can
-fail to be a symmetry and no candidate is checked twice.  Detection keeps
-permutations; a map in Fractions is built only on request.
+fail to be a symmetry.  The frame records each relabeling it has checked, so
+the group check of a decomposition run after detection on the same object
+realizes no generator again.  Detection keeps permutations; a map in
+Fractions is built only on request.
 
 The automorphism search runs along one base and finds every basic orbit of
 the stabilizer chain on it, so the order of the group is the product of
@@ -30,7 +33,8 @@ order and sifts no Schreier generator.
 
 The same machinery applies to inequality rows: primitive homogenized rows
 (a | b) transform linearly under affine maps of the ambient space, so the
-uncentered gram of their frame detects the symmetries visible on the H-side.
+uncentered gram of their frame, HPolyhedron.frame, detects the symmetries
+visible on the H-side.
 """
 from __future__ import annotations
 
@@ -45,9 +49,8 @@ from .polycore import (
     HPolyhedron,
     Matrix,
     PolyhedronError,
-    VerificationError,
     VPolyhedron,
-    frac,
+    adjugate,
     gauss_jordan,
     remove_redundancy,
 )
@@ -66,121 +69,41 @@ class SymmetryGraph:
     gram: tuple
     color_classes: dict
 
-    @classmethod
-    def from_gram(cls, gram: Sequence[Sequence[Fraction]]) -> "SymmetryGraph":
-        k = len(gram)
-        g = tuple(tuple(frac(x) for x in row) for row in gram)
-        classes: dict = {}
-        for i in range(k):
-            for j in range(i, k):
-                classes.setdefault(g[i][j], []).append((i + 1, j + 1))
-        return cls(k, g, {v: tuple(ps) for v, ps in classes.items()})
-
 
 # ---------------------------------------------------------------------------
-# Integer affine frame
+# Gram graph of an integer frame
 
 
-def _adjugate(M: Sequence[Sequence[int]]) -> tuple[int, list]:
-    """(D, R) with M R = D I for a nonsingular square integer matrix M: the
-    right block of the fraction-free elimination of [M | I]."""
-    r = len(M)
-    D, pivots, a, _ = gauss_jordan(
-        (list(row) + [int(i == j) for j in range(r)] for i, row in enumerate(M)), stop=r)
-    if len(pivots) < r:
-        raise VerificationError("frame matrix is singular")
-    return D, [row[r:] for row in a]
+def _gram(frame, centered: bool) -> SymmetryGraph:
+    """Gram graph of a frame's rows, from their coefficients.
+
+    With L the coefficient matrix, Q = L^t L and g = L (D_Q Q^{-1}) L^t,
+    the uncentered value X_i^t (sum_j X_j X_j^t)^+ X_j is g_ij / D_Q.  For
+    homogenized vertices (1, v) that value is 1/k plus the centered
+    c_i^t Q_c^{-1} c_j, which is what centered=True returns."""
+    lam = frame.coeffs
+    k = len(lam)
+    lcols = list(zip(*lam))
+    Q = [[sum(map(mul, u, v)) for v in lcols] for u in lcols]
+    dq, RQ = adjugate(Q)
+    rqcols = list(zip(*RQ))
+    Y = [tuple(sum(map(mul, x, col)) for col in rqcols) for x in lam]
+    classes: dict = {}         # g_ij -> pairs (i, j), i <= j; one value per g
+    for i in range(k):
+        yi = Y[i]
+        for j in range(i, k):
+            classes.setdefault(sum(map(mul, yi, lam[j])), []).append((i + 1, j + 1))
+    gram = [[None] * k for _ in range(k)]
+    color_classes = {}
+    for g, pairs in classes.items():
+        val = Fraction(k * g - dq, k * dq) if centered else Fraction(g, dq)
+        for i, j in pairs:
+            gram[i - 1][j - 1] = gram[j - 1][i - 1] = val
+        color_classes[val] = tuple(pairs)
+    return SymmetryGraph(k, tuple(map(tuple, gram)), color_classes)
 
 
-class _IntegerFrame:
-    """Integer rows with exact integer coordinates over a greedy row basis.
-
-    basis holds the indices of the greedy maximal independent subset of the
-    rows, others the indices of the remaining rows, and pivots the pivot
-    columns of their reduced echelon form.  The
-    square matrix N = [rows[basis]; e_j for each non-pivot column j] is
-    invertible, and R = D N^{-1} is an integer matrix.  coeffs[j] are the
-    integers with D * rows[j] == sum_b coeffs[j][b] * rows[basis[b]],
-    checked for every j.
-    """
-
-    def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
-        self.rows = [tuple(x) for x in rows]
-        # the greedy row basis is the pivot columns of X^t, and the pivot
-        # columns of X_B are those of the row space
-        basis = gauss_jordan(zip(*self.rows))[1]
-        self.basis = tuple(basis)
-        self.others = tuple(sorted(set(range(len(self.rows))) - set(basis)))
-        self.pivots = tuple(gauss_jordan(self.rows[b] for b in basis)[1])
-        self.units = [tuple(int(a == j) for a in range(ncols))
-                      for j in range(ncols) if j not in self.pivots]
-        self.D, self.R = _adjugate([self.rows[b] for b in basis] + self.units)
-        # row j of X R is D (coordinates of X_j in [X_B; units]), and its
-        # unit part is zero exactly when X_j lies in the span of X_B
-        r = len(basis)
-        rcols = list(zip(*self.R))[:r]
-        self.coeffs = [tuple(sum(map(mul, x, col)) for col in rcols) for x in self.rows]
-        bcols = list(zip(*(self.rows[b] for b in basis)))
-        for x, lam in zip(self.rows, self.coeffs):
-            if any(self.D * a != sum(map(mul, lam, col)) for a, col in zip(x, bcols)):
-                raise VerificationError("row outside the span of its frame basis")
-
-    def image_matrix(self, img: Sequence[int]) -> Optional[list]:
-        """Integer T with X_j T = D X_img[j] for every row j, or None.
-
-        T = R [X_img[basis]; units] moves each basis row to its image, since
-        N R = D I, and fixes every unit row.  Some matrix does what T should
-        exactly when the frame's identities survive the relabeling,
-        D X_img[j] = sum_b L_jb X_img[basis[b]], and then T does; so T is
-        checked once, on every row outside the basis, where the identities
-        are not met by construction."""
-        D, rows = self.D, self.rows
-        cols = list(zip(*([rows[img[b]] for b in self.basis] + self.units)))
-        T = [[sum(map(mul, r, col)) for col in cols] for r in self.R]
-        tcols = list(zip(*T))
-        for j in self.others:
-            x = rows[j]
-            if any(sum(map(mul, x, tc)) != D * a for tc, a in zip(tcols, rows[img[j]])):
-                return None
-        return T
-
-    def gram(self, centered: bool) -> SymmetryGraph:
-        """Gram graph of the rows, from their coefficients.
-
-        With L the coefficient matrix, Q = L^t L and g = L (D_Q Q^{-1}) L^t,
-        the uncentered value X_i^t (sum_j X_j X_j^t)^+ X_j is g_ij / D_Q.  For
-        homogenized vertices (1, v) that value is 1/k plus the centered
-        c_i^t Q_c^{-1} c_j, which is what centered=True returns."""
-        lam = self.coeffs
-        k = len(lam)
-        lcols = list(zip(*lam))
-        Q = [[sum(map(mul, u, v)) for v in lcols] for u in lcols]
-        dq, RQ = _adjugate(Q)
-        rqcols = list(zip(*RQ))
-        Y = [tuple(sum(map(mul, x, col)) for col in rqcols) for x in lam]
-        classes: dict = {}         # g_ij -> pairs (i, j), i <= j; one value per g
-        for i in range(k):
-            yi = Y[i]
-            for j in range(i, k):
-                classes.setdefault(sum(map(mul, yi, lam[j])), []).append((i + 1, j + 1))
-        gram = [[None] * k for _ in range(k)]
-        color_classes = {}
-        for g, pairs in classes.items():
-            val = Fraction(k * g - dq, k * dq) if centered else Fraction(g, dq)
-            for i, j in pairs:
-                gram[i - 1][j - 1] = gram[j - 1][i - 1] = val
-            color_classes[val] = tuple(pairs)
-        return SymmetryGraph(k, tuple(map(tuple, gram)), color_classes)
-
-
-def _vertex_frame(V: VPolyhedron) -> _IntegerFrame:
-    """Frame of the homogenized vertices (1, v) scaled to the integer rows
-    (s, s v) of V.int_points."""
-    s, pts, _ = V.int_points
-    return _IntegerFrame([(s,) + p for p in pts], V.n + 1)
-
-
-def _polytope_frame(V: VPolyhedron) -> _IntegerFrame:
+def _polytope_frame(V: VPolyhedron):
     if V.rays:
         raise PolyhedronError("symmetry graph requires a bounded polytope (no rays)")
     if not V.vertices:
@@ -188,7 +111,7 @@ def _polytope_frame(V: VPolyhedron) -> _IntegerFrame:
     # the group acts on distinct points; convert refuses repeats too
     if len(set(V.vertices)) != V.k:
         raise PolyhedronError("duplicate points in the input")
-    return _vertex_frame(V)
+    return V.frame
 
 
 def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
@@ -197,7 +120,7 @@ def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
     Unbounded inputs are rejected: rays have no barycenter to anchor the
     affine-to-linear reduction.
     """
-    return _polytope_frame(V).gram(centered=True)
+    return _gram(_polytope_frame(V), centered=True)
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +319,11 @@ class _VertexRealizer:
     non-pivot coordinates, so a lower-dimensional vertex set gets the map
     that is the identity on that complement."""
 
-    def __init__(self, V: VPolyhedron, frame: Optional[_IntegerFrame] = None):
+    def __init__(self, V: VPolyhedron):
         if V.rays:
             raise PolyhedronError("affine realization requires a bounded polytope")
         self.k = V.k
-        self.frame = _vertex_frame(V) if frame is None else frame
+        self.frame = V.frame
 
     def realize(self, sigma: Permutation) -> Optional[list]:
         return self.frame.image_matrix([sigma(i + 1) - 1 for i in range(self.k)])
@@ -421,12 +344,12 @@ def realize_vertex_permutation(V: VPolyhedron, sigma: Permutation) -> Optional[A
 def affine_symmetry_group(V: VPolyhedron) -> PermutationGroup:
     """Affine symmetry group of a polytope, acting on its vertex indices.
 
-    One integer frame of the vertices gives the gram colors and checks every
-    candidate on all vertices, in integers; failed candidates are discarded.
+    The integer frame of the vertices, V.frame, gives the gram colors and
+    checks every candidate on all vertices, in integers; failed candidates
+    are discarded.
     """
-    frame = _polytope_frame(V)
-    search = _automorphism_search(frame.gram(centered=True))
-    return _detected_group(search, _VertexRealizer(V, frame), V.k)
+    search = _automorphism_search(_gram(_polytope_frame(V), centered=True))
+    return _detected_group(search, _VertexRealizer(V), V.k)
 
 
 class _RowRealizer:
@@ -437,7 +360,7 @@ class _RowRealizer:
     def __init__(self, P: HPolyhedron):
         self.n = P.n
         self.m = P.m
-        self.frame = _IntegerFrame(P.int_rows, self.n + 1)
+        self.frame = P.frame
         if len(self.frame.basis) < self.n + 1:
             raise PolyhedronError(
                 "homogenized rows do not span; input must be bounded and full-dimensional")
@@ -495,5 +418,5 @@ def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
     if cleaned.m != P.m or cleaned.equality_rows:
         raise PolyhedronError("restricted symmetry detection needs an irredundant description")
     realizer = _RowRealizer(P)
-    search = _automorphism_search(realizer.frame.gram(centered=False))
+    search = _automorphism_search(_gram(realizer.frame, centered=False))
     return _detected_group(search, realizer, P.m)

@@ -758,6 +758,18 @@ class TestErrorContract:
         code, out, err = run(capsys, "convert", path)
         assert (code, out, err) == (2, "", "error: set orbit exceeded budget 20\n")
 
+    def test_row_and_facet_orbit_disagreement_is_a_verification_failure(self, monkeypatch,
+                                                                         capsys):
+        # a facet orbit that does not match its row orbit fails an internal
+        # check: exit 3, not the input error of exit 2
+        def vertex_orbit(G, S):
+            return orbit_of_set(G, frozenset([min(S)]))   # 8 vertices, 6 rows
+
+        monkeypatch.setattr(repconv, "orbit_of_set", vertex_orbit)
+        code, out, err = run(capsys, "convert", FIX / "cube3.ine")
+        assert (code, out, err) == (
+            3, "", "verification failure: internal error: row and facet orbits disagree\n")
+
     def test_unexpected_exception_is_exit_3(self, monkeypatch, capsys):
         def broken(V):
             raise ValueError("boom")

@@ -28,8 +28,8 @@ from polyorbit.polycore import (
     rank,
     row_space_basis,
     solve_linear,
+    _IntegerFrame,
 )
-from polyorbit.symdetect import _IntegerFrame
 
 SEEDS = range(12)
 

@@ -10,7 +10,8 @@ of the decompositions build no map, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
 integers, the symmetric ILP and its membership check read integer rows,
 the simplex pivots one integer tableau, and a polyhedron's rows and points
-become integers only through its own int_rows and int_points."""
+become integers only through its own int_rows and int_points, and are
+converted and framed only through its own dd and frame."""
 import ast
 import importlib
 import importlib.util
@@ -161,13 +162,18 @@ def test_symmetry_checks_build_no_map():
     # detection and the check behind the decompositions stay in integers:
     # only realize_vertex_permutation and realize_row_permutation build maps
     checks = {"affine_symmetry_group", "restricted_symmetries_H", "are_affine_symmetries",
-              "_detected_group", "realize", "image_matrix"}
+              "_detected_group", "realize"}
     banned = {"Fraction", "AffineMap", "frac", "realize_vertex_permutation",
               "realize_row_permutation"}
     tree = ast.parse((PACKAGE / "symdetect.py").read_text())
     fns = [node for node in ast.walk(tree)
            if isinstance(node, ast.FunctionDef) and node.name in checks]
     assert {fn.name for fn in fns} == checks and len(fns) == len(checks) + 1   # two realize
+    # the frame that realizes each relabeling is a polyhedron's, in polycore
+    (frame,) = _top_level("polycore.py", {"_IntegerFrame"})
+    fns += [node for node in frame.body if isinstance(node, ast.FunctionDef)
+            and node.name == "image_matrix"]
+    assert len(fns) == len(checks) + 2
     for fn in fns:
         assert not _called(fn) & banned, f"{fn.name} calls {sorted(_called(fn) & banned)}"
     tree = ast.parse((PACKAGE / "repconv.py").read_text())
@@ -265,7 +271,21 @@ def test_polyhedron_data_becomes_integer_only_through_its_own_form(source):
                    for node in ast.walk(arg))]
     assert not bad, f"{source.name} scales polyhedron data at lines {bad}"
     if source.name == "polycore.py":
-        for cls, name in (("HPolyhedron", "int_rows"), ("VPolyhedron", "int_points")):
+        # so are the double description of an H-description and the integer
+        # frame of either; nothing else converts or frames a polyhedron
+        forms = {("HPolyhedron", "int_rows"), ("VPolyhedron", "int_points"),
+                 ("HPolyhedron", "dd"), ("HPolyhedron", "frame"), ("VPolyhedron", "frame")}
+        for cls, name in sorted(forms):
             (node,) = _top_level("polycore.py", {cls})
             (fn,) = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == name]
             assert [ast.unparse(d) for d in fn.decorator_list] == ["cached_property"]
+        makers = {(cls.name, fn.name): _called(fn) & {"_h_to_v", "_IntegerFrame"}
+                  for cls in tree.body if isinstance(cls, ast.ClassDef)
+                  for fn in cls.body if isinstance(fn, ast.FunctionDef)}
+        makers.update((fn.name, _called(fn) & {"_h_to_v", "_IntegerFrame"})
+                      for fn in tree.body if isinstance(fn, ast.FunctionDef))
+        assert {key: v for key, v in makers.items() if v} == {
+            ("HPolyhedron", "dd"): {"_h_to_v"}, ("HPolyhedron", "frame"): {"_IntegerFrame"},
+            ("VPolyhedron", "frame"): {"_IntegerFrame"}}
+    else:
+        assert not _called(tree) & {"_h_to_v", "_IntegerFrame"}, f"{source.name} builds a form"

@@ -511,7 +511,8 @@ class TestDoubleDescriptionCanonicalForms:
             except EmptyPolyhedronError:
                 continue
             inc = incidence(P, V)
-            assert masks == [sum(1 << (i - 1) for i in S) for S in map(inc.column_set, range(1, inc.k + 1))]
+            assert masks == tuple(sum(1 << (i - 1) for i in S)
+                                  for S in map(inc.column_set, range(1, inc.k + 1)))
             H, rows = convert_dd_incidence(V)
             assert tuple(rows) == incidence(H, V).row_masks
 
@@ -617,6 +618,28 @@ class TestIntegerForm:
         # zero rows, equality rows, rays and repeated points each turn up
         for flag in range(4):
             assert {key[flag] for key in seen} == {True, False}
+
+    def test_double_description_and_frames_are_made_once(self):
+        rng = random.Random(26)
+        built = 0
+        for _ in range(200):
+            P = seeded_system(rng)
+            P2 = HPolyhedron(P.A, P.b, P.equality_rows)   # equal, never converted
+            blank = repr(P)
+            try:
+                first = convert_dd_incidence(P)
+            except EmptyPolyhedronError:
+                continue
+            built += 1
+            assert convert_dd_incidence(P) is first and P.dd is first
+            assert type(first[1]) is tuple
+            assert P.frame is P.frame and P.frame is not P2.frame
+            V = first[0]
+            V2 = VPolyhedron(V.vertices, V.rays)
+            assert V.frame is V.frame and V.frame is not V2.frame
+            assert P == P2 and hash(P) == hash(P2) and repr(P) == repr(P2) == blank
+            assert V == V2 and hash(V) == hash(V2) and repr(V) == repr(V2)
+        assert built > 100
 
     def test_scaled_rows_share_one_form(self):
         P = HPolyhedron.from_rows([[F(1, 2), F(-3, 4)], [0, 0], [6, 4]], [F(5, 6), F(-2, 3), 10])

@@ -1,5 +1,6 @@
 """Representation conversion: plain double description and the orbit methods."""
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
@@ -31,8 +32,8 @@ from polyorbit.polycore import (
     vec_sub,
     vector,
 )
-from polyorbit import repconv
-from polyorbit.cli import parse_polyfile
+from polyorbit import cli, polycore, repconv
+from polyorbit.cli import main, parse_polyfile
 from polyorbit.permgrp import (
     OrbitBudgetExceeded,
     Permutation,
@@ -50,7 +51,11 @@ from polyorbit.repconv import (
     shortest_path,
     write_dot,
 )
-from polyorbit.symdetect import affine_symmetry_group, restricted_symmetries_H
+from polyorbit.symdetect import (
+    affine_symmetry_group,
+    are_affine_symmetries,
+    restricted_symmetries_H,
+)
 
 from shapes import (
     cross_h,
@@ -857,3 +862,80 @@ def test_ambient_rows_match_pseudo_inverse_lift(name):
         led = adjacency_decomposition(V, G, levels)
         for key, e in led.entries.items():
             assert e.row == _ref_ambient_row(list(V.vertices), frozenset(key)), (levels, key)
+
+
+# ---------------------------------------------------------------------------
+# One double description and one integer frame per polyhedron
+
+
+def _counted(monkeypatch, owner, name) -> list:
+    """The argument tuples of every later call of owner.name."""
+    calls = []
+    real = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("extra", [(), ("--adjacencies",)])
+def test_h_convert_runs_one_double_description(extra, monkeypatch, capsys):
+    # detection's redundancy check and the decomposition read the same P.dd
+    calls = _counted(monkeypatch, polycore, "_h_to_v")
+    assert main(["convert", str(FIX / "cube3.ine"), *extra]) == 0
+    assert capsys.readouterr().out.startswith("vertex orbits 1\n")
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", ["santos.ext", "cube3.ext", "cube3.ine"])
+def test_convert_frames_once_and_realizes_each_generator_once(name, monkeypatch, capsys):
+    frames = _counted(monkeypatch, polycore._IntegerFrame, "__init__")
+    realized = Counter()
+    image_matrix = polycore._IntegerFrame.image_matrix
+
+    def recording(frame, img):
+        # a realized image returns a new T; a recorded one returns the same
+        before = frame.images.get(tuple(img), realized)
+        T = image_matrix(frame, img)
+        if T is not before:
+            realized[tuple(img)] += 1
+        return T
+
+    monkeypatch.setattr(polycore._IntegerFrame, "image_matrix", recording)
+    groups = _counted(monkeypatch, cli, "adjacency_decomposition")
+    assert main(["convert", str(FIX / name)]) == 0
+    capsys.readouterr()
+    ((_, G, _),) = groups
+    gens = [tuple(g(i + 1) - 1 for i in range(G.degree)) for g in G.generators]
+    assert len(frames) == 1
+    assert gens and all(realized[img] == 1 for img in gens)
+    assert set(realized.values()) == {1}
+
+
+@pytest.mark.parametrize("kind", ["V", "H"])
+def test_recorded_realizations_skip_no_new_generator(kind):
+    # detection records its candidates on the object's frame; a generator it
+    # never saw is still realized, and rejected, by the decompositions
+    P = cube_v(3) if kind == "V" else cube_h(3)
+    G = (affine_symmetry_group if kind == "V" else restricted_symmetries_H)(P)
+    message = ("group generator is not an affine symmetry of the "
+               + ("vertex set" if kind == "V" else "rows"))
+    k = G.degree
+    swaps = (Permutation(tuple(j if i == 1 else 1 if i == j else i for i in range(1, k + 1)))
+             for j in range(2, k + 1))
+    bad = next(t for t in swaps if not are_affine_symmetries(replace(P), [t]))
+    assert P.frame.images and bad not in G
+    H = PermutationGroup(list(G.generators) + [bad], degree=k)
+    for method in (adjacency_decomposition, incidence_decomposition):
+        with pytest.raises(PolyhedronError) as info:
+            method(P, H)
+        assert str(info.value) == message
+    # an equal but distinct object has its own frame and its own record
+    Q = replace(P)
+    assert Q == P and Q.frame is not P.frame and not Q.frame.images
+    with pytest.raises(PolyhedronError) as info:
+        adjacency_decomposition(Q, H)
+    assert str(info.value) == message

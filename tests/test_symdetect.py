@@ -48,6 +48,17 @@ from shapes import (cross_h, cross_v, cube_v, cut_v, probe_permutations, row_ima
 FIX = Path(__file__).parent / "fixtures"
 
 
+def graph_of(gram):
+    """The SymmetryGraph of a gram matrix given entry by entry."""
+    k = len(gram)
+    g = tuple(tuple(F(x) for x in row) for row in gram)
+    classes = {}
+    for i in range(k):
+        for j in range(i, k):
+            classes.setdefault(g[i][j], []).append((i + 1, j + 1))
+    return SymmetryGraph(k, g, {v: tuple(ps) for v, ps in classes.items()})
+
+
 def cube_vertices(n):
     return [tuple(F(s) for s in signs) for signs in itertools.product((-1, 1), repeat=n)]
 
@@ -128,7 +139,7 @@ def test_gram_invariant_under_affine_image():
 def test_monochrome_gives_symmetric_group():
     k = 4
     gram = [[F(1) if i == j else F(2) for j in range(k)] for i in range(k)]
-    gens = graph_automorphisms(SymmetryGraph.from_gram(gram))
+    gens = graph_automorphisms(graph_of(gram))
     assert group_order(gens, k) == 24
 
 
@@ -142,7 +153,7 @@ def test_rigid_coloring_identity_only():
     # gram_ij = i + j admits no nontrivial automorphism for k >= 3
     k = 5
     gram = [[F(i + j) for j in range(k)] for i in range(k)]
-    assert graph_automorphisms(SymmetryGraph.from_gram(gram)) == []
+    assert graph_automorphisms(graph_of(gram)) == []
     assert len(consistent_permutations(gram)) == 1
 
 
@@ -162,7 +173,7 @@ def test_automorphisms_match_brute_force(gram):
     for i in range(k):
         for j in range(i):
             gram[j][i] = gram[i][j]
-    gens = graph_automorphisms(SymmetryGraph.from_gram(gram))
+    gens = graph_automorphisms(graph_of(gram))
     oracle = consistent_permutations(gram)
     G = PermutationGroup(gens, degree=k)
     assert G.order() == len(oracle)
@@ -180,7 +191,7 @@ def test_automorphisms_of_random_graphs_match_brute_force():
         for i, j in itertools.combinations(range(6), 2):
             if rng.random() < 0.5:
                 gram[i][j] = gram[j][i] = F(1)
-        gens = graph_automorphisms(SymmetryGraph.from_gram(gram))
+        gens = graph_automorphisms(graph_of(gram))
         assert group_order(gens, 6) == len(consistent_permutations(gram))
 
 
@@ -210,7 +221,7 @@ def test_images_no_automorphism_reaches_are_pruned_exactly(lengths, order):
     # complete; skipping their orbits must lose no image it can complete
     for seed in range(12):
         gram = cycles_gram(lengths, f"{lengths}/{seed}")
-        gens = graph_automorphisms(SymmetryGraph.from_gram(gram))
+        gens = graph_automorphisms(graph_of(gram))
         k = len(gram)
         assert all(gram[g(i + 1) - 1][g(j + 1) - 1] == gram[i][j]
                    for g in gens for i in range(k) for j in range(k))
@@ -369,7 +380,7 @@ def test_automorphisms_of_long_cycle_need_no_deep_recursion():
     # search must not recurse once per vertex
     k = 200
     gram = [[F(min(abs(i - j), k - abs(i - j))) for j in range(k)] for i in range(k)]
-    graph = SymmetryGraph.from_gram(gram)
+    graph = graph_of(gram)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -652,7 +663,7 @@ def test_single_pass_image_matrix_matches_two_passes(name):
         "point": lambda: [(F(2), F(-1), F(3))],
     }[name]()
     V, _, _ = unimodular_image(points, f"single/{name}")
-    frame = symdetect._vertex_frame(V)
+    frame = V.frame
     G = affine_symmetry_group(V)
     accepted = rejected = 0
     for img in candidate_images(G, random.Random(name)):
@@ -669,7 +680,7 @@ def test_single_pass_row_image_matrix_matches_two_passes(name):
          "cross_h3": lambda: row_image(cross_h(3), "single/cross_h3"),
          "rectangle": rectangle_h,
          "simplex_h3": lambda: simplex_h(3)}[name]()
-    frame = symdetect._RowRealizer(P).frame
+    frame = P.frame
     G = restricted_symmetries_H(P)
     accepted = rejected = 0
     for img in candidate_images(G, random.Random(name)):
