@@ -4,7 +4,7 @@ Everything is built on one exact enumeration backbone: integer points are
 listed coordinate by coordinate over a chain of projections.  The polyhedron
 is converted once to vertices and rays (the plain count takes a V input as
 given), read in integers as VPolyhedron.int_points; their projections onto
-the first k coordinates, converted back to integer facet rows, give the
+the first k coordinates, turned into facet rows by integer_v_to_h, give the
 feasible interval of x_k over each fixed prefix in closed form, so the
 search never leaves the projection and solves no LP.  The top of the chain,
 the projection onto every coordinate, is P itself, so an H input gives its
@@ -48,16 +48,15 @@ from .polycore import (
     VPolyhedron,
     convert_dd,
     convert_dd_incidence,
-    dd_cone,
     dot,
     frac,
     gauss_jordan,
     identity_matrix,
     integer_kernel_basis,
     integer_nullspace,
+    integer_v_to_h,
     matrix,
     primitive,
-    solve_linear,
     vec_sub,
     zero_vector,
 )
@@ -156,44 +155,37 @@ def _chain(P: Union[HPolyhedron, VPolyhedron], V: VPolyhedron,
 
     Level k holds the facet rows of the projection onto the first k of them,
     each level below the top read off one DD of V's points and rays, which
-    generate P, scaled to integers once for the whole chain.  The top level is P itself: an H input gives its own
+    generate P.  The top level is P itself: an H input gives its own
     primitive rows, its equality rows as equalities and redundant rows
     harmless, and only a V input pays a DD there.
     """
-    gens = _generators(V, order)
     n = len(order)
     if isinstance(P, VPolyhedron) or not n:
-        return [_projection_rows(gens, k) for k in range(1, n + 1)]
+        return [_projection_rows(V, order[:k]) for k in range(1, n + 1)]
     eq = set(P.equality_rows)
     eqs, les = [], []
     for i, row in enumerate(P.int_rows, start=1):
         g = tuple(row[t] for t in order) + row[-1:]
         if any(g[:n]):
             (eqs if i in eq else les).append((g[:n - 1], g[n - 1], g[n]))
-    return [_projection_rows(gens, k) for k in range(1, n)] + [(eqs, les)]
+    return [_projection_rows(V, order[:k]) for k in range(1, n)] + [(eqs, les)]
 
 
-def _generators(V: VPolyhedron, order: Sequence[int]) -> list[tuple[int, ...]]:
-    """V.int_points with their coordinates in the given order, homogenized:
-    s p + (-s,) for a point p, s r + (0,) for a ray r, with s the lcm of
-    every denominator."""
-    s, pts, rays = V.int_points
-    return ([tuple(p[t] for t in order) + (-s,) for p in pts]
-            + [tuple(r[t] for t in order) + (0,) for r in rays])
-
-
-def _projection_rows(gens: Sequence[tuple[int, ...]], k: int) -> tuple[list, list]:
-    """Facet rows of the projection onto the first k coordinates of the
-    polyhedron generated by the homogenized integer generators.
+def _projection_rows(V: VPolyhedron, coords: Sequence[int]) -> tuple[list, list]:
+    """Facet rows of the projection of V onto the given coordinates, taken
+    in that order: polycore.integer_v_to_h of the distinct projected points
+    and nonzero projected rays of V.int_points.
 
     Returns (equalities, inequalities), each row a.x = beta or a.x <= beta
     stored as (a_1..a_{k-1}, a_k, beta) in primitive integers.
     """
-    rows = dict.fromkeys(g[:k] + g[-1:] for g in gens if g[-1] or any(g[:k]))
-    lin, rays, _ = dd_cone(list(rows), k + 1)
-    eqs = [(g[:k - 1], g[k - 1], g[k]) for g in lin if any(g[:k])]
-    les = [(g[:k - 1], g[k - 1], g[k]) for g in rays if any(g[:k])]
-    return eqs, les
+    s, pts, rays = V.int_points
+    k = len(coords)
+    pts = dict.fromkeys(tuple(p[t] for t in coords) for p in pts)
+    rays = dict.fromkeys(r for r in (tuple(r[t] for t in coords) for r in rays) if any(r))
+    eqs, les, _ = integer_v_to_h(s, list(pts), list(rays))
+    return ([(g[:k - 1], g[k - 1], g[k]) for g in eqs],
+            [(g[:k - 1], g[k - 1], g[k]) for g in les])
 
 
 def _walk(levels: Sequence[tuple[list, list]], pos: Sequence[int], prefix: list[int],
@@ -444,12 +436,14 @@ def _eval_poly(coeffs: Sequence[Fraction], x) -> Fraction:
 
 
 def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> tuple[Fraction, ...]:
-    """Coefficients (constant first) of the polynomial through (xs, ys)."""
-    rows = [[frac(x) ** j for j in range(len(xs))] for x in xs]
-    sol = solve_linear(rows, [frac(y) for y in ys])
-    if sol is None:  # distinct abscissae make the Vandermonde invertible
+    """Coefficients c (constant first) of the polynomial through the integer
+    points (xs, ys): D c_j ends pivot row j of the Vandermonde rows (x^j | y)."""
+    d = len(xs)
+    D, pivots, m, _ = gauss_jordan(([x ** j for j in range(d)] + [y] for x, y in zip(xs, ys)),
+                                   stop=d)
+    if len(pivots) < d:  # distinct abscissae make the Vandermonde invertible
         raise VerificationError("interpolation system was singular")
-    return sol
+    return tuple(Fraction(row[d], D) for row in m)
 
 
 def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
@@ -679,7 +673,7 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
                           for j in live))
         if live:
             # the live block sums of P form the image projected onto them
-            eqs, les = _projection_rows(_generators(image, live), len(live))
+            eqs, les = _projection_rows(image, live)
             cands = [s for s in cands if (fit := _fiber(eqs, les, s[:-1])) is not None
                      and fit[0] <= s[-1] <= fit[1]]
         for sums in cands:

@@ -22,8 +22,10 @@ double description of an H-description.  The unimodular column reduction
 of integer_kernel_basis is a separate algorithm.
 
 Representation conversion is one integer double description, dd_cone, of
-a homogenization cone; convert_dd_incidence also returns, for each output
-element, the input elements it is tight on.  remove_redundancy (through
+a homogenization cone that only integer_h_to_v (integer rows to points and
+rays) and integer_v_to_h (points and rays to primitive rows) build; both
+return the input elements each output element is tight on, and
+convert_dd_incidence wraps them in Fraction.  remove_redundancy (through
 irredundant_rows and P.dd), affine_hull of an H-description, the facet
 incidence sets of repconv and latcount, and the faces that latcount.volume
 triangulates read those masks, so canonical forms need no LP and no face is
@@ -522,10 +524,6 @@ class AffineMap:
     def apply(self, x: Sequence) -> Vector:
         return vec_add(mat_vec(self.A, x), self.t)
 
-    def inverse(self) -> "AffineMap":
-        Ainv = invert_matrix(self.A)
-        return AffineMap(Ainv, vec_scale(-1, mat_vec(Ainv, self.t)))
-
 
 # ---------------------------------------------------------------------------
 # Exact linear programming (two-phase simplex with Bland's rule, pivoted on
@@ -751,61 +749,77 @@ def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[in
     return v if g <= 1 else tuple(x // g for x in v)
 
 
-def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, tuple[int, ...]]:
-    n = P.n
+def integer_h_to_v(rows: Sequence[Sequence[int]], n: int, equalities: Iterable[int] = ()
+                   ) -> tuple[int, list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """Double description of {x in R^n : a.x <= b for each integer row
+    (a | b)}, with a.x = b for the rows whose 1-based indices are listed in
+    equalities, as HPolyhedron.equality_rows lists them.
+
+    Returns (s, points, rays, masks), shaped like VPolyhedron.int_points:
+    the vertices are the points over s, the lcm of their denominators, and
+    the rays are primitive, a line coming as two opposite rays.  One mask
+    per point and then per ray has bit i set when it is tight on rows[i]; a
+    line is tight on every row.  An empty set has no points, and its rays
+    then generate its recession cone {a.x <= 0}.  The cone is homogenized
+    with x0 first: x0 >= 0, then each row as (-b | a), an equality row
+    followed by its negation.
+    """
+    eq = set(equalities)
     cone_rows: list[tuple] = [(-1,) + (0,) * n]  # x0 >= 0
     pos = []                   # the cone row of each input row
-    eq = set(P.equality_rows)
-    for i, (*a, bb) in enumerate(P.int_rows, start=1):
+    for i, (*a, bb) in enumerate(rows, start=1):
         pos.append(len(cone_rows))
         cone_rows.append((-bb, *a))
         if i in eq:
             cone_rows.append((bb, *(-x for x in a)))
-    lin, rays, masks = dd_cone(cone_rows, n + 1)
-    masks = [sum(1 << i for i, t in enumerate(pos) if m >> t & 1) for m in masks]
-    verts, recs, vmasks, rmasks = [], [], [], []
-    for r, m in zip(rays, masks):
-        if r[0] > 0:
-            verts.append(tuple(Fraction(x, r[0]) for x in r[1:]))
-            vmasks.append(m)
-        else:
-            recs.append(tuple(Fraction(x) for x in r[1:]))
-            rmasks.append(m)
-    for l in lin:
-        tail = tuple(Fraction(x) for x in l[1:])
-        recs.append(tail)
-        recs.append(tuple(-x for x in tail))
-        rmasks += [(1 << P.m) - 1] * 2
-    if not verts:
+    lin, gens, cmasks = dd_cone(cone_rows, n + 1)
+    masks = [sum(1 << i for i, t in enumerate(pos) if m >> t & 1) for m in cmasks]
+    verts = [j for j, g in enumerate(gens) if g[0]]
+    recs = [j for j, g in enumerate(gens) if not g[0]]
+    s = lcm(*(gens[j][0] for j in verts))
+    points = [tuple(x * (s // gens[j][0]) for x in gens[j][1:]) for j in verts]
+    rays = [gens[j][1:] for j in recs] + [d for l in lin for d in (l[1:], tuple(-x for x in l[1:]))]
+    every = (1 << len(pos)) - 1
+    return s, points, rays, [masks[j] for j in verts + recs] + [every] * (2 * len(lin))
+
+
+def integer_v_to_h(s: int, points: Sequence[Sequence[int]], rays: Sequence[Sequence[int]] = ()
+                   ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """Facet rows of conv(points / s) + cone(rays), for integer points and
+    rays as VPolyhedron.int_points gives them.
+
+    Returns (equalities, inequalities, masks): primitive integer rows (a | b)
+    of the hull equalities a.x = b and the facets a.x <= b.  masks[j] has
+    bit t set when inequalities[j] is tight on element t of the points
+    followed by the rays; an equality is tight on all of them.  The cone is
+    homogenized with x0 last: s p + (-s) for a point, r + (0) for a ray.
+    Every face of the set holds one of the points, so a ray of the cone
+    tight on no point is dropped: it is the trivial row 0.x <= 1, which
+    modulo the equalities may carry a nonzero a.  Raises
+    EmptyPolyhedronError without a point.
+    """
+    if not points:
+        raise EmptyPolyhedronError("no points given")
+    on_point = (1 << len(points)) - 1
+    lin, gens, masks = dd_cone([(*p, -s) for p in points] + [(*r, 0) for r in rays],
+                               len(points[0]) + 1)
+    facets = [j for j, m in enumerate(masks) if m & on_point]
+    return lin, [gens[j] for j in facets], [masks[j] for j in facets]
+
+
+def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, tuple[int, ...]]:
+    s, points, rays, masks = integer_h_to_v(P.int_rows, P.n, P.equality_rows)
+    if not points:
         raise EmptyPolyhedronError("polyhedron has no points")
-    return VPolyhedron.from_points(verts, recs), tuple(vmasks + rmasks)
+    V = VPolyhedron.from_points([[Fraction(x, s) for x in p] for p in points], rays)
+    return V, tuple(masks)
 
 
 def _v_to_h(V: VPolyhedron) -> tuple[HPolyhedron, tuple[int, ...]]:
-    if not V.vertices:
-        raise EmptyPolyhedronError("no points given")
-    n = V.n
-    s, pts, recs = V.int_points
-    cone_rows = [p + (-s,) for p in pts] + [r + (0,) for r in recs]
-    lin, rays, masks = dd_cone(cone_rows, n + 1)
-    A: list[tuple] = []
-    b: list[Fraction] = []
-    eq_rows: list[int] = []
-    tight: list[int] = []
-    for l in lin:
-        if not any(l[:n]):
-            continue
-        A.append(tuple(Fraction(x) for x in l[:n]))
-        b.append(Fraction(l[n]))
-        eq_rows.append(len(A))
-        tight.append((1 << len(cone_rows)) - 1)
-    for r, m in zip(rays, masks):
-        if not any(r[:n]):
-            continue                       # the trivial row 0.x <= 1
-        A.append(tuple(Fraction(x) for x in r[:n]))
-        b.append(Fraction(r[n]))
-        tight.append(m)
-    return HPolyhedron.from_rows(A, b, tuple(eq_rows)), tuple(tight)
+    eqs, les, masks = integer_v_to_h(*V.int_points)
+    rows = eqs + les
+    H = HPolyhedron.from_rows([r[:-1] for r in rows], [r[-1] for r in rows], range(1, len(eqs) + 1))
+    return H, ((1 << (V.k + len(V.rays))) - 1,) * len(eqs) + tuple(masks)
 
 
 def convert_dd_incidence(P: Union[HPolyhedron, VPolyhedron]

@@ -27,8 +27,9 @@ elimination (polycore.hull_coordinates).  A lower-dimensional input is
 walked in its integer hull coordinates; the ambient row of a facet is the
 one primitive row on its scaled ambient points that is orthogonal to the
 integer hull normals, so no row is lifted back through a pseudo-inverse.
-A plain conversion is one integer dd_cone of the cone over the points,
-whose rays with a nonzero normal are the facets.
+A plain conversion is one polycore.integer_v_to_h of the points, whose
+masks are the facets; the incidence method calls dd_cone on the tangent
+cone at a point, which is not homogenized.
 
 For an H-description its one double description, HPolyhedron.dd, which
 symmetry detection reads too, gives every vertex together with the rows it
@@ -57,7 +58,9 @@ from .polycore import (
     dd_cone,
     hull_coordinates,
     index_set,
+    integer_h_to_v,
     integer_nullspace,
+    integer_v_to_h,
     irredundant_rows,
     primitive,
     vec_sub,
@@ -227,11 +230,9 @@ def _distinct_orbits(G: PermutationGroup, sets: Iterable[frozenset]) -> list[Set
 
 
 def _plain_orbits(pts: Sequence[Sequence[int]], G: PermutationGroup) -> list[SetOrbit]:
-    """Facet orbits from one double description of the cone over the
-    points: a ray with a nonzero normal is a facet, tight on its points."""
-    n = len(pts[0])
-    _, rays, masks = dd_cone([tuple(p) + (-1,) for p in pts], n + 1)
-    return _distinct_orbits(G, (index_set(m) for r, m in zip(rays, masks) if any(r[:n])))
+    """Facet orbits from one double description of the points,
+    polycore.integer_v_to_h: each facet with the points it is tight on."""
+    return _distinct_orbits(G, map(index_set, integer_v_to_h(1, pts)[2]))
 
 
 def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
@@ -423,9 +424,8 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
     try:
         V, masks = convert_dd_incidence(P)
     except EmptyPolyhedronError:
-        # an empty P gives no rays; its recession cone picks the message
-        lin, rays, _ = dd_cone([r[:-1] for r in P.int_rows], P.n)
-        if lin or rays:
+        # an empty P has no points; its rays, the recession cone, pick the message
+        if integer_h_to_v(P.int_rows, P.n)[2]:
             raise PolyhedronError("decomposition requires a bounded polytope")
         raise EmptyPolyhedronError("empty polyhedron has no affine hull")
     if V.rays:

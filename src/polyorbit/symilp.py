@@ -19,10 +19,10 @@ integral orbits form the scaled lattice with steps 1/n_j per block.  The
 ILP reads P as one list of primitive integer rows (a | b), P.int_rows: the
 invariance check, the block-sum box and the sweep all take it.  An
 invariant P holds the barycenter of each of its points, with the same block
-sums, so the block sums of P are read off one integer double description
-of P on the fixed space, in one coordinate per block; the ILP's integer
-box and block_sum_image, from which the slice decomposition of latcount
-takes its ranges, come from that one cone, without an LP.  Fibers are
+sums, so the block sums of P are read off one integer_h_to_v of P on the
+fixed space, in one coordinate per block; the ILP's integer box and
+block_sum_image, from which the slice decomposition of latcount takes its
+ranges, come from it, without an LP.  Fibers are
 ordered by integer keys summed from per-block terms, in one stable sort of
 their indices.  The sweep tests each fiber's balanced point against one
 row per row orbit of P, in closed form by the rearrangement inequality and
@@ -46,8 +46,8 @@ from .polycore import (
     Vector,
     clear_denominators,
     convert_dd,
-    dd_cone,
     dot,
+    integer_h_to_v,
     mat_mul,
     mat_vec,
     solve_lp,
@@ -356,29 +356,22 @@ def fixed_space_system(P: HPolyhedron, blocks: Sequence[int]) -> HPolyhedron:
                        tuple(t for t, k in enumerate(keys, start=1) if k[2]))
 
 
-def _block_sum_cone(rows, blocks: tuple[int, ...]):
-    """P on the fixed space of the block group, as one integer double
-    description in homogenized coordinates (x0, y_1, ..., y_k) with
-    x = sum_j y_j 1_{block j}: (vertices, rays, lineality), or None when
-    P is empty.
+def _block_sum_dd(rows, blocks: tuple[int, ...]):
+    """P on the fixed space of the block group, in one coordinate y_j per
+    block with x = sum_j y_j 1_{block j}, as one integer double description:
+    polycore.integer_h_to_v of its rows, (s, points, rays, masks), with no
+    points when P is empty.
 
-    rows are _primitive_rows(P).  Each row becomes (-b | its sum over each
-    block); the rows of one orbit coincide there and duplicates are
-    dropped, and an equality row is also added negated.  A vertex has
-    x0 > 0 and stands for y / x0; rays and lineality have x0 = 0.
+    rows are _primitive_rows(P).  Each row becomes (its sum over each block
+    | b); the rows of one orbit coincide there, so duplicates are dropped,
+    and a row is an equality when any of its copies is.
     """
     spans = list(zip(accumulate(blocks, initial=0), blocks))
-    cone = {(-1,) + (0,) * len(blocks): None}   # x0 >= 0
+    sums: dict = {}
     for (*a, bb), is_eq in rows:
-        row = (-bb,) + tuple(sum(a[off:off + nb]) for off, nb in spans)
-        cone.setdefault(row, None)
-        if is_eq:
-            cone.setdefault(tuple(-x for x in row), None)
-    lin, gens, _ = dd_cone(list(cone), len(blocks) + 1)
-    verts = [g for g in gens if g[0]]
-    if not verts:
-        return None
-    return verts, [g for g in gens if not g[0]], lin
+        row = tuple(sum(a[off:off + nb]) for off, nb in spans) + (bb,)
+        sums[row] = sums.get(row, False) or is_eq
+    return integer_h_to_v(list(sums), len(blocks), [i for i, e in enumerate(sums.values(), 1) if e])
 
 
 def block_sum_image(P: HPolyhedron, blocks: Sequence[int]) -> Optional[VPolyhedron]:
@@ -392,14 +385,12 @@ def block_sum_image(P: HPolyhedron, blocks: Sequence[int]) -> Optional[VPolyhedr
     opposite rays).
     """
     blocks = check_blocks(blocks, P.n)
-    cone = _block_sum_cone(_primitive_rows(P), blocks)
-    if cone is None:
+    s, points, rays, _ = _block_sum_dd(_primitive_rows(P), blocks)
+    if not points:
         return None
-    verts, rays, lin = cone
-    rays += [d for l in lin for d in (l, tuple(-x for x in l))]
     return VPolyhedron(
-        tuple(tuple(Fraction(nb * x, v[0]) for nb, x in zip(blocks, v[1:])) for v in verts),
-        tuple(tuple(Fraction(nb * x) for nb, x in zip(blocks, r[1:])) for r in rays))
+        tuple(tuple(Fraction(nb * x, s) for nb, x in zip(blocks, p)) for p in points),
+        tuple(tuple(Fraction(nb * x) for nb, x in zip(blocks, r)) for r in rays))
 
 
 def coordinate_bounds(V: VPolyhedron) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
@@ -418,22 +409,21 @@ def _sum_ranges(rows, blocks):
     """Integer ranges of the block sums over P, or None when P is empty.
 
     rows are _primitive_rows(P), and P must be invariant under the block
-    group.  The extent of s_t is read off _block_sum_cone: ceil and floor of
-    n_t y_t / x0 over its vertices, in integers.  An unbounded direction is
-    an error rather than a truncation, and so is a product of ranges past
-    _FIBER_BUDGET.
+    group.  The extent of s_t is read off _block_sum_dd: ceil and floor of
+    n_t y_t over its vertices y = p / s, in integers.  An unbounded
+    direction is an error rather than a truncation, and so is a product of
+    ranges past _FIBER_BUDGET.
     """
-    cone = _block_sum_cone(rows, blocks)
-    if cone is None:
+    s, points, rays, _ = _block_sum_dd(rows, blocks)
+    if not points:
         return None
-    verts, rays, lin = cone
     ranges = []
     total = 1
-    for t, nb in enumerate(blocks, start=1):
-        if any(g[t] for g in rays + lin):
+    for t, nb in enumerate(blocks):
+        if any(r[t] for r in rays):
             raise PolyhedronError("projection onto the invariant subspace is unbounded")
-        ranges.append(range(min(-(-nb * v[t] // v[0]) for v in verts),
-                            max(nb * v[t] // v[0] for v in verts) + 1))
+        ranges.append(range(min(-(-nb * p[t] // s) for p in points),
+                            max(nb * p[t] // s for p in points) + 1))
         total *= len(ranges[-1])
         if total > _FIBER_BUDGET:
             raise PolyhedronError(f"fiber enumeration exceeds budget {_FIBER_BUDGET}")

@@ -531,19 +531,7 @@ class TestVolume:
                              ids=["cube3", "cube5", "cross3", "birkhoff3"])
     def test_one_conversion_per_call(self, monkeypatch, P):
         # the triangulation reads the masks of one double description
-        import polyorbit.latcount as lc
-        import polyorbit.polycore as pc
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return real(*args, **kwargs)
-
-        real = pc.dd_cone
-        for module in (pc, lc):
-            monkeypatch.setattr(module, "dd_cone", counted)
-        volume(P)
-        assert len(calls) == 1
+        assert dd_cone_calls(monkeypatch, volume, P) == 1
 
     @pytest.mark.parametrize("seed", range(60))
     def test_v_input_matches_h_route(self, monkeypatch, seed):
@@ -983,8 +971,7 @@ class TestOneChainPerCount:
                 for c in v:
                     period = period * c.denominator // gcd(period, c.denominator)
             assert period == q
-            gens = lc._generators(V, range(d))
-            levels = [lc._projection_rows(gens, k) for k in range(1, d + 1)]
+            levels = lc._chain(V, V, range(d))
             for lam in range(1, d + 3):
                 assert lc._count_dilate(levels, lam) == count_lattice_points(P.dilate(lam))
 

@@ -11,7 +11,9 @@ the facet geometry, the projection chain and the volume frame stay in
 integers, the symmetric ILP and its membership check read integer rows,
 the simplex pivots one integer tableau, and a polyhedron's rows and points
 become integers only through its own int_rows and int_points, and are
-converted and framed only through its own dd and frame."""
+converted and framed only through its own dd and frame, and only polycore
+builds a homogenization cone: outside it, only the tangent cones of
+repconv._idm_orbits call dd_cone."""
 import ast
 import importlib
 import importlib.util
@@ -207,9 +209,23 @@ def test_facet_geometry_projection_chain_and_volume_frame_stay_in_integers():
             assert not _called(node) & banned, f"{node.name} calls {sorted(_called(node) & banned)}"
 
 
+@pytest.mark.parametrize("source", sorted(p for p in PACKAGE.glob("*.py")
+                                         if p.name != "polycore.py"), ids=lambda p: p.name)
+def test_only_polycore_homogenizes_a_cone(source):
+    # integer_h_to_v and integer_v_to_h own the homogenizing coordinate and
+    # the conventions for equalities, lines and the trivial row; the tangent
+    # cones of _idm_orbits are not homogenized
+    if source.name in {"symilp.py", "latcount.py"}:
+        assert "dd_cone" not in _imported(source.name)
+    tree = ast.parse(source.read_text())
+    callers = {node.name for node in tree.body
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and "dd_cone" in _called(node)}
+    assert callers == ({"_idm_orbits"} if source.name == "repconv.py" else set())
+
+
 def test_plain_orbits_read_one_integer_cone():
-    # the masks come from dd_cone on the integer points, with no VPolyhedron
-    # built and no H-description thrown away
+    # the masks come from integer_v_to_h on the integer points, with no
+    # VPolyhedron built and no H-description thrown away
     (fn,) = _top_level("repconv.py", {"_plain_orbits"})
     assert not _called(fn) & {"convert_dd_incidence", "from_points"}
 

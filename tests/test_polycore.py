@@ -19,7 +19,9 @@ from polyorbit.polycore import (
     dot,
     identity_matrix,
     incidence,
+    integer_h_to_v,
     integer_kernel_basis,
+    integer_v_to_h,
     invert_matrix,
     matrix,
     nullspace,
@@ -229,6 +231,28 @@ class TestSolveLP:
         cases += [seeded_lp(rng) for _ in range(3000)]
         for P, c, maximize in cases:
             assert solve_lp(P, c, maximize) == reference_solve_lp(P, c, maximize), (P, c, maximize)
+
+    def test_scaled_rows_keep_status_and_value(self):
+        # a positive scale per row changes the polyhedron's int_rows not at
+        # all, and status and value not at all; the point is the reference
+        # simplex's on the scaled rows, and an optimum of the unscaled ones
+        # (phase 1 minimizes the sum of the artificials in the units of the
+        # rows, so the argmax among alternative optima may move)
+        rng = random.Random(27)
+        statuses = set()
+        for _ in range(1000):
+            P, c, maximize = seeded_lp(rng)
+            f = [rng.randint(1, 9) for _ in range(P.m)]
+            Q = HPolyhedron.from_rows([[g * x for x in a] for a, g in zip(P.A, f)],
+                                      [g * x for x, g in zip(P.b, f)], P.equality_rows)
+            assert Q.int_rows == P.int_rows
+            res, scaled = solve_lp(P, c, maximize), solve_lp(Q, c, maximize)
+            assert scaled == reference_solve_lp(Q, c, maximize)
+            assert (scaled.status, scaled.value) == (res.status, res.value)
+            if scaled.is_optimal:
+                assert P.contains(scaled.point) and dot(c, scaled.point) == res.value
+            statuses.add(res.status)
+        assert statuses == {"optimal", "infeasible", "unbounded"}
 
     def test_equality_via_pair(self):
         # x + y = 1 facet trick, maximize x with x,y >= 0
@@ -647,3 +671,126 @@ class TestIntegerForm:
         V = VPolyhedron.from_points([(F(1, 2), 0), (0, F(1, 3))], [(F(1, 4), 1)])
         assert V.int_points == (12, ((6, 0), (0, 4)), ((3, 12),))
         assert VPolyhedron.from_points([]).int_points == (1, (), ())
+
+
+# ---------------------------------------------------------------------------
+# the two integer conversions behind every double description
+
+
+def tight_masks(s, points, rays, rows):
+    """Per generator (points over s, then rays), the bitmask of the integer
+    rows (a | b) it is tight on, by integer dot products."""
+    def tight(g, scale):
+        return sum(1 << i for i, (*a, b) in enumerate(rows)
+                   if sum(x * y for x, y in zip(a, g)) == scale * b)
+    return [tight(p, s) for p in points] + [tight(r, 0) for r in rays]
+
+
+class TestIntegerConversions:
+    def test_no_rows_is_the_whole_space(self):
+        assert integer_h_to_v([], 2) == (1, [(0, 0)], [(1, 0), (-1, 0), (0, 1), (0, -1)],
+                                         [0, 0, 0, 0, 0])
+        # and only the trivial row 0.x <= 1 describes the whole space
+        assert integer_v_to_h(1, [(0, 0)], [(1, 0), (-1, 0), (0, 1), (0, -1)]) == ([], [], [])
+
+    def test_empty_system_leaves_its_recession_cone(self):
+        # x <= 0 and x >= 1: no points; with y free the recession cone is a line
+        assert integer_h_to_v([(1, 0), (-1, -1)], 1)[1:3] == ([], [])
+        s, points, rays, masks = integer_h_to_v([(1, 0, 0), (-1, 0, -1)], 2)
+        assert (s, points) == (1, [])
+        assert sorted(rays) == [(0, -1), (0, 1)] and masks == [0b11, 0b11]
+        with pytest.raises(EmptyPolyhedronError, match="no points given"):
+            integer_v_to_h(1, [], [(1, 0)])
+
+    def test_rational_vertices_share_one_denominator(self):
+        # x >= 0, y >= 0, 2x + 3y <= 1: vertices 0, (1/2, 0) and (0, 1/3)
+        rows = [(-1, 0, 0), (0, -1, 0), (2, 3, 1)]
+        s, points, rays, masks = integer_h_to_v(rows, 2)
+        assert s == 6 and sorted(points) == [(0, 0), (0, 2), (3, 0)] and rays == []
+        assert masks == tight_masks(s, points, rays, rows)
+        eqs, les, vmasks = integer_v_to_h(s, points)
+        assert eqs == [] and sorted(les) == sorted(rows)
+        assert vmasks == [sum(1 << j for j, p in enumerate(points)
+                              if sum(x * y for x, y in zip(a, p)) == s * b)
+                          for *a, b in les]
+
+    def test_lines_come_as_two_opposite_rays(self):
+        # x <= 1 in the plane: a point on the line x = 1, the ray -e1 and the line e2
+        rows = [(1, 0, 1)]
+        s, points, rays, masks = integer_h_to_v(rows, 2)
+        assert len(points) == 1 and points[0][0] == s
+        assert sorted(rays) == [(-1, 0), (0, -1), (0, 1)]
+        assert masks == tight_masks(s, points, rays, rows)
+        # the facet is tight on the point and on the line, not on -e1
+        assert integer_v_to_h(s, points, rays) == ([], [(1, 0, 1)], [0b1101])
+
+    def test_equality_rows_and_their_pairs_agree(self):
+        # 0 <= x <= 1, x + y = 1: a segment, given as an equality or as a pair
+        box = [(1, 0, 1), (-1, 0, 0)]
+        one = integer_h_to_v(box + [(1, 1, 1)], 2, equalities=[3])
+        pair = integer_h_to_v(box + [(1, 1, 1), (-1, -1, -1)], 2)
+        assert one[:3] == pair[:3] == (1, [(1, 0), (0, 1)], [])
+        assert one[3] == [0b101, 0b110] and pair[3] == [0b1101, 0b1110]
+        eqs, les, masks = integer_v_to_h(1, [(0, 1), (1, 0)])
+        assert len(eqs) == 1 and eqs[0] in {(1, 1, 1), (-1, -1, -1)}
+        assert sorted(zip(les, masks)) == [((-1, 0, 0), 0b01), ((0, -1, 0), 0b10)]
+
+    def test_duplicates_are_tight_together(self):
+        rows = [(1, 0, 1), (-1, 0, 0), (2, 0, 2), (0, 1, 1), (0, -1, 0), (0, 1, 1)]
+        s, points, rays, masks = integer_h_to_v(rows, 2)
+        assert (s, sorted(points), rays) == (1, [(0, 0), (0, 1), (1, 0), (1, 1)], [])
+        assert masks == tight_masks(s, points, rays, rows)
+        assert all((m >> 0 & 1) == (m >> 2 & 1) and (m >> 3 & 1) == (m >> 5 & 1) for m in masks)
+        # a repeated point and a repeated ray: each copy is tight where the other is
+        pts = [(0, 0), (2, 0), (0, 0)]
+        eqs, les, vmasks = integer_v_to_h(2, pts, [(0, 1), (0, 3)])
+        assert eqs == [] and sorted(les) == [(-1, 0, 0), (0, -1, 0), (1, 0, 1)]
+        assert all((m & 1) == (m >> 2 & 1) and (m >> 3 & 1) == (m >> 4 & 1) for m in vmasks)
+
+    def test_lower_dimensional_points(self):
+        # one point of R^3, and a segment of it
+        eqs, les, masks = integer_v_to_h(2, [(1, 2, 3)])
+        assert len(eqs) == 3 and les == [] and masks == []
+        assert rank([r[:3] for r in eqs]) == 3
+        assert all(sum(x * y for x, y in zip(r, (1, 2, 3))) == 2 * r[3] for r in eqs)
+        # the trivial row 0.x <= 1 is a ray of the cone tight on no point,
+        # here -x1 <= 0 modulo the equalities; the conversion drops it
+        H, masks = convert_dd_incidence(VPolyhedron.from_points([(F(1, 2), 1, F(3, 2))]))
+        assert (H.m, H.equality_rows, masks) == (3, (1, 2, 3), (1, 1, 1))
+        eqs, les, masks = integer_v_to_h(1, [(0, 0, 0), (1, 1, 1)])
+        assert len(eqs) == 2 and len(les) == 2 and sorted(masks) == [0b01, 0b10]
+
+    def test_round_trip_gives_the_rows_of_remove_redundancy(self):
+        rng = random.Random(1996)
+        seen = dict(empty=0, lower=0, full=0, rays=0)
+        for _ in range(400):
+            P = seeded_system(rng)
+            s, points, rays, masks = integer_h_to_v(P.int_rows, P.n, P.equality_rows)
+            if not points:
+                seen["empty"] += 1
+                with pytest.raises(EmptyPolyhedronError):
+                    remove_redundancy(P)
+                continue
+            V, dd_masks = P.dd
+            assert V.vertices == tuple(tuple(F(x, s) for x in p) for p in points)
+            assert V.rays == tuple(tuple(map(F, r)) for r in rays)
+            assert tuple(masks) == dd_masks == tuple(tight_masks(s, points, rays, P.int_rows))
+            eqs, les, vmasks = integer_v_to_h(s, points, rays)
+            assert vmasks == [sum(1 << j for j, t in enumerate(tight_masks(s, points, rays, [r]))
+                                  if t) for r in les]
+            R = remove_redundancy(P)
+            req = [r for i, r in enumerate(R.int_rows, start=1) if i in R.equality_rows]
+            rle = [r for i, r in enumerate(R.int_rows, start=1) if i not in R.equality_rows]
+            # the same hull equations, and one row per facet, tight on the
+            # same generators; a full-dimensional P has unique facet rows
+            assert rank(eqs) == rank(req) == rank(eqs + req)
+            assert sorted(vmasks) == sorted(
+                sum(1 << j for j, t in enumerate(tight_masks(s, points, rays, [r])) if t)
+                for r in rle)
+            if eqs:
+                seen["lower"] += 1
+            else:
+                seen["full"] += 1
+                assert sorted(les) == sorted(rle)
+            seen["rays"] += bool(rays)
+        assert min(seen.values()) >= 30, seen
