@@ -304,12 +304,11 @@ def cmd_convert(pf: PolyFile, args) -> int:
 
 def cmd_count(pf: PolyFile, args) -> int:
     if args.symmetric:
-        # the sorted-domain rows are added to an inequality description
-        P = _input_polytope(pf)
+        # a missing header is an input error, whatever the body holds; the
+        # sorted-domain rows are added to an inequality description
         if pf.blocks is None:
-            raise PolyhedronError(
-                "--symmetric needs a blocks header in the input file")
-        total = count_with_symmetry(P, pf.blocks)
+            raise PolyhedronError("--symmetric needs a blocks header in the input file")
+        total = count_with_symmetry(_input_polytope(pf), pf.blocks)
     else:
         # a V file is walked on its own points, with no conversion to H first
         total = count_lattice_points(pf.to_vpolyhedron() if pf.kind == "V"

@@ -9,24 +9,24 @@ feasible interval of x_k over each fixed prefix in closed form, so the
 search never leaves the projection and solves no LP.  The top of the chain,
 the projection onto every coordinate, is P itself, so an H input gives its
 own HPolyhedron.int_rows there.  Every count runs at most one conversion,
-one chain and one walk.  The walk closes its last two levels in
-closed form: over a fixed prefix, the count of the last coordinate is a
-difference of two lower envelopes of floor lines in the one before, summed
-piece by piece with the floor-sum recursion.  So the plain count and the
-Ehrhart walk take the widest coordinate last; the count does not depend on
-the order.  The walk carries an integer weight per point: the symmetric count
-walks only the sorted points of each block, a fundamental domain of the
-block action, and weighs each by its orbit size; the plain count is the same
-walk with singleton blocks, and the same walk taken depth first solves the
-ILP without blocks.  On top of that sit the Ehrhart quasi-polynomial
-(interpolated per residue class of the dilation factor on one chain whose
-right-hand sides scale with the dilate, and re-checked at one more dilate),
-the exact volume (a pulling triangulation whose faces are cut from the
-incidence masks of one double description), and a slice decomposition that
-splits an invariant polytope into fibers over the integral anchors of its
-invariant subspace.  The slice decomposition takes its block sums from
-symilp.block_sum_image and tests each candidate against integer facet rows
-of their projection, so no routine here solves an LP.
+one chain and one walk.  The walk closes its last two levels in closed form:
+over a fixed prefix, the count of the last coordinate is a difference of two
+lower envelopes of floor lines in the one before, summed piece by piece with
+the floor-sum recursion.  So the plain count and the Ehrhart walk take the
+widest coordinate last, spans rounded in integers on int_points; the count
+does not depend on the order.  The walk carries an integer weight per point:
+the symmetric count walks only the sorted points of each block, a
+fundamental domain of the block action, and weighs each by its orbit size;
+the plain count is the same walk with singleton blocks, and the same walk
+taken depth first solves the ILP without blocks.  On top of that sit the
+Ehrhart quasi-polynomial (interpolated per residue class of the dilation
+factor on one chain whose right-hand sides scale with the dilate, and
+re-checked at one more dilate), the exact volume (a pulling triangulation
+whose faces are cut from the incidence masks of one double description), and
+a slice decomposition that splits an invariant polytope into fibers over the
+integral anchors of its invariant subspace.  The slice decomposition takes
+its block sums from symilp.block_sum_image and tests each candidate against
+integer facet rows of their projection, so no routine here solves an LP.
 """
 
 from __future__ import annotations
@@ -140,12 +140,14 @@ def _widest_last(V: VPolyhedron, lam: int = 1) -> tuple[list[int], list[int]]:
     sorts by.
 
     spans[t] counts the integers between the least and the greatest
-    coordinate t of lam times V's points.  The order sorts the coordinates
-    by span, widest last, and puts every coordinate a ray moves after them
-    all; ties keep the given order.
+    coordinate t of lam times V's points, floor and ceiling taken in
+    integers on V.int_points.  The order sorts the coordinates by span,
+    widest last, and puts every coordinate a ray moves after them all; ties
+    keep the given order.
     """
-    spans = [floor(lam * max(c)) - ceil(lam * min(c)) + 1 for c in zip(*V.vertices)]
-    moved = [any(r[t] for r in V.rays) for t in range(V.n)]
+    s, pts, rays = V.int_points
+    spans = [lam * max(c) // s + -lam * min(c) // s + 1 for c in zip(*pts)]
+    moved = [any(r[t] for r in rays) for t in range(V.n)]
     return sorted(range(V.n), key=lambda t: (moved[t], spans[t])), spans
 
 

@@ -10,19 +10,20 @@ Gauss-Jordan elimination of an integer matrix, which returns D times the
 reduced row echelon form.  Rational rows are scaled to integers first, which
 leaves the reduced form unchanged, so rank, det, nullspace,
 integer_nullspace, row_space_basis, solve_linear, invert_matrix,
-hull_coordinates and affinely_independent_subset read their results off it,
-and so do the integer affine frames on which symmetry detection checks
-relabelings.  The simplex of solve_lp pivots one integer tableau with the
-same row step, _bareiss_step.  A point list is scaled to integers as a
-whole by clear_denominators.  A polyhedron's derived forms are cached
-properties, each made at most once per object: int_rows and int_points, its
-rows and points in integers; frame, their integer affine frame, which
-records every relabeling it has realized; and HPolyhedron.dd, the one
-double description of an H-description.  The unimodular column reduction
-of integer_kernel_basis is a separate algorithm.
+hull_coordinates (coordinates and null space at once) and
+affinely_independent_subset read their results off it, and so do the integer
+affine frames on which symmetry detection checks relabelings.  The simplex
+of solve_lp pivots one integer tableau of P.int_rows with the same row step,
+_bareiss_step, so its point depends on the polyhedron alone.  A point list
+is scaled to integers as a whole by clear_denominators.  A polyhedron's
+derived forms are cached properties, each made at most once per object:
+int_rows and int_points, its rows and points in integers; frame, their
+integer affine frame, which records every relabeling it has realized; and
+HPolyhedron.dd, the one double description of an H-description.  The
+unimodular column reduction of integer_kernel_basis is a separate algorithm.
 
-Representation conversion is one integer double description, dd_cone, of
-a homogenization cone that only integer_h_to_v (integer rows to points and
+Representation conversion is one integer double description, dd_cone, of a
+homogenization cone that only integer_h_to_v (integer rows to points and
 rays) and integer_v_to_h (points and rays to primitive rows) build; both
 return the input elements each output element is tight on, and
 convert_dd_incidence wraps them in Fraction.  remove_redundancy (through
@@ -214,10 +215,11 @@ def row_space_basis(rows: Sequence[Sequence]) -> Matrix:
     return tuple(tuple(Fraction(x, D) for x in m[r]) for r in range(len(pivots)))
 
 
-def _kernel(rows: Iterable[Sequence[int]], n: int) -> tuple[int, list[list[int]]]:
-    """(D, vectors): D times the null space basis of an integer matrix read
-    off its reduced row echelon form, one vector per free column j, which
-    holds D in column j and 0 in the other free columns."""
+def _kernel(rows: Iterable[Sequence[int]], n: int) -> tuple[list[int], list[tuple[int, ...]]]:
+    """(pivots, basis): the pivot columns of one elimination of an integer
+    matrix, and its null space basis read off the reduced row echelon form,
+    one primitive vector per free column j, positive in column j and 0 in
+    the other free columns."""
     D, pivots, m, _ = gauss_jordan(rows)
     basis = []
     for j in range(n):
@@ -227,8 +229,8 @@ def _kernel(rows: Iterable[Sequence[int]], n: int) -> tuple[int, list[list[int]]
         v[j] = D
         for row, pc in zip(m, pivots):
             v[pc] = -row[j]
-        basis.append(v)
-    return D, basis
+        basis.append(primitive(v if D > 0 else [-x for x in v]))
+    return pivots, basis
 
 
 def nullspace(rows: Sequence[Sequence], n: Optional[int] = None) -> Matrix:
@@ -236,15 +238,15 @@ def nullspace(rows: Sequence[Sequence], n: Optional[int] = None) -> Matrix:
     reduced row echelon form."""
     if n is None:
         n = len(rows[0]) if rows else 0
-    D, basis = _kernel((integerize(r) for r in rows), n)
-    return tuple(tuple(Fraction(x, D) for x in v) for v in basis)
+    pivots, basis = _kernel((integerize(r) for r in rows), n)
+    free = [j for j in range(n) if j not in pivots]
+    return tuple(tuple(Fraction(x, v[j]) for x in v) for v, j in zip(basis, free))
 
 
 def integer_nullspace(rows: Iterable[Sequence[int]], n: int) -> list[tuple[int, ...]]:
     """nullspace of an integer matrix with each basis vector scaled by a
     positive factor to a primitive integer vector."""
-    D, basis = _kernel(rows, n)
-    return [primitive(v if D > 0 else [-x for x in v]) for v in basis]
+    return _kernel(rows, n)[1]
 
 
 def solve_linear(A: Sequence[Sequence], b: Sequence) -> Optional[Vector]:
@@ -553,9 +555,11 @@ def solve_lp(P: HPolyhedron, c: Sequence, maximize: bool = True) -> LPResult:
     The variables are x = u - w with u, w >= 0, a slack per inequality row
     and an artificial per row whose slack cannot start the basis (an
     equality row, or a row with b < 0, which is negated).  The tableau is
-    the rational one times s, the lcm of every denominator of A and b, and
-    is pivoted in integers by _bareiss_step, as lrs pivots (Avis, "lrs: a
-    revised implementation of the reverse search vertex enumeration
+    built from P.int_rows, each row the primitive integer (a | b), so the
+    argmax depends only on the polyhedron and not on how its rows are
+    scaled; a polyhedron with no rows is the whole space of c's dimension.
+    It is pivoted in integers by _bareiss_step, as lrs pivots (Avis, "lrs:
+    a revised implementation of the reverse search vertex enumeration
     algorithm", 2000).  A row that has been a pivot row holds D times its
     rational row, and any other row a fixed positive multiple of D times
     it, so signs and ratios read the integers directly and every entry is,
@@ -569,25 +573,23 @@ def solve_lp(P: HPolyhedron, c: Sequence, maximize: bool = True) -> LPResult:
         if res.status == "optimal":
             return LPResult("optimal", -res.value, res.point)
         return res
-    m, n = P.m, P.n
+    m, n = P.m, (P.n if P.A else len(c))    # no rows: the whole space of c
     if n != len(c):
         raise ValueError("objective length does not match dimension")
     total = 2 * n + m                 # u, w and the slacks; then artificials
-    s = lcm(*(x.denominator for row in (*P.A, P.b) for x in row))
     eq = set(P.equality_rows)
-    art = [i + 1 in eq or bb < 0 for i, bb in enumerate(P.b)]
+    art = [i + 1 in eq or row[-1] < 0 for i, row in enumerate(P.int_rows)]
     k = sum(art)
     arts = iter(range(total, total + k))
     M: list[list[int]] = []
     basis: list[int] = []
-    for i, (a, bb) in enumerate(zip(P.A, P.b)):
-        g = -s if bb < 0 else s       # rows are negated to a nonnegative rhs
-        a = [x.numerator * (g // x.denominator) for x in a]
-        row = a + [-x for x in a] + [0] * (m + k) + [bb.numerator * (g // bb.denominator)]
+    for i, (*a, bb) in enumerate(P.int_rows):
+        g = -1 if bb < 0 else 1       # rows are negated to a nonnegative rhs
+        row = [g * x for x in a] + [-g * x for x in a] + [0] * (m + k) + [g * bb]
         if i + 1 not in eq:
             row[2 * n + i] = g
         basis.append(next(arts) if art[i] else 2 * n + i)
-        row[basis[-1]] = s
+        row[basis[-1]] = 1
         M.append(row)
     # row m: -c.x, minimized in phase 2; row m + 1: the sum of the
     # artificials, minimized in phase 1, with the basic ones priced out
@@ -950,21 +952,20 @@ def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
     return AffineHull(base, row_space_basis(diffs) if diffs else ())
 
 
-def hull_coordinates(points: Sequence[Sequence]) -> list[tuple]:
-    """Coordinates of every point in the affine hull of the list, as
-    affine_hull(points).coordinates(p) gives them.
-
-    affine_hull stores its directions as the rows of the reduced row echelon
-    form of the differences p - points[0], so the coordinates of p are the
-    entries of p - points[0] at the pivot columns: one elimination for the
-    whole list, and integer coordinates for integer points.
+def hull_coordinates(points: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[tuple]]:
+    """(normals, coordinates) from one elimination of the differences
+    p - points[0]: their integer_nullspace, and the coordinates of every
+    point in the affine hull of the list, as affine_hull(points).coordinates
+    gives them.  affine_hull's directions are the rows of the reduced row
+    echelon form of the differences, so the coordinates of p are the entries
+    of p - points[0] at the pivot columns, integers for integer points.
     """
     if not points:
         raise EmptyPolyhedronError("no points given")
     base = points[0]
     diffs = [tuple(map(sub, p, base)) for p in points]
-    pivots = gauss_jordan(integerize(r) for r in diffs[1:])[1]
-    return [tuple(r[c] for c in pivots) for r in diffs]
+    pivots, normals = _kernel((integerize(r) for r in diffs[1:]), len(base))
+    return normals, [tuple(r[c] for c in pivots) for r in diffs]
 
 
 def affinely_independent_subset(points: Sequence[Sequence]) -> list[int]:

@@ -19,12 +19,12 @@ of its orbit's expansion.  Everything runs serially on one thread.
 
 The facet walk runs in integer arithmetic, on VPolyhedron.int_points: one
 scale per polytope, which keeps every incidence set and every choice of the
-walk.  Supporting rows are primitive integer rows
-from an integer null space, a rotation about a ridge compares the
-parameters of the pencil by cross-multiplying integers, and the coordinates
-of a facet's vertices in its hull are read off the pivot columns of one
-elimination (polycore.hull_coordinates).  A lower-dimensional input is
-walked in its integer hull coordinates; the ambient row of a facet is the
+walk.  One elimination of a facet's vertices (polycore.hull_coordinates)
+gives both its supporting row, a primitive integer null vector, and the
+vertices' coordinates in its hull; a rotation about a ridge compares the
+parameters of the pencil by cross-multiplying integers.  A
+lower-dimensional input is walked in the integer hull coordinates of the
+same kind of elimination; the ambient row of a facet is the
 one primitive row on its scaled ambient points that is orthogonal to the
 integer hull normals, so no row is lifted back through a pseudo-inverse.
 A plain conversion is one polycore.integer_v_to_h of the points, whose
@@ -88,24 +88,18 @@ from .symdetect import are_affine_symmetries
 # so recursion only ever passes index sets around.
 
 
-def _supporting_row(pts: Sequence[Sequence[int]], S: frozenset, normals: Sequence = ()
+def _supporting_row(pts: Sequence[Sequence[int]], S: frozenset, ns: Sequence[Sequence[int]]
                     ) -> tuple[tuple[int, ...], int]:
     """(a, delta), primitive, with a.x <= delta over pts and equality
-    exactly on S, and a orthogonal to every row of normals.
-
-    S must be the full incidence set of a facet, so the normal direction is
-    unique up to scale and every point off S is strictly below the hyperplane.
-    Without normals the points must span their space; with the hull normals
-    of a lower-dimensional list, the row is the one in the direction space.
+    exactly on S, read off ns, the integer null space of the differences of
+    S's points (and of the hull normals of a lower-dimensional list) that
+    the caller has computed.  S must be the full incidence set of a facet,
+    so ns holds one vector and every point off S is strictly below it.
     """
-    members = sorted(S)
-    base = pts[members[0] - 1]
-    ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in members[1:]]
-                           + list(normals), len(base))
     if len(ns) != 1:
         raise PolyhedronError("index set does not span a facet")
     a = ns[0]
-    delta = sum(map(mul, a, base))
+    delta = sum(map(mul, a, pts[min(S) - 1]))
     for j, p in enumerate(pts):
         if (j + 1) in S:
             continue
@@ -210,8 +204,8 @@ def _neighbor_facets(pts: Sequence[Sequence[int]], G: PermutationGroup, orb: Set
     ridges in one stabilizer orbit lead to neighbors in one facet orbit."""
     members = orb.representative
     F = frozenset(members)
-    c, delta = _supporting_row(pts, F)
-    local = hull_coordinates([pts[i - 1] for i in members])
+    normals, local = hull_coordinates([pts[i - 1] for i in members])
+    c, delta = _supporting_row(pts, F, normals)
     return (_neighbor_facet(pts, F, c, delta, frozenset(members[j - 1] for j in R))
             for R in _ridges(G, orb, local, levels, depth))
 
@@ -323,15 +317,17 @@ class _Geometry:
             raise EmptyPolyhedronError("no points given")
         if len(set(self.ambient)) != len(self.ambient):
             raise PolyhedronError("duplicate points in the input")
-        base = self.ambient[0]
-        self.normals = integer_nullspace(
-            [tuple(map(sub, p, base)) for p in self.ambient[1:]], len(base))
-        self.local = hull_coordinates(self.ambient) if self.normals else self.ambient
+        self.normals, local = hull_coordinates(self.ambient)
+        self.local = local if self.normals else self.ambient
 
     def ambient_row(self, S: frozenset) -> tuple[int, ...]:
         """The primitive integer (a | b) of the facet on S: a.x <= delta on
         the scaled points is (scale a).x <= delta on the given ones."""
-        a, delta = _supporting_row(self.ambient, S, self.normals)
+        members = sorted(S)
+        base = self.ambient[members[0] - 1]
+        ns = integer_nullspace([tuple(map(sub, self.ambient[i - 1], base)) for i in members[1:]]
+                               + self.normals, len(base))
+        a, delta = _supporting_row(self.ambient, S, ns)
         return primitive(tuple(self.scale * x for x in a) + (delta,))
 
 

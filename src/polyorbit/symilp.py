@@ -15,18 +15,19 @@ products of symmetric groups acting on coordinate blocks a single balanced
 point per fiber decides integral feasibility of the whole fiber.
 
 The block machinery indexes fibers by integer block sums; the barycenters of
-integral orbits form the scaled lattice with steps 1/n_j per block.  The
-ILP reads P as one list of primitive integer rows (a | b), P.int_rows: the
-invariance check, the block-sum box and the sweep all take it.  An
-invariant P holds the barycenter of each of its points, with the same block
-sums, so the block sums of P are read off one integer_h_to_v of P on the
-fixed space, in one coordinate per block; the ILP's integer box and
-block_sum_image, from which the slice decomposition of latcount takes its
-ranges, come from it, without an LP.  Fibers are
-ordered by integer keys summed from per-block terms, in one stable sort of
-their indices.  The sweep tests each fiber's balanced point against one
-row per row orbit of P, in closed form by the rearrangement inequality and
-in integer arithmetic, with the orbit that rejected the last probe first.
+integral orbits form the scaled lattice with steps 1/n_j per block.  The ILP
+reads P as one list of primitive integer rows (a | b), P.int_rows: the
+invariance check, the block-sum box and the sweep all take it.  An invariant
+P holds the barycenter of each of its points, with the same block sums, so
+the block sums of P are read off one integer_h_to_v of P on the fixed space,
+in one coordinate per block; the ILP's integer box and block_sum_image, from
+which the slice decomposition of latcount takes its ranges, come from it,
+without an LP.  Fibers are ordered by integer keys summed from per-block
+terms, in one stable sort of their indices; the LP whose point orders a
+feasibility sweep pivots P.int_rows too.  The sweep tests each fiber's
+balanced point against one row per row orbit of P, in closed form by the
+rearrangement inequality and in integer arithmetic, with the orbit that
+rejected the last probe first.
 """
 from __future__ import annotations
 
@@ -490,6 +491,7 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     description of P on the fixed space; an unbounded extent, or more than
     _FIBER_BUDGET fibers, is refused.  Feasibility takes them nearest (in l1
     distance of the block sums) to the point of one LP relaxation first,
+    which solve_lp reads off P.int_rows, so the order is the polyhedron's;
     optimization in decreasing fiber objective, by integer keys summed from
     per-block terms; ties go to the lexicographically smaller sums.  Per
     fiber only the balanced point needs testing: it is majorized blockwise

@@ -256,7 +256,7 @@ def _reference_pull(pts, face, fdim):
     if len(face) == fdim + 1:
         return [tuple(face)]
     v = face[0]
-    local = hull_coordinates([pts[j - 1] for j in face])
+    local = hull_coordinates([pts[j - 1] for j in face])[1]
     out = []
     for mask in convert_dd_incidence(VPolyhedron.from_points(local))[1]:
         child = sorted(face[j - 1] for j in index_set(mask))

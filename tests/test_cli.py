@@ -478,6 +478,19 @@ class TestCountCmd:
         code, _, err = run(capsys, "count", "--symmetric", FIX / "cube3.ine")
         assert code == 2 and "blocks" in err
 
+    @pytest.mark.parametrize("text", [
+        "V-representation\nbegin\n0 3 rational\nend\n",
+        "V-representation\nbegin\n1 3 rational\n0 1 0\nend\n",
+        "H-representation\nbegin\n0 3 rational\nend\n",
+    ], ids=["v-empty", "v-ray-only", "h-no-rows"])
+    def test_missing_blocks_header_is_checked_first(self, text, tmp_path, capsys):
+        # the header is checked before the input is converted: a body that
+        # would fail conversion (no points, no rows) gives the same error
+        f = tmp_path / "no-blocks.txt"
+        f.write_text(text)
+        assert run(capsys, "count", "--symmetric", f) == (
+            2, "", "error: --symmetric needs a blocks header in the input file\n")
+
     def test_empty_polytope_counts_zero(self, tmp_path, capsys):
         f = tmp_path / "empty.ine"
         f.write_text("H-representation\nbegin\n1 2 rational\n-1 0\nend\n")
@@ -585,6 +598,21 @@ class TestIlpCmd:
         code, out, _ = run(capsys, "ilp", f)
         assert code == 0
         assert out == "feasible\npoint -1 -1 -1\nobjective -3\nfibers tested 1\n"
+
+    def test_answer_does_not_depend_on_row_scaling(self, tmp_path, capsys):
+        # the same block system with three box rows scaled by 5, 4 and 3 and
+        # a row scaled by 1/9, and with every row primitive
+        rows = [((1, 0, 0, 0), 1), ((-1, 0, 0, 0), 3), ((0, 1, 0, 0), 1), ((0, -1, 0, 0), 3),
+                ((0, 0, 5, 0), 5), ((0, 0, -4, 0), 8), ((0, 0, 0, 1), 0), ((0, 0, 0, -3), 3),
+                ((2, 2, -3, 1), -3), ((0, 0, 1, 1), F(-1, 3))]
+        outs = []
+        for name, scale in [("scaled", False), ("primitive", True)]:
+            body = [primitive((bb, *(-x for x in a))) if scale else (bb, *(-x for x in a))
+                    for a, bb in rows]
+            f = tmp_path / f"{name}.ine"
+            f.write_text(write_polyfile(PolyFile("H", matrix(body), blocks=(2, 1, 1))))
+            outs.append(run(capsys, "ilp", f))
+        assert outs[0] == outs[1] == (0, "feasible\npoint -1 -1 0 -1\nfibers tested 4\n", "")
 
     def test_no_blocks_walks_without_warning(self, capsys):
         # without blocks the answer is the lex-least point of the counting walk

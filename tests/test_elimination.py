@@ -223,8 +223,11 @@ def test_hull_coordinates_are_affine_hull_coordinates(seed):
             if integer:
                 pts = [tuple(int(x) for x in p) for p in pts]
             hull = affine_hull(pts)
-            coords = hull_coordinates(pts)
+            normals, coords = hull_coordinates(pts)
             assert coords == [hull.coordinates(p) for p in pts]
+            # the normals are the null space of the same differences
+            diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
+            assert normals == [primitive(v) for v in ref_nullspace(diffs, n)]
             assert all(len(y) == hull.dim for y in coords)
             if integer:
                 assert all(type(x) is int for y in coords for x in y)
@@ -237,7 +240,7 @@ def test_empty_and_degenerate_inputs():
     assert nullspace([], 2) == ((1, 0), (0, 1))
     assert nullspace([(0, 0)], 2) == ((1, 0), (0, 1))
     assert integer_nullspace([], 2) == [(1, 0), (0, 1)]
-    assert hull_coordinates([(1, 2), (1, 2)]) == [(), ()]
+    assert hull_coordinates([(1, 2), (1, 2)]) == ([(1, 0), (0, 1)], [(), ()])
     with pytest.raises(EmptyPolyhedronError):
         hull_coordinates([])
     assert solve_linear([], []) == ()

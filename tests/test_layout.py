@@ -10,7 +10,8 @@ of the decompositions build no map, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
 integers, the symmetric ILP and its membership check read integer rows,
 the simplex pivots one integer tableau, and a polyhedron's rows and points
-become integers only through its own int_rows and int_points, and are
+become integers only through its own int_rows and int_points, which are
+also the only place they are rounded or have denominators read, and are
 converted and framed only through its own dd and frame, and only polycore
 builds a homogenization cone: outside it, only the tangent cones of
 repconv._idm_orbits call dd_cone."""
@@ -130,15 +131,16 @@ def test_facet_walk_builds_no_fraction():
 
 
 def test_counting_walk_builds_no_fraction():
-    # the walk and its closed-form last two levels run on integer rows
-    walk = {"_walk", "_fiber", "_plane_count", "_envelope_sum", "_floor_sum"}
+    # the walk, its closed-form last two levels and the order it takes the
+    # coordinates in run on integer rows and points
+    walk = {"_walk", "_fiber", "_plane_count", "_envelope_sum", "_floor_sum", "_widest_last"}
+    banned = {"Fraction", "frac", "dot", "floor", "ceil"}
     tree = ast.parse((PACKAGE / "latcount.py").read_text())
     fns = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in walk]
     assert {fn.name for fn in fns} == walk
     for fn in fns:
         called = _called(fn)
-        assert not called & {"Fraction", "frac", "dot"}, \
-            f"{fn.name} calls {sorted(called & {'Fraction', 'frac', 'dot'})}"
+        assert not called & banned, f"{fn.name} calls {sorted(called & banned)}"
 
 
 def test_adjacency_graph_converts_nothing():
@@ -305,3 +307,58 @@ def test_polyhedron_data_becomes_integer_only_through_its_own_form(source):
             ("VPolyhedron", "frame"): {"_IntegerFrame"}}
     else:
         assert not _called(tree) & {"_h_to_v", "_IntegerFrame"}, f"{source.name} builds a form"
+
+
+def _hand_rounded(tree: ast.AST) -> list[int]:
+    """Lines where a function outside int_rows and int_points takes lcm,
+    floor or ceil of a polyhedron's A, b, vertices or rays, or reads their
+    numerator or denominator: directly, or through a name bound by a loop,
+    a comprehension or an assignment over them."""
+    data = {"A", "b", "vertices", "rays"}
+    bad = []
+    for fn in ast.walk(tree):
+        if not isinstance(fn, ast.FunctionDef) or fn.name in {"int_rows", "int_points"}:
+            continue
+        tainted: set = set()
+
+        def reads(node):
+            return any(isinstance(x, ast.Attribute) and x.attr in data
+                       or isinstance(x, ast.Name) and x.id in tainted for x in ast.walk(node))
+
+        binds = [(n.target, n.iter) for n in ast.walk(fn)
+                 if isinstance(n, (ast.For, ast.comprehension))]
+        binds += [(t, n.value) for n in ast.walk(fn) if isinstance(n, ast.Assign)
+                  for t in n.targets]
+        grew = True
+        while grew:
+            names = {x.id for target, value in binds if reads(value)
+                     for x in ast.walk(target) if isinstance(x, ast.Name)}
+            grew, tainted = not names <= tainted, tainted | names
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Call) and (getattr(node.func, "id", None) or getattr(
+                    node.func, "attr", None)) in {"lcm", "floor", "ceil"} and any(
+                    reads(arg) for arg in node.args):
+                bad.append(node.lineno)
+            elif isinstance(node, ast.Attribute) and node.attr in {"numerator", "denominator"} \
+                    and reads(node.value):
+                bad.append(node.lineno)
+    return sorted(set(bad))
+
+
+def test_hand_rounding_rule_sees_a_rescaled_tableau_and_rounded_vertices():
+    # the forms solve_lp and _widest_last took before they read the cached ones
+    for text, lines in [
+            ("def f(P):\n    return lcm(*(x.denominator for row in P.A for x in row))\n", [2]),
+            ("def f(P):\n    for a, bb in zip(P.A, P.b):\n        g = bb.numerator\n", [3]),
+            ("def f(V, t):\n    return [floor(t * max(c)) for c in zip(*V.vertices)]\n", [2]),
+            ("def f(V, t):\n    s, pts, _ = V.int_points\n    return [t * max(c) // s for c in zip(*pts)]\n",
+             [])]:
+        assert _hand_rounded(ast.parse(text)) == lines, text
+
+
+@pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_polyhedron_data_is_rounded_only_in_its_own_form(source):
+    # the simplex pivots P.int_rows and the counting walk orders coordinates
+    # on V.int_points, so neither depends on how the input scales its data
+    bad = _hand_rounded(ast.parse(source.read_text()))
+    assert not bad, f"{source.name} rounds or rescales polyhedron data at lines {bad}"

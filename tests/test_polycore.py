@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from polyorbit.polycore import (
     EmptyPolyhedronError,
     HPolyhedron,
+    LPResult,
     PolyhedronError,
     VPolyhedron,
     affine_hull,
@@ -221,23 +222,24 @@ class TestSolveLP:
         assert res.value == F(1, 20)
 
     def test_matches_fraction_reference(self):
-        # status, value and point equal those of the Fraction simplex, so
-        # every pivot is the same; of the 3,000 seeded systems, 828 are
-        # optimal, 1,248 infeasible and 924 unbounded, and 15 drive a
-        # leftover artificial out on a negative pivot
+        # status, value and point equal those of the Fraction simplex on the
+        # primitive rows, so every pivot is the same; of the 3,000 seeded
+        # systems, 828 are optimal, 1,248 infeasible and 924 unbounded, and
+        # 15 drive a leftover artificial out on a negative pivot
         P, c = BEALE
         cases = [(P, c, True), (P, c, False), (P, (0,) * 4, True)]
         rng = random.Random(25)
         cases += [seeded_lp(rng) for _ in range(3000)]
         for P, c, maximize in cases:
-            assert solve_lp(P, c, maximize) == reference_solve_lp(P, c, maximize), (P, c, maximize)
+            Q = HPolyhedron.from_rows([r[:-1] for r in P.int_rows], [r[-1] for r in P.int_rows],
+                                      P.equality_rows)
+            assert solve_lp(P, c, maximize) == reference_solve_lp(Q, c, maximize), (P, c, maximize)
 
     def test_scaled_rows_keep_status_and_value(self):
         # a positive scale per row changes the polyhedron's int_rows not at
-        # all, and status and value not at all; the point is the reference
-        # simplex's on the scaled rows, and an optimum of the unscaled ones
-        # (phase 1 minimizes the sum of the artificials in the units of the
-        # rows, so the argmax among alternative optima may move)
+        # all, so it changes no LPResult: the tableau is built from the
+        # primitive rows, and the argmax among alternative optima is the
+        # polyhedron's, not its rows'
         rng = random.Random(27)
         statuses = set()
         for _ in range(1000):
@@ -246,13 +248,19 @@ class TestSolveLP:
             Q = HPolyhedron.from_rows([[g * x for x in a] for a, g in zip(P.A, f)],
                                       [g * x for x, g in zip(P.b, f)], P.equality_rows)
             assert Q.int_rows == P.int_rows
-            res, scaled = solve_lp(P, c, maximize), solve_lp(Q, c, maximize)
-            assert scaled == reference_solve_lp(Q, c, maximize)
-            assert (scaled.status, scaled.value) == (res.status, res.value)
-            if scaled.is_optimal:
-                assert P.contains(scaled.point) and dot(c, scaled.point) == res.value
+            res = solve_lp(P, c, maximize)
+            assert solve_lp(Q, c, maximize) == res
+            if res.is_optimal:
+                assert P.contains(res.point) and dot(c, res.point) == res.value
             statuses.add(res.status)
         assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    def test_no_rows_is_the_whole_space(self):
+        # a polyhedron with no rows takes its dimension from the objective
+        P = HPolyhedron.from_rows([], [])
+        assert solve_lp(P, [1]).status == "unbounded"
+        assert solve_lp(P, [1], maximize=False).status == "unbounded"
+        assert solve_lp(P, [0, 0]) == LPResult("optimal", 0, (0, 0))
 
     def test_equality_via_pair(self):
         # x + y = 1 facet trick, maximize x with x,y >= 0

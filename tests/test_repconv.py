@@ -666,17 +666,14 @@ def test_walk_ledger_graph_rotates_no_ridge(monkeypatch):
 # integer facet walk against the Fraction reference
 
 
-def _ref_supporting_row(pts, S, normals=()):
-    """The Fraction form of repconv._supporting_row."""
-    d = len(pts[0])
-    members = sorted(S)
-    base = pts[members[0] - 1]
-    dirs = [vec_sub(pts[i - 1], base) for i in members[1:]] + [vector(v) for v in normals]
-    ns = nullspace(dirs, d)
+def _ref_supporting_row(pts, S, ns):
+    """The Fraction form of repconv._supporting_row, which also checks that
+    the given null space vector is constant on S."""
     if len(ns) != 1:
         raise PolyhedronError("index set does not span a facet")
     a = vector(ns[0])
-    delta = dot(a, base)
+    delta = dot(a, pts[min(S) - 1])
+    assert all(dot(a, pts[i - 1]) == delta for i in S)
     for j in range(len(pts)):
         if (j + 1) in S:
             continue
@@ -698,7 +695,9 @@ def _ref_ambient_row(points, S):
     hull = affine_hull(points)
     D = hull.directions
     M = mat_mul(invert_matrix(mat_mul(D, transpose(D))), D)
-    a, delta = _ref_supporting_row([hull.coordinates(p) for p in points], S)
+    local = [hull.coordinates(p) for p in points]
+    ns = _ref_hull_coordinates([local[i - 1] for i in sorted(S)])[0]
+    a, delta = _ref_supporting_row(local, S, ns)
     a_amb = mat_vec(transpose(M), a)
     return primitive(tuple(a_amb) + (delta + dot(a_amb, hull.point),))
 
@@ -729,8 +728,11 @@ def _ref_rotate_about(pts, face, c, delta, skip, away=None):
 
 
 def _ref_hull_coordinates(pts):
+    """The Fraction form of hull_coordinates: the normals are the primitive
+    forms of the null space of the hull's directions."""
     hull = affine_hull(pts)
-    return [hull.coordinates(p) for p in pts]
+    normals = [primitive(v) for v in nullspace(hull.directions, len(pts[0]))]
+    return normals, [hull.coordinates(p) for p in pts]
 
 
 def _affine_image(V, seed, extra):
@@ -785,7 +787,7 @@ def test_integer_walk_kernel_matches_fraction_reference(name):
     V = WALK_INPUTS[name]()
     geo = repconv._Geometry(V)
     pts, scale = geo.local, geo.scale
-    ref = _ref_hull_coordinates(list(V.vertices)) if geo.normals else list(V.vertices)
+    ref = _ref_hull_coordinates(list(V.vertices))[1] if geo.normals else list(V.vertices)
     assert list(pts) == [tuple(scale * x for x in p) for p in ref]
     assert all(type(x) is int for p in pts for x in p)
 
@@ -809,11 +811,12 @@ def test_integer_walk_kernel_matches_fraction_reference(name):
     # supporting rows of the first facets and the rotation about each ridge
     facets = [index_set(m) for m in convert_dd_incidence(VPolyhedron.from_points(ref))[1]]
     for F in facets[:12]:
-        a, delta = repconv._supporting_row(pts, F)
-        ref_a, ref_delta = _ref_supporting_row(ref, F)
-        assert _same_row(a, delta, scale, ref_a, ref_delta)
         members = sorted(F)
-        local = hull_coordinates([ref[i - 1] for i in members])
+        normals, local = hull_coordinates([pts[i - 1] for i in members])
+        ref_normals, local = _ref_hull_coordinates([ref[i - 1] for i in members])
+        a, delta = repconv._supporting_row(pts, F, normals)
+        ref_a, ref_delta = _ref_supporting_row(ref, F, ref_normals)
+        assert _same_row(a, delta, scale, ref_a, ref_delta)
         for mask in convert_dd_incidence(VPolyhedron.from_points(local))[1]:
             R = frozenset(members[j - 1] for j in index_set(mask))
             f0 = next(i for i in members if i not in R)

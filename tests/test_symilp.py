@@ -842,6 +842,62 @@ class TestOrbitSweepOracle:
                 assert z is None and not calls
 
 
+# ---------------------------------------------------------------------------
+# an ilp answer depends on the polyhedron, not on how its rows are scaled
+
+
+def rescale_row_orbits(rng, P, blocks):
+    """P with each orbit of rows under the block action multiplied by its
+    own positive rational factor: the same polyhedron, the same int_rows."""
+    elems = list(block_group(blocks).elements())
+    eq = set(P.equality_rows)
+    factor = {}
+    A, b = [], []
+    for i, (a, bb) in enumerate(zip(P.A, P.b), start=1):
+        orbit = frozenset(primitive(apply_perm(g, a) + (bb,)) for g in elems)
+        f = factor.setdefault((orbit, i in eq), F(rng.randint(1, 9), rng.randint(1, 4)))
+        A.append(tuple(f * x for x in a))
+        b.append(f * bb)
+    return HPolyhedron.from_rows(A, b, P.equality_rows)
+
+
+class TestRowScaleInvariance:
+    # x1, x2 in [-3, 1], x3 in [-2, 1], x4 in [-1, 0] with three rows scaled by 5,
+    # 4 and 3, a row 2x1 + 2x2 - 3x3 + x4 <= -3, and 3x3 + 3x4 <= -1 scaled
+    # by 1/9: a block system whose relaxation point once moved with the scale
+    ROWS = [((1, 0, 0, 0), 1), ((-1, 0, 0, 0), 3), ((0, 1, 0, 0), 1), ((0, -1, 0, 0), 3),
+            ((0, 0, 5, 0), 5), ((0, 0, -4, 0), 8), ((0, 0, 0, 1), 0), ((0, 0, 0, -3), 3),
+            ((2, 2, -3, 1), -3), ((0, 0, 1, 1), F(-1, 3))]
+
+    def test_primitive_copy_gives_the_same_answer(self):
+        P = HPolyhedron.from_rows([a for a, _ in self.ROWS], [bb for _, bb in self.ROWS])
+        Q = HPolyhedron.from_rows([r[:-1] for r in P.int_rows], [r[-1] for r in P.int_rows])
+        assert Q.A != P.A and Q.int_rows == P.int_rows
+        assert solve_lp(Q, zero_vector(4)) == solve_lp(P, zero_vector(4))
+        assert symmetric_ilp(P, (2, 1, 1)) == symmetric_ilp(Q, (2, 1, 1)) == ((-1, -1, 0, -1), 4)
+
+    def test_rescaled_row_orbits_give_the_same_answer(self):
+        # rational systems for the relaxation point that orders a feasibility
+        # sweep, orbit systems with objectives for the fiber order by value
+        rng = random.Random(1)
+        shapes = TestIntegerSweepOracle.SHAPES + [(2, 1, 1), (3, 1), (2, 2, 1)]
+        seen = set()
+        for t in range(400):
+            blocks = shapes[t % len(shapes)]
+            if t % 4:
+                P = rational_invariant_system(rng, blocks, ("lattice", "off-lattice", "window")[t % 3])
+                c = None
+            else:
+                P = orbit_system(rng, blocks, TestOrbitSweepOracle.MODES[t // 4 % 4])
+                c = per_block(blocks, [rng.randint(-2, 2) for _ in blocks])
+            Q = rescale_row_orbits(rng, P, blocks)
+            assert Q.int_rows == P.int_rows
+            got = symmetric_ilp(P, blocks, c)
+            assert symmetric_ilp(Q, blocks, c) == got, (t, blocks)
+            seen.add((c is None, got[0] is None))
+        assert seen == {(a, b) for a in (False, True) for b in (False, True)}
+
+
 def perm_matrices(G):
     """Generators of a permutation group as matrices, (M x)_{g(i)} = x_i."""
     out = []
