@@ -1,46 +1,44 @@
 """Affine symmetry detection for polytopes.
 
 The detector reduces geometry to combinatorics, and does its linear algebra
-once per polyhedron, in integers, on polycore's fraction-free Gauss-Jordan
-kernel.  The homogenized vertices (1, v), scaled by one common denominator,
-are integer rows X.  The pivot columns of X^t are a greedy row basis B (an
-affine basis of the vertices), and those of X_B are the pivot columns C; the
-adjugate of the square matrix [X_B; (0, e_j) for j not in C], read off the
-elimination of [N | I], gives integer coefficients L and a scalar D with
-D X_j = sum_b L_jb X_b for every vertex j, each identity checked exactly.
-This is the integer affine frame of the point set, VPolyhedron.frame, made
-once per object in polycore.
+once per polyhedron, in integers.  Its rows X are the homogenized vertices
+(1, v) scaled by one common denominator, or the primitive homogenized rows
+(a | b) of an H-description, on which any affine symmetry acts linearly.
+Their integer affine frame, VPolyhedron.frame or HPolyhedron.frame, made
+once per object in polycore, holds a greedy row basis B, the pivot columns
+C of X_B, and integer coefficients L and a scalar D with D X_j = sum_b L_jb
+X_b for every row j, each identity checked exactly.
 
-The complete graph on vertex indices is edge-colored with the affine
-invariant c_i^t Q^{-1} c_j of the vertices c_i centered at their barycenter,
-Q = sum c_i c_i^t, read off L in integers.  Color-preserving graph
-automorphisms are exactly the candidate symmetries.  A candidate sigma is an
-affine symmetry exactly when the frame's identities survive relabeling,
-D X_sigma(j) = sum_b L_jb X_sigma(b).  Its map is one integer product with
-the frame's adjugate, which moves the basis vertices to their images by
-construction, and one verification pass checks it on every other vertex:
-that pass holds exactly when the identities survive, so nothing reported can
-fail to be a symmetry.  The frame records each relabeling it has checked, so
-the group check of a decomposition run after detection on the same object
-realizes no generator again.  Detection keeps permutations; a map in
-Fractions is built only on request.
+The complete graph on row indices is edge-colored with the invariant of
+Bremner, Dutour Sikiric, Pasechnik, Rehn and Schuermann, "Computing
+symmetry groups of polyhedra" (2014): W = X (X^t X)^+ X^t, the orthogonal
+projection onto the column space of X.  W does not depend on the basis it
+is computed from, so it is read off the rows' own pivot columns Y = X[:, C],
+which span that space in far smaller integers than L: Q = Y^t Y is positive
+definite, dq = det Q > 0, and W = g / dq for the integer g = Y adj(Q) Y^t.  The
+search compares the ranks of the distinct g, which order as W does; only
+build_symmetry_graph makes rational colors, the centered W - 1/k.
+
+Color-preserving graph automorphisms are exactly the candidate symmetries.
+A candidate sigma is an affine symmetry exactly when the frame's identities
+survive relabeling, D X_sigma(j) = sum_b L_jb X_sigma(b).  Its map is one
+integer product with the frame's adjugate, which moves the basis rows to
+their images by construction, and one verification pass checks it on every
+other row, so nothing reported can fail to be a symmetry.  The frame records
+each relabeling it has checked, so the group check of a decomposition run
+after detection on the same object realizes no generator again.  Detection
+keeps permutations; a map in Fractions is built only on request.
 
 The automorphism search runs along one base and finds every basic orbit of
 the stabilizer chain on it, so the order of the group is the product of
-those orbits' sizes and its generators are a strong generating set.  When
-every candidate is realized, the group's chain is built from them at that
-order and sifts no Schreier generator.
-
-The same machinery applies to inequality rows: primitive homogenized rows
-(a | b) transform linearly under affine maps of the ambient space, so the
-uncentered gram of their frame, HPolyhedron.frame, detects the symmetries
-visible on the H-side.
+those orbits' sizes and its generators are a strong generating set, from
+which the group's chain is built at that order when every one is realized.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Optional, Sequence, Union
 
 from .polycore import (
@@ -49,6 +47,7 @@ from .polycore import (
     HPolyhedron,
     Matrix,
     PolyhedronError,
+    VerificationError,
     VPolyhedron,
     adjugate,
     gauss_jordan,
@@ -74,33 +73,29 @@ class SymmetryGraph:
 # Gram graph of an integer frame
 
 
-def _gram(frame, centered: bool) -> SymmetryGraph:
-    """Gram graph of a frame's rows, from their coefficients.
+def _gram(frame) -> tuple[list, list, int]:
+    """(rank, values, dq) of W = X (X^t X)^+ X^t = g / dq, the orthogonal
+    projection onto the column space of a frame's rows X.
 
-    With L the coefficient matrix, Q = L^t L and g = L (D_Q Q^{-1}) L^t,
-    the uncentered value X_i^t (sum_j X_j X_j^t)^+ X_j is g_ij / D_Q.  For
-    homogenized vertices (1, v) that value is 1/k plus the centered
-    c_i^t Q_c^{-1} c_j, which is what centered=True returns."""
-    lam = frame.coeffs
-    k = len(lam)
-    lcols = list(zip(*lam))
-    Q = [[sum(map(mul, u, v)) for v in lcols] for u in lcols]
-    dq, RQ = adjugate(Q)
-    rqcols = list(zip(*RQ))
-    Y = [tuple(sum(map(mul, x, col)) for col in rqcols) for x in lam]
-    classes: dict = {}         # g_ij -> pairs (i, j), i <= j; one value per g
-    for i in range(k):
-        yi = Y[i]
-        for j in range(i, k):
-            classes.setdefault(sum(map(mul, yi, lam[j])), []).append((i + 1, j + 1))
-    gram = [[None] * k for _ in range(k)]
-    color_classes = {}
-    for g, pairs in classes.items():
-        val = Fraction(k * g - dq, k * dq) if centered else Fraction(g, dq)
-        for i, j in pairs:
-            gram[i - 1][j - 1] = gram[j - 1][i - 1] = val
-        color_classes[val] = tuple(pairs)
-    return SymmetryGraph(k, tuple(map(tuple, gram)), color_classes)
+    W does not depend on the basis of that space it is computed from, so it
+    is computed from the rows' pivot columns Y, which span it: Q = Y^t Y is
+    positive definite, so dq = det Q > 0, and g = Y adj(Q) Y^t is an integer
+    matrix.  values are the distinct g_ij ascending and rank[i][j] the index
+    of g_ij, which orders pairs as W does."""
+    Y = [[row[c] for c in frame.pivots] for row in frame.rows]
+    ycols = list(zip(*Y))
+    Q = [[sum(map(mul, u, v)) for v in ycols] for u in ycols]
+    dq, RQ = adjugate(Q)        # symmetric, as Q is
+    if dq <= 0:
+        raise VerificationError("gram matrix of the frame is not positive definite")
+    G = [[0] * len(Y) for _ in Y]
+    for i, y in enumerate(Y):
+        z = [sum(map(mul, y, col)) for col in RQ]
+        for j in range(i, len(Y)):
+            G[i][j] = G[j][i] = sum(map(mul, z, Y[j]))
+    values = sorted({g for row in G for g in row})
+    rank = {g: r for r, g in enumerate(values)}
+    return [[rank[g] for g in row] for row in G], values, dq
 
 
 def _polytope_frame(V: VPolyhedron):
@@ -108,8 +103,9 @@ def _polytope_frame(V: VPolyhedron):
         raise PolyhedronError("symmetry graph requires a bounded polytope (no rays)")
     if not V.vertices:
         raise PolyhedronError("symmetry graph requires at least one vertex")
-    # the group acts on distinct points; convert refuses repeats too
-    if len(set(V.vertices)) != V.k:
+    # the group acts on distinct points, as convert does; one positive scale
+    # clears every denominator, so equal scaled points are equal points
+    if len(set(V.int_points[1])) != V.k:
         raise PolyhedronError("duplicate points in the input")
     return V.frame
 
@@ -118,9 +114,18 @@ def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
     """Invariant edge-colored graph of a polytope's vertex set.
 
     Unbounded inputs are rejected: rays have no barycenter to anchor the
-    affine-to-linear reduction.
+    affine-to-linear reduction.  The color of {i, j} is c_i^t Q_c^{-1} c_j
+    on the centered vertices, the value g_ij / dq of _gram less 1/k.
     """
-    return _gram(_polytope_frame(V), centered=True)
+    rank, values, dq = _gram(_polytope_frame(V))
+    k = len(rank)
+    colors = [Fraction(k * g - dq, k * dq) for g in values]
+    classes: dict = {}
+    for i in range(k):
+        for j in range(i, k):
+            classes.setdefault(colors[rank[i][j]], []).append((i + 1, j + 1))
+    return SymmetryGraph(k, tuple(tuple(colors[r] for r in row) for row in rank),
+                         {c: tuple(pairs) for c, pairs in classes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -129,16 +134,20 @@ def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
 
 def _refine_colors(gram: Sequence[Sequence[int]]) -> list:
     """Stable vertex coloring: start from diagonal colors, repeatedly refine
-    by the multiset of (neighbor color, edge color) pairs."""
-    k = len(gram)
-    ranked = sorted(set(gram[i][i] for i in range(k)))
-    lookup = {v: r for r, v in enumerate(ranked)}
-    colors = [lookup[gram[i][i]] for i in range(k)]
+    by the multiset of (neighbor color, edge color) pairs, each the integer
+    color * E + edge for E above every edge color, which orders as pairs do."""
+    E = 1 + max(map(max, gram))
+    diag = [row[i] for i, row in enumerate(gram)]
+    lookup = {v: r for r, v in enumerate(sorted(set(diag)))}
+    colors = [lookup[v] for v in diag]
     while True:
+        scaled = [c * E for c in colors]
         sigs = []
-        for i in range(k):
-            neigh = tuple(sorted((colors[j], gram[i][j]) for j in range(k) if j != i))
-            sigs.append((colors[i], neigh))
+        for i, row in enumerate(gram):
+            neigh = list(map(add, scaled, row))
+            del neigh[i]
+            neigh.sort()
+            sigs.append((colors[i], tuple(neigh)))
         ranked = sorted(set(sigs))
         lookup = {s: r for r, s in enumerate(ranked)}
         new = [lookup[s] for s in sigs]
@@ -147,21 +156,18 @@ def _refine_colors(gram: Sequence[Sequence[int]]) -> list:
         colors = new
 
 
-def _automorphism_search(Gr: SymmetryGraph) -> tuple[list, tuple, int]:
-    """(generators, base, order) of the automorphism group of Gr.
+def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, int]:
+    """(generators, base, order) of the automorphism group of the complete
+    graph whose edge {i+1, j+1} has the integer color gram[i][j].
 
     The search runs along the assignment order and finds every basic orbit
     of the stabilizer chain on that order, so the generators are a strong
     generating set on base, the points of the order whose basic orbit is
     nontrivial, and the order of the group is the product of those orbits'
     sizes."""
-    k = Gr.k
+    k = len(gram)
     if k <= 1:
         return [], (), 1
-    gram = [[0] * k for _ in range(k)]
-    for rank, value in enumerate(sorted(Gr.color_classes)):
-        for i, j in Gr.color_classes[value]:
-            gram[i - 1][j - 1] = gram[j - 1][i - 1] = rank
     colors = _refine_colors(gram)
     cell_size = {c: colors.count(c) for c in set(colors)}
     # assignment order: smallest color cells first, lowest index first
@@ -169,12 +175,10 @@ def _automorphism_search(Gr: SymmetryGraph) -> tuple[list, tuple, int]:
     # near[x][c]: the vertices y with gram[x][y] == c, ascending.  An image w
     # of v agrees with v on its color to the last assigned vertex a, so only
     # near[img[a]][gram[v][a]] is scanned, in the same ascending order.
-    near = []
-    for row in gram:
-        by_color: dict = {}
+    near: list = [{} for _ in range(k)]
+    for x, row in enumerate(gram):
         for y, c in enumerate(row):
-            by_color.setdefault(c, []).append(y)
-        near.append(by_color)
+            near[x].setdefault(c, []).append(y)
 
     def near_last(img: list, v: int, upto: int) -> list:
         a = order[upto - 1]
@@ -235,17 +239,12 @@ def _automorphism_search(Gr: SymmetryGraph) -> tuple[list, tuple, int]:
     found: list = []            # image lists (0-based) of the generators
 
     def orbit_of(v: int) -> set:
-        orb = {v}
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for x in frontier:
-                for g in found:
-                    y = g[x]
-                    if y not in orb:
-                        orb.add(y)
-                        nxt.append(y)
-            frontier = nxt
+        orb, reached = {v}, [v]
+        for x in reached:       # reached grows as the loop runs
+            for g in found:
+                if g[x] not in orb:
+                    orb.add(g[x])
+                    reached.append(g[x])
         return orb
 
     base, size = [], 1
@@ -261,10 +260,7 @@ def _automorphism_search(Gr: SymmetryGraph) -> tuple[list, tuple, int]:
             if w == v or w in orb or w in prefix or w in failed:
                 continue
             # prefix is fixed pointwise: check consistency against it directly
-            if colors[v] != colors[w]:
-                continue
-            ok = all(gram[v][order[p]] == gram[w][order[p]] for p in range(level))
-            if not ok:
+            if colors[v] != colors[w] or any(gram[v][x] != gram[w][x] for x in order[:level]):
                 continue
             g = complete(level, w)
             if g is None:
@@ -293,7 +289,8 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
     whole orbit under the generators found so far, which all fix the points
     before it.
     """
-    return _automorphism_search(Gr)[0]
+    rank = {value: r for r, value in enumerate(sorted(Gr.color_classes))}
+    return _automorphism_search([[rank[v] for v in row] for row in Gr.gram])[0]
 
 
 def _detected_group(search: tuple[list, tuple, int], realizer, degree: int
@@ -322,11 +319,10 @@ class _VertexRealizer:
     def __init__(self, V: VPolyhedron):
         if V.rays:
             raise PolyhedronError("affine realization requires a bounded polytope")
-        self.k = V.k
         self.frame = V.frame
 
     def realize(self, sigma: Permutation) -> Optional[list]:
-        return self.frame.image_matrix([sigma(i + 1) - 1 for i in range(self.k)])
+        return self.frame.image_matrix([x - 1 for x in sigma.images])
 
 
 def realize_vertex_permutation(V: VPolyhedron, sigma: Permutation) -> Optional[AffineMap]:
@@ -348,18 +344,19 @@ def affine_symmetry_group(V: VPolyhedron) -> PermutationGroup:
     checks every candidate on all vertices, in integers; failed candidates
     are discarded.
     """
-    search = _automorphism_search(_gram(_polytope_frame(V), centered=True))
+    search = _automorphism_search(_gram(_polytope_frame(V))[0])
     return _detected_group(search, _VertexRealizer(V), V.k)
 
 
 class _RowRealizer:
     """Checks row permutations of an H-description: realize returns the
     integer T with (a | b) T / D = (a | b)_sigma on its primitive rows when
-    that is the action of an affine map, or None."""
+    that is the action of an affine map, or None.  Only this check reads an
+    HPolyhedron's frame, and it records its verdict there: a T that is no
+    affine action is recorded as None, so a recorded T is returned as is."""
 
     def __init__(self, P: HPolyhedron):
         self.n = P.n
-        self.m = P.m
         self.frame = P.frame
         if len(self.frame.basis) < self.n + 1:
             raise PolyhedronError(
@@ -367,12 +364,15 @@ class _RowRealizer:
 
     def realize(self, sigma: Permutation) -> Optional[list]:
         n, frame = self.n, self.frame
-        T = frame.image_matrix([sigma(i + 1) - 1 for i in range(self.m)])
+        img = tuple(x - 1 for x in sigma.images)
+        if img in frame.images:
+            return frame.images[img]
+        T = frame.image_matrix(img)
         # an affine map acts on (a | b) with last row (0, ..., 0, 1) and an
         # invertible linear block, one with n pivots
-        if (T is None or T[n] != [0] * n + [frame.D]
-                or len(gauss_jordan(row[:n] for row in T[:n])[1]) < n):
-            return None
+        if T is not None and (T[n] != [0] * n + [frame.D]
+                              or len(gauss_jordan(row[:n] for row in T[:n])[1]) < n):
+            T = frame.images[img] = None
         return T
 
 
@@ -418,5 +418,5 @@ def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
     if cleaned.m != P.m or cleaned.equality_rows:
         raise PolyhedronError("restricted symmetry detection needs an irredundant description")
     realizer = _RowRealizer(P)
-    search = _automorphism_search(_gram(realizer.frame, centered=False))
+    search = _automorphism_search(_gram(realizer.frame)[0])
     return _detected_group(search, realizer, P.m)

@@ -1,5 +1,5 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
-lattice-point count and LP solver shared across test modules."""
+lattice-point count, LP solver and symmetry gram shared across test modules."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -7,6 +7,7 @@ from math import factorial
 from operator import mul
 
 from polyorbit.permgrp import Permutation
+from polyorbit.symdetect import SymmetryGraph
 from polyorbit.polycore import (
     AffineHull,
     EmptyPolyhedronError,
@@ -14,6 +15,7 @@ from polyorbit.polycore import (
     LPResult,
     PolyhedronError,
     VPolyhedron,
+    adjugate,
     affine_hull,
     convert_dd,
     convert_dd_incidence,
@@ -334,6 +336,34 @@ def _reference_fiber(eqs, les, prefix):
     if lo is None or hi is None:
         raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
     return lo, hi
+
+
+def reference_gram(frame, centered: bool) -> SymmetryGraph:
+    """The gram graph of a frame's rows by the route of their coefficients.
+
+    With L = frame.coeffs, Q = L^t L and g = L (D_Q Q^{-1}) L^t, the
+    uncentered value X_i^t (sum_j X_j X_j^t)^+ X_j is g_ij / D_Q.  For
+    homogenized vertices (1, v) that value is 1/k plus the centered
+    c_i^t Q_c^{-1} c_j, which is what centered=True returns."""
+    lam = frame.coeffs
+    k = len(lam)
+    lcols = list(zip(*lam))
+    Q = [[sum(map(mul, u, v)) for v in lcols] for u in lcols]
+    dq, RQ = adjugate(Q)
+    rqcols = list(zip(*RQ))
+    Y = [tuple(sum(map(mul, x, col)) for col in rqcols) for x in lam]
+    classes: dict = {}         # g_ij -> pairs (i, j), i <= j; one value per g
+    for i in range(k):
+        for j in range(i, k):
+            classes.setdefault(sum(map(mul, Y[i], lam[j])), []).append((i + 1, j + 1))
+    gram = [[None] * k for _ in range(k)]
+    color_classes = {}
+    for g, pairs in classes.items():
+        val = Fraction(k * g - dq, k * dq) if centered else Fraction(g, dq)
+        for i, j in pairs:
+            gram[i - 1][j - 1] = gram[j - 1][i - 1] = val
+        color_classes[val] = tuple(pairs)
+    return SymmetryGraph(k, tuple(map(tuple, gram)), color_classes)
 
 
 def reference_solve_lp(P: HPolyhedron, c, maximize: bool = True) -> LPResult:

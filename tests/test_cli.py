@@ -303,6 +303,7 @@ IMAGES = {
     "cube5": lambda: unimodular_image(list(cube_v(5).vertices), "cube5")[0],
     "cross6": lambda: unimodular_image(list(cross_v(6).vertices), "cross6")[0],
     "cut5": lambda: unimodular_image(list(cut_v(5).vertices), "cut5")[0],
+    "cut7": lambda: unimodular_image(list(cut_v(7).vertices), "cut7")[0],
     "hypersimplex37": lambda: unimodular_image(list(hypersimplex_v(3, 7).vertices),
                                                "hypersimplex37")[0],
     "prismatoid": lambda: unimodular_image(list(santos_prismatoid().vertices), "prismatoid")[0],
@@ -330,6 +331,13 @@ def test_automorphisms_output_pinned(name, tmp_path, capsys):
     path = _write_image(tmp_path, name) if name in IMAGES else FIX / name
     code, err, out = AUTOMORPHISMS_PINNED[name]
     assert run(capsys, "automorphisms", path) == (code, out, err)
+
+
+def test_automorphisms_of_a_cut7_image(tmp_path, capsys):
+    # paper scale: CUT_7 has 2^6 vertices in dimension 21, and its affine
+    # symmetry group has order 2^6 * 7! = 322560
+    code, out, err = run(capsys, "automorphisms", _write_image(tmp_path, "cut7"))
+    assert (code, err, out.splitlines()[0]) == (0, "", "order 322560")
 
 
 class TestConvertCmd:

@@ -6,7 +6,8 @@ symmetric count and the Ehrhart interpolation each walk one projection
 chain, the facet walk of repconv and the counting walk of latcount stay in
 integer arithmetic, neither the adjacency graph nor the triangulation
 behind volume converts anything, symmetry detection and the group check
-of the decompositions build no map, only polycore clears denominators,
+of the decompositions build no map, the symmetry search makes no Fraction
+color, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
 integers, the symmetric ILP and its membership check read integer rows,
 the simplex pivots one integer tableau, and a polyhedron's rows and points
@@ -186,6 +187,21 @@ def test_symmetry_checks_build_no_map():
         called = _called(fn)
         assert "are_affine_symmetries" in called and not called & banned, fn.name
     assert not _imported("repconv.py") & banned - {"Fraction"}
+
+
+def test_symmetry_search_makes_no_fraction_color():
+    # the gram colors, their refinement and the automorphism search compare
+    # integer ranks: only build_symmetry_graph turns colors into Fractions,
+    # and only the two realize_* functions build maps
+    tree = ast.parse((PACKAGE / "symdetect.py").read_text())
+    fns = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
+    search = {"_gram", "_refine_colors", "_automorphism_search", "graph_automorphisms"}
+    assert {fn.name for fn in fns} >= search
+    for fn in fns:
+        if fn.name in search:
+            assert not _called(fn) & {"Fraction", "frac"}, fn.name
+    assert {fn.name for fn in fns if _called(fn) & {"Fraction", "frac"}} == {
+        "build_symmetry_graph", "realize_vertex_permutation", "realize_row_permutation"}
 
 
 @pytest.mark.parametrize("source", sorted(p for p in PACKAGE.glob("*.py")

@@ -2,7 +2,8 @@
 affine realization, and the H-side restricted variant.
 
 Brute-force oracles: permutation scans over all k! candidates for small k,
-and independently computed gram values for the square.
+independently computed gram values for the square, and the gram of the
+frame's coefficients (shapes.reference_gram) for every other gram.
 """
 import itertools
 import random
@@ -42,8 +43,8 @@ from polyorbit.symdetect import (
     restricted_symmetries_H,
 )
 
-from shapes import (cross_h, cross_v, cube_v, cut_v, probe_permutations, row_image,
-                    santos_prismatoid, simplex_h, unimodular_image)
+from shapes import (cross_h, cross_v, cube_v, cut_v, probe_permutations, reference_gram,
+                    row_image, santos_prismatoid, simplex_h, simplex_v, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -134,6 +135,87 @@ def test_gram_invariant_under_affine_image():
     assert g1.gram == g2.gram
 
 
+# -- the pivot-column gram against the coefficient route --------------------------
+
+GRAM_V = {
+    "cube3": lambda: list(cube_v(3).vertices),
+    "cross4": lambda: list(cross_v(4).vertices),
+    "cut5": lambda: list(cut_v(5).vertices),
+    "simplex3": lambda: list(simplex_v(3).vertices),
+    "prismatoid": lambda: list(santos_prismatoid().vertices),
+    "quad-asym": lambda: list(parse_polyfile((FIX / "quad-asym.ext").read_text())
+                              .to_vpolyhedron().vertices),
+    "hypersimplex36": lambda: hypersimplex(3, 6),       # 5-dimensional in R^6
+    "segment": lambda: [(F(0), F(1), F(2)), (F(3), F(1), F(-1))],
+    "point": lambda: [(F(2), F(-1), F(3))],
+}
+GRAM_H = {
+    "cube_h3": lambda: cube_h(3),
+    "cube_h4-image": lambda: row_image(cube_h(4), "gram/cube_h4"),
+    "cross_h3": lambda: cross_h(3),
+    "cross_h3-image": lambda: row_image(cross_h(3), "gram/cross_h3"),
+    "rectangle": lambda: rectangle_h(),
+    "simplex_h3": lambda: simplex_h(3),
+    "triangle-rows": lambda: _triangle_rows(),
+}
+
+
+def dense_ranks(gram):
+    """Each entry's index among the distinct entries, ascending."""
+    rank = {v: r for r, v in enumerate(sorted({x for row in gram for x in row}))}
+    return [[rank[x] for x in row] for row in gram]
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_V))
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_vertex_gram_matches_coefficient_route(name, seed):
+    points = GRAM_V[name]()
+    V = VPolyhedron.from_points(points) if seed is None else \
+        unimodular_image(points, f"gram/{name}/{seed}")[0]
+    ref = reference_gram(V.frame, centered=True)
+    assert build_symmetry_graph(V) == ref
+    rank, values, dq = symdetect._gram(V.frame)
+    k = V.k
+    assert all(F(values[rank[i][j]], dq) - F(1, k) == ref.gram[i][j]
+               for i in range(k) for j in range(k))
+    check_ranks_and_search(rank, ref)
+
+
+@pytest.mark.parametrize("name", sorted(GRAM_H))
+def test_row_gram_matches_coefficient_route(name):
+    P = GRAM_H[name]()
+    ref = reference_gram(P.frame, centered=False)
+    rank, values, dq = symdetect._gram(P.frame)
+    assert all(F(values[rank[i][j]], dq) == ref.gram[i][j]
+               for i in range(P.m) for j in range(P.m))
+    check_ranks_and_search(rank, ref)
+
+
+def test_random_point_set_grams_match_coefficient_route():
+    # 200 seeded point sets of 1 to 9 distinct points, many of them spanning
+    # less than their ambient space
+    rng = random.Random("gram/random")
+    for _ in range(200):
+        n, d = rng.randint(1, 4), rng.randint(0, 4)
+        gens = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
+                for _ in range(d + 1)]
+        pts = {tuple(sum(c * g[a] for c, g in zip(cs, gens)) for a in range(n))
+               for cs in ([rng.randint(-2, 2) for _ in gens] for _ in range(rng.randint(1, 9)))}
+        V = VPolyhedron.from_points(sorted(pts))
+        ref = reference_gram(V.frame, centered=True)
+        assert build_symmetry_graph(V) == ref
+        check_ranks_and_search(symdetect._gram(V.frame)[0], ref)
+
+
+def check_ranks_and_search(rank, ref):
+    """The ranks order pairs exactly as ref's values do, and the search
+    returns the same (generators, base, order) on both."""
+    assert rank == dense_ranks(ref.gram)
+    search = symdetect._automorphism_search(rank)
+    assert search == symdetect._automorphism_search(dense_ranks(ref.gram))
+    assert search[0] == graph_automorphisms(ref)
+
+
 # -- graph automorphisms --------------------------------------------------------
 
 def test_monochrome_gives_symmetric_group():
@@ -193,6 +275,35 @@ def test_automorphisms_of_random_graphs_match_brute_force():
                 gram[i][j] = gram[j][i] = F(1)
         gens = graph_automorphisms(graph_of(gram))
         assert group_order(gens, 6) == len(consistent_permutations(gram))
+
+
+def pair_refined_colors(gram):
+    """Stable coloring by the multisets of (neighbor color, edge color)
+    pairs, compared as tuples: the refinement _refine_colors keys by one
+    integer per pair."""
+    k = len(gram)
+    colors = dense_ranks([[gram[i][i] for i in range(k)]])[0]
+    while True:
+        sigs = [(colors[i], tuple(sorted((colors[j], gram[i][j]) for j in range(k) if j != i)))
+                for i in range(k)]
+        new = dense_ranks([sigs])[0]
+        if new == colors:
+            return colors
+        colors = new
+
+
+def test_integer_keyed_refinement_matches_pair_refinement():
+    # seeded rank matrices with few and many edge colors: the keys
+    # color * E + edge order as the pairs do, so the colorings agree
+    rng = random.Random("refine")
+    for _ in range(300):
+        k, E = rng.randint(2, 9), rng.randint(1, 6)
+        gram = [[0] * k for _ in range(k)]
+        for i in range(k):
+            for j in range(i, k):
+                gram[i][j] = gram[j][i] = rng.randrange(E)
+        gram = dense_ranks(gram)
+        assert symdetect._refine_colors(gram) == pair_refined_colors(gram)
 
 
 def cycles_gram(lengths, seed):
@@ -619,6 +730,25 @@ def test_decompositions_reject_a_non_symmetry_with_their_messages(name):
         with pytest.raises(PolyhedronError) as info:
             method(P, PermutationGroup(list(G.generators) + bad[:1], degree=G.degree))
         assert str(info.value) == message
+
+
+@pytest.mark.parametrize("name", sorted(CHECK_H))
+def test_row_check_after_detection_runs_no_elimination(name, monkeypatch):
+    # detection records the verdict on each candidate it checks on P.frame,
+    # kept or dropped, so the group check of a decomposition eliminates
+    # nothing again
+    P = CHECK_H[name]()
+    G = restricted_symmetries_H(P)
+    candidates = symdetect._automorphism_search(symdetect._gram(P.frame)[0])[0]
+    calls = []
+    real = symdetect.gauss_jordan
+    monkeypatch.setattr(symdetect, "gauss_jordan",
+                        lambda *args, **kw: calls.append(args) or real(*args, **kw))
+    assert are_affine_symmetries(P, G.generators)
+    assert [are_affine_symmetries(P, [c]) for c in candidates] == [c in G for c in candidates]
+    assert calls == []
+    # the triangle's rows have candidates that are linear but not affine
+    assert all(c in G for c in candidates) == (name != "triangle-rows")
 
 
 # -- one verification pass per candidate ------------------------------------------
