@@ -401,6 +401,8 @@ class _IntegerFrame:
         img = tuple(img)
         if img in self.images:
             return self.images[img]
+        if len(img) != len(self.rows):
+            raise PolyhedronError(f"permutation of degree {len(img)} on {len(self.rows)} indices")
         D, rows = self.D, self.rows
         cols = list(zip(*([rows[img[b]] for b in self.basis] + self.units)))
         T = [[sum(map(mul, r, col)) for col in cols] for r in self.R]

@@ -35,8 +35,9 @@ For an H-description its one double description, HPolyhedron.dd, which
 symmetry detection reads too, gives every vertex together with the rows it
 is tight on; the row group acts on those tight sets, which gives the group
 on vertex indices, and the facet orbits of the input are its row orbits.
-The group check before either decomposition realizes only the relabelings
-that the object's frame has not yet checked.  Either way a completed ledger
+The group check before either decomposition is also its one shape check, by
+the realizers of symdetect, and it realizes only the relabelings that the
+object's frame has not yet checked.  Either way a completed ledger
 knows the full vertex list, the group acting on vertex indices, and one
 supporting row per facet orbit.
 """
@@ -47,7 +48,6 @@ from operator import mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .polycore import (
-    EmptyPolyhedronError,
     HPolyhedron,
     PolyhedronError,
     VerificationError,
@@ -58,10 +58,8 @@ from .polycore import (
     dd_cone,
     hull_coordinates,
     index_set,
-    integer_h_to_v,
     integer_nullspace,
     integer_v_to_h,
-    irredundant_rows,
     primitive,
     vec_sub,
     vector,
@@ -313,10 +311,6 @@ class _Geometry:
 
     def __init__(self, V: VPolyhedron):
         self.scale, self.ambient, _ = V.int_points
-        if not self.ambient:
-            raise EmptyPolyhedronError("no points given")
-        if len(set(self.ambient)) != len(self.ambient):
-            raise PolyhedronError("duplicate points in the input")
         self.normals, local = hull_coordinates(self.ambient)
         self.local = local if self.normals else self.ambient
 
@@ -397,8 +391,6 @@ def _check_levels(levels) -> tuple[int, int]:
 
 def _decompose_points(V: VPolyhedron, G: PermutationGroup,
                       levels: tuple[int, int]) -> OrbitLedger:
-    if V.rays:
-        raise PolyhedronError("decomposition requires a polytope, not rays")
     if G.degree != V.k:
         raise PolyhedronError("group degree does not match the number of vertices")
     if not are_affine_symmetries(V, G.generators):
@@ -411,29 +403,16 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
 
 
 def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
-    if P.equality_rows:
-        raise PolyhedronError("decomposition requires an inequality-only description")
     if G.degree != P.m:
         raise PolyhedronError("group degree does not match the number of rows")
-    # every vertex with the rows it is tight on; a row permutation in G maps
-    # the tight set of a vertex onto the tight set of its image
-    try:
-        V, masks = convert_dd_incidence(P)
-    except EmptyPolyhedronError:
-        # an empty P has no points; its rays, the recession cone, pick the message
-        if integer_h_to_v(P.int_rows, P.n)[2]:
-            raise PolyhedronError("decomposition requires a bounded polytope")
-        raise EmptyPolyhedronError("empty polyhedron has no affine hull")
-    if V.rays:
-        raise PolyhedronError("decomposition requires a bounded polytope")
-    equalities, kept = irredundant_rows(masks, P.m, len(V.vertices))
-    # an implicit equality lowers the dimension unless it is 0 = 0
-    if any(any(P.A[i]) for i in equalities):
-        raise PolyhedronError("decomposition requires a full-dimensional polytope")
-    if equalities or len(kept) != P.m:
-        raise PolyhedronError("decomposition requires an irredundant description")
+    # the row check refuses an empty, lower-dimensional or redundant P
     if not are_affine_symmetries(P, G.generators):
         raise PolyhedronError("group generator is not an affine symmetry of the rows")
+    # every vertex with the rows it is tight on; a row permutation in G maps
+    # the tight set of a vertex onto the tight set of its image
+    V, masks = convert_dd_incidence(P)
+    if V.rays:
+        raise PolyhedronError("decomposition requires a bounded polytope")
 
     order = sorted(range(len(V.vertices)), key=V.vertices.__getitem__)
     vert_list = [V.vertices[j] for j in order]
@@ -471,9 +450,9 @@ def adjacency_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
     vertices, so levels is checked but chooses no method there.
 
     G must act by affine symmetries on the inequality indices (H input) or
-    vertex indices (V input); this is verified up front and violations are
-    rejected.  The input must be a bounded polytope, and full-dimensional and
-    irredundant when given by rows.
+    vertex indices (V input); this is verified up front.  The input must be
+    a bounded polytope with distinct vertices, or by rows a nonempty,
+    full-dimensional and irredundant one.
     """
     lv = _check_levels(levels)
     if isinstance(P, VPolyhedron):

@@ -27,7 +27,11 @@ their images by construction, and one verification pass checks it on every
 other row, so nothing reported can fail to be a symmetry.  The frame records
 each relabeling it has checked, so the group check of a decomposition run
 after detection on the same object realizes no generator again.  Detection
-keeps permutations; a map in Fractions is built only on request.
+keeps permutations; a map in Fractions is built only on request.  The
+realizers are the one shape check of each input form: _VertexRealizer
+refuses rays, no points or a repeated point, and _RowRealizer an empty,
+lower-dimensional or redundant system (read off HPolyhedron.dd) or rows
+that do not span.
 
 The automorphism search runs along one base and finds every basic orbit of
 the stabilizer chain on it, so the order of the group is the product of
@@ -51,7 +55,7 @@ from .polycore import (
     VPolyhedron,
     adjugate,
     gauss_jordan,
-    remove_redundancy,
+    irredundant_rows,
 )
 from .permgrp import Permutation, PermutationGroup
 
@@ -98,18 +102,6 @@ def _gram(frame) -> tuple[list, list, int]:
     return [[rank[g] for g in row] for row in G], values, dq
 
 
-def _polytope_frame(V: VPolyhedron):
-    if V.rays:
-        raise PolyhedronError("symmetry graph requires a bounded polytope (no rays)")
-    if not V.vertices:
-        raise PolyhedronError("symmetry graph requires at least one vertex")
-    # the group acts on distinct points, as convert does; one positive scale
-    # clears every denominator, so equal scaled points are equal points
-    if len(set(V.int_points[1])) != V.k:
-        raise PolyhedronError("duplicate points in the input")
-    return V.frame
-
-
 def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
     """Invariant edge-colored graph of a polytope's vertex set.
 
@@ -117,7 +109,7 @@ def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
     affine-to-linear reduction.  The color of {i, j} is c_i^t Q_c^{-1} c_j
     on the centered vertices, the value g_ij / dq of _gram less 1/k.
     """
-    rank, values, dq = _gram(_polytope_frame(V))
+    rank, values, dq = _gram(_VertexRealizer(V).frame)
     k = len(rank)
     colors = [Fraction(k * g - dq, k * dq) for g in values]
     classes: dict = {}
@@ -319,6 +311,11 @@ class _VertexRealizer:
     def __init__(self, V: VPolyhedron):
         if V.rays:
             raise PolyhedronError("affine realization requires a bounded polytope")
+        if not V.vertices:
+            raise EmptyPolyhedronError("no points given")
+        # one positive scale clears every denominator: equal scaled points are equal
+        if len(set(V.int_points[1])) != V.k:
+            raise PolyhedronError("duplicate points in the input")
         self.frame = V.frame
 
     def realize(self, sigma: Permutation) -> Optional[list]:
@@ -344,8 +341,9 @@ def affine_symmetry_group(V: VPolyhedron) -> PermutationGroup:
     checks every candidate on all vertices, in integers; failed candidates
     are discarded.
     """
-    search = _automorphism_search(_gram(_polytope_frame(V))[0])
-    return _detected_group(search, _VertexRealizer(V), V.k)
+    realizer = _VertexRealizer(V)
+    search = _automorphism_search(_gram(realizer.frame)[0])
+    return _detected_group(search, realizer, V.k)
 
 
 class _RowRealizer:
@@ -356,6 +354,16 @@ class _RowRealizer:
     affine action is recorded as None, so a recorded T is returned as is."""
 
     def __init__(self, P: HPolyhedron):
+        try:
+            V, masks = P.dd
+        except EmptyPolyhedronError:
+            raise EmptyPolyhedronError("empty polyhedron has no affine hull")
+        equalities, kept = irredundant_rows(masks, P.m, V.k)
+        # an implicit equality lowers the dimension unless it is 0 = 0
+        if any(any(P.A[i]) for i in equalities):
+            raise PolyhedronError("restricted symmetry detection needs a full-dimensional input")
+        if equalities or len(kept) != P.m:
+            raise PolyhedronError("restricted symmetry detection needs an irredundant description")
         self.n = P.n
         self.frame = P.frame
         if len(self.frame.basis) < self.n + 1:
@@ -379,8 +387,8 @@ class _RowRealizer:
 def realize_row_permutation(P: HPolyhedron, sigma: Permutation) -> Optional[Matrix]:
     """The homogenized (a | b) action realizing a row permutation, or None.
 
-    P must be irredundant, bounded and full-dimensional so that its primitive
-    rows span R^(n+1).
+    P must be nonempty, full-dimensional and irredundant, with primitive rows
+    that span R^(n+1); it need not be bounded.
     """
     realizer = _RowRealizer(P)
     T = realizer.realize(sigma)
@@ -405,18 +413,9 @@ def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
     Rows are scaled to primitive integer form (positive scaling only, so the
     halfspace is unchanged) and homogenized to (a | b) vectors, on which any
     affine symmetry of the polyhedron acts linearly.  The resulting group
-    acts on 1-based row indices.  Requires an irredundant, full-dimensional
-    description.
+    acts on 1-based row indices.  P must pass the row check, as in
+    realize_row_permutation.
     """
-    try:
-        cleaned = remove_redundancy(P)
-    except EmptyPolyhedronError:
-        raise EmptyPolyhedronError("empty polyhedron has no affine hull")
-    # an implicit equality lowers the dimension unless it is 0 = 0
-    if any(any(cleaned.A[i - 1]) for i in cleaned.equality_rows):
-        raise PolyhedronError("restricted symmetry detection needs a full-dimensional input")
-    if cleaned.m != P.m or cleaned.equality_rows:
-        raise PolyhedronError("restricted symmetry detection needs an irredundant description")
     realizer = _RowRealizer(P)
     search = _automorphism_search(_gram(realizer.frame)[0])
     return _detected_group(search, realizer, P.m)

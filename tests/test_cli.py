@@ -172,9 +172,42 @@ class TestAutomorphismsCmd:
         assert run(capsys, "convert", f) == refusal
 
 
-# (exit code, stderr, stdout) of `automorphisms` on each fixture and on
-# seeded unimodular images: the order and every generator line, byte for byte
+# inputs that the symmetric routes refuse, or that only convert refuses (an
+# unbounded system whose rows span has a group, but no vertex orbits)
+REFUSAL_FILES = {
+    "refuse-empty.ext": "V-representation\nbegin\n0 3 rational\nend\n",
+    "refuse-ray.ext": "V-representation\nbegin\n2 3 rational\n1 0 0\n0 1 0\nend\n",
+    "refuse-repeated.ext": "V-representation\nbegin\n5 3 rational\n"
+                           "1 0 0\n1 1 0\n1 0 1\n1 1 1\n1 0 0\nend\n",
+    "refuse-empty.ine": "H-representation\nbegin\n2 3 rational\n0 -1 0\n-1 1 0\nend\n",
+    "refuse-unbounded.ine": "H-representation\nbegin\n3 3 rational\n"
+                            "0 1 0\n0 0 1\n-1 1 1\nend\n",
+    "refuse-redundant.ine": "H-representation\nbegin\n5 3 rational\n"
+                            "1 -1 0\n1 1 0\n1 0 -1\n1 0 1\n5 -1 -1\nend\n",
+    "refuse-flat.ine": "H-representation\nbegin\n4 3 rational\n"
+                       "1 -1 0\n-1 1 0\n1 0 -1\n1 0 1\nend\n",
+    "refuse-linearity.ine": "H-representation\nlinearity 1 1\nbegin\n4 3 rational\n"
+                            "1 -1 0\n1 1 0\n1 0 -1\n1 0 1\nend\n",
+}
+NO_VERTICES = (1, "empty: the file lists no vertices\n", "")
+RAYS = (2, "error: unbounded V input (rays present) is not supported here\n", "")
+REPEATED = (2, "error: duplicate points in the input\n", "")
+NO_HULL = (1, "empty: empty polyhedron has no affine hull\n", "")
+REDUNDANT = (2, "error: restricted symmetry detection needs an irredundant description\n", "")
+FLAT = (2, "error: restricted symmetry detection needs a full-dimensional input\n", "")
+
+# (exit code, stderr, stdout) of `automorphisms` on each fixture, on seeded
+# unimodular images and on the refused inputs: the order and every
+# generator line, or the refusal, byte for byte
 AUTOMORPHISMS_PINNED = {
+    "refuse-empty.ext": NO_VERTICES,
+    "refuse-ray.ext": RAYS,
+    "refuse-repeated.ext": REPEATED,
+    "refuse-empty.ine": NO_HULL,
+    "refuse-unbounded.ine": (0, "", "order 2\ngenerator (1 2)\n"),
+    "refuse-redundant.ine": REDUNDANT,
+    "refuse-flat.ine": FLAT,
+    "refuse-linearity.ine": FLAT,
     "cube3-blocks.ine": (0, "",
         "order 48\n"
         "generator (5 6)\n"
@@ -312,6 +345,16 @@ IMAGES = {
 }
 
 
+def _input_file(directory: Path, name: str) -> Path:
+    """A pinned input: a refused input's text or a seeded image, written to
+    directory, or else a fixture."""
+    if name in REFUSAL_FILES:
+        path = directory / name
+        path.write_text(REFUSAL_FILES[name])
+        return path
+    return _write_image(directory, name) if name in IMAGES else FIX / name
+
+
 def _write_image(directory: Path, name: str) -> Path:
     P = IMAGES[name]()
     if isinstance(P, HPolyhedron):
@@ -328,9 +371,8 @@ def _write_image(directory: Path, name: str) -> Path:
 
 @pytest.mark.parametrize("name", sorted(AUTOMORPHISMS_PINNED))
 def test_automorphisms_output_pinned(name, tmp_path, capsys):
-    path = _write_image(tmp_path, name) if name in IMAGES else FIX / name
     code, err, out = AUTOMORPHISMS_PINNED[name]
-    assert run(capsys, "automorphisms", path) == (code, out, err)
+    assert run(capsys, "automorphisms", _input_file(tmp_path, name)) == (code, out, err)
 
 
 def test_automorphisms_of_a_cut7_image(tmp_path, capsys):
@@ -396,30 +438,41 @@ class TestConvertCmd:
         assert text.startswith("graph {") and text.endswith("}\n")
         assert sum("label=" in ln for ln in text.splitlines()) == 6
 
-    # rational coordinates, and a midpoint of an edge that a pencil tie puts
-    # on one facet with the two ends of that edge
+    # (exit code, stderr, stdout) on rational coordinates, on a midpoint of
+    # an edge that a pencil tie puts on one facet with the two ends of that
+    # edge, and on the refused inputs
     DIAMOND = "facet orbits 1\norbit 1 size 4 rep 1 -3 -3\n"
     SQUARE_ADM = ("facet orbits 3\norbit 1 size 2 rep 0 1 0\n"
                   "orbit 2 size 1 rep 2 0 -1\norbit 3 size 1 rep 0 0 1\n")
     SQUARE_IDM = ("facet orbits 3\norbit 1 size 2 rep 0 1 0\n"
                   "orbit 2 size 1 rep 0 0 1\norbit 3 size 1 rep 2 0 -1\n")
     PINNED = [
-        ("diamond-third.ext", (), DIAMOND),
-        ("diamond-third.ext", ("--idm-adm-level", "1", "1"), DIAMOND),
+        ("diamond-third.ext", (), (0, "", DIAMOND)),
+        ("diamond-third.ext", ("--idm-adm-level", "1", "1"), (0, "", DIAMOND)),
         ("diamond-third.ext", ("--adjacencies",),
-         DIAMOND + 'graph {\n  o1 [label="orbit 1 (size 4)"];\n  o1 -- o1;\n}\n'),
-        ("square-midpoint.ext", (), SQUARE_ADM),
-        ("square-midpoint.ext", ("--idm-adm-level", "1", "1"), SQUARE_IDM),
+         (0, "", DIAMOND + 'graph {\n  o1 [label="orbit 1 (size 4)"];\n  o1 -- o1;\n}\n')),
+        ("square-midpoint.ext", (), (0, "", SQUARE_ADM)),
+        ("square-midpoint.ext", ("--idm-adm-level", "1", "1"), (0, "", SQUARE_IDM)),
         ("square-midpoint.ext", ("--adjacencies",),
-         SQUARE_ADM + 'graph {\n  o1 [label="orbit 1 (size 2)"];\n'
-         '  o2 [label="orbit 2 (size 1)"];\n  o3 [label="orbit 3 (size 1)"];\n'
-         '  o1 -- o2;\n  o1 -- o3;\n}\n'),
+         (0, "", SQUARE_ADM + 'graph {\n  o1 [label="orbit 1 (size 2)"];\n'
+          '  o2 [label="orbit 2 (size 1)"];\n  o3 [label="orbit 3 (size 1)"];\n'
+          '  o1 -- o2;\n  o1 -- o3;\n}\n')),
+        ("refuse-empty.ext", (), NO_VERTICES),
+        ("refuse-ray.ext", (), RAYS),
+        ("refuse-repeated.ext", (), REPEATED),
+        ("refuse-empty.ine", (), NO_HULL),
+        ("refuse-unbounded.ine", (), (2, "error: decomposition requires a bounded polytope\n", "")),
+        ("refuse-redundant.ine", (), REDUNDANT),
+        ("refuse-flat.ine", (), FLAT),
+        ("refuse-linearity.ine", (), FLAT),
     ]
 
-    @pytest.mark.parametrize("fixture,args,out", PINNED,
+    @pytest.mark.parametrize("fixture,args,pinned", PINNED,
                              ids=[f"{p[0]}{''.join(p[1])}" for p in PINNED])
-    def test_rational_and_non_vertex_output_pinned(self, fixture, args, out, capsys):
-        assert run(capsys, "convert", FIX / fixture, *args) == (0, out, "")
+    def test_rational_and_non_vertex_output_pinned(self, fixture, args, pinned, tmp_path,
+                                                   capsys):
+        code, err, out = pinned
+        assert run(capsys, "convert", _input_file(tmp_path, fixture), *args) == (code, out, err)
 
     # CUT_6: 32 vertices in dimension 15 and 3 facet orbits, which sum to the
     # 368 facets of the plain conversion; the walk at (0 1) meets the orbits

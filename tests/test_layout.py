@@ -15,7 +15,8 @@ become integers only through its own int_rows and int_points, which are
 also the only place they are rounded or have denominators read, and are
 converted and framed only through its own dd and frame, and only polycore
 builds a homogenization cone: outside it, only the tangent cones of
-repconv._idm_orbits call dd_cone."""
+repconv._idm_orbits call dd_cone, and the two realizers of symdetect are the
+one place that judges the shape of an input for the symmetric routes."""
 import ast
 import importlib
 import importlib.util
@@ -378,3 +379,33 @@ def test_polyhedron_data_is_rounded_only_in_its_own_form(source):
     # on V.int_points, so neither depends on how the input scales its data
     bad = _hand_rounded(ast.parse(source.read_text()))
     assert not bad, f"{source.name} rounds or rescales polyhedron data at lines {bad}"
+
+
+def _counts_distinct(fn: ast.AST) -> bool:
+    """Whether a syntax tree takes len(set(...)), the test for repeated items."""
+    return any(isinstance(call, ast.Call) and getattr(call.func, "id", None) == "len"
+               and call.args and isinstance(call.args[0], ast.Call)
+               and getattr(call.args[0].func, "id", None) == "set"
+               for call in ast.walk(fn))
+
+
+def test_one_gate_judges_each_input_form():
+    # detection builds a realizer, and each decomposition builds one through
+    # are_affine_symmetries: only their constructors judge redundancy, full
+    # dimension and repeated points, and a decomposition of rows reads the
+    # one double description of its input
+    judges = set()
+    for name in ("symdetect.py", "repconv.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        for owner in tree.body:
+            for fn in owner.body if isinstance(owner, ast.ClassDef) else [owner]:
+                if isinstance(fn, ast.FunctionDef) and (
+                        _called(fn) & {"irredundant_rows", "remove_redundancy"}
+                        or _counts_distinct(fn)):
+                    judges.add((owner.name, fn.name) if owner is not fn else fn.name)
+    assert judges == {("_VertexRealizer", "__init__"), ("_RowRealizer", "__init__")}
+    tree = ast.parse((PACKAGE / "symdetect.py").read_text())
+    assert "_polytope_frame" not in {fn.name for fn in ast.walk(tree)
+                                     if isinstance(fn, ast.FunctionDef)}
+    (fn,) = _top_level("repconv.py", {"_decompose_rows"})
+    assert "integer_h_to_v" not in _called(fn)

@@ -311,25 +311,33 @@ def _h(A, b, eq=()):
 SQUARE_A = [(1, 0), (-1, 0), (0, 1), (0, -1)]
 
 
+# One gate judges an H input for every symmetric route: the row check of
+# symdetect, which the group check builds, refuses an empty, lower-dimensional
+# or redundant system with the texts of restricted_symmetries_H.  A
+# decomposition adds only its degree and boundedness checks.
 @pytest.mark.parametrize("P, G, error, message", [
     pytest.param(_h([(1,), (-1,)], [0, -1]), None, EmptyPolyhedronError,
                  "empty polyhedron has no affine hull", id="empty"),
-    pytest.param(_h([(1, 0), (-1, 0)], [0, -1]), None, PolyhedronError,
-                 "decomposition requires a bounded polytope", id="empty-with-a-line"),
+    pytest.param(_h([(1, 0), (-1, 0)], [0, -1]), None, EmptyPolyhedronError,
+                 "empty polyhedron has no affine hull", id="empty-with-a-line"),
     pytest.param(_h([(-1, 0), (0, -1), (-1, -1)], [0, 0, -1]), None, PolyhedronError,
                  "decomposition requires a bounded polytope", id="unbounded"),
     pytest.param(_h([(1,), (-1,)], [0, 0]), None, PolyhedronError,
-                 "decomposition requires a full-dimensional polytope", id="point"),
+                 "restricted symmetry detection needs a full-dimensional input", id="point"),
     pytest.param(_h(SQUARE_A, [1, -1, 1, 1]), None, PolyhedronError,
-                 "decomposition requires a full-dimensional polytope", id="segment"),
+                 "restricted symmetry detection needs a full-dimensional input", id="segment"),
     pytest.param(_h(SQUARE_A + [(1, 1)], [1, 1, 1, 1, 5]), None, PolyhedronError,
-                 "decomposition requires an irredundant description", id="redundant"),
+                 "restricted symmetry detection needs an irredundant description",
+                 id="redundant"),
     pytest.param(_h(SQUARE_A + [(2, 0)], [1, 1, 1, 1, 2]), None, PolyhedronError,
-                 "decomposition requires an irredundant description", id="duplicate"),
+                 "restricted symmetry detection needs an irredundant description",
+                 id="duplicate"),
     pytest.param(_h(SQUARE_A + [(0, 0)], [1, 1, 1, 1, 0]), None, PolyhedronError,
-                 "decomposition requires an irredundant description", id="zero-row"),
+                 "restricted symmetry detection needs an irredundant description",
+                 id="zero-row"),
     pytest.param(_h(SQUARE_A, [1, 1, 1, 1], (1,)), None, PolyhedronError,
-                 "decomposition requires an inequality-only description", id="equality-rows"),
+                 "restricted symmetry detection needs a full-dimensional input",
+                 id="equality-rows"),
     pytest.param(cube_h(3), PermutationGroup([], degree=5), PolyhedronError,
                  "group degree does not match the number of rows", id="wrong-degree"),
     pytest.param(cube_h(3), PermutationGroup([Permutation((3, 2, 1, 4, 5, 6))]),

@@ -43,7 +43,7 @@ from polyorbit.symdetect import (
     restricted_symmetries_H,
 )
 
-from shapes import (cross_h, cross_v, cube_v, cut_v, probe_permutations, reference_gram,
+from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, probe_permutations, reference_gram,
                     row_image, santos_prismatoid, simplex_h, simplex_v, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
@@ -634,6 +634,22 @@ def test_decomposition_rejects_a_non_symmetric_generator():
     P = rectangle_h()
     with pytest.raises(PolyhedronError, match="not an affine symmetry"):
         adjacency_decomposition(P, PermutationGroup([Permutation.from_cycles(4, [(1, 3)])]))
+
+
+@pytest.mark.parametrize("images", [(1, 2, 3, 4, 5), (5, 2, 3, 4, 1), (2, 1, 3)],
+                         ids=["degree-5-fixing-5", "degree-5-moving-5", "degree-3"])
+@pytest.mark.parametrize("check, P", [
+    (are_affine_symmetries, cube_v(2)), (are_affine_symmetries, cube_h(2)),
+    (realize_vertex_permutation, cube_v(2)), (realize_row_permutation, cube_h(2)),
+], ids=["any-V", "any-H", "vertex", "row"])
+def test_permutation_of_another_degree_is_refused(check, P, images):
+    # the square has 4 vertices and 4 rows; a relabeling of 5 or 3 indices
+    # once passed when it fixed the extra index and escaped as an IndexError
+    # otherwise
+    sigma = Permutation(images)
+    with pytest.raises(PolyhedronError) as info:
+        check(P, [sigma] if check is are_affine_symmetries else sigma)
+    assert str(info.value) == f"permutation of degree {len(images)} on 4 indices"
 
 
 # -- the integer check against the maps --------------------------------------------
