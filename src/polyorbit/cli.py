@@ -318,7 +318,9 @@ def cmd_count(pf: PolyFile, args) -> int:
 
 
 def cmd_ehrhart(pf: PolyFile, args) -> int:
-    q = ehrhart(_input_polytope(pf), period_bound=args.period_bound)
+    # a V file goes in as given: ehrhart converts it once, to the rows that top its chain
+    q = ehrhart(pf.to_vpolyhedron() if pf.kind == "V" else pf.to_hpolyhedron(),
+                period_bound=args.period_bound)
     print(f"period {q.period}")
     print(f"degree {q.degree}")
     for i, comp in enumerate(q.components):

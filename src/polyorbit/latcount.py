@@ -20,11 +20,13 @@ fundamental domain of the block action, and weighs each by its orbit size;
 the plain count is the same walk with singleton blocks, and the same walk
 taken depth first solves the ILP without blocks.  On top of that sit the
 Ehrhart quasi-polynomial (interpolated per residue class of the dilation
-factor on one chain whose right-hand sides scale with the dilate, and
-re-checked at one more dilate), the exact volume (a pulling triangulation
-whose faces are cut from the incidence masks of one double description), and
-a slice decomposition that splits an invariant polytope into fibers over the
-integral anchors of its invariant subspace.  The slice decomposition takes
+factor on one chain whose right-hand sides scale with the dilate, from the
+counts of the least dilates and, by Ehrhart-Macdonald reciprocity, of their
+interiors, the same walk on rows made strict, and re-checked at one more
+sample), the exact volume (a pulling triangulation whose faces are cut from
+the incidence masks of one double description), and a slice decomposition
+that splits an invariant polytope into fibers over the integral anchors of
+its invariant subspace.  The slice decomposition takes
 its block sums from symilp.block_sum_image and tests each candidate against
 integer facet rows of their projection, so no routine here solves an LP.
 """
@@ -33,9 +35,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import reduce
 from itertools import accumulate, count, product
 from math import ceil, factorial, floor, prod
-from operator import mul, sub
+from operator import and_, mul, sub
 from typing import Iterator, Optional, Sequence, Union
 
 from .polycore import (
@@ -448,25 +451,42 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> tuple[Fraction, ...]:
     return tuple(Fraction(row[d], D) for row in m)
 
 
-def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
+def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> QuasiPolynomial:
     """Ehrhart quasi-polynomial of a bounded, full-dimensional polytope.
 
-    The period is the lcm of the vertex-coordinate denominators (an error if
-    it exceeds period_bound).  The bounding box of the largest dilate counted
-    may hold at most _WALK_BUDGET integer prefixes over all but its widest
-    coordinate, which the walk takes last; that bounds the nodes of the
-    counting walk, and a larger input is an error rather than a run of
-    hours.  P is converted once and its projection chain built once:
-    proj(lam P) = lam proj(P), so every dilate is walked on that chain with
-    its right-hand sides scaled by lam.
-    For each residue class the dilate counts at degree+1 sample points are
-    interpolated exactly, then the component is verified against the count
-    at one further dilate; a mismatch is an error, never a silently wrong
-    polynomial.  An integral polytope yields period 1.
+    An H input is converted once to its vertices.  A V input must list a
+    point and no nonzero ray; it is converted once to facet rows, and a
+    listed point is a vertex when the facets through it meet in it alone.
+    The period k is the lcm of the vertex-coordinate denominators (an error
+    if it exceeds period_bound).  For each residue class i mod k the samples
+    are the d + 2 abscissae x = i mod k of least |x|, positive first on a
+    tie: x > 0 is the count of xP; x = -t < 0 is (-1)^d times the count of
+    the interior of tP, by Ehrhart-Macdonald reciprocity; and x = 0, in class
+    0, is 1, the constant term of the Ehrhart polynomial of the integral
+    polytope kP.  The first d + 1 samples are interpolated exactly, and the
+    last one verifies the component: a mismatch is an error, never a
+    silently wrong polynomial.  The largest dilate walked, about k(d + 2)/2,
+    may hold at most _WALK_BUDGET integer prefixes in its bounding box over
+    all but its widest coordinate, which the walk takes last; that bounds
+    the nodes of the counting walk, and a larger input is an error rather
+    than a run of hours.  The projection chain is built once: proj(tP) =
+    t proj(P), so every count walks that chain with its right-hand sides
+    scaled by t.  An integral polytope yields period 1.
     """
-    V = convert_dd(P)
-    if V.rays:
-        raise PolyhedronError("Ehrhart counting requires a bounded polyhedron")
+    if isinstance(P, VPolyhedron):
+        if not P.vertices:
+            raise EmptyPolyhedronError("no points given")
+        if any(map(any, P.rays)):
+            raise PolyhedronError("Ehrhart counting requires a bounded polyhedron")
+        pts = list(dict.fromkeys(P.vertices))
+        H, masks = convert_dd_incidence(VPolyhedron.from_points(pts))
+        full = (1 << len(pts)) - 1
+        V = VPolyhedron.from_points([p for j, p in enumerate(pts) if 1 << j == reduce(
+            and_, (m for m in masks if m >> j & 1), full)])
+    else:
+        H, V = P, convert_dd(P)
+        if V.rays:
+            raise PolyhedronError("Ehrhart counting requires a bounded polyhedron")
     k, pts, _ = V.int_points
     d = len(gauss_jordan(tuple(map(sub, p, pts[0])) for p in pts[1:])[1])
     if d != P.n:
@@ -474,25 +494,24 @@ def ehrhart(P: HPolyhedron, period_bound: int = 24) -> QuasiPolynomial:
             "Ehrhart interpolation requires a full-dimensional polytope")
     if k > period_bound:
         raise PolyhedronError(f"period {k} exceeds the allowed bound {period_bound}")
-    top = k * (d + 2)   # the largest dilate counted below
+    plan = [sorted(range(i - k * (d + 2), k * (d + 2), k), key=lambda x: (abs(x), x < 0))[:d + 2]
+            for i in range(k)]
+    top = max(abs(x) for xs in plan for x in xs)   # the largest dilate counted below
     order, spans = _widest_last(V, top)
     prefixes = prod(spans[t] for t in order[:-1])
     if prefixes > _WALK_BUDGET:
         raise PolyhedronError(
             f"Ehrhart counting exceeds budget {_WALK_BUDGET}: dilate {top}"
             f" spans {prefixes} integer prefixes")
-    levels = _chain(P, V, order)
+    levels = _chain(H, V, order)
     components = []
-    for i in range(k):
-        lams = [i + k * j for j in range(d + 3) if i + k * j > 0]
-        samples = lams[: d + 1]
-        counts = [_count_dilate(levels, lam) for lam in samples]
-        coeffs = _interpolate(samples, counts)
-        probe = lams[d + 1]
-        expect = _count_dilate(levels, probe)
-        if _eval_poly(coeffs, probe) != expect:
+    for xs in plan:
+        ys = [_count_dilate(levels, x) if x > 0
+              else (-1) ** d * _count_interior(levels, -x) if x < 0 else 1 for x in xs]
+        coeffs = _interpolate(xs[:-1], ys[:-1])
+        if _eval_poly(coeffs, xs[-1]) != ys[-1]:
             raise VerificationError(
-                f"quasi-polynomial disagrees with the direct count at dilate {probe}")
+                f"quasi-polynomial disagrees with the direct count at dilate {xs[-1]}")
         components.append(coeffs)
     return QuasiPolynomial(k, tuple(components), d)
 
@@ -501,13 +520,31 @@ def _count_dilate(levels: Sequence[tuple[list, list]], lam: int) -> int:
     """Integer points of lam*P, from the projection chain of P.
 
     proj_k(lam P) = lam proj_k(P), so each level keeps its rows and scales
-    every right-hand side beta to lam*beta.  With no coordinates the dilate
-    is the one point of R^0.
+    every right-hand side beta to lam*beta.
     """
+    return _count_scaled(levels, lam, 0)
+
+
+def _count_interior(levels: Sequence[tuple[list, list]], t: int) -> int:
+    """Integer points of the interior of t*P, from the projection chain of a
+    full-dimensional P, whose levels hold no equalities.
+
+    proj_k(int tP) = int proj_k(tP), the points strictly inside every row of
+    level k scaled by t.  The rows and points are integers, so a.x < t*beta
+    holds exactly when a.x <= t*beta - 1: the closed walk on those right-hand
+    sides counts the interior, and _plane_count still needs no clipping.
+    """
+    return _count_scaled(levels, t, 1)
+
+
+def _count_scaled(levels: Sequence[tuple[list, list]], lam: int, cut: int) -> int:
+    """The counting walk on the chain with every equality's right-hand side
+    beta set to lam*beta and every inequality's to lam*beta - cut.  With no
+    coordinates the count is the one point of R^0."""
     if not levels:
         return 1
-    scaled = [tuple([(head, c, lam * beta) for head, c, beta in rows] for rows in level)
-              for level in levels]
+    scaled = [([(head, c, lam * beta) for head, c, beta in eqs],
+               [(head, c, lam * beta - cut) for head, c, beta in les]) for eqs, les in levels]
     return _walk(scaled, (0,) * len(levels), [], 1, 1)
 
 

@@ -1,11 +1,13 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
-lattice-point count, LP solver and symmetry gram shared across test modules."""
+lattice-point count, Ehrhart quasi-polynomial, LP solver and symmetry gram
+shared across test modules."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial
+from math import factorial, lcm
 from operator import mul
 
+from polyorbit.latcount import QuasiPolynomial
 from polyorbit.permgrp import Permutation
 from polyorbit.symdetect import SymmetryGraph
 from polyorbit.polycore import (
@@ -336,6 +338,47 @@ def _reference_fiber(eqs, les, prefix):
     if lo is None or hi is None:
         raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
     return lo, hi
+
+
+def reference_ehrhart(P) -> QuasiPolynomial:
+    """Ehrhart quasi-polynomial of a bounded, full-dimensional polytope by
+    interpolation on positive dilates alone.
+
+    The vertices come from a fresh conversion (two for a V input), and the
+    period k is the lcm of their denominators.  The plain chain of
+    reference_count is built once, and dilate lam is walked on it with every
+    right-hand side scaled by lam, since proj(lam P) = lam proj(P).  For each
+    residue class i mod k the first d + 1 dilates lam = i mod k, lam > 0,
+    are interpolated by Lagrange's formula, and the count at the next one
+    must agree with the result.
+    """
+    V = convert_dd(P if isinstance(P, HPolyhedron) else convert_dd(P))
+    d = P.n
+    assert not V.rays and affine_hull(V.vertices).dim == d
+    k = lcm(*(c.denominator for v in V.vertices for c in v))
+    levels = [_reference_rows(V, j) for j in range(1, d + 1)]
+
+    def count(lam):
+        if not levels:
+            return 1
+        return _reference_walk([tuple([(head, c, lam * beta) for head, c, beta in rows]
+                                      for rows in level) for level in levels], [])
+
+    comps = []
+    for i in range(k):
+        lams = [lam for lam in range(i, k * (d + 3), k) if lam > 0][:d + 2]
+        ys = [count(lam) for lam in lams]
+        coeffs = [Fraction(0)] * (d + 1)
+        for j, (xj, yj) in enumerate(zip(lams[:-1], ys)):
+            basis, denom = [Fraction(1)], 1
+            for m, xm in enumerate(lams[:-1]):
+                if m != j:   # times (x - xm)
+                    basis = [a - xm * b for a, b in zip([0] + basis, basis + [0])]
+                    denom *= xj - xm
+            coeffs = [c + Fraction(yj) * b / denom for c, b in zip(coeffs, basis)]
+        assert sum(c * lams[-1] ** j for j, c in enumerate(coeffs)) == ys[-1]
+        comps.append(tuple(coeffs))
+    return QuasiPolynomial(k, tuple(comps), d)
 
 
 def reference_gram(frame, centered: bool) -> SymmetryGraph:

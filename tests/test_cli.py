@@ -604,8 +604,9 @@ class TestEhrhartCmd:
 
     @pytest.mark.parametrize("name", ["ilp-huge.ine", "santos.ext"])
     def test_oversized_input_refused_at_once(self, capsys, name):
-        # the dilates 1..5 of [0, 1000]^3 and 1..7 of santos.ext hold far
-        # more integer prefixes than the walk's budget
+        # dilate 2 of [0, 1000]^3 and dilate 3 of santos.ext, the largest
+        # of their sample plans, hold far more integer prefixes than the
+        # walk's budget
         start = time.perf_counter()
         code, out, err = run(capsys, "ehrhart", FIX / name)
         assert time.perf_counter() - start < 30

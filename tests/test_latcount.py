@@ -34,8 +34,8 @@ from polyorbit.latcount import (
 from polyorbit.cli import main, parse_polyfile
 from polyorbit.repconv import convert_dd
 from polyorbit.symilp import block_group, canonical_core_point, orbit_barycenter
-from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, reference_count, reference_volume,
-                    simplex_h)
+from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, reference_count,
+                    reference_ehrhart, reference_volume, simplex_h, simplex_v)
 from test_symilp import (
     apply_perm,
     enum_integral,
@@ -46,6 +46,7 @@ from test_symilp import (
 
 
 FIX = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def box_count(P):
@@ -435,31 +436,138 @@ class TestEhrhart:
         with pytest.raises(PolyhedronError, match="bounded"):
             ehrhart(HPolyhedron.from_rows([(-1, 0), (0, -1)], [0, 0]))
 
+    def test_v_input_is_read_on_its_points(self):
+        # listed points that are not vertices, or repeat one, add no
+        # denominator to the period; a zero ray leaves the polytope bounded
+        square = VPolyhedron.from_points(
+            [(0, 0), (1, 0), (0, 1), (1, 1), (F(1, 3), F(1, 3)), (F(1, 2), 0), (1, 0)])
+        assert ehrhart(square).components == ((F(1), F(2), F(1)),)
+        tri = VPolyhedron.from_points([(0, 0), (F(1, 2), 0), (0, F(1, 3)), (F(1, 2), 0)],
+                                      [(0, 0)])
+        assert ehrhart(tri) == ehrhart(convert_dd(tri)) and ehrhart(tri).period == 6
+        with pytest.raises(EmptyPolyhedronError, match="no points given"):
+            ehrhart(VPolyhedron.from_points([], [(0, 1)]))
+        with pytest.raises(PolyhedronError, match="bounded"):
+            ehrhart(VPolyhedron.from_points([(0, 0), (1, 0)], [(0, 1)]))
+        with pytest.raises(PolyhedronError, match="full-dimensional"):
+            ehrhart(VPolyhedron.from_points([(0, 0), (1, 1), (2, 2)]))
+
     def test_mismatching_counts_are_caught(self, monkeypatch):
         import polyorbit.latcount as lc
-        real = lc._count_dilate
+        # the plan of [-1, 1]^2 is 0, 1, -1, 2: the closed counts of 1P and
+        # 2P (9, and 25 as the check) and the interior count of 1P (1, the
+        # origin); a lie at any of them is caught
+        for name, t, value in [("_count_dilate", 1, 9), ("_count_dilate", 2, 25),
+                               ("_count_interior", 1, 1)]:
+            real, told = getattr(lc, name), []
 
-        def lying(levels, lam):
-            v = real(levels, lam)
-            return v + 1 if v == 81 else v  # 4[-1,1]^2 holds 81 points
+            def lying(levels, lam, real=real, t=t, told=told):
+                v = real(levels, lam)
+                if lam != t:
+                    return v
+                told.append(v)
+                return v + 1
 
-        monkeypatch.setattr(lc, "_count_dilate", lying)
-        with pytest.raises(VerificationError):
-            lc.ehrhart(cube_h(2))
+            with monkeypatch.context() as m:
+                m.setattr(lc, name, lying)
+                with pytest.raises(VerificationError):
+                    lc.ehrhart(cube_h(2))
+            assert told == [value]
 
     def test_prefix_budget(self, monkeypatch):
         import polyorbit.latcount as lc
-        # the largest dilate of [-1, 1]^3 is 5, with 11 * 11 prefixes over
-        # (x1, x2); that of a triangle of period 2 is 2 * (2 + 2) = 8, and
-        # x1 takes the 5 values 0..4 in it
+        # the plan of [-1, 1]^3 is 0, 1, -1, 2, -2, so its largest dilate is
+        # 2, with 5 * 5 prefixes over (x1, x2); that of a triangle of period
+        # 2 reaches 4 in class 0 (0, 2, -2, 4), and x1 takes the 3 values
+        # 0..2 in it
         tri = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 1)], [0, 0, F(1, 2)])
-        for P, top, prefixes in [(cube_h(3), 5, 121), (tri, 8, 5)]:
+        for P, top, prefixes in [(cube_h(3), 2, 25), (tri, 4, 3)]:
             monkeypatch.setattr(lc, "_WALK_BUDGET", prefixes)
             lc.ehrhart(P)
             monkeypatch.setattr(lc, "_WALK_BUDGET", prefixes - 1)
             with pytest.raises(PolyhedronError, match=(
                     f"budget {prefixes - 1}: dilate {top} spans {prefixes} integer")):
                 lc.ehrhart(P)
+
+
+def interior_scan(P, t):
+    """Integer points strictly inside every row of t*P, by a scan of the
+    bounding box of its vertices."""
+    V = convert_dd(P)
+    box = [range(floor(t * min(c)), ceil(t * max(c)) + 1) for c in zip(*V.vertices)]
+    return sum(all(dot(a, x) < t * b for a, b in zip(P.A, P.b)) for x in product(*box))
+
+
+def jittered_polytope(rng, d):
+    """A full-dimensional rational polytope near a cube, cross-polytope or
+    simplex in R^d: every coordinate of the integral base points moved by
+    -1, 0 or 1, then divided by a period of 2 or 3."""
+    q = rng.choice([2, 3])
+    base = rng.choice([[p for p in product((-2, 2), repeat=d)],
+                       [tuple(s * 3 * (i == j) for j in range(d)) for i in range(d)
+                        for s in (1, -1)],
+                       [tuple(3 * (i == j) for j in range(d)) for i in range(-1, d)]])
+    while True:
+        pts = [tuple(F(x + rng.randint(-1, 1), q) for x in p) for p in base]
+        if rank([tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]) == d:
+            return convert_dd(VPolyhedron.from_points(pts))
+
+
+FAMILIES = {"cube": (cube_h, cube_v), "cross": (cross_h, cross_v),
+            "simplex": (simplex_h, simplex_v)}
+
+
+class TestEhrhartReciprocity:
+    """ehrhart, with interior counts at negative abscissae, against
+    reference_ehrhart, interpolated on positive dilates alone."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_families_match_reference(self, family, d):
+        H, V = (make(d) for make in FAMILIES[family])
+        assert ehrhart(H) == ehrhart(V) == reference_ehrhart(H)
+
+    def test_period_two_matches_reference(self):
+        seg = parse_polyfile((FIX / "segment-half.ine").read_text()).to_hpolyhedron()
+        tri = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 1)], [0, 0, F(1, 2)])
+        for P in (seg, tri):
+            assert ehrhart(P).period == 2
+            assert ehrhart(P) == reference_ehrhart(P)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_jittered_polytopes_match_reference(self, seed):
+        rng = random.Random(f"ehrhart-jitter/{seed}")
+        P = jittered_polytope(rng, 1 + seed % 3)
+        assert ehrhart(P) == reference_ehrhart(P)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_lattice_counting_inputs_match_reference(self, seed, tmp_path, monkeypatch):
+        # the inputs of every ehrhart job of one benchmark round
+        monkeypatch.syspath_prepend(str(ROOT))
+        from polybench import workloads
+        jobs = [job for job in workloads.build("lattice-counting", seed, 10, str(tmp_path))
+                if job.argv[0] == "ehrhart"]
+        assert len(jobs) == 7
+        for job in jobs:
+            P = parse_polyfile(Path(job.argv[1]).read_text()).to_hpolyhedron()
+            assert ehrhart(P) == reference_ehrhart(P), job.name
+
+    @pytest.mark.parametrize("case", [f"{f}{d}" for f in sorted(FAMILIES) for d in (1, 2, 3)]
+                             + [f"jitter{seed}" for seed in range(6)])
+    def test_interior_count_matches_box_scan(self, case):
+        import polyorbit.latcount as lc
+        if case.startswith("jitter"):
+            P = jittered_polytope(random.Random(f"interior/{case}"), 2 + int(case[6:]) % 2)
+        else:
+            P = FAMILIES[case[:-1]][0](int(case[-1]))
+        d = P.n
+        q = ehrhart(P)
+        V = convert_dd(P)
+        for t in (1, 2, 3):
+            levels = lc._chain(P, V, lc._widest_last(V, t)[0])
+            interior = lc._count_interior(levels, t)
+            assert interior == interior_scan(P, t)
+            assert q.evaluate(-t) == (-1) ** d * interior
 
 
 class TestVolume:
@@ -998,6 +1106,13 @@ class TestOneChainPerCount:
         path = str(FIX / "cube3.ine")
         assert dd_cone_calls(monkeypatch, main, [*args, path]) == 3
         capsys.readouterr()
+
+    def test_v_input_ehrhart_converts_once(self, monkeypatch, capsys):
+        # one DD of the points to facet rows, which top the chain, and one
+        # per projection onto 1 and 2 coordinates; no DD back to vertices
+        path = str(FIX / "cube3.ext")
+        assert dd_cone_calls(monkeypatch, main, ["ehrhart", path]) == 3
+        assert capsys.readouterr().out == "period 1\ndegree 3\nclass 0: 1 6 12 8\n"
 
 
 def oracle_polytope(rng, n):

@@ -3,9 +3,10 @@ exported name resolves, no module reaches into another module's private
 names, no library function takes a jobs parameter, lattice counting and the
 CLI import no LP routine, symilp imports no elimination routine, the
 symmetric count and the Ehrhart interpolation each walk one projection
-chain, the facet walk of repconv and the counting walk of latcount stay in
-integer arithmetic, neither the adjacency graph nor the triangulation
-behind volume converts anything, symmetry detection and the group check
+chain, Ehrhart reads neither volume nor a dilate, the facet walk of repconv
+and the counting walk of latcount stay in integer arithmetic, neither the
+adjacency graph nor the triangulation behind volume converts anything,
+symmetry detection and the group check
 of the decompositions build no map, the symmetry search makes no Fraction
 color, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
@@ -111,6 +112,18 @@ def test_symmetric_count_and_ehrhart_build_one_chain():
         assert not banned, f"{fn.name} calls {sorted(banned)}"
 
 
+def test_ehrhart_reads_neither_volume_nor_a_dilate():
+    # every sample is a count on the one chain of P, and the leading
+    # coefficient is interpolated like the others
+    tree = ast.parse((PACKAGE / "latcount.py").read_text())
+    fns = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in
+           {"ehrhart", "_count_dilate", "_count_interior", "_count_scaled"}]
+    assert len(fns) == 4
+    for fn in fns:
+        banned = _called(fn) & {"volume", "dilate"}
+        assert not banned, f"{fn.name} calls {sorted(banned)}"
+
+
 @pytest.mark.parametrize("source", sorted(p for p in PACKAGE.glob("*.py") if p.name != "permgrp.py"),
                          ids=lambda p: p.name)
 def test_permutation_representation_stays_in_permgrp(source):
@@ -133,9 +146,11 @@ def test_facet_walk_builds_no_fraction():
 
 
 def test_counting_walk_builds_no_fraction():
-    # the walk, its closed-form last two levels and the order it takes the
-    # coordinates in run on integer rows and points
-    walk = {"_walk", "_fiber", "_plane_count", "_envelope_sum", "_floor_sum", "_widest_last"}
+    # the walk, its closed-form last two levels, the order it takes the
+    # coordinates in and the closed and interior counts of a dilate run on
+    # integer rows and points
+    walk = {"_walk", "_fiber", "_plane_count", "_envelope_sum", "_floor_sum", "_widest_last",
+            "_count_dilate", "_count_interior", "_count_scaled"}
     banned = {"Fraction", "frac", "dot", "floor", "ceil"}
     tree = ast.parse((PACKAGE / "latcount.py").read_text())
     fns = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in walk]
