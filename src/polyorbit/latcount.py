@@ -361,8 +361,10 @@ def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optiona
     its fiber (the high end when
     c_n > 0).  Without a nonzero c the first leaf is the answer, else the
     first best leaf.  An empty P gives None; rays, and walks past _WALK_BUDGET
-    prefixes on a level, are refused.
+    prefixes on a level, are refused, and so is a c of another length than n.
     """
+    if c is not None and len(c) != P.n:
+        raise ValueError("objective length does not match dimension")
     try:
         V = convert_dd(P)
     except EmptyPolyhedronError:
@@ -572,11 +574,10 @@ def volume(P: Union[HPolyhedron, VPolyhedron]) -> Fraction:
     end with the scale.  A zero-dimensional polytope has measure 1 by
     convention.
     """
-    Q, masks = convert_dd_incidence(P)
     if isinstance(P, VPolyhedron):
-        V, rows = P, set(masks)
+        V, rows = P, set(integer_v_to_h(*P.int_points)[2])
     else:
-        V = Q
+        V, masks = convert_dd_incidence(P)
         rows = {sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(P.m)}
     if V.rays:
         raise PolyhedronError("volume requires a bounded polyhedron")

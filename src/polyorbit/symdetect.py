@@ -37,6 +37,9 @@ The automorphism search runs along one base and finds every basic orbit of
 the stabilizer chain on it, so the order of the group is the product of
 those orbits' sizes and its generators are a strong generating set, from
 which the group's chain is built at that order when every one is realized.
+It checks consistency one way, by forward checking (Haralick and Elliott,
+1980): each unassigned vertex keeps the bitset of the images that agree
+with every assignment so far, and an assignment that empties one is undone.
 """
 from __future__ import annotations
 
@@ -148,6 +151,14 @@ def _refine_colors(gram: Sequence[Sequence[int]]) -> list:
         colors = new
 
 
+def _bits(mask: int):
+    """The indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, int]:
     """(generators, base, order) of the automorphism group of the complete
     graph whose edge {i+1, j+1} has the integer color gram[i][j].
@@ -156,7 +167,8 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
     of the stabilizer chain on that order, so the generators are a strong
     generating set on base, the points of the order whose basic orbit is
     nontrivial, and the order of the group is the product of those orbits'
-    sizes."""
+    sizes.  Domains drop only images that no completion uses, so each branch
+    finds the completion that a plain ascending scan would find."""
     k = len(gram)
     if k <= 1:
         return [], (), 1
@@ -164,68 +176,55 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
     cell_size = {c: colors.count(c) for c in set(colors)}
     # assignment order: smallest color cells first, lowest index first
     order = sorted(range(k), key=lambda i: (cell_size[colors[i]], colors[i], i))
-    # near[x][c]: the vertices y with gram[x][y] == c, ascending.  An image w
-    # of v agrees with v on its color to the last assigned vertex a, so only
-    # near[img[a]][gram[v][a]] is scanned, in the same ascending order.
+    # near[y][c]: the bitset of the vertices x != y with gram[x][y] == c.  A
+    # vertex u sent to its image img[u] leaves x only the images in
+    # near[img[u]][gram[x][u]], which keep x's color to u and differ from img[u]
     near: list = [{} for _ in range(k)]
+    cells: dict = {}
     for x, row in enumerate(gram):
+        cells[colors[x]] = cells.get(colors[x], 0) | 1 << x
         for y, c in enumerate(row):
-            near[x].setdefault(c, []).append(y)
+            if x != y:
+                near[y][c] = near[y].get(c, 0) | 1 << x
+    # after[p]: the colors of order[p+1:] to order[p]
+    after = [[gram[x][order[p]] for x in order[p + 1:]] for p in range(k - 1)]
 
-    def near_last(img: list, v: int, upto: int) -> list:
-        a = order[upto - 1]
-        return near[img[a]].get(gram[v][a], [])
+    def narrow(doms: list, p: int, w: int) -> Optional[list]:
+        """The domains of order[p+1:], given doms, the domains of order[p:],
+        once order[p] is sent to w; None if one empties."""
+        nw = near[w]
+        out = [d & nw.get(c, 0) for d, c in zip(doms[1:], after[p])]
+        return out if all(out) else None
 
-    def consistent(img: list, v: int, w: int, upto: int) -> bool:
-        if colors[v] != colors[w]:
-            return False
-        gv, gw = gram[v], gram[w]
-        for p in range(upto):
-            a = order[p]
-            if gv[a] != gw[img[a]]:
-                return False
-        return True
+    # fixed[l]: the domains of order[l:] with order[:l] fixed pointwise; a
+    # vertex is always in its own, so none empties
+    fixed = [[cells[colors[x]] for x in order]]
+    for p in range(k - 2):
+        fixed.append(narrow(fixed[p], p, order[p]))
 
     def complete(level: int, w0: int) -> Optional[list]:
         """Images (0-based) of one automorphism fixing order[:level] and
         sending order[level] to w0.
 
-        Depth-first over the positions order[level+1:], with an explicit
-        stack: cands[p] are the images to try at position p, and nxt[p] the
-        index of the next one."""
-        img = [-1] * k          # img[v] = image of vertex v (0-based)
-        used = [False] * k
-        for p in range(level):
-            img[order[p]] = order[p]
-            used[order[p]] = True
-        if used[w0]:
-            return None         # w0 is a fixed prefix vertex; injectivity fails
-        img[order[level]] = w0
-        used[w0] = True
-        cands = [()] * (k + 1)
-        nxt = [0] * (k + 1)
-        p = level + 1
-        while p > level:
-            if p == k:
+        Depth-first over the positions order[level:], with an explicit
+        stack of (untried images, domains from that position on): each
+        position takes the images of its domain in ascending order, and an
+        image that empties a later domain is not taken."""
+        img = list(range(k))    # order[:level] is fixed pointwise
+        stack = [(iter((w0,)), fixed[level])]
+        while stack:
+            cands, doms = stack[-1]
+            w = next(cands, None)
+            if w is None:
+                stack.pop()
+                continue
+            p = level + len(stack) - 1
+            img[order[p]] = w
+            if p == k - 1:
                 return img
-            v = order[p]
-            if img[v] >= 0:     # back from p + 1: release the last choice
-                used[img[v]] = False
-                img[v] = -1
-            i = nxt[p]
-            if i == 0:          # entered from p - 1
-                cands[p] = near_last(img, v, p)
-            cs = cands[p]
-            while i < len(cs) and (used[cs[i]] or not consistent(img, v, cs[i], p)):
-                i += 1
-            if i < len(cs):
-                img[v] = cs[i]
-                used[cs[i]] = True
-                nxt[p] = i + 1
-                p += 1
-                nxt[p] = 0
-            else:
-                p -= 1
+            doms = narrow(doms, p, w)
+            if doms:
+                stack.append((_bits(doms[0]), doms))
         return None
 
     found: list = []            # image lists (0-based) of the generators
@@ -242,17 +241,12 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
     base, size = [], 1
     for level in range(k - 2, -1, -1):
         v = order[level]
-        prefix = {order[p] for p in range(level)}
         orb = orbit_of(v)
-        # every generator found so far fixes the prefix, so an image w that
-        # no automorphism reaches rules out the orbit of w as well
+        # every generator found so far fixes order[:level], so an image w
+        # that no automorphism reaches rules out the orbit of w as well
         failed: set = set()
-        a = order[level - 1]    # the prefix is fixed pointwise
-        for w in near[a].get(gram[v][a], []) if level else range(k):
-            if w == v or w in orb or w in prefix or w in failed:
-                continue
-            # prefix is fixed pointwise: check consistency against it directly
-            if colors[v] != colors[w] or any(gram[v][x] != gram[w][x] for x in order[:level]):
+        for w in _bits(fixed[level][0]):
+            if w in orb or w in failed:
                 continue
             g = complete(level, w)
             if g is None:
@@ -276,10 +270,11 @@ def graph_automorphisms(Gr: SymmetryGraph) -> list:
     enforced along every branch, so reported permutations are automorphisms
     by construction.  Edge colors are compared as the integer ranks of the
     color classes, which order and equate exactly as the gram values do.
-    Each position scans only the images that share its color to the last
-    assigned vertex, and an image that no automorphism reaches rules out its
-    whole orbit under the generators found so far, which all fix the points
-    before it.
+    Each position takes its images from a domain, the bitset of the images
+    that keep every color to the vertices assigned so far, narrowed by one
+    mask per assignment; an assignment that empties a later domain is not
+    taken.  An image that no automorphism reaches rules out its whole orbit
+    under the generators found so far, which all fix the points before it.
     """
     rank = {value: r for r, value in enumerate(sorted(Gr.color_classes))}
     return _automorphism_search([[rank[v] for v in row] for row in Gr.gram])[0]

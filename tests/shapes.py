@@ -1,15 +1,16 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
-lattice-point count, Ehrhart quasi-polynomial, LP solver and symmetry gram
-shared across test modules."""
+lattice-point count, Ehrhart quasi-polynomial, LP solver, symmetry gram and
+automorphism search shared across test modules."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, lcm
 from operator import mul
+from typing import Optional, Sequence
 
 from polyorbit.latcount import QuasiPolynomial
 from polyorbit.permgrp import Permutation
-from polyorbit.symdetect import SymmetryGraph
+from polyorbit.symdetect import SymmetryGraph, _refine_colors
 from polyorbit.polycore import (
     AffineHull,
     EmptyPolyhedronError,
@@ -83,6 +84,24 @@ def cut_v(n: int) -> VPolyhedron:
         side = bits + (1,)
         pts.append(tuple(Fraction(int(side[i] != side[j])) for i, j in pairs))
     return VPolyhedron.from_points(pts)
+
+
+def met_h(n: int) -> HPolyhedron:
+    """Metric polytope MET_n in R^(n choose 2): for each triple of K_n, the
+    three triangle rows x_e - x_f - x_g <= 0 and the perimeter row
+    x_e + x_f + x_g <= 2, 4 C(n, 3) rows in all.  Its rows' symmetry group,
+    for n >= 5, has order 2^(n-1) n!: the switchings and the relabelings."""
+    index = {e: t for t, e in enumerate(combinations(range(n), 2))}
+    A, b = [], []
+    for i, j, l in combinations(range(n), 3):
+        edges = (index[i, j], index[i, l], index[j, l])
+        for signs, rhs in (((1, -1, -1), 0), ((-1, 1, -1), 0), ((-1, -1, 1), 0), ((1, 1, 1), 2)):
+            row = [Fraction(0)] * len(index)
+            for e, s in zip(edges, signs):
+                row[e] = Fraction(s)
+            A.append(tuple(row))
+            b.append(Fraction(rhs))
+    return HPolyhedron.from_rows(A, b)
 
 
 def simplex_v(n: int) -> VPolyhedron:
@@ -545,3 +564,124 @@ def reference_solve_lp(P: HPolyhedron, c, maximize: bool = True) -> LPResult:
             x[bcol - n] -= rhs[i]
     point = tuple(x)
     return LPResult("optimal", dot(c, point), point)
+
+
+def reference_automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, int]:
+    """(generators, base, order) of the automorphism group of the complete
+    graph whose edge {i+1, j+1} has the integer color gram[i][j], by the
+    search that filters each candidate image only backwards: against the
+    last assigned vertex, then every assigned one, with no domains.
+
+    The search runs along the assignment order and finds every basic orbit
+    of the stabilizer chain on that order, so the generators are a strong
+    generating set on base, the points of the order whose basic orbit is
+    nontrivial, and the order of the group is the product of those orbits'
+    sizes."""
+    k = len(gram)
+    if k <= 1:
+        return [], (), 1
+    colors = _refine_colors(gram)
+    cell_size = {c: colors.count(c) for c in set(colors)}
+    # assignment order: smallest color cells first, lowest index first
+    order = sorted(range(k), key=lambda i: (cell_size[colors[i]], colors[i], i))
+    # near[x][c]: the vertices y with gram[x][y] == c, ascending.  An image w
+    # of v agrees with v on its color to the last assigned vertex a, so only
+    # near[img[a]][gram[v][a]] is scanned, in the same ascending order.
+    near: list = [{} for _ in range(k)]
+    for x, row in enumerate(gram):
+        for y, c in enumerate(row):
+            near[x].setdefault(c, []).append(y)
+
+    def near_last(img: list, v: int, upto: int) -> list:
+        a = order[upto - 1]
+        return near[img[a]].get(gram[v][a], [])
+
+    def consistent(img: list, v: int, w: int, upto: int) -> bool:
+        if colors[v] != colors[w]:
+            return False
+        gv, gw = gram[v], gram[w]
+        for p in range(upto):
+            a = order[p]
+            if gv[a] != gw[img[a]]:
+                return False
+        return True
+
+    def complete(level: int, w0: int) -> Optional[list]:
+        """Images (0-based) of one automorphism fixing order[:level] and
+        sending order[level] to w0.
+
+        Depth-first over the positions order[level+1:], with an explicit
+        stack: cands[p] are the images to try at position p, and nxt[p] the
+        index of the next one."""
+        img = [-1] * k          # img[v] = image of vertex v (0-based)
+        used = [False] * k
+        for p in range(level):
+            img[order[p]] = order[p]
+            used[order[p]] = True
+        if used[w0]:
+            return None         # w0 is a fixed prefix vertex; injectivity fails
+        img[order[level]] = w0
+        used[w0] = True
+        cands = [()] * (k + 1)
+        nxt = [0] * (k + 1)
+        p = level + 1
+        while p > level:
+            if p == k:
+                return img
+            v = order[p]
+            if img[v] >= 0:     # back from p + 1: release the last choice
+                used[img[v]] = False
+                img[v] = -1
+            i = nxt[p]
+            if i == 0:          # entered from p - 1
+                cands[p] = near_last(img, v, p)
+            cs = cands[p]
+            while i < len(cs) and (used[cs[i]] or not consistent(img, v, cs[i], p)):
+                i += 1
+            if i < len(cs):
+                img[v] = cs[i]
+                used[cs[i]] = True
+                nxt[p] = i + 1
+                p += 1
+                nxt[p] = 0
+            else:
+                p -= 1
+        return None
+
+    found: list = []            # image lists (0-based) of the generators
+
+    def orbit_of(v: int) -> set:
+        orb, reached = {v}, [v]
+        for x in reached:       # reached grows as the loop runs
+            for g in found:
+                if g[x] not in orb:
+                    orb.add(g[x])
+                    reached.append(g[x])
+        return orb
+
+    base, size = [], 1
+    for level in range(k - 2, -1, -1):
+        v = order[level]
+        prefix = {order[p] for p in range(level)}
+        orb = orbit_of(v)
+        # every generator found so far fixes the prefix, so an image w that
+        # no automorphism reaches rules out the orbit of w as well
+        failed: set = set()
+        a = order[level - 1]    # the prefix is fixed pointwise
+        for w in near[a].get(gram[v][a], []) if level else range(k):
+            if w == v or w in orb or w in prefix or w in failed:
+                continue
+            # prefix is fixed pointwise: check consistency against it directly
+            if colors[v] != colors[w] or any(gram[v][x] != gram[w][x] for x in order[:level]):
+                continue
+            g = complete(level, w)
+            if g is None:
+                failed |= orbit_of(w)
+            else:
+                found.append(g)
+                orb = orbit_of(v)
+        if len(orb) > 1:
+            base.append(v + 1)
+            size *= len(orb)
+    return ([Permutation(tuple(x + 1 for x in g)) for g in found],
+            tuple(reversed(base)), size)

@@ -1,7 +1,9 @@
 """CLI tests: file parsing, each subcommand against known answers, exit
 codes, and byte-identical output across worker counts."""
 
+import importlib.util
 import os
+import random
 import subprocess
 import sys
 import time
@@ -380,6 +382,22 @@ def test_automorphisms_of_a_cut7_image(tmp_path, capsys):
     # symmetry group has order 2^6 * 7! = 322560
     code, out, err = run(capsys, "automorphisms", _write_image(tmp_path, "cut7"))
     assert (code, err, out.splitlines()[0]) == (0, "", "order 322560")
+
+
+def test_automorphisms_of_a_shuffled_cut8_image(tmp_path, capsys):
+    # CUT_8 in a vertex order that costs a search without forward checking
+    # 6-10 s: colour refinement leaves one cell of 128, so the assignment
+    # order is the file's.  The benchmark's families module writes the file
+    spec = importlib.util.spec_from_file_location(
+        "polybench_families", Path(__file__).parent.parent / "polybench" / "families.py")
+    families = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(families)
+    path = tmp_path / "cut8.ext"
+    families.write_v(path, families.image_v(random.Random("cut8"), families.cut_v(8), 3, 4))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "automorphisms", path)
+    assert time.perf_counter() - start < 3
+    assert (code, err, out.splitlines()[0]) == (0, "", "order 5160960")
 
 
 class TestConvertCmd:

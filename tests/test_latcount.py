@@ -135,6 +135,15 @@ class TestFirstLatticePoint:
         assert first_lattice_point(HPolyhedron(((),), (F(-1),))) is None
         assert first_lattice_point(HPolyhedron(((),), (F(2),), (1,))) is None
 
+    def test_objective_of_another_length_is_refused(self):
+        # on [0, 2] x [0, 3] the lex-least maximizer of x1 is (2, 0); an
+        # objective of length 1 or 3 is refused, as solve_lp refuses it
+        P = HPolyhedron.from_rows([(1, 0), (0, 1), (-1, 0), (0, -1)], [2, 3, 0, 0])
+        assert first_lattice_point(P, (1, 0)) == (2, 0)
+        for c in ((1,), (1, 0, 5)):
+            with pytest.raises(ValueError, match="objective length does not match dimension"):
+                first_lattice_point(P, c)
+
     def test_rays_refused(self):
         # the strip 1/5 <= x1 <= 4/5 holds no integer point, but has rays
         P = HPolyhedron.from_rows([(-1, 0), (1, 0)], [F(-1, 5), F(4, 5)])

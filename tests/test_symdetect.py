@@ -2,17 +2,21 @@
 affine realization, and the H-side restricted variant.
 
 Brute-force oracles: permutation scans over all k! candidates for small k,
-independently computed gram values for the square, and the gram of the
-frame's coefficients (shapes.reference_gram) for every other gram.
+independently computed gram values for the square, the gram of the
+frame's coefficients (shapes.reference_gram) for every other gram, and the
+search without domains (shapes.reference_automorphism_search) for the
+generators, base and order of the search.
 """
 import itertools
 import random
 import sys
+import time
 from fractions import Fraction as F
 from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyorbit import symdetect
 from polyorbit.cli import parse_polyfile
@@ -43,7 +47,8 @@ from polyorbit.symdetect import (
     restricted_symmetries_H,
 )
 
-from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, probe_permutations, reference_gram,
+from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, met_h,
+                    probe_permutations, reference_automorphism_search, reference_gram,
                     row_image, santos_prismatoid, simplex_h, simplex_v, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
@@ -209,11 +214,84 @@ def test_random_point_set_grams_match_coefficient_route():
 
 def check_ranks_and_search(rank, ref):
     """The ranks order pairs exactly as ref's values do, and the search
-    returns the same (generators, base, order) on both."""
+    returns the same (generators, base, order) on both, and as the
+    reference search."""
     assert rank == dense_ranks(ref.gram)
     search = symdetect._automorphism_search(rank)
     assert search == symdetect._automorphism_search(dense_ranks(ref.gram))
+    assert search == reference_automorphism_search(rank)
     assert search[0] == graph_automorphisms(ref)
+
+
+def check_search(gram):
+    """The search returns the reference search's (generators, base, order)
+    on the ranks of a gram given entry by entry."""
+    rank = dense_ranks(gram)
+    assert symdetect._automorphism_search(rank) == reference_automorphism_search(rank)
+
+
+# every family of shapes, as given and in two unimodular images (V) or row
+# images (H); none is a slow input of the reference search
+FAMILIES = {
+    "cube_v4": lambda: cube_v(4),
+    "cross_v5": lambda: cross_v(5),
+    "cut_v6": lambda: cut_v(6),
+    "simplex_v4": lambda: simplex_v(4),
+    "hypersimplex_v36": lambda: hypersimplex_v(3, 6),
+    "prismatoid": santos_prismatoid,
+    "cube_h4": lambda: cube_h(4),
+    "cross_h4": lambda: cross_h(4),
+    "simplex_h4": lambda: simplex_h(4),
+    "birkhoff3": lambda: birkhoff(3),
+    "met_h5": lambda: met_h(5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+@pytest.mark.parametrize("seed", [None, 1, 2])
+def test_search_matches_reference_on_families(name, seed):
+    P = FAMILIES[name]()
+    if seed is not None:
+        P = unimodular_image(list(P.vertices), f"search/{name}/{seed}")[0] \
+            if isinstance(P, VPolyhedron) else row_image(P, f"search/{name}/{seed}")
+    check_search(symdetect._gram(P.frame)[0])
+
+
+@st.composite
+def symmetric_colorings(draw):
+    """Symmetric k x k colorings, k <= 7, in at most 4 colors."""
+    k = draw(st.integers(1, 7))
+    colors = draw(st.lists(st.integers(0, 3), min_size=k * (k + 1) // 2,
+                           max_size=k * (k + 1) // 2))
+    gram = [[0] * k for _ in range(k)]
+    for (i, j), c in zip(itertools.combinations_with_replacement(range(k), 2), colors):
+        gram[i][j] = gram[j][i] = c
+    return gram
+
+
+@settings(max_examples=100, deadline=None)
+@given(symmetric_colorings())
+def test_search_matches_reference_and_brute_force_on_random_colorings(gram):
+    rank = dense_ranks(gram)
+    search = symdetect._automorphism_search(rank)
+    assert search == reference_automorphism_search(rank)
+    assert search[2] == len(consistent_permutations(rank))
+
+
+@pytest.mark.parametrize("n, order", [(5, 1920), (6, 23040), (7, 322560)])
+def test_metric_polytope_search_has_order_2_to_n_minus_1_times_n_factorial(n, order):
+    # the search on MET_n's row gram alone, with no double description.
+    # Without forward checking the search takes over 20 s on MET_7, and
+    # with it well under 1 s
+    rank = symdetect._gram(met_h(n).frame)[0]
+    start = time.perf_counter()
+    gens, _, size = symdetect._automorphism_search(rank)
+    assert time.perf_counter() - start < 5
+    assert size == order
+    k = len(rank)
+    for g in gens:
+        img = [x - 1 for x in g.images]
+        assert all(rank[img[i]][img[j]] == rank[i][j] for i in range(k) for j in range(k))
 
 
 # -- graph automorphisms --------------------------------------------------------
@@ -261,6 +339,7 @@ def test_automorphisms_match_brute_force(gram):
     assert G.order() == len(oracle)
     for p in oracle:
         assert p in G
+    check_search(gram)
 
 
 
@@ -275,6 +354,7 @@ def test_automorphisms_of_random_graphs_match_brute_force():
                 gram[i][j] = gram[j][i] = F(1)
         gens = graph_automorphisms(graph_of(gram))
         assert group_order(gens, 6) == len(consistent_permutations(gram))
+        check_search(gram)
 
 
 def pair_refined_colors(gram):
@@ -304,6 +384,7 @@ def test_integer_keyed_refinement_matches_pair_refinement():
                 gram[i][j] = gram[j][i] = rng.randrange(E)
         gram = dense_ranks(gram)
         assert symdetect._refine_colors(gram) == pair_refined_colors(gram)
+        check_search(gram)
 
 
 def cycles_gram(lengths, seed):
@@ -337,6 +418,7 @@ def test_images_no_automorphism_reaches_are_pruned_exactly(lengths, order):
         assert all(gram[g(i + 1) - 1][g(j + 1) - 1] == gram[i][j]
                    for g in gens for i in range(k) for j in range(k))
         assert group_order(gens, k) == order
+        check_search(gram)
 
 # -- affine symmetry groups -----------------------------------------------------
 
