@@ -39,7 +39,6 @@ from .polycore import (
     VerificationError,
     VPolyhedron,
     dot,
-    matrix,
     vector,
 )
 from .repconv import (
@@ -81,13 +80,20 @@ class PolyFile:
             raise ValueError(f"rows do not have the given width {self.width}")
 
     def to_hpolyhedron(self) -> HPolyhedron:
+        """The file's polyhedron, HPolyhedron.of_rows of the rows
+        (a | b) = (-row[1:] | row[0]): ints read off the numerators where a
+        file row's denominators are all 1, Fractions otherwise.  int_rows
+        are made from these rows, and A and b only when something reads them."""
         if self.kind != "H":
             raise PolyhedronError("an H-representation file is required here")
         if not self.rows:
             raise PolyhedronError("an H-representation needs at least one row")
-        A = matrix([[-x for x in row[1:]] for row in self.rows])
-        b = vector([row[0] for row in self.rows])
-        return HPolyhedron(A, b, self.linearity)
+        rows = []
+        for row in self.rows:
+            if all(x.denominator == 1 for x in row):
+                row = [x.numerator for x in row]
+            rows.append((*(-x for x in row[1:]), row[0]))
+        return HPolyhedron.of_rows(rows, self.linearity)
 
     def to_vpolyhedron(self) -> VPolyhedron:
         if self.kind != "V":
@@ -105,6 +111,7 @@ class PolyFile:
 
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_INTEGER = re.compile(r"[+-]?\d+")
 
 
 def _parse_rational(tok: str, lineno: int) -> Fraction:
@@ -179,7 +186,10 @@ def parse_polyfile(text: str) -> PolyFile:
         if len(toks) != width:
             raise PolyFileError(
                 f"line {no}: expected {width} entries, got {len(toks)}")
-        row = tuple(_parse_rational(t, no) for t in toks)
+        if all(map(_INTEGER.fullmatch, toks)):
+            row = tuple(map(Fraction, map(int, toks)))
+        else:
+            row = tuple(_parse_rational(t, no) for t in toks)
         if kind == "V" and row[0] not in (0, 1):
             raise PolyFileError(
                 f"line {no}: V rows must start with 1 (vertex) or 0 (ray)")
@@ -190,6 +200,9 @@ def parse_polyfile(text: str) -> PolyFile:
     for i in linearity:
         if not 1 <= i <= m:
             raise PolyFileError(f"linearity index {i} is out of range 1..{m}")
+        if kind == "V" and rows[i - 1][0] == 1:
+            raise PolyFileError(
+                f"linearity index {i} marks a vertex row; only a ray row can be a line")
 
     objective = None
     blocks = None
@@ -214,7 +227,7 @@ def parse_polyfile(text: str) -> PolyFile:
                 raise PolyFileError(f"line {no}: blocks must be positive integers")
         else:
             raise PolyFileError(f"line {no}: unknown option line {ln!r}")
-    return PolyFile(kind, matrix(rows), linearity, objective, blocks, width)
+    return PolyFile(kind, tuple(rows), linearity, objective, blocks, width)
 
 
 def write_polyfile(pf: PolyFile) -> str:

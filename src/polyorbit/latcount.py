@@ -364,7 +364,7 @@ def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optiona
     prefixes on a level, are refused, and so is a c of another length than n.
     """
     if c is not None and len(c) != P.n:
-        raise ValueError("objective length does not match dimension")
+        raise PolyhedronError("objective length does not match dimension")
     try:
         V = convert_dd(P)
     except EmptyPolyhedronError:

@@ -19,8 +19,11 @@ is scaled to integers as a whole by clear_denominators.  A polyhedron's
 derived forms are cached properties, each made at most once per object:
 int_rows and int_points, its rows and points in integers; frame, their
 integer affine frame, which records every relabeling it has realized; and
-HPolyhedron.dd, the one double description of an H-description.  The
-unimodular column reduction of integer_kernel_basis is a separate algorithm.
+HPolyhedron.dd, the one double description of an H-description.
+HPolyhedron.of_rows makes P from its rows (a | b) as a file or a conversion
+gives them, ints where a row is integral, with int_rows read off them and A
+and b made only on first read.  The unimodular column reduction of
+integer_kernel_basis is a separate algorithm.
 
 Representation conversion is one integer double description, dd_cone, of a
 homogenization cone that only integer_h_to_v (integer rows to points and
@@ -134,9 +137,7 @@ def integerize(row: Sequence) -> tuple[int, ...]:
 def primitive(row: Sequence) -> tuple[int, ...]:
     """Integerize and divide by the gcd; sign of the row is preserved."""
     ints = integerize(row)
-    g = 0
-    for x in ints:
-        g = gcd(g, x)
+    g = gcd(*ints)
     if g <= 1:
         return ints
     return tuple(x // g for x in ints)
@@ -294,50 +295,36 @@ def integer_kernel_basis(rows: Sequence[Sequence[int]], n: int) -> list[tuple[in
     unimodular matrix that end up annihilated form a lattice basis of the
     kernel (saturated, not merely a finite-index sublattice).
     """
-    A = [list(r) for r in rows]
-    U = [[int(i == j) for j in range(n)] for i in range(n)]  # column ops tracker
-
-    def col(mat, j):
-        return [mat[i][j] for i in range(len(mat))]
-
-    def addcol(mat, dst, src, q):
-        for i in range(len(mat)):
-            mat[i][dst] += q * mat[i][src]
-
-    def swapcol(mat, a, b):
-        for i in range(len(mat)):
-            mat[i][a], mat[i][b] = mat[i][b], mat[i][a]
-
+    rows = list(rows)
+    # A and U as lists of columns, so that a column operation is a list one
+    A = [[row[j] for row in rows] for j in range(n)]
+    U = [[int(i == j) for i in range(n)] for j in range(n)]  # column ops tracker
     r = 0
-    for i in range(len(A)):
+    for i in range(len(rows)):
         # find a column with the smallest nonzero |entry| in row i, cols >= r
         while True:
-            nz = [j for j in range(r, n) if A[i][j] != 0]
+            nz = [j for j in range(r, n) if A[j][i] != 0]
             if not nz:
                 break
-            jmin = min(nz, key=lambda j: abs(A[i][j]))
+            jmin = min(nz, key=lambda j: abs(A[j][i]))
             if jmin != r:
-                swapcol(A, r, jmin)
-                swapcol(U, r, jmin)
+                A[r], A[jmin] = A[jmin], A[r]
+                U[r], U[jmin] = U[jmin], U[r]
             done = True
             for j in range(r + 1, n):
-                if A[i][j] != 0:
-                    q = A[i][j] // A[i][r]
-                    addcol(A, j, r, -q)
-                    addcol(U, j, r, -q)
-                    if A[i][j] != 0:
+                if A[j][i] != 0:
+                    q = A[j][i] // A[r][i]
+                    A[j] = [x - q * y for x, y in zip(A[j], A[r])]
+                    U[j] = [x - q * y for x, y in zip(U[j], U[r])]
+                    if A[j][i] != 0:
                         done = False
             if done:
                 break
-        if r < n and A[i][r] != 0:
+        if r < n and A[r][i] != 0:
             r += 1
         if r == n:
             break
-    kernel = []
-    for j in range(r, n):
-        if all(A[i][j] == 0 for i in range(len(A))):
-            kernel.append(tuple(col(U, j)))
-    return kernel
+    return [tuple(U[j]) for j in range(r, n) if not any(A[j])]
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +407,13 @@ class _IntegerFrame:
 
 @dataclass(frozen=True)
 class HPolyhedron:
-    """Inequality description {x : A x <= b} with exact rational data."""
+    """Inequality description {x : A x <= b} with exact rational data.
+
+    m and n are the row count and the dimension (0 with no rows).  of_rows
+    makes P from its rows (a_i | b_i), as an H file's rows arrive: int_rows,
+    m and n are read off them, and the Fraction matrices A and b are made
+    from them on first read, so a caller of int_rows alone builds neither.
+    """
     A: Matrix
     b: Vector
     # 1-based indices of rows known to hold with equality on the whole set
@@ -433,18 +426,30 @@ class HPolyhedron:
         widths = {len(r) for r in self.A}
         if len(widths) > 1:
             raise PolyhedronError("ragged inequality matrix")
+        self.__dict__.update(m=len(self.A), n=max(widths, default=0))
 
     @classmethod
     def from_rows(cls, A: Iterable[Iterable], b: Iterable, equality_rows=()) -> "HPolyhedron":
         return cls(matrix(A), vector(b), tuple(equality_rows))
 
-    @property
-    def m(self) -> int:
-        return len(self.A)
+    @classmethod
+    def of_rows(cls, rows: Sequence[Sequence], equality_rows=()) -> "HPolyhedron":
+        """P from its rows (a_i | b_i), all of one width and each entry an
+        int or a Fraction; equal to from_rows of the same A and b.  rows is
+        kept as given, and A and b are made from it on first read."""
+        P = cls.__new__(cls)
+        P.__dict__.update(_rows=rows, equality_rows=tuple(equality_rows), m=len(rows),
+                          n=len(rows[0]) - 1 if rows else 0, int_rows=tuple(map(primitive, rows)))
+        return P
 
-    @property
-    def n(self) -> int:
-        return len(self.A[0]) if self.A else 0
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: A and b of a P made by
+        # of_rows before their first read
+        if name not in ("A", "b"):
+            raise AttributeError(name)
+        rows = self._rows
+        self.__dict__.update(A=tuple(vector(r[:-1]) for r in rows), b=vector(r[-1] for r in rows))
+        return self.__dict__[name]
 
     @cached_property
     def int_rows(self) -> tuple[tuple[int, ...], ...]:
@@ -465,7 +470,7 @@ class HPolyhedron:
         """Whether x satisfies every row, in integers: x = X / s and each row
         the primitive (a | b) of int_rows, a.X is compared with s b."""
         x = vector(x)
-        if self.A and len(x) != self.n:
+        if self.m and len(x) != self.n:
             raise PolyhedronError(
                 f"point has {len(x)} coordinates, the polyhedron has dimension {self.n}")
         s, (xs,) = clear_denominators([x])
@@ -575,9 +580,9 @@ def solve_lp(P: HPolyhedron, c: Sequence, maximize: bool = True) -> LPResult:
         if res.status == "optimal":
             return LPResult("optimal", -res.value, res.point)
         return res
-    m, n = P.m, (P.n if P.A else len(c))    # no rows: the whole space of c
+    m, n = P.m, (P.n if P.m else len(c))    # no rows: the whole space of c
     if n != len(c):
-        raise ValueError("objective length does not match dimension")
+        raise PolyhedronError("objective length does not match dimension")
     total = 2 * n + m                 # u, w and the slacks; then artificials
     eq = set(P.equality_rows)
     art = [i + 1 in eq or row[-1] < 0 for i, row in enumerate(P.int_rows)]
@@ -821,8 +826,7 @@ def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, tuple[int, ...]]:
 
 def _v_to_h(V: VPolyhedron) -> tuple[HPolyhedron, tuple[int, ...]]:
     eqs, les, masks = integer_v_to_h(*V.int_points)
-    rows = eqs + les
-    H = HPolyhedron.from_rows([r[:-1] for r in rows], [r[-1] for r in rows], range(1, len(eqs) + 1))
+    H = HPolyhedron.of_rows(eqs + les, range(1, len(eqs) + 1))
     return H, ((1 << (V.k + len(V.rays))) - 1,) * len(eqs) + tuple(masks)
 
 

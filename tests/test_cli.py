@@ -1,12 +1,14 @@
 """CLI tests: file parsing, each subcommand against known answers, exit
 codes, and byte-identical output across worker counts."""
 
+import importlib
 import importlib.util
 import os
 import random
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
 from pathlib import Path
@@ -122,6 +124,44 @@ class TestPolyFileParsing:
         with pytest.raises(PolyFileError, match=fragment):
             parse_polyfile(text)
 
+    @pytest.mark.parametrize("tok, verdict", [
+        # integer tokens take one fullmatch each and then int(); the rest,
+        # and every error text, go through the per-token rational parse
+        ("1_000", "line 4: not a rational number: '1_000'"),
+        ("\u0661\u0662", F(12)),          # \d matches any Unicode decimal digit
+        ("\u0663/\u0664", F(3, 4)),
+        ("+-1", "line 4: not a rational number: '+-1'"),
+        ("1/0", "line 4: zero denominator: '1/0'"),
+        ("1.5", "line 4: not a rational number: '1.5'"),
+        ("1/-2", "line 4: not a rational number: '1/-2'"),
+        ("\u00b2", "line 4: not a rational number: '\u00b2'"),
+        ("0x10", "line 4: not a rational number: '0x10'"),
+        ("+", "line 4: not a rational number: '+'"),
+    ])
+    @pytest.mark.parametrize("rest", ["-1", "1/2"], ids=["integer-row", "rational-row"])
+    def test_token_table(self, tok, verdict, rest):
+        text = f"H-representation\nbegin\n1 2 rational\n{tok} {rest}\nend\n"
+        if isinstance(verdict, str):
+            with pytest.raises(PolyFileError) as info:
+                parse_polyfile(text)
+            assert str(info.value) == verdict
+        else:
+            row = parse_polyfile(text).rows[0]
+            assert row == (verdict, F(rest)) and all(type(x) is F for x in row)
+
+    def test_v_linearity_on_a_point_row_is_refused(self):
+        # a line through a point is not a V row; only a ray row (leading 0)
+        # may be marked, and it becomes a line
+        text = ("V-representation\nlinearity 1 {}\nbegin\n3 3 rational\n"
+                "1 0 0\n0 1 0\n1 0 1\nend\n")
+        for i in (1, 3):
+            with pytest.raises(PolyFileError) as info:
+                parse_polyfile(text.format(i))
+            assert str(info.value) == (f"linearity index {i} marks a vertex row; "
+                                       "only a ray row can be a line")
+        V = parse_polyfile(text.format(2)).to_vpolyhedron()
+        assert V.vertices == ((0, 0), (0, 1)) and V.rays == ((1, 0), (-1, 0))
+
     @pytest.mark.parametrize("tok,value", [
         ("+3", F(3)), ("-0", F(0)), ("007", F(7)), ("-4/6", F(-2, 3)),
         ("+10/4", F(5, 2)), ("0/5", F(0)), ("-007/014", F(-1, 2)),
@@ -130,6 +170,87 @@ class TestPolyFileParsing:
         text = f"H-representation\nbegin\n1 2 rational\n{tok} -1\nend\n"
         entry = parse_polyfile(text).rows[0][0]
         assert entry == value and type(entry) is F
+
+
+def _old_route(pf: PolyFile) -> HPolyhedron:
+    """The polyhedron of an H file as it was built before its rows were
+    read as integers: A = -row[1:] and b = row[0], in Fractions."""
+    return HPolyhedron.from_rows([[-x for x in row[1:]] for row in pf.rows],
+                                 [row[0] for row in pf.rows], pf.linearity)
+
+
+def _assert_read_as_before(text: str):
+    pf = parse_polyfile(text)
+    P, Q = pf.to_hpolyhedron(), _old_route(pf)
+    # the integer forms come first, before anything builds A and b
+    assert "A" not in vars(P) and "b" not in vars(P)
+    assert (P.int_rows, P.m, P.n, P.equality_rows) == (Q.int_rows, Q.m, Q.n, Q.equality_rows)
+    assert P == Q and hash(P) == hash(Q) and repr(P) == repr(Q)
+    assert (P.A, P.b) == (Q.A, Q.b)
+    assert all(type(x) is F for x in P.b) and all(type(x) is F for a in P.A for x in a)
+    assert replace(P) == P and replace(P).int_rows == P.int_rows
+
+
+@pytest.fixture(scope="module")
+def workload_h_files(tmp_path_factory):
+    """The text of every H input that the benchmark's workloads write for
+    seeds 1-5, read through the polybench package loaded by path."""
+    pkg = Path(__file__).parent.parent / "polybench"
+    spec = importlib.util.spec_from_file_location(
+        "_polybench", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    sys.modules["_polybench"] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(sys.modules["_polybench"])
+    workloads = importlib.import_module("_polybench.workloads")
+    texts = []
+    for name in sorted(workloads.SETTINGS):
+        for seed in range(1, 6):
+            workdir = tmp_path_factory.mktemp(f"{name}-{seed}")
+            workloads.build(name, seed, 10, str(workdir))
+            texts += [p.read_text() for p in sorted(workdir.glob("*.ine"))]
+    return texts
+
+
+class TestIntegerRead:
+    """An H file's rows reach HPolyhedron as integers, or as Fractions in a
+    row with a p/q token, and give the polyhedron the Fraction route gave."""
+
+    @pytest.mark.parametrize("path", sorted(FIX.glob("*.ine")), ids=lambda p: p.name)
+    def test_fixtures(self, path):
+        _assert_read_as_before(path.read_text())
+
+    def test_workload_inputs(self, workload_h_files):
+        assert len(workload_h_files) > 100
+        for text in workload_h_files:
+            _assert_read_as_before(text)
+
+    def test_seeded_tokens(self):
+        # rows of integer tokens in every spelling, rows with p/q tokens,
+        # zero rows and equality rows
+        rng = random.Random(33)
+        spellings = ["+3", "-0", "007", "0", "-5", "12", "+0", "-007/014", "6/4", "-1/3", "0/7"]
+        for _ in range(300):
+            m, width = rng.randint(1, 6), rng.randint(1, 5)
+            rows = [[rng.choice(spellings[:7] if rng.random() < 0.6 else spellings)
+                     for _ in range(width)] for _ in range(m)]
+            lin = rng.sample(range(1, m + 1), rng.randint(0, m))
+            head = f"linearity {len(lin)} {' '.join(map(str, lin))}\n" if lin else ""
+            _assert_read_as_before(f"H-representation\n{head}begin\n{m} {width} rational\n"
+                                   + "".join(" ".join(r) + "\n" for r in rows) + "end\n")
+
+    @pytest.mark.parametrize("name", ["cube3-blocks.ine", "cube3-obj.ine", "ilp-relax.ine"])
+    def test_ilp_with_blocks_never_builds_A(self, name, monkeypatch, capsys):
+        # the sweep, its relaxation LP and the final membership test read
+        # int_rows, m and n alone
+        built, read = [], PolyFile.to_hpolyhedron
+
+        def to_hpolyhedron(pf):
+            built.append(read(pf))
+            return built[-1]
+
+        monkeypatch.setattr(cli.PolyFile, "to_hpolyhedron", to_hpolyhedron)
+        code, out, _ = run(capsys, "ilp", FIX / name)
+        assert code in (0, 1) and "fibers tested" in out and len(built) == 1
+        assert "A" not in vars(built[0]) and "b" not in vars(built[0])
 
 
 class TestAutomorphismsCmd:

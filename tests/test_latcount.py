@@ -141,7 +141,7 @@ class TestFirstLatticePoint:
         P = HPolyhedron.from_rows([(1, 0), (0, 1), (-1, 0), (0, -1)], [2, 3, 0, 0])
         assert first_lattice_point(P, (1, 0)) == (2, 0)
         for c in ((1,), (1, 0, 5)):
-            with pytest.raises(ValueError, match="objective length does not match dimension"):
+            with pytest.raises(PolyhedronError, match="objective length does not match dimension"):
                 first_lattice_point(P, c)
 
     def test_rays_refused(self):

@@ -133,6 +133,15 @@ class TestRationalArithmetic:
         assert primitive([F(-2), F(4)]) == (-1, 2)
         assert primitive([0, 0]) == (0, 0)
 
+    def test_primitive_edge_rows(self):
+        # the gcd of the whole row at once: an empty or all-zero row comes
+        # back unchanged, zeros and signs are kept
+        assert primitive([]) == ()
+        assert primitive([0]) == (0,)
+        assert primitive([0, -6, 9]) == (0, -2, 3)
+        assert primitive([-4, 0]) == (-1, 0)
+        assert primitive([F(-3, 2), 0, F(9, 4)]) == (-2, 0, 3)
+
 
 class TestLinearAlgebra:
     def test_rank_examples(self):
@@ -261,6 +270,17 @@ class TestSolveLP:
         assert solve_lp(P, [1]).status == "unbounded"
         assert solve_lp(P, [1], maximize=False).status == "unbounded"
         assert solve_lp(P, [0, 0]) == LPResult("optimal", 0, (0, 0))
+
+    def test_objective_of_another_length_is_refused(self):
+        # the refusal the CLI turns into exit 2: a PolyhedronError, for
+        # either sense, as latcount.first_lattice_point and symilp raise it
+        P = cube_h(2)
+        assert solve_lp(P, (1, 0)).value == 1
+        for c in ((1,), (1, 0, 5)):
+            for maximize in (True, False):
+                with pytest.raises(PolyhedronError,
+                                   match="objective length does not match dimension"):
+                    solve_lp(P, c, maximize)
 
     def test_equality_via_pair(self):
         # x + y = 1 facet trick, maximize x with x,y >= 0
