@@ -23,7 +23,7 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -65,7 +65,9 @@ class PolyFileError(ValueError):
 @dataclass(frozen=True)
 class PolyFile:
     """Parsed polyhedron file: kind, body rows, trailing options, and the
-    width of the header, which a file with no rows needs to write back."""
+    width of the header, which a file with no rows needs to write back.
+    Each linearity index must name a row, and in a V file a ray row, so a
+    PolyFile built in code writes a file that parses back."""
     kind: str                                     # "H" | "V"
     rows: Matrix                                  # m x (n+1) exact entries
     linearity: tuple[int, ...] = ()               # 1-based body row indices
@@ -78,6 +80,13 @@ class PolyFile:
             object.__setattr__(self, "width", len(self.rows[0]) if self.rows else 0)
         elif any(len(row) != self.width for row in self.rows):
             raise ValueError(f"rows do not have the given width {self.width}")
+        m = len(self.rows)
+        for i in self.linearity:
+            if not 1 <= i <= m:
+                raise PolyFileError(f"linearity index {i} is out of range 1..{m}")
+            if self.kind == "V" and self.rows[i - 1][0] == 1:
+                raise PolyFileError(
+                    f"linearity index {i} marks a vertex row; only a ray row can be a line")
 
     def to_hpolyhedron(self) -> HPolyhedron:
         """The file's polyhedron, HPolyhedron.of_rows of the rows
@@ -197,12 +206,7 @@ def parse_polyfile(text: str) -> PolyFile:
     no, ln = take()
     if ln != "end":
         raise PolyFileError(f"line {no}: expected end, got {ln!r}")
-    for i in linearity:
-        if not 1 <= i <= m:
-            raise PolyFileError(f"linearity index {i} is out of range 1..{m}")
-        if kind == "V" and rows[i - 1][0] == 1:
-            raise PolyFileError(
-                f"linearity index {i} marks a vertex row; only a ray row can be a line")
+    body = PolyFile(kind, tuple(rows), linearity, width=width)   # checks the linearity
 
     objective = None
     blocks = None
@@ -227,7 +231,7 @@ def parse_polyfile(text: str) -> PolyFile:
                 raise PolyFileError(f"line {no}: blocks must be positive integers")
         else:
             raise PolyFileError(f"line {no}: unknown option line {ln!r}")
-    return PolyFile(kind, tuple(rows), linearity, objective, blocks, width)
+    return replace(body, objective=objective, blocks=blocks)
 
 
 def write_polyfile(pf: PolyFile) -> str:

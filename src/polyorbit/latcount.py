@@ -2,14 +2,16 @@
 
 Everything is built on one exact enumeration backbone: integer points are
 listed coordinate by coordinate over a chain of projections.  The polyhedron
-is converted once to vertices and rays (the plain count takes a V input as
-given), read in integers as VPolyhedron.int_points; their projections onto
-the first k coordinates, turned into facet rows by integer_v_to_h, give the
-feasible interval of x_k over each fixed prefix in closed form, so the
-search never leaves the projection and solves no LP.  The top of the chain,
-the projection onto every coordinate, is P itself, so an H input gives its
-own HPolyhedron.int_rows there.  Every count runs at most one conversion,
-one chain and one walk.  The walk closes its last two levels in closed form:
+is converted once, an H input to its vertices and rays and a V input to its
+facet rows (the plain count walks a V input on its own points).  The rows
+of the projection onto the first k coordinates give the feasible interval
+of x_k over each fixed prefix in closed form, so the search never leaves
+the projection and solves no LP.  The top of the chain, the projection onto
+every coordinate, is P itself, so an H input gives its own
+HPolyhedron.int_rows there; each level below is read off the one above by
+one Fourier-Motzkin step on the irredundant facets of P and the incidence
+masks of that one conversion.  Every count runs one conversion, one chain
+and one walk.  The walk closes its last two levels in closed form:
 over a fixed prefix, the count of the last coordinate is a difference of two
 lower envelopes of floor lines in the one before, summed piece by piece with
 the floor-sum recursion.  So the plain count and the Ehrhart walk take the
@@ -58,6 +60,7 @@ from .polycore import (
     integer_kernel_basis,
     integer_nullspace,
     integer_v_to_h,
+    irredundant_rows,
     matrix,
     primitive,
     vec_sub,
@@ -94,13 +97,15 @@ def count_lattice_points(P: Union[HPolyhedron, VPolyhedron]) -> int:
     """Number of integer points of a bounded polyhedron, counted exactly.
 
     An H input is converted once to vertices and rays; a V input is walked
-    on the points and rays it lists, with no conversion, and must list at
-    least one point, as for convert_dd.  The coordinates are ordered by the
-    number of integers the points span on each, widest last, and every
-    coordinate a ray moves after them.  For each k = 1..n - 1 the points and
-    rays are projected onto the first k coordinates and converted back to
-    facet rows, primitive integer rows of the projection proj_k(P); level n
-    is P's own rows for an H input.  Coordinates are then fixed in order:
+    on the points and rays it lists, converted once to its facet rows, and
+    must list at least one point, as for convert_dd.  The coordinates are
+    ordered by the number of integers the points span on each, widest last,
+    and every coordinate a ray moves after them.  Level n of the chain is
+    P's own rows for an H input and its facet rows for a V input; for each
+    k = n - 1..1, one Fourier-Motzkin step on the irredundant facets of
+    level k + 1 and the points tight on each gives the primitive integer
+    rows of the projection proj_k(P), with no conversion of its own (see
+    _eliminate).  Coordinates are then fixed in order:
     for a fixed integer prefix the values of x_k that extend to a point of P
     form the fiber of proj_k(P) over the prefix, an interval read in closed
     form from the level-k rows with integer floor and ceiling.  The last two
@@ -117,23 +122,24 @@ def count_lattice_points(P: Union[HPolyhedron, VPolyhedron]) -> int:
 def _orbit_count(P: Union[HPolyhedron, VPolyhedron], blocks: Sequence[int]) -> int:
     """Integer points of P, each weighted by its orbit size under the blocks.
 
-    P must lie in the sorted domain x_{t+1} <= x_t of every block; one DD
-    of an H input, or the points of a V input, and one projection chain
-    feed the weighted walk.  With singleton blocks the chain takes the
+    P must lie in the sorted domain x_{t+1} <= x_t of every block; one DD,
+    of an H input to its vertices or of a V input to its facets, and the
+    one projection chain read off it feed the weighted walk.  With singleton blocks the chain takes the
     widest coordinate last, which does not change the count.  An empty H
     input counts 0; a V input with no points raises EmptyPolyhedronError.
     """
     if isinstance(P, VPolyhedron):
         if not P.vertices:
             raise EmptyPolyhedronError("no points given")
-        V = P
+        V, top = P, (*integer_v_to_h(*P.int_points), (1 << P.k) - 1)
     else:
         try:
             V = convert_dd(P)
         except EmptyPolyhedronError:
             return 0
+        top = _top_rows(P)
     order = _widest_last(V)[0] if max(blocks, default=1) == 1 else range(P.n)
-    levels = _chain(P, V, order)
+    levels = _chain(P, top, order)
     pos = tuple(p for nb in blocks for p in range(nb))
     return _walk(levels, pos, [], 1, 1) if levels else 1
 
@@ -154,32 +160,113 @@ def _widest_last(V: VPolyhedron, lam: int = 1) -> tuple[list[int], list[int]]:
     return sorted(range(V.n), key=lambda t: (moved[t], spans[t])), spans
 
 
-def _chain(P: Union[HPolyhedron, VPolyhedron], V: VPolyhedron,
+def _top_rows(P: HPolyhedron) -> tuple[list, list, list, int]:
+    """The top of the chain of a nonempty H input, read off P.dd by
+    polycore.irredundant_rows, in the form _chain takes."""
+    V, gens = P.dd
+    equalities, kept = irredundant_rows(gens, P.m, V.k)
+    rows = P.int_rows
+    eqs = []
+    if equalities:
+        _, pivots, m, _ = gauss_jordan(rows[i] for i in sorted(equalities))
+        eqs = [primitive(r) for r in m[:len(pivots)]]
+    kept = [i for i in kept if i not in equalities]
+    masks = [sum(1 << j for j, g in enumerate(gens) if g >> i & 1) for i in kept]
+    return eqs, [rows[i] for i in kept], masks, (1 << V.k) - 1
+
+
+def _chain(P: Union[HPolyhedron, VPolyhedron], top: tuple[list, list, list, int],
            order: Sequence[int]) -> list[tuple[list, list]]:
     """Projection chain of P with its coordinates taken in the given order.
 
-    Level k holds the facet rows of the projection onto the first k of them,
-    each level below the top read off one DD of V's points and rays, which
-    generate P.  The top level is P itself: an H input gives its own
-    primitive rows, its equality rows as equalities and redundant rows
-    harmless, and only a V input pays a DD there.
+    Level k holds rows of the projection onto the first k of them, each
+    a.x = beta or a.x <= beta stored as (a_1..a_{k-1}, a_k, beta) in
+    primitive integers.  top holds a basis of P's implicit equalities and
+    its facets, rows (a | b), a mask per facet of the generators of P tight
+    on it, and the mask of the points among them.  The top level is P's own
+    rows for an H input, redundant ones harmless, and top's for a V input;
+    each level below is one Fourier-Motzkin step, _eliminate, on the one
+    above, so the chain runs no double description.
     """
     n = len(order)
-    if isinstance(P, VPolyhedron) or not n:
-        return [_projection_rows(V, order[:k]) for k in range(1, n + 1)]
-    eq = set(P.equality_rows)
-    eqs, les = [], []
-    for i, row in enumerate(P.int_rows, start=1):
-        g = tuple(row[t] for t in order) + row[-1:]
-        if any(g[:n]):
-            (eqs if i in eq else les).append((g[:n - 1], g[n - 1], g[n]))
-    return [_projection_rows(V, order[:k]) for k in range(1, n)] + [(eqs, les)]
+    if not n:
+        return []
+    eqs, les = ([tuple(g[t] for t in order) + g[-1:] for g in rows] for rows in top[:2])
+    masks, points = top[2:]
+    if isinstance(P, VPolyhedron):
+        levels = [_split(eqs, les)]
+    else:
+        eq = set(P.equality_rows)
+        rows = ([], [])
+        for i, row in enumerate(P.int_rows, start=1):
+            g = tuple(row[t] for t in order) + row[-1:]
+            if any(g[:n]):
+                rows[i not in eq].append(g)
+        levels = [_split(*rows)]
+    for k in range(n, 1, -1):
+        eqs, les, masks = _eliminate(eqs, les, masks, points, k)
+        levels.append(_split(eqs, les))
+    return levels[::-1]
+
+
+def _split(eqs: list, les: list) -> tuple[list, list]:
+    """A level of the chain from its rows (a_1..a_k, beta)."""
+    return [(g[:-2], g[-2], g[-1]) for g in eqs], [(g[:-2], g[-2], g[-1]) for g in les]
+
+
+def _eliminate(eqs: list, les: list, masks: list, points: int, k: int
+               ) -> tuple[list, list, list]:
+    """The rows and masks of Q in R^k, as _chain's top holds them, projected
+    onto the first k - 1 coordinates.
+
+    An equality that moves x_k is substituted into every other row.  Else
+    the facets that do not move x_k stay, and each pair of opposite sign on
+    it whose common mask holds a point (every nonempty face does) and lies
+    in no third mask meets in a ridge and gives its combination without x_k
+    (Chernikov's rule).  A ridge holds at least dim Q - 1 generators, so
+    pairs sharing fewer are skipped first, as in polycore.dd_cone.
+    """
+    j = k - 1
+    e = next((e for e in eqs if e[j]), None)
+    if e is not None:
+        c, s = abs(e[j]), 1 if e[j] > 0 else -1
+
+        def sub(r):
+            f = s * r[j]
+            return primitive([c * x - f * y for x, y in zip(r[:j] + r[k:], e[:j] + e[k:])])
+
+        return [sub(r) for r in eqs if r is not e], [sub(r) for r in les], masks
+    eqs = [r[:j] + r[k:] for r in eqs]
+    out, out_masks, plus, minus = [], [], [], []
+    for i, r in enumerate(les):
+        if r[j]:
+            (plus if r[j] > 0 else minus).append(i)
+        else:
+            out.append(r[:j] + r[k:])
+            out_masks.append(masks[i])
+    seen = set(out)
+    need = k - len(eqs) - 1
+    for ip in minus:
+        p, mp = les[ip], masks[ip]
+        for iq in plus:
+            z = mp & masks[iq]
+            if not z & points or z.bit_count() < need or any(
+                    m & z == z for i, m in enumerate(masks) if i != ip and i != iq):
+                continue
+            q = les[iq]
+            w = primitive([q[j] * x - p[j] * y for x, y in zip(p[:j] + p[k:], q[:j] + q[k:])])
+            if w not in seen:
+                seen.add(w)
+                out.append(w)
+                out_masks.append(z)
+    return eqs, out, out_masks
 
 
 def _projection_rows(V: VPolyhedron, coords: Sequence[int]) -> tuple[list, list]:
     """Facet rows of the projection of V onto the given coordinates, taken
-    in that order: polycore.integer_v_to_h of the distinct projected points
-    and nonzero projected rays of V.int_points.
+    in that order, for the slice decomposition: polycore.integer_v_to_h of
+    the distinct projected points and nonzero projected rays of
+    V.int_points.
 
     Returns (equalities, inequalities), each row a.x = beta or a.x <= beta
     stored as (a_1..a_{k-1}, a_k, beta) in primitive integers.
@@ -355,8 +442,9 @@ _WALK_BUDGET = 1_000_000
 def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optional[tuple]:
     """Lex-least integer point of a bounded P, or the lex-least maximizer of c.
 
-    The chain is built as for a count, but in the given coordinate order,
-    on which the lex order depends.  It is walked depth first over the first
+    The chain is built as for a count, from the one conversion of P to its
+    vertices, but in the given coordinate order, on which the lex order
+    depends.  It is walked depth first over the first
     n - 1 coordinates, values smallest first, and the last one is read off
     its fiber (the high end when
     c_n > 0).  Without a nonzero c the first leaf is the answer, else the
@@ -371,7 +459,7 @@ def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optiona
         return None
     if V.rays:
         raise PolyhedronError("integer programming needs a bounded polyhedron")
-    levels = _chain(P, V, range(P.n))
+    levels = _chain(P, _top_rows(P), range(P.n))
     w = primitive(c) if c is not None and any(c) else None
     leaves = _leaves(levels, [], w is not None and w[-1] > 0, [count(1) for _ in levels])
     if w is None:
@@ -459,6 +547,9 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
     An H input is converted once to its vertices.  A V input must list a
     point and no nonzero ray; it is converted once to facet rows, and a
     listed point is a vertex when the facets through it meet in it alone.
+    Either way the facets of P and the incidence masks of that one
+    conversion give every level of the projection chain below P's own rows,
+    each by one Fourier-Motzkin step, so no level runs a conversion.
     The period k is the lcm of the vertex-coordinate denominators (an error
     if it exceeds period_bound).  For each residue class i mod k the samples
     are the d + 2 abscissae x = i mod k of least |x|, positive first on a
@@ -471,7 +562,7 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
     may hold at most _WALK_BUDGET integer prefixes in its bounding box over
     all but its widest coordinate, which the walk takes last; that bounds
     the nodes of the counting walk, and a larger input is an error rather
-    than a run of hours.  The projection chain is built once: proj(tP) =
+    than a run of hours.  The chain is built once: proj(tP) =
     t proj(P), so every count walks that chain with its right-hand sides
     scaled by t.  An integral polytope yields period 1.
     """
@@ -485,10 +576,13 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
         full = (1 << len(pts)) - 1
         V = VPolyhedron.from_points([p for j, p in enumerate(pts) if 1 << j == reduce(
             and_, (m for m in masks if m >> j & 1), full)])
+        e = len(H.equality_rows)
+        facets = (H.int_rows[:e], H.int_rows[e:], masks[e:], full)
     else:
         H, V = P, convert_dd(P)
         if V.rays:
             raise PolyhedronError("Ehrhart counting requires a bounded polyhedron")
+        facets = _top_rows(P)
     k, pts, _ = V.int_points
     d = len(gauss_jordan(tuple(map(sub, p, pts[0])) for p in pts[1:])[1])
     if d != P.n:
@@ -505,7 +599,7 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
         raise PolyhedronError(
             f"Ehrhart counting exceeds budget {_WALK_BUDGET}: dilate {top}"
             f" spans {prefixes} integer prefixes")
-    levels = _chain(H, V, order)
+    levels = _chain(H, facets, order)
     components = []
     for xs in plan:
         ys = [_count_dilate(levels, x) if x > 0

@@ -1,6 +1,6 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
-lattice-point count, Ehrhart quasi-polynomial, LP solver, symmetry gram and
-automorphism search shared across test modules."""
+lattice-point count, projection chain, Ehrhart quasi-polynomial, LP solver,
+symmetry gram and automorphism search shared across test modules."""
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -29,6 +29,7 @@ from polyorbit.polycore import (
     hull_coordinates,
     index_set,
     integer_kernel_basis,
+    integer_v_to_h,
     invert_matrix,
     mat_vec,
     matrix,
@@ -309,6 +310,38 @@ def reference_count(P) -> int:
         raise EmptyPolyhedronError("no points given")
     levels = [_reference_rows(P, k) for k in range(1, P.n + 1)]
     return _reference_walk(levels, []) if levels else 1
+
+
+def reference_chain(P, V, order):
+    """Projection chain of P in the given order, one double description per
+    level, in the level format of latcount's counting walk.
+
+    V generates P (P itself for a V input, its conversion for an H input).
+    Level k < n holds the equalities and facet rows integer_v_to_h finds for
+    the distinct projections of V's points and nonzero projections of its
+    rays onto the first k coordinates of the order; level n is P's own rows
+    for an H input, and for a V input the projection onto every coordinate.
+    """
+    n = len(order)
+
+    def level(k):
+        s, pts, rays = V.int_points
+        pts = dict.fromkeys(tuple(p[t] for t in order[:k]) for p in pts)
+        rays = dict.fromkeys(r for r in (tuple(r[t] for t in order[:k]) for r in rays)
+                             if any(r))
+        eqs, les, _ = integer_v_to_h(s, list(pts), list(rays))
+        return ([(g[:k - 1], g[k - 1], g[k]) for g in eqs],
+                [(g[:k - 1], g[k - 1], g[k]) for g in les])
+
+    if isinstance(P, VPolyhedron) or not n:
+        return [level(k) for k in range(1, n + 1)]
+    eq = set(P.equality_rows)
+    eqs, les = [], []
+    for i, row in enumerate(P.int_rows, start=1):
+        g = tuple(row[t] for t in order) + row[-1:]
+        if any(g[:n]):
+            (eqs if i in eq else les).append((g[:n - 1], g[n - 1], g[n]))
+    return [level(k) for k in range(1, n)] + [(eqs, les)]
 
 
 def _reference_rows(V, k):

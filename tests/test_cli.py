@@ -162,6 +162,22 @@ class TestPolyFileParsing:
         V = parse_polyfile(text.format(2)).to_vpolyhedron()
         assert V.vertices == ((0, 0), (0, 1)) and V.rays == ((1, 0), (-1, 0))
 
+    def test_v_linearity_on_a_point_row_is_refused_in_code(self):
+        # the same triangle built as a PolyFile: a value that writes a file
+        # parse_polyfile refuses is refused when it is made
+        rows = matrix([(1, 0, 0), (0, 1, 0), (1, 0, 1)])
+        for i in (1, 3):
+            with pytest.raises(PolyFileError) as info:
+                PolyFile(kind="V", rows=rows, linearity=(i,))
+            assert str(info.value) == (f"linearity index {i} marks a vertex row; "
+                                       "only a ray row can be a line")
+        with pytest.raises(PolyFileError, match=r"^linearity index 4 is out of range 1\.\.3$"):
+            PolyFile(kind="V", rows=rows, linearity=(4,))
+        pf = PolyFile(kind="V", rows=rows, linearity=(2,))
+        assert parse_polyfile(write_polyfile(pf)) == pf
+        # an H row is an equality whatever it starts with
+        assert PolyFile(kind="H", rows=rows, linearity=(1, 3)).linearity == (1, 3)
+
     @pytest.mark.parametrize("tok,value", [
         ("+3", F(3)), ("-0", F(0)), ("007", F(7)), ("-4/6", F(-2, 3)),
         ("+10/4", F(5, 2)), ("0/5", F(0)), ("-007/014", F(-1, 2)),

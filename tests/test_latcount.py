@@ -16,7 +16,10 @@ from polyorbit.polycore import (
     VerificationError,
     VPolyhedron,
     dot,
+    gauss_jordan,
+    integer_v_to_h,
     matrix,
+    primitive,
     rank,
     solve_lp,
     vec_add,
@@ -34,8 +37,8 @@ from polyorbit.latcount import (
 from polyorbit.cli import main, parse_polyfile
 from polyorbit.repconv import convert_dd
 from polyorbit.symilp import block_group, canonical_core_point, orbit_barycenter
-from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, reference_count,
-                    reference_ehrhart, reference_volume, simplex_h, simplex_v)
+from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, reference_chain,
+                    reference_count, reference_ehrhart, reference_volume, simplex_h, simplex_v)
 from test_symilp import (
     apply_perm,
     enum_integral,
@@ -294,10 +297,10 @@ class TestCountLatticePoints:
     @pytest.mark.parametrize("seed", range(40))
     def test_v_input_walks_its_own_points(self, monkeypatch, seed):
         # duplicates, midpoints and lower-dimensional hulls included; one
-        # dd_cone call per projection level and none to convert V to H
+        # dd_cone call for the facets that top the chain, and none per level
         V = random_point_cloud(random.Random(seed))
         H = convert_dd(V)
-        assert dd_cone_calls(monkeypatch, count_lattice_points, V) == V.n
+        assert dd_cone_calls(monkeypatch, count_lattice_points, V) == 1
         assert count_lattice_points(V) == count_lattice_points(H) == box_count(H)
 
     @pytest.mark.parametrize("pts,rays", [
@@ -343,7 +346,7 @@ class TestCountLatticePoints:
     def test_v_file_converts_nothing(self, monkeypatch, capsys, name):
         path = FIX / name
         V = parse_polyfile(path.read_text()).to_vpolyhedron()
-        assert dd_cone_calls(monkeypatch, main, ["count", str(path)]) == V.n
+        assert dd_cone_calls(monkeypatch, main, ["count", str(path)]) == 1
         assert capsys.readouterr() == (f"{count_lattice_points(convert_dd(V))}\n", "")
 
     def test_symmetric_counting_solves_no_lp(self, monkeypatch, capsys):
@@ -573,7 +576,7 @@ class TestEhrhartReciprocity:
         q = ehrhart(P)
         V = convert_dd(P)
         for t in (1, 2, 3):
-            levels = lc._chain(P, V, lc._widest_last(V, t)[0])
+            levels = lc._chain(P, lc._top_rows(P), lc._widest_last(V, t)[0])
             interior = lc._count_interior(levels, t)
             assert interior == interior_scan(P, t)
             assert q.evaluate(-t) == (-1) ** d * interior
@@ -1071,6 +1074,38 @@ def dd_cone_calls(monkeypatch, fn, *args):
 
 
 class TestOneChainPerCount:
+    @pytest.mark.parametrize("cmd, answers", [("count", 12), ("ehrhart", 8), ("ilp", 7)])
+    def test_one_dd_on_every_fixture_answered(self, monkeypatch, capsys, tmp_path, cmd,
+                                              answers):
+        # the DD of the input (its vertices for an H file, its facets for a
+        # V file) is the only one: every lower level of the chain is a
+        # Fourier-Motzkin step.  ilp runs on every H file with its blocks
+        # line dropped; the count walks, which run no DD (santos' takes
+        # seconds), are stubbed
+        import polyorbit.latcount as lc
+        answered = 0
+        for path in sorted(FIX.iterdir()):
+            if cmd == "ilp":
+                if path.suffix == ".ext":
+                    continue
+                text = "".join(ln for ln in path.read_text().splitlines(keepends=True)
+                               if not ln.startswith("blocks"))
+                path = tmp_path / path.name
+                path.write_text(text)
+            codes = []
+
+            def run():
+                if cmd == "count":
+                    monkeypatch.setattr(lc, "_walk", lambda *args: 0)
+                codes.append(main([cmd, str(path)]))
+
+            calls = dd_cone_calls(monkeypatch, run)
+            capsys.readouterr()
+            if codes[0] in (0, 1):
+                assert calls == 1, path.name
+                answered += 1
+        assert answered == answers
+
     @pytest.mark.parametrize("q", [2, 3, 4])
     def test_scaled_chain_matches_dilates(self, q):
         import polyorbit.latcount as lc
@@ -1088,7 +1123,7 @@ class TestOneChainPerCount:
                 for c in v:
                     period = period * c.denominator // gcd(period, c.denominator)
             assert period == q
-            levels = lc._chain(V, V, range(d))
+            levels = lc._chain(V, v_top(V), range(d))
             for lam in range(1, d + 3):
                 assert lc._count_dilate(levels, lam) == count_lattice_points(P.dilate(lam))
 
@@ -1110,17 +1145,17 @@ class TestOneChainPerCount:
 
     @pytest.mark.parametrize("args", [("count",), ("ehrhart",), ("ilp",)])
     def test_h_input_tops_its_chain_with_its_own_rows(self, monkeypatch, capsys, args):
-        # one DD for the vertices and one per projection onto 1 and 2
-        # coordinates; the top level is the three-row-pair cube itself
+        # one DD for the vertices, whose masks give the projections onto 1
+        # and 2 coordinates; the top level is the three-row-pair cube itself
         path = str(FIX / "cube3.ine")
-        assert dd_cone_calls(monkeypatch, main, [*args, path]) == 3
+        assert dd_cone_calls(monkeypatch, main, [*args, path]) == 1
         capsys.readouterr()
 
     def test_v_input_ehrhart_converts_once(self, monkeypatch, capsys):
-        # one DD of the points to facet rows, which top the chain, and one
-        # per projection onto 1 and 2 coordinates; no DD back to vertices
+        # one DD of the points to facet rows, which top the chain and whose
+        # masks give the projections; no DD back to vertices
         path = str(FIX / "cube3.ext")
-        assert dd_cone_calls(monkeypatch, main, ["ehrhart", path]) == 3
+        assert dd_cone_calls(monkeypatch, main, ["ehrhart", path]) == 1
         assert capsys.readouterr().out == "period 1\ndegree 3\nclass 0: 1 6 12 8\n"
 
 
@@ -1266,3 +1301,195 @@ class TestWalkOracle:
         assert lc._plane_count([], [], 1, 0) == 0
         with pytest.raises(PolyhedronError, match="unbounded"):
             lc._plane_count([((1,), 1, 0)], [], 0, 0)
+
+
+def v_top(V):
+    """The top of the chain of a V input, as _orbit_count makes it."""
+    return (*integer_v_to_h(*V.int_points), (1 << V.k) - 1)
+
+
+def canonical_level(level):
+    """A chain level in one form per polyhedron: its equalities as the
+    primitive rows of their reduced row echelon form, positive on the pivot,
+    and its inequality rows as a set, each reduced to 0 on those pivot
+    columns and made primitive (a facet row is unique only modulo the
+    equalities)."""
+    eqs, les = level
+    basis, pivots = [], []
+    if eqs:
+        _, pivots, m, _ = gauss_jordan(head + (c, beta) for head, c, beta in eqs)
+        basis = [primitive(r if r[p] > 0 else [-x for x in r]) for r, p in zip(m, pivots)]
+    rows = set()
+    for head, c, beta in les:
+        g = head + (c, beta)
+        for b, p in zip(basis, pivots):
+            g = tuple(b[p] * x - g[p] * y for x, y in zip(g, b))
+        rows.add(primitive(g))
+    return basis, rows
+
+
+def walk_outcome(levels):
+    """The weighted walk of a chain with singleton blocks: its count, or the
+    message it raises."""
+    import polyorbit.latcount as lc
+    try:
+        return lc._walk(levels, (0,) * len(levels), [], 1, 1) if levels else 1
+    except PolyhedronError as exc:
+        return str(exc)
+
+
+def ridge_cube(n):
+    """The unit n-cube with x1 + x2 <= 2, a row tight on a ridge only."""
+    U = unit_box(n)
+    return HPolyhedron.from_rows(list(U.A) + [(1, 1) + (0,) * (n - 2)], list(U.b) + [2])
+
+
+def chain_case(rng, kind, n):
+    """A seeded polyhedron in R^n of the given kind, for the chain oracle."""
+    if kind == "cloud":
+        return random_point_cloud(rng)
+    if kind == "redundant":
+        return oracle_polytope(random.Random(rng.random()), n)[1]
+    if kind == "ridge":
+        # the unit n-cube with x1 + x2 <= 2, a row tight on a ridge only
+        return ridge_cube(n)
+    if kind == "rays":
+        pts = [tuple(F(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(n))
+               for _ in range(rng.randint(1, 3))]
+        rays = [tuple(rng.randint(-1, 1) for _ in range(n)) for _ in range(rng.randint(1, 2))]
+        if rng.random() < 0.5:
+            rays.append(tuple(-x for x in rays[0]))      # a line
+        V = VPolyhedron.from_points(pts, rays)
+        return V if rng.random() < 0.5 else convert_dd(V)
+    P = random_polytope(rng, n, denom=rng.choice([1, 2, 3]))
+    if kind == "rational":
+        return P
+    A, b, eq = list(P.A), list(P.b), []
+    x = convert_dd(P).vertices[0]
+    if kind == "implicit" and n >= 2:
+        # x1 <= x2 <= ... <= xn <= x1, in rows none of which is an equality
+        for i in range(n):
+            A.append(tuple(F((t == i) - (t == (i + 1) % n)) for t in range(n)))
+            b.append(F(0))
+        return HPolyhedron.from_rows(A, b)
+    a = tuple(F(rng.randint(-2, 2)) for _ in range(n))
+    c = dot(a, x)
+    if kind == "explicit":
+        A.append(a)
+        b.append(c)
+        eq.append(len(A))
+    else:                                               # a flat as two rows
+        A += [a, tuple(-2 * y for y in a)]
+        b += [c, -2 * c]
+    return HPolyhedron.from_rows(A, b, eq)
+
+
+def assert_chain_matches_reference(P, order):
+    """The Fourier-Motzkin chain of P against the one double description per
+    level of shapes.reference_chain: level by level, the same equalities
+    and the same inequality rows, no row twice, and the same walk."""
+    import polyorbit.latcount as lc
+    if isinstance(P, VPolyhedron):
+        V, top = P, v_top(P)
+    else:
+        V, top = convert_dd(P), lc._top_rows(P)
+    got, want = lc._chain(P, top, order), reference_chain(P, V, order)
+    assert len(got) == len(want) == P.n
+    for k, (g, w) in enumerate(zip(got, want), start=1):
+        # an H input's own rows top the chain, copies and all
+        assert len(g[1]) == len(set(g[1])) or k == P.n and isinstance(P, HPolyhedron), k
+        assert canonical_level(g) == canonical_level(w), k
+    assert walk_outcome(got) == walk_outcome(want)
+    return V
+
+
+CHAIN_KINDS = ["rational", "explicit", "flat", "implicit", "rays", "redundant", "ridge",
+               "cloud"]
+
+
+class TestFourierMotzkinChain:
+    """The chain of Fourier-Motzkin steps against one DD per level."""
+
+    @pytest.mark.parametrize("kind", CHAIN_KINDS)
+    @pytest.mark.parametrize("seed", range(12))
+    def test_levels_match_the_per_level_dd(self, kind, seed):
+        rng = random.Random(f"fm-chain/{kind}/{seed}")
+        n = 1 + seed % 4 if kind != "ridge" else 2 + seed % 3
+        P = chain_case(rng, kind, n)
+        try:
+            V = convert_dd(P) if isinstance(P, HPolyhedron) else P
+        except EmptyPolyhedronError:
+            assert count_lattice_points(P) == 0
+            return
+        order = list(range(P.n))
+        rng.shuffle(order)
+        import polyorbit.latcount as lc
+        for o in (lc._widest_last(V)[0], range(P.n), order):
+            assert_chain_matches_reference(P, o)
+        try:
+            got = count_lattice_points(P)
+        except PolyhedronError as exc:
+            with pytest.raises(PolyhedronError, match=str(exc)):
+                reference_count(P)
+            assert "unbounded" in str(exc)
+            return
+        assert got == reference_count(P)
+        if not V.rays:
+            assert got == box_count(convert_dd(P) if isinstance(P, VPolyhedron) else P)
+
+    @pytest.mark.parametrize("rows, b, count", [
+        ([(1,), (-1,)], [F(7, 2), 2], 6),                   # n = 1
+        ([(2,), (-2,)], [3, -3], 0),                        # the point 3/2, as two rows
+        ([(1, 0), (-1, 0), (0, 1), (0, -1), (1, 1)], [2, 0, 2, 0, 2], 6),
+    ])
+    def test_small_dimensions(self, rows, b, count):
+        P = HPolyhedron.from_rows(rows, b)
+        for o in permutations(range(P.n)):
+            assert_chain_matches_reference(P, o)
+        assert count_lattice_points(P) == count == box_count(P)
+
+    def test_top_drops_a_row_tight_on_a_ridge(self):
+        # x1 + x2 <= 2 is tight on the edge x1 = x2 = 1 of the unit cube only
+        import polyorbit.latcount as lc
+        P = ridge_cube(3)
+        eqs, les, masks, points = lc._top_rows(P)
+        assert not eqs and sorted(les) == sorted(unit_box(3).int_rows)
+        assert [len(le) for _, le in lc._chain(P, lc._top_rows(P), range(3))] == [2, 4, 7]
+        assert count_lattice_points(P) == 8 == box_count(P)
+
+    def test_a_row_tight_on_a_ridge_would_hide_a_facet(self):
+        # the triangle x, y >= 0, x + y <= 2 with 2x + y <= 4, which touches
+        # it at the vertex (2, 0) alone: with that row among the facets the
+        # one ridge that projects to x <= 2 looks covered, and level 1 loses
+        # its upper bound
+        import polyorbit.latcount as lc
+        P = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 1), (2, 1)], [0, 0, 2, 4])
+        eqs, les, masks, points = lc._top_rows(P)
+        assert sorted(les) == [(-1, 0, 0), (0, -1, 0), (1, 1, 2)]
+        assert lc._chain(P, lc._top_rows(P), range(2))[0] == ([], [((), -1, 0), ((), 1, 2)])
+        rows = list(P.int_rows)
+        tight = [sum(1 << j for j, g in enumerate(P.dd[1]) if g >> i & 1) for i in range(4)]
+        assert lc._chain(P, ([], rows, tight, points), range(2))[0] == ([], [((), -1, 0)])
+        assert count_lattice_points(P) == 6
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
+    def test_lattice_counting_inputs(self, seed, tmp_path, monkeypatch, capsys):
+        # every chain a count, count --symmetric or ehrhart job of one
+        # benchmark round builds, one per job
+        import polyorbit.latcount as lc
+        monkeypatch.syspath_prepend(str(ROOT))
+        from polybench import workloads
+        calls, real = [], lc._chain
+        monkeypatch.setattr(lc, "_chain", lambda P, top, order: calls.append((P, order))
+                            or real(P, top, order))
+        jobs = [job for job in workloads.build("lattice-counting", seed, 10, str(tmp_path))
+                if job.argv[0] in ("count", "ehrhart")]
+        assert jobs
+        for job in jobs:
+            before = len(calls)
+            assert main(job.argv) == 0, job.name
+            assert len(calls) == before + 1, job.name
+        capsys.readouterr()
+        monkeypatch.undo()
+        for P, order in calls:
+            assert_chain_matches_reference(P, order)

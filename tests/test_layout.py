@@ -16,11 +16,14 @@ become integers only through its own int_rows and int_points, which are
 also the only place they are rounded or have denominators read, and are
 converted and framed only through its own dd and frame, and only polycore
 builds a homogenization cone: outside it, only the tangent cones of
-repconv._idm_orbits call dd_cone, and the two realizers of symdetect are the
-one place that judges the shape of an input for the symmetric routes."""
+repconv._idm_orbits call dd_cone, the two realizers of symdetect are the
+one place that judges the shape of an input for the symmetric routes, the
+projection chain of latcount runs no double description, and no module is
+long enough to grow the parser's token array past 8,192 slots."""
 import ast
 import importlib
 import importlib.util
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -238,7 +241,8 @@ def _top_level(name: str, names: set) -> list:
 def test_facet_geometry_projection_chain_and_volume_frame_stay_in_integers():
     banned = {"invert_matrix", "mat_mul", "mat_vec", "transpose", "solve_linear", "coordinates"}
     for name, names in [("repconv.py", {"_Geometry", "_plain_orbits", "_idm_orbits"}),
-                        ("latcount.py", {"_projection_rows", "volume"})]:
+                        ("latcount.py", {"_projection_rows", "_top_rows", "_chain",
+                                         "_eliminate", "volume"})]:
         for node in _top_level(name, names):
             assert not _called(node) & banned, f"{node.name} calls {sorted(_called(node) & banned)}"
 
@@ -424,3 +428,23 @@ def test_one_gate_judges_each_input_form():
                                      if isinstance(fn, ast.FunctionDef)}
     (fn,) = _top_level("repconv.py", {"_decompose_rows"})
     assert "integer_h_to_v" not in _called(fn)
+
+
+def test_projection_chain_runs_no_double_description():
+    # the levels below the top are Fourier-Motzkin steps on the facets and
+    # masks of the one DD the caller already made
+    banned = {"dd_cone", "convert_dd", "convert_dd_incidence", "integer_h_to_v",
+              "integer_v_to_h", "_projection_rows"}
+    for node in _top_level("latcount.py", {"_top_rows", "_chain", "_eliminate"}):
+        assert not _called(node) & banned, f"{node.name} calls {sorted(_called(node) & banned)}"
+
+
+@pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_module_stays_under_8192_tokens(source):
+    # CPython 3.11's parser doubles its token array at 8,192 tokens (comments
+    # and blank lines are not tokens to it), and compiling a module past
+    # that raises the peak memory of every fresh import by about 0.5 MiB
+    with source.open(encoding="utf-8") as fh:
+        tokens = sum(1 for tok in tokenize.generate_tokens(fh.readline)
+                     if tok.type not in (tokenize.COMMENT, tokenize.NL))
+    assert tokens < 8192, f"{source.name} has {tokens} tokens"
