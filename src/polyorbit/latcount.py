@@ -1,20 +1,21 @@
 """Lattice-point counting, Ehrhart interpolation, and symmetric slicing.
 
 Everything is built on one exact enumeration backbone: integer points are
-listed coordinate by coordinate over a chain of projections.  The polyhedron
-is converted once, an H input to its vertices and rays and a V input to its
-facet rows (the plain count walks a V input on its own points).  The rows
-of the projection onto the first k coordinates give the feasible interval
-of x_k over each fixed prefix in closed form, so the search never leaves
-the projection and solves no LP.  The top of the chain, the projection onto
-every coordinate, is P itself, so an H input gives its own
-HPolyhedron.int_rows there; each level below is read off the one above by
-one Fourier-Motzkin step on the irredundant facets of P and the incidence
-masks of that one conversion.  Every count runs one conversion, one chain
-and one walk.  The walk closes its last two levels in closed form:
-over a fixed prefix, the count of the last coordinate is a difference of two
-lower envelopes of floor lines in the one before, summed piece by piece with
-the floor-sum recursion.  So the plain count and the Ehrhart walk take the
+listed coordinate by coordinate over a chain of projections.  _top converts
+the polyhedron once, an H input to its vertices and rays and a V input to
+its facet rows (the plain count walks a V input on its own points), and
+reads the top of the chain off that one conversion: a basis of the
+implicit equalities and the facets, with the generators tight on each.
+Every level is one list of integer rows a.x <= beta, an equality entering
+as two opposite rows.  The rows of the projection onto the first k
+coordinates give the feasible interval of x_k over each fixed prefix in
+closed form, so the search never leaves the projection and solves no LP.
+Each level below the top is read off the one above by one Fourier-Motzkin
+step on its facets and their incidence masks.  Every count runs one
+conversion, one chain and one walk.  The walk closes its last two levels in
+closed form: over a fixed prefix, the count of the last coordinate is a
+difference of two lower envelopes of floor lines in the one before, summed
+piece by piece with the floor-sum recursion.  So the plain count and the Ehrhart walk take the
 widest coordinate last, spans rounded in integers on int_points; the count
 does not depend on the order.  The walk carries an integer weight per point:
 the symmetric count walks only the sorted points of each block, a
@@ -28,9 +29,10 @@ interiors, the same walk on rows made strict, and re-checked at one more
 sample), the exact volume (a pulling triangulation whose faces are cut from
 the incidence masks of one double description), and a slice decomposition
 that splits an invariant polytope into fibers over the integral anchors of
-its invariant subspace.  The slice decomposition takes
-its block sums from symilp.block_sum_image and tests each candidate against
-integer facet rows of their projection, so no routine here solves an LP.
+its invariant subspace.  The slice decomposition takes its block sums from
+symilp.block_sum_image and tests each candidate against the level of their
+chain that projects them onto the blocks of size >= 2, so no routine here
+solves an LP.
 """
 
 from __future__ import annotations
@@ -51,7 +53,6 @@ from .polycore import (
     Vector,
     VerificationError,
     VPolyhedron,
-    convert_dd,
     convert_dd_incidence,
     dot,
     frac,
@@ -96,16 +97,16 @@ __all__ = [
 def count_lattice_points(P: Union[HPolyhedron, VPolyhedron]) -> int:
     """Number of integer points of a bounded polyhedron, counted exactly.
 
-    An H input is converted once to vertices and rays; a V input is walked
-    on the points and rays it lists, converted once to its facet rows, and
-    must list at least one point, as for convert_dd.  The coordinates are
-    ordered by the number of integers the points span on each, widest last,
-    and every coordinate a ray moves after them.  Level n of the chain is
-    P's own rows for an H input and its facet rows for a V input; for each
-    k = n - 1..1, one Fourier-Motzkin step on the irredundant facets of
-    level k + 1 and the points tight on each gives the primitive integer
-    rows of the projection proj_k(P), with no conversion of its own (see
-    _eliminate).  Coordinates are then fixed in order:
+    _top converts P once, an H input to vertices and rays and a V input to
+    facet rows; a V input is walked on the points and rays it lists and must
+    list at least one point, as for convert_dd.  The coordinates are ordered
+    by the number of integers the points span on each, widest last, and
+    every coordinate a ray moves after them.  Level n of the chain is the
+    top's equality basis and facets; for each k = n - 1..1, one
+    Fourier-Motzkin step on the facets of level k + 1 and the points tight
+    on each gives the primitive integer rows of the projection proj_k(P),
+    with no conversion of its own (see _eliminate).  Coordinates are then
+    fixed in order:
     for a fixed integer prefix the values of x_k that extend to a point of P
     form the fiber of proj_k(P) over the prefix, an interval read in closed
     form from the level-k rows with integer floor and ceiling.  The last two
@@ -122,24 +123,20 @@ def count_lattice_points(P: Union[HPolyhedron, VPolyhedron]) -> int:
 def _orbit_count(P: Union[HPolyhedron, VPolyhedron], blocks: Sequence[int]) -> int:
     """Integer points of P, each weighted by its orbit size under the blocks.
 
-    P must lie in the sorted domain x_{t+1} <= x_t of every block; one DD,
-    of an H input to its vertices or of a V input to its facets, and the
-    one projection chain read off it feed the weighted walk.  With singleton blocks the chain takes the
-    widest coordinate last, which does not change the count.  An empty H
-    input counts 0; a V input with no points raises EmptyPolyhedronError.
+    P must lie in the sorted domain x_{t+1} <= x_t of every block; the one
+    DD of _top and the one projection chain read off it feed the weighted
+    walk.  With singleton blocks the chain takes the widest coordinate last,
+    which does not change the count.  An empty H input counts 0; a V input
+    with no points raises EmptyPolyhedronError.
     """
-    if isinstance(P, VPolyhedron):
-        if not P.vertices:
-            raise EmptyPolyhedronError("no points given")
-        V, top = P, (*integer_v_to_h(*P.int_points), (1 << P.k) - 1)
-    else:
-        try:
-            V = convert_dd(P)
-        except EmptyPolyhedronError:
-            return 0
-        top = _top_rows(P)
+    try:
+        V, top = _top(P)
+    except EmptyPolyhedronError:
+        if isinstance(P, VPolyhedron):
+            raise
+        return 0
     order = _widest_last(V)[0] if max(blocks, default=1) == 1 else range(P.n)
-    levels = _chain(P, top, order)
+    levels = _chain(top, order)
     pos = tuple(p for nb in blocks for p in range(nb))
     return _walk(levels, pos, [], 1, 1) if levels else 1
 
@@ -160,9 +157,20 @@ def _widest_last(V: VPolyhedron, lam: int = 1) -> tuple[list[int], list[int]]:
     return sorted(range(V.n), key=lambda t: (moved[t], spans[t])), spans
 
 
-def _top_rows(P: HPolyhedron) -> tuple[list, list, list, int]:
-    """The top of the chain of a nonempty H input, read off P.dd by
-    polycore.irredundant_rows, in the form _chain takes."""
+def _top(P: Union[HPolyhedron, VPolyhedron]) -> tuple[VPolyhedron, tuple[list, list, list, int]]:
+    """The generators of P and the top of its projection chain, from one
+    double description.
+
+    V is P.dd's vertices and rays for an H input and the input itself for a
+    V input.  top holds a basis of P's implicit equalities and its facets,
+    rows (a | b) in primitive integers, a mask per facet of the generators
+    of V tight on it, and the mask of the points among them: for an H input
+    read off P.dd by polycore.irredundant_rows, for a V input the rows
+    polycore.integer_v_to_h finds for its points and rays.  Raises
+    EmptyPolyhedronError for an empty P.
+    """
+    if isinstance(P, VPolyhedron):
+        return P, (*integer_v_to_h(*P.int_points), (1 << P.k) - 1)
     V, gens = P.dd
     equalities, kept = irredundant_rows(gens, P.m, V.k)
     rows = P.int_rows
@@ -172,46 +180,29 @@ def _top_rows(P: HPolyhedron) -> tuple[list, list, list, int]:
         eqs = [primitive(r) for r in m[:len(pivots)]]
     kept = [i for i in kept if i not in equalities]
     masks = [sum(1 << j for j, g in enumerate(gens) if g >> i & 1) for i in kept]
-    return eqs, [rows[i] for i in kept], masks, (1 << V.k) - 1
+    return V, (eqs, [rows[i] for i in kept], masks, (1 << V.k) - 1)
 
 
-def _chain(P: Union[HPolyhedron, VPolyhedron], top: tuple[list, list, list, int],
-           order: Sequence[int]) -> list[tuple[list, list]]:
-    """Projection chain of P with its coordinates taken in the given order.
+def _chain(top: tuple[list, list, list, int], order: Sequence[int]) -> list[list]:
+    """Projection chain of a polyhedron with its coordinates taken in the
+    given order, from the top _top gives.
 
-    Level k holds rows of the projection onto the first k of them, each
-    a.x = beta or a.x <= beta stored as (a_1..a_{k-1}, a_k, beta) in
-    primitive integers.  top holds a basis of P's implicit equalities and
-    its facets, rows (a | b), a mask per facet of the generators of P tight
-    on it, and the mask of the points among them.  The top level is P's own
-    rows for an H input, redundant ones harmless, and top's for a V input;
-    each level below is one Fourier-Motzkin step, _eliminate, on the one
-    above, so the chain runs no double description.
+    Level k holds rows a.x <= beta of the projection onto the first k of
+    them, each stored as (a_1..a_{k-1}, a_k, beta) in primitive integers; an
+    equality a.x = beta enters as the two rows a.x <= beta and
+    -a.x <= -beta.  The top level is the top's rows, and each level below
+    is one Fourier-Motzkin step, _eliminate, on the one above, so the chain
+    runs no double description.
     """
-    n = len(order)
-    if not n:
-        return []
     eqs, les = ([tuple(g[t] for t in order) + g[-1:] for g in rows] for rows in top[:2])
     masks, points = top[2:]
-    if isinstance(P, VPolyhedron):
-        levels = [_split(eqs, les)]
-    else:
-        eq = set(P.equality_rows)
-        rows = ([], [])
-        for i, row in enumerate(P.int_rows, start=1):
-            g = tuple(row[t] for t in order) + row[-1:]
-            if any(g[:n]):
-                rows[i not in eq].append(g)
-        levels = [_split(*rows)]
-    for k in range(n, 1, -1):
-        eqs, les, masks = _eliminate(eqs, les, masks, points, k)
-        levels.append(_split(eqs, les))
+    levels = []
+    for k in range(len(order), 0, -1):
+        levels.append([(g[:-2], g[-2], g[-1])
+                       for g in les + eqs + [tuple(-x for x in g) for g in eqs]])
+        if k > 1:
+            eqs, les, masks = _eliminate(eqs, les, masks, points, k)
     return levels[::-1]
-
-
-def _split(eqs: list, les: list) -> tuple[list, list]:
-    """A level of the chain from its rows (a_1..a_k, beta)."""
-    return [(g[:-2], g[-2], g[-1]) for g in eqs], [(g[:-2], g[-2], g[-1]) for g in les]
 
 
 def _eliminate(eqs: list, les: list, masks: list, points: int, k: int
@@ -262,25 +253,7 @@ def _eliminate(eqs: list, les: list, masks: list, points: int, k: int
     return eqs, out, out_masks
 
 
-def _projection_rows(V: VPolyhedron, coords: Sequence[int]) -> tuple[list, list]:
-    """Facet rows of the projection of V onto the given coordinates, taken
-    in that order, for the slice decomposition: polycore.integer_v_to_h of
-    the distinct projected points and nonzero projected rays of
-    V.int_points.
-
-    Returns (equalities, inequalities), each row a.x = beta or a.x <= beta
-    stored as (a_1..a_{k-1}, a_k, beta) in primitive integers.
-    """
-    s, pts, rays = V.int_points
-    k = len(coords)
-    pts = dict.fromkeys(tuple(p[t] for t in coords) for p in pts)
-    rays = dict.fromkeys(r for r in (tuple(r[t] for t in coords) for r in rays) if any(r))
-    eqs, les, _ = integer_v_to_h(s, list(pts), list(rays))
-    return ([(g[:k - 1], g[k - 1], g[k]) for g in eqs],
-            [(g[:k - 1], g[k - 1], g[k]) for g in les])
-
-
-def _walk(levels: Sequence[tuple[list, list]], pos: Sequence[int], prefix: list[int],
+def _walk(levels: Sequence[list], pos: Sequence[int], prefix: list[int],
           weight: int, run: int) -> int:
     """Weighted integer points of P whose first coordinates are the prefix.
 
@@ -292,13 +265,10 @@ def _walk(levels: Sequence[tuple[list, list]], pos: Sequence[int], prefix: list[
     (p+1)/r, with r the new run length of equal values, and the division is
     exact.  weight belongs to the prefix and run is the run length of its
     last value.  The last level sums its interval in closed form, and so do
-    the last two when both start a block and the last has no equalities.
+    the last two when both start a block.
     """
     k = len(prefix)
-    bounds = _fiber(*levels[k], prefix)
-    if bounds is None:
-        return 0
-    lo, hi = bounds
+    lo, hi = _fiber(levels[k], prefix)
     p = pos[k]
     if k + 1 == len(levels):
         if p == 0:
@@ -308,8 +278,8 @@ def _walk(levels: Sequence[tuple[list, list]], pos: Sequence[int], prefix: list[
         if lo <= prev <= hi:
             total += weight * (p + 1) // (run + 1)
         return total
-    if k + 2 == len(levels) and p == pos[k + 1] == 0 and not levels[-1][0]:
-        return weight * _plane_count(levels[-1][1], prefix, lo, hi)
+    if k + 2 == len(levels) and p == pos[k + 1] == 0:
+        return weight * _plane_count(levels[-1], prefix, lo, hi)
     total = 0
     for v in range(lo, hi + 1):
         if p == 0:
@@ -324,26 +294,14 @@ def _walk(levels: Sequence[tuple[list, list]], pos: Sequence[int], prefix: list[
     return total
 
 
-def _fiber(eqs: list, les: list, prefix: Sequence[int]) -> Optional[tuple[int, int]]:
-    """Integer bounds (lo, hi) of the next coordinate over a fixed prefix.
-
-    Equalities pin the value, and None means that no integer fits.  Without a
-    pin, a side with no bounding row is unbounded, which is an error.
+def _fiber(rows: list, prefix: Sequence[int]) -> tuple[int, int]:
+    """Integer bounds (lo, hi) of the next coordinate over a fixed prefix,
+    from the rows of its level; lo > hi means that no integer fits.  A side
+    with no bounding row is unbounded, which is an error.
     """
-    pin: Optional[int] = None
-    for head, c, beta in eqs:
-        r = beta - sum(map(mul, head, prefix))
-        if c == 0:
-            if r != 0:
-                return None
-            continue
-        q, rem = divmod(r, c)
-        if rem or (pin is not None and q != pin):
-            return None
-        pin = q
     lo: Optional[int] = None
     hi: Optional[int] = None
-    for head, c, beta in les:
+    for head, c, beta in rows:
         r = beta - sum(map(mul, head, prefix))
         if c > 0:
             top = r // c
@@ -354,17 +312,13 @@ def _fiber(eqs: list, les: list, prefix: Sequence[int]) -> Optional[tuple[int, i
             if lo is None or bot > lo:
                 lo = bot
         elif r < 0:
-            return None
-    if pin is not None:
-        if (lo is not None and pin < lo) or (hi is not None and pin > hi):
-            return None
-        return pin, pin
+            return 1, 0
     if lo is None or hi is None:
         raise PolyhedronError("cannot count lattice points of an unbounded polyhedron")
     return lo, hi
 
 
-def _plane_count(les: list, prefix: Sequence[int], lo: int, hi: int) -> int:
+def _plane_count(rows: list, prefix: Sequence[int], lo: int, hi: int) -> int:
     """Integer points of the last level over the prefix whose next to last
     coordinate v lies in [lo, hi], the integer fiber of the level before.
 
@@ -380,7 +334,7 @@ def _plane_count(les: list, prefix: Sequence[int], lo: int, hi: int) -> int:
         return 0
     above: list = []
     below: list = []
-    for head, c, beta in les:
+    for head, c, beta in rows:
         if c:
             r = beta - sum(map(mul, head, prefix))
             (above if c > 0 else below).append((head[-1], abs(c), r))
@@ -442,24 +396,23 @@ _WALK_BUDGET = 1_000_000
 def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optional[tuple]:
     """Lex-least integer point of a bounded P, or the lex-least maximizer of c.
 
-    The chain is built as for a count, from the one conversion of P to its
-    vertices, but in the given coordinate order, on which the lex order
-    depends.  It is walked depth first over the first
-    n - 1 coordinates, values smallest first, and the last one is read off
-    its fiber (the high end when
-    c_n > 0).  Without a nonzero c the first leaf is the answer, else the
-    first best leaf.  An empty P gives None; rays, and walks past _WALK_BUDGET
-    prefixes on a level, are refused, and so is a c of another length than n.
+    The chain is built as for a count, from _top, but in the given
+    coordinate order, on which the lex order depends.  It is walked depth
+    first over the first n - 1 coordinates, values smallest first, and the
+    last one is read off its fiber (the high end when c_n > 0).  Without a
+    nonzero c the first leaf is the answer, else the first best leaf.  An
+    empty P gives None; rays, and walks past _WALK_BUDGET prefixes on a
+    level, are refused, and so is a c of another length than n.
     """
     if c is not None and len(c) != P.n:
         raise PolyhedronError("objective length does not match dimension")
     try:
-        V = convert_dd(P)
+        V, top = _top(P)
     except EmptyPolyhedronError:
         return None
     if V.rays:
         raise PolyhedronError("integer programming needs a bounded polyhedron")
-    levels = _chain(P, _top_rows(P), range(P.n))
+    levels = _chain(top, range(P.n))
     w = primitive(c) if c is not None and any(c) else None
     leaves = _leaves(levels, [], w is not None and w[-1] > 0, [count(1) for _ in levels])
     if w is None:
@@ -467,7 +420,7 @@ def first_lattice_point(P: HPolyhedron, c: Optional[Sequence] = None) -> Optiona
     return max(leaves, key=lambda z: sum(map(mul, w, z)), default=None)
 
 
-def _leaves(levels: Sequence[tuple[list, list]], prefix: list[int], up: bool,
+def _leaves(levels: Sequence[list], prefix: list[int], up: bool,
             fixed: list[Iterator[int]]) -> Iterator[tuple[int, ...]]:
     """Integer points of P over the prefix in lex order, each coordinate
     taking every value of its fiber but the last, which takes only the low
@@ -476,8 +429,8 @@ def _leaves(levels: Sequence[tuple[list, list]], prefix: list[int], up: bool,
     if k == len(levels):
         yield tuple(prefix)
         return
-    bounds = _fiber(*levels[k], prefix)
-    values = range(bounds[0], bounds[1] + 1) if bounds else ()
+    lo, hi = _fiber(levels[k], prefix)
+    values = range(lo, hi + 1)
     if k + 1 == len(levels):
         values = values[-1:] if up else values[:1]
     for v in values:
@@ -544,12 +497,13 @@ def _interpolate(xs: Sequence[int], ys: Sequence[int]) -> tuple[Fraction, ...]:
 def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> QuasiPolynomial:
     """Ehrhart quasi-polynomial of a bounded, full-dimensional polytope.
 
-    An H input is converted once to its vertices.  A V input must list a
-    point and no nonzero ray; it is converted once to facet rows, and a
-    listed point is a vertex when the facets through it meet in it alone.
-    Either way the facets of P and the incidence masks of that one
-    conversion give every level of the projection chain below P's own rows,
-    each by one Fourier-Motzkin step, so no level runs a conversion.
+    _top converts P once: an H input to its vertices, a V input, which must
+    list a point and no nonzero ray, to its facet rows, and a listed point
+    is a vertex when the facets through it meet in its copies alone.  P is
+    full-dimensional when the top holds no equality, and the facets and
+    incidence masks of that one conversion give every level of the
+    projection chain below the top, each by one Fourier-Motzkin step, so no
+    level runs a conversion.
     The period k is the lcm of the vertex-coordinate denominators (an error
     if it exceeds period_bound).  For each residue class i mod k the samples
     are the d + 2 abscissae x = i mod k of least |x|, positive first on a
@@ -566,40 +520,32 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
     t proj(P), so every count walks that chain with its right-hand sides
     scaled by t.  An integral polytope yields period 1.
     """
-    if isinstance(P, VPolyhedron):
-        if not P.vertices:
-            raise EmptyPolyhedronError("no points given")
-        if any(map(any, P.rays)):
-            raise PolyhedronError("Ehrhart counting requires a bounded polyhedron")
-        pts = list(dict.fromkeys(P.vertices))
-        H, masks = convert_dd_incidence(VPolyhedron.from_points(pts))
-        full = (1 << len(pts)) - 1
-        V = VPolyhedron.from_points([p for j, p in enumerate(pts) if 1 << j == reduce(
-            and_, (m for m in masks if m >> j & 1), full)])
-        e = len(H.equality_rows)
-        facets = (H.int_rows[:e], H.int_rows[e:], masks[e:], full)
-    else:
-        H, V = P, convert_dd(P)
-        if V.rays:
-            raise PolyhedronError("Ehrhart counting requires a bounded polyhedron")
-        facets = _top_rows(P)
-    k, pts, _ = V.int_points
-    d = len(gauss_jordan(tuple(map(sub, p, pts[0])) for p in pts[1:])[1])
-    if d != P.n:
+    V, top = _top(P)
+    if any(map(any, V.rays)):
+        raise PolyhedronError("Ehrhart counting requires a bounded polyhedron")
+    if top[0]:
         raise PolyhedronError(
             "Ehrhart interpolation requires a full-dimensional polytope")
+    if isinstance(P, VPolyhedron):
+        pts = P.vertices
+        faces = (reduce(and_, (m for m in top[2] if m >> j & 1), (1 << P.k) - 1)
+                 for j in range(P.k))
+        V = VPolyhedron.from_points([pts[j] for j, f in enumerate(faces)
+                                     if all(pts[i] == pts[j] for i in range(P.k) if f >> i & 1)])
+    k = V.int_points[0]
+    d = P.n
     if k > period_bound:
         raise PolyhedronError(f"period {k} exceeds the allowed bound {period_bound}")
     plan = [sorted(range(i - k * (d + 2), k * (d + 2), k), key=lambda x: (abs(x), x < 0))[:d + 2]
             for i in range(k)]
-    top = max(abs(x) for xs in plan for x in xs)   # the largest dilate counted below
-    order, spans = _widest_last(V, top)
+    lam = max(abs(x) for xs in plan for x in xs)   # the largest dilate counted below
+    order, spans = _widest_last(V, lam)
     prefixes = prod(spans[t] for t in order[:-1])
     if prefixes > _WALK_BUDGET:
         raise PolyhedronError(
-            f"Ehrhart counting exceeds budget {_WALK_BUDGET}: dilate {top}"
+            f"Ehrhart counting exceeds budget {_WALK_BUDGET}: dilate {lam}"
             f" spans {prefixes} integer prefixes")
-    levels = _chain(H, facets, order)
+    levels = _chain(top, order)
     components = []
     for xs in plan:
         ys = [_count_dilate(levels, x) if x > 0
@@ -612,7 +558,7 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
     return QuasiPolynomial(k, tuple(components), d)
 
 
-def _count_dilate(levels: Sequence[tuple[list, list]], lam: int) -> int:
+def _count_dilate(levels: Sequence[list], lam: int) -> int:
     """Integer points of lam*P, from the projection chain of P.
 
     proj_k(lam P) = lam proj_k(P), so each level keeps its rows and scales
@@ -621,7 +567,7 @@ def _count_dilate(levels: Sequence[tuple[list, list]], lam: int) -> int:
     return _count_scaled(levels, lam, 0)
 
 
-def _count_interior(levels: Sequence[tuple[list, list]], t: int) -> int:
+def _count_interior(levels: Sequence[list], t: int) -> int:
     """Integer points of the interior of t*P, from the projection chain of a
     full-dimensional P, whose levels hold no equalities.
 
@@ -633,14 +579,14 @@ def _count_interior(levels: Sequence[tuple[list, list]], t: int) -> int:
     return _count_scaled(levels, t, 1)
 
 
-def _count_scaled(levels: Sequence[tuple[list, list]], lam: int, cut: int) -> int:
-    """The counting walk on the chain with every equality's right-hand side
-    beta set to lam*beta and every inequality's to lam*beta - cut.  With no
-    coordinates the count is the one point of R^0."""
+def _count_scaled(levels: Sequence[list], lam: int, cut: int) -> int:
+    """The counting walk on the chain with every right-hand side beta set to
+    lam*beta - cut; cut must be 0 when a level holds an equality, which
+    enters as two rows.  With no coordinates the count is the one point of
+    R^0."""
     if not levels:
         return 1
-    scaled = [([(head, c, lam * beta) for head, c, beta in eqs],
-               [(head, c, lam * beta - cut) for head, c, beta in les]) for eqs, les in levels]
+    scaled = [[(head, c, lam * beta - cut) for head, c, beta in rows] for rows in levels]
     return _walk(scaled, (0,) * len(levels), [], 1, 1)
 
 
@@ -780,12 +726,13 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     and stay as free directions of every fiber, so a fully trivial action
     keeps the whole polytope as its one fiber.  Candidate sums range over the
     extent of block_sum_image, and a candidate's fiber meets P exactly when
-    it satisfies the integer facet rows of that image projected onto the
-    blocks of size >= 2.  The block action fixes every block sum, hence
-    each anchor orbit is a singleton.  Fibers are written in the difference
-    basis of each block plus the singleton axes, a lattice basis of the
-    fiber direction lattice, with an integral base point, so counting
-    integer coordinate vectors counts integral fiber points.
+    it lies in the projection of that image onto the blocks of size >= 2,
+    a level of the image's chain that takes those blocks first.  The block
+    action fixes every block sum, hence each anchor orbit is a singleton.
+    Fibers are written in the difference basis of each block plus the
+    singleton axes, a lattice basis of the fiber direction lattice, with an
+    integral base point, so counting integer coordinate vectors counts
+    integral fiber points.
     """
     blocks = _invariant_blocks(P, blocks)
     n = P.n
@@ -807,9 +754,9 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
                           for j in live))
         if live:
             # the live block sums of P form the image projected onto them
-            eqs, les = _projection_rows(image, live)
-            cands = [s for s in cands if (fit := _fiber(eqs, les, s[:-1])) is not None
-                     and fit[0] <= s[-1] <= fit[1]]
+            rest = [j for j in range(len(blocks)) if j not in live]
+            rows = _chain(_top(image)[1], live + rest)[len(live) - 1]
+            cands = [s for s in cands if (fit := _fiber(rows, s[:-1]))[0] <= s[-1] <= fit[1]]
         for sums in cands:
             full = [0] * len(blocks)
             for j, s in zip(live, sums):
@@ -829,16 +776,14 @@ def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int]) -> int:
     Every orbit of the block action on integer points meets the sorted
     domain x_{t+1} <= x_t of every block in exactly one point (Kaibel and
     Pfetsch, "Packing and partitioning orbitopes", 2008).  P is cut down to
-    that domain, converted once, and its one projection chain is walked
+    that domain by integer rows x_{t+1} - x_t <= 0 appended to P.int_rows,
+    converted once, and its one projection chain is walked
     with each sorted point weighted by its orbit size, so the count is
     exact in integer arithmetic.  An unbounded P is refused as in
     count_lattice_points.
     """
     blocks = _invariant_blocks(P, blocks)
-    eye = identity_matrix(P.n)
-    sort_rows = tuple(vec_sub(eye[t + 1], eye[t])
+    sort_rows = tuple(tuple((u == t + 1) - (u == t) for u in range(P.n + 1))
                       for off, nb in zip(accumulate(blocks, initial=0), blocks)
                       for t in range(off, off + nb - 1))
-    domain = HPolyhedron(P.A + sort_rows, P.b + (Fraction(0),) * len(sort_rows),
-                         P.equality_rows)
-    return _orbit_count(domain, blocks)
+    return _orbit_count(HPolyhedron.of_rows(P.int_rows + sort_rows, P.equality_rows), blocks)

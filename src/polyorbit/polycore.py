@@ -1040,9 +1040,9 @@ def irredundant_rows(masks: Sequence[int], m: int, vertices: int
     every = (1 << len(masks)) - 1
     on_vertex = (1 << vertices) - 1
     equalities = frozenset(i for i, t in enumerate(tight) if t == every)
-    rows = [t for i, t in enumerate(tight) if i not in equalities]
+    rows = [t for t in tight if t != every]
+    last = {t: i for i, t in enumerate(tight)}
     kept = [i for i, t in enumerate(tight) if i in equalities or (
-        t & on_vertex
-        and not any(t | u == u and t != u for u in rows)
-        and t not in (tight[j] for j in range(i + 1, m) if j not in equalities))]
+        t & on_vertex and last[t] == i
+        and not any(t | u == u and t != u for u in rows))]
     return equalities, kept

@@ -355,7 +355,7 @@ class _RowRealizer:
             raise EmptyPolyhedronError("empty polyhedron has no affine hull")
         equalities, kept = irredundant_rows(masks, P.m, V.k)
         # an implicit equality lowers the dimension unless it is 0 = 0
-        if any(any(P.A[i]) for i in equalities):
+        if any(any(P.int_rows[i][:-1]) for i in equalities):
             raise PolyhedronError("restricted symmetry detection needs a full-dimensional input")
         if equalities or len(kept) != P.m:
             raise PolyhedronError("restricted symmetry detection needs an irredundant description")

@@ -312,36 +312,26 @@ def reference_count(P) -> int:
     return _reference_walk(levels, []) if levels else 1
 
 
-def reference_chain(P, V, order):
-    """Projection chain of P in the given order, one double description per
-    level, in the level format of latcount's counting walk.
+def reference_chain(V, order):
+    """Projection chain of the polyhedron V generates in the given order, one
+    double description per level, in the level format of latcount's
+    counting walk.
 
-    V generates P (P itself for a V input, its conversion for an H input).
-    Level k < n holds the equalities and facet rows integer_v_to_h finds for
-    the distinct projections of V's points and nonzero projections of its
-    rays onto the first k coordinates of the order; level n is P's own rows
-    for an H input, and for a V input the projection onto every coordinate.
+    Level k holds the facet rows and equalities integer_v_to_h finds for the
+    distinct projections of V's points and nonzero projections of its rays
+    onto the first k coordinates of the order, k = 1..n, each equality as two
+    opposite rows.
     """
-    n = len(order)
-
     def level(k):
         s, pts, rays = V.int_points
         pts = dict.fromkeys(tuple(p[t] for t in order[:k]) for p in pts)
         rays = dict.fromkeys(r for r in (tuple(r[t] for t in order[:k]) for r in rays)
                              if any(r))
         eqs, les, _ = integer_v_to_h(s, list(pts), list(rays))
-        return ([(g[:k - 1], g[k - 1], g[k]) for g in eqs],
-                [(g[:k - 1], g[k - 1], g[k]) for g in les])
+        return [(g[:k - 1], g[k - 1], g[k])
+                for g in les + eqs + [tuple(-x for x in g) for g in eqs]]
 
-    if isinstance(P, VPolyhedron) or not n:
-        return [level(k) for k in range(1, n + 1)]
-    eq = set(P.equality_rows)
-    eqs, les = [], []
-    for i, row in enumerate(P.int_rows, start=1):
-        g = tuple(row[t] for t in order) + row[-1:]
-        if any(g[:n]):
-            (eqs if i in eq else les).append((g[:n - 1], g[n - 1], g[n]))
-    return [level(k) for k in range(1, n)] + [(eqs, les)]
+    return [level(k) for k in range(1, len(order) + 1)]
 
 
 def _reference_rows(V, k):
@@ -459,6 +449,23 @@ def reference_gram(frame, centered: bool) -> SymmetryGraph:
             gram[i - 1][j - 1] = gram[j - 1][i - 1] = val
         color_classes[val] = tuple(pairs)
     return SymmetryGraph(k, tuple(map(tuple, gram)), color_classes)
+
+
+def reference_irredundant_rows(masks: Sequence[int], m: int, vertices: int
+                               ) -> tuple[frozenset, list[int]]:
+    """polycore.irredundant_rows by its first rule: a row whose tight set is
+    not strictly inside another's is kept when no later non-equality row has
+    the same tight set, found by scanning the later rows."""
+    tight = [sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1) for i in range(m)]
+    every = (1 << len(masks)) - 1
+    on_vertex = (1 << vertices) - 1
+    equalities = frozenset(i for i, t in enumerate(tight) if t == every)
+    rows = [t for i, t in enumerate(tight) if i not in equalities]
+    kept = [i for i, t in enumerate(tight) if i in equalities or (
+        t & on_vertex
+        and not any(t | u == u and t != u for u in rows)
+        and t not in (tight[j] for j in range(i + 1, m) if j not in equalities))]
+    return equalities, kept
 
 
 def reference_solve_lp(P: HPolyhedron, c, maximize: bool = True) -> LPResult:

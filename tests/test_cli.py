@@ -253,10 +253,11 @@ class TestIntegerRead:
             _assert_read_as_before(f"H-representation\n{head}begin\n{m} {width} rational\n"
                                    + "".join(" ".join(r) + "\n" for r in rows) + "end\n")
 
-    @pytest.mark.parametrize("name", ["cube3-blocks.ine", "cube3-obj.ine", "ilp-relax.ine"])
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIX.glob("*.ine")))
     def test_ilp_with_blocks_never_builds_A(self, name, monkeypatch, capsys):
         # the sweep, its relaxation LP and the final membership test read
-        # int_rows, m and n alone
+        # int_rows, m and n alone, and so does every other command on every
+        # H file, whatever its answer or refusal
         built, read = [], PolyFile.to_hpolyhedron
 
         def to_hpolyhedron(pf):
@@ -264,9 +265,14 @@ class TestIntegerRead:
             return built[-1]
 
         monkeypatch.setattr(cli.PolyFile, "to_hpolyhedron", to_hpolyhedron)
-        code, out, _ = run(capsys, "ilp", FIX / name)
-        assert code in (0, 1) and "fibers tested" in out and len(built) == 1
-        assert "A" not in vars(built[0]) and "b" not in vars(built[0])
+        for args in [("automorphisms",), ("convert",), ("count",), ("count", "--symmetric"),
+                     ("ehrhart",), ("volume",), ("ilp",)]:
+            built.clear()
+            code, out, _ = run(capsys, args[0], FIX / name, *args[1:])
+            assert len(built) <= 1, args
+            assert all("A" not in vars(P) and "b" not in vars(P) for P in built), args
+        blocks = "\nblocks" in (FIX / name).read_text()
+        assert code in (0, 1) and ("fibers tested" in out) == blocks and len(built) == 1
 
 
 class TestAutomorphismsCmd:

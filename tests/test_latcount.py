@@ -17,7 +17,6 @@ from polyorbit.polycore import (
     VPolyhedron,
     dot,
     gauss_jordan,
-    integer_v_to_h,
     matrix,
     primitive,
     rank,
@@ -576,7 +575,7 @@ class TestEhrhartReciprocity:
         q = ehrhart(P)
         V = convert_dd(P)
         for t in (1, 2, 3):
-            levels = lc._chain(P, lc._top_rows(P), lc._widest_last(V, t)[0])
+            levels = lc._chain(lc._top(P)[1], lc._widest_last(V, t)[0])
             interior = lc._count_interior(levels, t)
             assert interior == interior_scan(P, t)
             assert q.evaluate(-t) == (-1) ** d * interior
@@ -1123,7 +1122,7 @@ class TestOneChainPerCount:
                 for c in v:
                     period = period * c.denominator // gcd(period, c.denominator)
             assert period == q
-            levels = lc._chain(V, v_top(V), range(d))
+            levels = lc._chain(lc._top(V)[1], range(d))
             for lam in range(1, d + 3):
                 assert lc._count_dilate(levels, lam) == count_lattice_points(P.dilate(lam))
 
@@ -1144,9 +1143,9 @@ class TestOneChainPerCount:
         assert calls[0] == calls[1] <= 3 + 2
 
     @pytest.mark.parametrize("args", [("count",), ("ehrhart",), ("ilp",)])
-    def test_h_input_tops_its_chain_with_its_own_rows(self, monkeypatch, capsys, args):
-        # one DD for the vertices, whose masks give the projections onto 1
-        # and 2 coordinates; the top level is the three-row-pair cube itself
+    def test_h_input_tops_its_chain_with_its_facets(self, monkeypatch, capsys, args):
+        # one DD for the vertices, whose masks give the facets that top the
+        # chain and the projections onto 1 and 2 coordinates
         path = str(FIX / "cube3.ine")
         assert dd_cone_calls(monkeypatch, main, [*args, path]) == 1
         capsys.readouterr()
@@ -1302,19 +1301,31 @@ class TestWalkOracle:
         with pytest.raises(PolyhedronError, match="unbounded"):
             lc._plane_count([((1,), 1, 0)], [], 0, 0)
 
-
-def v_top(V):
-    """The top of the chain of a V input, as _orbit_count makes it."""
-    return (*integer_v_to_h(*V.int_points), (1 << V.k) - 1)
+    @pytest.mark.parametrize("linearity", [False, True])
+    def test_a_flat_sums_its_last_two_levels_in_closed_form(self, monkeypatch, linearity):
+        # the plane x3 = x1 + x2 over [0, N]^2, as two opposite rows or as one
+        # linearity row: either way the top level holds the equality as a
+        # row pair, and each x1 sums its x2 and x3 in one _plane_count
+        import polyorbit.latcount as lc
+        N = 300
+        rows = [(-1, 0, 0, 0), (1, 0, 0, N), (0, -1, 0, 0), (0, 1, 0, N), (-1, -1, 1, 0)]
+        P = HPolyhedron.of_rows(rows, [5]) if linearity else \
+            HPolyhedron.of_rows(rows + [(1, 1, -1, 0)])
+        calls, real = [], lc._plane_count
+        monkeypatch.setattr(lc, "_plane_count", lambda *a: calls.append(a) or real(*a))
+        assert count_lattice_points(P) == (N + 1) ** 2
+        assert len(calls) == N + 1
 
 
 def canonical_level(level):
-    """A chain level in one form per polyhedron: its equalities as the
-    primitive rows of their reduced row echelon form, positive on the pivot,
-    and its inequality rows as a set, each reduced to 0 on those pivot
-    columns and made primitive (a facet row is unique only modulo the
-    equalities)."""
-    eqs, les = level
+    """A chain level in one form per polyhedron: its equalities, the rows
+    whose opposite row is in the level too, as the primitive rows of their
+    reduced row echelon form, positive on the pivot, and its other rows as
+    a set, each reduced to 0 on those pivot columns and made primitive (a
+    facet row is unique only modulo the equalities)."""
+    rows = set(level)
+    eqs = [r for r in level if (tuple(-x for x in r[0]), -r[1], -r[2]) in rows]
+    les = [r for r in level if r not in eqs]
     basis, pivots = [], []
     if eqs:
         _, pivots, m, _ = gauss_jordan(head + (c, beta) for head, c, beta in eqs)
@@ -1329,8 +1340,9 @@ def canonical_level(level):
 
 
 def walk_outcome(levels):
-    """The weighted walk of a chain with singleton blocks: its count, or the
-    message it raises."""
+    """The weighted walk of a chain with singleton blocks, each equality of
+    a level entering as its two opposite rows: its count, or the message it
+    raises."""
     import polyorbit.latcount as lc
     try:
         return lc._walk(levels, (0,) * len(levels), [], 1, 1) if levels else 1
@@ -1389,15 +1401,11 @@ def assert_chain_matches_reference(P, order):
     level of shapes.reference_chain: level by level, the same equalities
     and the same inequality rows, no row twice, and the same walk."""
     import polyorbit.latcount as lc
-    if isinstance(P, VPolyhedron):
-        V, top = P, v_top(P)
-    else:
-        V, top = convert_dd(P), lc._top_rows(P)
-    got, want = lc._chain(P, top, order), reference_chain(P, V, order)
+    V, top = lc._top(P)
+    got, want = lc._chain(top, order), reference_chain(V, order)
     assert len(got) == len(want) == P.n
     for k, (g, w) in enumerate(zip(got, want), start=1):
-        # an H input's own rows top the chain, copies and all
-        assert len(g[1]) == len(set(g[1])) or k == P.n and isinstance(P, HPolyhedron), k
+        assert len(g) == len(set(g)), k
         assert canonical_level(g) == canonical_level(w), k
     assert walk_outcome(got) == walk_outcome(want)
     return V
@@ -1452,9 +1460,9 @@ class TestFourierMotzkinChain:
         # x1 + x2 <= 2 is tight on the edge x1 = x2 = 1 of the unit cube only
         import polyorbit.latcount as lc
         P = ridge_cube(3)
-        eqs, les, masks, points = lc._top_rows(P)
+        eqs, les, masks, points = lc._top(P)[1]
         assert not eqs and sorted(les) == sorted(unit_box(3).int_rows)
-        assert [len(le) for _, le in lc._chain(P, lc._top_rows(P), range(3))] == [2, 4, 7]
+        assert [len(level) for level in lc._chain(lc._top(P)[1], range(3))] == [2, 4, 6]
         assert count_lattice_points(P) == 8 == box_count(P)
 
     def test_a_row_tight_on_a_ridge_would_hide_a_facet(self):
@@ -1464,12 +1472,12 @@ class TestFourierMotzkinChain:
         # its upper bound
         import polyorbit.latcount as lc
         P = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 1), (2, 1)], [0, 0, 2, 4])
-        eqs, les, masks, points = lc._top_rows(P)
+        eqs, les, masks, points = lc._top(P)[1]
         assert sorted(les) == [(-1, 0, 0), (0, -1, 0), (1, 1, 2)]
-        assert lc._chain(P, lc._top_rows(P), range(2))[0] == ([], [((), -1, 0), ((), 1, 2)])
+        assert lc._chain(lc._top(P)[1], range(2))[0] == [((), -1, 0), ((), 1, 2)]
         rows = list(P.int_rows)
         tight = [sum(1 << j for j, g in enumerate(P.dd[1]) if g >> i & 1) for i in range(4)]
-        assert lc._chain(P, ([], rows, tight, points), range(2))[0] == ([], [((), -1, 0)])
+        assert lc._chain(([], rows, tight, points), range(2))[0] == [((), -1, 0)]
         assert count_lattice_points(P) == 6
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
@@ -1479,17 +1487,17 @@ class TestFourierMotzkinChain:
         import polyorbit.latcount as lc
         monkeypatch.syspath_prepend(str(ROOT))
         from polybench import workloads
-        calls, real = [], lc._chain
-        monkeypatch.setattr(lc, "_chain", lambda P, top, order: calls.append((P, order))
-                            or real(P, top, order))
+        tops, orders, top, chain = [], [], lc._top, lc._chain
+        monkeypatch.setattr(lc, "_top", lambda P: tops.append(P) or top(P))
+        monkeypatch.setattr(lc, "_chain", lambda t, order: orders.append(order) or chain(t, order))
         jobs = [job for job in workloads.build("lattice-counting", seed, 10, str(tmp_path))
                 if job.argv[0] in ("count", "ehrhart")]
         assert jobs
         for job in jobs:
-            before = len(calls)
+            before = len(tops)
             assert main(job.argv) == 0, job.name
-            assert len(calls) == before + 1, job.name
+            assert len(tops) == len(orders) == before + 1, job.name
         capsys.readouterr()
         monkeypatch.undo()
-        for P, order in calls:
+        for P, order in zip(tops, orders):
             assert_chain_matches_reference(P, order)

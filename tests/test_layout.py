@@ -241,8 +241,7 @@ def _top_level(name: str, names: set) -> list:
 def test_facet_geometry_projection_chain_and_volume_frame_stay_in_integers():
     banned = {"invert_matrix", "mat_mul", "mat_vec", "transpose", "solve_linear", "coordinates"}
     for name, names in [("repconv.py", {"_Geometry", "_plain_orbits", "_idm_orbits"}),
-                        ("latcount.py", {"_projection_rows", "_top_rows", "_chain",
-                                         "_eliminate", "volume"})]:
+                        ("latcount.py", {"_top", "_chain", "_eliminate", "volume"})]:
         for node in _top_level(name, names):
             assert not _called(node) & banned, f"{node.name} calls {sorted(_called(node) & banned)}"
 
@@ -434,9 +433,23 @@ def test_projection_chain_runs_no_double_description():
     # the levels below the top are Fourier-Motzkin steps on the facets and
     # masks of the one DD the caller already made
     banned = {"dd_cone", "convert_dd", "convert_dd_incidence", "integer_h_to_v",
-              "integer_v_to_h", "_projection_rows"}
-    for node in _top_level("latcount.py", {"_top_rows", "_chain", "_eliminate"}):
+              "integer_v_to_h", "_top"}
+    for node in _top_level("latcount.py", {"_chain", "_eliminate"}):
         assert not _called(node) & banned, f"{node.name} calls {sorted(_called(node) & banned)}"
+
+
+def test_one_top_builds_every_projection_chain():
+    # _chain takes a top and an order, no polyhedron, and _top, which makes
+    # that top for H and V input alike, is the one routine of latcount that
+    # reads a double description or judges redundancy
+    tree = ast.parse((PACKAGE / "latcount.py").read_text())
+    readers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and (
+        "irredundant_rows" in _called(fn) or any(
+            isinstance(node, ast.Attribute) and node.attr == "dd" for node in ast.walk(fn)))}
+    assert readers == {"_top"}
+    (chain,) = _top_level("latcount.py", {"_chain"})
+    assert [a.arg for a in chain.args.args] == ["top", "order"]
+    assert not chain.args.vararg and not chain.args.kwonlyargs and not chain.args.kwarg
 
 
 @pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

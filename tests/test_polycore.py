@@ -24,6 +24,7 @@ from polyorbit.polycore import (
     integer_kernel_basis,
     integer_v_to_h,
     invert_matrix,
+    irredundant_rows,
     matrix,
     nullspace,
     primitive,
@@ -36,7 +37,7 @@ from polyorbit.polycore import (
     zero_vector,
 )
 
-from shapes import reference_solve_lp
+from shapes import reference_irredundant_rows, reference_solve_lp
 
 F = Fraction
 
@@ -407,6 +408,27 @@ class TestRemoveRedundancy:
             equality_rows=(1,))
         R = remove_redundancy(P)
         assert R.m == 3 and R.equality_rows == (1,)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_irredundant_rows_match_the_scan_of_later_rows(self, seed):
+        # seeded tight sets with copies of earlier rows and rows tight on
+        # every generator, against the scan of the later rows it replaced
+        rng = random.Random(f"irredundant/{seed}")
+        for _ in range(5000):
+            m, g = rng.randint(1, 9), rng.randint(1, 8)
+            tight = []
+            for _ in range(m):
+                kind = rng.random()
+                if tight and kind < 0.25:
+                    tight.append(rng.choice(tight))
+                elif kind < 0.35:
+                    tight.append((1 << g) - 1)
+                else:
+                    tight.append(rng.getrandbits(g))
+            masks = [sum(1 << i for i, t in enumerate(tight) if t >> j & 1) for j in range(g)]
+            vertices = rng.randint(1, g)
+            assert irredundant_rows(masks, m, vertices) == \
+                reference_irredundant_rows(masks, m, vertices)
 
     def test_same_set_after_reduction(self):
         # oracle: a point is in P iff it is in remove_redundancy(P)
