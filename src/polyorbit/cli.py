@@ -64,12 +64,13 @@ class PolyFileError(ValueError):
 
 @dataclass(frozen=True)
 class PolyFile:
-    """Parsed polyhedron file: kind, body rows, trailing options, and the
-    width of the header, which a file with no rows needs to write back.
-    Each linearity index must name a row, and in a V file a ray row, so a
+    """Parsed polyhedron file: kind, body rows (ints in a row of integer
+    tokens, Fractions in a row with a p/q token), trailing options, and the
+    header's width, which a file with no rows needs to write back.  Each
+    linearity index must name a row, and in a V file a ray row, so a
     PolyFile built in code writes a file that parses back."""
     kind: str                                     # "H" | "V"
-    rows: Matrix                                  # m x (n+1) exact entries
+    rows: Matrix                                  # m x (n+1), ints or Fractions by row
     linearity: tuple[int, ...] = ()               # 1-based body row indices
     objective: Optional[tuple[str, Vector]] = None  # (sense, n+1 entries)
     blocks: Optional[tuple[int, ...]] = None
@@ -89,20 +90,14 @@ class PolyFile:
                     f"linearity index {i} marks a vertex row; only a ray row can be a line")
 
     def to_hpolyhedron(self) -> HPolyhedron:
-        """The file's polyhedron, HPolyhedron.of_rows of the rows
-        (a | b) = (-row[1:] | row[0]): ints read off the numerators where a
-        file row's denominators are all 1, Fractions otherwise.  int_rows
-        are made from these rows, and A and b only when something reads them."""
+        """The file's polyhedron: HPolyhedron.of_rows of (a | b) = (-row[1:] |
+        row[0]) as parsed, so A and b are made only when something reads them."""
         if self.kind != "H":
             raise PolyhedronError("an H-representation file is required here")
         if not self.rows:
             raise PolyhedronError("an H-representation needs at least one row")
-        rows = []
-        for row in self.rows:
-            if all(x.denominator == 1 for x in row):
-                row = [x.numerator for x in row]
-            rows.append((*(-x for x in row[1:]), row[0]))
-        return HPolyhedron.of_rows(rows, self.linearity)
+        return HPolyhedron.of_rows([(*(-x for x in r[1:]), r[0]) for r in self.rows],
+                                   self.linearity)
 
     def to_vpolyhedron(self) -> VPolyhedron:
         if self.kind != "V":
@@ -196,7 +191,7 @@ def parse_polyfile(text: str) -> PolyFile:
             raise PolyFileError(
                 f"line {no}: expected {width} entries, got {len(toks)}")
         if all(map(_INTEGER.fullmatch, toks)):
-            row = tuple(map(Fraction, map(int, toks)))
+            row = tuple(map(int, toks))
         else:
             row = tuple(_parse_rational(t, no) for t in toks)
         if kind == "V" and row[0] not in (0, 1):

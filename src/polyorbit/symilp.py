@@ -25,9 +25,9 @@ which the slice decomposition of latcount takes its ranges, come from it,
 without an LP.  Fibers are ordered by integer keys summed from per-block
 terms, in one stable sort of their indices; the LP whose point orders a
 feasibility sweep pivots P.int_rows too.  The sweep tests each fiber's
-balanced point against one row per row orbit of P, in closed form by the
-rearrangement inequality and in integer arithmetic, with the orbit that
-rejected the last probe first.
+balanced point against each row orbit of P in integers, in closed form by
+the rearrangement inequality, from one memo table per row orbit and block
+keyed by the block sum, the orbit that rejected the last probe first.
 """
 from __future__ import annotations
 
@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import getitem, mul
+from operator import getitem
 from typing import Optional, Sequence, Union
 
 from .polycore import (
@@ -431,44 +431,48 @@ def _sum_ranges(rows, blocks):
     return ranges
 
 
+class _BlockValues(dict):
+    """A row's entries e in one block, read at the balanced point of block sum
+    s = q n + r, where e[:r] take q + 1: q sum(e) + sum(e[:r]), on first read."""
+
+    def __init__(self, e):
+        self.t = tuple(accumulate(e, initial=0))
+
+    def __missing__(self, s):
+        q, r = divmod(s, len(self.t) - 1)
+        self[s] = q * self.t[-1] + self.t[r]
+        return self[s]
+
+
 def _sweep(rows, blocks, cands):
     """First fiber in list order whose balanced point lies in P, and the
     number of fibers probed: (point, its 1-based position), or
     (None, number of candidates) when no balanced point lies in P.
 
-    rows are _primitive_rows(P); the candidates are block sums within the
-    ranges of _sum_ranges.  P is invariant under the block group, so the
-    balanced point z lies in P exactly when, for each row orbit, the largest
-    value of a row of the orbit at z is at most b, and for an equality orbit
-    the smallest is at least b.  By the rearrangement inequality, with s_j =
-    q_j n_j + r_j, that largest value is sum_j q_j T_j[n_j] + T_j[r_j], where
-    T_j holds the prefix sums of block j's entries of the primitive integer
-    row in descending order; the smallest takes the bottom r_j entries
-    instead.  So one row per orbit is tested, in integers, and each probe
-    builds no point.  The orbit that rejected the last probe is tested
-    first; the order of the tests never changes which fiber is accepted.
-    The sweep is serial.
+    rows are _primitive_rows(P); the candidates are integer block sums.  P
+    is invariant under the block group, so the balanced point z lies in P
+    exactly when, for each row orbit, the largest value of a row of the
+    orbit at z is at most b, and for an equality orbit the smallest is at
+    least b.  By the rearrangement inequality, with s_j = q_j n_j + r_j,
+    that largest value sums over the blocks q_j times the block's total plus
+    its r_j largest entries of the primitive integer row (the smallest, its
+    r_j smallest), read off one memo table per row orbit and block, keyed by
+    s_j; a probe builds no point.  The orbit that rejected the last probe is
+    tested first; the order of the tests never changes which fiber is
+    accepted.  The sweep is serial.
     """
     spans = list(zip(accumulate(blocks, initial=0), blocks))
-    orbits = {}
-    for (*ai, bi), is_eq in rows:
-        tops = tuple(tuple(accumulate(sorted(ai[off:off + nb], reverse=True), initial=0))
-                     for off, nb in spans)
-        orbits.setdefault((tops, bi, is_eq), None)
-    tests = []
-    for tops, bi, is_eq in orbits:
-        fulls = tuple(t[-1] for t in tops)
-        # bots[j][r]: sum of the r smallest entries of block j
-        bots = tuple(tuple(t[-1] - t[-1 - r] for r in range(len(t))) for t in tops) \
-            if is_eq else None
-        tests.append((fulls, tops, bots, bi))
+    orbits = dict.fromkeys(
+        (tuple(tuple(sorted(a[off:off + nb], reverse=True)) for off, nb in spans), a[-1], is_eq)
+        for a, is_eq in rows)
+    tests = [(tuple(map(_BlockValues, ups)),
+              tuple(_BlockValues(e[::-1]) for e in ups) if is_eq else None, bi)
+             for ups, bi, is_eq in orbits]
     tested = 0
     for tested, s in enumerate(cands, start=1):
-        qs, rs = zip(*map(divmod, s, blocks))
-        for k, (fulls, tops, bots, bi) in enumerate(tests):
-            base = sum(map(mul, fulls, qs))
-            if base + sum(map(getitem, tops, rs)) > bi or \
-                    bots is not None and base + sum(map(getitem, bots, rs)) < bi:
+        for k, (highs, lows, bi) in enumerate(tests):
+            if sum(map(getitem, highs, s)) > bi or \
+                    lows is not None and sum(map(getitem, lows, s)) < bi:
                 if k:
                     tests.insert(0, tests.pop(k))
                 break
@@ -500,15 +504,16 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     """
     blocks = check_blocks(blocks, P.n)
     lp = LinearProgram(P, zero_vector(P.n) if c is None else c)
-    rows = _primitive_rows(P)
-    if not _permutes_rows(rows, lp.c, _block_generators(blocks)):
+    rows, gens = _primitive_rows(P), _block_generators(blocks)
+    if not _permutes_rows(rows, zero_vector(P.n), gens):
         raise PolyhedronError("the system is not invariant under the block group")
+    if not _permutes_rows((), lp.c, gens):
+        raise PolyhedronError("the objective is not constant on each block")
     ranges = _sum_ranges(rows, blocks)
     if ranges is None:
         return None, 0
     if c is not None:
-        # invariance forces c constant per block, so the objective on a
-        # fiber is a linear function of the block sums
+        # c is constant per block, so the objective on a fiber is linear in the block sums
         _, (cb,) = clear_denominators(
             [[cs / nb for cs, nb in zip(_block_sums(blocks, lp.c), blocks)]])
         terms = [[-cj * s for s in r] for cj, r in zip(cb, ranges)]

@@ -137,6 +137,7 @@ class TestPolyFileParsing:
         ("\u00b2", "line 4: not a rational number: '\u00b2'"),
         ("0x10", "line 4: not a rational number: '0x10'"),
         ("+", "line 4: not a rational number: '+'"),
+        ("3", F(3)),                      # "3 1/2" is a row of Fractions
     ])
     @pytest.mark.parametrize("rest", ["-1", "1/2"], ids=["integer-row", "rational-row"])
     def test_token_table(self, tok, verdict, rest):
@@ -146,8 +147,10 @@ class TestPolyFileParsing:
                 parse_polyfile(text)
             assert str(info.value) == verdict
         else:
+            # a row of integer tokens holds ints, a row with a p/q token Fractions
             row = parse_polyfile(text).rows[0]
-            assert row == (verdict, F(rest)) and all(type(x) is F for x in row)
+            kind = F if "/" in tok + rest else int
+            assert row == (verdict, F(rest)) and all(type(x) is kind for x in row)
 
     def test_v_linearity_on_a_point_row_is_refused(self):
         # a line through a point is not a V row; only a ray row (leading 0)
@@ -180,12 +183,15 @@ class TestPolyFileParsing:
 
     @pytest.mark.parametrize("tok,value", [
         ("+3", F(3)), ("-0", F(0)), ("007", F(7)), ("-4/6", F(-2, 3)),
-        ("+10/4", F(5, 2)), ("0/5", F(0)), ("-007/014", F(-1, 2)),
+        ("+10/4", F(5, 2)), ("0/5", F(0)), ("-007/014", F(-1, 2)), ("6/3", F(2)),
     ])
     def test_rational_tokens(self, tok, value):
+        # a row of integer tokens holds ints, a row with a p/q token Fractions,
+        # "6/3 -1" too
         text = f"H-representation\nbegin\n1 2 rational\n{tok} -1\nend\n"
-        entry = parse_polyfile(text).rows[0][0]
-        assert entry == value and type(entry) is F
+        row = parse_polyfile(text).rows[0]
+        entry = row[0]
+        assert entry == value and all(type(x) is (F if "/" in tok else int) for x in row)
 
 
 def _old_route(pf: PolyFile) -> HPolyhedron:
@@ -881,6 +887,19 @@ class TestIlpCmd:
         f.write_text("H-representation\nbegin\n2 3 rational\n0 1 0\n0 0 1\nend\nblocks 2\n")
         assert run(capsys, "ilp", f) == (
             2, "", "error: projection onto the invariant subspace is unbounded\n")
+
+    @pytest.mark.parametrize("box, err", [
+        ("2 -1 0\n2 0 -1", "the objective is not constant on each block"),
+        ("2 -1 0\n3 0 -1", "the system is not invariant under the block group"),
+    ], ids=["objective", "system"])
+    def test_non_invariant_with_blocks_refused(self, tmp_path, capsys, box, err):
+        # 0 <= x1 <= 2, 0 <= x2 <= 2 (or 3) under the swap of x1 and x2, with
+        # the objective x1 + 2 x2: each part that is not invariant names itself,
+        # the rows first
+        f = tmp_path / "swap.ine"
+        f.write_text(f"H-representation\nbegin\n4 3 rational\n0 1 0\n0 0 1\n{box}\nend\n"
+                     "maximize 0 1 2\nblocks 2\n")
+        assert run(capsys, "ilp", f) == (2, "", f"error: {err}\n")
 
     # exact stdout, exit code and stderr on every ILP fixture, at two worker
     # counts; "fibers tested" is the 1-based position of the answer's fiber in

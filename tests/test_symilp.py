@@ -793,9 +793,11 @@ class TestOrbitSweepOracle:
     def test_agrees_with_row_by_row_sweep(self):
         rng = random.Random(2013)
         seen = set()
-        for t in range(600):
-            blocks = self.SHAPES[t % len(self.SHAPES)]
-            mode = self.MODES[t // len(self.SHAPES) % len(self.MODES)]
+        # blocks of size 4, so that a remainder s mod n reaches 3
+        shapes = self.SHAPES + [(4,), (1, 4)]
+        for t in range(700):
+            blocks = shapes[t % len(shapes)]
+            mode = self.MODES[t // len(shapes) % len(self.MODES)]
             P = orbit_system(rng, blocks, mode)
             assert check_invariance(LinearProgram(P, zero_vector(P.n)), blocks)
             rows = _primitive_rows(P)
@@ -805,17 +807,27 @@ class TestOrbitSweepOracle:
                 continue
             cands = list(product(*ranges))
             # shuffled, so that the rejecting orbit changes between probes,
-            # and with candidates beyond the ranges
+            # with candidates beyond the ranges, negative ones, and repeats,
+            # which read the memo tables again
             cands += [tuple(rng.randint(-8, 8) for _ in blocks) for _ in range(3)]
+            cands += [tuple(rng.randint(-12, -1) for _ in blocks) for _ in range(2)]
+            cands += rng.choices(cands, k=len(cands) // 2)
             rng.shuffle(cands)
             got = _sweep(rows, blocks, cands)
             assert got == reference_sweep(P, blocks, cands), (t, blocks, mode)
+            # again with every balanced point outside P first: each must be rejected
+            outside = {s for s in cands if reference_sweep(P, blocks, [s])[0] is None}
+            cands.sort(key=lambda s: s not in outside)
+            assert _sweep(rows, blocks, cands) == reference_sweep(P, blocks, cands), (t, blocks)
             seen.add((mode, got[0] is None))
+            if any(nb == 4 and sj % 4 == 3 for nb, sj in zip(blocks, cands[0])):
+                seen.add("remainder 3")
             if mode == "orbit-eq" and len(P.equality_rows) > 1:
                 seen.add(("several equalities", got[0] is None))
         assert {(m, f) for m in self.MODES[:3] for f in (False, True)} <= seen
         assert ("window", True) in seen and ("window", False) not in seen
         assert {("several equalities", False), ("several equalities", True)} <= seen
+        assert "remainder 3" in seen
 
     def test_one_core_point_per_feasible_answer(self, monkeypatch):
         calls = []
