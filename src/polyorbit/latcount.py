@@ -776,8 +776,9 @@ def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int]) -> int:
     Every orbit of the block action on integer points meets the sorted
     domain x_{t+1} <= x_t of every block in exactly one point (Kaibel and
     Pfetsch, "Packing and partitioning orbitopes", 2008).  P is cut down to
-    that domain by integer rows x_{t+1} - x_t <= 0 appended to P.int_rows,
-    converted once, and its one projection chain is walked
+    that domain by integer rows x_{t+1} - x_t <= 0 put before P.int_rows,
+    so that the one conversion meets the domain first and carries fewer
+    intermediate rays, and its one projection chain is walked
     with each sorted point weighted by its orbit size, so the count is
     exact in integer arithmetic.  An unbounded P is refused as in
     count_lattice_points.
@@ -786,4 +787,5 @@ def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int]) -> int:
     sort_rows = tuple(tuple((u == t + 1) - (u == t) for u in range(P.n + 1))
                       for off, nb in zip(accumulate(blocks, initial=0), blocks)
                       for t in range(off, off + nb - 1))
-    return _orbit_count(HPolyhedron.of_rows(P.int_rows + sort_rows, P.equality_rows), blocks)
+    Q = HPolyhedron.of_rows(sort_rows + P.int_rows, [i + len(sort_rows) for i in P.equality_rows])
+    return _orbit_count(Q, blocks)

@@ -492,24 +492,41 @@ class HPolyhedron:
 @dataclass(frozen=True)
 class VPolyhedron:
     """Generator description conv(vertices) + cone(rays)."""
+    # k and n are the vertex count and the dimension (0 with no generators).
+    # of_points makes V from the integer form of a conversion, points over s
+    # and integer rays: int_points, k and n are read off them, and the
+    # Fraction vertices are made from them on first read.
     vertices: Matrix
     rays: Matrix = ()
+
+    def __post_init__(self):
+        self.__dict__.update(k=len(self.vertices),
+                             n=len((self.vertices or self.rays or [()])[0]))
 
     @classmethod
     def from_points(cls, points: Iterable[Iterable], rays: Iterable[Iterable] = ()) -> "VPolyhedron":
         return cls(matrix(points), matrix(rays))
 
-    @property
-    def k(self) -> int:
-        return len(self.vertices)
+    @classmethod
+    def of_points(cls, s: int, points: Sequence[Sequence[int]],
+                  rays: Sequence[Sequence[int]] = ()) -> "VPolyhedron":
+        """V with vertices p / s and the given rays, for integer points p
+        whose denominators have lcm s, as integer_h_to_v returns them; equal
+        to from_points of the same Fractions."""
+        V = cls.__new__(cls)
+        V.__dict__.update(rays=matrix(rays), k=len(points), n=len((points or rays or [()])[0]),
+                          int_points=(s, tuple(points),
+                                      tuple(tuple(s * x for x in r) for r in rays)))
+        return V
 
-    @property
-    def n(self) -> int:
-        if self.vertices:
-            return len(self.vertices[0])
-        if self.rays:
-            return len(self.rays[0])
-        return 0
+    def __getattr__(self, name):
+        # reached only for what the instance lacks: the vertices of a V made
+        # by of_points before their first read
+        if name != "vertices":
+            raise AttributeError(name)
+        s, pts, _ = self.int_points
+        self.__dict__[name] = tuple(tuple(Fraction(x, s) for x in p) for p in pts)
+        return self.__dict__[name]
 
     @cached_property
     def int_points(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
@@ -696,58 +713,41 @@ def dd_cone(rows: Sequence[Sequence], n: int
             lin = [l if v == 0 else _combine(abs(v0), l, -s0 * v, l0)
                    for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != i0]
             r0 = l0 if v0 < 0 else tuple(-x for x in l0)
-            new_rays, new_masks, seen = [], [], set()
+            # each projected ray once, first copy first, with its mask
+            new = {}
             for r, m in zip(rays, masks):
                 vr = sum(map(mul, a, r))
                 rp = r if vr == 0 else _combine(abs(v0), r, vr, r0)
-                if not any(rp) or rp in seen:
-                    continue
-                seen.add(rp)
-                new_rays.append(rp)
-                new_masks.append(m | (1 << t))
-            new_rays.append(r0)
-            new_masks.append((1 << t) - 1)
-            rays, masks = new_rays, new_masks
+                if any(rp):
+                    new.setdefault(rp, m | 1 << t)
+            rays, masks = [*new, r0], [*new.values(), (1 << t) - 1]
         else:
             vals = [sum(map(mul, a, r)) for r in rays]
-            if any(v > 0 for v in vals):
-                plus = [i for i, v in enumerate(vals) if v > 0]
+            plus = [i for i, v in enumerate(vals) if v > 0]
+            if plus:
                 minus = [i for i, v in enumerate(vals) if v < 0]
-                created, created_masks, seen = [], [], set()
+                created = {}           # each new ray once, with its mask
                 # the common tight rows of an adjacent pair have rank
                 # n - 2 - dim(lineality), so a pair tight on fewer rows is
-                # not adjacent (Fukuda-Prodon, "Double description method
-                # revisited", 1996)
+                # not adjacent; and a pair is adjacent exactly when no third
+                # ray is tight on all of them, so when only the pair itself
+                # is (Fukuda-Prodon, "Double description method revisited",
+                # 1996)
                 need = n - 2 - len(lin)
                 for ip in minus:
                     for iq in plus:
                         z = masks[ip] & masks[iq]
-                        if z.bit_count() < need:
+                        if z.bit_count() < need or len([m for m in masks if m & z == z]) > 2:
                             continue
-                        # combinatorial adjacency: no third ray tight on the
-                        # common tight set of the pair
-                        if any(masks[ir] & z == z
-                               for ir in range(len(rays)) if ir != ip and ir != iq):
-                            continue
-                        w = _combine(vals[iq], rays[ip], -vals[ip], rays[iq])
-                        if w in seen:
-                            continue
-                        seen.add(w)
-                        created.append(w)
                         # a positive combination of two rays is tight exactly
                         # where both are, and on the new row
-                        created_masks.append(z | (1 << t))
-                kept_rays, kept_masks = [], []
-                for i, (r, m) in enumerate(zip(rays, masks)):
-                    if vals[i] > 0:
-                        continue
-                    kept_rays.append(r)
-                    kept_masks.append(m | (1 << t) if vals[i] == 0 else m)
-                rays = kept_rays + created
-                masks = kept_masks + created_masks
+                        created.setdefault(_combine(vals[iq], rays[ip], -vals[ip], rays[iq]),
+                                           z | 1 << t)
+                rays = [r for r, v in zip(rays, vals) if v <= 0] + [*created]
+                masks = [m | (not v) << t for m, v in zip(masks, vals) if v <= 0] + [
+                    *created.values()]
             else:
-                masks = [m | (1 << t) if vals[i] == 0 else m
-                         for i, m in enumerate(masks)]
+                masks = [m | (not v) << t for m, v in zip(masks, vals)]
     return lin, rays, masks
 
 
@@ -770,25 +770,20 @@ def integer_h_to_v(rows: Sequence[Sequence[int]], n: int, equalities: Iterable[i
     per point and then per ray has bit i set when it is tight on rows[i]; a
     line is tight on every row.  An empty set has no points, and its rays
     then generate its recession cone {a.x <= 0}.  The cone is homogenized
-    with x0 first: x0 >= 0, then each row as (-b | a), an equality row
-    followed by its negation.
+    with x0 first: x0 >= 0, then each row as (-b | a), so that input row i
+    is cone row i + 1, and last the negation of each equality row.
     """
     eq = set(equalities)
-    cone_rows: list[tuple] = [(-1,) + (0,) * n]  # x0 >= 0
-    pos = []                   # the cone row of each input row
-    for i, (*a, bb) in enumerate(rows, start=1):
-        pos.append(len(cone_rows))
-        cone_rows.append((-bb, *a))
-        if i in eq:
-            cone_rows.append((bb, *(-x for x in a)))
+    cone_rows = [(-1,) + (0,) * n] + [(-bb, *a) for *a, bb in rows]   # x0 >= 0 first
+    cone_rows += [(bb, *(-x for x in a)) for i, (*a, bb) in enumerate(rows, start=1) if i in eq]
     lin, gens, cmasks = dd_cone(cone_rows, n + 1)
-    masks = [sum(1 << i for i, t in enumerate(pos) if m >> t & 1) for m in cmasks]
+    every = (1 << len(rows)) - 1
+    masks = [m >> 1 & every for m in cmasks]
     verts = [j for j, g in enumerate(gens) if g[0]]
     recs = [j for j, g in enumerate(gens) if not g[0]]
     s = lcm(*(gens[j][0] for j in verts))
     points = [tuple(x * (s // gens[j][0]) for x in gens[j][1:]) for j in verts]
     rays = [gens[j][1:] for j in recs] + [d for l in lin for d in (l[1:], tuple(-x for x in l[1:]))]
-    every = (1 << len(pos)) - 1
     return s, points, rays, [masks[j] for j in verts + recs] + [every] * (2 * len(lin))
 
 
@@ -820,8 +815,7 @@ def _h_to_v(P: HPolyhedron) -> tuple[VPolyhedron, tuple[int, ...]]:
     s, points, rays, masks = integer_h_to_v(P.int_rows, P.n, P.equality_rows)
     if not points:
         raise EmptyPolyhedronError("polyhedron has no points")
-    V = VPolyhedron.from_points([[Fraction(x, s) for x in p] for p in points], rays)
-    return V, tuple(masks)
+    return VPolyhedron.of_points(s, points, rays), tuple(masks)
 
 
 def _v_to_h(V: VPolyhedron) -> tuple[HPolyhedron, tuple[int, ...]]:
@@ -999,25 +993,19 @@ def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
     rows that cut out the same facet, the last is kept.  Raises
     EmptyPolyhedronError for an empty input.
     """
-    in_eq = set(P.equality_rows)
-    seen = {}
-    keep = []
-    marked = []
+    first = {}                 # each row's first copy
     for i, key in enumerate(P.int_rows):
-        if key not in seen:
-            seen[key] = len(keep)
-            keep.append(i)
-            marked.append((i + 1) in in_eq)
-        elif (i + 1) in in_eq:
-            marked[seen[key]] = True
+        first.setdefault(key, i)
+    keep = [*first.values()]
+    marked = {first[P.int_rows[i - 1]] for i in P.equality_rows}
     Q = P if len(keep) == P.m else HPolyhedron(   # no copy dropped: P and its int_rows
         tuple(P.A[i] for i in keep), tuple(P.b[i] for i in keep),
-        tuple(j + 1 for j, f in enumerate(marked) if f))
+        tuple(j + 1 for j, i in enumerate(keep) if i in marked))
     try:
         V, masks = Q.dd
     except EmptyPolyhedronError:
         raise EmptyPolyhedronError("system is infeasible")
-    equalities, active = irredundant_rows(masks, Q.m, len(V.vertices))
+    equalities, active = irredundant_rows(masks, Q.m, V.k)
     eqs = tuple(pos + 1 for pos, j in enumerate(active) if j in equalities)
     return HPolyhedron(tuple(Q.A[j] for j in active), tuple(Q.b[j] for j in active), eqs)
 

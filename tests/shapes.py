@@ -1,11 +1,18 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
 lattice-point count, projection chain, Ehrhart quasi-polynomial, LP solver,
-symmetry gram and automorphism search shared across test modules."""
+symmetry gram, automorphism search and double description shared across test
+modules, and the benchmark's workload builder with a runner for its jobs."""
+import contextlib
+import importlib
+import importlib.util
+import io
 import random
+import sys
 from fractions import Fraction
 from itertools import combinations, product
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import mul
+from pathlib import Path
 from typing import Optional, Sequence
 
 from polyorbit.latcount import QuasiPolynomial
@@ -725,3 +732,135 @@ def reference_automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, 
             size *= len(orb)
     return ([Permutation(tuple(x + 1 for x in g)) for g in found],
             tuple(reversed(base)), size)
+
+
+def reference_dd_cone(rows: Sequence[Sequence], n: int
+                      ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
+    """polycore.dd_cone as it tested adjacency by scanning every third ray
+    by index with any, and rebuilt the kept rays in one loop: the same
+    lineality, rays and masks in the same order."""
+    lin: list[tuple[int, ...]] = [tuple(1 if j == i else 0 for j in range(n))
+                                  for i in range(n)]
+    rays: list[tuple[int, ...]] = []
+    masks: list[int] = []
+    for t, a in enumerate(primitive(raw) for raw in rows):
+        lin_vals = [sum(map(mul, a, l)) for l in lin]
+        if any(lin_vals):
+            # the row cuts the lineality space: one direction becomes a ray,
+            # the rest of the basis and all rays are projected onto {a.x = 0}
+            i0 = next(i for i, v in enumerate(lin_vals) if v != 0)
+            l0, v0 = lin[i0], lin_vals[i0]
+            s0 = 1 if v0 > 0 else -1
+            lin = [l if v == 0 else _combine(abs(v0), l, -s0 * v, l0)
+                   for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != i0]
+            r0 = l0 if v0 < 0 else tuple(-x for x in l0)
+            new_rays, new_masks, seen = [], [], set()
+            for r, m in zip(rays, masks):
+                vr = sum(map(mul, a, r))
+                rp = r if vr == 0 else _combine(abs(v0), r, vr, r0)
+                if not any(rp) or rp in seen:
+                    continue
+                seen.add(rp)
+                new_rays.append(rp)
+                new_masks.append(m | (1 << t))
+            new_rays.append(r0)
+            new_masks.append((1 << t) - 1)
+            rays, masks = new_rays, new_masks
+        else:
+            vals = [sum(map(mul, a, r)) for r in rays]
+            if any(v > 0 for v in vals):
+                plus = [i for i, v in enumerate(vals) if v > 0]
+                minus = [i for i, v in enumerate(vals) if v < 0]
+                created, created_masks, seen = [], [], set()
+                # the common tight rows of an adjacent pair have rank
+                # n - 2 - dim(lineality), so a pair tight on fewer rows is
+                # not adjacent (Fukuda-Prodon, "Double description method
+                # revisited", 1996)
+                need = n - 2 - len(lin)
+                for ip in minus:
+                    for iq in plus:
+                        z = masks[ip] & masks[iq]
+                        if z.bit_count() < need:
+                            continue
+                        # combinatorial adjacency: no third ray tight on the
+                        # common tight set of the pair
+                        if any(masks[ir] & z == z
+                               for ir in range(len(rays)) if ir != ip and ir != iq):
+                            continue
+                        w = _combine(vals[iq], rays[ip], -vals[ip], rays[iq])
+                        if w in seen:
+                            continue
+                        seen.add(w)
+                        created.append(w)
+                        # a positive combination of two rays is tight exactly
+                        # where both are, and on the new row
+                        created_masks.append(z | (1 << t))
+                kept_rays, kept_masks = [], []
+                for i, (r, m) in enumerate(zip(rays, masks)):
+                    if vals[i] > 0:
+                        continue
+                    kept_rays.append(r)
+                    kept_masks.append(m | (1 << t) if vals[i] == 0 else m)
+                rays = kept_rays + created
+                masks = kept_masks + created_masks
+            else:
+                masks = [m | (1 << t) if vals[i] == 0 else m
+                         for i, m in enumerate(masks)]
+    return lin, rays, masks
+
+
+def reference_integer_h_to_v(rows: Sequence[Sequence[int]], n: int, equalities=()
+                             ) -> tuple[int, list, list, list[int]]:
+    """polycore.integer_h_to_v as it homogenized: each equality row followed
+    at once by its negation, every mask bit mapped back through the list of
+    cone rows; the same points, rays and masks, in the order of that cone."""
+    eq = set(equalities)
+    cone_rows: list[tuple] = [(-1,) + (0,) * n]  # x0 >= 0
+    pos = []                   # the cone row of each input row
+    for i, (*a, bb) in enumerate(rows, start=1):
+        pos.append(len(cone_rows))
+        cone_rows.append((-bb, *a))
+        if i in eq:
+            cone_rows.append((bb, *(-x for x in a)))
+    lin, gens, cmasks = reference_dd_cone(cone_rows, n + 1)
+    masks = [sum(1 << i for i, t in enumerate(pos) if m >> t & 1) for m in cmasks]
+    verts = [j for j, g in enumerate(gens) if g[0]]
+    recs = [j for j, g in enumerate(gens) if not g[0]]
+    s = lcm(*(gens[j][0] for j in verts))
+    points = [tuple(x * (s // gens[j][0]) for x in gens[j][1:]) for j in verts]
+    rays = [gens[j][1:] for j in recs] + [d for l in lin for d in (l[1:], tuple(-x for x in l[1:]))]
+    every = (1 << len(pos)) - 1
+    return s, points, rays, [masks[j] for j in verts + recs] + [every] * (2 * len(lin))
+
+
+def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[int, ...]:
+    """The primitive form of p*u + q*w, for integer vectors and multipliers."""
+    v = tuple(p * x + q * y for x, y in zip(u, w))
+    g = gcd(*v)
+    return v if g <= 1 else tuple(x // g for x in v)
+
+
+def polybench_workloads():
+    """polybench.workloads of this checkout, loaded by path as _polybench."""
+    if "_polybench" not in sys.modules:
+        pkg = Path(__file__).parent.parent / "polybench"
+        spec = importlib.util.spec_from_file_location(
+            "_polybench", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+        sys.modules["_polybench"] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules["_polybench"])
+    return importlib.import_module("_polybench.workloads")
+
+
+def run_jobs(jobs) -> list:
+    """(exit code, stdout) of each benchmark job, run through cli.main."""
+    from polyorbit.cli import main
+    results = []
+    for job in jobs:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            try:
+                code = main(list(job.argv))
+            except SystemExit as exc:
+                code = exc.code
+        results.append((code, out.getvalue()))
+    return results

@@ -11,6 +11,8 @@ import time
 from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
+from itertools import product
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -24,13 +26,13 @@ from polyorbit import (
     parse_polyfile,
     write_polyfile,
 )
-from polyorbit import cli, latcount, repconv
+from polyorbit import cli, latcount, polycore, repconv
 from polyorbit.cli import main
 from polyorbit.permgrp import orbit_of_set
 from polyorbit.polycore import matrix, primitive
 
-from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, row_image,
-                    santos_prismatoid, unimodular_image)
+from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v,
+                    polybench_workloads, row_image, santos_prismatoid, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -217,12 +219,7 @@ def _assert_read_as_before(text: str):
 def workload_h_files(tmp_path_factory):
     """The text of every H input that the benchmark's workloads write for
     seeds 1-5, read through the polybench package loaded by path."""
-    pkg = Path(__file__).parent.parent / "polybench"
-    spec = importlib.util.spec_from_file_location(
-        "_polybench", pkg / "__init__.py", submodule_search_locations=[str(pkg)])
-    sys.modules["_polybench"] = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(sys.modules["_polybench"])
-    workloads = importlib.import_module("_polybench.workloads")
+    workloads = polybench_workloads()
     texts = []
     for name in sorted(workloads.SETTINGS):
         for seed in range(1, 6):
@@ -279,6 +276,55 @@ class TestIntegerRead:
             assert all("A" not in vars(P) and "b" not in vars(P) for P in built), args
         blocks = "\nblocks" in (FIX / name).read_text()
         assert code in (0, 1) and ("fibers tested" in out) == blocks and len(built) == 1
+
+
+@pytest.fixture(scope="module")
+def lattice_counting_h_paths(tmp_path_factory):
+    """Every H input that the lattice-counting workload writes for seeds 1-5."""
+    workloads = polybench_workloads()
+    paths = []
+    for seed in range(1, 6):
+        workdir = tmp_path_factory.mktemp(f"lattice-counting-{seed}")
+        workloads.build("lattice-counting", seed, 10, str(workdir))
+        paths += sorted(workdir.glob("*.ine"))
+    return paths
+
+
+def vertex_reads(paths, monkeypatch, capsys) -> list:
+    """(exit code, conversions made) of count, count --symmetric, ehrhart,
+    volume, and ilp on a file without blocks, for each path; asserts that
+    no conversion of an H input built its Fraction vertices."""
+    made, real, runs = [], polycore._h_to_v, []
+
+    def h_to_v(P):
+        made.append(real(P))
+        return made[-1]
+
+    monkeypatch.setattr(polycore, "_h_to_v", h_to_v)
+    for path in paths:
+        blocks = "\nblocks" in path.read_text()
+        for args in [("count",), ("count", "--symmetric"), ("ehrhart",), ("volume",)] + (
+                [] if blocks else [("ilp",)]):
+            made.clear()
+            code, _, _ = run(capsys, args[0], path, *args[1:])
+            assert all("vertices" not in vars(V) for V, _ in made), (path.name, args)
+            runs.append((code, len(made)))
+    return runs
+
+
+class TestIntegerVertices:
+    """The counting commands read the integer points of an H input's one
+    conversion, never its Fraction vertices."""
+
+    def test_fixtures(self, monkeypatch, capsys):
+        runs = vertex_reads(sorted(FIX.glob("*.ine")), monkeypatch, capsys)
+        assert sum(made for _, made in runs) >= 20
+
+    def test_lattice_counting_inputs(self, lattice_counting_h_paths, monkeypatch, capsys):
+        assert len(lattice_counting_h_paths) > 50
+        runs = vertex_reads(lattice_counting_h_paths, monkeypatch, capsys)
+        assert all(code in (0, 2) for code, _ in runs)
+        assert sum(made for _, made in runs) >= 4 * len(lattice_counting_h_paths)
 
 
 class TestAutomorphismsCmd:
@@ -730,6 +776,22 @@ class TestCountCmd:
         f.write_text("H-representation\nbegin\n2 3 rational\n0 1 0\n0 0 1\nend\nblocks 2\n")
         assert run(capsys, "count", "--symmetric", f) == (
             2, "", "error: cannot count lattice points of an unbounded polyhedron\n")
+
+    def test_symmetric_with_linearity_and_blocks(self, tmp_path, capsys):
+        # [0, 3]^4 with x1 + x2 = 3 (row 3, a linearity row) and x3 + x4 <= 4,
+        # invariant under blocks (2, 2): the domain rows come before the
+        # file's rows, and the equality keeps its place among them
+        rows = [[0, 1, 0, 0, 0], [3, -1, 0, 0, 0], [3, -1, -1, 0, 0], [0, 0, 1, 0, 0],
+                [3, 0, -1, 0, 0], [0, 0, 0, 1, 0], [3, 0, 0, -1, 0], [0, 0, 0, 0, 1],
+                [3, 0, 0, 0, -1], [4, 0, 0, -1, -1]]
+        f = tmp_path / "linearity-blocks.ine"
+        f.write_text("H-representation\nlinearity 1 3\nbegin\n10 5 rational\n"
+                     + "".join(" ".join(map(str, r)) + "\n" for r in rows) + "end\nblocks 2 2\n")
+        scan = sum(all(r[0] + sum(map(mul, r[1:], x)) >= 0 for r in rows)
+                   and 3 - x[0] - x[1] == 0 for x in product(range(4), repeat=4))
+        assert scan == 4 * 13
+        assert run(capsys, "count", "--symmetric", f) == run(capsys, "count", f) == (
+            0, f"{scan}\n", "")
 
     def test_santos_count_by_its_slices(self, capsys):
         # 5931403 is the count the x5-first walk gave; x5 takes only the

@@ -18,8 +18,9 @@ converted and framed only through its own dd and frame, and only polycore
 builds a homogenization cone: outside it, only the tangent cones of
 repconv._idm_orbits call dd_cone, the two realizers of symdetect are the
 one place that judges the shape of an input for the symmetric routes, the
-projection chain of latcount runs no double description, and no module is
-long enough to grow the parser's token array past 8,192 slots."""
+projection chain of latcount runs no double description, an H-description
+is converted to integer points with no Fraction, and no module is long
+enough to grow the parser's token array past 8,192 slots."""
 import ast
 import importlib
 import importlib.util
@@ -450,6 +451,14 @@ def test_one_top_builds_every_projection_chain():
     (chain,) = _top_level("latcount.py", {"_chain"})
     assert [a.arg for a in chain.args.args] == ["top", "order"]
     assert not chain.args.vararg and not chain.args.kwonlyargs and not chain.args.kwarg
+
+
+def test_h_to_v_conversion_builds_no_fraction():
+    # the vertices of P.dd are made from its int_points on their first read,
+    # by VPolyhedron, not by the conversion
+    banned = {"Fraction", "frac", "vector", "matrix"}
+    for fn in _top_level("polycore.py", {"integer_h_to_v", "_h_to_v"}):
+        assert not _called(fn) & banned, f"{fn.name} calls {sorted(_called(fn) & banned)}"
 
 
 @pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)

@@ -1,5 +1,7 @@
 """Core exact-arithmetic layer: linear algebra, LP, incidence, redundancy."""
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -16,6 +18,7 @@ from polyorbit.polycore import (
     affinely_independent_subset,
     clear_denominators,
     convert_dd_incidence,
+    dd_cone,
     det,
     dot,
     identity_matrix,
@@ -37,7 +40,8 @@ from polyorbit.polycore import (
     zero_vector,
 )
 
-from shapes import reference_irredundant_rows, reference_solve_lp
+from shapes import (polybench_workloads, reference_dd_cone, reference_integer_h_to_v,
+                    reference_irredundant_rows, reference_solve_lp, run_jobs)
 
 F = Fraction
 
@@ -844,3 +848,154 @@ class TestIntegerConversions:
                 assert sorted(les) == sorted(rle)
             seen["rays"] += bool(rays)
         assert min(seen.values()) >= 30, seen
+
+
+# ---------------------------------------------------------------------------
+# the vertices of a conversion, made from its integer form on first read
+
+
+def assert_same_generators(V, W):
+    """V, made from integers, against W = from_points of the same Fractions:
+    every form agrees, and V builds its vertices only when they are read."""
+    assert "vertices" not in vars(V)
+    assert (V.k, V.n, V.rays, V.int_points) == (W.k, W.n, W.rays, W.int_points)
+    assert all(type(x) is F for r in V.rays for x in r)
+    assert "vertices" not in vars(V)
+    assert V == W and hash(V) == hash(W) and repr(V) == repr(W)
+    assert V.vertices == W.vertices and V.vertices is V.vertices
+    assert all(type(x) is F for p in V.vertices for x in p)
+    assert V.frame.rows == W.frame.rows
+    for R in (replace(V), replace(V, rays=())):
+        S = replace(W, rays=R.rays)
+        assert R == S and (R.k, R.n, R.int_points) == (S.k, S.n, S.int_points)
+
+
+class TestIntegerVertices:
+    def test_conversions_match_from_points_of_the_same_fractions(self):
+        rng = random.Random(37)
+        fixed = [
+            # a single point (1/2, 1/3), a segment y = x / 2 over 0 <= x <= 1,
+            # and a box with every row twice
+            HPolyhedron.from_rows([(2, 0), (-2, 0), (0, 3), (0, -3)], [1, -1, 1, -1]),
+            HPolyhedron.from_rows([(1, 0), (-1, 0), (1, -2)], [1, 0, 0], (3,)),
+            HPolyhedron.from_rows([(1, 0), (1, 0), (0, -1), (0, -1), (-1, 0), (0, 1)],
+                                  [1, 1, 0, 0, 0, F(1, 2)])]
+        seen = dict(rays=0, lines=0, equalities=0, repeated=0, point=0, segment=0)
+        for P in fixed + [seeded_system(rng) for _ in range(400)]:
+            try:
+                V, _ = P.dd
+            except EmptyPolyhedronError:
+                continue
+            s, points, rays, _ = integer_h_to_v(P.int_rows, P.n, P.equality_rows)
+            W = VPolyhedron.from_points([[F(x, s) for x in p] for p in points], rays)
+            assert_same_generators(V, W)
+            assert_same_generators(VPolyhedron.of_points(s, points, rays), W)
+            seen["rays"] += bool(rays)
+            seen["lines"] += any(tuple(-x for x in r) in rays for r in rays)
+            seen["equalities"] += bool(P.equality_rows)
+            seen["repeated"] += len(set(P.int_rows)) < P.m
+            seen["point"] += not rays and len(set(points)) == 1
+            seen["segment"] += not rays and len(set(points)) == 2
+        assert min(seen.values()) >= 3, seen
+
+    def test_no_generators_and_rays_only_keep_k_and_n(self):
+        E = VPolyhedron((), ())
+        assert (E.k, E.n, E.int_points) == (0, 0, (1, (), ()))
+        assert_same_generators(VPolyhedron.of_points(1, [], []), E)
+        R = VPolyhedron.from_points([], [(2, 0, 1)])
+        assert (R.k, R.n) == (0, 3)
+        assert (replace(R, rays=()).k, replace(R, rays=()).n) == (0, 0)
+        assert_same_generators(VPolyhedron.of_points(1, [], [(2, 0, 1)]), R)
+        U = VPolyhedron.of_points(6, [(3, 0), (0, 2)], [(1, 1)])
+        assert U.int_points == (6, ((3, 0), (0, 2)), ((6, 6),))
+        assert U.vertices == ((F(1, 2), 0), (0, F(1, 3)))
+        assert (U.k, U.n) == (2, 2)
+
+
+# ---------------------------------------------------------------------------
+# dd_cone and integer_h_to_v against the versions they replaced
+
+
+def seeded_cone(rng):
+    """Rows of a cone in R^n, n = 1..6: random rows with, at random, a
+    repeated row, a positive multiple, a zero row and a redundant row (the
+    sum of two others), shuffled."""
+    n = rng.randint(1, 6)
+    rows = [tuple(rng.randint(-2, 2) for _ in range(n)) for _ in range(rng.randint(0, 2 * n + 2))]
+    if rows and rng.random() < 0.4:
+        rows.append(rng.choice(rows))
+    if rows and rng.random() < 0.3:
+        rows.append(tuple(3 * x for x in rng.choice(rows)))
+    if rng.random() < 0.3:
+        rows.append((0,) * n)
+    if len(rows) >= 2 and rng.random() < 0.4:
+        u, w = rng.sample(rows, 2)
+        rows.append(tuple(map(sum, zip(u, w))))
+    rng.shuffle(rows)
+    return rows, n
+
+
+@pytest.fixture(scope="module")
+def workload_cones(tmp_path_factory):
+    """The arguments of every dd_cone call one seed-1 round of each workload
+    of the benchmark makes, by workload."""
+    import polyorbit.polycore as pc
+    workloads = polybench_workloads()
+    real, cones = pc.dd_cone, {}
+
+    def capture(rows, n):
+        cones[name].append(([tuple(r) for r in rows], n))
+        return real(rows, n)
+
+    with pytest.MonkeyPatch.context() as mp:
+        for module in [m for key, m in sys.modules.items() if key.startswith("polyorbit")]:
+            if getattr(module, "dd_cone", None) is real:
+                mp.setattr(module, "dd_cone", capture)
+        for name in sorted(workloads.SETTINGS):
+            cones[name] = []
+            run_jobs(workloads.build(name, 1, 10, str(tmp_path_factory.mktemp(name))))
+    return cones
+
+
+class TestDoubleDescriptionOracle:
+    def test_seeded_cones(self):
+        rng = random.Random(1996)
+        seen = dict(lines=0, pointed=0, repeated=0, zero=0)
+        for _ in range(1500):
+            rows, n = seeded_cone(rng)
+            got = dd_cone(rows, n)
+            assert got == reference_dd_cone(rows, n), (rows, n)
+            seen["lines" if got[0] else "pointed"] += 1
+            seen["repeated"] += len(set(map(primitive, rows))) < len(rows)
+            seen["zero"] += (0,) * n in rows
+        assert min(seen.values()) >= 100, seen
+
+    def test_every_cone_of_the_workloads(self, workload_cones):
+        for name, cones in workload_cones.items():
+            assert len(cones) >= 20, name
+            for rows, n in cones:
+                assert dd_cone(rows, n) == reference_dd_cone(rows, n), name
+
+    def test_integer_h_to_v_with_equality_rows(self):
+        # the negated equality rows come last in the cone: the masks are a
+        # direct incidence scan, and the points and rays, each with its mask,
+        # are those of the cone that put each negation after its row
+        rng = random.Random(3707)
+        seen = dict(points=0, rays=0, lines=0, empty=0)
+        for _ in range(400):
+            P = seeded_system(rng)
+            if not P.m:
+                continue
+            eqs = P.equality_rows or sorted(rng.sample(range(1, P.m + 1), min(2, P.m)))
+            rows = P.int_rows
+            s, points, rays, masks = got = integer_h_to_v(rows, P.n, eqs)
+            want = reference_integer_h_to_v(rows, P.n, eqs)
+            assert masks == tight_masks(s, points, rays, rows)
+            k = len(points)
+            assert s == want[0] and len(masks) == len(want[3])
+            assert sorted(zip(points, masks)) == sorted(zip(want[1], want[3][:k]))
+            assert sorted(zip(rays, masks[k:])) == sorted(zip(want[2], want[3][k:])), got
+            seen["points" if points else "empty"] += 1
+            seen["rays"] += bool(rays)
+            seen["lines"] += any(tuple(-x for x in r) in rays for r in rays)
+        assert min(seen.values()) >= 10, seen
