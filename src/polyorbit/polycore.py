@@ -470,7 +470,7 @@ class HPolyhedron:
         """Whether x satisfies every row, in integers: x = X / s and each row
         the primitive (a | b) of int_rows, a.X is compared with s b."""
         x = vector(x)
-        if self.m and len(x) != self.n:
+        if len(x) != self.n:
             raise PolyhedronError(
                 f"point has {len(x)} coordinates, the polyhedron has dimension {self.n}")
         s, (xs,) = clear_denominators([x])

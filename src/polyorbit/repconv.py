@@ -333,11 +333,6 @@ class FacetOrbit:
     row: tuple[int, ...]
 
     @property
-    def key(self) -> tuple[int, ...]:
-        """The canonical incident-vertex set: the orbit's lex-least member."""
-        return self.orbit.representative
-
-    @property
     def size(self) -> int:
         return self.orbit.size
 
@@ -356,27 +351,6 @@ class OrbitLedger:
     @property
     def orbit_count(self) -> int:
         return len(self.entries)
-
-    @property
-    def total_elements(self) -> int:
-        return sum(e.orbit.size for e in self.entries.values())
-
-    def keys(self) -> list[tuple[int, ...]]:
-        return list(self.entries)
-
-    def vertex_orbits(self) -> list[frozenset]:
-        return self.vertex_group.point_orbits()
-
-    def facet_sets(self) -> set:
-        """Every facet of the polytope as an incident-vertex frozenset, read
-        off the expanded orbits."""
-        return set().union(*(e.orbit.elements for e in self.entries.values()))
-
-    def facet_rows(self) -> set:
-        """Every facet as a primitive supporting row (a | b), recomputed from
-        the expanded incidence sets."""
-        geo = _Geometry(VPolyhedron(self.vertices))
-        return {geo.ambient_row(S) for S in self.facet_sets()}
 
 
 def _check_levels(levels) -> tuple[int, int]:
@@ -494,17 +468,6 @@ class AdjacencyGraphUpToSymmetry:
     @property
     def node_count(self) -> int:
         return len(self.keys)
-
-    def neighbors(self, i: int) -> list[int]:
-        if not 1 <= i <= self.node_count:
-            raise ValueError(f"unknown node {i}")
-        out = set()
-        for u, v in self.edges:
-            if u == i:
-                out.add(v)
-            if v == i:
-                out.add(u)
-        return sorted(out)
 
 
 def adjacency_graph(ledger: OrbitLedger) -> AdjacencyGraphUpToSymmetry:

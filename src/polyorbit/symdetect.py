@@ -16,8 +16,8 @@ projection onto the column space of X.  W does not depend on the basis it
 is computed from, so it is read off the rows' own pivot columns Y = X[:, C],
 which span that space in far smaller integers than L: Q = Y^t Y is positive
 definite, dq = det Q > 0, and W = g / dq for the integer g = Y adj(Q) Y^t.  The
-search compares the ranks of the distinct g, which order as W does; only
-build_symmetry_graph makes rational colors, the centered W - 1/k.
+search compares the ranks of the distinct g, which order as W does, and
+makes no rational color.
 
 Color-preserving graph automorphisms are exactly the candidate symmetries.
 A candidate sigma is an affine symmetry exactly when the frame's identities
@@ -43,7 +43,6 @@ with every assignment so far, and an assignment that empties one is undone.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 from typing import Optional, Sequence, Union
@@ -61,19 +60,6 @@ from .polycore import (
     irredundant_rows,
 )
 from .permgrp import Permutation, PermutationGroup
-
-
-@dataclass(frozen=True)
-class SymmetryGraph:
-    """Edge-colored complete graph on k indices; colors are exact rationals.
-
-    gram[i][j] is the color of edge {i+1, j+1}; diagonal entries color the
-    vertices themselves.  color_classes groups 1-based index pairs (i, j),
-    i <= j, by equal gram value.
-    """
-    k: int
-    gram: tuple
-    color_classes: dict
 
 
 # ---------------------------------------------------------------------------
@@ -103,24 +89,6 @@ def _gram(frame) -> tuple[list, list, int]:
     values = sorted({g for row in G for g in row})
     rank = {g: r for r, g in enumerate(values)}
     return [[rank[g] for g in row] for row in G], values, dq
-
-
-def build_symmetry_graph(V: VPolyhedron) -> SymmetryGraph:
-    """Invariant edge-colored graph of a polytope's vertex set.
-
-    Unbounded inputs are rejected: rays have no barycenter to anchor the
-    affine-to-linear reduction.  The color of {i, j} is c_i^t Q_c^{-1} c_j
-    on the centered vertices, the value g_ij / dq of _gram less 1/k.
-    """
-    rank, values, dq = _gram(_VertexRealizer(V).frame)
-    k = len(rank)
-    colors = [Fraction(k * g - dq, k * dq) for g in values]
-    classes: dict = {}
-    for i in range(k):
-        for j in range(i, k):
-            classes.setdefault(colors[rank[i][j]], []).append((i + 1, j + 1))
-    return SymmetryGraph(k, tuple(tuple(colors[r] for r in row) for row in rank),
-                         {c: tuple(pairs) for c, pairs in classes.items()})
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +227,6 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
             size *= len(orb)
     return ([Permutation(tuple(x + 1 for x in g)) for g in found],
             tuple(reversed(base)), size)
-
-
-def graph_automorphisms(Gr: SymmetryGraph) -> list:
-    """Generators of the automorphism group of the colored complete graph.
-
-    Colors are refined to a stable partition, vertices are individualized
-    smallest cell first, and a stabilizer-chain search collects one generator
-    per new point reached in each basic orbit.  Pairwise color consistency is
-    enforced along every branch, so reported permutations are automorphisms
-    by construction.  Edge colors are compared as the integer ranks of the
-    color classes, which order and equate exactly as the gram values do.
-    Each position takes its images from a domain, the bitset of the images
-    that keep every color to the vertices assigned so far, narrowed by one
-    mask per assignment; an assignment that empties a later domain is not
-    taken.  An image that no automorphism reaches rules out its whole orbit
-    under the generators found so far, which all fix the points before it.
-    """
-    rank = {value: r for r, value in enumerate(sorted(Gr.color_classes))}
-    return _automorphism_search([[rank[v] for v in row] for row in Gr.gram])[0]
 
 
 def _detected_group(search: tuple[list, tuple, int], realizer, degree: int

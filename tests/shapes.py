@@ -17,7 +17,8 @@ from typing import Optional, Sequence
 
 from polyorbit.latcount import QuasiPolynomial
 from polyorbit.permgrp import Permutation
-from polyorbit.symdetect import SymmetryGraph, _refine_colors
+from polyorbit.repconv import _Geometry
+from polyorbit.symdetect import _refine_colors
 from polyorbit.polycore import (
     AffineHull,
     EmptyPolyhedronError,
@@ -430,32 +431,27 @@ def reference_ehrhart(P) -> QuasiPolynomial:
     return QuasiPolynomial(k, tuple(comps), d)
 
 
-def reference_gram(frame, centered: bool) -> SymmetryGraph:
-    """The gram graph of a frame's rows by the route of their coefficients.
+def reference_gram(frame) -> tuple:
+    """W = X (X^t X)^+ X^t of a frame's rows X entry by entry, as Fractions,
+    by the route of their coefficients.
 
-    With L = frame.coeffs, Q = L^t L and g = L (D_Q Q^{-1}) L^t, the
-    uncentered value X_i^t (sum_j X_j X_j^t)^+ X_j is g_ij / D_Q.  For
-    homogenized vertices (1, v) that value is 1/k plus the centered
-    c_i^t Q_c^{-1} c_j, which is what centered=True returns."""
+    With L = frame.coeffs, Q = L^t L and g = L (D_Q Q^{-1}) L^t, the entry
+    W_ij = X_i^t (sum_j X_j X_j^t)^+ X_j is g_ij / D_Q."""
     lam = frame.coeffs
-    k = len(lam)
     lcols = list(zip(*lam))
     Q = [[sum(map(mul, u, v)) for v in lcols] for u in lcols]
     dq, RQ = adjugate(Q)
     rqcols = list(zip(*RQ))
     Y = [tuple(sum(map(mul, x, col)) for col in rqcols) for x in lam]
-    classes: dict = {}         # g_ij -> pairs (i, j), i <= j; one value per g
-    for i in range(k):
-        for j in range(i, k):
-            classes.setdefault(sum(map(mul, Y[i], lam[j])), []).append((i + 1, j + 1))
-    gram = [[None] * k for _ in range(k)]
-    color_classes = {}
-    for g, pairs in classes.items():
-        val = Fraction(k * g - dq, k * dq) if centered else Fraction(g, dq)
-        for i, j in pairs:
-            gram[i - 1][j - 1] = gram[j - 1][i - 1] = val
-        color_classes[val] = tuple(pairs)
-    return SymmetryGraph(k, tuple(map(tuple, gram)), color_classes)
+    return tuple(tuple(Fraction(sum(map(mul, y, z)), dq) for z in lam) for y in Y)
+
+
+def ledger_facet_rows(ledger) -> set:
+    """Every facet of an orbit ledger as a primitive supporting row (a | b),
+    recomputed from the incidence sets of its expanded orbits, for
+    comparison with a plain conversion."""
+    geo = _Geometry(VPolyhedron(ledger.vertices))
+    return {geo.ambient_row(S) for e in ledger.entries.values() for S in e.orbit.elements}
 
 
 def reference_irredundant_rows(masks: Sequence[int], m: int, vertices: int

@@ -15,8 +15,8 @@ from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
-from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, reference_volume,
-                    santos_prismatoid)
+from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, ledger_facet_rows,
+                    reference_volume, santos_prismatoid)
 from test_symilp import enum_integral
 
 from polyorbit import (
@@ -108,12 +108,12 @@ def test_2_conversion_single_orbits():
                 for method in (adjacency_decomposition, incidence_decomposition):
                     led = method(P, GH)
                     assert led.orbit_count == 1          # one facet orbit
-                    assert len(led.vertex_orbits()) == 1  # one vertex orbit
+                    assert len(led.vertex_group.point_orbits()) == 1  # one vertex orbit
                     assert set(led.vertices) == plain_verts
                     led = method(V, GV)
                     assert led.orbit_count == 1
-                    assert len(led.vertex_orbits()) == 1
-                    assert led.facet_rows() == plain_rows
+                    assert len(led.vertex_group.point_orbits()) == 1
+                    assert ledger_facet_rows(led) == plain_rows
 
 
 def test_3_santos_prismatoid(tmp_path):

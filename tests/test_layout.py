@@ -211,17 +211,17 @@ def test_symmetry_checks_build_no_map():
 
 def test_symmetry_search_makes_no_fraction_color():
     # the gram colors, their refinement and the automorphism search compare
-    # integer ranks: only build_symmetry_graph turns colors into Fractions,
-    # and only the two realize_* functions build maps
+    # integer ranks and make no Fraction: only the two realize_* functions
+    # build maps, and nothing else in the module makes one
     tree = ast.parse((PACKAGE / "symdetect.py").read_text())
     fns = [node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)]
-    search = {"_gram", "_refine_colors", "_automorphism_search", "graph_automorphisms"}
+    search = {"_gram", "_refine_colors", "_automorphism_search"}
     assert {fn.name for fn in fns} >= search
     for fn in fns:
         if fn.name in search:
             assert not _called(fn) & {"Fraction", "frac"}, fn.name
     assert {fn.name for fn in fns if _called(fn) & {"Fraction", "frac"}} == {
-        "build_symmetry_graph", "realize_vertex_permutation", "realize_row_permutation"}
+        "realize_vertex_permutation", "realize_row_permutation"}
 
 
 @pytest.mark.parametrize("source", sorted(p for p in PACKAGE.glob("*.py")

@@ -653,6 +653,15 @@ class TestContains:
                                                       "the polyhedron has dimension 2"):
                 P.contains(x)
 
+    @pytest.mark.parametrize("P", [HPolyhedron.from_rows([], []), HPolyhedron.of_rows([])],
+                             ids=["from_rows", "of_rows"])
+    def test_point_with_coordinates_is_refused_by_a_system_with_no_rows(self, P):
+        # with no rows n is 0, and a point of length 2 was once inside
+        assert P.n == 0 and P.contains(())
+        with pytest.raises(PolyhedronError, match="^point has 2 coordinates, "
+                                                  "the polyhedron has dimension 0$"):
+            P.contains((1, 2))
+
 
 # ---------------------------------------------------------------------------
 # the integer form each polyhedron carries

@@ -64,6 +64,7 @@ from shapes import (
     cube_v,
     cut_v,
     hypersimplex_v,
+    ledger_facet_rows,
     santos_prismatoid,
     simplex_h,
     simplex_v,
@@ -74,6 +75,11 @@ FIX = Path(__file__).parent / "fixtures"
 
 def normalized_rows(H: HPolyhedron) -> set:
     return {primitive(tuple(H.A[i]) + (H.b[i],)) for i in range(H.m)}
+
+
+def neighbors(graph, i: int) -> list[int]:
+    """The nodes an edge of an orbit graph joins to node i, ascending."""
+    return sorted({v for u, v in graph.edges if u == i} | {u for u, v in graph.edges if v == i})
 
 
 def group_of(P):
@@ -247,7 +253,7 @@ def test_cube_full_group_single_orbit():
     assert led.orbit_count == 1
     entry = next(iter(led.entries.values()))
     assert entry.size == 6
-    assert len(led.vertex_orbits()) == 1
+    assert len(led.vertex_group.point_orbits()) == 1
     assert set(led.vertices) == set(cube_v(3).vertices)
 
 
@@ -256,7 +262,7 @@ def test_cube_trivial_group_six_orbits():
     led = adjacency_decomposition(V, PermutationGroup([], degree=8))
     assert led.orbit_count == 6
     assert all(e.size == 1 for e in led.entries.values())
-    assert led.facet_rows() == normalized_rows(convert_dd(V))
+    assert ledger_facet_rows(led) == normalized_rows(convert_dd(V))
 
 
 def test_santos_prismatoid_expansion_matches_plain():
@@ -265,8 +271,8 @@ def test_santos_prismatoid_expansion_matches_plain():
     led = adjacency_decomposition(V, G)
     H = convert_dd(V)
     assert H.m == 322
-    assert led.total_elements == 322
-    assert led.facet_rows() == normalized_rows(H)
+    assert sum(e.size for e in led.entries.values()) == 322
+    assert ledger_facet_rows(led) == normalized_rows(H)
 
 
 def test_non_symmetry_group_rejected():
@@ -371,7 +377,7 @@ def test_idm_trivial_group_equals_plain():
     V = cross_v(3)
     led = incidence_decomposition(V, PermutationGroup([], degree=6))
     assert led.orbit_count == 8
-    assert led.facet_rows() == normalized_rows(convert_dd(V))
+    assert ledger_facet_rows(led) == normalized_rows(convert_dd(V))
 
 
 def test_levels_policy_idm_at_top():
@@ -392,8 +398,7 @@ def test_oracle_equivalence_and_counts(P):
     G = group_of(P)
     led = adjacency_decomposition(P, G)
     H = convert_dd(P)
-    assert led.facet_rows() == normalized_rows(H)
-    assert led.total_elements == H.m
+    assert ledger_facet_rows(led) == normalized_rows(H)
     assert sum(e.orbit.size for e in led.entries.values()) == H.m
 
 
@@ -422,11 +427,11 @@ def test_ledger_orbit_sizes_sum_to_plain_dd(P):
         for key, e in led.entries.items():
             images = {g.apply_set(key) for g in group}
             assert e.orbit.elements == images, levels
-            assert key == e.key == min(tuple(sorted(X)) for X in images), levels
+            assert key == e.orbit.representative == min(tuple(sorted(X)) for X in images), levels
         if isinstance(P, VPolyhedron):
             assert sum(e.size for e in led.entries.values()) == plain.m, levels
         else:
-            assert sum(len(orb) for orb in led.vertex_orbits()) == len(plain.vertices)
+            assert sum(len(orb) for orb in led.vertex_group.point_orbits()) == len(plain.vertices)
             assert set(led.vertices) == set(plain.vertices)
 
 
@@ -468,7 +473,7 @@ def test_every_facet_supporting():
     G = affine_symmetry_group(V)
     led = adjacency_decomposition(V, G)
     d = 4
-    for row in led.facet_rows():
+    for row in ledger_facet_rows(led):
         a, bb = row[:-1], row[-1]
         tight = [v for v in V.vertices if dot(a, v) == bb]
         assert all(dot(a, v) <= bb for v in V.vertices)
@@ -481,7 +486,7 @@ def test_ledger_counters():
     P = cube_h(3)
     led = adjacency_decomposition(P, restricted_symmetries_H(P))
     assert led.orbit_count == len(led.entries)
-    assert led.total_elements == 6
+    assert sum(e.size for e in led.entries.values()) == 6
 
 
 def test_lower_dimensional_input_handled():
@@ -491,11 +496,11 @@ def test_lower_dimensional_input_handled():
     G = affine_symmetry_group(V)
     assert G.order() == 8
     led = adjacency_decomposition(V, G)
-    assert led.orbit_count == 1 and led.total_elements == 4
+    assert led.orbit_count == 1 and sum(e.size for e in led.entries.values()) == 4
     H = convert_dd(V)
     inc = incidence(H, V)
     want = {inc.row_set(i) for i in range(1, H.m + 1) if i not in H.equality_rows}
-    assert led.facet_sets() == want
+    assert set().union(*(e.orbit.elements for e in led.entries.values())) == want
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +524,7 @@ def test_cube_trivial_group_graph_is_octahedral():
     assert g.node_count == 6
     assert len(g.edges) == 12
     for i in range(1, 7):
-        assert len(g.neighbors(i)) == 4
+        assert len(neighbors(g, i)) == 4
 
 
 def test_shortest_path_basics():
@@ -527,10 +532,10 @@ def test_shortest_path_basics():
     triv = PermutationGroup([], degree=8)
     g = adjacency_graph(adjacency_decomposition(V, triv))
     assert shortest_path(g, 3, 3) == 0
-    n1 = g.neighbors(1)[0]
+    n1 = neighbors(g, 1)[0]
     assert shortest_path(g, 1, n1) == 1
     # opposite facets of a cube are two steps apart
-    far = [j for j in range(1, 7) if j != 1 and j not in g.neighbors(1)]
+    far = [j for j in range(1, 7) if j != 1 and j not in neighbors(g, 1)]
     assert far and all(shortest_path(g, 1, j) == 2 for j in far)
     with pytest.raises(ValueError):
         shortest_path(g, 0, 1)

@@ -37,11 +37,8 @@ from polyorbit.polycore import (
 from polyorbit.permgrp import Permutation, PermutationGroup
 from polyorbit.repconv import adjacency_decomposition, incidence_decomposition
 from polyorbit.symdetect import (
-    SymmetryGraph,
     affine_symmetry_group,
     are_affine_symmetries,
-    build_symmetry_graph,
-    graph_automorphisms,
     realize_row_permutation,
     realize_vertex_permutation,
     restricted_symmetries_H,
@@ -54,15 +51,16 @@ from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, cut_v, hypersimp
 FIX = Path(__file__).parent / "fixtures"
 
 
-def graph_of(gram):
-    """The SymmetryGraph of a gram matrix given entry by entry."""
-    k = len(gram)
-    g = tuple(tuple(F(x) for x in row) for row in gram)
-    classes = {}
-    for i in range(k):
-        for j in range(i, k):
-            classes.setdefault(g[i][j], []).append((i + 1, j + 1))
-    return SymmetryGraph(k, g, {v: tuple(ps) for v, ps in classes.items()})
+def automorphisms(gram):
+    """Generators of the automorphisms of a gram given entry by entry: the
+    search on its ranks."""
+    return symdetect._automorphism_search(dense_ranks(gram))[0]
+
+
+def gram_w(V):
+    """(ranks, W) of the gram of V's frame, W entry by entry as Fractions."""
+    rank, values, dq = symdetect._gram(V.frame)
+    return rank, [[F(values[r], dq) for r in row] for row in rank]
 
 
 def cube_vertices(n):
@@ -97,37 +95,37 @@ def group_order(gens, degree):
 # -- gram graph construction ---------------------------------------------------
 
 def test_square_gram_values():
-    # vertices (+-1, +-1): barycenter 0, Q = 4*I, so gram_ij = <v_i, v_j>/4
+    # vertices (+-1, +-1): barycenter 0, Q = 4*I, so W_ij = 1/4 + <v_i, v_j>/4
     sq = VPolyhedron.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    g = build_symmetry_graph(sq)
-    values = set(v for row in g.gram for v in row)
-    assert values == {F(1, 2), F(0), F(-1, 2)}
+    rank, W = gram_w(sq)
+    assert {v for row in W for v in row} == {F(3, 4), F(1, 4), F(-1, 4)}
     for i, vi in enumerate(sq.vertices):
         for j, vj in enumerate(sq.vertices):
-            assert g.gram[i][j] == F(sum(a * b for a, b in zip(vi, vj)), 4)
+            assert W[i][j] == F(1 + sum(a * b for a, b in zip(vi, vj)), 4)
+    assert rank == dense_ranks(W)
 
 
 def test_single_point_graph():
     pt = VPolyhedron.from_points([(3, 7)])
-    g = build_symmetry_graph(pt)
-    assert g.k == 1
-    assert graph_automorphisms(g) == []
+    rank, W = gram_w(pt)
+    assert W == [[1]]
+    assert symdetect._automorphism_search(rank) == ([], (), 1)
 
 
 def test_regular_simplex_two_colors():
     # e_1..e_{n+1} in R^{n+1} is a regular n-simplex with rational coordinates
     for n in (2, 3):
         pts = [tuple(F(1) if i == j else F(0) for j in range(n + 1)) for i in range(n + 1)]
-        g = build_symmetry_graph(VPolyhedron.from_points(pts))
-        diag = {g.gram[i][i] for i in range(g.k)}
-        off = {g.gram[i][j] for i in range(g.k) for j in range(g.k) if i != j}
+        rank, _ = gram_w(VPolyhedron.from_points(pts))
+        diag = {rank[i][i] for i in range(n + 1)}
+        off = {rank[i][j] for i in range(n + 1) for j in range(n + 1) if i != j}
         assert len(diag) == 1 and len(off) == 1 and diag != off
 
 
 def test_rays_rejected():
     V = VPolyhedron(vertices=((F(0),),), rays=((F(1),),))
-    with pytest.raises(PolyhedronError):
-        build_symmetry_graph(V)
+    with pytest.raises(PolyhedronError, match="^affine realization requires a bounded polytope$"):
+        affine_symmetry_group(V)
 
 
 def test_gram_invariant_under_affine_image():
@@ -135,9 +133,7 @@ def test_gram_invariant_under_affine_image():
     A = [[F(2), F(1)], [F(1), F(1)]]   # det 1
     t = (F(5), F(-3))
     moved = [tuple(vec_add(mat_vec(A, v), t)) for v in sq]
-    g1 = build_symmetry_graph(VPolyhedron.from_points(sq))
-    g2 = build_symmetry_graph(VPolyhedron.from_points(moved))
-    assert g1.gram == g2.gram
+    assert gram_w(VPolyhedron.from_points(sq)) == gram_w(VPolyhedron.from_points(moved))
 
 
 # -- the pivot-column gram against the coefficient route --------------------------
@@ -177,23 +173,12 @@ def test_vertex_gram_matches_coefficient_route(name, seed):
     points = GRAM_V[name]()
     V = VPolyhedron.from_points(points) if seed is None else \
         unimodular_image(points, f"gram/{name}/{seed}")[0]
-    ref = reference_gram(V.frame, centered=True)
-    assert build_symmetry_graph(V) == ref
-    rank, values, dq = symdetect._gram(V.frame)
-    k = V.k
-    assert all(F(values[rank[i][j]], dq) - F(1, k) == ref.gram[i][j]
-               for i in range(k) for j in range(k))
-    check_ranks_and_search(rank, ref)
+    check_gram(V.frame)
 
 
 @pytest.mark.parametrize("name", sorted(GRAM_H))
 def test_row_gram_matches_coefficient_route(name):
-    P = GRAM_H[name]()
-    ref = reference_gram(P.frame, centered=False)
-    rank, values, dq = symdetect._gram(P.frame)
-    assert all(F(values[rank[i][j]], dq) == ref.gram[i][j]
-               for i in range(P.m) for j in range(P.m))
-    check_ranks_and_search(rank, ref)
+    check_gram(GRAM_H[name]().frame)
 
 
 def test_random_point_set_grams_match_coefficient_route():
@@ -206,21 +191,22 @@ def test_random_point_set_grams_match_coefficient_route():
                 for _ in range(d + 1)]
         pts = {tuple(sum(c * g[a] for c, g in zip(cs, gens)) for a in range(n))
                for cs in ([rng.randint(-2, 2) for _ in gens] for _ in range(rng.randint(1, 9)))}
-        V = VPolyhedron.from_points(sorted(pts))
-        ref = reference_gram(V.frame, centered=True)
-        assert build_symmetry_graph(V) == ref
-        check_ranks_and_search(symdetect._gram(V.frame)[0], ref)
+        check_gram(VPolyhedron.from_points(sorted(pts)).frame)
 
 
-def check_ranks_and_search(rank, ref):
-    """The ranks order pairs exactly as ref's values do, and the search
-    returns the same (generators, base, order) on both, and as the
+def check_gram(frame):
+    """_gram's values over dq are the reference W entry by entry, its ranks
+    order pairs exactly as W does, and the search returns the same
+    (generators, base, order) on them, on W's own ranks, and as the
     reference search."""
-    assert rank == dense_ranks(ref.gram)
+    ref = reference_gram(frame)
+    rank, values, dq = symdetect._gram(frame)
+    k = len(rank)
+    assert all(F(values[rank[i][j]], dq) == ref[i][j] for i in range(k) for j in range(k))
+    assert rank == dense_ranks(ref)
     search = symdetect._automorphism_search(rank)
-    assert search == symdetect._automorphism_search(dense_ranks(ref.gram))
+    assert search == symdetect._automorphism_search(dense_ranks(ref))
     assert search == reference_automorphism_search(rank)
-    assert search[0] == graph_automorphisms(ref)
 
 
 def check_search(gram):
@@ -299,13 +285,13 @@ def test_metric_polytope_search_has_order_2_to_n_minus_1_times_n_factorial(n, or
 def test_monochrome_gives_symmetric_group():
     k = 4
     gram = [[F(1) if i == j else F(2) for j in range(k)] for i in range(k)]
-    gens = graph_automorphisms(graph_of(gram))
+    gens = automorphisms(gram)
     assert group_order(gens, k) == 24
 
 
 def test_square_automorphism_order_eight():
     sq = VPolyhedron.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    gens = graph_automorphisms(build_symmetry_graph(sq))
+    gens = symdetect._automorphism_search(symdetect._gram(sq.frame)[0])[0]
     assert group_order(gens, 4) == 8
 
 
@@ -313,7 +299,7 @@ def test_rigid_coloring_identity_only():
     # gram_ij = i + j admits no nontrivial automorphism for k >= 3
     k = 5
     gram = [[F(i + j) for j in range(k)] for i in range(k)]
-    assert graph_automorphisms(graph_of(gram)) == []
+    assert automorphisms(gram) == []
     assert len(consistent_permutations(gram)) == 1
 
 
@@ -333,7 +319,7 @@ def test_automorphisms_match_brute_force(gram):
     for i in range(k):
         for j in range(i):
             gram[j][i] = gram[i][j]
-    gens = graph_automorphisms(graph_of(gram))
+    gens = automorphisms(gram)
     oracle = consistent_permutations(gram)
     G = PermutationGroup(gens, degree=k)
     assert G.order() == len(oracle)
@@ -352,7 +338,7 @@ def test_automorphisms_of_random_graphs_match_brute_force():
         for i, j in itertools.combinations(range(6), 2):
             if rng.random() < 0.5:
                 gram[i][j] = gram[j][i] = F(1)
-        gens = graph_automorphisms(graph_of(gram))
+        gens = automorphisms(gram)
         assert group_order(gens, 6) == len(consistent_permutations(gram))
         check_search(gram)
 
@@ -413,7 +399,7 @@ def test_images_no_automorphism_reaches_are_pruned_exactly(lengths, order):
     # complete; skipping their orbits must lose no image it can complete
     for seed in range(12):
         gram = cycles_gram(lengths, f"{lengths}/{seed}")
-        gens = graph_automorphisms(graph_of(gram))
+        gens = automorphisms(gram)
         k = len(gram)
         assert all(gram[g(i + 1) - 1][g(j + 1) - 1] == gram[i][j]
                    for g in gens for i in range(k) for j in range(k))
@@ -470,7 +456,7 @@ def test_perturbed_cube_strictly_smaller():
     pts[-1] = (F(1), F(1), F(2))   # move one vertex off the cube
     V = VPolyhedron.from_points(pts)
     res = affine_symmetry_group(V)
-    gram = build_symmetry_graph(V).gram
+    gram = symdetect._gram(V.frame)[0]
     oracle = consistent_permutations(gram)
     assert res.order() == len(oracle) < 48
 
@@ -573,14 +559,14 @@ def test_automorphisms_of_long_cycle_need_no_deep_recursion():
     # search must not recurse once per vertex
     k = 200
     gram = [[F(min(abs(i - j), k - abs(i - j))) for j in range(k)] for i in range(k)]
-    graph = graph_of(gram)
+    rank = dense_ranks(gram)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        gens = graph_automorphisms(graph)
+        gens = symdetect._automorphism_search(rank)[0]
     finally:
         sys.setrecursionlimit(limit)
     for g in gens:
