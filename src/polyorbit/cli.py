@@ -100,6 +100,8 @@ class PolyFile:
                                    self.linearity)
 
     def to_vpolyhedron(self) -> VPolyhedron:
+        """The file's points and rays, a line as two opposite rays; a zero
+        ray adds nothing to the cone and is skipped."""
         if self.kind != "V":
             raise PolyhedronError("a V-representation file is required here")
         lin = set(self.linearity)
@@ -107,7 +109,7 @@ class PolyFile:
         for i, row in enumerate(self.rows, start=1):
             if row[0] == 1:
                 points.append(row[1:])
-            else:  # parser guarantees 0: a ray, doubled when marked as a line
+            elif any(row[1:]):  # the parser guarantees 0 here: a ray
                 rays.append(row[1:])
                 if i in lin:
                     rays.append(tuple(-x for x in row[1:]))

@@ -26,10 +26,11 @@ Ehrhart quasi-polynomial (interpolated per residue class of the dilation
 factor on one chain whose right-hand sides scale with the dilate, from the
 counts of the least dilates and, by Ehrhart-Macdonald reciprocity, of their
 interiors, the same walk on rows made strict, and re-checked at one more
-sample), the exact volume (a pulling triangulation whose faces are cut from
-the incidence masks of one double description), and a slice decomposition
-that splits an invariant polytope into fibers over the integral anchors of
-its invariant subspace.  The slice decomposition takes its block sums from
+sample; every count is one _count_scaled), the exact volume (a pulling
+triangulation whose faces are cut by the facet masks of the top, with the
+hull normals of its equalities), and a slice decomposition that splits an
+invariant polytope into fibers over the integral anchors of its invariant
+subspace.  The slice decomposition takes its block sums from
 symilp.block_sum_image and tests each candidate against the level of their
 chain that projects them onto the blocks of size >= 2, so no routine here
 solves an LP.
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, count, product
-from math import ceil, factorial, floor, prod
+from math import ceil, factorial, floor, gcd, prod
 from operator import and_, mul, sub
 from typing import Iterator, Optional, Sequence, Union
 
@@ -53,13 +54,11 @@ from .polycore import (
     Vector,
     VerificationError,
     VPolyhedron,
-    convert_dd_incidence,
     dot,
     frac,
     gauss_jordan,
     identity_matrix,
     integer_kernel_basis,
-    integer_nullspace,
     integer_v_to_h,
     irredundant_rows,
     matrix,
@@ -172,15 +171,14 @@ def _top(P: Union[HPolyhedron, VPolyhedron]) -> tuple[VPolyhedron, tuple[list, l
     if isinstance(P, VPolyhedron):
         return P, (*integer_v_to_h(*P.int_points), (1 << P.k) - 1)
     V, gens = P.dd
-    equalities, kept = irredundant_rows(gens, P.m, V.k)
+    equalities, kept, tight = irredundant_rows(gens, P.m, V.k)
     rows = P.int_rows
     eqs = []
     if equalities:
         _, pivots, m, _ = gauss_jordan(rows[i] for i in sorted(equalities))
         eqs = [primitive(r) for r in m[:len(pivots)]]
     kept = [i for i in kept if i not in equalities]
-    masks = [sum(1 << j for j, g in enumerate(gens) if g >> i & 1) for i in kept]
-    return V, (eqs, [rows[i] for i in kept], masks, (1 << V.k) - 1)
+    return V, (eqs, [rows[i] for i in kept], [tight[i] for i in kept], (1 << V.k) - 1)
 
 
 def _chain(top: tuple[list, list, list, int], order: Sequence[int]) -> list[list]:
@@ -504,8 +502,9 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
     incidence masks of that one conversion give every level of the
     projection chain below the top, each by one Fourier-Motzkin step, so no
     level runs a conversion.
-    The period k is the lcm of the vertex-coordinate denominators (an error
-    if it exceeds period_bound).  For each residue class i mod k the samples
+    The period k is the lcm of the vertex-coordinate denominators, read in
+    integers as s / gcd(s, coordinates) on int_points (an error if it
+    exceeds period_bound).  For each residue class i mod k the samples
     are the d + 2 abscissae x = i mod k of least |x|, positive first on a
     tie: x > 0 is the count of xP; x = -t < 0 is (-1)^d times the count of
     the interior of tP, by Ehrhart-Macdonald reciprocity; and x = 0, in class
@@ -526,13 +525,13 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
     if top[0]:
         raise PolyhedronError(
             "Ehrhart interpolation requires a full-dimensional polytope")
+    s, pts, _ = V.int_points
     if isinstance(P, VPolyhedron):
-        pts = P.vertices
         faces = (reduce(and_, (m for m in top[2] if m >> j & 1), (1 << P.k) - 1)
                  for j in range(P.k))
-        V = VPolyhedron.from_points([pts[j] for j, f in enumerate(faces)
-                                     if all(pts[i] == pts[j] for i in range(P.k) if f >> i & 1)])
-    k = V.int_points[0]
+        pts = [pts[j] for j, f in enumerate(faces)
+               if all(pts[i] == pts[j] for i in range(P.k) if f >> i & 1)]
+    k = s // gcd(s, *(x for p in pts for x in p))
     d = P.n
     if k > period_bound:
         raise PolyhedronError(f"period {k} exceeds the allowed bound {period_bound}")
@@ -548,8 +547,8 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
     levels = _chain(top, order)
     components = []
     for xs in plan:
-        ys = [_count_dilate(levels, x) if x > 0
-              else (-1) ** d * _count_interior(levels, -x) if x < 0 else 1 for x in xs]
+        ys = [_count_scaled(levels, x, 0) if x > 0
+              else (-1) ** d * _count_scaled(levels, -x, 1) if x < 0 else 1 for x in xs]
         coeffs = _interpolate(xs[:-1], ys[:-1])
         if _eval_poly(coeffs, xs[-1]) != ys[-1]:
             raise VerificationError(
@@ -558,32 +557,19 @@ def ehrhart(P: Union[HPolyhedron, VPolyhedron], period_bound: int = 24) -> Quasi
     return QuasiPolynomial(k, tuple(components), d)
 
 
-def _count_dilate(levels: Sequence[list], lam: int) -> int:
-    """Integer points of lam*P, from the projection chain of P.
+def _count_scaled(levels: Sequence[list], lam: int, cut: int) -> int:
+    """Integer points of lam*P (cut 0) or of the interior of lam*P (cut 1),
+    from the projection chain of P: the counting walk with every right-hand
+    side beta set to lam*beta - cut.
 
     proj_k(lam P) = lam proj_k(P), so each level keeps its rows and scales
-    every right-hand side beta to lam*beta.
+    every right-hand side.  proj_k(int lam P) = int proj_k(lam P), the points
+    strictly inside every scaled row of level k; the rows and points are
+    integers, so a.x < lam*beta holds exactly when a.x <= lam*beta - 1, and
+    _plane_count still needs no clipping.  cut must be 0 when a level holds
+    an equality, which enters as two rows.  With no coordinates the count
+    is the one point of R^0.
     """
-    return _count_scaled(levels, lam, 0)
-
-
-def _count_interior(levels: Sequence[list], t: int) -> int:
-    """Integer points of the interior of t*P, from the projection chain of a
-    full-dimensional P, whose levels hold no equalities.
-
-    proj_k(int tP) = int proj_k(tP), the points strictly inside every row of
-    level k scaled by t.  The rows and points are integers, so a.x < t*beta
-    holds exactly when a.x <= t*beta - 1: the closed walk on those right-hand
-    sides counts the interior, and _plane_count still needs no clipping.
-    """
-    return _count_scaled(levels, t, 1)
-
-
-def _count_scaled(levels: Sequence[list], lam: int, cut: int) -> int:
-    """The counting walk on the chain with every right-hand side beta set to
-    lam*beta - cut; cut must be 0 when a level holds an equality, which
-    enters as two rows.  With no coordinates the count is the one point of
-    R^0."""
     if not levels:
         return 1
     scaled = [[(head, c, lam * beta - cut) for head, c, beta in rows] for rows in levels]
@@ -597,47 +583,41 @@ def _count_scaled(levels: Sequence[list], lam: int, cut: int) -> int:
 def volume(P: Union[HPolyhedron, VPolyhedron]) -> Fraction:
     """Volume of a bounded polytope, relative to the lattice of its hull.
 
-    One double description gives, per row of the inequality side, the points
-    tight on it as a bitmask: for H input the rows of P cut the vertices of
-    its conversion, for V input the rows of its conversion cut the given
-    points, duplicates and points that are not vertices included.  Every
-    face of P is such a cut, so P is triangulated by pulling on those masks
-    alone: a face is coned from its least point over the triangulated facets
-    that avoid it, and each simplex s_0..s_d contributes
+    _top gives the facets of P, each with the points tight on it as a
+    bitmask: for H input the vertices of its conversion, for V input the
+    given points, duplicates and points that are not vertices included.
+    Every face of P is a cut by those masks, so P is triangulated by pulling
+    on them alone: a face is coned from its least point over the
+    triangulated facets that avoid it, and each simplex s_0..s_d contributes
     |det(s_1 - s_0, ..., s_d - s_0)| / d!, taken on the points scaled once
     to integers and divided once at the end.  A lower-dimensional polytope is
     measured in coordinates of a lattice basis of its direction space, so a
     diagonal unit cell has measure 1, matching the Ehrhart leading
-    coefficient: the hull normals come from the integer differences of the
-    scaled points, and one elimination gives every point's coordinates in
-    that basis as integers over one common determinant, divided out at the
-    end with the scale.  A zero-dimensional polytope has measure 1 by
-    convention.
+    coefficient: the hull normals are those of the top's equality basis,
+    and one elimination gives every point's coordinates in that basis as
+    integers over one common determinant, divided out at the end with the
+    scale.  A zero ray leaves P bounded.  A zero-dimensional polytope has
+    measure 1 by convention.
     """
-    if isinstance(P, VPolyhedron):
-        V, rows = P, set(integer_v_to_h(*P.int_points)[2])
-    else:
-        V, masks = convert_dd_incidence(P)
-        rows = {sum(1 << j for j, m in enumerate(masks) if m >> i & 1) for i in range(P.m)}
-    if V.rays:
+    V, (eqs, _, masks, _) = _top(P)
+    if any(map(any, V.rays)):
         raise PolyhedronError("volume requires a bounded polyhedron")
     scale, pts, _ = V.int_points
-    diffs = [tuple(map(sub, p, pts[0])) for p in pts]
-    normals = integer_nullspace(diffs[1:], P.n)
-    d = P.n - len(normals)
+    d = P.n - len(eqs)
     if d == 0:
         return Fraction(1)
-    if normals:
+    if eqs:
         # the integer kernel of the hull normals is a basis B of Z^n restricted
         # to the direction space; [B^T | diffs] reduces to [D I | D Y] with Y
         # the coordinates of every difference in B
-        B = integer_kernel_basis(normals, P.n)
+        B = integer_kernel_basis([e[:-1] for e in eqs], P.n)
+        diffs = [tuple(map(sub, p, pts[0])) for p in pts]
         D, _, m, _ = gauss_jordan((tuple(col) + diff for col, diff in zip(zip(*B), zip(*diffs))),
                                   stop=d)
         pts = list(zip(*(row[d:] for row in m[:d])))
         scale *= abs(D)
     total = 0
-    for simplex in _pull((1 << len(pts)) - 1, rows, d, {}):
+    for simplex in _pull((1 << len(pts)) - 1, set(masks), d, {}):
         s0, *rest = (pts[j] for j in simplex)
         D, pivots, _, _ = gauss_jordan([tuple(map(sub, s, s0)) for s in rest])
         if len(pivots) == d:

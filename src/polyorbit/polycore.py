@@ -1005,23 +1005,23 @@ def remove_redundancy(P: HPolyhedron) -> HPolyhedron:
         V, masks = Q.dd
     except EmptyPolyhedronError:
         raise EmptyPolyhedronError("system is infeasible")
-    equalities, active = irredundant_rows(masks, Q.m, V.k)
+    equalities, active, _ = irredundant_rows(masks, Q.m, V.k)
     eqs = tuple(pos + 1 for pos, j in enumerate(active) if j in equalities)
     return HPolyhedron(tuple(Q.A[j] for j in active), tuple(Q.b[j] for j in active), eqs)
 
 
 def irredundant_rows(masks: Sequence[int], m: int, vertices: int
-                     ) -> tuple[frozenset, list[int]]:
+                     ) -> tuple[frozenset, list, list]:
     """The roles of the m rows of a nonempty system, read off the masks of
     its double description (convert_dd_incidence of an H input: one mask per
     generator, the given number of vertices first).
 
-    Returns (equalities, kept) as 0-based row indices.  The implicit
-    equalities are the rows tight on every generator.  kept lists them with
-    every other row that is tight on some vertex and whose set of tight
-    generators is not strictly inside that of another such row, so that it
-    cuts out a facet; of the rows that cut out the same facet, the last is
-    kept.
+    Returns (equalities, kept, tight): 0-based row indices, and per row the
+    mask of the generators tight on it.  The implicit equalities are the
+    rows tight on every generator.  kept lists them with every other row
+    that is tight on some vertex and whose set of tight generators is not
+    strictly inside that of another such row, so that it cuts out a facet;
+    of the rows that cut out the same facet, the last is kept.
     """
     # tight[i]: the generators tight on row i, vertices in the low bits
     tight = [sum(1 << j for j, mask in enumerate(masks) if mask >> i & 1) for i in range(m)]
@@ -1033,4 +1033,4 @@ def irredundant_rows(masks: Sequence[int], m: int, vertices: int
     kept = [i for i, t in enumerate(tight) if i in equalities or (
         t & on_vertex and last[t] == i
         and not any(t | u == u and t != u for u in rows))]
-    return equalities, kept
+    return equalities, kept, tight

@@ -302,7 +302,7 @@ class _RowRealizer:
             V, masks = P.dd
         except EmptyPolyhedronError:
             raise EmptyPolyhedronError("empty polyhedron has no affine hull")
-        equalities, kept = irredundant_rows(masks, P.m, V.k)
+        equalities, kept, _ = irredundant_rows(masks, P.m, V.k)
         # an implicit equality lowers the dimension unless it is 0 = 0
         if any(any(P.int_rows[i][:-1]) for i in equalities):
             raise PolyhedronError("restricted symmetry detection needs a full-dimensional input")

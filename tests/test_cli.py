@@ -368,6 +368,21 @@ class TestAutomorphismsCmd:
         assert run(capsys, "automorphisms", f) == refusal
         assert run(capsys, "convert", f) == refusal
 
+    @pytest.mark.parametrize("linearity", ["", "linearity 1 4\n"], ids=["ray", "line"])
+    @pytest.mark.parametrize("command", ["count", "ehrhart", "volume", "automorphisms", "convert"])
+    def test_zero_ray_is_read_as_no_ray(self, command, linearity, tmp_path, capsys):
+        # a ray row 0 0 0 (or a line) adds nothing to the triangle: every
+        # command answers as for the file without it, where volume,
+        # automorphisms and convert once refused it as unbounded
+        body = "1 0 0\n1 1 0\n1 0 1\n"
+        with_ray, without = tmp_path / "zero-ray.ext", tmp_path / "triangle.ext"
+        with_ray.write_text(f"V-representation\n{linearity}begin\n4 3 rational\n"
+                            f"{body}0 0 0\nend\n")
+        without.write_text(f"V-representation\nbegin\n3 3 rational\n{body}end\n")
+        answer = run(capsys, command, without)
+        assert answer[0] == 0
+        assert run(capsys, command, with_ray) == answer
+
 
 # inputs that the symmetric routes refuse, or that only convert refuses (an
 # unbounded system whose rows span has a group, but no vertex orbits)

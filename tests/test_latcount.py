@@ -466,21 +466,21 @@ class TestEhrhart:
     def test_mismatching_counts_are_caught(self, monkeypatch):
         import polyorbit.latcount as lc
         # the plan of [-1, 1]^2 is 0, 1, -1, 2: the closed counts of 1P and
-        # 2P (9, and 25 as the check) and the interior count of 1P (1, the
-        # origin); a lie at any of them is caught
-        for name, t, value in [("_count_dilate", 1, 9), ("_count_dilate", 2, 25),
-                               ("_count_interior", 1, 1)]:
-            real, told = getattr(lc, name), []
+        # 2P (9, and 25 as the check, cut 0) and the interior count of 1P (1,
+        # the origin, cut 1); a lie at any of them is caught
+        real = lc._count_scaled
+        for t, cut, value in [(1, 0, 9), (2, 0, 25), (1, 1, 1)]:
+            told = []
 
-            def lying(levels, lam, real=real, t=t, told=told):
-                v = real(levels, lam)
-                if lam != t:
+            def lying(levels, lam, c, t=t, cut=cut, told=told):
+                v = real(levels, lam, c)
+                if (lam, c) != (t, cut):
                     return v
                 told.append(v)
                 return v + 1
 
             with monkeypatch.context() as m:
-                m.setattr(lc, name, lying)
+                m.setattr(lc, "_count_scaled", lying)
                 with pytest.raises(VerificationError):
                     lc.ehrhart(cube_h(2))
             assert told == [value]
@@ -576,7 +576,7 @@ class TestEhrhartReciprocity:
         V = convert_dd(P)
         for t in (1, 2, 3):
             levels = lc._chain(lc._top(P)[1], lc._widest_last(V, t)[0])
-            interior = lc._count_interior(levels, t)
+            interior = lc._count_scaled(levels, t, 1)
             assert interior == interior_scan(P, t)
             assert q.evaluate(-t) == (-1) ** d * interior
 
@@ -635,6 +635,14 @@ class TestVolume:
     def test_unbounded_rejected(self):
         with pytest.raises(PolyhedronError, match="bounded"):
             volume(HPolyhedron.from_rows([(-1, 0), (0, -1)], [0, 0]))
+
+    def test_zero_ray_leaves_the_polytope_bounded(self):
+        # as in ehrhart: a zero ray adds nothing to the cone, a nonzero one is refused
+        pts = [(0, 0), (1, 0), (0, 1)]
+        assert volume(VPolyhedron.from_points(pts, [(0, 0)])) == \
+            volume(VPolyhedron.from_points(pts)) == F(1, 2)
+        with pytest.raises(PolyhedronError, match="bounded"):
+            volume(VPolyhedron.from_points(pts, [(0, 0), (1, 0)]))
 
     def test_empty_rejected(self):
         P = HPolyhedron.from_rows([(1,), (-1,)], [0, -1])
@@ -1124,7 +1132,7 @@ class TestOneChainPerCount:
             assert period == q
             levels = lc._chain(lc._top(V)[1], range(d))
             for lam in range(1, d + 3):
-                assert lc._count_dilate(levels, lam) == count_lattice_points(P.dilate(lam))
+                assert lc._count_scaled(levels, lam, 0) == count_lattice_points(P.dilate(lam))
 
     def test_ehrhart_dd_calls_do_not_grow_with_the_period(self, monkeypatch):
         for P in (cube_h(2), simplex_h(3)):

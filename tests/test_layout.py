@@ -121,8 +121,8 @@ def test_ehrhart_reads_neither_volume_nor_a_dilate():
     # coefficient is interpolated like the others
     tree = ast.parse((PACKAGE / "latcount.py").read_text())
     fns = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in
-           {"ehrhart", "_count_dilate", "_count_interior", "_count_scaled"}]
-    assert len(fns) == 4
+           {"ehrhart", "_count_scaled"}]
+    assert len(fns) == 2
     for fn in fns:
         banned = _called(fn) & {"volume", "dilate"}
         assert not banned, f"{fn.name} calls {sorted(banned)}"
@@ -154,7 +154,7 @@ def test_counting_walk_builds_no_fraction():
     # coordinates in and the closed and interior counts of a dilate run on
     # integer rows and points
     walk = {"_walk", "_fiber", "_plane_count", "_envelope_sum", "_floor_sum", "_widest_last",
-            "_count_dilate", "_count_interior", "_count_scaled"}
+            "_count_scaled"}
     banned = {"Fraction", "frac", "dot", "floor", "ceil"}
     tree = ast.parse((PACKAGE / "latcount.py").read_text())
     fns = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name in walk]
@@ -442,12 +442,17 @@ def test_projection_chain_runs_no_double_description():
 def test_one_top_builds_every_projection_chain():
     # _chain takes a top and an order, no polyhedron, and _top, which makes
     # that top for H and V input alike, is the one routine of latcount that
-    # reads a double description or judges redundancy
+    # converts, reads a double description or judges redundancy; volume and
+    # ehrhart take their facets, masks, hull normals and period from it
     tree = ast.parse((PACKAGE / "latcount.py").read_text())
+    dd = {"irredundant_rows", "convert_dd_incidence", "convert_dd", "integer_h_to_v",
+          "integer_v_to_h", "integer_nullspace"}
     readers = {fn.name for fn in tree.body if isinstance(fn, ast.FunctionDef) and (
-        "irredundant_rows" in _called(fn) or any(
+        _called(fn) & dd or any(
             isinstance(node, ast.Attribute) and node.attr == "dd" for node in ast.walk(fn)))}
     assert readers == {"_top"}
+    (ehrhart,) = _top_level("latcount.py", {"ehrhart"})
+    assert not _called(ehrhart) & {"VPolyhedron", "from_points", "of_points"}
     (chain,) = _top_level("latcount.py", {"_chain"})
     assert [a.arg for a in chain.args.args] == ["top", "order"]
     assert not chain.args.vararg and not chain.args.kwonlyargs and not chain.args.kwarg

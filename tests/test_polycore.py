@@ -431,8 +431,9 @@ class TestRemoveRedundancy:
                     tight.append(rng.getrandbits(g))
             masks = [sum(1 << i for i, t in enumerate(tight) if t >> j & 1) for j in range(g)]
             vertices = rng.randint(1, g)
-            assert irredundant_rows(masks, m, vertices) == \
-                reference_irredundant_rows(masks, m, vertices)
+            equalities, kept, rows = irredundant_rows(masks, m, vertices)
+            assert (equalities, kept) == reference_irredundant_rows(masks, m, vertices)
+            assert rows == tight   # the masks transposed back to one mask per row
 
     def test_same_set_after_reduction(self):
         # oracle: a point is in P iff it is in remove_redundancy(P)
