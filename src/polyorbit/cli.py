@@ -25,7 +25,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from .latcount import (count_lattice_points, count_with_symmetry, ehrhart,
                        first_lattice_point, volume)
@@ -44,7 +44,6 @@ from .polycore import (
 from .repconv import (
     adjacency_decomposition,
     adjacency_graph,
-    convert_dd,
     write_dot,
 )
 from .symdetect import affine_symmetry_group, restricted_symmetries_H
@@ -262,11 +261,9 @@ def _bounded_vfile(pf: PolyFile) -> VPolyhedron:
     return V
 
 
-def _input_polytope(pf: PolyFile) -> HPolyhedron:
-    """Inequality description of the input, converting a V file exactly."""
-    if pf.kind == "H":
-        return pf.to_hpolyhedron()
-    return convert_dd(pf.to_vpolyhedron())
+def _polyhedron(pf: PolyFile) -> Union[HPolyhedron, VPolyhedron]:
+    """The file's polyhedron as the file gives it, H or V, converted to nothing."""
+    return pf.to_vpolyhedron() if pf.kind == "V" else pf.to_hpolyhedron()
 
 
 def cmd_automorphisms(pf: PolyFile, args) -> int:
@@ -322,19 +319,17 @@ def cmd_count(pf: PolyFile, args) -> int:
         # sorted-domain rows are added to an inequality description
         if pf.blocks is None:
             raise PolyhedronError("--symmetric needs a blocks header in the input file")
-        total = count_with_symmetry(_input_polytope(pf), pf.blocks)
+        total = count_with_symmetry(_polyhedron(pf), pf.blocks)
     else:
         # a V file is walked on its own points, with no conversion to H first
-        total = count_lattice_points(pf.to_vpolyhedron() if pf.kind == "V"
-                                     else pf.to_hpolyhedron())
+        total = count_lattice_points(_polyhedron(pf))
     print(total)
     return 0
 
 
 def cmd_ehrhart(pf: PolyFile, args) -> int:
     # a V file goes in as given: ehrhart converts it once, to the rows that top its chain
-    q = ehrhart(pf.to_vpolyhedron() if pf.kind == "V" else pf.to_hpolyhedron(),
-                period_bound=args.period_bound)
+    q = ehrhart(_polyhedron(pf), period_bound=args.period_bound)
     print(f"period {q.period}")
     print(f"degree {q.degree}")
     for i, comp in enumerate(q.components):
@@ -344,7 +339,7 @@ def cmd_ehrhart(pf: PolyFile, args) -> int:
 
 def cmd_volume(pf: PolyFile, args) -> int:
     # a V file is measured on its own points, with no conversion to H first
-    print(volume(pf.to_vpolyhedron() if pf.kind == "V" else pf.to_hpolyhedron()))
+    print(volume(_polyhedron(pf)))
     return 0
 
 

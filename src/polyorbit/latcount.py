@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, count, product
-from math import ceil, factorial, floor, gcd, prod
+from math import factorial, gcd, prod
 from operator import and_, mul, sub
 from typing import Iterator, Optional, Sequence, Union
 
@@ -72,7 +72,6 @@ from .symilp import (
     canonical_core_point,
     check_blocks,
     check_invariance,
-    coordinate_bounds,
     fixed_space_system,
 )
 
@@ -727,10 +726,10 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     orbits = []
     image = block_sum_image(P, blocks)
     if image is not None:
-        extent = coordinate_bounds(image)
-        if any(None in extent[j] for j in live):
+        s, pts, rays = image.int_points
+        if any(r[j] for r in rays for j in live):
             raise PolyhedronError("slice decomposition requires bounded block sums")
-        cands = product(*(range(ceil(extent[j][0]), floor(extent[j][1]) + 1)
+        cands = product(*(range(-(-min(p[j] for p in pts) // s), max(p[j] for p in pts) // s + 1)
                           for j in live))
         if live:
             # the live block sums of P form the image projected onto them
@@ -750,7 +749,7 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     return SliceDecomposition(blocks, fixed_space_system(P, blocks), basis, tuple(orbits))
 
 
-def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int]) -> int:
+def count_with_symmetry(P: Union[HPolyhedron, VPolyhedron], blocks: Sequence[int]) -> int:
     """Lattice-point count of a block-invariant polyhedron on a fundamental domain.
 
     Every orbit of the block action on integer points meets the sorted
@@ -761,8 +760,11 @@ def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int]) -> int:
     intermediate rays, and its one projection chain is walked
     with each sorted point weighted by its orbit size, so the count is
     exact in integer arithmetic.  An unbounded P is refused as in
-    count_lattice_points.
+    count_lattice_points; a V input enters as the rows of its _top.
     """
+    if isinstance(P, VPolyhedron):
+        eqs, les, _, _ = _top(P)[1]
+        P = HPolyhedron.of_rows(eqs + les, range(1, len(eqs) + 1))
     blocks = _invariant_blocks(P, blocks)
     sort_rows = tuple(tuple((u == t + 1) - (u == t) for u in range(P.n + 1))
                       for off, nb in zip(accumulate(blocks, initial=0), blocks)

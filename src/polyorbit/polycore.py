@@ -16,14 +16,14 @@ affine frames on which symmetry detection checks relabelings.  The simplex
 of solve_lp pivots one integer tableau of P.int_rows with the same row step,
 _bareiss_step, so its point depends on the polyhedron alone.  A point list
 is scaled to integers as a whole by clear_denominators.  A polyhedron's
-derived forms are cached properties, each made at most once per object:
-int_rows and int_points, its rows and points in integers; frame, their
-integer affine frame, which records every relabeling it has realized; and
-HPolyhedron.dd, the one double description of an H-description.
-HPolyhedron.of_rows makes P from its rows (a | b) as a file or a conversion
-gives them, ints where a row is integral, with int_rows read off them and A
-and b made only on first read.  The unimodular column reduction of
-integer_kernel_basis is a separate algorithm.
+integer form is set by each of its constructors: HPolyhedron.int_rows, its
+rows as primitive integer vectors, and VPolyhedron.int_points, its points
+and rays over one scale; of_rows and of_points take it as a file or a
+conversion gives it and make A and b, or the vertices, on first read.
+Cached properties derive the rest once per object: frame, the integer affine
+frame, which records every relabeling it has realized, and HPolyhedron.dd,
+the one double description of an H-description.  The unimodular column
+reduction of integer_kernel_basis is a separate algorithm.
 
 Representation conversion is one integer double description, dd_cone, of a
 homogenization cone that only integer_h_to_v (integer rows to points and
@@ -91,18 +91,8 @@ def vec_sub(u: Sequence, v: Sequence) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
 
 
-def vec_scale(c, u: Sequence) -> Vector:
-    c = frac(c)
-    return tuple(c * a for a in u)
-
-
 def mat_vec(A: Sequence[Sequence], x: Sequence) -> Vector:
     return tuple(dot(row, x) for row in A)
-
-
-def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> Matrix:
-    Bt = list(zip(*B))
-    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
 
 
 def transpose(A: Sequence[Sequence]) -> Matrix:
@@ -409,9 +399,9 @@ class _IntegerFrame:
 class HPolyhedron:
     """Inequality description {x : A x <= b} with exact rational data.
 
-    m and n are the row count and the dimension (0 with no rows).  of_rows
-    makes P from its rows (a_i | b_i), as an H file's rows arrive: int_rows,
-    m and n are read off them, and the Fraction matrices A and b are made
+    m and n, the row count and the dimension (0 with no rows), and int_rows,
+    each row as the primitive integer (a_i | b_i), are set when P is built.
+    of_rows makes P from its rows, as an H file's rows arrive, and A and b
     from them on first read, so a caller of int_rows alone builds neither.
     """
     A: Matrix
@@ -426,7 +416,8 @@ class HPolyhedron:
         widths = {len(r) for r in self.A}
         if len(widths) > 1:
             raise PolyhedronError("ragged inequality matrix")
-        self.__dict__.update(m=len(self.A), n=max(widths, default=0))
+        self.__dict__.update(m=len(self.A), n=max(widths, default=0),
+                             int_rows=tuple(primitive((*a, bb)) for a, bb in zip(self.A, self.b)))
 
     @classmethod
     def from_rows(cls, A: Iterable[Iterable], b: Iterable, equality_rows=()) -> "HPolyhedron":
@@ -450,11 +441,6 @@ class HPolyhedron:
         rows = self._rows
         self.__dict__.update(A=tuple(vector(r[:-1]) for r in rows), b=vector(r[-1] for r in rows))
         return self.__dict__[name]
-
-    @cached_property
-    def int_rows(self) -> tuple[tuple[int, ...], ...]:
-        """Each row as the primitive integer vector (a_i | b_i), made once."""
-        return tuple(primitive((*a, bb)) for a, bb in zip(self.A, self.b))
 
     @cached_property
     def dd(self) -> tuple[VPolyhedron, tuple[int, ...]]:
@@ -492,16 +478,18 @@ class HPolyhedron:
 @dataclass(frozen=True)
 class VPolyhedron:
     """Generator description conv(vertices) + cone(rays)."""
-    # k and n are the vertex count and the dimension (0 with no generators).
-    # of_points makes V from the integer form of a conversion, points over s
-    # and integer rays: int_points, k and n are read off them, and the
-    # Fraction vertices are made from them on first read.
+    # k, n and int_points, (s, s vertices, s rays) for s the lcm of every
+    # denominator, are set when V is built.  of_points makes V from the
+    # integer form of a conversion, points over s and integer rays, and the
+    # Fraction vertices from them on first read.
     vertices: Matrix
     rays: Matrix = ()
 
     def __post_init__(self):
-        self.__dict__.update(k=len(self.vertices),
-                             n=len((self.vertices or self.rays or [()])[0]))
+        k = len(self.vertices)
+        s, gens = clear_denominators((*self.vertices, *self.rays))
+        self.__dict__.update(k=k, n=len((self.vertices or self.rays or [()])[0]),
+                             int_points=(s, tuple(gens[:k]), tuple(gens[k:])))
 
     @classmethod
     def from_points(cls, points: Iterable[Iterable], rays: Iterable[Iterable] = ()) -> "VPolyhedron":
@@ -527,12 +515,6 @@ class VPolyhedron:
         s, pts, _ = self.int_points
         self.__dict__[name] = tuple(tuple(Fraction(x, s) for x in p) for p in pts)
         return self.__dict__[name]
-
-    @cached_property
-    def int_points(self) -> tuple[int, tuple[tuple[int, ...], ...], tuple[tuple[int, ...], ...]]:
-        """(s, s vertices, s rays), s the lcm of every denominator; made once."""
-        s, gens = clear_denominators((*self.vertices, *self.rays))
-        return s, tuple(gens[:self.k]), tuple(gens[self.k:])
 
     @cached_property
     def frame(self) -> _IntegerFrame:
@@ -593,7 +575,7 @@ def solve_lp(P: HPolyhedron, c: Sequence, maximize: bool = True) -> LPResult:
     """
     c = vector(c)
     if not maximize:
-        res = solve_lp(P, vec_scale(-1, c), maximize=True)
+        res = solve_lp(P, tuple(-x for x in c), maximize=True)
         if res.status == "optimal":
             return LPResult("optimal", -res.value, res.point)
         return res

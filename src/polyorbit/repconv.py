@@ -54,7 +54,6 @@ from .polycore import (
     VPolyhedron,
     Vector,
     convert_dd,
-    convert_dd_incidence,
     dd_cone,
     hull_coordinates,
     index_set,
@@ -62,7 +61,6 @@ from .polycore import (
     integer_v_to_h,
     primitive,
     vec_sub,
-    vector,
 )
 from .permgrp import (
     Permutation,
@@ -373,7 +371,7 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
     orbits, pairs = _facet_orbit_engine(geo.local, G, levels, 0)
     entries = {orb.representative: FacetOrbit(orb, geo.ambient_row(frozenset(orb.representative)))
                for orb in orbits}
-    return OrbitLedger(entries, tuple(map(vector, V.vertices)), G, pairs)
+    return OrbitLedger(entries, V.vertices, G, pairs)
 
 
 def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
@@ -384,7 +382,7 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
         raise PolyhedronError("group generator is not an affine symmetry of the rows")
     # every vertex with the rows it is tight on; a row permutation in G maps
     # the tight set of a vertex onto the tight set of its image
-    V, masks = convert_dd_incidence(P)
+    V, masks = P.dd
     if V.rays:
         raise PolyhedronError("decomposition requires a bounded polytope")
 

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate, product
-from operator import getitem
+from operator import getitem, mul
 from typing import Optional, Sequence, Union
 
 from .polycore import (
@@ -49,10 +49,8 @@ from .polycore import (
     convert_dd,
     dot,
     integer_h_to_v,
-    mat_mul,
     mat_vec,
     solve_lp,
-    transpose,
     vector,
     zero_vector,
 )
@@ -194,20 +192,26 @@ def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
 def solve_lp_reduced(lp: LinearProgram, G: GroupLike) -> LPResult:
     """Solve an invariant LP on the fixed space of G.
 
-    Substitutes x = B y for the orbit indicators B, one variable per point
-    orbit, solves the reduced program exactly and maps the argmax back; the
-    optimum equals the full one.  Infeasible and unbounded pass through as
-    statuses.
+    Folds each integer row (a | b) of P.int_rows, and c, to their sums over
+    each point orbit, in the basis order of invariant_subspace: one variable
+    per orbit.  Solves the reduced program exactly and reads the argmax back
+    orbit by orbit; the optimum equals the full one.  Infeasible and
+    unbounded pass through as statuses.
     """
     G = _permutation_group(G, lp.P.n)
     if not check_invariance(lp, G):
         raise PolyhedronError("linear program is not invariant under the group")
-    B = transpose(invariant_subspace(G).basis)  # n x k, columns span the fixed space
-    red = HPolyhedron(mat_mul(lp.P.A, B), lp.P.b, lp.P.equality_rows)
-    res = solve_lp(red, mat_vec(transpose(B), lp.c))
+    orbits = sorted(G.point_orbits(), key=max)
+
+    def fold(x):
+        return tuple(sum(x[i - 1] for i in orb) for orb in orbits)
+
+    red = HPolyhedron.of_rows([fold(r) + r[-1:] for r in lp.P.int_rows], lp.P.equality_rows)
+    res = solve_lp(red, fold(lp.c))
     if not res.is_optimal:
         return res
-    return LPResult("optimal", res.value, mat_vec(B, res.point))
+    y = {i: v for orb, v in zip(orbits, res.point) for i in orb}
+    return LPResult("optimal", res.value, tuple(y[i] for i in range(1, lp.P.n + 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +242,9 @@ def orbit_barycenter(G: GroupLike, z: Sequence) -> Vector:
     """Exact barycenter of the orbit of z: the mean of z over each coordinate
     orbit, which is the invariant projection of z.  No orbit is expanded."""
     z = vector(z)
-    return invariant_subspace(G, len(z)).project(z)
+    mean = {i: sum(z[j - 1] for j in orb) / len(orb)
+            for orb in _permutation_group(G, len(z)).point_orbits() for i in orb}
+    return tuple(mean[i] for i in range(1, len(z) + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -325,8 +331,7 @@ def is_core_point(G: GroupLike, z: Sequence, budget: int = 200_000) -> Optional[
         if cells > budget:
             return None
     for cand in product(*ranges):
-        p = vector(cand)
-        if p not in orbit and hull.contains(p):
+        if cand not in orbit and hull.contains(cand):
             return False
     return True
 
@@ -382,24 +387,17 @@ def block_sum_image(P: HPolyhedron, blocks: Sequence[int]) -> Optional[VPolyhedr
     An invariant convex P holds the barycenter of each of its points, and the
     barycenter has the same block sums, so the block sums of P are those of
     P on the fixed space.  One integer double description of that system in
-    y gives the set, and s_j = n_j y_j scales it (a line comes as two
-    opposite rays).
+    y gives the set, and s_j = n_j y_j scales it: VPolyhedron.of_points of
+    n_j p_j over s in lowest terms (a line comes as two opposite rays).
     """
     blocks = check_blocks(blocks, P.n)
     s, points, rays, _ = _block_sum_dd(_primitive_rows(P), blocks)
     if not points:
         return None
-    return VPolyhedron(
-        tuple(tuple(Fraction(nb * x, s) for nb, x in zip(blocks, p)) for p in points),
-        tuple(tuple(Fraction(nb * x) for nb, x in zip(blocks, r)) for r in rays))
-
-
-def coordinate_bounds(V: VPolyhedron) -> list[tuple[Optional[Fraction], Optional[Fraction]]]:
-    """(min, max) of each coordinate over a nonempty V; a side is None when
-    some ray leaves in that direction."""
-    return [(None if any(r[t] < 0 for r in V.rays) else min(v[t] for v in V.vertices),
-             None if any(r[t] > 0 for r in V.rays) else max(v[t] for v in V.vertices))
-            for t in range(V.n)]
+    points = [tuple(map(mul, blocks, p)) for p in points]
+    g = math.gcd(s, *(x for p in points for x in p))
+    return VPolyhedron.of_points(s // g, [tuple(x // g for x in p) for p in points],
+                                 [tuple(map(mul, blocks, r)) for r in rays])
 
 
 # block-sum vectors a sweep may probe: the product of the block-sum ranges

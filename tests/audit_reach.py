@@ -18,7 +18,13 @@ It then prints each function or method of src/polyorbit that was never
 called, with its line count, by module.  A function nested in one never
 called is not listed on its own.  "span" marks a name that a span of
 polybench/spans.py traces, and "library" a name on the README's library
-list; the summary counts the lines named by neither.
+list.  "caller" marks a name that some function of src/polyorbit refers to
+and whose every such caller was reached, is marked "span" or "library", or
+is itself marked "caller": it runs, or stays, with its callers.  A caller
+is found statically: a bare name resolves to its module's own function or
+to the one it imports, and an attribute to every method of that name.  The
+summary counts the names that carry no mark, which still await a decision:
+the library list, or tests/shapes.py.
 """
 from __future__ import annotations
 
@@ -60,6 +66,45 @@ def functions(source: Path) -> list:
                 visit(child, prefix, enclosing)
 
     visit(ast.parse(source.read_text()), "", None)
+    return out
+
+
+def references(source: Path, module: str, defs: set) -> dict:
+    """(module, qualified name) of every function of src/polyorbit that a
+    function of source refers to -> the qualified names of those referring
+    functions (None for module level).  A bare name resolves to the
+    module's own top-level function or to the one it imports from the
+    package; an attribute resolves to every method of that name."""
+    tree = ast.parse(source.read_text())
+    imported = {a.asname or a.name: (node.module, a.name) for node in tree.body
+                if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names}
+    methods: dict = {}
+    for mod, name in defs:
+        if "." in name:
+            methods.setdefault(name.rsplit(".", 1)[1], set()).add((mod, name))
+    out: dict = {}
+
+    def visit(node, prefix: str, current):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, prefix + child.name + ".", prefix + child.name)
+                continue
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".", current)
+                continue
+            targets = set()
+            if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+                if (module, child.id) in defs:
+                    targets.add((module, child.id))
+                elif imported.get(child.id) in defs:
+                    targets.add(imported[child.id])
+            elif isinstance(child, ast.Attribute):
+                targets = methods.get(child.attr, set())
+            for target in targets:
+                out.setdefault(target, set()).add(current)
+            visit(child, prefix, current)
+
+    visit(tree, "", None)
     return out
 
 
@@ -131,26 +176,45 @@ def main() -> int:
 
     reached = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in called}
     spans, library = span_targets(), library_names()
-    total = unmarked = unnamed = count = 0
-    for source in sorted(PACKAGE.glob("*.py")):
+    sources = sorted(PACKAGE.glob("*.py"))
+    found = {source.stem: functions(source) for source in sources}
+    defs = {(module, name) for module, fns in found.items() for name, *_ in fns}
+    callers: dict = {}
+    for source in sources:
+        for target, refs in references(source, source.stem, defs).items():
+            callers.setdefault(target, set()).update((source.stem, ref) for ref in refs)
+    # a module-level reference runs on import
+    runs = {(source.stem, name) for source in sources for name, first, *_ in found[source.stem]
+            if (source, first) in reached} | {(m, None) for m in found}
+    runs |= spans | library
+    covered: set = set()
+    grew = True
+    while grew:
+        grew = False
+        for key in defs - runs - covered:
+            if callers.get(key) and callers[key] <= runs | covered:
+                covered.add(key)
+                grew = True
+    total = count = waiting = waiting_lines = 0
+    for source in sources:
         module = source.stem
         missed = [(name, lines, enclosing) for name, first, lines, enclosing
-                  in functions(source) if (source, first) not in reached]
+                  in found[module] if (source, first) not in reached]
         outer = {name for name, _, _ in missed}
         rows = [(name, lines) for name, lines, enclosing in missed if enclosing not in outer]
         if not rows:
             continue
         print(f"{source.name}: {sum(lines for _, lines in rows)} lines")
         for name, lines in rows:
-            marks = [mark for mark, names in (("span", spans), ("library", library))
-                     if (module, name) in names]
+            marks = [mark for mark, names in (("span", spans), ("library", library),
+                                              ("caller", covered)) if (module, name) in names]
             print(f"  {lines:4d}  {name:40s} {' '.join(marks)}".rstrip())
             total += lines
             count += 1
-            unnamed += 0 if "span" in marks else lines
-            unmarked += 0 if marks else lines
-    print(f"unreached: {count} functions, {total} lines; {unnamed} lines named by no span, "
-          f"{unmarked} of them not on the library list")
+            waiting += not marks
+            waiting_lines += 0 if marks else lines
+    print(f"awaiting a decision: {waiting} functions, {waiting_lines} lines, with no span, "
+          f"library or caller mark (unreached: {count} functions, {total} lines)")
     for line in crashed:
         print(f"raised: {line}")
     return 1 if crashed else 0

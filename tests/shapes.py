@@ -1,7 +1,9 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
 lattice-point count, projection chain, Ehrhart quasi-polynomial, LP solver,
-symmetry gram, automorphism search and double description shared across test
-modules, and the benchmark's workload builder with a runner for its jobs."""
+reduced invariant LP, symmetry gram, automorphism search and double
+description shared across test modules, the Fraction matrix helpers the
+references use, and the benchmark's workload builder with a runner for its
+jobs."""
 import contextlib
 import importlib
 import importlib.util
@@ -19,6 +21,7 @@ from polyorbit.latcount import QuasiPolynomial
 from polyorbit.permgrp import Permutation
 from polyorbit.repconv import _Geometry
 from polyorbit.symdetect import _refine_colors
+from polyorbit.symilp import check_invariance, invariant_subspace
 from polyorbit.polycore import (
     AffineHull,
     EmptyPolyhedronError,
@@ -43,11 +46,24 @@ from polyorbit.polycore import (
     matrix,
     nullspace,
     primitive,
+    solve_lp,
+    transpose,
     vec_add,
-    vec_scale,
     vec_sub,
     vector,
 )
+
+
+def mat_mul(A: Sequence[Sequence], B: Sequence[Sequence]) -> tuple:
+    """The matrix product A B of two Fraction matrices given as rows."""
+    Bt = list(zip(*B))
+    return tuple(tuple(dot(row, col) for col in Bt) for row in A)
+
+
+def vec_scale(c, u: Sequence) -> tuple:
+    """The vector c u, in Fraction."""
+    c = frac(c)
+    return tuple(c * a for a in u)
 
 
 def cube_h(n: int) -> HPolyhedron:
@@ -607,6 +623,21 @@ def reference_solve_lp(P: HPolyhedron, c, maximize: bool = True) -> LPResult:
             x[bcol - n] -= rhs[i]
     point = tuple(x)
     return LPResult("optimal", dot(c, point), point)
+
+
+def reference_solve_lp_reduced(lp, G) -> LPResult:
+    """symilp.solve_lp_reduced by the basis product: x = B y for the n x k
+    matrix B whose columns are invariant_subspace(G).basis, the orbit
+    indicators, so the reduced program is max (B^T c).y over {A B y <= b}
+    in Fraction, and its argmax maps back as B y."""
+    if not check_invariance(lp, G):
+        raise PolyhedronError("linear program is not invariant under the group")
+    B = transpose(invariant_subspace(G, lp.P.n).basis)
+    red = HPolyhedron(mat_mul(lp.P.A, B), lp.P.b, lp.P.equality_rows)
+    res = solve_lp(red, mat_vec(transpose(B), lp.c))
+    if not res.is_optimal:
+        return res
+    return LPResult("optimal", res.value, mat_vec(B, res.point))
 
 
 def reference_automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, int]:

@@ -780,6 +780,17 @@ class TestCountCmd:
         assert run(capsys, "count", "--symmetric", f) == (
             2, "", "error: --symmetric needs a blocks header in the input file\n")
 
+    def test_symmetric_route_takes_a_v_file(self, tmp_path, capsys):
+        # the square [0, 2]^2 with its centre, by points: the symmetric count
+        # converts it to its facet rows, as the H file of the same square
+        v, h = tmp_path / "square.ext", tmp_path / "square.ine"
+        v.write_text("V-representation\nbegin\n5 3 rational\n1 0 0\n1 2 0\n1 0 2\n"
+                     "1 2 2\n1 1 1\nend\nblocks 2\n")
+        h.write_text("H-representation\nbegin\n4 3 rational\n0 1 0\n2 -1 0\n0 0 1\n"
+                     "2 0 -1\nend\nblocks 2\n")
+        assert run(capsys, "count", "--symmetric", v) == run(capsys, "count", "--symmetric", h) \
+            == run(capsys, "count", v) == (0, "9\n", "")
+
     def test_empty_polytope_counts_zero(self, tmp_path, capsys):
         f = tmp_path / "empty.ine"
         f.write_text("H-representation\nbegin\n1 2 rational\n-1 0\nend\n")

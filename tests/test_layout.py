@@ -11,10 +11,12 @@ of the decompositions build no map, the symmetry search makes no Fraction
 color, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
 integers, the symmetric ILP and its membership check read integer rows,
-the simplex pivots one integer tableau, and a polyhedron's rows and points
-become integers only through its own int_rows and int_points, which are
-also the only place they are rounded or have denominators read, and are
-converted and framed only through its own dd and frame, and only polycore
+the simplex pivots one integer tableau, the block sums stay in integers,
+the decompositions read what their input holds, a polyhedron's rows and
+points become integers only when it is built, as the int_rows and
+int_points every constructor sets, are rounded or have denominators read
+nowhere, and are converted and framed only through its own dd and frame,
+and only polycore
 builds a homogenization cone: outside it, only the tangent cones of
 repconv._idm_orbits call dd_cone, the two realizers of symdetect are the
 one place that judges the shape of an input for the symmetric routes, the
@@ -25,6 +27,7 @@ import ast
 import importlib
 import importlib.util
 import tokenize
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -98,9 +101,10 @@ def test_lattice_counting_imports_no_lp_routine(name):
 
 def test_symilp_imports_no_elimination_routine():
     # groups act by permuting coordinates: fixed spaces and barycenters are
-    # read off the point orbits, and no generator is a matrix
+    # read off the point orbits, the reduced LP folds its rows over them
+    # with no basis product, and no generator is a matrix
     banned = {"nullspace", "row_space_basis", "rank", "invert_matrix", "identity_matrix",
-              "AffineMap"}
+              "AffineMap", "mat_mul", "transpose"}
     assert not _imported("symilp.py") & banned
 
 
@@ -283,6 +287,21 @@ def test_symmetric_ilp_reads_one_integer_row_list():
     assert not callers, f"symilp: {sorted(callers)} make rows integer"
 
 
+def test_block_sums_stay_in_integers():
+    # block_sum_image is VPolyhedron.of_points of the integer block sums,
+    # and slice_decomposition reads their extents off its int_points
+    (fn,) = _top_level("symilp.py", {"block_sum_image"})
+    assert not _called(fn) & {"Fraction", "frac", "vector", "matrix"}
+    (fn,) = _top_level("latcount.py", {"slice_decomposition"})
+    assert not _called(fn) & {"coordinate_bounds", "ceil", "floor"}
+
+
+def test_decompositions_read_what_their_input_holds():
+    # _decompose_rows reads P.dd and _decompose_points keeps V.vertices as
+    # they are: neither converts nor rebuilds a form the object holds
+    assert not _imported("repconv.py") & {"convert_dd_incidence", "vector"}
+
+
 def test_membership_compares_integers():
     (cls,) = _top_level("polycore.py", {"HPolyhedron"})
     (fn,) = [node for node in cls.body if isinstance(node, ast.FunctionDef)
@@ -308,15 +327,21 @@ def test_simplex_pivots_one_integer_tableau():
 
 @pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
 def test_polyhedron_data_becomes_integer_only_through_its_own_form(source):
-    # rows and points are scaled to integers once per object, by the cached
-    # HPolyhedron.int_rows and VPolyhedron.int_points; no other call hands a
-    # polyhedron's A, b, vertices or rays to an integer scaling helper
+    # rows and points are scaled to integers once per object, when it is
+    # built: HPolyhedron.int_rows and VPolyhedron.int_points are set by the
+    # constructors of their class and by nothing else, and no other call
+    # hands a polyhedron's A, b, vertices or rays to an integer scaling helper
     own = {"int_rows", "int_points"}
+    makers = {("HPolyhedron", "__post_init__"), ("HPolyhedron", "of_rows"),
+              ("VPolyhedron", "__post_init__"), ("VPolyhedron", "of_points")}
     scalers = {"primitive", "integerize", "clear_denominators"}
     data = {"A", "b", "vertices", "rays"}
     tree = ast.parse(source.read_text())
-    skip = {id(node) for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)
-            and fn.name in own for node in ast.walk(fn)}
+    methods = [(cls.name, fn) for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if isinstance(fn, ast.FunctionDef)]
+    methods += [(None, fn) for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    skip = {id(node) for cls, fn in methods if source.name == "polycore.py"
+            and (cls, fn.name) in makers for node in ast.walk(fn)}
     bad = [call.lineno for call in ast.walk(tree)
            if isinstance(call, ast.Call) and id(call) not in skip
            and (getattr(call.func, "id", None) or getattr(call.func, "attr", None)) in scalers
@@ -324,11 +349,16 @@ def test_polyhedron_data_becomes_integer_only_through_its_own_form(source):
                    for arg in call.args + [k.value for k in call.keywords]
                    for node in ast.walk(arg))]
     assert not bad, f"{source.name} scales polyhedron data at lines {bad}"
+    assert not {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)} & own
+    setters = {(cls, fn.name) for cls, fn in methods for node in ast.walk(fn)
+               if isinstance(node, ast.keyword) and node.arg in own
+               or isinstance(node, ast.Constant) and node.value in own}
+    assert setters == (makers if source.name == "polycore.py" else set())
     if source.name == "polycore.py":
-        # so are the double description of an H-description and the integer
-        # frame of either; nothing else converts or frames a polyhedron
-        forms = {("HPolyhedron", "int_rows"), ("VPolyhedron", "int_points"),
-                 ("HPolyhedron", "dd"), ("HPolyhedron", "frame"), ("VPolyhedron", "frame")}
+        # the double description of an H-description and the integer frame
+        # of either are cached, made at most once per object; nothing else
+        # converts or frames a polyhedron
+        forms = {("HPolyhedron", "dd"), ("HPolyhedron", "frame"), ("VPolyhedron", "frame")}
         for cls, name in sorted(forms):
             (node,) = _top_level("polycore.py", {cls})
             (fn,) = [f for f in node.body if isinstance(f, ast.FunctionDef) and f.name == name]
@@ -345,15 +375,31 @@ def test_polyhedron_data_becomes_integer_only_through_its_own_form(source):
         assert not _called(tree) & {"_h_to_v", "_IntegerFrame"}, f"{source.name} builds a form"
 
 
+def test_integer_form_is_set_by_every_constructor():
+    # HPolyhedron(...), from_rows and of_rows set int_rows, and
+    # VPolyhedron(...), from_points and of_points set int_points, before
+    # anything reads them
+    from polyorbit.polycore import HPolyhedron, VPolyhedron
+    half = Fraction(1, 2)
+    made = [(HPolyhedron(((half, 1),), (Fraction(3),)), "int_rows"),
+            (HPolyhedron.from_rows([(1, 2)], [3], [1]), "int_rows"),
+            (HPolyhedron.of_rows([(1, half, 3)]), "int_rows"),
+            (VPolyhedron(((half, Fraction(1)),), ((Fraction(0), Fraction(1)),)), "int_points"),
+            (VPolyhedron.from_points([(1, 2)], [(0, 1)]), "int_points"),
+            (VPolyhedron.of_points(2, [(1, 2)], [(0, 1)]), "int_points")]
+    assert all(name in vars(obj) for obj, name in made), \
+        [type(obj).__name__ for obj, name in made if name not in vars(obj)]
+
+
 def _hand_rounded(tree: ast.AST) -> list[int]:
-    """Lines where a function outside int_rows and int_points takes lcm,
-    floor or ceil of a polyhedron's A, b, vertices or rays, or reads their
-    numerator or denominator: directly, or through a name bound by a loop,
-    a comprehension or an assignment over them."""
+    """Lines where a function takes lcm, floor or ceil of a polyhedron's A,
+    b, vertices or rays, or reads their numerator or denominator: directly,
+    or through a name bound by a loop, a comprehension or an assignment over
+    them."""
     data = {"A", "b", "vertices", "rays"}
     bad = []
     for fn in ast.walk(tree):
-        if not isinstance(fn, ast.FunctionDef) or fn.name in {"int_rows", "int_points"}:
+        if not isinstance(fn, ast.FunctionDef):
             continue
         tainted: set = set()
 

@@ -20,7 +20,6 @@ from polyorbit.polycore import (
     incidence,
     index_set,
     invert_matrix,
-    mat_mul,
     mat_vec,
     nullspace,
     primitive,
@@ -28,7 +27,6 @@ from polyorbit.polycore import (
     remove_redundancy,
     transpose,
     vec_add,
-    vec_scale,
     vec_sub,
     vector,
 )
@@ -65,9 +63,11 @@ from shapes import (
     cut_v,
     hypersimplex_v,
     ledger_facet_rows,
+    mat_mul,
     santos_prismatoid,
     simplex_h,
     simplex_v,
+    vec_scale,
 )
 
 FIX = Path(__file__).parent / "fixtures"

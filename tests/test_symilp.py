@@ -10,13 +10,15 @@ import pytest
 from polyorbit.permgrp import Permutation, PermutationGroup
 from polyorbit.polycore import (
     AffineMap,
+    EmptyPolyhedronError,
     HPolyhedron,
     PolyhedronError,
+    VPolyhedron,
+    convert_dd,
     dot,
     identity_matrix,
     integerize,
     invert_matrix,
-    mat_mul,
     mat_vec,
     nullspace,
     primitive,
@@ -32,6 +34,7 @@ import polyorbit.symilp as symilp
 from polyorbit.symilp import (
     CorePoint,
     LinearProgram,
+    _block_sum_dd,
     _primitive_rows,
     _sum_ranges,
     _sweep,
@@ -47,7 +50,7 @@ from polyorbit.symilp import (
     symmetric_ilp_optimize,
 )
 
-from shapes import cube_h
+from shapes import cube_h, mat_mul, reference_solve_lp_reduced
 
 UNBOUNDED = "^projection onto the invariant subspace is unbounded$"
 S3 = PermutationGroup([Permutation((2, 1, 3)), Permutation((2, 3, 1))])
@@ -328,6 +331,49 @@ class TestSolveLPReduced:
                     sub = invariant_subspace(block_group(blocks))
                     assert sub.project(red.point) == red.point
 
+    def test_matches_basis_product_reference(self):
+        # the orbit folds against A B and B^T c for the orbit indicators B;
+        # row orbits are closed under the generators, some of them equalities.
+        # With orbits {2} and {1, 3}, the order of the reduced variables
+        # decides the point a zero objective gets
+        lp = LinearProgram(HPolyhedron.from_rows([(-1, -1, -1)], [-1]), (0, 0, 0))
+        G = [Permutation((3, 2, 1))]
+        assert solve_lp_reduced(lp, G) == reference_solve_lp_reduced(lp, G)
+        assert solve_lp_reduced(lp, G).point == (0, 1, 0)
+        rng = random.Random(40)
+        seen = set()
+        for t in range(300):
+            n = rng.randint(2, 4)
+            kind = (0, 1, 1, 2)[t % 4]   # half of the groups are permutation lists
+            if kind == 0:
+                G = H = block_group(rng.choice([(n,), (1, n - 1), (n - 1, 1)]))
+            elif kind == 1:   # orbits that need not be intervals
+                H = random_permutation_group(rng, 4)
+                n, G = H.degree, list(H.generators)
+            else:
+                G, H = [], PermutationGroup([], degree=n)
+            gens = H.generators
+            rows = {}
+            for _ in range(rng.randint(1, 3)):
+                orbit = [tuple(rng.randint(-3, 3) for _ in range(n))]
+                for a in orbit:   # the list grows while it is walked, until closed
+                    orbit += [b for g in gens if (b := apply_perm(g, a)) not in orbit]
+                bb, eq = rng.randint(-3, 6), rng.random() < 0.2
+                for a in orbit:
+                    rows.setdefault(a, (bb, eq))
+            A = list(rows)
+            P = HPolyhedron.from_rows(A, [rows[a][0] for a in A],
+                                      [i for i, a in enumerate(A, 1) if rows[a][1]])
+            orbit_of = {i: min(orb) for orb in H.point_orbits() for i in orb}
+            weight = {i: F(rng.choice((0, 0, 1, -1, 2, -3)), rng.choice((1, 2)))
+                      for i in set(orbit_of.values())}
+            lp = LinearProgram(P, [weight[orbit_of[i]] for i in range(1, n + 1)])
+            assert check_invariance(lp, G)
+            got, want = solve_lp_reduced(lp, G), reference_solve_lp_reduced(lp, G)
+            assert (got.status, got.value, got.point) == (want.status, want.value, want.point)
+            seen.add((kind, got.status))
+        assert seen == {(k, s) for k in range(3) for s in ("optimal", "infeasible", "unbounded")}
+
 
 class TestOrbitBarycenter:
     def test_fixed_point(self):
@@ -400,6 +446,31 @@ class TestFiberLattice:
                 for yi, row in zip(y, dec.basis):
                     z = tuple(a + yi * r for a, r in zip(z, row))
                 assert sub.project(vector(z)) == fo.anchor
+
+
+class TestBlockSumImage:
+    def test_vertices_are_the_extreme_block_sums_in_their_integer_form(self):
+        # block_sum_image against the extreme points of the block sums of P's
+        # vertices; its int_points are those from_points gives its vertices,
+        # so the scale is the lcm of their denominators
+        rng = random.Random(41)
+        seen = set()
+        for t in range(60):
+            blocks = rng.choice([(2,), (3,), (2, 2), (1, 3), (2, 1, 2)])
+            P = random_invariant_system(rng, blocks, box=rng.choice((1, 2, 3)))
+            V = symilp.block_sum_image(P, blocks)
+            try:
+                verts = convert_dd(P).vertices
+            except EmptyPolyhedronError:
+                assert V is None
+                continue
+            sums = VPolyhedron.from_points(sorted({symilp._block_sums(blocks, v) for v in verts}))
+            assert set(V.vertices) == set(convert_dd(convert_dd(sums)).vertices) and not V.rays
+            W = VPolyhedron.from_points(V.vertices)
+            assert V == W and V.int_points == W.int_points
+            seen.add(V.int_points[0] < _block_sum_dd(_primitive_rows(P), blocks)[0])
+        # the scale of the double description is reduced in some cases
+        assert seen == {True, False}
 
 
 class TestCanonicalCorePoint:
