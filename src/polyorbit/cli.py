@@ -44,6 +44,7 @@ from .polycore import (
 from .repconv import (
     adjacency_decomposition,
     adjacency_graph,
+    convert_dd,
     write_dot,
 )
 from .symdetect import affine_symmetry_group, restricted_symmetries_H
@@ -319,7 +320,8 @@ def cmd_count(pf: PolyFile, args) -> int:
         # sorted-domain rows are added to an inequality description
         if pf.blocks is None:
             raise PolyhedronError("--symmetric needs a blocks header in the input file")
-        total = count_with_symmetry(_polyhedron(pf), pf.blocks)
+        P = _polyhedron(pf)
+        total = count_with_symmetry(P if pf.kind == "H" else convert_dd(P), pf.blocks)
     else:
         # a V file is walked on its own points, with no conversion to H first
         total = count_lattice_points(_polyhedron(pf))

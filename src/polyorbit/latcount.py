@@ -749,7 +749,7 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     return SliceDecomposition(blocks, fixed_space_system(P, blocks), basis, tuple(orbits))
 
 
-def count_with_symmetry(P: Union[HPolyhedron, VPolyhedron], blocks: Sequence[int]) -> int:
+def count_with_symmetry(P: HPolyhedron, blocks: Sequence[int]) -> int:
     """Lattice-point count of a block-invariant polyhedron on a fundamental domain.
 
     Every orbit of the block action on integer points meets the sorted
@@ -760,11 +760,8 @@ def count_with_symmetry(P: Union[HPolyhedron, VPolyhedron], blocks: Sequence[int
     intermediate rays, and its one projection chain is walked
     with each sorted point weighted by its orbit size, so the count is
     exact in integer arithmetic.  An unbounded P is refused as in
-    count_lattice_points; a V input enters as the rows of its _top.
+    count_lattice_points.
     """
-    if isinstance(P, VPolyhedron):
-        eqs, les, _, _ = _top(P)[1]
-        P = HPolyhedron.of_rows(eqs + les, range(1, len(eqs) + 1))
     blocks = _invariant_blocks(P, blocks)
     sort_rows = tuple(tuple((u == t + 1) - (u == t) for u in range(P.n + 1))
                       for off, nb in zip(accumulate(blocks, initial=0), blocks)

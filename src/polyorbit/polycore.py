@@ -478,10 +478,9 @@ class HPolyhedron:
 @dataclass(frozen=True)
 class VPolyhedron:
     """Generator description conv(vertices) + cone(rays)."""
-    # k, n and int_points, (s, s vertices, s rays) for s the lcm of every
-    # denominator, are set when V is built.  of_points makes V from the
-    # integer form of a conversion, points over s and integer rays, and the
-    # Fraction vertices from them on first read.
+    # k, n and int_points (s, s vertices, s rays), s the lcm of every
+    # denominator, are set when V is built; of_points takes that integer form
+    # from a conversion and makes the Fraction vertices on first read.
     vertices: Matrix
     rays: Matrix = ()
 

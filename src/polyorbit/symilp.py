@@ -49,7 +49,6 @@ from .polycore import (
     convert_dd,
     dot,
     integer_h_to_v,
-    mat_vec,
     solve_lp,
     vector,
     zero_vector,
@@ -73,24 +72,35 @@ class LinearProgram:
 
 @dataclass(frozen=True)
 class InvariantSubspace:
-    """Fixed space of a coordinate permutation group, with the invariant
-    projector onto it.
+    """Fixed space of a coordinate permutation group on n coordinates: its
+    point orbits, ordered by their largest point.
 
-    basis holds the indicator vector of each point orbit, the orbits ordered
-    by their largest point.  projector is the orthogonal projection onto
-    their span: it replaces each coordinate by the mean of x over its orbit.
-    It satisfies projector @ projector = projector and projector @ g =
-    g @ projector = projector for every group element g.
+    project replaces each coordinate by the mean of x over its orbit, the
+    orthogonal projection onto the span of the orbit indicators.  basis
+    holds those indicators and projector the projection's matrix, built on
+    read: symmetric, so row j projects e_j, and projector @ g = g @
+    projector = projector @ projector = projector for every element g.
     """
-    basis: Matrix
-    projector: Matrix
+    orbits: tuple[frozenset, ...]
+    n: int
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.orbits)
+
+    @property
+    def basis(self) -> Matrix:
+        return tuple(tuple(Fraction(int(i in orb)) for i in range(1, self.n + 1))
+                     for orb in self.orbits)
+
+    @property
+    def projector(self) -> Matrix:
+        return tuple(self.project([int(i == j) for i in range(self.n)]) for j in range(self.n))
 
     def project(self, x: Sequence) -> Vector:
-        return mat_vec(self.projector, x)
+        mean = {i: Fraction(sum(x[j - 1] for j in orb), len(orb))
+                for orb in self.orbits for i in orb}
+        return tuple(mean[i] for i in range(1, self.n + 1))
 
 
 @dataclass(frozen=True)
@@ -147,13 +157,7 @@ def invariant_subspace(generators: GroupLike, n: Optional[int] = None) -> Invari
     """Fixed space of the generated group and the invariant projector onto it,
     read off the point orbits.  The trivial group fixes the whole space."""
     G = _permutation_group(generators, n)
-    orbits = sorted(G.point_orbits(), key=max)
-    points = range(1, G.degree + 1)
-    basis = tuple(tuple(Fraction(int(i in orb)) for i in points) for orb in orbits)
-    orbit_of = {i: orb for orb in orbits for i in orb}
-    projector = tuple(tuple(Fraction(int(j in orbit_of[i]), len(orbit_of[i])) for j in points)
-                      for i in points)
-    return InvariantSubspace(basis, projector)
+    return InvariantSubspace(tuple(sorted(G.point_orbits(), key=max)), G.degree)
 
 
 def _primitive_rows(P: HPolyhedron) -> list[tuple[tuple[int, ...], bool]]:
@@ -193,7 +197,7 @@ def solve_lp_reduced(lp: LinearProgram, G: GroupLike) -> LPResult:
     """Solve an invariant LP on the fixed space of G.
 
     Folds each integer row (a | b) of P.int_rows, and c, to their sums over
-    each point orbit, in the basis order of invariant_subspace: one variable
+    each point orbit of invariant_subspace(G), in its order: one variable
     per orbit.  Solves the reduced program exactly and reads the argmax back
     orbit by orbit; the optimum equals the full one.  Infeasible and
     unbounded pass through as statuses.
@@ -201,7 +205,7 @@ def solve_lp_reduced(lp: LinearProgram, G: GroupLike) -> LPResult:
     G = _permutation_group(G, lp.P.n)
     if not check_invariance(lp, G):
         raise PolyhedronError("linear program is not invariant under the group")
-    orbits = sorted(G.point_orbits(), key=max)
+    orbits = invariant_subspace(G).orbits
 
     def fold(x):
         return tuple(sum(x[i - 1] for i in orb) for orb in orbits)
@@ -242,9 +246,7 @@ def orbit_barycenter(G: GroupLike, z: Sequence) -> Vector:
     """Exact barycenter of the orbit of z: the mean of z over each coordinate
     orbit, which is the invariant projection of z.  No orbit is expanded."""
     z = vector(z)
-    mean = {i: sum(z[j - 1] for j in orb) / len(orb)
-            for orb in _permutation_group(G, len(z)).point_orbits() for i in orb}
-    return tuple(mean[i] for i in range(1, len(z) + 1))
+    return invariant_subspace(G, len(z)).project(z)
 
 
 # ---------------------------------------------------------------------------

@@ -7,12 +7,9 @@ Run by hand from the root of the checkout (tier-1 does not collect it):
 It records every call into src/polyorbit with sys.setprofile (and
 threading.setprofile, for the worker threads of --jobs 2) while it runs
 
-- every job of the three benchmark workloads at seeds 1 and 2, built by
-  polybench.workloads at BENCHMARK.json's 10 run seconds into a temporary
-  directory, and
-- nine commands on every fixture under tests/fixtures except santos.ext:
-  automorphisms; convert plain, with --adjacencies and with
-  --idm-adm-level 1 1; count, and count --symmetric; ehrhart; volume; ilp.
+the runs of tests/snapshot_outputs.py at seeds 1 and 2: every job of the
+three benchmark workloads, and its ten commands on every fixture under
+tests/fixtures except santos.ext.
 
 It then prints each function or method of src/polyorbit that was never
 called, with its line count, by module.  A function nested in one never
@@ -29,22 +26,15 @@ the library list, or tests/shapes.py.
 from __future__ import annotations
 
 import ast
-import contextlib
-import io
 import re
 import sys
-import tempfile
 import threading
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
+from snapshot_outputs import ROOT, run_one, runs
+
 PACKAGE = ROOT / "src" / "polyorbit"
-COMMANDS = (["automorphisms"], ["convert"], ["convert", "--adjacencies"],
-            ["convert", "--idm-adm-level", "1", "1"], ["count"], ["count", "--symmetric"],
-            ["ehrhart"], ["volume"], ["ilp"])
-SKIPPED_FIXTURES = {"santos.ext"}
 SEEDS = (1, 2)
-SECONDS = 10.0
 
 
 def functions(source: Path) -> list:
@@ -127,23 +117,6 @@ def library_names() -> set:
     return names
 
 
-def run(argvs: list) -> list:
-    """Run each argv through cli.main, output discarded; the argvs that
-    raised."""
-    from polyorbit import cli
-    crashed = []
-    for argv in argvs:
-        with contextlib.redirect_stdout(io.StringIO()), \
-                contextlib.redirect_stderr(io.StringIO()):
-            try:
-                cli.main(list(argv))
-            except SystemExit:
-                pass
-            except Exception as exc:
-                crashed.append(f"{' '.join(argv)}: {type(exc).__name__}: {exc}")
-    return crashed
-
-
 def main() -> int:
     called = set()
 
@@ -151,25 +124,11 @@ def main() -> int:
         if event == "call":
             called.add(frame.f_code)
 
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT))
-    from polybench import workloads
-
-    fixtures = sorted(p for p in (ROOT / "tests" / "fixtures").iterdir()
-                      if p.name not in SKIPPED_FIXTURES)
     sys.setprofile(hook)
     threading.setprofile(hook)
     try:
         import polyorbit.cli  # noqa: F401  (calls made on import count)
-        crashed = []
-        with tempfile.TemporaryDirectory() as workdir:
-            for name in workloads.SETTINGS:
-                for seed in SEEDS:
-                    where = Path(workdir, f"{name}-{seed}")
-                    where.mkdir()
-                    jobs = workloads.build(name, seed, SECONDS, str(where))
-                    crashed += run([job.argv for job in jobs])
-        crashed += run([[cmd[0], str(path)] + cmd[1:] for path in fixtures for cmd in COMMANDS])
+        records = [run_one(argv, dot, workdir) for _, argv, dot, workdir in runs(SEEDS)]
     finally:
         sys.setprofile(None)
         threading.setprofile(None)
@@ -184,15 +143,15 @@ def main() -> int:
         for target, refs in references(source, source.stem, defs).items():
             callers.setdefault(target, set()).update((source.stem, ref) for ref in refs)
     # a module-level reference runs on import
-    runs = {(source.stem, name) for source in sources for name, first, *_ in found[source.stem]
+    kept = {(source.stem, name) for source in sources for name, first, *_ in found[source.stem]
             if (source, first) in reached} | {(m, None) for m in found}
-    runs |= spans | library
+    kept |= spans | library
     covered: set = set()
     grew = True
     while grew:
         grew = False
-        for key in defs - runs - covered:
-            if callers.get(key) and callers[key] <= runs | covered:
+        for key in defs - kept - covered:
+            if callers.get(key) and callers[key] <= kept | covered:
                 covered.add(key)
                 grew = True
     total = count = waiting = waiting_lines = 0
@@ -215,8 +174,9 @@ def main() -> int:
             waiting_lines += 0 if marks else lines
     print(f"awaiting a decision: {waiting} functions, {waiting_lines} lines, with no span, "
           f"library or caller mark (unreached: {count} functions, {total} lines)")
-    for line in crashed:
-        print(f"raised: {line}")
+    crashed = [r for r in records if r["code"] == "raised"]
+    for r in crashed:
+        print(f"raised: {r['argv']}: {r['stderr']}")
     return 1 if crashed else 0
 
 

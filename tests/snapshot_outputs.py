@@ -11,8 +11,10 @@ record runs, through cli.main of the checkout's src/polyorbit,
 - every job of the three benchmark workloads at seeds 1-5, built by
   polybench.workloads.build(name, seed, 10, dir) into a temporary
   directory, and
-- ten commands on every fixture under tests/fixtures except santos.ext:
-  the nine of tests/audit_reach.py and convert --idm-adm-level 0 2.
+- the ten COMMANDS on every fixture under tests/fixtures except
+  santos.ext.
+
+tests/audit_reach.py runs the same runs, at fewer seeds.
 
 The temporary directory is written as {dir} in every argv and output, so
 two checkouts' records compare run by run.  To compare a change with its
@@ -27,8 +29,10 @@ import json
 import sys
 import tempfile
 from pathlib import Path
+from typing import Iterator, Optional
 
 ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT), str(ROOT / "src")]
 SEEDS = (1, 2, 3, 4, 5)
 SECONDS = 10.0
 SKIPPED_FIXTURES = {"santos.ext"}
@@ -37,8 +41,29 @@ COMMANDS = (["automorphisms"], ["convert"], ["convert", "--adjacencies"],
             ["count"], ["count", "--symmetric"], ["ehrhart"], ["volume"], ["ilp"])
 
 
-def run_one(argv: list, dot, workdir: str) -> dict:
-    """The record of one cli.main run, with workdir written as {dir}."""
+def runs(seeds) -> Iterator[tuple[str, list, Optional[str], str]]:
+    """(key, argv, DOT path or None, directory to write as {dir}) of every
+    run: each workload job at each seed, then each command on each
+    fixture.  A seed's jobs are built as its turn comes."""
+    from polybench import workloads
+
+    with tempfile.TemporaryDirectory() as workdir:
+        for name in workloads.SETTINGS:
+            for seed in seeds:
+                where = Path(workdir, f"{name}-{seed}")
+                where.mkdir()
+                for job in workloads.build(name, seed, SECONDS, str(where)):
+                    yield f"{name}/{seed}/{job.name}", job.argv, job.dot, workdir
+    for fixture in sorted((ROOT / "tests" / "fixtures").iterdir()):
+        if fixture.name not in SKIPPED_FIXTURES:
+            for cmd in COMMANDS:
+                yield (f"fixture/{fixture.name}/{' '.join(cmd)}",
+                       [cmd[0], str(fixture)] + cmd[1:], None, str(ROOT))
+
+
+def run_one(argv: list, dot: Optional[str], workdir: str) -> dict:
+    """The record of one cli.main run, with workdir written as {dir}.  A run
+    that raises records code "raised" and the exception as its stderr."""
     from polyorbit import cli
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -46,6 +71,9 @@ def run_one(argv: list, dot, workdir: str) -> dict:
             code = cli.main(list(argv))
         except SystemExit as exc:
             code = exc.code
+        except Exception as exc:
+            code = "raised"
+            err = io.StringIO(f"{type(exc).__name__}: {exc}")
     text = Path(dot).read_text() if dot is not None and Path(dot).exists() else None
     record = {"argv": " ".join(argv), "code": code, "stdout": out.getvalue(),
               "stderr": err.getvalue(), "dot": text}
@@ -54,26 +82,9 @@ def run_one(argv: list, dot, workdir: str) -> dict:
 
 
 def record(path: str) -> int:
-    sys.path.insert(0, str(ROOT / "src"))
-    sys.path.insert(0, str(ROOT))
-    from polybench import workloads
-
-    runs = {}
-    with tempfile.TemporaryDirectory() as workdir:
-        for name in workloads.SETTINGS:
-            for seed in SEEDS:
-                where = Path(workdir, f"{name}-{seed}")
-                where.mkdir()
-                for job in workloads.build(name, seed, SECONDS, str(where)):
-                    runs[f"{name}/{seed}/{job.name}"] = run_one(job.argv, job.dot, workdir)
-    fixtures = sorted(p for p in (ROOT / "tests" / "fixtures").iterdir()
-                      if p.name not in SKIPPED_FIXTURES)
-    for fixture in fixtures:
-        for cmd in COMMANDS:
-            argv = [cmd[0], str(fixture)] + cmd[1:]
-            runs[f"fixture/{fixture.name}/{' '.join(cmd)}"] = run_one(argv, None, str(ROOT))
-    Path(path).write_text(json.dumps(runs, indent=1, sort_keys=True) + "\n")
-    print(f"{len(runs)} runs recorded to {path}")
+    records = {key: run_one(argv, dot, workdir) for key, argv, dot, workdir in runs(SEEDS)}
+    Path(path).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+    print(f"{len(records)} runs recorded to {path}")
     return 0
 
 
