@@ -38,6 +38,7 @@ from .polycore import (
     Vector,
     VerificationError,
     VPolyhedron,
+    clear_denominators,
     dot,
     vector,
 )
@@ -101,7 +102,8 @@ class PolyFile:
 
     def to_vpolyhedron(self) -> VPolyhedron:
         """The file's points and rays, a line as two opposite rays; a zero
-        ray adds nothing to the cone and is skipped."""
+        ray adds nothing to the cone and is skipped.  V is made from their
+        integer form, so its Fraction vertices are made only when read."""
         if self.kind != "V":
             raise PolyhedronError("a V-representation file is required here")
         lin = set(self.linearity)
@@ -113,7 +115,8 @@ class PolyFile:
                 rays.append(row[1:])
                 if i in lin:
                     rays.append(tuple(-x for x in row[1:]))
-        return VPolyhedron.from_points(points, rays)
+        s, scaled = clear_denominators(points + rays)
+        return VPolyhedron.of_points(s, scaled[:len(points)], rays)
 
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
@@ -257,7 +260,7 @@ def _bounded_vfile(pf: PolyFile) -> VPolyhedron:
     V = pf.to_vpolyhedron()
     if V.rays:
         raise PolyhedronError("unbounded V input (rays present) is not supported here")
-    if not V.vertices:
+    if not V.k:
         raise EmptyPolyhedronError("the file lists no vertices")
     return V
 

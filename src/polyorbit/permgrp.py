@@ -218,21 +218,24 @@ class PermutationGroup:
         return lvl
 
     def _recompute_orbit(self, idx: int) -> None:
+        """Close level idx's orbit after a generator is appended to its gens:
+        only the newest can reach a new point from the known ones, and every
+        generator runs on the points that adds, round by round in sorted order."""
         lvl = self._levels[idx]
         orbit, inv = lvl.orbit, lvl.inv
-        frontier = sorted(orbit)
+        frontier, gens = sorted(orbit), lvl.gens[-1:]
         while frontier:
             new_frontier = []
             for p in frontier:
                 u = orbit[p]._p
-                for g in lvl.gens:
+                for g in gens:
                     q = g._p[p]
                     if q not in orbit:
                         gu = tuple(map(g._p.__getitem__, u))
                         orbit[q] = Permutation._trusted(gu)
                         inv[q] = _inverse(gu)
                         new_frontier.append(q)
-            frontier = sorted(new_frontier)
+            frontier, gens = sorted(new_frontier), lvl.gens
 
     def _strip(self, h: tuple, start: int) -> tuple[tuple, int]:
         """Sift the padded image tuple h from level start; (residue, level)."""

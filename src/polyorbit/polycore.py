@@ -335,60 +335,47 @@ def adjugate(M: Sequence[Sequence[int]]) -> tuple[int, list]:
 class _IntegerFrame:
     """Integer rows with exact integer coordinates over a greedy row basis.
 
-    basis holds the indices of the greedy maximal independent subset of the
-    rows, others the indices of the remaining rows, and pivots the pivot
-    columns of their reduced echelon form.  The square matrix N =
-    [rows[basis]; e_j for each non-pivot column j] is invertible, and
-    R = D N^{-1} is an integer matrix.  coeffs[j] are the integers with
-    D * rows[j] == sum_b coeffs[j][b] * rows[basis[b]], checked for every j.
-    images maps each relabeling realized on the frame to its T or None.
+    One fraction-free elimination of [X^t | I] makes the frame.  Its pivot
+    columns are basis, the indices of the greedy maximal independent subset
+    of the rows X (others holds the rest), and its left block gives coeffs,
+    the integers with D * rows[j] == sum_b coeffs[j][b] * rows[basis[b]],
+    checked for every j.  pivots are the pivot columns of the reduced
+    echelon form of X_B.  The square matrix N = [rows[basis]; e_j for each
+    non-pivot column j] is invertible, and R = D N^{-1} an integer matrix:
+    when the rows span, N = X_B and R is the right block transposed, at the
+    same D; otherwise R is made by adjugate on first read, and coeffs and D
+    are rescaled to it.  images maps each relabeling checked on the frame to
+    its verdict.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
-        self.rows = [tuple(x) for x in rows]
-        # the greedy row basis is the pivot columns of X^t, and the pivot
-        # columns of X_B are those of the row space
-        basis = gauss_jordan(zip(*self.rows))[1]
-        self.basis = tuple(basis)
-        self.others = tuple(sorted(set(range(len(self.rows))) - set(basis)))
-        self.pivots = tuple(gauss_jordan(self.rows[b] for b in basis)[1])
-        self.units = [tuple(int(a == j) for a in range(ncols))
-                      for j in range(ncols) if j not in self.pivots]
-        self.D, self.R = adjugate([self.rows[b] for b in basis] + self.units)
-        # row j of X R is D (coordinates of X_j in [X_B; units]), and its
-        # unit part is zero exactly when X_j lies in the span of X_B
-        r = len(basis)
-        rcols = list(zip(*self.R))[:r]
-        self.coeffs = [tuple(sum(map(mul, x, col)) for col in rcols) for x in self.rows]
-        bcols = list(zip(*(self.rows[b] for b in basis)))
-        for x, lam in zip(self.rows, self.coeffs):
+        self.rows = rows = [tuple(x) for x in rows]
+        k = len(rows)
+        self.D, basis, M, _ = gauss_jordan(
+            ([r[i] for r in rows] + [int(i == j) for j in range(ncols)] for i in range(ncols)),
+            stop=k)
+        self.basis, r = tuple(basis), len(basis)
+        self.others = tuple(sorted(set(range(k)) - set(basis)))
+        self.coeffs = [tuple(row[j] for row in M[:r]) for j in range(k)]
+        if r == ncols:
+            self.pivots, self.units = tuple(range(r)), []
+            self.R = list(zip(*(row[k:] for row in M)))
+        else:
+            self.pivots = tuple(gauss_jordan(rows[b] for b in basis)[1])
+            self.units = [tuple(int(a == j) for a in range(ncols))
+                          for j in range(ncols) if j not in self.pivots]
+        bcols = list(zip(*(rows[b] for b in basis)))
+        for x, lam in zip(rows, self.coeffs):
             if any(self.D * a != sum(map(mul, lam, col)) for a, col in zip(x, bcols)):
                 raise VerificationError("row outside the span of its frame basis")
         self.images: dict = {}
 
-    def image_matrix(self, img: Sequence[int]) -> Optional[list]:
-        """Integer T with X_j T = D X_img[j] for every row j, or None.
-
-        T = R [X_img[basis]; units] moves each basis row to its image, since
-        N R = D I, and fixes every unit row.  Some matrix does what T should
-        exactly when the frame's identities survive the relabeling,
-        D X_img[j] = sum_b L_jb X_img[basis[b]], and then T does; so T is
-        checked once, on every row outside the basis, where the identities
-        are not met by construction.  The answer is recorded in images."""
-        img = tuple(img)
-        if img in self.images:
-            return self.images[img]
-        if len(img) != len(self.rows):
-            raise PolyhedronError(f"permutation of degree {len(img)} on {len(self.rows)} indices")
-        D, rows = self.D, self.rows
-        cols = list(zip(*([rows[img[b]] for b in self.basis] + self.units)))
-        T = [[sum(map(mul, r, col)) for col in cols] for r in self.R]
-        tcols = list(zip(*T))
-        if any(sum(map(mul, rows[j], tc)) != D * a
-               for j in self.others for tc, a in zip(tcols, rows[img[j]])):
-            T = None
-        self.images[img] = T
-        return T
+    @cached_property
+    def R(self) -> list:
+        D, R = adjugate([self.rows[b] for b in self.basis] + self.units)
+        self.coeffs = [tuple(x * D // self.D for x in lam) for lam in self.coeffs]
+        self.D = D
+        return R
 
 
 # ---------------------------------------------------------------------------
@@ -498,12 +485,13 @@ class VPolyhedron:
     def of_points(cls, s: int, points: Sequence[Sequence[int]],
                   rays: Sequence[Sequence[int]] = ()) -> "VPolyhedron":
         """V with vertices p / s and the given rays, for integer points p
-        whose denominators have lcm s, as integer_h_to_v returns them; equal
-        to from_points of the same Fractions."""
+        whose denominators have lcm s, and rays whose denominators divide s,
+        as integer_h_to_v and a V file give them; equal to from_points of the
+        same Fractions."""
         V = cls.__new__(cls)
         V.__dict__.update(rays=matrix(rays), k=len(points), n=len((points or rays or [()])[0]),
                           int_points=(s, tuple(points),
-                                      tuple(tuple(s * x for x in r) for r in rays)))
+                                      tuple(tuple((s * x).numerator for x in r) for r in rays)))
         return V
 
     def __getattr__(self, name):

@@ -5,9 +5,10 @@ once per polyhedron, in integers.  Its rows X are the homogenized vertices
 (1, v) scaled by one common denominator, or the primitive homogenized rows
 (a | b) of an H-description, on which any affine symmetry acts linearly.
 Their integer affine frame, VPolyhedron.frame or HPolyhedron.frame, made
-once per object in polycore, holds a greedy row basis B, the pivot columns
-C of X_B, and integer coefficients L and a scalar D with D X_j = sum_b L_jb
-X_b for every row j, each identity checked exactly.
+once per object in polycore by one elimination of [X^t | I], holds a greedy
+row basis B, the pivot columns C of X_B, and integer coefficients L and a
+scalar D with D X_j = sum_b L_jb X_b for every row j, each identity checked
+exactly.
 
 The complete graph on row indices is edge-colored with the invariant of
 Bremner, Dutour Sikiric, Pasechnik, Rehn and Schuermann, "Computing
@@ -21,17 +22,16 @@ makes no rational color.
 
 Color-preserving graph automorphisms are exactly the candidate symmetries.
 A candidate sigma is an affine symmetry exactly when the frame's identities
-survive relabeling, D X_sigma(j) = sum_b L_jb X_sigma(b).  Its map is one
-integer product with the frame's adjugate, which moves the basis rows to
-their images by construction, and one verification pass checks it on every
-other row, so nothing reported can fail to be a symmetry.  The frame records
-each relabeling it has checked, so the group check of a decomposition run
-after detection on the same object realizes no generator again.  Detection
-keeps permutations; a map in Fractions is built only on request.  The
-realizers are the one shape check of each input form: _VertexRealizer
-refuses rays, no points or a repeated point, and _RowRealizer an empty,
-lower-dimensional or redundant system (read off HPolyhedron.dd) or rows
-that do not span.
+survive relabeling, D X_sigma(j) = sum_b L_jb X_sigma(b), which _relabels
+checks for every row outside the basis, so nothing reported can fail to be
+a symmetry.  The frame records each verdict, so the group check of a
+decomposition run after detection on the same object checks no generator
+again.  The integer map T with X_j T = D X_sigma(j) is multiplied out only
+where it is asked for: the affine test of a row relabeling, and the two
+realize functions, which alone build a map in Fractions.  The realizers are
+the one shape check of each input form: _VertexRealizer refuses rays, no
+points or a repeated point, and _RowRealizer an empty, lower-dimensional or
+redundant system (read off HPolyhedron.dd) or rows that do not span.
 
 The automorphism search runs along one base and finds every basic orbit of
 the stabilizer chain on it, so the order of the group is the product of
@@ -40,12 +40,17 @@ which the group's chain is built at that order when every one is realized.
 It checks consistency one way, by forward checking (Haralick and Elliott,
 1980): each unassigned vertex keeps the bitset of the images that agree
 with every assignment so far, and an assignment that empties one is undone.
+A relabeling that keeps W is the relabeling of a linear map (Bremner et
+al.), so once the shortest prefix of the assignment order whose rows span
+is assigned, every other image is forced: the search reads each off its
+one-element domain, and searches no level past that prefix.
 """
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from operator import add, mul
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .polycore import (
     AffineMap,
@@ -127,7 +132,8 @@ def _bits(mask: int):
         mask ^= low
 
 
-def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, int]:
+def _automorphism_search(gram: Sequence[Sequence[int]], spans: Callable[[list], int]
+                         ) -> tuple[list, tuple, int]:
     """(generators, base, order) of the automorphism group of the complete
     graph whose edge {i+1, j+1} has the integer color gram[i][j].
 
@@ -136,7 +142,11 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
     generating set on base, the points of the order whose basic orbit is
     nontrivial, and the order of the group is the product of those orbits'
     sizes.  Domains drop only images that no completion uses, so each branch
-    finds the completion that a plain ascending scan would find."""
+    finds the completion that a plain ascending scan would find.
+
+    spans(order) is the length of a prefix of order whose images force every
+    other image: the search reads those off their one-element domains, and
+    searches no level past it.  A graph with no rows behind it passes len."""
     k = len(gram)
     if k <= 1:
         return [], (), 1
@@ -154,8 +164,9 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
         for y, c in enumerate(row):
             if x != y:
                 near[y][c] = near[y].get(c, 0) | 1 << x
-    # after[p]: the colors of order[p+1:] to order[p]
-    after = [[gram[x][order[p]] for x in order[p + 1:]] for p in range(k - 1)]
+    top = min(spans(order), k - 1)    # the levels below top are searched
+    # after[p]: the colors of order[p+1:] to order[p], for each p narrowed on
+    after = [[gram[x][order[p]] for x in order[p + 1:]] for p in range(top)]
 
     def narrow(doms: list, p: int, w: int) -> Optional[list]:
         """The domains of order[p+1:], given doms, the domains of order[p:],
@@ -167,7 +178,7 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
     # fixed[l]: the domains of order[l:] with order[:l] fixed pointwise; a
     # vertex is always in its own, so none empties
     fixed = [[cells[colors[x]] for x in order]]
-    for p in range(k - 2):
+    for p in range(top - 1):
         fixed.append(narrow(fixed[p], p, order[p]))
 
     def complete(level: int, w0: int) -> Optional[list]:
@@ -177,7 +188,8 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
         Depth-first over the positions order[level:], with an explicit
         stack of (untried images, domains from that position on): each
         position takes the images of its domain in ascending order, and an
-        image that empties a later domain is not taken."""
+        image that empties a later domain is not taken.  From position top
+        on, each image is the one in its domain."""
         img = list(range(k))    # order[:level] is fixed pointwise
         stack = [(iter((w0,)), fixed[level])]
         while stack:
@@ -188,9 +200,11 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
                 continue
             p = level + len(stack) - 1
             img[order[p]] = w
-            if p == k - 1:
-                return img
             doms = narrow(doms, p, w)
+            if doms and p + 1 >= top:
+                for x, d in zip(order[p + 1:], doms):
+                    img[x] = d.bit_length() - 1
+                return img
             if doms:
                 stack.append((_bits(doms[0]), doms))
         return None
@@ -207,7 +221,7 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
         return orb
 
     base, size = [], 1
-    for level in range(k - 2, -1, -1):
+    for level in range(top - 1, -1, -1):
         v = order[level]
         orb = orbit_of(v)
         # every generator found so far fixes order[:level], so an image w
@@ -229,53 +243,88 @@ def _automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, tuple, in
             tuple(reversed(base)), size)
 
 
-def _detected_group(search: tuple[list, tuple, int], realizer, degree: int
-                    ) -> PermutationGroup:
-    """The group of the candidates of a search that realizer realizes.  When
-    none is dropped they are the search's strong generating set, and its
-    order is known."""
-    gens, base, order = search
-    kept = [sigma for sigma in gens if realizer.realize(sigma) is not None]
-    if len(kept) == len(gens):
-        return PermutationGroup(kept, degree, base_prefix=base, order=order)
-    return PermutationGroup(kept, degree=degree)
-
-
 # ---------------------------------------------------------------------------
 # Affine realization
 
 
+def _relabels(frame, img: Sequence[int]) -> bool:
+    """Whether D X_img[j] = sum_b L_jb X_img[basis[b]] for every row j of a
+    frame outside its basis, for a 0-based relabeling img: exactly when some
+    matrix T has X_j T = D X_img[j] for every j, and then _image_matrix is
+    one.  The verdict is recorded in frame.images."""
+    img = tuple(img)
+    if img not in frame.images:
+        rows = frame.rows
+        if len(img) != len(rows):
+            raise PolyhedronError(f"permutation of degree {len(img)} on {len(rows)} indices")
+        D, coeffs = frame.D, frame.coeffs
+        bcols = list(zip(*(rows[img[b]] for b in frame.basis)))
+        frame.images[img] = all(D * a == sum(map(mul, coeffs[j], col))
+                                for j in frame.others for a, col in zip(rows[img[j]], bcols))
+    return frame.images[img]
+
+
+def _image_matrix(frame, img: Sequence[int]) -> list:
+    """T = R [X_img[basis]; units], which moves each basis row of a frame to
+    its image, as N R = D I, and fixes each unit row.  It reads frame.R
+    first, which may rescale frame.D."""
+    R = frame.R
+    cols = list(zip(*([frame.rows[img[b]] for b in frame.basis] + frame.units)))
+    return [[sum(map(mul, r, col)) for col in cols] for r in R]
+
+
 class _VertexRealizer:
-    """Checks vertex permutations on one fixed vertex set: realize returns
-    the frame's integer T, or None.  The map (1, x) |-> T^t (1, x) / D moves
-    the basis vertices to their images and fixes the directions e_j of the
+    """Checks vertex permutations on one fixed vertex set: realize says
+    whether one is the relabeling of an affine map.  The map that
+    realize_vertex_permutation builds, (1, x) |-> T^t (1, x) / D, moves the
+    basis vertices to their images and fixes the directions e_j of the
     non-pivot coordinates, so a lower-dimensional vertex set gets the map
     that is the identity on that complement."""
 
     def __init__(self, V: VPolyhedron):
         if V.rays:
             raise PolyhedronError("affine realization requires a bounded polytope")
-        if not V.vertices:
+        if not V.k:
             raise EmptyPolyhedronError("no points given")
         # one positive scale clears every denominator: equal scaled points are equal
         if len(set(V.int_points[1])) != V.k:
             raise PolyhedronError("duplicate points in the input")
         self.frame = V.frame
 
-    def realize(self, sigma: Permutation) -> Optional[list]:
-        return self.frame.image_matrix([x - 1 for x in sigma.images])
+    def realize(self, sigma: Permutation) -> bool:
+        return _relabels(self.frame, [x - 1 for x in sigma.images])
 
 
 def realize_vertex_permutation(V: VPolyhedron, sigma: Permutation) -> Optional[AffineMap]:
     """The affine map carrying vertex i to vertex sigma(i), or None."""
-    realizer = _VertexRealizer(V)
-    T = realizer.realize(sigma)
-    if T is None:
+    frame = _VertexRealizer(V).frame
+    img = [x - 1 for x in sigma.images]
+    if not _relabels(frame, img):
         return None
-    n, D = V.n, realizer.frame.D
+    T = _image_matrix(frame, img)
+    n, D = V.n, frame.D
     # (1, x) |-> T^t (1, x) / D: row 0 of T is the translation
     A = tuple(tuple(Fraction(T[b][a], D) for b in range(1, n + 1)) for a in range(1, n + 1))
     return AffineMap(A, tuple(Fraction(T[0][a], D) for a in range(1, n + 1)))
+
+
+def _spanning_prefix(frame, order: Sequence[int]) -> int:
+    """The length of the shortest prefix of order whose frame rows span: one
+    past the last greedy basis index of the rows in that order."""
+    return gauss_jordan(zip(*(frame.rows[i] for i in order)))[1][-1] + 1
+
+
+def _frame_symmetries(realizer, degree: int) -> PermutationGroup:
+    """The group of the automorphisms of the frame's gram graph that
+    realizer realizes, searched up to the shortest spanning prefix.  When no
+    candidate is dropped they are the search's strong generating set, and
+    its order is known."""
+    frame = realizer.frame
+    gens, base, order = _automorphism_search(_gram(frame)[0], partial(_spanning_prefix, frame))
+    kept = [sigma for sigma in gens if realizer.realize(sigma)]
+    if len(kept) == len(gens):
+        return PermutationGroup(kept, degree, base_prefix=base, order=order)
+    return PermutationGroup(kept, degree=degree)
 
 
 def affine_symmetry_group(V: VPolyhedron) -> PermutationGroup:
@@ -285,17 +334,15 @@ def affine_symmetry_group(V: VPolyhedron) -> PermutationGroup:
     checks every candidate on all vertices, in integers; failed candidates
     are discarded.
     """
-    realizer = _VertexRealizer(V)
-    search = _automorphism_search(_gram(realizer.frame)[0])
-    return _detected_group(search, realizer, V.k)
+    return _frame_symmetries(_VertexRealizer(V), V.k)
 
 
 class _RowRealizer:
-    """Checks row permutations of an H-description: realize returns the
-    integer T with (a | b) T / D = (a | b)_sigma on its primitive rows when
-    that is the action of an affine map, or None.  Only this check reads an
-    HPolyhedron's frame, and it records its verdict there: a T that is no
-    affine action is recorded as None, so a recorded T is returned as is."""
+    """Checks row permutations of an H-description: realize says whether one
+    is the action of an affine map on its primitive rows, (a | b) T / D =
+    (a | b)_sigma.  Only this check reads an HPolyhedron's frame, and it
+    records its verdict there: a relabeling that the frame's identities
+    survive but whose T is no affine action is recorded as False."""
 
     def __init__(self, P: HPolyhedron):
         try:
@@ -314,18 +361,16 @@ class _RowRealizer:
             raise PolyhedronError(
                 "homogenized rows do not span; input must be bounded and full-dimensional")
 
-    def realize(self, sigma: Permutation) -> Optional[list]:
+    def realize(self, sigma: Permutation) -> bool:
         n, frame = self.n, self.frame
         img = tuple(x - 1 for x in sigma.images)
-        if img in frame.images:
-            return frame.images[img]
-        T = frame.image_matrix(img)
-        # an affine map acts on (a | b) with last row (0, ..., 0, 1) and an
-        # invertible linear block, one with n pivots
-        if T is not None and (T[n] != [0] * n + [frame.D]
-                              or len(gauss_jordan(row[:n] for row in T[:n])[1]) < n):
-            T = frame.images[img] = None
-        return T
+        if img not in frame.images and _relabels(frame, img):
+            # an affine map acts on (a | b) with last row (0, ..., 0, 1) and an
+            # invertible linear block, one with n pivots
+            T = _image_matrix(frame, img)
+            frame.images[img] = (T[n] == [0] * n + [frame.D]
+                                 and len(gauss_jordan(row[:n] for row in T[:n])[1]) == n)
+        return frame.images[img]
 
 
 def realize_row_permutation(P: HPolyhedron, sigma: Permutation) -> Optional[Matrix]:
@@ -335,9 +380,11 @@ def realize_row_permutation(P: HPolyhedron, sigma: Permutation) -> Optional[Matr
     that span R^(n+1); it need not be bounded.
     """
     realizer = _RowRealizer(P)
-    T = realizer.realize(sigma)
-    return None if T is None else tuple(
-        tuple(Fraction(x, realizer.frame.D) for x in row) for row in T)
+    if not realizer.realize(sigma):
+        return None
+    frame = realizer.frame
+    T = _image_matrix(frame, [x - 1 for x in sigma.images])
+    return tuple(tuple(Fraction(x, frame.D) for x in row) for row in T)
 
 
 def are_affine_symmetries(P: Union[HPolyhedron, VPolyhedron],
@@ -348,7 +395,7 @@ def are_affine_symmetries(P: Union[HPolyhedron, VPolyhedron],
     if not isinstance(P, (HPolyhedron, VPolyhedron)):
         raise TypeError("expected an HPolyhedron or VPolyhedron")
     realizer = _VertexRealizer(P) if isinstance(P, VPolyhedron) else _RowRealizer(P)
-    return all(realizer.realize(sigma) is not None for sigma in perms)
+    return all(realizer.realize(sigma) for sigma in perms)
 
 
 def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
@@ -360,6 +407,4 @@ def restricted_symmetries_H(P: HPolyhedron) -> PermutationGroup:
     acts on 1-based row indices.  P must pass the row check, as in
     realize_row_permutation.
     """
-    realizer = _RowRealizer(P)
-    search = _automorphism_search(_gram(realizer.frame)[0])
-    return _detected_group(search, realizer, P.m)
+    return _frame_symmetries(_RowRealizer(P), P.m)

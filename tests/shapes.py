@@ -1,9 +1,9 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
 lattice-point count, projection chain, Ehrhart quasi-polynomial, LP solver,
-reduced invariant LP, symmetry gram, automorphism search and double
-description shared across test modules, the Fraction matrix helpers the
-references use, and the benchmark's workload builder with a runner for its
-jobs."""
+reduced invariant LP, symmetry gram, automorphism search, orbit closure and
+double description shared across test modules, the Fraction matrix helpers
+the references use, and the benchmark's workload builder with a runner for
+its jobs."""
 import contextlib
 import importlib
 import importlib.util
@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from polyorbit.latcount import QuasiPolynomial
-from polyorbit.permgrp import Permutation
+from polyorbit.permgrp import Permutation, _inverse
 from polyorbit.repconv import _Geometry
 from polyorbit.symdetect import _refine_colors
 from polyorbit.symilp import check_invariance, invariant_subspace
@@ -759,6 +759,27 @@ def reference_automorphism_search(gram: Sequence[Sequence[int]]) -> tuple[list, 
             size *= len(orb)
     return ([Permutation(tuple(x + 1 for x in g)) for g in found],
             tuple(reversed(base)), size)
+
+
+def recompute_orbit(G, idx: int) -> None:
+    """PermutationGroup._recompute_orbit by closure from scratch: every
+    generator of level idx on every known point of its orbit, round by
+    round in sorted order, for G's transversal elements and their inverses."""
+    lvl = G._levels[idx]
+    orbit, inv = lvl.orbit, lvl.inv
+    frontier = sorted(orbit)
+    while frontier:
+        new_frontier = []
+        for p in frontier:
+            u = orbit[p]._p
+            for g in lvl.gens:
+                q = g._p[p]
+                if q not in orbit:
+                    gu = tuple(map(g._p.__getitem__, u))
+                    orbit[q] = Permutation._trusted(gu)
+                    inv[q] = _inverse(gu)
+                    new_frontier.append(q)
+        frontier = sorted(new_frontier)
 
 
 def reference_dd_cone(rows: Sequence[Sequence], n: int

@@ -29,7 +29,7 @@ from polyorbit import (
 from polyorbit import cli, latcount, polycore, repconv
 from polyorbit.cli import main
 from polyorbit.permgrp import orbit_of_set
-from polyorbit.polycore import matrix, primitive
+from polyorbit.polycore import VPolyhedron, matrix, primitive
 
 from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v,
                     polybench_workloads, row_image, santos_prismatoid, unimodular_image)
@@ -325,6 +325,48 @@ class TestIntegerVertices:
         runs = vertex_reads(lattice_counting_h_paths, monkeypatch, capsys)
         assert all(code in (0, 2) for code, _ in runs)
         assert sum(made for _, made in runs) >= 4 * len(lattice_counting_h_paths)
+
+
+class TestIntegerVFile:
+    """A V file is read in integers: to_vpolyhedron makes V by of_points from
+    the cleared denominators of its rows, equal to from_points of the same
+    Fractions, and builds its Fraction vertices only when read."""
+
+    @pytest.mark.parametrize("linearity, body", [
+        ("", "1 0 0\n1 2 0\n1 0 3\n"),
+        ("", "1 1/2 0\n1 2 -2/3\n1 0 3/4\n"),
+        ("", "1 1/2 0\n0 1/3 -2/5\n1 0 3\n"),
+        ("linearity 1 2\n", "1 1/2 0\n0 1/3 -2/5\n1 0 3\n"),
+        ("", "1 1/2 0\n0 0 0\n1 0 3\n"),
+    ], ids=["integer", "rational", "ray", "line", "zero-ray"])
+    def test_equals_the_fraction_route(self, linearity, body):
+        pf = parse_polyfile(f"V-representation\n{linearity}begin\n3 3 rational\n{body}end\n")
+        points, rays = [], []
+        for i, row in enumerate(pf.rows, start=1):
+            if row[0] == 1:
+                points.append(row[1:])
+            elif any(row[1:]):
+                rays += [row[1:]] + ([tuple(-x for x in row[1:])] if i in pf.linearity else [])
+        V, W = pf.to_vpolyhedron(), VPolyhedron.from_points(points, rays)
+        assert "vertices" not in vars(V)
+        assert (V.int_points, V.k, V.n, V.rays) == (W.int_points, W.k, W.n, W.rays)
+        s, pts, rs = V.int_points
+        assert all(type(x) is int for x in (s, *(x for p in pts + rs for x in p)))
+        assert V.vertices == W.vertices and "vertices" in vars(V)
+        assert V == W and hash(V) == hash(W)
+
+    @pytest.mark.parametrize("name", ["cube3.ext", "santos.ext", "quad-asym.ext"])
+    def test_automorphisms_builds_no_vertex(self, name, monkeypatch, capsys):
+        built, read = [], PolyFile.to_vpolyhedron
+
+        def to_vpolyhedron(pf):
+            built.append(read(pf))
+            return built[-1]
+
+        monkeypatch.setattr(cli.PolyFile, "to_vpolyhedron", to_vpolyhedron)
+        code, out, _ = run(capsys, "automorphisms", FIX / name)
+        assert code == 0 and out.startswith("order ")
+        assert len(built) == 1 and "vertices" not in vars(built[0])
 
 
 class TestAutomorphismsCmd:

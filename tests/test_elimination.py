@@ -268,6 +268,22 @@ def test_adjugate_block():
             for i in range(3)] == [[D * int(i == j) for j in range(3)] for i in range(3)]
 
 
+def check_frame_inverse(frame, X, n):
+    """R = D N^-1 for N = [X_B; units]: from the frame's one elimination at
+    its own D when the rows span, else made by adjugate on first read, with
+    D and coeffs rescaled to it; coeffs stay the coordinates at D."""
+    spans, D = len(frame.basis) == n, frame.D
+    assert ("R" in vars(frame)) == spans
+    R = frame.R
+    assert frame.D == D if spans else frame.D != 0
+    N = [X[b] for b in frame.basis] + frame.units
+    assert [[sum(N[i][t] * R[t][j] for t in range(n)) for j in range(n)] for i in range(n)] == \
+        [[frame.D * int(i == j) for j in range(n)] for i in range(n)]
+    for row, lam in zip(X, frame.coeffs):
+        assert [frame.D * x for x in row] == [
+            sum(c * X[b][j] for c, b in zip(lam, frame.basis)) for j in range(n)]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_integer_frame_basis_and_pivots(seed):
     rng = random.Random(seed)
@@ -280,3 +296,16 @@ def test_integer_frame_basis_and_pivots(seed):
         for row, lam in zip(X, frame.coeffs):
             assert [frame.D * x for x in row] == [
                 sum(c * X[b][j] for c, b in zip(lam, frame.basis)) for j in range(n)]
+        check_frame_inverse(frame, X, n)
+    # rank-deficient frames: k rows in a random subspace of rank r < n
+    for _ in range(10):
+        k, n = rng.randint(2, 8), rng.randint(2, 5)
+        r = rng.randint(1, n - 1)
+        Y = [[rng.randint(-3, 3) for _ in range(r)] for _ in range(k)]
+        Z = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(r)]
+        X = [tuple(sum(y * z[j] for y, z in zip(row, Z)) for j in range(n)) for row in Y]
+        frame = _IntegerFrame(X, n)
+        assert len(frame.basis) <= r < n
+        assert list(frame.basis) == ref_greedy(X)
+        assert list(frame.pivots) == ref_rref([X[b] for b in frame.basis])[1]
+        check_frame_inverse(frame, X, n)

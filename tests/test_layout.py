@@ -191,18 +191,18 @@ def test_symmetry_checks_build_no_map():
     # detection and the check behind the decompositions stay in integers:
     # only realize_vertex_permutation and realize_row_permutation build maps
     checks = {"affine_symmetry_group", "restricted_symmetries_H", "are_affine_symmetries",
-              "_detected_group", "realize"}
+              "_frame_symmetries", "realize", "_relabels", "_image_matrix"}
     banned = {"Fraction", "AffineMap", "frac", "realize_vertex_permutation",
               "realize_row_permutation"}
     tree = ast.parse((PACKAGE / "symdetect.py").read_text())
     fns = [node for node in ast.walk(tree)
            if isinstance(node, ast.FunctionDef) and node.name in checks]
     assert {fn.name for fn in fns} == checks and len(fns) == len(checks) + 1   # two realize
-    # the frame that realizes each relabeling is a polyhedron's, in polycore
+    # the frame that each relabeling is checked on is a polyhedron's, in
+    # polycore: its __init__ and its R
     (frame,) = _top_level("polycore.py", {"_IntegerFrame"})
-    fns += [node for node in frame.body if isinstance(node, ast.FunctionDef)
-            and node.name == "image_matrix"]
-    assert len(fns) == len(checks) + 2
+    fns += [node for node in frame.body if isinstance(node, ast.FunctionDef)]
+    assert len(fns) == len(checks) + 3
     for fn in fns:
         assert not _called(fn) & banned, f"{fn.name} calls {sorted(_called(fn) & banned)}"
     tree = ast.parse((PACKAGE / "repconv.py").read_text())

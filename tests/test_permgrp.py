@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, probe_permutations,
-                    santos_prismatoid)
+                    recompute_orbit, santos_prismatoid)
 
 from polyorbit import permgrp
 from polyorbit.permgrp import (
@@ -601,6 +601,47 @@ def _assert_same_orbits(G, R, sets, budgets):
         assert stab.order() == ref.order()
         assert all(Permutation(g.images) in stab for g in ref.generators)
         assert all(g.apply_set(S) == S for g in stab.generators)
+
+
+def _assert_orbits_as_from_scratch(monkeypatch, gens, degree, **kw):
+    """The chain that grows each orbit by its newest generator has, level by
+    level, the base point, generators, transversal elements in the same
+    insertion order, and inverses of the chain that closes every orbit from
+    scratch (shapes.recompute_orbit)."""
+    G = PermutationGroup(gens, degree, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(PermutationGroup, "_recompute_orbit", recompute_orbit)
+        R = PermutationGroup(gens, degree, **kw)
+    assert len(G._levels) == len(R._levels)
+    for lvl, ref in zip(G._levels, R._levels):
+        assert lvl.base_point == ref.base_point
+        assert [g.images for g in lvl.gens] == [g.images for g in ref.gens]
+        assert [(p, u.images) for p, u in lvl.orbit.items()] == \
+            [(p, u.images) for p, u in ref.orbit.items()]
+        assert lvl.inv == ref.inv
+    return G
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orbits_grown_by_the_newest_generator_match_a_closure_from_scratch(seed, monkeypatch):
+    rng = random.Random(f"orbit-closure/{seed}")
+    for _ in range(20):
+        degree = rng.randint(2, 12)
+        gens = _random_gens(rng, degree)
+        prefix = tuple(rng.sample(range(1, degree + 1), rng.randint(0, min(3, degree))))
+        _assert_orbits_as_from_scratch(monkeypatch, gens, degree, base_prefix=prefix)
+
+
+@pytest.mark.parametrize("name", ["cut5", "cut6", "cross4", "cross6", "hypersimplex37"])
+def test_detected_groups_grow_orbits_as_a_closure_from_scratch(name, monkeypatch):
+    V = {"cut5": lambda: cut_v(5), "cut6": lambda: cut_v(6), "cross4": lambda: cross_v(4),
+         "cross6": lambda: cross_v(6), "hypersimplex37": lambda: hypersimplex_v(3, 7)}[name]()
+    D = affine_symmetry_group(V)
+    gens, degree, order = list(D.generators), D.degree, D.order()
+    # as detection builds it, at the search's base and order, and by
+    # Schreier-Sims with no order known
+    G = _assert_orbits_as_from_scratch(monkeypatch, gens, degree, base_prefix=D.base, order=order)
+    assert _assert_orbits_as_from_scratch(monkeypatch, gens, degree).order() == G.order() == order
 
 
 @pytest.mark.parametrize("seed", range(6))

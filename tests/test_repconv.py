@@ -30,7 +30,7 @@ from polyorbit.polycore import (
     vec_sub,
     vector,
 )
-from polyorbit import cli, polycore, repconv
+from polyorbit import cli, polycore, repconv, symdetect
 from polyorbit.cli import main, parse_polyfile
 from polyorbit.permgrp import (
     OrbitBudgetExceeded,
@@ -910,17 +910,15 @@ def test_h_convert_runs_one_double_description(extra, monkeypatch, capsys):
 def test_convert_frames_once_and_realizes_each_generator_once(name, monkeypatch, capsys):
     frames = _counted(monkeypatch, polycore._IntegerFrame, "__init__")
     realized = Counter()
-    image_matrix = polycore._IntegerFrame.image_matrix
+    relabels = symdetect._relabels
 
     def recording(frame, img):
-        # a realized image returns a new T; a recorded one returns the same
-        before = frame.images.get(tuple(img), realized)
-        T = image_matrix(frame, img)
-        if T is not before:
+        # an image checked before is answered from the frame's record
+        if tuple(img) not in frame.images:
             realized[tuple(img)] += 1
-        return T
+        return relabels(frame, img)
 
-    monkeypatch.setattr(polycore._IntegerFrame, "image_matrix", recording)
+    monkeypatch.setattr(symdetect, "_relabels", recording)
     groups = _counted(monkeypatch, cli, "adjacency_decomposition")
     assert main(["convert", str(FIX / name)]) == 0
     capsys.readouterr()

@@ -29,6 +29,7 @@ from polyorbit.polycore import (
     invert_matrix,
     mat_vec,
     primitive,
+    rank as poly_rank,
     row_space_basis,
     solve_linear,
     vec_add,
@@ -54,7 +55,7 @@ FIX = Path(__file__).parent / "fixtures"
 def automorphisms(gram):
     """Generators of the automorphisms of a gram given entry by entry: the
     search on its ranks."""
-    return symdetect._automorphism_search(dense_ranks(gram))[0]
+    return symdetect._automorphism_search(dense_ranks(gram), len)[0]
 
 
 def gram_w(V):
@@ -109,7 +110,7 @@ def test_single_point_graph():
     pt = VPolyhedron.from_points([(3, 7)])
     rank, W = gram_w(pt)
     assert W == [[1]]
-    assert symdetect._automorphism_search(rank) == ([], (), 1)
+    assert symdetect._automorphism_search(rank, len) == ([], (), 1)
 
 
 def test_regular_simplex_two_colors():
@@ -204,8 +205,8 @@ def check_gram(frame):
     k = len(rank)
     assert all(F(values[rank[i][j]], dq) == ref[i][j] for i in range(k) for j in range(k))
     assert rank == dense_ranks(ref)
-    search = symdetect._automorphism_search(rank)
-    assert search == symdetect._automorphism_search(dense_ranks(ref))
+    search = symdetect._automorphism_search(rank, len)
+    assert search == symdetect._automorphism_search(dense_ranks(ref), len)
     assert search == reference_automorphism_search(rank)
 
 
@@ -213,7 +214,7 @@ def check_search(gram):
     """The search returns the reference search's (generators, base, order)
     on the ranks of a gram given entry by entry."""
     rank = dense_ranks(gram)
-    assert symdetect._automorphism_search(rank) == reference_automorphism_search(rank)
+    assert symdetect._automorphism_search(rank, len) == reference_automorphism_search(rank)
 
 
 # every family of shapes, as given and in two unimodular images (V) or row
@@ -243,6 +244,67 @@ def test_search_matches_reference_on_families(name, seed):
     check_search(symdetect._gram(P.frame)[0])
 
 
+def check_spanning_stop(frame) -> tuple[int, int]:
+    """The search stopped at the shortest prefix of its order whose frame
+    rows span returns the (generators, base, order) of the search run with
+    len and of the reference search; that prefix is the shortest by a rank
+    scan of every prefix.  Returns (prefix length, number of rows)."""
+    rank = symdetect._gram(frame)[0]
+    k, full = len(rank), len(frame.basis)
+    stops = []
+
+    def spans(order):
+        stops.append(symdetect._spanning_prefix(frame, order))
+        assert poly_rank([frame.rows[i] for i in order[:stops[-1]]]) == full
+        assert poly_rank([frame.rows[i] for i in order[:stops[-1] - 1]]) < full
+        return stops[-1]
+
+    search = symdetect._automorphism_search(rank, spans)
+    assert search == symdetect._automorphism_search(rank, len)
+    assert search == reference_automorphism_search(rank)
+    assert len(stops) == (k > 1)
+    return (stops or [k])[0], k
+
+
+def symmetric_point_set(rng, n):
+    """The distinct images of one to three seeded integer points under
+    every permutation and sign change of n coordinates; none is 0."""
+    seeds = [(rng.randint(1, 3), *(rng.randint(-2, 3) for _ in range(n - 1)))
+             for _ in range(rng.randint(1, 3))]
+    return sorted({tuple(sgn[i] * p[perm[i]] for i in range(n))
+                   for p in seeds for perm in itertools.permutations(range(n))
+                   for sgn in itertools.product((1, -1), repeat=n)})
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_search_stopped_at_a_spanning_prefix_matches_the_full_search(seed):
+    rng = random.Random(f"span-stop/{seed}")
+    stopped = 0
+    for _ in range(25):
+        # points in the span of d + 1 random vectors: often all of R^n, often
+        # a proper subspace
+        n = rng.randint(1, 4)
+        d = rng.choice((n, rng.randint(0, n)))
+        gens = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(d + 1)]
+        pts = {tuple(F(sum(c * g[a] for c, g in zip(cs, gens)), 2) for a in range(n))
+               for cs in ([rng.randint(-2, 2) for _ in gens]
+                          for _ in range(rng.randint(1, 10)))}
+        prefix, k = check_spanning_stop(VPolyhedron.from_points(sorted(pts)).frame)
+        stopped += prefix < k - 1
+    for n in (2, 3):
+        # sets with symmetry, so their color cells are not all single points
+        V = unimodular_image(symmetric_point_set(rng, n), f"span-stop/{seed}/{n}")[0]
+        assert len(set(symdetect._refine_colors(symdetect._gram(V.frame)[0]))) < V.k
+        prefix, k = check_spanning_stop(V.frame)
+        stopped += prefix < k - 1
+    for P in (cube_h(3), cross_h(3), simplex_h(3), birkhoff(3), rectangle_h()):
+        # H row frames, as given and in a row image
+        for Q in (P, row_image(P, f"span-stop/{seed}/rows")):
+            prefix, k = check_spanning_stop(Q.frame)
+            stopped += prefix < k - 1
+    assert stopped
+
+
 @st.composite
 def symmetric_colorings(draw):
     """Symmetric k x k colorings, k <= 7, in at most 4 colors."""
@@ -259,7 +321,7 @@ def symmetric_colorings(draw):
 @given(symmetric_colorings())
 def test_search_matches_reference_and_brute_force_on_random_colorings(gram):
     rank = dense_ranks(gram)
-    search = symdetect._automorphism_search(rank)
+    search = symdetect._automorphism_search(rank, len)
     assert search == reference_automorphism_search(rank)
     assert search[2] == len(consistent_permutations(rank))
 
@@ -271,7 +333,7 @@ def test_metric_polytope_search_has_order_2_to_n_minus_1_times_n_factorial(n, or
     # with it well under 1 s
     rank = symdetect._gram(met_h(n).frame)[0]
     start = time.perf_counter()
-    gens, _, size = symdetect._automorphism_search(rank)
+    gens, _, size = symdetect._automorphism_search(rank, len)
     assert time.perf_counter() - start < 5
     assert size == order
     k = len(rank)
@@ -291,7 +353,7 @@ def test_monochrome_gives_symmetric_group():
 
 def test_square_automorphism_order_eight():
     sq = VPolyhedron.from_points([(1, 1), (1, -1), (-1, 1), (-1, -1)])
-    gens = symdetect._automorphism_search(symdetect._gram(sq.frame)[0])[0]
+    gens = symdetect._automorphism_search(symdetect._gram(sq.frame)[0], len)[0]
     assert group_order(gens, 4) == 8
 
 
@@ -566,7 +628,7 @@ def test_automorphisms_of_long_cycle_need_no_deep_recursion():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 100)
     try:
-        gens = symdetect._automorphism_search(rank)[0]
+        gens = symdetect._automorphism_search(rank, len)[0]
     finally:
         sys.setrecursionlimit(limit)
     for g in gens:
@@ -823,7 +885,7 @@ def test_row_check_after_detection_runs_no_elimination(name, monkeypatch):
     # nothing again
     P = CHECK_H[name]()
     G = restricted_symmetries_H(P)
-    candidates = symdetect._automorphism_search(symdetect._gram(P.frame)[0])[0]
+    candidates = symdetect._automorphism_search(symdetect._gram(P.frame)[0], len)[0]
     calls = []
     real = symdetect.gauss_jordan
     monkeypatch.setattr(symdetect, "gauss_jordan",
@@ -838,17 +900,19 @@ def test_row_check_after_detection_runs_no_elimination(name, monkeypatch):
 # -- one verification pass per candidate ------------------------------------------
 
 def two_pass_image_matrix(frame, img):
-    """The integer T of frame.image_matrix by the older route: the frame's
+    """The integer T of symdetect._image_matrix, or None where
+    symdetect._relabels fails, by the older route: the frame's
     identities D X_img[j] = sum_b L_jb X_img[basis[b]] checked on the pivot
-    columns of every row first, then T checked on every row."""
-    D, rows = frame.D, frame.rows
+    columns of every row first, then T checked on every row.  frame.R is
+    read first: a frame short of full rank rescales D when it makes R."""
+    R, D, rows = frame.R, frame.D, frame.rows
     cols = [tuple(rows[img[b]][c] for b in frame.basis) for c in frame.pivots]
     for lam, j in zip(frame.coeffs, img):
         x = rows[j]
         if any(D * x[c] != sum(map(mul, lam, col)) for c, col in zip(frame.pivots, cols)):
             return None
     cols = list(zip(*([rows[img[b]] for b in frame.basis] + frame.units)))
-    T = [[sum(map(mul, r, col)) for col in cols] for r in frame.R]
+    T = [[sum(map(mul, r, col)) for col in cols] for r in R]
     tcols = list(zip(*T))
     for x, j in zip(rows, img):
         if any(sum(map(mul, x, tc)) != D * a for tc, a in zip(tcols, rows[j])):
@@ -881,7 +945,7 @@ def test_single_pass_image_matrix_matches_two_passes(name):
     G = affine_symmetry_group(V)
     accepted = rejected = 0
     for img in candidate_images(G, random.Random(name)):
-        T = frame.image_matrix(img)
+        T = symdetect._image_matrix(frame, img) if symdetect._relabels(frame, img) else None
         assert T == two_pass_image_matrix(frame, img)
         accepted += T is not None
         rejected += T is None
@@ -898,7 +962,7 @@ def test_single_pass_row_image_matrix_matches_two_passes(name):
     G = restricted_symmetries_H(P)
     accepted = rejected = 0
     for img in candidate_images(G, random.Random(name)):
-        T = frame.image_matrix(img)
+        T = symdetect._image_matrix(frame, img) if symdetect._relabels(frame, img) else None
         assert T == two_pass_image_matrix(frame, img)
         accepted += T is not None
         rejected += T is None
