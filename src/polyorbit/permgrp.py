@@ -10,11 +10,13 @@ constructors, since a product of permutations is a permutation.
 Groups are stored as a base and strong generating set (stabilizer chain)
 built by a deterministic Schreier-Sims procedure, so identical generator
 lists always produce identical chains, transversals, and search orders.  Each
-level of the chain keeps the inverse of every transversal element, so a sift
-multiplies and never inverts, and the set of (orbit point, generator) pairs
-whose Schreier generator it has already sifted: transversal entries are never
-replaced and generator lists only grow, so a Schreier generator that sifted
-once sifts to the identity for the rest of the construction and is skipped.
+level of the chain keeps the inverse of a transversal element on its first
+read by a sift or a Schreier generator, so no element is inverted twice and
+none that is never read is inverted at all, and the set of (orbit point,
+generator) pairs whose Schreier generator it has already sifted: transversal
+entries are never replaced and generator lists only grow, so a Schreier
+generator that sifted once sifts to the identity for the rest of the
+construction and is skipped.
 
 A caller that knows the order of the group passes it, and the chain stops
 there.  Each basic orbit of a chain lies in the orbit of its base point under
@@ -157,8 +159,15 @@ class _ChainLevel:
     base_point: int
     gens: list          # strong generators fixing all earlier base points
     orbit: dict         # point -> transversal element u with u(base_point) = point
-    inv: dict           # point -> padded image tuple of orbit[point]^-1
+    inv: dict           # point -> padded image tuple of orbit[point]^-1, once read
     checked: set = field(default_factory=set)   # (point, index into gens) already sifted
+
+    def inverse(self, point: int) -> tuple:
+        """orbit[point]^-1 as a padded image tuple, stored on first read."""
+        ui = self.inv.get(point)
+        if ui is None:
+            ui = self.inv[point] = _inverse(self.orbit[point]._p)
+        return ui
 
 
 class PermutationGroup:
@@ -222,7 +231,7 @@ class PermutationGroup:
         only the newest can reach a new point from the known ones, and every
         generator runs on the points that adds, round by round in sorted order."""
         lvl = self._levels[idx]
-        orbit, inv = lvl.orbit, lvl.inv
+        orbit = lvl.orbit
         frontier, gens = sorted(orbit), lvl.gens[-1:]
         while frontier:
             new_frontier = []
@@ -231,9 +240,7 @@ class PermutationGroup:
                 for g in gens:
                     q = g._p[p]
                     if q not in orbit:
-                        gu = tuple(map(g._p.__getitem__, u))
-                        orbit[q] = Permutation._trusted(gu)
-                        inv[q] = _inverse(gu)
+                        orbit[q] = Permutation._trusted(tuple(map(g._p.__getitem__, u)))
                         new_frontier.append(q)
             frontier, gens = sorted(new_frontier), lvl.gens
 
@@ -245,10 +252,9 @@ class PermutationGroup:
             img = h[lvl.base_point]
             if img == lvl.base_point:
                 continue
-            ui = lvl.inv.get(img)
-            if ui is None:
+            if img not in lvl.orbit:
                 return h, i
-            h = tuple(map(ui.__getitem__, h))
+            h = tuple(map(lvl.inverse(img).__getitem__, h))
         return h, len(levels)
 
     def _grow(self, g: tuple) -> bool:
@@ -289,7 +295,7 @@ class PermutationGroup:
         Stops as soon as the chain reaches a known order."""
         for i in range(idx, level - 1, -1):
             lvl = self._levels[i]
-            orbit, inv, checked = lvl.orbit, lvl.inv, lvl.checked
+            orbit, checked = lvl.orbit, lvl.checked
             for p in sorted(orbit):
                 u = orbit[p]._p
                 for j, s in enumerate(lvl.gens):
@@ -297,7 +303,7 @@ class PermutationGroup:
                         continue
                     checked.add((p, j))
                     sp = s._p
-                    schreier = tuple(map(inv[sp[p]].__getitem__, map(sp.__getitem__, u)))
+                    schreier = tuple(map(lvl.inverse(sp[p]).__getitem__, map(sp.__getitem__, u)))
                     if schreier != self._identity and self._add_generator(schreier, i + 1) \
                             and self._complete():
                         return

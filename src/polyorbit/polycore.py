@@ -346,6 +346,14 @@ class _IntegerFrame:
     same D; otherwise R is made by adjugate on first read, and coeffs and D
     are rescaled to it.  images maps each relabeling checked on the frame to
     its verdict.
+
+    packed[i] is row i as one int, entry c at bit c * w, so an identity
+    between rows is one comparison of ints.  w is the bit length of
+    2 max|x| (|D| + S), S the largest sum of |coefficient| over coeffs and
+    the last row of R, so each digit of a difference between D x and such a
+    combination of rows has size below 2^(w-1): the lowest nonzero digit of
+    a nonzero difference is not a multiple of 2^w, and the packed difference
+    is 0 exactly when every entry is.  Reading R repacks at the new D.
     """
 
     def __init__(self, rows: Sequence[Sequence[int]], ncols: int):
@@ -360,21 +368,35 @@ class _IntegerFrame:
         if r == ncols:
             self.pivots, self.units = tuple(range(r)), []
             self.R = list(zip(*(row[k:] for row in M)))
+            self._pack(self.R[-1])
         else:
             self.pivots = tuple(gauss_jordan(rows[b] for b in basis)[1])
             self.units = [tuple(int(a == j) for a in range(ncols))
                           for j in range(ncols) if j not in self.pivots]
-        bcols = list(zip(*(rows[b] for b in basis)))
-        for x, lam in zip(rows, self.coeffs):
-            if any(self.D * a != sum(map(mul, lam, col)) for a, col in zip(x, bcols)):
-                raise VerificationError("row outside the span of its frame basis")
+            self._pack(())
+        if not self.keeps(range(k), range(k)):
+            raise VerificationError("row outside the span of its frame basis")
         self.images: dict = {}
+
+    def _pack(self, last: Sequence[int]) -> None:
+        top = max((abs(x) for row in self.rows for x in row), default=0)
+        s = max(sum(map(abs, lam)) for lam in (*self.coeffs, last))
+        self.w = w = (2 * top * (abs(self.D) + s)).bit_length()
+        self.packed = [sum(x << c * w for c, x in enumerate(row)) for row in self.rows]
+
+    def keeps(self, img: Sequence[int], rows: Iterable[int]) -> bool:
+        """Whether D X_img[j] == sum_b coeffs[j][b] X_img[basis[b]] for each
+        j in rows: one sum of packed rows per row."""
+        K, D, coeffs = self.packed, self.D, self.coeffs
+        Kb = [K[img[b]] for b in self.basis]
+        return all(D * K[img[j]] == sum(map(mul, coeffs[j], Kb)) for j in rows)
 
     @cached_property
     def R(self) -> list:
         D, R = adjugate([self.rows[b] for b in self.basis] + self.units)
         self.coeffs = [tuple(x * D // self.D for x in lam) for lam in self.coeffs]
         self.D = D
+        self._pack(R[-1])
         return R
 
 

@@ -302,15 +302,18 @@ class _Geometry:
 
     The points are V.int_points, scaled by the lcm of their denominators, a
     positive uniform scale that keeps every facet incidence set and every
-    argmax of the facet walk.  For a lower-dimensional list, normals are the
-    integer hull normals and local the integer hull coordinates the walk
-    runs on.
+    argmax of the facet walk.  The walk runs on local: the points themselves
+    when V.frame spans, as it does for every full-dimensional list (the group
+    check has made the frame), and otherwise the integer hull coordinates,
+    with normals the integer hull normals.
     """
 
     def __init__(self, V: VPolyhedron):
         self.scale, self.ambient, _ = V.int_points
-        self.normals, local = hull_coordinates(self.ambient)
-        self.local = local if self.normals else self.ambient
+        if len(V.frame.basis) == V.n + 1:
+            self.normals, self.local = [], self.ambient
+        else:
+            self.normals, self.local = hull_coordinates(self.ambient)
 
     def ambient_row(self, S: frozenset) -> tuple[int, ...]:
         """The primitive integer (a | b) of the facet on S: a.x <= delta on

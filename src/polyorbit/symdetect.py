@@ -8,7 +8,11 @@ Their integer affine frame, VPolyhedron.frame or HPolyhedron.frame, made
 once per object in polycore by one elimination of [X^t | I], holds a greedy
 row basis B, the pivot columns C of X_B, and integer coefficients L and a
 scalar D with D X_j = sum_b L_jb X_b for every row j, each identity checked
-exactly.
+exactly.  The frame also packs each row into one int K_j, entry c at bit
+c w, for a width w from its own bound, 2 max|x| (|D| + the largest
+sum_b |L_jb|): no entry of a difference of two such combinations reaches
+2^(w-1), so packed sums are equal exactly when every entry is, and an
+identity between rows costs one sum of rank-many ints.
 
 The complete graph on row indices is edge-colored with the invariant of
 Bremner, Dutour Sikiric, Pasechnik, Rehn and Schuermann, "Computing
@@ -22,13 +26,15 @@ makes no rational color.
 
 Color-preserving graph automorphisms are exactly the candidate symmetries.
 A candidate sigma is an affine symmetry exactly when the frame's identities
-survive relabeling, D X_sigma(j) = sum_b L_jb X_sigma(b), which _relabels
+survive relabeling, D K_sigma(j) = sum_b L_jb K_sigma(b), which _relabels
 checks for every row outside the basis, so nothing reported can fail to be
 a symmetry.  The frame records each verdict, so the group check of a
 decomposition run after detection on the same object checks no generator
-again.  The integer map T with X_j T = D X_sigma(j) is multiplied out only
-where it is asked for: the affine test of a row relabeling, and the two
-realize functions, which alone build a map in Fractions.  The realizers are
+again.  The affine test of a row relabeling is one more packed sum: row n
+of the integer map T with X_j T = D X_sigma(j) must be (0, ..., 0, D), and
+the rows span there, so T is invertible and needs no elimination.  T is
+multiplied out only by the two realize functions, which alone build a map
+in Fractions.  The realizers are
 the one shape check of each input form: _VertexRealizer refuses rays, no
 points or a repeated point, and _RowRealizer an empty, lower-dimensional or
 redundant system (read off HPolyhedron.dd) or rows that do not span.
@@ -251,16 +257,13 @@ def _relabels(frame, img: Sequence[int]) -> bool:
     """Whether D X_img[j] = sum_b L_jb X_img[basis[b]] for every row j of a
     frame outside its basis, for a 0-based relabeling img: exactly when some
     matrix T has X_j T = D X_img[j] for every j, and then _image_matrix is
-    one.  The verdict is recorded in frame.images."""
+    one.  Each row is one sum of the frame's packed rows.  The verdict is
+    recorded in frame.images."""
     img = tuple(img)
     if img not in frame.images:
-        rows = frame.rows
-        if len(img) != len(rows):
-            raise PolyhedronError(f"permutation of degree {len(img)} on {len(rows)} indices")
-        D, coeffs = frame.D, frame.coeffs
-        bcols = list(zip(*(rows[img[b]] for b in frame.basis)))
-        frame.images[img] = all(D * a == sum(map(mul, coeffs[j], col))
-                                for j in frame.others for a, col in zip(rows[img[j]], bcols))
+        if len(img) != len(frame.rows):
+            raise PolyhedronError(f"permutation of degree {len(img)} on {len(frame.rows)} indices")
+        frame.images[img] = frame.keeps(img, frame.others)
     return frame.images[img]
 
 
@@ -365,11 +368,12 @@ class _RowRealizer:
         n, frame = self.n, self.frame
         img = tuple(x - 1 for x in sigma.images)
         if img not in frame.images and _relabels(frame, img):
-            # an affine map acts on (a | b) with last row (0, ..., 0, 1) and an
-            # invertible linear block, one with n pivots
-            T = _image_matrix(frame, img)
-            frame.images[img] = (T[n] == [0] * n + [frame.D]
-                                 and len(gauss_jordan(row[:n] for row in T[:n])[1]) == n)
+            # an affine map acts on (a | b) with last row (0, ..., 0, 1).  Row n
+            # of T = R X_img[basis] is one sum of packed rows, and the spanning
+            # rows make T invertible, as X T = D X_img has full rank
+            K = frame.packed
+            frame.images[img] = sum(map(mul, frame.R[n], (K[img[b]] for b in frame.basis))) \
+                == frame.D << n * frame.w
         return frame.images[img]
 
 

@@ -1,6 +1,7 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
 lattice-point count, projection chain, Ehrhart quasi-polynomial, LP solver,
-reduced invariant LP, symmetry gram, automorphism search, orbit closure and
+reduced invariant LP, symmetry gram, entry-by-entry relabeling checks of an
+integer frame, automorphism search, orbit closure and
 double description shared across test modules, the Fraction matrix helpers
 the references use, and the benchmark's workload builder with a runner for
 its jobs."""
@@ -37,6 +38,7 @@ from polyorbit.polycore import (
     det,
     dot,
     frac,
+    gauss_jordan,
     hull_coordinates,
     index_set,
     integer_kernel_basis,
@@ -460,6 +462,42 @@ def reference_gram(frame) -> tuple:
     rqcols = list(zip(*RQ))
     Y = [tuple(sum(map(mul, x, col)) for col in rqcols) for x in lam]
     return tuple(tuple(Fraction(sum(map(mul, y, z)), dq) for z in lam) for y in Y)
+
+
+def reference_relabels(frame, img: Sequence[int], rows: Optional[Sequence[int]] = None) -> bool:
+    """symdetect._relabels entry by entry, as it checked before the frame
+    packed its rows, recording nothing: D X_img[j][c] == sum_b L_jb
+    X_img[basis[b]][c] in every column c, for every row j outside the
+    basis, or every j in rows.  rows = every index, with img the identity,
+    is _IntegerFrame's span check at construction."""
+    X, D, coeffs = frame.rows, frame.D, frame.coeffs
+    bcols = list(zip(*(X[img[b]] for b in frame.basis)))
+    return all(D * a == sum(map(mul, coeffs[j], col))
+               for j in (frame.others if rows is None else rows)
+               for a, col in zip(X[img[j]], bcols))
+
+
+def reference_row_affine(frame, img: Sequence[int], n: int) -> bool:
+    """_RowRealizer.realize's affine test, for a relabeling that passes
+    reference_relabels, as it multiplied out T = R [X_img[basis]; units]
+    and eliminated T's linear block: row n of T is (0, ..., 0, D) and the
+    linear block has n pivots."""
+    cols = list(zip(*([frame.rows[img[b]] for b in frame.basis] + frame.units)))
+    T = [[sum(map(mul, r, col)) for col in cols] for r in frame.R]
+    return T[n] == [0] * n + [frame.D] and len(gauss_jordan(row[:n] for row in T[:n])[1]) == n
+
+
+def unpack_row(K: int, w: int, ncols: int) -> tuple:
+    """The entries of a packed frame row K, entry c at bit c w, each of size
+    below 2^(w-1)."""
+    out = []
+    for _ in range(ncols):
+        d = K & ((1 << w) - 1)
+        if d >= 1 << (w - 1):
+            d -= 1 << w
+        out.append(d)
+        K = (K - d) >> w
+    return tuple(out)
 
 
 def ledger_facet_rows(ledger) -> set:

@@ -199,10 +199,12 @@ def test_symmetry_checks_build_no_map():
            if isinstance(node, ast.FunctionDef) and node.name in checks]
     assert {fn.name for fn in fns} == checks and len(fns) == len(checks) + 1   # two realize
     # the frame that each relabeling is checked on is a polyhedron's, in
-    # polycore: its __init__ and its R
+    # polycore: its __init__, its R, and _pack and keeps on its packed rows
     (frame,) = _top_level("polycore.py", {"_IntegerFrame"})
-    fns += [node for node in frame.body if isinstance(node, ast.FunctionDef)]
-    assert len(fns) == len(checks) + 3
+    methods = [node for node in frame.body if isinstance(node, ast.FunctionDef)]
+    assert sorted(fn.name for fn in methods) == ["R", "__init__", "_pack", "keeps"]
+    fns += methods
+    assert len(fns) == len(checks) + 5
     for fn in fns:
         assert not _called(fn) & banned, f"{fn.name} calls {sorted(_called(fn) & banned)}"
     tree = ast.parse((PACKAGE / "repconv.py").read_text())

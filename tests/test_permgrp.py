@@ -606,8 +606,9 @@ def _assert_same_orbits(G, R, sets, budgets):
 def _assert_orbits_as_from_scratch(monkeypatch, gens, degree, **kw):
     """The chain that grows each orbit by its newest generator has, level by
     level, the base point, generators, transversal elements in the same
-    insertion order, and inverses of the chain that closes every orbit from
-    scratch (shapes.recompute_orbit)."""
+    insertion order, and, once each is read, inverses of the chain that
+    closes every orbit from scratch and inverts every element as it adds it
+    (shapes.recompute_orbit)."""
     G = PermutationGroup(gens, degree, **kw)
     with monkeypatch.context() as m:
         m.setattr(PermutationGroup, "_recompute_orbit", recompute_orbit)
@@ -618,6 +619,14 @@ def _assert_orbits_as_from_scratch(monkeypatch, gens, degree, **kw):
         assert [g.images for g in lvl.gens] == [g.images for g in ref.gens]
         assert [(p, u.images) for p, u in lvl.orbit.items()] == \
             [(p, u.images) for p, u in ref.orbit.items()]
+        # inverses are stored on first read: each one stored inverts its
+        # transversal element, and sifting every element of the reference's
+        # transversal from this level reads, and so stores, all of them
+        for p, ui in lvl.inv.items():
+            assert tuple(map(ui.__getitem__, lvl.orbit[p]._p)) == G._identity
+            assert ui == ref.inv[p]
+        for u in ref.orbit.values():
+            assert G._strip(u._p, G._levels.index(lvl))[0] == G._identity
         assert lvl.inv == ref.inv
     return G
 

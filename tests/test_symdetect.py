@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from polyorbit import symdetect
-from polyorbit.cli import parse_polyfile
+from polyorbit.cli import main, parse_polyfile
 from polyorbit.polycore import (
     AffineMap,
     EmptyPolyhedronError,
     HPolyhedron,
     PolyhedronError,
     VPolyhedron,
+    _IntegerFrame,
     invert_matrix,
     mat_vec,
     primitive,
@@ -47,7 +48,8 @@ from polyorbit.symdetect import (
 
 from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, met_h,
                     probe_permutations, reference_automorphism_search, reference_gram,
-                    row_image, santos_prismatoid, simplex_h, simplex_v, unimodular_image)
+                    reference_relabels, reference_row_affine, row_image, santos_prismatoid,
+                    simplex_h, simplex_v, unimodular_image, unpack_row)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -969,3 +971,153 @@ def test_single_pass_row_image_matrix_matches_two_passes(name):
     # every row of a simplex is in the frame's basis: each relabeling is a
     # symmetry, and nothing is left to check
     assert accepted and (rejected or name == "simplex_h3")
+
+
+
+
+# -- packed frame rows against the entry-by-entry checks ---------------------------
+
+def _assert_packed(frame, ncols):
+    """Each packed row unpacks to its row at the frame's width, the width
+    keeps every digit of a checked difference below 2^(w-1), and the span
+    check of every row holds entry by entry."""
+    assert [unpack_row(K, frame.w, ncols) for K in frame.packed] == frame.rows
+    top = max((abs(x) for row in frame.rows for x in row), default=0)
+    sums = [sum(map(abs, lam)) for lam in frame.coeffs + vars(frame).get("R", [()])[-1:]]
+    assert top * (abs(frame.D) + max(sums)) < 2 ** (frame.w - 1)
+    everything = range(len(frame.rows))
+    assert reference_relabels(frame, everything, everything)
+
+
+def _verdict(frame, img) -> bool:
+    """symdetect._relabels of img from a cleared record, which equals the
+    entry-by-entry reference_relabels."""
+    frame.images.clear()
+    got = symdetect._relabels(frame, img)
+    assert got == reference_relabels(frame, img)
+    frame.images.clear()
+    return got
+
+
+def _tampered(img, rng) -> list:
+    """img with the images of two random indices swapped."""
+    out = list(img)
+    a, b = rng.sample(range(len(out)), 2)
+    out[a], out[b] = out[b], out[a]
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_packed_relabeling_check_matches_entrywise_on_huge_frames(seed):
+    # entries up to 10^40 of both signs: the homogenized vertices Y of a
+    # 3- or 4-cube times a random integer matrix to m columns, then plain
+    # random rows
+    rng = random.Random(f"packed/huge/{seed}")
+    big = 10 ** 40
+    verdicts = []
+    for _ in range(12):
+        d = rng.randint(3, 4)
+        pts = list(itertools.product((-1, 1), repeat=d))
+        index = {p: i for i, p in enumerate(pts)}
+        m = rng.choice((d + 1, d + 1, d + 3, d))
+        A = [[rng.randint(-big // (d + 1), big // (d + 1)) for _ in range(m)]
+             for _ in range(d + 1)]
+        X = [tuple(sum(map(mul, (1,) + p, col)) for col in zip(*A)) for p in pts]
+        assert max(abs(x) for row in X for x in row) <= big
+        frame = _IntegerFrame(X, m)
+        assert (len(frame.basis) == m) == (m <= d + 1)
+        _assert_packed(frame, m)
+        for _ in range(6):
+            perm, signs = rng.sample(range(d), d), [rng.choice((-1, 1)) for _ in range(d)]
+            img = [index[tuple(s * p[c] for s, c in zip(signs, perm))] for p in pts]
+            kept, tampered = _verdict(frame, img), _verdict(frame, _tampered(img, rng))
+            if m > d:
+                # with X as faithful as Y, a relabeling is one of Y's
+                # symmetries, and no symmetry of a 3- or 4-cube moves two
+                # vertices only
+                assert kept and not tampered
+            verdicts += [kept, tampered]
+        k, m = rng.randint(2, 7), rng.randint(1, 5)
+        X = [tuple(rng.randint(-big, big) for _ in range(m)) for _ in range(k)]
+        frame = _IntegerFrame(X, m)
+        _assert_packed(frame, m)
+        verdicts += [_verdict(frame, rng.sample(range(k), k)) for _ in range(6)]
+        # rows in general position: a relabeling keeps the frame's identities
+        # exactly when it fixes every row outside the basis
+        assert _verdict(frame, list(range(k)))
+    assert True in verdicts and False in verdicts
+
+
+@pytest.mark.parametrize("name", ["hypersimplex36", "cube3-in-5", "segment", "point"])
+def test_packed_relabeling_check_matches_entrywise_before_and_after_R(name):
+    # a frame short of full rank packs at the D of its elimination, and
+    # again at the D of R once R is read
+    points = {
+        "hypersimplex36": lambda: hypersimplex(3, 6),       # 5-dimensional in R^6
+        "cube3-in-5": lambda: [v + (F(0), F(0)) for v in cube_v(3).vertices],
+        "segment": lambda: [(F(0), F(1), F(2)), (F(3), F(1), F(-1))],
+        "point": lambda: [(F(2), F(-1), F(3))],
+    }[name]()
+    V, _, _ = unimodular_image(points, f"packed/{name}")
+    frame, ncols = V.frame, V.n + 1
+    assert "R" not in vars(frame) and len(frame.basis) < ncols
+    G = affine_symmetry_group(V)
+    rng = random.Random(f"packed/{name}")
+    imgs = candidate_images(G, rng)
+    imgs += [_tampered(img, rng) for img in imgs if V.k > 1]
+    _assert_packed(frame, ncols)
+    before = [_verdict(frame, img) for img in imgs]
+    assert before == [Permutation([x + 1 for x in img]) in G for img in imgs]
+    assert frame.R and "R" in vars(frame)
+    _assert_packed(frame, ncols)
+    assert [_verdict(frame, img) for img in imgs] == before
+    assert True in before and (False in before or V.k <= 2)
+
+
+def _row_verdicts(P, sigmas) -> list:
+    """Each row relabeling's verdict by _RowRealizer.realize on packed rows,
+    from a cleared record, which equals the entry-by-entry checks: the
+    frame's identities, then row n of T and n pivots of its linear block."""
+    realizer = symdetect._RowRealizer(P)
+    frame, n = realizer.frame, P.n
+    _assert_packed(frame, n + 1)
+    verdicts = []
+    for sigma in sigmas:
+        img = [x - 1 for x in sigma.images]
+        linear = _verdict(frame, img)
+        got = realizer.realize(sigma)
+        frame.images.clear()
+        assert got == (linear and reference_row_affine(frame, img, n))
+        verdicts.append((linear, got))
+    return verdicts
+
+
+@pytest.mark.parametrize("name", ["cube_h4", "cross_h3", "simplex_h3", "met_h5"])
+def test_packed_row_checks_match_entrywise(name):
+    P = row_image({"cube_h4": lambda: cube_h(4), "cross_h3": lambda: cross_h(3),
+                   "simplex_h3": lambda: simplex_h(3), "met_h5": lambda: met_h(5)}[name](),
+                  f"packed/{name}")
+    G = restricted_symmetries_H(P)
+    rng = random.Random(f"packed/{name}")
+    # members, members times one transposition, and random relabelings
+    sigmas = probe_permutations(rng, G)
+    verdicts = _row_verdicts(P, sigmas)
+    assert [got for _, got in verdicts] == [sigma in G for sigma in sigmas]
+    assert any(got for _, got in verdicts)
+    # every row of a simplex is in the frame's basis, and every relabeling
+    # is a symmetry
+    assert not all(got for _, got in verdicts) or name == "simplex_h3"
+
+
+def test_packed_row_checks_keep_the_triangle_rows_at_order_2(tmp_path, capsys):
+    # the triangle H file of three rows whose primitive forms no linear map
+    # permutes in full: every relabeling keeps the frame's identities, the
+    # affine test keeps 2, and automorphisms prints order 2
+    path = tmp_path / "triangle.ine"
+    path.write_text("H-representation\nbegin\n3 3 integer\n1 -1 0\n3 1 -2\n1 2 2\nend\n")
+    assert main(["automorphisms", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("order 2\n")
+    P = parse_polyfile(path.read_text()).to_hpolyhedron()
+    verdicts = _row_verdicts(P, map(Permutation, itertools.permutations((1, 2, 3))))
+    assert [linear for linear, _ in verdicts] == [True] * 6
+    assert sum(got for _, got in verdicts) == 2
