@@ -54,6 +54,8 @@ from .polycore import (
     Vector,
     VerificationError,
     VPolyhedron,
+    adjacent_pairs,
+    combine,
     dot,
     frac,
     gauss_jordan,
@@ -207,47 +209,31 @@ def _eliminate(eqs: list, les: list, masks: list, points: int, k: int
     """The rows and masks of Q in R^k, as _chain's top holds them, projected
     onto the first k - 1 coordinates.
 
-    An equality that moves x_k is substituted into every other row.  Else
-    the facets that do not move x_k stay, and each pair of opposite sign on
-    it whose common mask holds a point (every nonempty face does) and lies
-    in no third mask meets in a ridge and gives its combination without x_k
-    (Chernikov's rule).  A ridge holds at least dim Q - 1 generators, so
-    pairs sharing fewer are skipped first, as in polycore.dd_cone.
+    An equality that moves x_k is first substituted into every other row.
+    Then the facets that do not move x_k stay, and each pair of opposite
+    sign on it that adjacent_pairs yields meets in a ridge, which holds at
+    least dim Q - 1 generators; when its common mask holds a point (every
+    nonempty face does), it gives its combination without x_k.
     """
     j = k - 1
     e = next((e for e in eqs if e[j]), None)
     if e is not None:
-        c, s = abs(e[j]), 1 if e[j] > 0 else -1
-
-        def sub(r):
-            f = s * r[j]
-            return primitive([c * x - f * y for x, y in zip(r[:j] + r[k:], e[:j] + e[k:])])
-
-        return [sub(r) for r in eqs if r is not e], [sub(r) for r in les], masks
-    eqs = [r[:j] + r[k:] for r in eqs]
-    out, out_masks, plus, minus = [], [], [], []
-    for i, r in enumerate(les):
-        if r[j]:
-            (plus if r[j] > 0 else minus).append(i)
-        else:
-            out.append(r[:j] + r[k:])
-            out_masks.append(masks[i])
+        c, s = abs(e[j]), -1 if e[j] > 0 else 1
+        eqs = [combine(c, r, s * r[j], e) for r in eqs if r is not e]
+        les = [combine(c, r, s * r[j], e) for r in les]
+    vals = [r[j] for r in les]
+    out = [r[:j] + r[k:] for r, v in zip(les, vals) if not v]
+    out_masks = [m for m, v in zip(masks, vals) if not v]
     seen = set(out)
-    need = k - len(eqs) - 1
-    for ip in minus:
-        p, mp = les[ip], masks[ip]
-        for iq in plus:
-            z = mp & masks[iq]
-            if not z & points or z.bit_count() < need or any(
-                    m & z == z for i, m in enumerate(masks) if i != ip and i != iq):
-                continue
-            q = les[iq]
-            w = primitive([q[j] * x - p[j] * y for x, y in zip(p[:j] + p[k:], q[:j] + q[k:])])
+    for p, q, z in adjacent_pairs(vals, masks, k - len(eqs) - 1):
+        if z & points:
+            w = combine(vals[q], les[p], -vals[p], les[q])
+            w = w[:j] + w[k:]
             if w not in seen:
                 seen.add(w)
                 out.append(w)
                 out_masks.append(z)
-    return eqs, out, out_masks
+    return [r[:j] + r[k:] for r in eqs], out, out_masks
 
 
 def _walk(levels: Sequence[list], pos: Sequence[int], prefix: list[int],

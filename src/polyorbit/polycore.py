@@ -33,10 +33,13 @@ convert_dd_incidence wraps them in Fraction.  remove_redundancy (through
 irredundant_rows and P.dd), affine_hull of an H-description, the facet
 incidence sets of repconv and latcount, and the faces that latcount.volume
 triangulates read those masks, so canonical forms need no LP and no face is
-converted again.  solve_lp is left to optimization: symilp.solve_lp_reduced
-and the relaxation point that orders symilp.symmetric_ilp's feasibility
-sweep.  Lattice counting, and the ILP without blocks that runs on its walk,
-solve none.
+converted again.  dd_cone pairs generators by adjacent_pairs (Chernikov's
+rule on the masks) and combines each pair by combine, and so do the
+Fourier-Motzkin steps of latcount; repconv's facet walk rotates its
+supporting hyperplane by combine.  solve_lp is left to optimization:
+symilp.solve_lp_reduced and the relaxation point that orders
+symilp.symmetric_ilp's feasibility sweep.  Lattice counting, and the ILP
+without blocks that runs on its walk, solve none.
 """
 from __future__ import annotations
 
@@ -45,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property, reduce
 from math import gcd, lcm
 from operator import and_, mul, sub
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Iterator, Optional, Sequence, Union
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -416,7 +419,8 @@ class HPolyhedron:
     A: Matrix
     b: Vector
     # 1-based indices of rows known to hold with equality on the whole set
-    # (populated by remove_redundancy).
+    # (a file's linearity or _v_to_h's equalities, both through of_rows, or
+    # those remove_redundancy finds).
     equality_rows: tuple[int, ...] = ()
 
     def __post_init__(self):
@@ -687,7 +691,8 @@ def dd_cone(rows: Sequence[Sequence], n: int
     is scaled once to a primitive integer row (the cone does not change),
     after which the method runs in integer arithmetic: every update combines
     two generators with positive integer multipliers, a positive multiple of
-    the rational combination, so the primitive results are the same.
+    the rational combination, so the primitive results are the same.  The
+    rays a row adds are the combine of each pair that adjacent_pairs yields.
     """
     lin: list[tuple[int, ...]] = [tuple(1 if j == i else 0 for j in range(n))
                                   for i in range(n)]
@@ -701,48 +706,47 @@ def dd_cone(rows: Sequence[Sequence], n: int
             i0 = next(i for i, v in enumerate(lin_vals) if v != 0)
             l0, v0 = lin[i0], lin_vals[i0]
             s0 = 1 if v0 > 0 else -1
-            lin = [l if v == 0 else _combine(abs(v0), l, -s0 * v, l0)
+            lin = [l if v == 0 else combine(abs(v0), l, -s0 * v, l0)
                    for i, (l, v) in enumerate(zip(lin, lin_vals)) if i != i0]
             r0 = l0 if v0 < 0 else tuple(-x for x in l0)
             # each projected ray once, first copy first, with its mask
             new = {}
             for r, m in zip(rays, masks):
                 vr = sum(map(mul, a, r))
-                rp = r if vr == 0 else _combine(abs(v0), r, vr, r0)
+                rp = r if vr == 0 else combine(abs(v0), r, vr, r0)
                 if any(rp):
                     new.setdefault(rp, m | 1 << t)
             rays, masks = [*new, r0], [*new.values(), (1 << t) - 1]
         else:
             vals = [sum(map(mul, a, r)) for r in rays]
-            plus = [i for i, v in enumerate(vals) if v > 0]
-            if plus:
-                minus = [i for i, v in enumerate(vals) if v < 0]
-                created = {}           # each new ray once, with its mask
-                # the common tight rows of an adjacent pair have rank
-                # n - 2 - dim(lineality), so a pair tight on fewer rows is
-                # not adjacent; and a pair is adjacent exactly when no third
-                # ray is tight on all of them, so when only the pair itself
-                # is (Fukuda-Prodon, "Double description method revisited",
-                # 1996)
-                need = n - 2 - len(lin)
-                for ip in minus:
-                    for iq in plus:
-                        z = masks[ip] & masks[iq]
-                        if z.bit_count() < need or len([m for m in masks if m & z == z]) > 2:
-                            continue
-                        # a positive combination of two rays is tight exactly
-                        # where both are, and on the new row
-                        created.setdefault(_combine(vals[iq], rays[ip], -vals[ip], rays[iq]),
-                                           z | 1 << t)
-                rays = [r for r, v in zip(rays, vals) if v <= 0] + [*created]
-                masks = [m | (not v) << t for m, v in zip(masks, vals) if v <= 0] + [
-                    *created.values()]
-            else:
-                masks = [m | (not v) << t for m, v in zip(masks, vals)]
+            created = {}               # each new ray once, with its mask
+            # a positive combination of two rays is tight exactly where both
+            # are, and on the new row
+            for p, q, z in adjacent_pairs(vals, masks, n - 2 - len(lin)):
+                created.setdefault(combine(vals[q], rays[p], -vals[p], rays[q]), z | 1 << t)
+            rays = [r for r, v in zip(rays, vals) if v <= 0] + [*created]
+            masks = [m | (not v) << t for m, v in zip(masks, vals) if v <= 0] + [*created.values()]
     return lin, rays, masks
 
 
-def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[int, ...]:
+def adjacent_pairs(vals: Sequence[int], masks: Sequence[int], need: int
+                   ) -> Iterator[tuple[int, int, int]]:
+    """The pairs (p, q, z) with vals[p] < 0 < vals[q] that meet in a ridge,
+    p-major in index order, z = masks[p] & masks[q]: z has at least need
+    bits (the common tight rows of an adjacent pair in a cone in R^n have
+    rank n - 2 - dim(lineality)) and no third mask holds it (Chernikov's
+    rule; Fukuda-Prodon, "Double description method revisited", 1996)."""
+    plus = [q for q, v in enumerate(vals) if v > 0]
+    for p, v in enumerate(vals):
+        if v < 0:
+            for q in plus:
+                z = masks[p] & masks[q]
+                if z.bit_count() >= need and not any(
+                        m & z == z for i, m in enumerate(masks) if i != p and i != q):
+                    yield p, q, z
+
+
+def combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[int, ...]:
     """The primitive form of p*u + q*w, for integer vectors and multipliers."""
     v = tuple(p * x + q * y for x, y in zip(u, w))
     g = gcd(*v)

@@ -53,6 +53,7 @@ from .polycore import (
     VerificationError,
     VPolyhedron,
     Vector,
+    combine,
     convert_dd,
     dd_cone,
     hull_coordinates,
@@ -148,7 +149,7 @@ def _rotate_about(pts: Sequence[Sequence[int]], face: frozenset, c: tuple[int, .
             num, den, arg = pn, pd, [i + 1]
         elif cmp == 0:
             arg.append(i + 1)
-    row = primitive([den * x + num * y for x, y in zip(g, c)] + [den * gamma + num * delta])
+    row = combine(den, g + (gamma,), num, c + (delta,))
     return row[:-1], row[-1], arg
 
 

@@ -822,9 +822,12 @@ def recompute_orbit(G, idx: int) -> None:
 
 def reference_dd_cone(rows: Sequence[Sequence], n: int
                       ) -> tuple[list[tuple[int, ...]], list[tuple[int, ...]], list[int]]:
-    """polycore.dd_cone as it tested adjacency by scanning every third ray
-    by index with any, and rebuilt the kept rays in one loop: the same
-    lineality, rays and masks in the same order."""
+    """polycore.dd_cone written out in one function: its own pair loop, with
+    the third-ray scan by index with any that polycore.adjacent_pairs also
+    makes, and the kept rays rebuilt in one loop: the same lineality, rays
+    and masks in the same order.  It decides adjacency by the masks as
+    dd_cone does; test_polycore.py's TestAdjacentPairs checks that rule
+    against the rank of the common tight rows."""
     lin: list[tuple[int, ...]] = [tuple(1 if j == i else 0 for j in range(n))
                                   for i in range(n)]
     rays: list[tuple[int, ...]] = []

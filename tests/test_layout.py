@@ -20,9 +20,12 @@ and only polycore
 builds a homogenization cone: outside it, only the tangent cones of
 repconv._idm_orbits call dd_cone, the two realizers of symdetect are the
 one place that judges the shape of an input for the symmetric routes, the
-projection chain of latcount runs no double description, an H-description
-is converted to integer points with no Fraction, and no module is long
-enough to grow the parser's token array past 8,192 slots."""
+projection chain of latcount runs no double description, the double
+description and the projection chain pair generators through the one
+adjacency test adjacent_pairs and combine them, and the facet walk's
+rotation, through combine, an H-description is converted to integer points
+with no Fraction, and no module is long enough to grow the parser's token
+array past 8,192 slots."""
 import ast
 import importlib
 import importlib.util
@@ -505,6 +508,35 @@ def test_one_top_builds_every_projection_chain():
     assert [a.arg for a in chain.args.args] == ["top", "order"]
     assert not chain.args.vararg and not chain.args.kwonlyargs and not chain.args.kwarg
 
+
+
+def _tests_common_mask(fn: ast.AST) -> bool:
+    """Whether fn tests a mask against a pair's common mask, m & z == z with
+    z a name that fn assigns the AND of two masks to."""
+    common = {t.id for node in ast.walk(fn) if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.BitAnd)
+              for t in node.targets if isinstance(t, ast.Name)}
+    return any(isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.Eq)
+               and isinstance(node.left, ast.BinOp) and isinstance(node.left.op, ast.BitAnd)
+               and isinstance(node.comparators[0], ast.Name) and node.comparators[0].id in common
+               and node.comparators[0].id in {getattr(node.left.left, "id", None),
+                                              getattr(node.left.right, "id", None)}
+               for node in ast.walk(fn))
+
+
+def test_one_pair_step_serves_the_dd_and_the_projection_chain():
+    # the double description and each Fourier-Motzkin step pair generators
+    # through adjacent_pairs (Chernikov's rule) and combine each pair with
+    # combine, which also rotates repconv's supporting hyperplane
+    for name, names in [("polycore.py", {"dd_cone"}), ("latcount.py", {"_eliminate"})]:
+        (fn,) = _top_level(name, names)
+        assert {"adjacent_pairs", "combine"} <= _called(fn), fn.name
+    (fn,) = _top_level("repconv.py", {"_rotate_about"})
+    assert "combine" in _called(fn)
+    testers = {(source.name, fn.name) for source in PACKAGE.glob("*.py")
+               for fn in ast.walk(ast.parse(source.read_text()))
+               if isinstance(fn, ast.FunctionDef) and _tests_common_mask(fn)}
+    assert testers == {("polycore.py", "adjacent_pairs")}
 
 def test_h_to_v_conversion_builds_no_fraction():
     # the vertices of P.dd are made from its int_points on their first read,

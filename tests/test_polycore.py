@@ -14,6 +14,7 @@ from polyorbit.polycore import (
     LPResult,
     PolyhedronError,
     VPolyhedron,
+    adjacent_pairs,
     affine_hull,
     affinely_independent_subset,
     clear_denominators,
@@ -21,6 +22,7 @@ from polyorbit.polycore import (
     dd_cone,
     det,
     dot,
+    gauss_jordan,
     identity_matrix,
     incidence,
     integer_h_to_v,
@@ -1009,3 +1011,55 @@ class TestDoubleDescriptionOracle:
             seen["rays"] += bool(rays)
             seen["lines"] += any(tuple(-x for x in r) in rays for r in rays)
         assert min(seen.values()) >= 10, seen
+
+
+# ---------------------------------------------------------------------------
+# adjacent_pairs against the rank test of adjacency
+
+
+def rank_adjacent_pairs(rows, n, lin, vals, masks):
+    """The pairs (p, q, z) with vals[p] < 0 < vals[q] whose rays span a 2-face
+    of the cone {r.x <= 0 for r in rows} modulo its lineality: those whose
+    common tight rows have rank n - 2 - dim(lineality), by gauss_jordan.  No
+    mask is compared with another."""
+    def tight_rank(z):
+        return len(gauss_jordan([r for t, r in enumerate(rows) if z >> t & 1])[1])
+    return [(p, q, masks[p] & masks[q]) for p, u in enumerate(vals) if u < 0
+            for q, w in enumerate(vals) if w > 0
+            if tight_rank(masks[p] & masks[q]) == n - 2 - len(lin)]
+
+
+class TestAdjacentPairs:
+    def test_seeded_cones_against_ranks(self):
+        # dd_cone, reference_dd_cone and reference_chain's levels all decide
+        # adjacency by masks; the rank test shares nothing with them
+        rng = random.Random(1996)
+        seen = dict(lines=0, flat=0, yielded=0, refused=0)
+        for _ in range(1500):
+            rows, n = seeded_cone(rng)
+            flat = rows and rng.random() < 0.4
+            if flat:
+                # a row and its negation: the cone lies in a hyperplane
+                rows.append(tuple(-x for x in rng.choice(rows)))
+            lin, rays, masks = dd_cone(rows, n)
+            a = [rng.randint(-3, 3) for _ in range(n)]
+            vals = [sum(x * y for x, y in zip(a, r)) for r in rays]
+            got = list(adjacent_pairs(vals, masks, n - 2 - len(lin)))
+            assert got == rank_adjacent_pairs(rows, n, lin, vals, masks), (rows, n, a)
+            seen["lines"] += bool(lin) and bool(got)
+            seen["flat"] += bool(flat and any(rows[-1]) and got)
+            seen["yielded"] += len(got)
+            seen["refused"] += sum(u < 0 for u in vals) * sum(u > 0 for u in vals) - len(got)
+        assert min(seen.values()) >= 80, seen
+
+    def test_two_rays_that_share_no_row(self):
+        # the quadrant x, y >= 0: each ray is tight on one row, none on both,
+        # and the two are adjacent with an empty common mask
+        rows = [(-1, 0), (0, -1)]
+        lin, rays, masks = dd_cone(rows, 2)
+        assert (lin, rays, masks) == ([], [(1, 0), (0, 1)], [0b10, 0b01])
+        for vals, want in [([1, -1], [(1, 0, 0)]), ([-1, 1], [(0, 1, 0)]), ([1, 1], [])]:
+            assert list(adjacent_pairs(vals, masks, 0)) == want
+            assert rank_adjacent_pairs(rows, 2, lin, vals, masks) == want
+        # a third ray tight on nothing either: no two of the three are adjacent
+        assert list(adjacent_pairs([-1, 1, 1], [0, 0, 0], 0)) == []
