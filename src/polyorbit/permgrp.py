@@ -28,9 +28,10 @@ strong generating set on the base (the automorphism search delivers one), and
 the closure runs only when they fall short, stopping as soon as the order is
 reached.  A chain that closes below the given order, or grows past it, raises.
 
-A set orbit is expanded once, in full, under a budget of sets (past it
-OrbitBudgetExceeded: a key that is not canonical could let one orbit be
-counted twice), keyed by its lexicographically least member, and its set
+An index set is the ascending tuple of its points.  A set orbit is expanded
+once, in full, under a budget of sets (past it OrbitBudgetExceeded: a key
+that is not canonical could let one orbit be counted twice), each member the
+sorted image of its parent, keyed by its least member, and its set
 stabilizer is read off the expansion's Schreier tree.  That stabilizer has
 the known order |G| / |orbit|, so its chain is grown one Schreier generator
 at a time and stops at that order: a set whose orbit has |G| sets gets the
@@ -387,9 +388,9 @@ def schreier_sims(generators: Sequence[Permutation], degree: Optional[int] = Non
 
 @dataclass(frozen=True)
 class SetOrbit:
-    """A fully expanded set orbit: its lexicographically least member as a
-    sorted tuple, its size, its members as a frozenset of frozensets, and
-    the expansion's Schreier tree: the generators it ran under and each
+    """A fully expanded set orbit: its key, the least of its members, its
+    size, its members as a frozenset of ascending tuples, and the
+    expansion's Schreier tree: the generators it ran under and each
     member's (parent, generator index) in breadth-first order, None at the
     root."""
     representative: tuple[int, ...]
@@ -404,14 +405,14 @@ class SetOrbit:
 
 
 def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_000) -> SetOrbit:
-    """Orbit of an index set under G, expanded breadth-first; the
-    representative is its lexicographically least member, so two sets are in
-    one orbit exactly when their representatives agree.  Raises
+    """Orbit of an index set under G, expanded breadth-first, each member an
+    ascending tuple; the representative is its least member, so two sets
+    are in one orbit exactly when their representatives agree.  Raises
     OrbitBudgetExceeded when the orbit has more than budget sets.
     """
-    S = frozenset(S)
-    if S and not (1 <= min(S) and max(S) <= G.degree):
-        raise ValueError(f"set {sorted(S)} not within 1..{G.degree}")
+    S = tuple(sorted(set(S)))
+    if S and not (1 <= S[0] and S[-1] <= G.degree):
+        raise ValueError(f"set {list(S)} not within 1..{G.degree}")
     maps = [g._p.__getitem__ for g in G.generators]
     tree = {S: None}
     frontier = [S]
@@ -419,15 +420,14 @@ def orbit_of_set(G: PermutationGroup, S: Iterable[int], budget: int = 2_000_000)
         nxt = []
         for X in frontier:
             for i, g in enumerate(maps):
-                Y = frozenset(map(g, X))
+                Y = tuple(sorted(map(g, X)))
                 if Y not in tree:
                     if len(tree) >= budget:
                         raise OrbitBudgetExceeded(f"set orbit exceeded budget {budget}")
                     tree[Y] = (X, i)
                     nxt.append(Y)
         frontier = nxt
-    rep = min(tuple(sorted(X)) for X in tree)
-    return SetOrbit(rep, len(tree), frozenset(tree), (G.generators, tree))
+    return SetOrbit(min(tree), len(tree), frozenset(tree), (G.generators, tree))
 
 
 def set_stabilizer(G: PermutationGroup, S: Union[SetOrbit, Iterable[int]],
@@ -457,7 +457,7 @@ def set_stabilizer(G: PermutationGroup, S: Union[SetOrbit, Iterable[int]],
     ps = [g._p for g in G.generators]
     witness = {next(iter(tree)): G._identity}
 
-    def u(X: frozenset) -> tuple:
+    def u(X: tuple) -> tuple:
         path = []
         while X not in witness:
             path.append(X)
@@ -469,13 +469,13 @@ def set_stabilizer(G: PermutationGroup, S: Union[SetOrbit, Iterable[int]],
 
     # u_T: an index set is the root itself, and a SetOrbit asks for its
     # representative
-    c = u(frozenset(orb.representative)) if orb is S else G._identity
+    c = u(orb.representative) if orb is S else G._identity
     c_inv = _inverse(c)
     for X in tree:
         uX = u(X)
         for ap in ps:
             au = tuple(map(ap.__getitem__, uX))
-            v = u(frozenset(map(ap.__getitem__, X)))
+            v = u(tuple(sorted(map(ap.__getitem__, X))))
             # a tree edge gives the identity
             if au != v:
                 h = tuple(map(_inverse(v).__getitem__, au))

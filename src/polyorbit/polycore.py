@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
+from itertools import islice
 from math import gcd, lcm
 from operator import and_, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
@@ -53,9 +54,6 @@ from typing import Iterable, Iterator, Optional, Sequence, Union
 Rational = Fraction
 Vector = tuple[Fraction, ...]
 Matrix = tuple[Vector, ...]
-# A face is referred to by the 1-based indices of the generators (or rows)
-# incident to it.
-FaceIndexSet = frozenset
 
 
 class PolyhedronError(Exception):
@@ -741,8 +739,9 @@ def adjacent_pairs(vals: Sequence[int], masks: Sequence[int], need: int
         if v < 0:
             for q in plus:
                 z = masks[p] & masks[q]
-                if z.bit_count() >= need and not any(
-                        m & z == z for i, m in enumerate(masks) if i != p and i != q):
+                # masks p and q hold z, so no third does when fewer than three do
+                if z.bit_count() >= need and next(
+                        islice((m for m in masks if m & z == z), 2, None), None) is None:
                     yield p, q, z
 
 
@@ -847,9 +846,9 @@ def convert_dd(P: Union[HPolyhedron, VPolyhedron]) -> Union[VPolyhedron, HPolyhe
     return convert_dd_incidence(P)[0]
 
 
-def index_set(mask: int) -> FaceIndexSet:
-    """The 1-based indices of the set bits of a mask."""
-    return frozenset(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
+def index_set(mask: int) -> tuple:
+    """The 1-based indices of the set bits of a mask, in ascending order."""
+    return tuple(j + 1 for j in range(mask.bit_length()) if mask >> j & 1)
 
 
 # ---------------------------------------------------------------------------
@@ -867,10 +866,10 @@ class IncidenceData:
     k: int
     row_masks: tuple[int, ...]
 
-    def row_set(self, i: int) -> FaceIndexSet:
-        return index_set(self.row_masks[i - 1])
+    def row_set(self, i: int) -> frozenset:
+        return frozenset(index_set(self.row_masks[i - 1]))
 
-    def column_set(self, j: int) -> FaceIndexSet:
+    def column_set(self, j: int) -> frozenset:
         return frozenset(i + 1 for i in range(self.m)
                          if self.row_masks[i] >> (j - 1) & 1)
 

@@ -2,20 +2,21 @@
 
 The base converter is the double description method of polycore, run on a
 homogenization cone in integer arithmetic; it also reports which input
-elements each output element is tight on, and every facet incidence set
-below is read from those masks.  On top of it sit two orbitwise methods for
-vertex input: adjacency decomposition (seed one facet, walk to neighbors
-across ridges, keep one representative per orbit, record the orbit pairs
-crossed, off which the adjacency graph is read) and incidence decomposition
-(enumerate the facets through one representative point of each input
-orbit).  Both catalog facet orbits in an OrbitLedger keyed by canonical
-incident-vertex sets, so any two runs agree key-for-key.  Every facet orbit
-is expanded by permgrp.orbit_of_set and keyed by its lexicographically
-least member, so an orbit is known exactly when its key is; an orbit past
-the set budget stops the conversion.  orbit_of_set expands each orbit once:
-a facet that lies in an orbit already expanded is looked up, not expanded
-again, and the stabilizer of a walked facet is read off the Schreier tree
-of its orbit's expansion.  Everything runs serially on one thread.
+elements each output element is tight on, and every facet below is the
+ascending tuple of the indices in its mask, the one form permgrp gives an
+index set.  On top of it sit two orbitwise methods for vertex input:
+adjacency decomposition (seed one facet, walk to neighbors across ridges,
+keep one representative per orbit, record the orbit pairs crossed, off which
+the adjacency graph is read) and incidence decomposition (enumerate the
+facets through one representative point of each input orbit).  Both catalog
+facet orbits in an OrbitLedger keyed by canonical incident-vertex sets, so
+any two runs agree key-for-key.  Every facet orbit is expanded by
+permgrp.orbit_of_set and keyed by its least member, so an orbit is known
+exactly when its key is; an orbit past the set budget stops the conversion.
+orbit_of_set expands each orbit once: a facet that lies in an orbit already
+expanded is looked up, not expanded again, and the stabilizer of a walked
+facet is read off the Schreier tree of its orbit's expansion.  Everything
+runs serially on one thread.
 
 The facet walk runs in integer arithmetic, on VPolyhedron.int_points: one
 scale per polytope, which keeps every incidence set and every choice of the
@@ -81,11 +82,11 @@ from .symdetect import are_affine_symmetries
 #
 # All engine functions work on a full-dimensional list of integer points in
 # R^d (d >= 1) with 1-based indices; facets are identified with their full
-# incident-index sets.  Supporting rows are recovered from incidence sets,
-# so recursion only ever passes index sets around.
+# incident-index sets, as ascending tuples.  Supporting rows are recovered
+# from incidence sets, so recursion only ever passes index sets around.
 
 
-def _supporting_row(pts: Sequence[Sequence[int]], S: frozenset, ns: Sequence[Sequence[int]]
+def _supporting_row(pts: Sequence[Sequence[int]], S: tuple[int, ...], ns: Sequence[Sequence[int]]
                     ) -> tuple[tuple[int, ...], int]:
     """(a, delta), primitive, with a.x <= delta over pts and equality
     exactly on S, read off ns, the integer null space of the differences of
@@ -96,7 +97,7 @@ def _supporting_row(pts: Sequence[Sequence[int]], S: frozenset, ns: Sequence[Seq
     if len(ns) != 1:
         raise PolyhedronError("index set does not span a facet")
     a = ns[0]
-    delta = sum(map(mul, a, pts[min(S) - 1]))
+    delta = sum(map(mul, a, pts[S[0] - 1]))
     for j, p in enumerate(pts):
         if (j + 1) in S:
             continue
@@ -110,8 +111,8 @@ def _supporting_row(pts: Sequence[Sequence[int]], S: frozenset, ns: Sequence[Seq
     return a, delta
 
 
-def _rotate_about(pts: Sequence[Sequence[int]], face: frozenset, c: tuple[int, ...],
-                  delta: int, skip: frozenset, away: Optional[int] = None
+def _rotate_about(pts: Sequence[Sequence[int]], face: tuple[int, ...], c: tuple[int, ...],
+                  delta: int, skip: tuple[int, ...], away: Optional[int] = None
                   ) -> Optional[tuple[tuple[int, ...], int, list[int]]]:
     """Rotate the hyperplane c.x = delta about aff(face) to the first points
     outside skip, or None when face already spans a hyperplane.
@@ -125,10 +126,8 @@ def _rotate_about(pts: Sequence[Sequence[int]], face: frozenset, c: tuple[int, .
     point outside skip lies strictly below c.x = delta, so each denominator
     is positive and two parameters compare by cross-multiplying integers.
     """
-    members = sorted(face)
-    base = pts[members[0] - 1]
-    ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in members[1:]],
-                           len(base))
+    base = pts[face[0] - 1]
+    ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in face[1:]], len(base))
     if len(ns) == 1:
         return None
     k = next(j for j, x in enumerate(c) if x)
@@ -139,6 +138,7 @@ def _rotate_about(pts: Sequence[Sequence[int]], face: frozenset, c: tuple[int, .
     gamma = sum(map(mul, g, base))
     num, den = 0, 0               # t = num / den, den > 0 once a point is seen
     arg: list[int] = []
+    skip = set(skip)
     for i, p in enumerate(pts):
         if (i + 1) in skip:
             continue
@@ -153,32 +153,32 @@ def _rotate_about(pts: Sequence[Sequence[int]], face: frozenset, c: tuple[int, .
     return row[:-1], row[-1], arg
 
 
-def _initial_facet(pts: Sequence[Sequence[int]]) -> frozenset:
+def _initial_facet(pts: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Deterministic seed facet: maximize the first coordinate, then rotate
     the supporting hyperplane to enlarge the optimal face until it spans
     dimension d-1.  Each rotation pivots within the pencil of hyperplanes
     through the current face, so the face grows strictly."""
     c = (1,) + (0,) * (len(pts[0]) - 1)
     delta = max(p[0] for p in pts)
-    S = frozenset(i + 1 for i, p in enumerate(pts) if p[0] == delta)
+    S = tuple(i + 1 for i, p in enumerate(pts) if p[0] == delta)
     while True:
         step = _rotate_about(pts, S, c, delta, S)
         if step is None:
             return S
         c, delta, arg = step
-        S |= set(arg)
+        S = tuple(sorted([*S, *arg]))
 
 
-def _neighbor_facet(pts: Sequence[Sequence[int]], F: frozenset, c: tuple[int, ...],
-                    delta: int, R: frozenset) -> frozenset:
+def _neighbor_facet(pts: Sequence[Sequence[int]], F: tuple[int, ...], c: tuple[int, ...],
+                    delta: int, R: tuple[int, ...]) -> tuple[int, ...]:
     """The unique facet other than F containing the ridge R.
 
     The neighbor is cut out at the extreme admissible parameter of the pencil
     of hyperplanes through aff(R), a finite maximum over the vertices outside
     F, with the second functional oriented to support F.
     """
-    f0 = next(i for i in sorted(F) if i not in R)
-    return R | set(_rotate_about(pts, R, c, delta, F, away=f0)[2])
+    f0 = next(i for i in F if i not in R)
+    return tuple(sorted([*R, *_rotate_about(pts, R, c, delta, F, away=f0)[2]]))
 
 
 def _ridges(G: PermutationGroup, orb: SetOrbit, local: Sequence[Sequence[int]],
@@ -195,19 +195,19 @@ def _ridges(G: PermutationGroup, orb: SetOrbit, local: Sequence[Sequence[int]],
 
 
 def _neighbor_facets(pts: Sequence[Sequence[int]], G: PermutationGroup, orb: SetOrbit,
-                     levels: tuple[int, int], depth: int) -> Iterator[frozenset]:
+                     levels: tuple[int, int], depth: int) -> Iterator[tuple[int, ...]]:
     """Facets adjacent to the key of orb, one per orbit of its ridges under
     its stabilizer.  They reach every neighboring facet orbit, because
     ridges in one stabilizer orbit lead to neighbors in one facet orbit."""
-    members = orb.representative
-    F = frozenset(members)
-    normals, local = hull_coordinates([pts[i - 1] for i in members])
+    F = orb.representative
+    normals, local = hull_coordinates([pts[i - 1] for i in F])
     c, delta = _supporting_row(pts, F, normals)
-    return (_neighbor_facet(pts, F, c, delta, frozenset(members[j - 1] for j in R))
+    # F ascends, so the ridge's vertices do too
+    return (_neighbor_facet(pts, F, c, delta, tuple(F[j - 1] for j in R))
             for R in _ridges(G, orb, local, levels, depth))
 
 
-def _distinct_orbits(G: PermutationGroup, sets: Iterable[frozenset]) -> list[SetOrbit]:
+def _distinct_orbits(G: PermutationGroup, sets: Iterable[tuple[int, ...]]) -> list[SetOrbit]:
     """The orbits of the given sets under G in discovery order, each
     expanded once: a set in an orbit already expanded is skipped."""
     found = []
@@ -239,7 +239,7 @@ def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
             # row t is point t + 1, or t + 2 past p0; a ray of the cone is
             # tight on the rows of the points on its facet
             for mask in dd_cone(rows, d)[2]:
-                yield frozenset(j if j < p0 else j + 1 for j in index_set(mask)) | {p0}
+                yield tuple(sorted([p0, *(j if j < p0 else j + 1 for j in index_set(mask))]))
 
     return _distinct_orbits(G, facets())
 
@@ -316,12 +316,11 @@ class _Geometry:
         else:
             self.normals, self.local = hull_coordinates(self.ambient)
 
-    def ambient_row(self, S: frozenset) -> tuple[int, ...]:
+    def ambient_row(self, S: tuple[int, ...]) -> tuple[int, ...]:
         """The primitive integer (a | b) of the facet on S: a.x <= delta on
         the scaled points is (scale a).x <= delta on the given ones."""
-        members = sorted(S)
-        base = self.ambient[members[0] - 1]
-        ns = integer_nullspace([tuple(map(sub, self.ambient[i - 1], base)) for i in members[1:]]
+        base = self.ambient[S[0] - 1]
+        ns = integer_nullspace([tuple(map(sub, self.ambient[i - 1], base)) for i in S[1:]]
                                + self.normals, len(base))
         a, delta = _supporting_row(self.ambient, S, ns)
         return primitive(tuple(self.scale * x for x in a) + (delta,))
@@ -373,7 +372,7 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
         raise PolyhedronError("group generator is not an affine symmetry of the vertex set")
     geo = _Geometry(V)
     orbits, pairs = _facet_orbit_engine(geo.local, G, levels, 0)
-    entries = {orb.representative: FacetOrbit(orb, geo.ambient_row(frozenset(orb.representative)))
+    entries = {orb.representative: FacetOrbit(orb, geo.ambient_row(orb.representative))
                for orb in orbits}
     return OrbitLedger(entries, V.vertices, G, pairs)
 
@@ -406,7 +405,7 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
     entries = {}
     for row_orbit in sorted(G.point_orbits(), key=min):
         rep = min(row_orbit)
-        S = frozenset(j + 1 for j, T in enumerate(vert_tight) if T >> (rep - 1) & 1)
+        S = tuple(j + 1 for j, T in enumerate(vert_tight) if T >> (rep - 1) & 1)
         orb = orbit_of_set(vertex_group, S)
         if orb.size != len(row_orbit):
             raise VerificationError("internal error: row and facet orbits disagree")

@@ -1,7 +1,7 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
 lattice-point count, projection chain, Ehrhart quasi-polynomial, LP solver,
 reduced invariant LP, symmetry gram, entry-by-entry relabeling checks of an
-integer frame, automorphism search, orbit closure and
+integer frame, automorphism search, orbit closure, set orbit and
 double description shared across test modules, the Fraction matrix helpers
 the references use, and the benchmark's workload builder with a runner for
 its jobs."""
@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Optional, Sequence
 
 from polyorbit.latcount import QuasiPolynomial
-from polyorbit.permgrp import Permutation, _inverse
+from polyorbit.permgrp import Permutation, PermutationGroup, _inverse
 from polyorbit.repconv import _Geometry
 from polyorbit.symdetect import _refine_colors
 from polyorbit.symilp import check_invariance, invariant_subspace
@@ -818,6 +818,33 @@ def recompute_orbit(G, idx: int) -> None:
                     inv[q] = _inverse(gu)
                     new_frontier.append(q)
         frontier = sorted(new_frontier)
+
+
+def reference_orbit_of_set(G, S) -> tuple:
+    """The orbit of the index set S under G with frozenset members, as
+    permgrp.orbit_of_set expanded it before its members became ascending
+    tuples: (key, size, members, stabilizer of S).  The expansion is
+    breadth-first and keeps a witness u_X with u_X(S) = X for each member X;
+    the stabilizer is generated by the Schreier generators u_gX^-1 g u_X
+    (Schreier's lemma), each one added by Schreier-Sims with no order given
+    unless it is already a member."""
+    S = frozenset(S)
+    witness = {S: Permutation.identity(G.degree)}
+    stab = PermutationGroup((), G.degree)
+    frontier = [S]
+    while frontier:
+        nxt = []
+        for X in frontier:
+            for g in G.generators:
+                Y, gu = g.apply_set(X), g * witness[X]
+                if Y not in witness:
+                    witness[Y] = gu
+                    nxt.append(Y)
+                elif (h := witness[Y].inverse() * gu) not in stab:
+                    stab = PermutationGroup(stab.generators + (h,), G.degree)
+        frontier = nxt
+    key = min(tuple(sorted(X)) for X in witness)
+    return key, len(witness), frozenset(witness), stab
 
 
 def reference_dd_cone(rows: Sequence[Sequence], n: int

@@ -12,7 +12,9 @@ color, only polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
 integers, the symmetric ILP and its membership check read integer rows,
 the simplex pivots one integer tableau, the block sums stay in integers,
-the decompositions read what their input holds, a polyhedron's rows and
+the decompositions read what their input holds, an index set is an
+ascending tuple from permgrp's set orbits through repconv's facet walk, a
+polyhedron's rows and
 points become integers only when it is built, as the int_rows and
 int_points every constructor sets, are rounded or have denominators read
 nowhere, and are converted and framed only through its own dd and frame,
@@ -275,6 +277,32 @@ def test_plain_orbits_read_one_integer_cone():
     # VPolyhedron built and no H-description thrown away
     (fn,) = _top_level("repconv.py", {"_plain_orbits"})
     assert not _called(fn) & {"convert_dd_incidence", "from_points"}
+
+
+def _frozenset_calls(fn: ast.AST) -> list:
+    """The calls of frozenset in a syntax tree."""
+    return [call for call in ast.walk(fn) if isinstance(call, ast.Call)
+            and isinstance(call.func, ast.Name) and call.func.id == "frozenset"]
+
+
+def test_index_sets_are_ascending_tuples():
+    # set orbit members and the facets of repconv's walk are ascending
+    # tuples: orbit_of_set's one frozenset is SetOrbit.elements, the set of
+    # its members, and _walk's is the crossed key pairs, OrbitLedger.edges
+    (stab,) = _top_level("permgrp.py", {"set_stabilizer"})
+    walk = _top_level("repconv.py", {"_initial_facet", "_neighbor_facet", "_neighbor_facets",
+                                     "_idm_orbits", "_distinct_orbits", "_decompose_points",
+                                     "_decompose_rows"})
+    for fn in [stab, *walk]:
+        assert not _frozenset_calls(fn), f"{fn.name} builds a frozenset"
+    (orbit,) = _top_level("permgrp.py", {"orbit_of_set"})
+    (call,) = _frozenset_calls(orbit)
+    (made,) = [node for node in ast.walk(orbit) if isinstance(node, ast.Call)
+               and isinstance(node.func, ast.Name) and node.func.id == "SetOrbit"]
+    assert made.args[2] is call
+    (fn,) = _top_level("repconv.py", {"_walk"})
+    (call,) = _frozenset_calls(fn)
+    assert [arg.id for arg in call.args] == ["pairs"]
 
 
 def test_symmetric_ilp_reads_one_integer_row_list():

@@ -10,7 +10,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, probe_permutations,
-                    recompute_orbit, santos_prismatoid)
+                    recompute_orbit, reference_orbit_of_set, santos_prismatoid)
 
 from polyorbit import permgrp
 from polyorbit.permgrp import (
@@ -238,7 +238,7 @@ def test_orbit_of_set_s4():
     assert orb.expanded
     assert orb.size == 6
     assert orb.representative == (1, 2)
-    assert frozenset({1, 4}) in orb.elements
+    assert (1, 4) in orb.elements
 
 
 def test_orbit_of_set_budget_is_exact():
@@ -312,6 +312,37 @@ def test_set_stabilizer_orbit_product():
         assert orb.size * stab.order() == G.order()
 
 
+ORACLE_SHAPES = {"cut5": lambda: cut_v(5), "cut6": lambda: cut_v(6), "cross4": lambda: cross_v(4),
+                 "cross6": lambda: cross_v(6), "hypersimplex37": lambda: hypersimplex_v(3, 7),
+                 "prismatoid": santos_prismatoid}
+
+
+@pytest.mark.parametrize("name", list(ORACLE_SHAPES))
+def test_set_orbits_match_the_frozenset_reference(name):
+    # members are ascending tuples and the key is the least of them; the
+    # members as sets, the size and the stabilizer are those of the
+    # frozenset expansion, on the empty set, singletons and random sets
+    # given in random order
+    V = ORACLE_SHAPES[name]()
+    G = affine_symmetry_group(V)
+    rng = random.Random(f"set-orbit/{name}")
+    sets = [[], [1], [V.k]] + [rng.sample(range(1, V.k + 1), rng.randint(2, V.k - 1))
+                               for _ in range(5)]
+    for S in sets:
+        orb = orbit_of_set(G, S)
+        key, size, members, ref = reference_orbit_of_set(G, S)
+        assert all(list(X) == sorted(set(X)) for X in orb.elements)
+        assert orb.representative == min(orb.elements) == key
+        assert orb.size == len(orb.elements) == size
+        assert {frozenset(X) for X in orb.elements} == members
+        stab = set_stabilizer(G, S)
+        assert stab.order() == ref.order() == G.order() // size
+        assert all(g in stab for g in ref.generators)
+        assert all(g.apply_set(S) == frozenset(S) for g in stab.generators)
+        # the stabilizer of the key, read off the same tree
+        assert set_stabilizer(G, orb).order() == stab.order()
+
+
 # -- set equivalence: two sets share an orbit exactly when their keys agree --
 
 def same_orbit(G, S, T):
@@ -321,7 +352,7 @@ def same_orbit(G, S, T):
 def test_is_equivalent_s4():
     G = schreier_sims(symmetric_gens(4))
     assert same_orbit(G, {1, 2}, {3, 4})
-    assert frozenset({3, 4}) in orbit_of_set(G, {1, 2}).elements
+    assert (3, 4) in orbit_of_set(G, {1, 2}).elements
 
 
 def test_is_equivalent_negative():
@@ -347,7 +378,7 @@ def test_is_equivalent_matches_brute_force():
         orbit = orbit_of_set(G, S).elements
         for T in subsets:
             exists = any(p.apply_set(S) == T for p in closure)
-            assert same_orbit(G, S, T) == exists == (T in orbit)
+            assert same_orbit(G, S, T) == exists == (tuple(sorted(T)) in orbit)
 
 
 # -- randomized structural invariants ------------------------------------------
@@ -384,7 +415,7 @@ def test_orbit_stabilizer_random(dg, data):
     orb = orbit_of_set(G, S)
     stab = set_stabilizer(G, S)
     assert orb.size * stab.order() == G.order()
-    assert frozenset(orb.representative) in orb.elements
+    assert orb.representative in orb.elements
     for el in stab.elements():
         assert el.apply_set(S) == S
 
@@ -584,7 +615,7 @@ def _orbit_outcome(orbit, G, S, budget):
 
 def _current_orbit(G, S, budget):
     orb = orbit_of_set(G, S, budget=budget)
-    return orb.representative, orb.size, orb.elements
+    return orb.representative, orb.size, frozenset(map(frozenset, orb.elements))
 
 
 def _assert_same_orbits(G, R, sets, budgets):
