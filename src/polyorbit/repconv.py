@@ -389,15 +389,17 @@ def _decompose_rows(P: HPolyhedron, G: PermutationGroup) -> OrbitLedger:
     if V.rays:
         raise PolyhedronError("decomposition requires a bounded polytope")
 
-    order = sorted(range(len(V.vertices)), key=V.vertices.__getitem__)
+    # the integer points share one positive scale, so they sort as the vertices
+    order = sorted(range(V.k), key=V.int_points[1].__getitem__)
     vert_list = [V.vertices[j] for j in order]
     vert_tight = [masks[j] for j in order]
     vertex_of = {T: j + 1 for j, T in enumerate(vert_tight)}
+    tight_sets = [index_set(T) for T in vert_tight]
     vgens = []
     for g in G.generators:
-        images = tuple(vertex_of[sum(1 << (g(i) - 1) for i in index_set(T))]
-                       for T in vert_tight)
-        vgens.append(Permutation(images))
+        bit = [0] + [1 << (x - 1) for x in g.images]    # bit[i]: the mask of g(i)
+        vgens.append(Permutation(tuple(vertex_of[sum(map(bit.__getitem__, S))]
+                                       for S in tight_sets)))
     # a row permutation that fixes every vertex of a full-dimensional P fixes
     # its facets, so G acts faithfully on the vertices
     vertex_group = PermutationGroup(vgens, degree=len(vert_list), order=G.order())

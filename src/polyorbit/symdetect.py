@@ -20,9 +20,16 @@ symmetry groups of polyhedra" (2014): W = X (X^t X)^+ X^t, the orthogonal
 projection onto the column space of X.  W does not depend on the basis it
 is computed from, so it is read off the rows' own pivot columns Y = X[:, C],
 which span that space in far smaller integers than L: Q = Y^t Y is positive
-definite, dq = det Q > 0, and W = g / dq for the integer g = Y adj(Q) Y^t.  The
-search compares the ranks of the distinct g, which order as W does, and
-makes no rational color.
+definite, and W = g / dq for an integer g = Y adj(Q/c) Y^t / h, c the content
+of Q and h the common gcd of adj(Q/c) and c det(Q/c), which keep dq small.
+Each column of Y is packed into one int and adj(Q/c) / h folds them into r
+packed columns, so a row of g is one sum of r products.  W is an orthogonal
+projection, so |g_ij| <= dq: a digit of whole bytes wider than dq, biased by
+half its range, holds g_ij and sorts as it does, and one to_bytes cuts the
+row into k comparable slices.  The trace of a rank-r projection is r, so
+the diagonal must sum to r dq, or detection stops.  The search compares
+the ranks of the distinct g, which order as W does, and makes no rational
+color.
 
 Color-preserving graph automorphisms are exactly the candidate symmetries.
 A candidate sigma is an affine symmetry exactly when the frame's identities
@@ -49,13 +56,18 @@ with every assignment so far, and an assignment that empties one is undone.
 A relabeling that keeps W is the relabeling of a linear map (Bremner et
 al.), so once the shortest prefix of the assignment order whose rows span
 is assigned, every other image is forced: the search reads each off its
-one-element domain, and searches no level past that prefix.
+one-element domain, and searches no level past that prefix.  That prefix
+is found row by row against an echelon basis, stopping at the frame's
+rank, and the bitsets near[w] that narrow the domains once a vertex is
+sent to w are made when the search first sends one there.
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import partial
-from operator import add, mul
+from itertools import chain
+from math import gcd
+from operator import add, lshift, mul
 from typing import Callable, Optional, Sequence, Union
 
 from .polycore import (
@@ -67,7 +79,6 @@ from .polycore import (
     VerificationError,
     VPolyhedron,
     adjugate,
-    gauss_jordan,
     irredundant_rows,
 )
 from .permgrp import Permutation, PermutationGroup
@@ -83,23 +94,46 @@ def _gram(frame) -> tuple[list, list, int]:
 
     W does not depend on the basis of that space it is computed from, so it
     is computed from the rows' pivot columns Y, which span it: Q = Y^t Y is
-    positive definite, so dq = det Q > 0, and g = Y adj(Q) Y^t is an integer
-    matrix.  values are the distinct g_ij ascending and rank[i][j] the index
-    of g_ij, which orders pairs as W does."""
+    positive definite.  Q is divided by its content c first, and adj(Q/c)
+    and c det(Q/c) by their common gcd h, so g = Y adj(Q/c) Y^t / h is an
+    integer matrix over dq = c det(Q/c) / h > 0.
+
+    Each column of Y is packed into one int, row j's entry at digit k-1-j
+    of width w, and adj(Q/c) / h folds them into r packed columns M_c, so
+    row i of g is the one sum sum_c y_ic M_c.  As W is an orthogonal
+    projection, |g_ij| <= dq < 2^(w-1) for w the smallest multiple of 8
+    above the bit length of dq, so adding 2^(w-1) to every digit makes each
+    one nonnegative and below 2^w: the big-endian bytes of the row, cut
+    into k slices of w bits, are g_i0, ..., g_i(k-1) biased, and compare as
+    they do.  values are the distinct g_ij ascending and rank[i][j] the index
+    of g_ij, which orders pairs as W does.  The trace of a rank-r projection
+    is r, so the diagonal must sum to r dq; VerificationError if not."""
     Y = [[row[c] for c in frame.pivots] for row in frame.rows]
-    ycols = list(zip(*Y))
+    k, ycols = len(Y), list(zip(*Y))
     Q = [[sum(map(mul, u, v)) for v in ycols] for u in ycols]
-    dq, RQ = adjugate(Q)        # symmetric, as Q is
+    c = gcd(*chain.from_iterable(Q))
+    D, RQ = adjugate([[x // c for x in row] for row in Q])      # symmetric, as Q is
+    h = gcd(c * D, *chain.from_iterable(RQ))
+    dq, RQ = c * D // h, [[x // h for x in row] for row in RQ]
     if dq <= 0:
         raise VerificationError("gram matrix of the frame is not positive definite")
-    G = [[0] * len(Y) for _ in Y]
-    for i, y in enumerate(Y):
-        z = [sum(map(mul, y, col)) for col in RQ]
-        for j in range(i, len(Y)):
-            G[i][j] = G[j][i] = sum(map(mul, z, Y[j]))
-    values = sorted({g for row in G for g in row})
-    rank = {g: r for r, g in enumerate(values)}
-    return [[rank[g] for g in row] for row in G], values, dq
+    b = dq.bit_length() // 8 + 1        # bytes a digit: 2^(8b-1) > dq
+    w, n = 8 * b, k * b
+    shifts = range((k - 1) * w, -1, -w)
+    P = [sum(map(lshift, col, shifts)) for col in ycols]
+    M = [sum(map(mul, row, P)) for row in RQ]
+    bias = int.from_bytes((b"\x80" + bytes(b - 1)) * k, "big")
+    G = []
+    for y in Y:
+        row = (sum(map(mul, y, M)) + bias).to_bytes(n, "big")
+        G.append([row[t:t + b] for t in range(0, n, b)])
+    keys = sorted(set().union(*G))
+    lookup = {key: r for r, key in enumerate(keys)}
+    rank = [list(map(lookup.__getitem__, row)) for row in G]
+    values = [int.from_bytes(key, "big") - (1 << w - 1) for key in keys]
+    if sum(values[rank[i][i]] for i in range(k)) != len(frame.pivots) * dq:
+        raise VerificationError(f"gram of a {k}-row frame fails its trace check")
+    return rank, values, dq
 
 
 # ---------------------------------------------------------------------------
@@ -160,16 +194,14 @@ def _automorphism_search(gram: Sequence[Sequence[int]], spans: Callable[[list], 
     cell_size = {c: colors.count(c) for c in set(colors)}
     # assignment order: smallest color cells first, lowest index first
     order = sorted(range(k), key=lambda i: (cell_size[colors[i]], colors[i], i))
-    # near[y][c]: the bitset of the vertices x != y with gram[x][y] == c.  A
-    # vertex u sent to its image img[u] leaves x only the images in
-    # near[img[u]][gram[x][u]], which keep x's color to u and differ from img[u]
-    near: list = [{} for _ in range(k)]
     cells: dict = {}
-    for x, row in enumerate(gram):
-        cells[colors[x]] = cells.get(colors[x], 0) | 1 << x
-        for y, c in enumerate(row):
-            if x != y:
-                near[y][c] = near[y].get(c, 0) | 1 << x
+    for x, c in enumerate(colors):
+        cells[c] = cells.get(c, 0) | 1 << x
+    # near[y][c]: the bitset of the vertices x != y with gram[x][y] == c, made
+    # on its first read, as a search reads few of them.  A vertex u sent to
+    # its image img[u] leaves x only the images in near[img[u]][gram[x][u]],
+    # which keep x's color to u and differ from img[u]
+    near: list = [None] * k
     top = min(spans(order), k - 1)    # the levels below top are searched
     # after[p]: the colors of order[p+1:] to order[p], for each p narrowed on
     after = [[gram[x][order[p]] for x in order[p + 1:]] for p in range(top)]
@@ -178,6 +210,11 @@ def _automorphism_search(gram: Sequence[Sequence[int]], spans: Callable[[list], 
         """The domains of order[p+1:], given doms, the domains of order[p:],
         once order[p] is sent to w; None if one empties."""
         nw = near[w]
+        if nw is None:
+            nw = near[w] = {}
+            for x, row in enumerate(gram):
+                if x != w:
+                    nw[row[w]] = nw.get(row[w], 0) | 1 << x
         out = [d & nw.get(c, 0) for d, c in zip(doms[1:], after[p])]
         return out if all(out) else None
 
@@ -312,9 +349,26 @@ def realize_vertex_permutation(V: VPolyhedron, sigma: Permutation) -> Optional[A
 
 
 def _spanning_prefix(frame, order: Sequence[int]) -> int:
-    """The length of the shortest prefix of order whose frame rows span: one
-    past the last greedy basis index of the rows in that order."""
-    return gauss_jordan(zip(*(frame.rows[i] for i in order)))[1][-1] + 1
+    """The length of the shortest prefix of order whose frame rows span.
+
+    The rows' coefficients over the frame basis span exactly when the rows
+    do, so they are reduced one at a time, in order, against an echelon
+    basis of those before, each new one kept primitive, until the basis
+    reaches the frame's rank: no row past that prefix is read."""
+    full, echelon = len(frame.basis), []
+    for length, i in enumerate(order, 1):
+        v = frame.coeffs[i]
+        for p, u in echelon:
+            if v[p]:
+                a, b = u[p], v[p]
+                v = [a * x - b * y for x, y in zip(v, u)]
+        p = next((c for c, x in enumerate(v) if x), None)
+        if p is not None:
+            g = gcd(*v)
+            echelon.append((p, [x // g for x in v]))
+            if len(echelon) == full:
+                return length
+    raise VerificationError("frame rows do not reach the rank of their frame")
 
 
 def _frame_symmetries(realizer, degree: int) -> PermutationGroup:

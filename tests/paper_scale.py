@@ -4,7 +4,7 @@ two records.
 
 Run by hand from the root of a checkout (tier-1 does not collect it):
 
-    python tests/paper_scale.py record before.json [--repeat K] [--only NAME ...]
+    python tests/paper_scale.py record before.json [--repeat K] [--short] [--only NAME ...]
     python tests/paper_scale.py diff before.json after.json [--ratio R]
 
 record writes every input into a temporary directory, from tests/shapes.py
@@ -15,14 +15,21 @@ share the machine.  A run is killed at CAP_SECONDS and recorded as
 "timeout".  Each run records its wall time, the child's max RSS, its exit
 code and the verdict of its check: "ok", "fail" (the closed form does not
 match), "refused" (an exit code other than 0 that the check allows, such as
-santos ehrhart today) or "timeout".
+santos ehrhart today) or "timeout".  With --short, record runs only the
+entries the record already holds that are short, a median under
+SHORT_SECONDS, and have fewer than SHORT_RUNS runs.
 
 A record that exists is added to, not replaced, so two checkouts can be
 recorded in turn: copy this file into each, then run record on the parent's
-file and the change's file alternately, each with --repeat 1.  diff compares
-the median wall time of each entry, a timeout counting as CAP_SECONDS, and
-prints every entry whose check got worse or whose median grew by more than
-the ratio (1.25 by default); it exits 1 if any did.
+file and the change's file alternately, each with --repeat 1, and then
+record --short on each alternately until neither runs anything.  A short
+run is mostly interpreter start and compiling src/, whose time moves by
+more than a tenth between runs, so diff judges a short entry only when
+each side has SHORT_RUNS runs.  diff compares the median wall time of each
+entry, a timeout counting as CAP_SECONDS, and prints every entry whose
+check got worse, whose median grew by more than the ratio (1.25 by
+default), or that is short with too few runs on a side; it exits 1 if any
+did.
 """
 from __future__ import annotations
 
@@ -42,6 +49,7 @@ from typing import Callable, Optional
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT / "tests"), str(ROOT / "src")]
 CAP_SECONDS = 300.0
+SHORT_SECONDS, SHORT_RUNS = 1.0, 5
 SANTOS_COUNT, SANTOS_VOLUME = 5931403, Fraction(5294400)
 CUT7_FACETS = 116764
 
@@ -154,13 +162,15 @@ def verdict(result: dict, check: Callable[[str], bool], refused: tuple) -> str:
         return "fail"
 
 
-def record(path: str, repeat: int, only: list) -> int:
+def record(path: str, repeat: int, only: list, short: bool) -> int:
     runs = [r for r in RUNS if not only or r[0] in only]
     if only and len(runs) != len(set(only)):
         print(f"unknown run in {only}; runs are {[r[0] for r in RUNS]}", file=sys.stderr)
         return 2
     target = Path(path)
     records = json.loads(target.read_text()) if target.exists() else {}
+    if short:
+        runs = [r for r in runs if r[0] in records and _too_few(records[r[0]])]
     with tempfile.TemporaryDirectory() as workdir:
         where = Path(workdir)
         write_inputs(where)
@@ -176,6 +186,11 @@ def record(path: str, repeat: int, only: list) -> int:
 
 
 CHECK_RANK = {"ok": 0, "refused": 1, "timeout": 2, "fail": 3}
+
+
+def _too_few(entries: list) -> bool:
+    """Whether the runs of a short entry are too few to judge."""
+    return len(entries) < SHORT_RUNS and summary(entries)[0] < SHORT_SECONDS
 
 
 def summary(entries: list) -> tuple[float, str]:
@@ -194,10 +209,12 @@ def diff(before: str, after: str, ratio: float) -> int:
             continue
         (ta, ca), (tb, cb) = summary(a[name]), summary(b[name])
         rss = (max(e["rss_mib"] for e in a[name]), max(e["rss_mib"] for e in b[name]))
-        worse = CHECK_RANK[cb] > CHECK_RANK[ca] or cb == "fail" or tb > ratio * ta
+        few = _too_few(a[name]) or _too_few(b[name])
+        worse = CHECK_RANK[cb] > CHECK_RANK[ca] or cb == "fail" or tb > ratio * ta or few
         flagged += worse
         print(f"{'FLAG ' if worse else ''}{name}: {ta:.2f} s -> {tb:.2f} s "
-              f"(x{tb / ta:.3f}, runs {len(a[name])}/{len(b[name])}), "
+              f"(x{tb / ta:.3f}, runs {len(a[name])}/{len(b[name])}"
+              f"{f', a short run needs {SHORT_RUNS} a side' if few else ''}), "
               f"max RSS {rss[0]:.0f} -> {rss[1]:.0f} MiB, check {ca} -> {cb}")
     print(f"{flagged} runs flagged at ratio {ratio}")
     return 1 if flagged else 0
@@ -205,16 +222,18 @@ def diff(before: str, after: str, ratio: float) -> int:
 
 def main(argv: list) -> int:
     if len(argv) >= 2 and argv[0] == "record":
-        repeat, only, rest = 1, [], argv[2:]
+        repeat, only, short, rest = 1, [], False, argv[2:]
         while rest:
             if rest[0] == "--repeat" and len(rest) > 1:
                 repeat, rest = int(rest[1]), rest[2:]
+            elif rest[0] == "--short":
+                short, rest = True, rest[1:]
             elif rest[0] == "--only" and len(rest) > 1:
                 only, rest = rest[1:], []
             else:
                 break
         if not rest:
-            return record(argv[1], repeat, only)
+            return record(argv[1], repeat, only, short)
     if len(argv) in (3, 5) and argv[0] == "diff" and argv[3:4] in ([], ["--ratio"]):
         return diff(argv[1], argv[2], float(argv[4]) if len(argv) == 5 else 1.25)
     print("\n\n".join(__doc__.split("\n\n")[1:3]), file=sys.stderr)

@@ -1,10 +1,10 @@
 """Fixture polytopes, their seeded unimodular images, and a reference volume,
 lattice-point count, projection chain, Ehrhart quasi-polynomial, LP solver,
-reduced invariant LP, symmetry gram, entry-by-entry relabeling checks of an
-integer frame, automorphism search, orbit closure, set orbit and
-double description shared across test modules, the Fraction matrix helpers
-the references use, and the benchmark's workload builder with a runner for
-its jobs."""
+reduced invariant LP, symmetry gram, spanning prefix, entry-by-entry
+relabeling checks of an integer frame, automorphism search, orbit closure,
+set orbit and double description shared across test modules, the Fraction
+matrix helpers the references use, and the benchmark's workload builder
+with a runner for its jobs."""
 import contextlib
 import importlib
 import importlib.util
@@ -462,6 +462,13 @@ def reference_gram(frame) -> tuple:
     rqcols = list(zip(*RQ))
     Y = [tuple(sum(map(mul, x, col)) for col in rqcols) for x in lam]
     return tuple(tuple(Fraction(sum(map(mul, y, z)), dq) for z in lam) for y in Y)
+
+
+def reference_spanning_prefix(frame, order: Sequence[int]) -> int:
+    """symdetect._spanning_prefix by its former route: one gauss_jordan of
+    the frame rows in order, transposed, whose last pivot column is the
+    last greedy basis index of the rows in that order."""
+    return gauss_jordan(zip(*(frame.rows[i] for i in order)))[1][-1] + 1
 
 
 def reference_relabels(frame, img: Sequence[int], rows: Optional[Sequence[int]] = None) -> bool:

@@ -8,7 +8,8 @@ and the counting walk of latcount stay in integer arithmetic, neither the
 adjacency graph nor the triangulation behind volume converts anything,
 symmetry detection and the group check
 of the decompositions build no map, the symmetry search makes no Fraction
-color, only polycore clears denominators,
+color and finds its spanning prefix with no whole elimination, only
+polycore clears denominators,
 the facet geometry, the projection chain and the volume frame stay in
 integers, the symmetric ILP and its membership check read integer rows,
 the simplex pivots one integer tableau, the block sums stay in integers,
@@ -233,6 +234,14 @@ def test_symmetry_search_makes_no_fraction_color():
             assert not _called(fn) & {"Fraction", "frac"}, fn.name
     assert {fn.name for fn in fns if _called(fn) & {"Fraction", "frac"}} == {
         "realize_vertex_permutation", "realize_row_permutation"}
+
+
+def test_spanning_prefix_eliminates_no_whole_matrix():
+    # the prefix of the search order whose rows span is found row by row,
+    # stopping at the frame's rank, with no elimination of every row
+    (fn,) = [node for node in ast.walk(ast.parse((PACKAGE / "symdetect.py").read_text()))
+             if isinstance(node, ast.FunctionDef) and node.name == "_spanning_prefix"]
+    assert not _called(fn) & {"gauss_jordan", "_bareiss_step", "adjugate", "rank"}
 
 
 @pytest.mark.parametrize("source", sorted(p for p in PACKAGE.glob("*.py")

@@ -3,11 +3,14 @@ affine realization, and the H-side restricted variant.
 
 Brute-force oracles: permutation scans over all k! candidates for small k,
 independently computed gram values for the square, the gram of the
-frame's coefficients (shapes.reference_gram) for every other gram, and the
-search without domains (shapes.reference_automorphism_search) for the
-generators, base and order of the search.
+frame's coefficients (shapes.reference_gram) for every other gram, one
+elimination of the rows in order (shapes.reference_spanning_prefix) for
+the spanning prefix, and the search without domains
+(shapes.reference_automorphism_search) for the generators, base and order
+of the search.
 """
 import itertools
+import math
 import random
 import sys
 import time
@@ -18,7 +21,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from polyorbit import symdetect
+from polyorbit import polycore, symdetect
 from polyorbit.cli import main, parse_polyfile
 from polyorbit.polycore import (
     AffineMap,
@@ -48,8 +51,9 @@ from polyorbit.symdetect import (
 
 from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, met_h,
                     probe_permutations, reference_automorphism_search, reference_gram,
-                    reference_relabels, reference_row_affine, row_image, santos_prismatoid,
-                    simplex_h, simplex_v, unimodular_image, unpack_row)
+                    reference_relabels, reference_row_affine, reference_spanning_prefix,
+                    row_image, santos_prismatoid, simplex_h, simplex_v, unimodular_image,
+                    unpack_row)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -188,28 +192,40 @@ def test_random_point_set_grams_match_coefficient_route():
     # 200 seeded point sets of 1 to 9 distinct points, many of them spanning
     # less than their ambient space
     rng = random.Random("gram/random")
+    short = 0
     for _ in range(200):
         n, d = rng.randint(1, 4), rng.randint(0, 4)
         gens = [[F(rng.randint(-3, 3), rng.choice((1, 2, 3))) for _ in range(n)]
                 for _ in range(d + 1)]
         pts = {tuple(sum(c * g[a] for c, g in zip(cs, gens)) for a in range(n))
                for cs in ([rng.randint(-2, 2) for _ in gens] for _ in range(rng.randint(1, 9)))}
-        check_gram(VPolyhedron.from_points(sorted(pts)).frame)
+        frame = VPolyhedron.from_points(sorted(pts)).frame
+        short += len(frame.pivots) < n + 1      # pivots short of some column
+        check_gram(frame)
+    assert short > 50
 
 
 def check_gram(frame):
     """_gram's values over dq are the reference W entry by entry, its ranks
-    order pairs exactly as W does, and the search returns the same
-    (generators, base, order) on them, on W's own ranks, and as the
-    reference search."""
+    order pairs exactly as W does, its diagonal sums to the rank times dq,
+    and the search returns the same (generators, base, order) on them, on
+    W's own ranks, and as the reference search.  _spanning_prefix is the
+    elimination's prefix on the search's order and on 20 seeded random
+    orders.  Returns dq."""
     ref = reference_gram(frame)
     rank, values, dq = symdetect._gram(frame)
     k = len(rank)
     assert all(F(values[rank[i][j]], dq) == ref[i][j] for i in range(k) for j in range(k))
     assert rank == dense_ranks(ref)
-    search = symdetect._automorphism_search(rank, len)
+    assert sum(values[rank[i][i]] for i in range(k)) == len(frame.basis) * dq
+    orders = []
+    search = symdetect._automorphism_search(rank, lambda order: orders.append(order) or len(order))
     assert search == symdetect._automorphism_search(dense_ranks(ref), len)
     assert search == reference_automorphism_search(rank)
+    rng = random.Random(str(frame.rows))
+    for order in orders + [rng.sample(range(k), k) for _ in range(20)]:
+        assert symdetect._spanning_prefix(frame, order) == reference_spanning_prefix(frame, order)
+    return dq
 
 
 def check_search(gram):
@@ -243,7 +259,7 @@ def test_search_matches_reference_on_families(name, seed):
     if seed is not None:
         P = unimodular_image(list(P.vertices), f"search/{name}/{seed}")[0] \
             if isinstance(P, VPolyhedron) else row_image(P, f"search/{name}/{seed}")
-    check_search(symdetect._gram(P.frame)[0])
+    check_gram(P.frame)
 
 
 def check_spanning_stop(frame) -> tuple[int, int]:
@@ -305,6 +321,48 @@ def test_search_stopped_at_a_spanning_prefix_matches_the_full_search(seed):
             prefix, k = check_spanning_stop(Q.frame)
             stopped += prefix < k - 1
     assert stopped
+
+
+# -- the packed gram: its content division, wide digits and trace check --------
+
+def gram_content(frame):
+    """The content of Q = Y^t Y, Y the frame rows' pivot columns."""
+    ycols = list(zip(*([row[c] for c in frame.pivots] for row in frame.rows)))
+    return math.gcd(*(sum(map(mul, u, v)) for u in ycols for v in ycols))
+
+
+def test_packed_gram_divides_out_the_content_of_q():
+    # the unit triangle's Q has content 1, and the cube's Q is 8 I
+    triangle = VPolyhedron.from_points([(0, 0), (1, 0), (0, 1)]).frame
+    cube = cube_v(3).frame
+    assert gram_content(triangle) == 1 and gram_content(cube) == 8
+    for frame in (triangle, cube):
+        check_gram(frame)
+    # W of the cube is (1 + x . y) / 8 over x . y in {-3, -1, 1, 3}, and
+    # adj(Q / 8) = I gives dq = 8, where adj(Q) would give det Q = 8^4
+    assert symdetect._gram(cube)[1:] == ([-2, 0, 2, 4], 8)
+
+
+def test_packed_gram_reads_digits_wider_than_64_bits():
+    # a random point set in large coordinates: |g_ij| <= dq needs more than
+    # 8 bytes a digit
+    rng = random.Random("packed-gram/wide")
+    pts = sorted({tuple(F(rng.randint(-10 ** 6, 10 ** 6)) for _ in range(4)) for _ in range(9)})
+    frame = VPolyhedron.from_points(pts).frame
+    assert check_gram(frame).bit_length() > 64
+
+
+def test_gram_failing_its_trace_check_exits_3(tmp_path, capsys, monkeypatch):
+    # a wrong determinant of Q leaves every digit readable, but the diagonal
+    # of g no longer sums to rank * dq
+    path = tmp_path / "square.ext"
+    path.write_text("V-representation\nbegin\n4 3 integer\n1 1 1\n1 1 -1\n1 -1 1\n1 -1 -1\nend\n")
+    adjugate = symdetect.adjugate
+    monkeypatch.setattr(symdetect, "adjugate", lambda M: (adjugate(M)[0] + 1, adjugate(M)[1]))
+    assert main(["automorphisms", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "verification failure: gram of a 4-row frame fails its trace check\n"
 
 
 @st.composite
@@ -884,13 +942,15 @@ def test_decompositions_reject_a_non_symmetry_with_their_messages(name):
 def test_row_check_after_detection_runs_no_elimination(name, monkeypatch):
     # detection records the verdict on each candidate it checks on P.frame,
     # kept or dropped, so the group check of a decomposition eliminates
-    # nothing again
+    # nothing again: symdetect calls no gauss_jordan of its own, and every
+    # elimination it reaches runs polycore's
     P = CHECK_H[name]()
     G = restricted_symmetries_H(P)
     candidates = symdetect._automorphism_search(symdetect._gram(P.frame)[0], len)[0]
     calls = []
-    real = symdetect.gauss_jordan
-    monkeypatch.setattr(symdetect, "gauss_jordan",
+    real = polycore.gauss_jordan
+    assert not hasattr(symdetect, "gauss_jordan")
+    monkeypatch.setattr(polycore, "gauss_jordan",
                         lambda *args, **kw: calls.append(args) or real(*args, **kw))
     assert are_affine_symmetries(P, G.generators)
     assert [are_affine_symmetries(P, [c]) for c in candidates] == [c in G for c in candidates]
