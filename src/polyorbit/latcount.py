@@ -633,13 +633,15 @@ def _pull(face: int, rows: set[int], fdim: int, memo: dict) -> list[tuple[int, .
 
 
 def _facets(face: int, rows: set[int]) -> list[int]:
-    """Facets of a face: its inclusion-maximal proper cuts face & row.
-
-    Every face of a polytope is the set of its points tight on some rows,
-    so each facet of a face is its cut by one row, and no larger cut holds it.
-    """
-    cuts = {face & r for r in rows} - {face}
-    return [c for c in cuts if not any(c != o and c & o == c for o in cuts)]
+    """Facets of a face: its inclusion-maximal proper cuts face & row, by
+    descending size, then value.  Every face of a polytope is the set of its
+    points tight on some rows, so each facet of a face is its cut by one
+    row, held by no larger cut, and so by no cut kept before it."""
+    kept: list[int] = []
+    for c in sorted({face & r for r in rows} - {face}, key=lambda m: (-m.bit_count(), m)):
+        if not any(c & o == c for o in kept):
+            kept.append(c)
+    return kept
 
 
 # ---------------------------------------------------------------------------

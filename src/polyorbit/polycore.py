@@ -10,7 +10,7 @@ Gauss-Jordan elimination of an integer matrix, which returns D times the
 reduced row echelon form.  Rational rows are scaled to integers first, which
 leaves the reduced form unchanged, so rank, det, nullspace,
 integer_nullspace, row_space_basis, solve_linear, invert_matrix,
-hull_coordinates (coordinates and null space at once) and
+hull_coordinates (coordinates, pivots and null space at once) and
 affinely_independent_subset read their results off it, and so do the integer
 affine frames on which symmetry detection checks relabelings.  The simplex
 of solve_lp pivots one integer tableau of P.int_rows with the same row step,
@@ -946,20 +946,22 @@ def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
     return AffineHull(base, row_space_basis(diffs) if diffs else ())
 
 
-def hull_coordinates(points: Sequence[Sequence]) -> tuple[list[tuple[int, ...]], list[tuple]]:
-    """(normals, coordinates) from one elimination of the differences
-    p - points[0]: their integer_nullspace, and the coordinates of every
-    point in the affine hull of the list, as affine_hull(points).coordinates
-    gives them.  affine_hull's directions are the rows of the reduced row
-    echelon form of the differences, so the coordinates of p are the entries
-    of p - points[0] at the pivot columns, integers for integer points.
+def hull_coordinates(points: Sequence[Sequence]) -> tuple[list, list[tuple], list[int]]:
+    """(normals, coordinates, pivots) from one elimination of the
+    differences p - points[0]: their integer_nullspace, the coordinates of
+    every point in the affine hull of the list, as
+    affine_hull(points).coordinates gives them, and the pivot columns.
+    affine_hull's directions are the rows of the reduced row echelon form of
+    the differences, so the coordinates of p are the entries of p - points[0]
+    at the pivots, ascending, integers for integer points; a row a.y <= b on
+    them is g.x <= g.points[0] + b, g[pivots[i]] = a[i] and 0 elsewhere.
     """
     if not points:
         raise EmptyPolyhedronError("no points given")
     base = points[0]
     diffs = [tuple(map(sub, p, base)) for p in points]
     pivots, normals = _kernel((integerize(r) for r in diffs[1:]), len(base))
-    return normals, [tuple(r[c] for c in pivots) for r in diffs]
+    return normals, [tuple(r[c] for c in pivots) for r in diffs], pivots
 
 
 def affinely_independent_subset(points: Sequence[Sequence]) -> list[int]:

@@ -10,27 +10,26 @@ keep one representative per orbit, record the orbit pairs crossed, off which
 the adjacency graph is read) and incidence decomposition (enumerate the
 facets through one representative point of each input orbit).  Both catalog
 facet orbits in an OrbitLedger keyed by canonical incident-vertex sets, so
-any two runs agree key-for-key.  Every facet orbit is expanded by
-permgrp.orbit_of_set and keyed by its least member, so an orbit is known
-exactly when its key is; an orbit past the set budget stops the conversion.
-orbit_of_set expands each orbit once: a facet that lies in an orbit already
-expanded is looked up, not expanded again, and the stabilizer of a walked
-facet is read off the Schreier tree of its orbit's expansion.  Everything
-runs serially on one thread.
+any two runs agree key-for-key.  permgrp.orbit_of_set expands each facet
+orbit once and keys it by its least member; a facet in an orbit already
+expanded is looked up, and an orbit past the set budget stops the
+conversion.  Everything runs serially on one thread.
 
-The facet walk runs in integer arithmetic, on VPolyhedron.int_points: one
-scale per polytope, which keeps every incidence set and every choice of the
-walk.  One elimination of a facet's vertices (polycore.hull_coordinates)
-gives both its supporting row, a primitive integer null vector, and the
-vertices' coordinates in its hull; a rotation about a ridge compares the
-parameters of the pencil by cross-multiplying integers.  A
-lower-dimensional input is walked in the integer hull coordinates of the
-same kind of elimination; the ambient row of a facet is the
-one primitive row on its scaled ambient points that is orthogonal to the
-integer hull normals, so no row is lifted back through a pseudo-inverse.
-A plain conversion is one polycore.integer_v_to_h of the points, whose
-masks are the facets; the incidence method calls dd_cone on the tangent
-cone at a point, which is not homogenized.
+The facet walk runs in integers, on VPolyhedron.int_points, one scale per
+polytope.  One elimination of a facet's points (polycore.hull_coordinates)
+gives its supporting row and their hull coordinates, read at the pivot
+columns.  Each ridge comes with its row in those coordinates, from one plain
+conversion of them at the default levels (every ridge) or from a walk of
+the facet deeper (one per orbit of its stabilizer).  Lifted through the
+pivots, the row is the second functional of the pencil about the ridge, so
+no ridge is eliminated; the rotation compares parameters by
+cross-multiplying integers.  A full-dimensional walk's ledger rows are the
+rows it walked.  A lower-dimensional input is walked in its integer hull
+coordinates, and a facet's ambient row is the one primitive row on the
+scaled points orthogonal to the integer hull normals.  A plain conversion
+is one polycore.integer_v_to_h of the points, whose masks are the facets;
+the incidence method calls dd_cone on the tangent cone at a point, which is
+not homogenized.
 
 For an H-description its one double description, HPolyhedron.dd, which
 symmetry detection reads too, gives every vertex together with the rows it
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul, sub
-from typing import Iterable, Iterator, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 from .polycore import (
     HPolyhedron,
@@ -112,43 +111,39 @@ def _supporting_row(pts: Sequence[Sequence[int]], S: tuple[int, ...], ns: Sequen
 
 
 def _rotate_about(pts: Sequence[Sequence[int]], face: tuple[int, ...], c: tuple[int, ...],
-                  delta: int, skip: tuple[int, ...], away: Optional[int] = None
+                  delta: int, off: list, g: Optional[tuple[int, ...]] = None
                   ) -> Optional[tuple[tuple[int, ...], int, list[int]]]:
     """Rotate the hyperplane c.x = delta about aff(face) to the first points
-    outside skip, or None when face already spans a hyperplane.
+    of off, (i, p, delta - c.p) for each point p off the facet (or off face),
+    or None when face already spans a hyperplane.
 
     The hyperplanes through aff(face) form a pencil spanned by c and any
-    second functional g vanishing on the face directions; g is oriented so
-    that the point away (if given) is not above it.  The rotated row is
-    g + t c at the largest parameter t = (g.p - gamma) / (delta - c.p) over
-    the points p outside skip, and the 1-based indices attaining it come
-    back with the rotated row, scaled to a primitive (row | rhs).  Every
-    point outside skip lies strictly below c.x = delta, so each denominator
-    is positive and two parameters compare by cross-multiplying integers.
+    second functional g vanishing on the face directions.  A given g keeps
+    the facet at or below its value on the face; without one, as for
+    _initial_facet, g is the first integer null vector of the face not
+    parallel to c.  The rotated row is g + t c at the largest parameter
+    t = (g.p - gamma) / (delta - c.p) over off, and comes back as a
+    primitive (row | rhs) with the 1-based indices attaining it; another
+    admissible g moves every t by one increasing affine map and keeps both.
+    Each denominator is positive, so parameters compare by cross-multiplying.
     """
     base = pts[face[0] - 1]
-    ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in face[1:]], len(base))
-    if len(ns) == 1:
-        return None
-    k = next(j for j, x in enumerate(c) if x)
-    # the first null vector not parallel to c
-    g = next(v for v in ns if any(x * c[k] != y * v[k] for x, y in zip(v, c)))
-    if away is not None and sum(map(mul, g, pts[away - 1])) > sum(map(mul, g, base)):
-        g = tuple(-x for x in g)
+    if g is None:
+        ns = integer_nullspace([tuple(map(sub, pts[i - 1], base)) for i in face[1:]], len(base))
+        if len(ns) == 1:
+            return None
+        k = next(j for j, x in enumerate(c) if x)
+        g = next(v for v in ns if any(x * c[k] != y * v[k] for x, y in zip(v, c)))
     gamma = sum(map(mul, g, base))
     num, den = 0, 0               # t = num / den, den > 0 once a point is seen
     arg: list[int] = []
-    skip = set(skip)
-    for i, p in enumerate(pts):
-        if (i + 1) in skip:
-            continue
+    for i, p, pd in off:
         pn = sum(map(mul, g, p)) - gamma
-        pd = delta - sum(map(mul, c, p))
         cmp = pn * den - num * pd
         if not arg or cmp > 0:
-            num, den, arg = pn, pd, [i + 1]
+            num, den, arg = pn, pd, [i]
         elif cmp == 0:
-            arg.append(i + 1)
+            arg.append(i)
     row = combine(den, g + (gamma,), num, c + (delta,))
     return row[:-1], row[-1], arg
 
@@ -162,49 +157,61 @@ def _initial_facet(pts: Sequence[Sequence[int]]) -> tuple[int, ...]:
     delta = max(p[0] for p in pts)
     S = tuple(i + 1 for i, p in enumerate(pts) if p[0] == delta)
     while True:
-        step = _rotate_about(pts, S, c, delta, S)
+        off = [(i, p, delta - sum(map(mul, c, p))) for i, p in enumerate(pts, 1) if i not in S]
+        step = _rotate_about(pts, S, c, delta, off)
         if step is None:
             return S
         c, delta, arg = step
         S = tuple(sorted([*S, *arg]))
 
 
-def _neighbor_facet(pts: Sequence[Sequence[int]], F: tuple[int, ...], c: tuple[int, ...],
-                    delta: int, R: tuple[int, ...]) -> tuple[int, ...]:
-    """The unique facet other than F containing the ridge R.
+def _neighbor_facet(pts: Sequence[Sequence[int]], c: tuple[int, ...], delta: int, off: list,
+                    R: tuple[int, ...], g: tuple[int, ...]) -> tuple[int, ...]:
+    """The unique facet other than F = {c.x = delta} containing its ridge R.
 
     The neighbor is cut out at the extreme admissible parameter of the pencil
-    of hyperplanes through aff(R), a finite maximum over the vertices outside
-    F, with the second functional oriented to support F.
+    of hyperplanes through aff(R), spanned by c and g, a finite maximum over
+    off, the points outside F.
     """
-    f0 = next(i for i in F if i not in R)
-    return tuple(sorted([*R, *_rotate_about(pts, R, c, delta, F, away=f0)[2]]))
+    return tuple(sorted([*R, *_rotate_about(pts, R, c, delta, off, g)[2]]))
 
 
 def _ridges(G: PermutationGroup, orb: SetOrbit, local: Sequence[Sequence[int]],
-            levels: tuple[int, int], depth: int) -> list[tuple[int, ...]]:
+            levels: tuple[int, int], depth: int) -> Iterable[tuple[tuple[int, ...], tuple]]:
     """Ridges of the facet on the vertices of orb's key (hull coordinates
-    local), one per orbit of its stabilizer in G, as indices into the key."""
+    local) as indices into the key, each with its normal on local: below l2,
+    one per orbit of its stabilizer in G, from the walk at depth + 1, and
+    otherwise every ridge of a plain conversion, in mask order."""
+    # a walk runs at l1 <= depth, and a one-dimensional facet is converted
+    if depth + 1 >= levels[1] or len(local[0]) == 1:
+        _, rows, masks = integer_v_to_h(1, local)
+        return ((index_set(m), r[:-1]) for m, r in zip(masks, rows))
     members = orb.representative
     pos = {v: j + 1 for j, v in enumerate(members)}
     stab = set_stabilizer(G, orb)
     sub_gens = [Permutation(tuple(pos[g(v)] for v in members)) for g in stab.generators]
     sub_group = PermutationGroup(sub_gens, degree=len(members), order=stab.order())
-    return [r.representative
-            for r in _facet_orbit_engine(local, sub_group, levels, depth + 1)[0]]
+    orbits, _, rows = _facet_orbit_engine(local, sub_group, levels, depth + 1)
+    return [(r.representative, rows[r.representative][0]) for r in orbits]
 
 
 def _neighbor_facets(pts: Sequence[Sequence[int]], G: PermutationGroup, orb: SetOrbit,
-                     levels: tuple[int, int], depth: int) -> Iterator[tuple[int, ...]]:
-    """Facets adjacent to the key of orb, one per orbit of its ridges under
-    its stabilizer.  They reach every neighboring facet orbit, because
-    ridges in one stabilizer orbit lead to neighbors in one facet orbit."""
+                     levels: tuple[int, int], depth: int) -> tuple[tuple, Iterable]:
+    """The supporting row (c, delta) on pts of orb's key F, and a neighbor
+    of F across each of its _ridges.  They meet each neighboring facet orbit
+    first where one ridge per orbit of F's stabilizer would: the ridges of a
+    stabilizer orbit lead into one facet orbit, and the first of them in
+    mask order is the first the stabilizer orbits list."""
     F = orb.representative
-    normals, local = hull_coordinates([pts[i - 1] for i in F])
+    normals, local, pivots = hull_coordinates([pts[i - 1] for i in F])
     c, delta = _supporting_row(pts, F, normals)
-    # F ascends, so the ridge's vertices do too
-    return (_neighbor_facet(pts, F, c, delta, tuple(F[j - 1] for j in R))
-            for R in _ridges(G, orb, local, levels, depth))
+    off = [(i, p, delta - sum(map(mul, c, p))) for i, p in enumerate(pts, 1) if i not in F]
+    # a ridge's normal a lifts through the pivots to g, 0 in the one other
+    # column k; F ascends, so the ridge's points do too
+    k = next((j for j, col in enumerate(pivots) if j != col), len(pivots))
+    return (c, delta), (_neighbor_facet(pts, c, delta, off, tuple(F[j - 1] for j in R),
+                                        (*a[:k], 0, *a[k:]))
+                        for R, a in _ridges(G, orb, local, levels, depth))
 
 
 def _distinct_orbits(G: PermutationGroup, sets: Iterable[tuple[int, ...]]) -> list[SetOrbit]:
@@ -245,53 +252,54 @@ def _idm_orbits(pts: Sequence[Vector], G: PermutationGroup) -> list[SetOrbit]:
 
 
 def _walk(pts: Sequence[Sequence[int]], G: PermutationGroup, start: Iterable[SetOrbit],
-          levels: tuple[int, int], depth: int) -> tuple[list[SetOrbit], frozenset]:
+          levels: tuple[int, int], depth: int) -> tuple[list[SetOrbit], frozenset, dict]:
     """Breadth-first walk over facet orbits from the start orbits: the
-    orbits in discovery order and every (key, neighbor key) pair crossed.
-    The frontier is processed in sorted rounds and results are merged in
-    batch order, so both are deterministic.  Every facet of an expanded
-    orbit is mapped to its key, so only a neighbor in an orbit not yet met
-    is expanded."""
+    orbits in discovery order, every (key, neighbor key) pair crossed and
+    each key's row (c, delta) on pts.  The frontier is processed in sorted
+    rounds and results are merged in batch order, so all are deterministic.
+    Every facet of an expanded orbit is mapped to its key, so only a
+    neighbor in an orbit not yet met is expanded."""
     entries = {orb.representative: orb for orb in start}
     key_of = {X: key for key, orb in entries.items() for X in orb.elements}
-    pairs = set()
+    pairs, rows = set(), {}
     frontier = list(entries)
     while frontier:
         batch = sorted(frontier)
         frontier = []
         for key in batch:
-            for N in _neighbor_facets(pts, G, entries[key], levels, depth):
+            rows[key], nbrs = _neighbor_facets(pts, G, entries[key], levels, depth)
+            for N in nbrs:
                 if N not in key_of:
                     orb = orbit_of_set(G, N)
                     entries[orb.representative] = orb
                     key_of.update(dict.fromkeys(orb.elements, orb.representative))
                     frontier.append(orb.representative)
                 pairs.add((key, key_of[N]))
-    return list(entries.values()), frozenset(pairs)
+    return list(entries.values()), frozenset(pairs), rows
 
 
 def _facet_orbit_engine(pts: Sequence[Vector], G: PermutationGroup, levels: tuple[int, int],
-                        depth: int) -> tuple[list[SetOrbit], Optional[frozenset]]:
+                        depth: int) -> tuple[list[SetOrbit], Optional[frozenset], dict]:
     """Facet orbits of conv(pts), one SetOrbit per orbit, discovery order,
-    and the (key, neighbor key) pairs of the walk, or None without one.
+    and the (key, neighbor key) pairs and key rows of the walk, or None, {}.
 
     pts must be distinct and affinely span their space.  The levels policy
     (l1, l2) picks the method by recursion depth: below l1 incidence
     decomposition, below l2 adjacency decomposition (the walk from the seed
-    facet) with the stabilizer, anything deeper is a plain conversion.
+    facet), anything deeper is a plain conversion.
     """
     if not pts or not pts[0]:
-        return [], None
+        return [], None, {}
     l1, l2 = levels
     if len(pts[0]) == 1:
         # a segment's two facets share no ridge, so the walk cannot reach
         # one from the other; enumerate directly
-        return _plain_orbits(pts, G), None
+        return _plain_orbits(pts, G), None, {}
     if depth < l1:
-        return _idm_orbits(pts, G), None
+        return _idm_orbits(pts, G), None, {}
     if depth < l2:
         return _walk(pts, G, [orbit_of_set(G, _initial_facet(pts))], levels, depth)
-    return _plain_orbits(pts, G), None
+    return _plain_orbits(pts, G), None, {}
 
 
 # ---------------------------------------------------------------------------
@@ -314,16 +322,19 @@ class _Geometry:
         if len(V.frame.basis) == V.n + 1:
             self.normals, self.local = [], self.ambient
         else:
-            self.normals, self.local = hull_coordinates(self.ambient)
+            self.normals, self.local, _ = hull_coordinates(self.ambient)
 
-    def ambient_row(self, S: tuple[int, ...]) -> tuple[int, ...]:
+    def ambient_row(self, S: tuple[int, ...], walked: Optional[dict] = None) -> tuple[int, ...]:
         """The primitive integer (a | b) of the facet on S: a.x <= delta on
-        the scaled points is (scale a).x <= delta on the given ones."""
-        base = self.ambient[S[0] - 1]
-        ns = integer_nullspace([tuple(map(sub, self.ambient[i - 1], base)) for i in S[1:]]
-                               + self.normals, len(base))
-        a, delta = _supporting_row(self.ambient, S, ns)
-        return primitive(tuple(self.scale * x for x in a) + (delta,))
+        the scaled points, the walk's row walked[S] when local is those
+        points, is (scale a).x <= delta on the given ones."""
+        row = None if self.normals else (walked or {}).get(S)
+        if row is None:
+            base = self.ambient[S[0] - 1]
+            ns = integer_nullspace([tuple(map(sub, self.ambient[i - 1], base)) for i in S[1:]]
+                                   + self.normals, len(base))
+            row = _supporting_row(self.ambient, S, ns)
+        return primitive(tuple(self.scale * x for x in row[0]) + (row[1],))
 
 
 @dataclass(frozen=True)
@@ -371,8 +382,8 @@ def _decompose_points(V: VPolyhedron, G: PermutationGroup,
     if not are_affine_symmetries(V, G.generators):
         raise PolyhedronError("group generator is not an affine symmetry of the vertex set")
     geo = _Geometry(V)
-    orbits, pairs = _facet_orbit_engine(geo.local, G, levels, 0)
-    entries = {orb.representative: FacetOrbit(orb, geo.ambient_row(orb.representative))
+    orbits, pairs, rows = _facet_orbit_engine(geo.local, G, levels, 0)
+    entries = {orb.representative: FacetOrbit(orb, geo.ambient_row(orb.representative, rows))
                for orb in orbits}
     return OrbitLedger(entries, V.vertices, G, pairs)
 

@@ -10,6 +10,7 @@ import random
 from fractions import Fraction
 from itertools import permutations
 from math import prod
+from operator import mul
 
 import pytest
 
@@ -217,14 +218,24 @@ def test_affinely_independent_subset(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_hull_coordinates_are_affine_hull_coordinates(seed):
     rng = random.Random(seed)
+    lift = random.Random(seed + 100)     # the rows lifted, apart from the shapes
     for m, n in shapes(rng):
         for integer in (False, True):
             pts = random_matrix(rng, m, n, integer)
             if integer:
                 pts = [tuple(int(x) for x in p) for p in pts]
             hull = affine_hull(pts)
-            normals, coords = hull_coordinates(pts)
+            normals, coords, pivots = hull_coordinates(pts)
             assert coords == [hull.coordinates(p) for p in pts]
+            # the pivots are the leading columns of the hull's directions,
+            # and a row on the coordinates lifts through them
+            assert pivots == [next(j for j, x in enumerate(r) if x) for r in hull.directions]
+            a = [lift.randint(-5, 5) for _ in pivots]
+            g = [0] * n
+            for col, x in zip(pivots, a):
+                g[col] = x
+            assert all(sum(map(mul, g, p)) - sum(map(mul, g, pts[0])) == sum(map(mul, a, y))
+                       for p, y in zip(pts, coords))
             # the normals are the null space of the same differences
             diffs = [tuple(a - b for a, b in zip(p, pts[0])) for p in pts[1:]]
             assert normals == [primitive(v) for v in ref_nullspace(diffs, n)]
@@ -240,7 +251,7 @@ def test_empty_and_degenerate_inputs():
     assert nullspace([], 2) == ((1, 0), (0, 1))
     assert nullspace([(0, 0)], 2) == ((1, 0), (0, 1))
     assert integer_nullspace([], 2) == [(1, 0), (0, 1)]
-    assert hull_coordinates([(1, 2), (1, 2)]) == ([(1, 0), (0, 1)], [(), ()])
+    assert hull_coordinates([(1, 2), (1, 2)]) == ([(1, 0), (0, 1)], [(), ()], [])
     with pytest.raises(EmptyPolyhedronError):
         hull_coordinates([])
     assert solve_linear([], []) == ()

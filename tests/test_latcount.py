@@ -632,6 +632,37 @@ class TestVolume:
         assert [count_lattice_points(B.dilate(t)) for t in (1, 2, 3)] == [6, 21, 55]
         assert volume(B) == F(1, 8)
 
+    def test_facets_pin_their_order(self):
+        import polyorbit.latcount as lc
+        # 0b00011 lies in 0b00111; the kept cuts come by size, then value
+        rows = {0b00111, 0b11100, 0b00011, 0b01010, 0b11111, 0b10001}
+        assert lc._facets(0b11111, rows) == [0b00111, 0b11100, 0b01010, 0b10001]
+        assert lc._facets(0b11111, {0b11111}) == []
+        assert lc._facets(0b0110, {0b1001, 0b1111}) == [0]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_facets_are_the_maximal_cuts(self, seed):
+        # against the quadratic definition, on random masks with nested cuts
+        # and cuts of equal size, whatever order the rows come in
+        import polyorbit.latcount as lc
+        rng = random.Random(seed)
+        n = rng.randint(3, 14)
+        rows = [rng.getrandbits(n) for _ in range(rng.randint(1, 12))]
+        for r in list(rows):
+            rows.append(r & rng.getrandbits(n))                 # nested in r
+            bits = [1 << j for j in range(n)]
+            rng.shuffle(bits)
+            rows.append(sum(bits[:r.bit_count()]))              # as large as r
+        face = (1 << n) - 1 if seed % 2 else rng.getrandbits(n) | max(rows)
+        cuts = {face & r for r in rows} - {face}
+        want = [c for c in cuts if not any(c != o and c & o == c for o in cuts)]
+        got = lc._facets(face, set(rows))
+        assert sorted(got) == sorted(want)
+        assert got == sorted(want, key=lambda c: (-c.bit_count(), c))
+        for _ in range(3):
+            rng.shuffle(rows)
+            assert lc._facets(face, set(rows)) == got
+
     def test_unbounded_rejected(self):
         with pytest.raises(PolyhedronError, match="bounded"):
             volume(HPolyhedron.from_rows([(-1, 0), (0, -1)], [0, 0]))

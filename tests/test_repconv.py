@@ -1,9 +1,11 @@
 """Representation conversion: plain double description and the orbit methods."""
 import random
+import sys
 from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from operator import mul
 from pathlib import Path
 
 import pytest
@@ -19,6 +21,8 @@ from polyorbit.polycore import (
     hull_coordinates,
     incidence,
     index_set,
+    integer_nullspace,
+    integer_v_to_h,
     invert_matrix,
     mat_vec,
     nullspace,
@@ -679,6 +683,12 @@ def test_walk_ledger_graph_rotates_no_ridge(monkeypatch):
 # integer facet walk against the Fraction reference
 
 
+def _off(pts, c, delta, on):
+    """What repconv._rotate_about scans: (i, p, delta - c.p) for each point
+    p off the index set on, 1-based index i."""
+    return [(i, p, delta - sum(map(mul, c, p))) for i, p in enumerate(pts, 1) if i not in on]
+
+
 def _ref_supporting_row(pts, S, ns):
     """The Fraction form of repconv._supporting_row, which also checks that
     the given null space vector is constant on S."""
@@ -715,37 +725,44 @@ def _ref_ambient_row(points, S):
     return primitive(tuple(a_amb) + (delta + dot(a_amb, hull.point),))
 
 
-def _ref_rotate_about(pts, face, c, delta, skip, away=None):
+def _ref_rotate_about(pts, face, c, delta, off, g=None):
     """The Fraction form of repconv._rotate_about: one Fraction parameter
-    per point."""
+    per point of off, read by index only.  A given g is not used: the second
+    functional is always a null vector of the face, oriented by the first
+    point in neither off nor the face, a point of the facet off its ridge,
+    when there is one."""
     members = sorted(face)
     base = pts[members[0] - 1]
     ns = nullspace([vec_sub(pts[i - 1], base) for i in members[1:]], len(base))
     if len(ns) == 1:
         return None
+    skip = {i for i, _, _ in off}
+    away = next((i for i in range(1, len(pts) + 1) if i not in skip and i not in face), None)
     g = next(v for v in ns if rank([v, c]) == 2)
     if away is not None and dot(g, pts[away - 1]) > dot(g, base):
         g = tuple(-x for x in g)
     gamma = dot(g, base)
     t_best = None
     arg = []
-    for i, p in enumerate(pts):
-        if (i + 1) in skip:
-            continue
+    for i in sorted(skip):
+        p = pts[i - 1]
         tv = (dot(g, p) - gamma) / (delta - dot(c, p))
         if t_best is None or tv > t_best:
-            t_best, arg = tv, [i + 1]
+            t_best, arg = tv, [i]
         elif tv == t_best:
-            arg.append(i + 1)
+            arg.append(i)
     return vec_add(g, vec_scale(t_best, c)), gamma + t_best * delta, arg
 
 
 def _ref_hull_coordinates(pts):
     """The Fraction form of hull_coordinates: the normals are the primitive
-    forms of the null space of the hull's directions."""
+    forms of the null space of the hull's directions, and the pivots are
+    the leading columns of those directions, rows of a reduced row echelon
+    form."""
     hull = affine_hull(pts)
     normals = [primitive(v) for v in nullspace(hull.directions, len(pts[0]))]
-    return normals, [hull.coordinates(p) for p in pts]
+    pivots = [next(j for j, x in enumerate(row) if x) for row in hull.directions]
+    return normals, [hull.coordinates(p) for p in pts], pivots
 
 
 def _affine_image(V, seed, extra):
@@ -773,6 +790,9 @@ WALK_SHAPES = {
     "cut5": lambda: cut_v(5),
     "hypersimplex-3-7": lambda: hypersimplex_v(3, 7),
     "prismatoid": santos_prismatoid,
+    # one-dimensional facets, and in its image a lower-dimensional polygon
+    "hexagon": lambda: VPolyhedron.from_points([(2, 1), (1, 2), (-1, 1), (-2, -1), (-1, -2),
+                                                (1, -1)]),
 }
 # point sets with points that are not vertices: an edge midpoint (a pencil
 # tie puts three points on one facet), the centre of a facet, an interior
@@ -810,8 +830,9 @@ def test_integer_walk_kernel_matches_fraction_reference(name):
     ref_c, ref_delta = vector(c), max(p[0] for p in ref)
     S = tuple(i + 1 for i, p in enumerate(pts) if p[0] == delta)
     while True:
-        step = repconv._rotate_about(pts, S, c, delta, S)
-        ref_step = _ref_rotate_about(ref, S, ref_c, ref_delta, S)
+        off = _off(pts, c, delta, S)
+        step = repconv._rotate_about(pts, S, c, delta, off)
+        ref_step = _ref_rotate_about(ref, S, ref_c, ref_delta, off)
         assert (step is None) == (ref_step is None)
         if step is None:
             break
@@ -821,22 +842,47 @@ def test_integer_walk_kernel_matches_fraction_reference(name):
         S = tuple(sorted([*S, *arg]))
     assert S == repconv._initial_facet(pts)
 
-    # supporting rows of the first facets and the rotation about each ridge
+    # supporting rows of the first facets and the rotation about each ridge,
+    # by the second functional lifted from the ridge's row in the facet's
+    # hull coordinates, by the null space of the ridge, and in Fractions
     facets = [index_set(m) for m in convert_dd_incidence(VPolyhedron.from_points(ref))[1]]
     for F in facets[:12]:
         members = sorted(F)
-        normals, local = hull_coordinates([pts[i - 1] for i in members])
-        ref_normals, local = _ref_hull_coordinates([ref[i - 1] for i in members])
+        normals, local, pivots = hull_coordinates([pts[i - 1] for i in members])
+        ref_normals, ref_local, ref_pivots = _ref_hull_coordinates([ref[i - 1] for i in members])
+        assert pivots == ref_pivots
+        assert local == [tuple(scale * x for x in y) for y in ref_local]
         a, delta = repconv._supporting_row(pts, F, normals)
         ref_a, ref_delta = _ref_supporting_row(ref, F, ref_normals)
         assert _same_row(a, delta, scale, ref_a, ref_delta)
-        for mask in convert_dd_incidence(VPolyhedron.from_points(local))[1]:
+        off = _off(pts, a, delta, F)
+        assert [i for i, _, _ in off] == [i for i in range(1, len(pts) + 1) if i not in F]
+        rows, masks = integer_v_to_h(1, local)[1:]
+        assert len(rows) >= len(local[0]) + 1
+        for (*a_loc, b_loc), mask in zip(rows, masks):
             R = tuple(members[j - 1] for j in index_set(mask))
+            g = [0] * d
+            for col, x in zip(pivots, a_loc):
+                g[col] = x
+            g = tuple(g)
+            # g supports F at the ridge: g.x <= g.base + b_loc on F, tight on R
+            gamma = dot(g, pts[members[0] - 1]) + b_loc
+            assert all(dot(g, pts[i - 1]) <= gamma for i in F)
+            assert {i for i in F if dot(g, pts[i - 1]) == gamma} == set(R)
+            # the first null vector of the ridge not parallel to a, oriented
+            # by a point of F off R
+            base = pts[R[0] - 1]
+            ns = integer_nullspace([vec_sub(pts[i - 1], base) for i in R[1:]], d)
+            h = next(v for v in ns if rank([v, a]) == 2)
             f0 = next(i for i in members if i not in R)
-            step = repconv._rotate_about(pts, R, a, delta, F, away=f0)
-            ref_step = _ref_rotate_about(ref, R, ref_a, ref_delta, F, away=f0)
-            assert step[2] == ref_step[2]
-            assert _same_row(*step[:2], scale, *ref_step[:2])
+            if dot(h, pts[f0 - 1]) > dot(h, base):
+                h = tuple(-x for x in h)
+            lifted = repconv._rotate_about(pts, R, a, delta, off, g)
+            step = repconv._rotate_about(pts, R, a, delta, off, h)
+            ref_step = _ref_rotate_about(ref, R, ref_a, ref_delta, off)
+            assert lifted[2] == step[2] == ref_step[2]
+            assert lifted[:2] == step[:2]
+            assert _same_row(*lifted[:2], scale, *ref_step[:2])
 
 
 @pytest.mark.parametrize("name", [*WALK_SHAPES, "square-midpoint", "cube3-extra",
@@ -858,6 +904,110 @@ def test_integer_walk_ledgers_match_fraction_reference(name, monkeypatch):
     monkeypatch.setattr(repconv, "_supporting_row", _ref_supporting_row)
     monkeypatch.setattr(repconv, "hull_coordinates", _ref_hull_coordinates)
     assert walked == ledgers_and_graphs()
+
+
+def _stabilizer_walk(V, G):
+    """The facet walk at the default levels (0, 1) by the stabilizer route:
+    the ridges of each key one per orbit of its stabilizer, each the least
+    of its orbit, the orbits met in mask order of the key's double
+    description, and each ridge rotated with its own elimination, in
+    Fractions.  Returns (key, size) per facet orbit in discovery order, and
+    the crossed pairs."""
+    pts = repconv._Geometry(V).local
+    entries, key_of, pairs = {}, {}, set()
+
+    def meet(S):
+        orb = orbit_of_set(G, S)
+        entries[orb.representative] = orb
+        key_of.update(dict.fromkeys(orb.elements, orb.representative))
+        return orb.representative
+
+    frontier = [meet(repconv._initial_facet(pts))]
+    while frontier:
+        batch, frontier = sorted(frontier), []
+        for key in batch:
+            normals, local, _ = hull_coordinates([pts[i - 1] for i in key])
+            c, delta = repconv._supporting_row(pts, key, normals)
+            off = _off(pts, c, delta, key)
+            pos = {v: j + 1 for j, v in enumerate(key)}
+            stab = set_stabilizer(G, entries[key])
+            sub = PermutationGroup([Permutation(tuple(pos[g(v)] for v in key))
+                                    for g in stab.generators], degree=len(key))
+            ridges, seen = [], set()
+            for mask in integer_v_to_h(1, local)[2]:
+                if index_set(mask) not in seen:
+                    ridge_orbit = orbit_of_set(sub, index_set(mask))
+                    seen |= ridge_orbit.elements
+                    ridges.append(tuple(key[j - 1] for j in ridge_orbit.representative))
+            for R in ridges:
+                N = tuple(sorted([*R, *_ref_rotate_about(pts, R, c, delta, off)[2]]))
+                if N not in key_of:
+                    frontier.append(meet(N))
+                pairs.add((key, key_of[N]))
+    return [(key, orb.size) for key, orb in entries.items()], frozenset(pairs)
+
+
+@pytest.mark.parametrize("name", list(WALK_INPUTS))
+def test_every_ridge_walk_matches_stabilizer_walk(name):
+    # rotating about every ridge meets the facet orbits in the order of the
+    # stabilizer route, with the same sizes and crossed pairs
+    V = WALK_INPUTS[name]()
+    G = affine_symmetry_group(V)
+    led = adjacency_decomposition(V, G)
+    assert ([(key, e.size) for key, e in led.entries.items()], led.edges) == _stabilizer_walk(V, G)
+
+
+@pytest.mark.parametrize("name", ["cut5", "prismatoid", "hypersimplex-3-7", "cross6-image1",
+                                  "hexagon", "square-midpoint"])
+def test_default_walk_needs_no_stabilizer_and_no_ridge_elimination(name, monkeypatch):
+    V = WALK_INPUTS[name]()
+    G = affine_symmetry_group(V)
+    want = {levels: adjacency_decomposition(V, G, levels) for levels in [(0, 1), (0, 2)]}
+    depth = [0]                # how many _neighbor_facets calls are running
+    calls = []                 # the spied calls made inside one of them
+    callers = Counter()        # (name, caller) of each elimination
+    real_facets = repconv._neighbor_facets
+
+    def neighbor_facets(*args):
+        # the neighbors come lazily: rotate about every ridge in here
+        depth[0] += 1
+        try:
+            row, nbrs = real_facets(*args)
+            return row, list(nbrs)
+        finally:
+            depth[0] -= 1
+
+    def spy(name, real):
+        def call(*args):
+            if depth[0]:
+                calls.append(name)
+            # a rotation given no second functional g eliminates
+            if name == "integer_nullspace" or name == "_rotate_about" and len(args) < 6:
+                callers[name, sys._getframe(1).f_code.co_name] += 1
+            return real(*args)
+        return call
+
+    monkeypatch.setattr(repconv, "_neighbor_facets", neighbor_facets)
+    for fn in ("set_stabilizer", "integer_nullspace", "_rotate_about"):
+        monkeypatch.setattr(repconv, fn, spy(fn, getattr(repconv, fn)))
+    normals = repconv._Geometry(V).normals
+    for levels, led in want.items():
+        calls.clear()
+        callers.clear()
+        assert adjacency_decomposition(V, G, levels) == led
+        # at every level, only the seed facet's rotations eliminate
+        assert {fn for name, fn in callers if name == "_rotate_about"} == {"_initial_facet"}
+        if levels == (0, 1):
+            assert "set_stabilizer" not in calls and "integer_nullspace" not in calls
+            # the ledger rows of a full-dimensional input come from the walk
+            assert (("integer_nullspace", "ambient_row") in callers) == bool(normals)
+        else:
+            # the stabilizer route still runs below l2, except on polygons,
+            # whose one-dimensional facets are converted
+            assert ("set_stabilizer" in calls) == (V.n - len(normals) > 2)
+    keys = {levels: {(k, e.size, e.row) for k, e in led.entries.items()}
+            for levels, led in want.items()}
+    assert keys[(0, 1)] == keys[(0, 2)] and want[(0, 1)].edges == want[(0, 2)].edges
 
 
 LOWER_DIMENSIONAL = [name for name, make in WALK_INPUTS.items()
