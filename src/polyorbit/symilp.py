@@ -16,24 +16,26 @@ point per fiber decides integral feasibility of the whole fiber.
 
 The block machinery indexes fibers by integer block sums; the barycenters of
 integral orbits form the scaled lattice with steps 1/n_j per block.  The ILP
-reads P as one list of primitive integer rows (a | b), P.int_rows: the
-invariance check, the block-sum box and the sweep all take it.  An invariant
-P holds the barycenter of each of its points, with the same block sums, so
-the block sums of P are read off one integer_h_to_v of P on the fixed space,
-in one coordinate per block; the ILP's integer box and block_sum_image, from
-which the slice decomposition of latcount takes its ranges, come from it,
-without an LP.  Fibers are ordered by integer keys summed from per-block
-terms, in one stable sort of their indices; the LP whose point orders a
-feasibility sweep pivots P.int_rows too.  The sweep tests each fiber's
-balanced point against each row orbit of P in integers, in closed form by
-the rearrangement inequality, from one memo table per row orbit and block
-keyed by the block sum, the orbit that rejected the last probe first.
+reads P.int_rows, the primitive integer rows (a | b), in one pass into row
+orbits keyed by their entries sorted within each block; P is invariant when
+each orbit lists all its arrangements equally often.  An invariant P holds the
+barycenter of each of its points, with the same block sums, so the block sums
+of P are read off one integer_h_to_v of P on the fixed space, one row per
+orbit in one coordinate per block; the ILP's integer box and block_sum_image,
+whence latcount's slice decomposition takes its ranges, come from it, without
+an LP.  Fibers are ordered by integer keys summed from per-block terms, in one
+stable sort of their indices; the LP whose point orders a feasibility sweep
+pivots P.int_rows too.  The sweep tests each fiber's balanced point against
+each row orbit in integers, in closed form by the rearrangement inequality,
+from one memo table per orbit and block keyed by the block sum, the orbit that
+rejected the last probe first.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import accumulate, product
 from operator import getitem, mul
 from typing import Optional, Sequence, Union
@@ -110,14 +112,13 @@ class CorePoint:
     orbit_size: int
 
 
-def _generators(G: GroupLike, n: Optional[int] = None
-                ) -> tuple[tuple[Permutation, ...], int]:
-    """Generators and degree of a group spec, with no stabilizer chain built.
+def _generators(G: GroupLike, n: Optional[int] = None) -> tuple[tuple, int]:
+    """Generators and degree of a group spec, with nothing built.
 
-    Accepts a PermutationGroup, a block decomposition (sequence of ints) or
-    a sequence of Permutation generators; an empty sequence is the trivial
-    group and needs n.  Anything else, or a degree other than n, raises
-    PolyhedronError.
+    Accepts a PermutationGroup, block sizes (ints, returned validated in place
+    of generators) or a sequence of Permutation generators; an empty sequence
+    is the trivial group and needs n.  Anything else, or a degree other than
+    n, raises PolyhedronError.
     """
     if isinstance(G, PermutationGroup):
         gens, degree = G.generators, G.degree
@@ -127,8 +128,7 @@ def _generators(G: GroupLike, n: Optional[int] = None
         except TypeError:
             raise PolyhedronError("a group, block sizes or permutations are required") from None
         if items and all(isinstance(x, int) for x in items):
-            blocks = check_blocks(items)
-            gens, degree = _block_generators(blocks), sum(blocks)
+            gens, degree = check_blocks(items), sum(items)
         elif not all(isinstance(g, Permutation) for g in items):
             raise PolyhedronError("generators must be permutations of the coordinates")
         elif not items and n is None:
@@ -143,9 +143,10 @@ def _generators(G: GroupLike, n: Optional[int] = None
 
 
 def _permutation_group(G: GroupLike, n: Optional[int] = None) -> PermutationGroup:
-    """Normalize a group spec, as accepted by _generators, to a
-    PermutationGroup on the n coordinates."""
+    """A group spec, as _generators accepts it, as a PermutationGroup."""
     gens, degree = _generators(G, n)
+    if gens and isinstance(gens[0], int):
+        gens = _block_generators(gens)
     return G if isinstance(G, PermutationGroup) else PermutationGroup(gens, degree=degree)
 
 
@@ -167,30 +168,53 @@ def _primitive_rows(P: HPolyhedron) -> list[tuple[tuple[int, ...], bool]]:
     return [(row, i in eq) for i, row in enumerate(P.int_rows, start=1)]
 
 
-def _permutes_rows(rows, c: Vector, gens) -> bool:
-    """True iff every generator permutes the primitive rows and fixes c."""
+def _permutes_rows(rows, gens) -> bool:
+    """True iff every generator permutes the rows, listed as _primitive_rows."""
     base = sorted(rows)
     for g in gens:
         # (g x)_{g(i)} = x_i; rows move the same way, since (g^-1)^T = g
         src = g.inverse().images
-        if tuple(c[k - 1] for k in g.images) != c:
-            return False
         if sorted((tuple(r[k - 1] for k in src) + (r[-1],), flag)
                   for r, flag in rows) != base:
             return False
     return True
 
 
-def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
-    """True iff every generator permutes the normalized rows and fixes c.
+@cache
+def _arrangements(e: tuple) -> int:
+    """The number of distinct orderings of e: len(e)! / prod_v m_v!, v held m_v times."""
+    return math.factorial(len(e)) // math.prod(map(math.factorial, map(e.count, set(e))))
 
-    Row i is compared as the primitive vector (a_i | b_i) together with its
-    equality flag; c is fixed when c.(g x) = c.x for all x.  A permutation
-    matrix is its own inverse transpose, so rows move like points and no
-    matrix is formed, and neither is a stabilizer chain.
+
+def _row_orbits(rows, blocks: tuple[int, ...]) -> Optional[list]:
+    """Orbits of rows = _primitive_rows(P) under the block group, in first-row
+    order, as entries sorted descending per block, b and equality flag; None
+    unless each orbit lists every arrangement within the blocks, equally often."""
+    spans = [slice(off, off + nb) for off, nb in zip(accumulate(blocks, initial=0), blocks)]
+    orbits: dict = {}
+    for r, is_eq in rows:
+        seen = orbits.setdefault(
+            (tuple([tuple(sorted(r[sl], reverse=True)) for sl in spans]), r[-1], is_eq), {})
+        seen[r] = seen.get(r, 0) + 1
+    for (ups, _, _), seen in orbits.items():
+        if len(seen) != math.prod(map(_arrangements, ups)) or len(set(seen.values())) > 1:
+            return None
+    return list(orbits)
+
+
+def check_invariance(lp: LinearProgram, G: GroupLike) -> bool:
+    """True iff the group permutes the normalized rows and fixes c.
+
+    Rows are the primitive (a_i | b_i) with their equality flags, and c the
+    one row (c | 0).  Block sizes are judged by _row_orbits, other groups
+    generator by generator: a permutation matrix is its own inverse
+    transpose, so rows move like points; no matrix or chain is built.
     """
     gens, _ = _generators(G, lp.P.n)
-    return _permutes_rows(_primitive_rows(lp.P), lp.c, gens)
+    both = (_primitive_rows(lp.P), [(lp.c + (0,), False)])
+    if gens and isinstance(gens[0], int):
+        return all(_row_orbits(rows, gens) is not None for rows in both)
+    return all(_permutes_rows(rows, gens) for rows in both)
 
 
 def solve_lp_reduced(lp: LinearProgram, G: GroupLike) -> LPResult:
@@ -364,27 +388,25 @@ def fixed_space_system(P: HPolyhedron, blocks: Sequence[int]) -> HPolyhedron:
                        tuple(t for t, k in enumerate(keys, start=1) if k[2]))
 
 
-def _block_sum_dd(rows, blocks: tuple[int, ...]):
+def _block_sum_dd(orbits, blocks: tuple[int, ...]):
     """P on the fixed space of the block group, in one coordinate y_j per
     block with x = sum_j y_j 1_{block j}, as one integer double description:
     polycore.integer_h_to_v of its rows, (s, points, rays, masks), with no
     points when P is empty.
 
-    rows are _primitive_rows(P).  Each row becomes (its sum over each block
-    | b); the rows of one orbit coincide there, so duplicates are dropped,
-    and a row is an equality when any of its copies is.
+    orbits are _row_orbits of P; each becomes (its sum over each block | b),
+    duplicates are dropped, and a row is an equality when any orbit is.
     """
-    spans = list(zip(accumulate(blocks, initial=0), blocks))
     sums: dict = {}
-    for (*a, bb), is_eq in rows:
-        row = tuple(sum(a[off:off + nb]) for off, nb in spans) + (bb,)
+    for ups, bb, is_eq in orbits:
+        row = tuple(map(sum, ups)) + (bb,)
         sums[row] = sums.get(row, False) or is_eq
     return integer_h_to_v(list(sums), len(blocks), [i for i, e in enumerate(sums.values(), 1) if e])
 
 
 def block_sum_image(P: HPolyhedron, blocks: Sequence[int]) -> Optional[VPolyhedron]:
     """The block-sum vectors (s_1, ..., s_k) of the points of a block-invariant
-    P, as vertices and rays; None when P is empty.
+    P, as vertices and rays; None when P is empty, an error when not invariant.
 
     An invariant convex P holds the barycenter of each of its points, and the
     barycenter has the same block sums, so the block sums of P are those of
@@ -393,7 +415,9 @@ def block_sum_image(P: HPolyhedron, blocks: Sequence[int]) -> Optional[VPolyhedr
     n_j p_j over s in lowest terms (a line comes as two opposite rays).
     """
     blocks = check_blocks(blocks, P.n)
-    s, points, rays, _ = _block_sum_dd(_primitive_rows(P), blocks)
+    if (orbits := _row_orbits(_primitive_rows(P), blocks)) is None:
+        raise PolyhedronError("the system is not invariant under the block group")
+    s, points, rays, _ = _block_sum_dd(orbits, blocks)
     if not points:
         return None
     points = [tuple(map(mul, blocks, p)) for p in points]
@@ -406,16 +430,15 @@ def block_sum_image(P: HPolyhedron, blocks: Sequence[int]) -> Optional[VPolyhedr
 _FIBER_BUDGET = 1_000_000
 
 
-def _sum_ranges(rows, blocks):
+def _sum_ranges(orbits, blocks):
     """Integer ranges of the block sums over P, or None when P is empty.
 
-    rows are _primitive_rows(P), and P must be invariant under the block
-    group.  The extent of s_t is read off _block_sum_dd: ceil and floor of
-    n_t y_t over its vertices y = p / s, in integers.  An unbounded
-    direction is an error rather than a truncation, and so is a product of
-    ranges past _FIBER_BUDGET.
+    orbits are _row_orbits of P.  The extent of s_t is read off _block_sum_dd:
+    ceil and floor of n_t y_t over its vertices y = p / s, in integers.  An
+    unbounded direction is an error rather than a truncation, and so is a
+    product of ranges past _FIBER_BUDGET.
     """
-    s, points, rays, _ = _block_sum_dd(rows, blocks)
+    s, points, rays, _ = _block_sum_dd(orbits, blocks)
     if not points:
         return None
     ranges = []
@@ -444,27 +467,21 @@ class _BlockValues(dict):
         return self[s]
 
 
-def _sweep(rows, blocks, cands):
+def _sweep(orbits, blocks, cands):
     """First fiber in list order whose balanced point lies in P, and the
     number of fibers probed: (point, its 1-based position), or
     (None, number of candidates) when no balanced point lies in P.
 
-    rows are _primitive_rows(P); the candidates are integer block sums.  P
-    is invariant under the block group, so the balanced point z lies in P
-    exactly when, for each row orbit, the largest value of a row of the
-    orbit at z is at most b, and for an equality orbit the smallest is at
-    least b.  By the rearrangement inequality, with s_j = q_j n_j + r_j,
-    that largest value sums over the blocks q_j times the block's total plus
-    its r_j largest entries of the primitive integer row (the smallest, its
-    r_j smallest), read off one memo table per row orbit and block, keyed by
-    s_j; a probe builds no point.  The orbit that rejected the last probe is
-    tested first; the order of the tests never changes which fiber is
-    accepted.  The sweep is serial.
+    orbits are _row_orbits of P; the candidates are integer block sums.  The
+    balanced point z lies in P exactly when, for each row orbit, the largest
+    value of a row of the orbit at z is at most b, and for an equality orbit
+    the smallest is at least b.  By the rearrangement inequality, with s_j =
+    q_j n_j + r_j, that largest value sums over the blocks q_j times the
+    block's total plus its r_j largest entries (the smallest, its r_j
+    smallest), read off one memo table per orbit and block, keyed by s_j; a
+    probe builds no point.  The orbit that rejected the last probe is tested
+    first, which never changes the fiber accepted.  The sweep is serial.
     """
-    spans = list(zip(accumulate(blocks, initial=0), blocks))
-    orbits = dict.fromkeys(
-        (tuple(tuple(sorted(a[off:off + nb], reverse=True)) for off, nb in spans), a[-1], is_eq)
-        for a, is_eq in rows)
     tests = [(tuple(map(_BlockValues, ups)),
               tuple(_BlockValues(e[::-1]) for e in ups) if is_eq else None, bi)
              for ups, bi, is_eq in orbits]
@@ -489,27 +506,25 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     sweep order that lies in P and its 1-based position in that order, or
     (None, number of fibers) when there is none, (None, 0) when P is empty.
 
-    The invariance check, the fiber ranges and the sweep read one list,
-    P.int_rows with their equality flags.  Fibers are indexed by integer
-    block sums within their exact extent over P, read off one integer double
-    description of P on the fixed space; an unbounded extent, or more than
-    _FIBER_BUDGET fibers, is refused.  Feasibility takes them nearest (in l1
-    distance of the block sums) to the point of one LP relaxation first,
-    which solve_lp reads off P.int_rows, so the order is the polyhedron's;
-    optimization in decreasing fiber objective, by integer keys summed from
-    per-block terms; ties go to the lexicographically smaller sums.  Per
-    fiber only the balanced point needs testing: it is majorized blockwise
-    by every integral point with the same sums, so an invariant convex set
-    containing any of them contains it.
+    The invariance check, the fiber ranges and the sweep share the row orbits
+    of P.int_rows, read once.  Fibers are indexed by integer block sums within
+    their exact extent over P, read off one integer double description of P on
+    the fixed space; an unbounded extent, or more than _FIBER_BUDGET fibers,
+    is refused.  Feasibility takes them nearest (in l1 distance of the block
+    sums) to the point of one LP relaxation first, which solve_lp reads off
+    P.int_rows, so the order is the polyhedron's; optimization in decreasing
+    fiber objective, by integer keys summed from per-block terms; ties go to
+    the lexicographically smaller sums.  Per fiber only the balanced point
+    needs testing: it is majorized blockwise by every integral point with the
+    same sums, so an invariant convex set containing any of them contains it.
     """
     blocks = check_blocks(blocks, P.n)
     lp = LinearProgram(P, zero_vector(P.n) if c is None else c)
-    rows, gens = _primitive_rows(P), _block_generators(blocks)
-    if not _permutes_rows(rows, zero_vector(P.n), gens):
+    if (orbits := _row_orbits(_primitive_rows(P), blocks)) is None:
         raise PolyhedronError("the system is not invariant under the block group")
-    if not _permutes_rows((), lp.c, gens):
+    if _row_orbits([(lp.c + (0,), False)], blocks) is None:
         raise PolyhedronError("the objective is not constant on each block")
-    ranges = _sum_ranges(rows, blocks)
+    ranges = _sum_ranges(orbits, blocks)
     if ranges is None:
         return None, 0
     if c is not None:
@@ -530,7 +545,7 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     for tj in terms:
         keys = [k + x for k in keys for x in tj]
     cands = list(product(*ranges))
-    return _sweep(rows, blocks, map(cands.__getitem__,
+    return _sweep(orbits, blocks, map(cands.__getitem__,
                                     sorted(range(len(keys)), key=keys.__getitem__)))
 
 

@@ -1031,6 +1031,15 @@ class TestIlpCmd:
                      "maximize 0 1 2\nblocks 2\n")
         assert run(capsys, "ilp", f) == (2, "", f"error: {err}\n")
 
+    def test_row_listed_more_often_than_its_swap_refused(self, tmp_path, capsys):
+        # x1 <= 2 twice and x2 <= 2 once under the swap of x1 and x2: each
+        # row's swap is in the file, but not as often as the row
+        f = tmp_path / "twice.ine"
+        f.write_text("H-representation\nbegin\n5 3 rational\n0 1 0\n0 0 1\n2 -1 0\n2 -1 0\n"
+                     "2 0 -1\nend\nblocks 2\n")
+        assert run(capsys, "ilp", f) == (
+            2, "", "error: the system is not invariant under the block group\n")
+
     # exact stdout, exit code and stderr on every ILP fixture, at two worker
     # counts; "fibers tested" is the 1-based position of the answer's fiber in
     # the sweep order, or every fiber of an infeasible system (none here: the

@@ -315,10 +315,12 @@ def test_index_sets_are_ascending_tuples():
 
 
 def test_symmetric_ilp_reads_one_integer_row_list():
-    # the rows are P.int_rows, made primitive in polycore; the fiber ranges
-    # come from one integer cone, with no Fraction system or conversion
+    # the rows are P.int_rows, made primitive in polycore, read once into row
+    # orbits with no permutation built; the fiber ranges come from one
+    # integer cone, with no Fraction system or conversion
     banned = {"convert_dd", "convert_dd_incidence", "fixed_space_system", "block_sum_image",
-              "primitive", "integerize", "check_invariance"}
+              "primitive", "integerize", "check_invariance", "_permutes_rows",
+              "_block_generators"}
     for fn in _top_level("symilp.py", {"symmetric_ilp", "_sum_ranges", "_sweep"}):
         called = _called(fn)
         bad = called & (banned if fn.name == "symmetric_ilp" else banned | {"_block_sums"})

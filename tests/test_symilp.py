@@ -6,6 +6,7 @@ from itertools import permutations, product
 from operator import mul
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from polyorbit.permgrp import Permutation, PermutationGroup
 from polyorbit.polycore import (
@@ -36,6 +37,7 @@ from polyorbit.symilp import (
     LinearProgram,
     _block_sum_dd,
     _primitive_rows,
+    _row_orbits,
     _sum_ranges,
     _sweep,
     block_group,
@@ -53,6 +55,7 @@ from polyorbit.symilp import (
 from shapes import cube_h, mat_mul, reference_solve_lp_reduced
 
 UNBOUNDED = "^projection onto the invariant subspace is unbounded$"
+NOT_INVARIANT = "^the system is not invariant under the block group$"
 S3 = PermutationGroup([Permutation((2, 1, 3)), Permutation((2, 3, 1))])
 SIGN1 = ((F(-1), F(0), F(0)), (F(0), F(1), F(0)), (F(0), F(0), F(1)))
 
@@ -125,6 +128,13 @@ def elimination_subspace(G):
     comp = row_space_basis([col for d in diffs for col in transpose(d)])
     inv = invert_matrix(transpose(fixed + comp))
     return fixed, mat_mul(transpose(fixed), inv[:len(fixed)])
+
+
+def row_orbits(P, blocks):
+    """The row orbits of an invariant P, as symilp's block routines take them."""
+    orbits = _row_orbits(_primitive_rows(P), blocks)
+    assert orbits is not None
+    return orbits
 
 
 def orbit_mean(G, z):
@@ -468,7 +478,7 @@ class TestBlockSumImage:
             assert set(V.vertices) == set(convert_dd(convert_dd(sums)).vertices) and not V.rays
             W = VPolyhedron.from_points(V.vertices)
             assert V == W and V.int_points == W.int_points
-            seen.add(V.int_points[0] < _block_sum_dd(_primitive_rows(P), blocks)[0])
+            seen.add(V.int_points[0] < _block_sum_dd(row_orbits(P, blocks), blocks)[0])
         # the scale of the double description is reduced in some cases
         assert seen == {True, False}
 
@@ -771,9 +781,9 @@ class TestIntegerSweepOracle:
         orders = []
         real = symilp._sweep
 
-        def recording(rows, blocks, cands):
+        def recording(orbits, blocks, cands):
             orders.append(list(cands))
-            return real(rows, blocks, orders[-1])
+            return real(orbits, blocks, orders[-1])
 
         monkeypatch.setattr(symilp, "_sweep", recording)
         all_tied = 0
@@ -871,8 +881,8 @@ class TestOrbitSweepOracle:
             mode = self.MODES[t // len(shapes) % len(self.MODES)]
             P = orbit_system(rng, blocks, mode)
             assert check_invariance(LinearProgram(P, zero_vector(P.n)), blocks)
-            rows = _primitive_rows(P)
-            ranges = _sum_ranges(rows, blocks)
+            orbits = row_orbits(P, blocks)
+            ranges = _sum_ranges(orbits, blocks)
             if ranges is None:
                 seen.add((mode, "empty"))
                 continue
@@ -884,12 +894,12 @@ class TestOrbitSweepOracle:
             cands += [tuple(rng.randint(-12, -1) for _ in blocks) for _ in range(2)]
             cands += rng.choices(cands, k=len(cands) // 2)
             rng.shuffle(cands)
-            got = _sweep(rows, blocks, cands)
+            got = _sweep(orbits, blocks, cands)
             assert got == reference_sweep(P, blocks, cands), (t, blocks, mode)
             # again with every balanced point outside P first: each must be rejected
             outside = {s for s in cands if reference_sweep(P, blocks, [s])[0] is None}
             cands.sort(key=lambda s: s not in outside)
-            assert _sweep(rows, blocks, cands) == reference_sweep(P, blocks, cands), (t, blocks)
+            assert _sweep(orbits, blocks, cands) == reference_sweep(P, blocks, cands), (t, blocks)
             seen.add((mode, got[0] is None))
             if any(nb == 4 and sj % 4 == 3 for nb, sj in zip(blocks, cands[0])):
                 seen.add("remainder 3")
@@ -1053,14 +1063,14 @@ class TestFastPathEquivalence:
             else:
                 P = rational_invariant_system(rng, blocks, ("lattice", "window")[t % 4 // 2])
             want = full_sum_ranges(P, blocks)
-            assert _sum_ranges(_primitive_rows(P), blocks) == want
+            assert _sum_ranges(row_orbits(P, blocks), blocks) == want
             checked += want is not None
         assert checked
 
     def test_empty_system_has_no_ranges(self):
         P = HPolyhedron.from_rows([(1, 1), (-1, -1)], [-1, -1])
         assert full_sum_ranges(P, (2,)) is None
-        assert _sum_ranges(_primitive_rows(P), (2,)) is None
+        assert _sum_ranges(row_orbits(P, (2,)), (2,)) is None
 
     def test_unbounded_ranges_need_user_bounds(self):
         # x1 + x2 >= 1/2 on the first block, a bounded second block
@@ -1068,16 +1078,90 @@ class TestFastPathEquivalence:
             [(-1, -1, 0), (0, 0, 1), (0, 0, -1)], [F(-1, 2), F(5, 2), F(1, 3)])
         assert full_sum_ranges(P, (2, 1)) == "unbounded"
         with pytest.raises(PolyhedronError, match=UNBOUNDED):
-            _sum_ranges(_primitive_rows(P), (2, 1))
+            _sum_ranges(row_orbits(P, (2, 1)), (2, 1))
         # the mirror image, x1 + x2 <= -1/2, is unbounded below
         Q = HPolyhedron.from_rows([tuple(-x for x in a) for a in P.A], P.b)
         assert full_sum_ranges(Q, (2, 1)) == "unbounded"
         with pytest.raises(PolyhedronError, match=UNBOUNDED):
-            _sum_ranges(_primitive_rows(Q), (2, 1))
+            _sum_ranges(row_orbits(Q, (2, 1)), (2, 1))
         # the bounds must come from the system: a row that caps the first
         # block sum gives the LP ranges
         for R, cap in ((P, (1, 1, 0)), (Q, (-1, -1, 0))):
             capped = HPolyhedron(R.A + (cap,), R.b + (F(3),))
             want = full_sum_ranges(capped, (2, 1))
             assert want != "unbounded"
-            assert _sum_ranges(_primitive_rows(capped), (2, 1)) == want
+            assert _sum_ranges(row_orbits(capped, (2, 1)), (2, 1)) == want
+
+
+# ---------------------------------------------------------------------------
+# block sizes judged by row orbits against the generator route
+
+PLANT_SHAPES = [(1,), (2,), (3,), (1, 2), (2, 1), (1, 1, 2), (3, 1), (2, 2), (1, 3)]
+CHANGES = ("drop", "duplicate", "flip", "b")
+
+
+@st.composite
+def planted_systems(draw):
+    """Blocks, integer rows (a, b, equality) made symmetric over the block
+    group with a box around them, and an objective, constant on each block
+    or not.  Some shapes hold a block of size 1."""
+    blocks = draw(st.sampled_from(PLANT_SHAPES))
+    n = sum(blocks)
+    elems = list(block_group(blocks).elements())
+    coord = st.integers(-2, 2)
+    rows = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
+        bb, eq = draw(st.integers(-3, 3)), draw(st.booleans())
+        rows += [(x, bb, eq) for x in dict.fromkeys(apply_perm(g, a) for g in elems)]
+    rows += [(tuple(s * int(i == t) for t in range(n)), 2, False)
+             for i in range(n) for s in (1, -1)]
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        c = per_block(blocks, [draw(coord) for _ in blocks])
+    else:
+        c = tuple(draw(st.lists(coord, min_size=n, max_size=n)))
+    return blocks, rows, c, draw(st.integers(0, len(rows) - 1))
+
+
+def changed(rows, change, i):
+    """rows with one change at row i."""
+    a, bb, eq = rows[i]
+    if change == "drop":
+        return rows[:i] + rows[i + 1:]
+    if change == "duplicate":
+        return rows[:i + 1] + rows[i:]
+    return rows[:i] + [(a, bb, not eq) if change == "flip" else (a, bb + 1, eq)] + rows[i + 1:]
+
+
+def as_lp(rows, c):
+    return LinearProgram(HPolyhedron.from_rows([r[0] for r in rows], [r[1] for r in rows],
+                                               [i for i, r in enumerate(rows, 1) if r[2]]), c)
+
+
+@settings(max_examples=150, deadline=None)
+@given(planted_systems())
+def test_block_sizes_agree_with_generators(case):
+    # the row orbits of _row_orbits against every generator of block_group,
+    # on the planted system and on it with one row dropped, duplicated, its
+    # equality flag flipped or its b moved; a planted system with a block
+    # objective is invariant
+    blocks, rows, c, i = case
+    G = block_group(blocks)
+    assert check_invariance(as_lp(rows, per_block(blocks, [1] * len(blocks))), blocks)
+    for variant in [rows] + [changed(rows, change, i) for change in CHANGES]:
+        lp = as_lp(variant, c)
+        assert check_invariance(lp, blocks) == check_invariance(lp, G), (blocks, variant, c)
+
+
+def test_block_sum_image_refuses_a_system_that_is_not_invariant():
+    # x1 <= 2 twice and x2 <= 2 once: every row's orbit is there, but not
+    # equally often
+    P = HPolyhedron.from_rows([(-1, 0), (0, -1), (1, 0), (1, 0), (0, 1)], [0, 0, 2, 2, 2])
+    with pytest.raises(PolyhedronError, match=NOT_INVARIANT):
+        symilp.block_sum_image(P, (2,))
+    assert not check_invariance(LinearProgram(P, (0, 0)), (2,))
+    assert not check_invariance(LinearProgram(P, (0, 0)), block_group((2,)))
+    # listed twice like x1 <= 2, x2 <= 2 makes the system invariant
+    Q = HPolyhedron(P.A + P.A[4:], P.b + P.b[4:])
+    assert symilp.block_sum_image(Q, (2,)).vertices == ((0,), (4,))
