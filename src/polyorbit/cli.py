@@ -10,11 +10,11 @@ constant term first) and a ``blocks`` header for the symmetric routes.
 
 Subcommands: automorphisms, convert, count, ehrhart, volume, ilp.  Exit
 codes: 0 success, 1 infeasible or empty (a computed answer), 2 input error
-(also an input past a size budget, such as a set orbit of more than
-2,000,000 sets), 3 internal verification failure or any other internal error
-(one stderr line, never a traceback).  ``--jobs`` (default 1) and
-``--period-bound`` are checked to be at least 1 when parsed; ``--jobs`` is
-otherwise ignored: every subcommand runs serially.
+(also a file that is not UTF-8 text, or an input past a size budget, such
+as a set orbit of more than 2,000,000 sets), 3 internal verification
+failure or any other internal error (one stderr line, never a traceback).
+``--jobs`` (default 1) and ``--period-bound`` are checked to be at least 1
+when parsed; ``--jobs`` is otherwise ignored: every subcommand runs serially.
 """
 
 from __future__ import annotations
@@ -453,7 +453,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EmptyPolyhedronError as exc:
         print(f"empty: {exc}", file=sys.stderr)
         return 1
-    except (PolyhedronError, OrbitBudgetExceeded, OSError) as exc:
+    except (PolyhedronError, OrbitBudgetExceeded, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

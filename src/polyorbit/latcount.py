@@ -59,13 +59,11 @@ from .polycore import (
     dot,
     frac,
     gauss_jordan,
-    identity_matrix,
     integer_kernel_basis,
     integer_v_to_h,
     irredundant_rows,
     matrix,
     primitive,
-    vec_sub,
     zero_vector,
 )
 from .symilp import (
@@ -704,10 +702,9 @@ def slice_decomposition(P: HPolyhedron, blocks: Sequence[int]) -> SliceDecomposi
     blocks = _invariant_blocks(P, blocks)
     n = P.n
     # e_t - e_{t+1} inside a block, e_t for a singleton
-    eye = identity_matrix(n)
-    basis = tuple(eye[t] if nb == 1 else vec_sub(eye[t], eye[t + 1])
-                  for off, nb in zip(accumulate(blocks, initial=0), blocks)
-                  for t in range(off, off + max(nb - 1, 1)))
+    basis = matrix([(j == t) - (nb > 1 and j == t + 1) for j in range(n)]
+                   for off, nb in zip(accumulate(blocks, initial=0), blocks)
+                   for t in range(off, off + max(nb - 1, 1)))
     fiber_rows = matrix([[dot(a, bv) for bv in basis] for a in P.A])
     live = [j for j in range(len(blocks)) if blocks[j] >= 2]
 

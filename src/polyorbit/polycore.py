@@ -4,6 +4,9 @@ and double description.
 Everything in this package computes over the rationals; floating point is never
 used, not even as a pre-filter.  Vectors are tuples of Fraction, matrices are
 tuples of row tuples.  Inequality systems are written A x <= b throughout.
+Beyond dot and vec_sub the module keeps no Fraction vector or matrix
+helper, and AffineHull and IncidenceData are plain records, from which only
+AffineHull.dim derives anything.
 
 Every exact elimination runs on one kernel, gauss_jordan: fraction-free
 Gauss-Jordan elimination of an integer matrix, which returns D times the
@@ -84,25 +87,8 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u: Sequence, v: Sequence) -> Vector:
-    return tuple(a + b for a, b in zip(u, v))
-
-
 def vec_sub(u: Sequence, v: Sequence) -> Vector:
     return tuple(a - b for a, b in zip(u, v))
-
-
-def mat_vec(A: Sequence[Sequence], x: Sequence) -> Vector:
-    return tuple(dot(row, x) for row in A)
-
-
-def transpose(A: Sequence[Sequence]) -> Matrix:
-    return tuple(zip(*A))
-
-
-def identity_matrix(n: int) -> Matrix:
-    one, zero = Fraction(1), Fraction(0)
-    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
 
 
 def zero_vector(n: int) -> Vector:
@@ -540,9 +526,6 @@ class AffineMap:
     A: Matrix
     t: Vector
 
-    def apply(self, x: Sequence) -> Vector:
-        return vec_add(mat_vec(self.A, x), self.t)
-
 
 # ---------------------------------------------------------------------------
 # Exact linear programming (two-phase simplex with Bland's rule, pivoted on
@@ -859,19 +842,13 @@ def index_set(mask: int) -> tuple:
 class IncidenceData:
     """Which generators satisfy which rows with equality (exact zero test).
 
-    Stored as per-row bitmasks over generator indices; all exposed index sets
-    are 1-based, matching the rest of the toolkit.
+    Stored as per-row bitmasks over generator indices: bit j of
+    row_masks[i - 1] is set when generator j + 1 is on row i, so
+    index_set(row_masks[i - 1]) lists the 1-based generators of row i.
     """
     m: int
     k: int
     row_masks: tuple[int, ...]
-
-    def row_set(self, i: int) -> frozenset:
-        return frozenset(index_set(self.row_masks[i - 1]))
-
-    def column_set(self, j: int) -> frozenset:
-        return frozenset(i + 1 for i in range(self.m)
-                         if self.row_masks[i] >> (j - 1) & 1)
 
 
 def incidence(P: HPolyhedron, V: VPolyhedron) -> IncidenceData:
@@ -894,26 +871,14 @@ def incidence(P: HPolyhedron, V: VPolyhedron) -> IncidenceData:
 
 @dataclass(frozen=True)
 class AffineHull:
-    """aff = point + span(directions); dim = len(directions)."""
+    """aff = point + span(directions); dim = len(directions).  The
+    coordinates of points in these directions come from hull_coordinates."""
     point: Vector
     directions: Matrix
 
     @property
     def dim(self) -> int:
         return len(self.directions)
-
-    def coordinates(self, x: Sequence) -> Vector:
-        """Coordinates y with x = point + directions^T y (exact; raises if x
-        is outside the hull)."""
-        diff = vec_sub(x, self.point)
-        cols = transpose(self.directions)  # n x d
-        y = solve_linear(cols, diff)
-        if y is None:
-            raise ValueError("point not in affine hull")
-        return y
-
-    def embed(self, y: Sequence) -> Vector:
-        return vec_add(self.point, mat_vec(transpose(self.directions), y))
 
 
 def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
@@ -922,7 +887,8 @@ def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
     Accepts a VPolyhedron, a plain point sequence, or an HPolyhedron.  For
     the latter, one double description of P gives the implicit equalities,
     the rows tight on every generator; their null space is the direction
-    space, and the first vertex the base point.
+    space (the unit rows when there is none), and the first vertex the base
+    point.
     """
     if isinstance(obj, HPolyhedron):
         try:
@@ -931,8 +897,7 @@ def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
             raise EmptyPolyhedronError("empty polyhedron has no affine hull")
         on_all = reduce(and_, masks)
         eq_rows = [obj.A[i] for i in range(obj.m) if on_all >> i & 1]
-        dirs = nullspace(eq_rows, obj.n) if eq_rows else identity_matrix(obj.n)
-        return AffineHull(V.vertices[0], dirs)
+        return AffineHull(V.vertices[0], nullspace(eq_rows, obj.n))
     if isinstance(obj, VPolyhedron):
         pts = list(obj.vertices)
         rays = list(obj.rays)
@@ -949,8 +914,8 @@ def affine_hull(obj: Union[VPolyhedron, HPolyhedron, Sequence]) -> AffineHull:
 def hull_coordinates(points: Sequence[Sequence]) -> tuple[list, list[tuple], list[int]]:
     """(normals, coordinates, pivots) from one elimination of the
     differences p - points[0]: their integer_nullspace, the coordinates of
-    every point in the affine hull of the list, as
-    affine_hull(points).coordinates gives them, and the pivot columns.
+    every point p in the affine hull of the list, p = points[0] + y D for D
+    the directions of affine_hull(points), and the pivot columns.
     affine_hull's directions are the rows of the reduced row echelon form of
     the differences, so the coordinates of p are the entries of p - points[0]
     at the pivots, ascending, integers for integer points; a row a.y <= b on

@@ -14,10 +14,12 @@ tests/fixtures except santos.ext.
 It then prints each function or method of src/polyorbit that was never
 called, with its line count, by module.  A function nested in one never
 called is not listed on its own.  "span" marks a name that a span of
-polybench/spans.py traces, and "library" a name on the README's library
-list.  "caller" marks a name that some function of src/polyorbit refers to
-and whose every such caller was reached, is marked "span" or "library", or
-is itself marked "caller": it runs, or stays, with its callers.  A caller
+polybench/spans.py traces, or a method whose name a span's size function
+reads as an attribute of a result (SetOrbit.expanded, through
+_orbit_elements), and "library" a name on the README's library list.
+"caller" marks a name that some function of src/polyorbit refers to and
+whose every such caller was reached, is marked "span" or "library", or is
+itself marked "caller": it runs, or stays, with its callers.  A caller
 is found statically: a bare name resolves to its module's own function or
 to the one it imports, and an attribute to every method of that name.  The
 summary counts the names that carry no mark, which still await a decision:
@@ -104,6 +106,14 @@ def span_targets() -> set:
     return {target for targets, _ in spans.ENTRY_POINTS.values() for target in targets}
 
 
+def span_reads() -> set:
+    """Names that a size function of polybench/spans.py reads as attributes
+    (or globals) off a traced result, from the names its code loads."""
+    from polybench import spans
+    return {name for _, size in spans.ENTRY_POINTS.values()
+            for name in getattr(getattr(size, "__code__", None), "co_names", ())}
+
+
 def library_names() -> set:
     """(module, qualified name) of each entry of the README's library list:
     the first `module.name` of every bullet under its "## Library" heading."""
@@ -134,10 +144,13 @@ def main() -> int:
         threading.setprofile(None)
 
     reached = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in called}
-    spans, library = span_targets(), library_names()
+    library = library_names()
     sources = sorted(PACKAGE.glob("*.py"))
     found = {source.stem: functions(source) for source in sources}
     defs = {(module, name) for module, fns in found.items() for name, *_ in fns}
+    reads = span_reads()
+    spans = span_targets() | {(module, name) for module, name in defs
+                              if "." in name and name.rsplit(".", 1)[1] in reads}
     callers: dict = {}
     for source in sources:
         for target, refs in references(source, source.stem, defs).items():

@@ -3,8 +3,9 @@ lattice-point count, projection chain, Ehrhart quasi-polynomial, LP solver,
 reduced invariant LP, symmetry gram, spanning prefix, entry-by-entry
 relabeling checks of an integer frame, automorphism search, orbit closure,
 set orbit and double description shared across test modules, the Fraction
-matrix helpers the references use, and the benchmark's workload builder
-with a runner for its jobs."""
+vector and matrix helpers and the accessors of AffineMap, AffineHull and
+IncidenceData that the references and tests use, and the benchmark's
+workload builder with a runner for its jobs."""
 import contextlib
 import importlib
 import importlib.util
@@ -25,11 +26,15 @@ from polyorbit.symdetect import _refine_colors
 from polyorbit.symilp import check_invariance, invariant_subspace
 from polyorbit.polycore import (
     AffineHull,
+    AffineMap,
     EmptyPolyhedronError,
     HPolyhedron,
+    IncidenceData,
     LPResult,
+    Matrix,
     PolyhedronError,
     VPolyhedron,
+    Vector,
     adjugate,
     affine_hull,
     convert_dd,
@@ -44,13 +49,11 @@ from polyorbit.polycore import (
     integer_kernel_basis,
     integer_v_to_h,
     invert_matrix,
-    mat_vec,
     matrix,
     nullspace,
     primitive,
+    solve_linear,
     solve_lp,
-    transpose,
-    vec_add,
     vec_sub,
     vector,
 )
@@ -66,6 +69,52 @@ def vec_scale(c, u: Sequence) -> tuple:
     """The vector c u, in Fraction."""
     c = frac(c)
     return tuple(c * a for a in u)
+
+
+def vec_add(u: Sequence, v: Sequence) -> Vector:
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def mat_vec(A: Sequence[Sequence], x: Sequence) -> Vector:
+    return tuple(dot(row, x) for row in A)
+
+
+def transpose(A: Sequence[Sequence]) -> Matrix:
+    return tuple(zip(*A))
+
+
+def identity_matrix(n: int) -> Matrix:
+    one, zero = Fraction(1), Fraction(0)
+    return tuple(tuple(one if i == j else zero for j in range(n)) for i in range(n))
+
+
+def apply_map(amap: AffineMap, x: Sequence) -> Vector:
+    """x |-> A x + t of amap."""
+    return vec_add(mat_vec(amap.A, x), amap.t)
+
+
+def affine_coordinates(hull: AffineHull, x: Sequence) -> Vector:
+    """Coordinates y with x = point + directions^T y (exact; raises if x
+    is outside the hull)."""
+    diff = vec_sub(x, hull.point)
+    cols = transpose(hull.directions)  # n x d
+    y = solve_linear(cols, diff)
+    if y is None:
+        raise ValueError("point not in affine hull")
+    return y
+
+
+def affine_embed(hull: AffineHull, y: Sequence) -> Vector:
+    return vec_add(hull.point, mat_vec(transpose(hull.directions), y))
+
+
+def row_set(inc: IncidenceData, i: int) -> frozenset:
+    return frozenset(index_set(inc.row_masks[i - 1]))
+
+
+def column_set(inc: IncidenceData, j: int) -> frozenset:
+    return frozenset(i + 1 for i in range(inc.m)
+                     if inc.row_masks[i] >> (j - 1) & 1)
 
 
 def cube_h(n: int) -> HPolyhedron:
@@ -292,7 +341,7 @@ def reference_volume(P: HPolyhedron) -> Fraction:
     if d < P.n:
         normals = [primitive(v) for v in nullspace(hull.directions, P.n)]
         frame = AffineHull(pts[0], matrix(integer_kernel_basis(normals, P.n)))
-        pts = [frame.coordinates(p) for p in pts]
+        pts = [affine_coordinates(frame, p) for p in pts]
     c = tuple(sum(p[t] for p in pts) / len(pts) for t in range(d))
     total = Fraction(0)
     for mask in convert_dd_incidence(VPolyhedron.from_points(pts))[1]:

@@ -15,8 +15,8 @@ from fractions import Fraction as F
 from itertools import product
 from pathlib import Path
 
-from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, ledger_facet_rows,
-                    reference_volume, santos_prismatoid)
+from shapes import (affine_coordinates, birkhoff, cross_h, cross_v, cube_h, cube_v,
+                    ledger_facet_rows, reference_volume, santos_prismatoid)
 from test_symilp import enum_integral
 
 from polyorbit import (
@@ -311,7 +311,7 @@ def _embed_full_dim(P: HPolyhedron) -> HPolyhedron:
     normals = [primitive(v) for v in nullspace(hull.directions, P.n)]
     frame = AffineHull(pts[0], matrix(integer_kernel_basis(normals, P.n)))
     return convert_dd(VPolyhedron.from_points(
-        [frame.coordinates(p) for p in pts]))
+        [affine_coordinates(frame, p) for p in pts]))
 
 
 def test_7_symmetric_counting():

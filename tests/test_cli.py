@@ -1158,6 +1158,15 @@ class TestErrorContract:
         code, out, err = run(capsys, "count", path)
         assert (code, out, err) == (2, "", "error: line 4: zero denominator: '1/00'\n")
 
+    @pytest.mark.parametrize("command", ["count", "automorphisms", "ilp"])
+    def test_file_that_is_not_utf8_is_an_input_error(self, command, tmp_path, capsys):
+        # a byte 0xff once escaped as "internal error: UnicodeDecodeError" and exit 3
+        path = tmp_path / "latin.ine"
+        path.write_bytes(b"H-representation\nbegin\n1 2 rational\n1 \xff\nend\n")
+        code, out, err = run(capsys, command, path)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_set_orbit_over_budget_is_an_input_error(self, monkeypatch, tmp_path, capsys):
         # both facet orbits of CUT_5 have more than 20 sets
         path = tmp_path / "cut5.ext"

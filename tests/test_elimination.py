@@ -32,6 +32,8 @@ from polyorbit.polycore import (
     _IntegerFrame,
 )
 
+from shapes import affine_coordinates
+
 SEEDS = range(12)
 
 
@@ -226,7 +228,7 @@ def test_hull_coordinates_are_affine_hull_coordinates(seed):
                 pts = [tuple(int(x) for x in p) for p in pts]
             hull = affine_hull(pts)
             normals, coords, pivots = hull_coordinates(pts)
-            assert coords == [hull.coordinates(p) for p in pts]
+            assert coords == [affine_coordinates(hull, p) for p in pts]
             # the pivots are the leading columns of the hull's directions,
             # and a row on the coordinates lifts through them
             assert pivots == [next(j for j, x in enumerate(r) if x) for r in hull.directions]

@@ -21,7 +21,6 @@ from polyorbit.polycore import (
     primitive,
     rank,
     solve_lp,
-    vec_add,
     zero_vector,
 )
 from polyorbit.latcount import (
@@ -37,7 +36,8 @@ from polyorbit.cli import main, parse_polyfile
 from polyorbit.repconv import convert_dd
 from polyorbit.symilp import block_group, canonical_core_point, orbit_barycenter
 from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, reference_chain,
-                    reference_count, reference_ehrhart, reference_volume, simplex_h, simplex_v)
+                    reference_count, reference_ehrhart, reference_volume, simplex_h, simplex_v,
+                    vec_add)
 from test_symilp import (
     apply_perm,
     enum_integral,

@@ -100,6 +100,11 @@ def test_images_degree_and_order():
         [Permutation((1, 2)), Permutation((1, 2, 3)), Permutation((2, 1, 3)), p]
 
 
+def test_repr_names_cycles_and_degree():
+    assert repr(Permutation.from_cycles(4, [(1, 3)])) == "Permutation((1 3), degree=4)"
+    assert repr(Permutation.identity(2)) == "Permutation((), degree=2)"
+
+
 def test_product_of_different_degrees_rejected():
     with pytest.raises(ValueError):
         Permutation.identity(3) * Permutation.identity(4)

@@ -23,7 +23,6 @@ from polyorbit.polycore import (
     det,
     dot,
     gauss_jordan,
-    identity_matrix,
     incidence,
     integer_h_to_v,
     integer_kernel_basis,
@@ -42,8 +41,9 @@ from polyorbit.polycore import (
     zero_vector,
 )
 
-from shapes import (polybench_workloads, reference_dd_cone, reference_integer_h_to_v,
-                    reference_irredundant_rows, reference_solve_lp, run_jobs)
+from shapes import (affine_coordinates, affine_embed, column_set, cube_h, identity_matrix,
+                    polybench_workloads, reference_dd_cone, reference_integer_h_to_v,
+                    reference_irredundant_rows, reference_solve_lp, row_set, run_jobs)
 
 F = Fraction
 
@@ -333,16 +333,16 @@ class TestIncidence:
         V = cube_vertices(2)
         inc = incidence(P, V)
         # every facet of the square contains exactly 2 of the 4 vertices
-        assert [len(inc.row_set(i)) for i in range(1, 5)] == [2, 2, 2, 2]
+        assert [len(row_set(inc, i)) for i in range(1, 5)] == [2, 2, 2, 2]
         # every vertex lies on exactly 2 facets
-        assert [len(inc.column_set(j)) for j in range(1, 5)] == [2, 2, 2, 2]
+        assert [len(column_set(inc, j)) for j in range(1, 5)] == [2, 2, 2, 2]
 
     def test_cube_pattern(self):
         P = cube_h(3)
         V = cube_vertices(3)
         inc = incidence(P, V)
-        assert all(len(inc.row_set(i)) == 4 for i in range(1, 7))
-        assert all(len(inc.column_set(j)) == 3 for j in range(1, 9))
+        assert all(len(row_set(inc, i)) == 4 for i in range(1, 7))
+        assert all(len(column_set(inc, j)) == 3 for j in range(1, 9))
 
     def test_ray_incidence(self):
         # quadrant x,y >= 0: apex + 2 rays
@@ -350,8 +350,8 @@ class TestIncidence:
         V = VPolyhedron.from_points([(0, 0)], rays=[(1, 0), (0, 1)])
         inc = incidence(P, V)
         # row -x <= 0 is tight at apex and at ray (0,1)
-        assert inc.row_set(1) == frozenset({1, 3})
-        assert inc.row_set(2) == frozenset({1, 2})
+        assert row_set(inc, 1) == frozenset({1, 3})
+        assert row_set(inc, 2) == frozenset({1, 2})
 
 
 class TestAffineHull:
@@ -370,11 +370,15 @@ class TestAffineHull:
         h = affine_hull(P)
         assert h.dim == 1
         assert h.point[1] == F(1, 2)
+        # full-dimensional: the null space of no equality rows, the unit rows
+        dirs = affine_hull(cube_h(3)).directions
+        assert dirs == identity_matrix(3)
+        assert all(type(x) is F for row in dirs for x in row)
 
     def test_coordinates_roundtrip(self):
         h = affine_hull([(0, 0, 1), (1, 0, 1), (0, 1, 1)])
-        y = h.coordinates((F(1, 3), F(1, 3), 1))
-        assert h.embed(y) == (F(1, 3), F(1, 3), 1)
+        y = affine_coordinates(h, (F(1, 3), F(1, 3), 1))
+        assert affine_embed(h, y) == (F(1, 3), F(1, 3), 1)
 
 
 class TestRemoveRedundancy:
@@ -592,8 +596,8 @@ class TestDoubleDescriptionCanonicalForms:
             except EmptyPolyhedronError:
                 continue
             inc = incidence(P, V)
-            assert masks == tuple(sum(1 << (i - 1) for i in S)
-                                  for S in map(inc.column_set, range(1, inc.k + 1)))
+            assert masks == tuple(sum(1 << (i - 1) for i in column_set(inc, j))
+                                  for j in range(1, inc.k + 1))
             H, rows = convert_dd_incidence(V)
             assert tuple(rows) == incidence(H, V).row_masks
 
@@ -675,6 +679,14 @@ def rational(rng):
 
 
 class TestIntegerForm:
+    def test_constructor_checks_its_rows(self):
+        P = HPolyhedron(((F(1, 2), F(1)),), (F(3),))
+        assert (P.m, P.n, P.int_rows) == (1, 2, ((1, 2, 6),))
+        with pytest.raises(PolyhedronError, match="^row count mismatch between A and b$"):
+            HPolyhedron(((F(1),),), ())
+        with pytest.raises(PolyhedronError, match="^ragged inequality matrix$"):
+            HPolyhedron(((F(1),), (F(1), F(2))), (F(0), F(0)))
+
     def test_rows_and_points_match_their_helpers_and_are_made_once(self):
         rng = random.Random(2024)
         seen = set()

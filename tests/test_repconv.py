@@ -24,13 +24,10 @@ from polyorbit.polycore import (
     integer_nullspace,
     integer_v_to_h,
     invert_matrix,
-    mat_vec,
     nullspace,
     primitive,
     rank,
     remove_redundancy,
-    transpose,
-    vec_add,
     vec_sub,
     vector,
 )
@@ -60,6 +57,7 @@ from polyorbit.symdetect import (
 )
 
 from shapes import (
+    affine_coordinates,
     cross_h,
     cross_v,
     cube_h,
@@ -68,9 +66,13 @@ from shapes import (
     hypersimplex_v,
     ledger_facet_rows,
     mat_mul,
+    mat_vec,
+    row_set,
     santos_prismatoid,
     simplex_h,
     simplex_v,
+    transpose,
+    vec_add,
     vec_scale,
 )
 
@@ -185,7 +187,7 @@ def test_octahedron_v_to_h():
     for i in range(1, H.m + 1):
         assert primitive(tuple(H.A[i - 1]) + (H.b[i - 1],))[-1] == 1
         assert all(abs(x) == abs(H.A[i - 1][0]) for x in H.A[i - 1])
-        assert len(inc.row_set(i)) == 3
+        assert len(row_set(inc, i)) == 3
 
 
 def test_round_trips():
@@ -503,7 +505,7 @@ def test_lower_dimensional_input_handled():
     assert led.orbit_count == 1 and sum(e.size for e in led.entries.values()) == 4
     H = convert_dd(V)
     inc = incidence(H, V)
-    want = {tuple(sorted(inc.row_set(i))) for i in range(1, H.m + 1) if i not in H.equality_rows}
+    want = {tuple(sorted(row_set(inc, i))) for i in range(1, H.m + 1) if i not in H.equality_rows}
     assert set().union(*(e.orbit.elements for e in led.entries.values())) == want
 
 
@@ -718,7 +720,7 @@ def _ref_ambient_row(points, S):
     hull = affine_hull(points)
     D = hull.directions
     M = mat_mul(invert_matrix(mat_mul(D, transpose(D))), D)
-    local = [hull.coordinates(p) for p in points]
+    local = [affine_coordinates(hull, p) for p in points]
     ns = _ref_hull_coordinates([local[i - 1] for i in sorted(S)])[0]
     a, delta = _ref_supporting_row(local, S, ns)
     a_amb = mat_vec(transpose(M), a)
@@ -762,7 +764,7 @@ def _ref_hull_coordinates(pts):
     hull = affine_hull(pts)
     normals = [primitive(v) for v in nullspace(hull.directions, len(pts[0]))]
     pivots = [next(j for j, x in enumerate(row) if x) for row in hull.directions]
-    return normals, [hull.coordinates(p) for p in pts], pivots
+    return normals, [affine_coordinates(hull, p) for p in pts], pivots
 
 
 def _affine_image(V, seed, extra):

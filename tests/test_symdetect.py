@@ -31,12 +31,10 @@ from polyorbit.polycore import (
     VPolyhedron,
     _IntegerFrame,
     invert_matrix,
-    mat_vec,
     primitive,
     rank as poly_rank,
     row_space_basis,
     solve_linear,
-    vec_add,
     vec_sub,
 )
 from polyorbit.permgrp import Permutation, PermutationGroup
@@ -49,11 +47,11 @@ from polyorbit.symdetect import (
     restricted_symmetries_H,
 )
 
-from shapes import (birkhoff, cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v, met_h,
-                    probe_permutations, reference_automorphism_search, reference_gram,
-                    reference_relabels, reference_row_affine, reference_spanning_prefix,
-                    row_image, santos_prismatoid, simplex_h, simplex_v, unimodular_image,
-                    unpack_row)
+from shapes import (apply_map, birkhoff, cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v,
+                    mat_vec, met_h, probe_permutations, reference_automorphism_search,
+                    reference_gram, reference_relabels, reference_row_affine,
+                    reference_spanning_prefix, row_image, santos_prismatoid, simplex_h, simplex_v,
+                    unimodular_image, unpack_row, vec_add)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -554,10 +552,10 @@ def test_realizations_permute_vertex_set():
     vset = set(V.vertices)
     for sigma in affine_symmetry_group(V).generators:
         amap = realize_vertex_permutation(V, sigma)
-        images = [amap.apply(v) for v in V.vertices]
+        images = [apply_map(amap, v) for v in V.vertices]
         assert set(images) == vset
         for i, v in enumerate(V.vertices):
-            assert amap.apply(v) == V.vertices[sigma(i + 1) - 1]
+            assert apply_map(amap, v) == V.vertices[sigma(i + 1) - 1]
 
 
 def test_affine_image_keeps_order():
@@ -890,7 +888,7 @@ def test_vertex_check_accepts_exactly_the_realized_permutations(name):
             rejected += 1
             continue
         accepted += 1
-        assert all(amap.apply(v) == V.vertices[sigma(i + 1) - 1]
+        assert all(apply_map(amap, v) == V.vertices[sigma(i + 1) - 1]
                    for i, v in enumerate(V.vertices))
     assert accepted and (rejected or V.k <= 2)
 

@@ -17,15 +17,12 @@ from polyorbit.polycore import (
     VPolyhedron,
     convert_dd,
     dot,
-    identity_matrix,
     integerize,
     invert_matrix,
-    mat_vec,
     nullspace,
     primitive,
     row_space_basis,
     solve_lp,
-    transpose,
     vec_sub,
     vector,
     zero_vector,
@@ -52,7 +49,7 @@ from polyorbit.symilp import (
     symmetric_ilp_optimize,
 )
 
-from shapes import cube_h, mat_mul, reference_solve_lp_reduced
+from shapes import cube_h, identity_matrix, mat_mul, mat_vec, reference_solve_lp_reduced, transpose
 
 UNBOUNDED = "^projection onto the invariant subspace is unbounded$"
 NOT_INVARIANT = "^the system is not invariant under the block group$"
