@@ -10,8 +10,9 @@ constant term first) and a ``blocks`` header for the symmetric routes.
 
 Subcommands: automorphisms, convert, count, ehrhart, volume, ilp.  Exit
 codes: 0 success, 1 infeasible or empty (a computed answer), 2 input error
-(also a file that is not UTF-8 text, or an input past a size budget, such
-as a set orbit of more than 2,000,000 sets), 3 internal verification
+(also a file that is not UTF-8 text, refused with the line of its first bad
+byte, or an input past a size budget, such as a set orbit of more than
+2,000,000 sets), 3 internal verification
 failure or any other internal error (one stderr line, never a traceback).
 ``--jobs`` (default 1) and ``--period-bound`` are checked to be at least 1
 when parsed; ``--jobs`` is otherwise ignored: every subcommand runs serially.
@@ -25,6 +26,7 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import neg
 from typing import Optional, Sequence, Union
 
 from .latcount import (count_lattice_points, count_with_symmetry, ehrhart,
@@ -97,7 +99,7 @@ class PolyFile:
             raise PolyhedronError("an H-representation file is required here")
         if not self.rows:
             raise PolyhedronError("an H-representation needs at least one row")
-        return HPolyhedron.of_rows([(*(-x for x in r[1:]), r[0]) for r in self.rows],
+        return HPolyhedron.of_rows([(*map(neg, r[1:]), r[0]) for r in self.rows],
                                    self.linearity)
 
     def to_vpolyhedron(self) -> VPolyhedron:
@@ -120,7 +122,6 @@ class PolyFile:
 
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
-_INTEGER = re.compile(r"[+-]?\d+")
 
 
 def _parse_rational(tok: str, lineno: int) -> Fraction:
@@ -138,8 +139,8 @@ def _parse_rational(tok: str, lineno: int) -> Fraction:
 
 def parse_polyfile(text: str) -> PolyFile:
     """Parse a polyhedron file; errors carry 1-based line numbers."""
-    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)
-             if ln.strip() and not ln.lstrip().startswith("#")]
+    lines = [(no, ln) for no, ln in enumerate(map(str.strip, text.splitlines()), start=1)
+             if ln and not ln.startswith("#")]
     pos = 0
 
     def take() -> tuple[int, str]:
@@ -195,9 +196,11 @@ def parse_polyfile(text: str) -> PolyFile:
         if len(toks) != width:
             raise PolyFileError(
                 f"line {no}: expected {width} entries, got {len(toks)}")
-        if all(map(_INTEGER.fullmatch, toks)):
+        try:
+            if "_" in ln:   # int() reads 1_0 as 10; a file entry is [+-]?\d+(/\d+)?
+                raise ValueError
             row = tuple(map(int, toks))
-        else:
+        except ValueError:  # a p/q entry, or a bad one, refused with its line
             row = tuple(_parse_rational(t, no) for t in toks)
         if kind == "V" and row[0] not in (0, 1):
             raise PolyFileError(
@@ -438,11 +441,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
+def _utf8_text(data: bytes) -> str:
+    """data decoded as UTF-8; a bad byte is refused with its line, counted
+    as parse_polyfile counts lines."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # "." stands in for the bad byte: after a line break it starts a line
+        no = len((data[:exc.start].decode("utf-8") + ".").splitlines())
+        raise PolyFileError(
+            f"line {no}: byte 0x{data[exc.start]:02x} is not UTF-8 ({exc.reason})") from None
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        with open(args.file) as fh:
-            pf = parse_polyfile(fh.read())
+        with open(args.file, "rb") as fh:
+            pf = parse_polyfile(_utf8_text(fh.read()))
         return args.handler(pf, args)
     except PolyFileError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -453,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except EmptyPolyhedronError as exc:
         print(f"empty: {exc}", file=sys.stderr)
         return 1
-    except (PolyhedronError, OrbitBudgetExceeded, OSError, UnicodeDecodeError) as exc:
+    except (PolyhedronError, OrbitBudgetExceeded, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

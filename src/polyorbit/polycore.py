@@ -106,7 +106,7 @@ def clear_denominators(points: Iterable[Sequence]) -> tuple[int, list[tuple[int,
 def integerize(row: Sequence) -> tuple[int, ...]:
     """Scale a rational row by the positive lcm of denominators."""
     row = tuple(row)
-    if all(type(x) is int for x in row):
+    if set(map(type, row)) <= {int}:
         return row
     return clear_denominators([row])[1][0]
 

@@ -23,12 +23,14 @@ barycenter of each of its points, with the same block sums, so the block sums
 of P are read off one integer_h_to_v of P on the fixed space, one row per
 orbit in one coordinate per block; the ILP's integer box and block_sum_image,
 whence latcount's slice decomposition takes its ranges, come from it, without
-an LP.  Fibers are ordered by integer keys summed from per-block terms, in one
-stable sort of their indices; the LP whose point orders a feasibility sweep
-pivots P.int_rows too.  The sweep tests each fiber's balanced point against
-each row orbit in integers, in closed form by the rearrangement inequality,
-from one memo table per orbit and block keyed by the block sum, the orbit that
-rejected the last probe first.
+an LP.  Fibers are ordered by integer keys summed from per-block terms, as one
+stable sort of their indices orders them: the first takes the first least
+term of each block, and the keys, the product and the sort of the rest are
+built only when the sweep rejects it.  The LP whose point orders a
+feasibility sweep pivots P.int_rows too.  The sweep tests each fiber's
+balanced point against each row orbit in integers, in closed form by the
+rearrangement inequality, from one memo table per orbit and block keyed by
+the block sum, the orbit that rejected the last probe first.
 """
 from __future__ import annotations
 
@@ -36,7 +38,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import accumulate, product
+from itertools import accumulate, chain, islice, product
 from operator import getitem, mul
 from typing import Optional, Sequence, Union
 
@@ -514,9 +516,11 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
     sums) to the point of one LP relaxation first, which solve_lp reads off
     P.int_rows, so the order is the polyhedron's; optimization in decreasing
     fiber objective, by integer keys summed from per-block terms; ties go to
-    the lexicographically smaller sums.  Per fiber only the balanced point
-    needs testing: it is majorized blockwise by every integral point with the
-    same sums, so an invariant convex set containing any of them contains it.
+    the lexicographically smaller sums; _fiber_order finds the first fiber
+    with no sort, and sorts the rest only if the sweep rejects it.  Per
+    fiber only the balanced point needs testing: it is majorized blockwise
+    by every integral point with the same sums, so an invariant convex set
+    containing any of them contains it.
     """
     blocks = check_blocks(blocks, P.n)
     lp = LinearProgram(P, zero_vector(P.n) if c is None else c)
@@ -539,14 +543,33 @@ def symmetric_ilp(P: HPolyhedron, blocks: Sequence[int], c: Optional[Sequence] =
         # d times the l1 distance of the block sums to the relaxation's
         d, (ref,) = clear_denominators([_block_sums(blocks, rel.point)])
         terms = [[abs(s * d - rj) for s in r] for rj, r in zip(ref, ranges)]
-    # the keys in product order, which is lexicographic, so the stable sort
-    # of the indices breaks ties as a sort on (key, s) would
-    keys = [0]
-    for tj in terms:
-        keys = [k + x for k in keys for x in tj]
-    cands = list(product(*ranges))
-    return _sweep(orbits, blocks, map(cands.__getitem__,
-                                    sorted(range(len(keys)), key=keys.__getitem__)))
+    return _sweep(orbits, blocks, _fiber_order(ranges, terms))
+
+
+def _fiber_order(ranges, terms):
+    """The block sums s of product(*ranges) in one stable sort of their
+    indices by key, the sum over the blocks j of terms[j][i_j] for s_j =
+    ranges[j][i_j]: the fibers in sweep order, as an iterator.
+
+    Product order is lexicographic, so the sort breaks ties as a sort on
+    (key, s) would.  A key is least where each term is, so the first fiber
+    takes the first least term of each block; the keys, the product and the
+    sort of the rest are built only if the sweep asks for a second fiber.
+    """
+    if not all(terms):
+        return iter(())
+
+    def rest():
+        keys = [0]
+        for tj in terms:
+            keys = [k + x for k in keys for x in tj]
+        cands = list(product(*ranges))
+        order = sorted(range(len(keys)), key=keys.__getitem__)
+        return map(cands.__getitem__, islice(order, 1, None))
+
+    first = tuple(r[t.index(min(t))] for r, t in zip(ranges, terms))
+    # chained without a generator step per fiber
+    return chain.from_iterable(part() for part in (lambda: [first], rest))
 
 
 def symmetric_ilp_feasible(P: HPolyhedron, blocks: Sequence[int]) -> Optional[Vector]:

@@ -4,14 +4,17 @@ reduced invariant LP, symmetry gram, spanning prefix, entry-by-entry
 relabeling checks of an integer frame, automorphism search, orbit closure,
 set orbit and double description shared across test modules, the Fraction
 vector and matrix helpers and the accessors of AffineMap, AffineHull and
-IncidenceData that the references and tests use, and the benchmark's
-workload builder with a runner for its jobs."""
+IncidenceData that the references and tests use, a reference polyhedron
+file parser, and the benchmark's workload builder with a runner for its
+jobs."""
 import contextlib
 import importlib
 import importlib.util
 import io
 import random
+import re
 import sys
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, gcd, lcm
@@ -19,6 +22,7 @@ from operator import mul
 from pathlib import Path
 from typing import Optional, Sequence
 
+from polyorbit.cli import PolyFile, PolyFileError, _parse_rational
 from polyorbit.latcount import QuasiPolynomial
 from polyorbit.permgrp import Permutation, PermutationGroup, _inverse
 from polyorbit.repconv import _Geometry
@@ -1010,6 +1014,109 @@ def _combine(p: int, u: tuple[int, ...], q: int, w: tuple[int, ...]) -> tuple[in
     v = tuple(p * x + q * y for x, y in zip(u, w))
     g = gcd(*v)
     return v if g <= 1 else tuple(x // g for x in v)
+
+
+_INTEGER = re.compile(r"[+-]?\d+")
+
+
+def reference_parse_polyfile(text: str) -> PolyFile:
+    """cli.parse_polyfile by its earlier route, kept verbatim as the oracle
+    of its one-pass read: a body row is read as ints only when _INTEGER
+    matches each token, and otherwise token by token by _parse_rational."""
+    lines = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), start=1)
+             if ln.strip() and not ln.lstrip().startswith("#")]
+    pos = 0
+
+    def take() -> tuple[int, str]:
+        nonlocal pos
+        if pos >= len(lines):
+            last = lines[-1][0] if lines else 0
+            raise PolyFileError(f"line {last}: unexpected end of file")
+        pos += 1
+        return lines[pos - 1]
+
+    no, head = take()
+    if head == "H-representation":
+        kind = "H"
+    elif head == "V-representation":
+        kind = "V"
+    else:
+        raise PolyFileError(
+            f"line {no}: expected H-representation or V-representation, got {head!r}")
+
+    linearity: tuple[int, ...] = ()
+    no, ln = take()
+    if ln.split() and ln.split()[0] == "linearity":
+        toks = ln.split()
+        try:
+            cnt = int(toks[1])
+            idx = [int(t) for t in toks[2:]]
+        except (IndexError, ValueError):
+            raise PolyFileError(f"line {no}: malformed linearity line")
+        if len(idx) != cnt or len(set(idx)) != cnt:
+            raise PolyFileError(
+                f"line {no}: linearity count does not match its indices")
+        linearity = tuple(sorted(idx))
+        no, ln = take()
+    if ln != "begin":
+        raise PolyFileError(f"line {no}: expected begin, got {ln!r}")
+
+    no, ln = take()
+    toks = ln.split()
+    if len(toks) != 3 or toks[2] not in ("rational", "integer"):
+        raise PolyFileError(
+            f"line {no}: expected header 'm n rational', got {ln!r}")
+    try:
+        m, width = int(toks[0]), int(toks[1])
+    except ValueError:
+        raise PolyFileError(f"line {no}: non-integer sizes in header")
+    if m < 0 or width < 1:
+        raise PolyFileError(f"line {no}: invalid sizes in header")
+
+    rows = []
+    for _ in range(m):
+        no, ln = take()
+        toks = ln.split()
+        if len(toks) != width:
+            raise PolyFileError(
+                f"line {no}: expected {width} entries, got {len(toks)}")
+        if all(map(_INTEGER.fullmatch, toks)):
+            row = tuple(map(int, toks))
+        else:
+            row = tuple(_parse_rational(t, no) for t in toks)
+        if kind == "V" and row[0] not in (0, 1):
+            raise PolyFileError(
+                f"line {no}: V rows must start with 1 (vertex) or 0 (ray)")
+        rows.append(row)
+    no, ln = take()
+    if ln != "end":
+        raise PolyFileError(f"line {no}: expected end, got {ln!r}")
+    body = PolyFile(kind, tuple(rows), linearity, width=width)   # checks the linearity
+
+    objective = None
+    blocks = None
+    while pos < len(lines):
+        no, ln = take()
+        toks = ln.split()
+        if toks[0] in ("maximize", "minimize"):
+            if objective is not None:
+                raise PolyFileError(f"line {no}: duplicate objective line")
+            if len(toks) != width + 1:
+                raise PolyFileError(
+                    f"line {no}: objective needs {width} entries, got {len(toks) - 1}")
+            objective = (toks[0], tuple(_parse_rational(t, no) for t in toks[1:]))
+        elif toks[0] == "blocks":
+            if blocks is not None:
+                raise PolyFileError(f"line {no}: duplicate blocks line")
+            try:
+                blocks = tuple(int(t) for t in toks[1:])
+            except ValueError:
+                raise PolyFileError(f"line {no}: blocks must be integers")
+            if not blocks or any(x < 1 for x in blocks):
+                raise PolyFileError(f"line {no}: blocks must be positive integers")
+        else:
+            raise PolyFileError(f"line {no}: unknown option line {ln!r}")
+    return replace(body, objective=objective, blocks=blocks)
 
 
 def polybench_workloads():

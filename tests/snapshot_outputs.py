@@ -10,7 +10,9 @@ record runs, through cli.main of the checkout's src/polyorbit,
 
 - every job of the three benchmark workloads at seeds 1-5, built by
   polybench.workloads.build(name, seed, 10, dir) into a temporary
-  directory, and
+  directory,
+- count on every file of MALFORMED, a corpus of H and V files that the
+  parser refuses, written into the same directory, and
 - the ten COMMANDS on every fixture under tests/fixtures except
   santos.ext.
 
@@ -39,12 +41,35 @@ SKIPPED_FIXTURES = {"santos.ext"}
 COMMANDS = (["automorphisms"], ["convert"], ["convert", "--adjacencies"],
             ["convert", "--idm-adm-level", "1", "1"], ["convert", "--idm-adm-level", "0", "2"],
             ["count"], ["count", "--symmetric"], ["ehrhart"], ["volume"], ["ilp"])
+# files the parser refuses, one fault each: bad tokens, short rows, bad
+# headers and linearity lines, a V row that is neither point nor ray, and
+# bytes that are not UTF-8
+MALFORMED = {
+    "token.ine": b"H-representation\nbegin\n2 3 rational\n1 -1 0\n1 0 x\nend\n",
+    "sign.ine": b"H-representation\nbegin\n1 2 rational\n+-1 1\nend\n",
+    "underscore.ine": b"H-representation\nbegin\n2 2 rational\n1 -1\n1_0 1\nend\n",
+    "zero-denominator.ine": b"H-representation\nbegin\n1 3 rational\n1 -1 2/0\nend\n",
+    "decimal.ext": b"V-representation\nbegin\n2 3 rational\n1 0 0\n1 0.5 1\nend\n",
+    "short-row.ine": b"H-representation\nbegin\n2 3 rational\n1 -1 0\n1 0\nend\n",
+    "short-row.ext": b"V-representation\nbegin\n2 3 rational\n1 0 0\n1 1 0 1\nend\n",
+    "kind.ine": b"G-representation\nbegin\n1 2 rational\n1 -1\nend\n",
+    "header.ine": b"H-representation\nbegin\n1 two rational\n1 -1\nend\n",
+    "header-word.ext": b"V-representation\nbegin\n1 2 real\n1 0\nend\n",
+    "linearity.ine": b"H-representation\nlinearity 2 1\nbegin\n1 2 rational\n1 -1\nend\n",
+    "linearity-range.ine": b"H-representation\nlinearity 1 3\nbegin\n1 2 rational\n1 -1\nend\n",
+    "linearity-vertex.ext": b"V-representation\nlinearity 1 1\nbegin\n1 2 rational\n1 0\nend\n",
+    "v-row.ext": b"V-representation\nbegin\n2 3 rational\n1 0 0\n2 1 1\nend\n",
+    "no-end.ext": b"V-representation\nbegin\n1 2 rational\n1 0\n",
+    "option.ine": b"H-representation\nbegin\n1 2 rational\n1 -1\nend\nblocks 0\n",
+    "latin1.ine": b"H-representation\nbegin\n1 2 rational\n1 \xff\nend\n",
+    "latin1.ext": b"V-representation\r\nbegin\r\n1 2 rational\r\n1 \xe9\r\nend\r\n",
+}
 
 
 def runs(seeds) -> Iterator[tuple[str, list, Optional[str], str]]:
     """(key, argv, DOT path or None, directory to write as {dir}) of every
-    run: each workload job at each seed, then each command on each
-    fixture.  A seed's jobs are built as its turn comes."""
+    run: each workload job at each seed, each malformed file, then each
+    command on each fixture.  A seed's jobs are built as its turn comes."""
     from polybench import workloads
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -54,6 +79,9 @@ def runs(seeds) -> Iterator[tuple[str, list, Optional[str], str]]:
                 where.mkdir()
                 for job in workloads.build(name, seed, SECONDS, str(where)):
                     yield f"{name}/{seed}/{job.name}", job.argv, job.dot, workdir
+        for name, data in MALFORMED.items():
+            Path(workdir, name).write_bytes(data)
+            yield f"malformed/{name}", ["count", str(Path(workdir, name))], None, workdir
     for fixture in sorted((ROOT / "tests" / "fixtures").iterdir()):
         if fixture.name not in SKIPPED_FIXTURES:
             for cmd in COMMANDS:

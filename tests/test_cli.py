@@ -16,6 +16,7 @@ from operator import mul
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import polyorbit
 from polyorbit import (
@@ -32,7 +33,8 @@ from polyorbit.permgrp import orbit_of_set
 from polyorbit.polycore import VPolyhedron, matrix, primitive
 
 from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v,
-                    polybench_workloads, row_image, santos_prismatoid, unimodular_image)
+                    polybench_workloads, reference_parse_polyfile, row_image,
+                    santos_prismatoid, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -127,8 +129,8 @@ class TestPolyFileParsing:
             parse_polyfile(text)
 
     @pytest.mark.parametrize("tok, verdict", [
-        # integer tokens take one fullmatch each and then int(); the rest,
-        # and every error text, go through the per-token rational parse
+        # a row of integer tokens is read by int() in one pass; a row with any
+        # other token, and every error text, go through the per-token rational parse
         ("1_000", "line 4: not a rational number: '1_000'"),
         ("\u0661\u0662", F(12)),          # \d matches any Unicode decimal digit
         ("\u0663/\u0664", F(3, 4)),
@@ -194,6 +196,46 @@ class TestPolyFileParsing:
         row = parse_polyfile(text).rows[0]
         entry = row[0]
         assert entry == value and all(type(x) is (F if "/" in tok else int) for x in row)
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_one_pass_read_agrees_with_the_token_regex(self, data):
+        # generated files against the parser that matched each body token with
+        # [+-]?\d+ first: an equal PolyFile, ints and Fractions alike, or the same
+        # refusal; the first entry of a V row is 0 or 1 half the time
+        tok = st.one_of(
+            st.integers(-10 ** 6, 10 ** 6).map(str),
+            st.tuples(st.sampled_from(["", "+", "-"]), st.sampled_from(["0", "00", "007"]),
+                      st.integers(0, 99)).map(lambda t: f"{t[0]}{t[1]}{t[2]}"),
+            st.tuples(st.integers(-9, 9), st.integers(0, 12)).map(lambda t: f"{t[0]}/{t[1]}"),
+            st.sampled_from(["1_0", "-2_5", "+0_0", "1__0", "_1", "1_", "1/1_0"]),
+            st.sampled_from(["\u0661\u0662", "-\u0663", "+\u0966", "\uff17", "\u0663/\u0664",
+                             "\u00b2", "\u00bd"]),
+            st.sampled_from(["+-1", "--1", "1.5", "1/-2", "1/+2", "1/", "/2", "+", "-", "0x10",
+                             "1e3", "-0/00", "3/0", "x"]))
+        kind = data.draw(st.sampled_from("HV"))
+        width, m = data.draw(st.integers(1, 4)), data.draw(st.integers(0, 4))
+        lines = [f"{kind}-representation", "begin", f"{m} {width} rational"]
+        for _ in range(m):
+            first = data.draw(st.one_of(st.sampled_from(["0", "1"]), tok) if kind == "V" else tok)
+            row = [first] + data.draw(st.lists(tok, min_size=width - 1, max_size=width - 1))
+            lines.append(data.draw(st.sampled_from([" ", "\t", "  "])).join(row))
+            if data.draw(st.booleans()):
+                lines.append(data.draw(st.sampled_from(["", "# 1_0 x", "  "])))
+        lines.append("end")
+        if data.draw(st.booleans()):
+            lines.append("maximize " + " ".join(data.draw(st.lists(tok, min_size=width + 1,
+                                                                   max_size=width + 1))))
+        text = "\n".join(lines) + "\n"
+
+        def outcome(parse):
+            try:
+                pf = parse(text)
+            except PolyFileError as exc:
+                return "refused", str(exc)
+            return pf, [list(map(type, row)) for row in pf.rows]
+
+        assert outcome(parse_polyfile) == outcome(reference_parse_polyfile)
 
 
 def _old_route(pf: PolyFile) -> HPolyhedron:
@@ -1160,12 +1202,27 @@ class TestErrorContract:
 
     @pytest.mark.parametrize("command", ["count", "automorphisms", "ilp"])
     def test_file_that_is_not_utf8_is_an_input_error(self, command, tmp_path, capsys):
-        # a byte 0xff once escaped as "internal error: UnicodeDecodeError" and exit 3
+        # an input error named by its line, as every other parse error is,
+        # not an internal error (exit 3) or the codec's byte offset
         path = tmp_path / "latin.ine"
         path.write_bytes(b"H-representation\nbegin\n1 2 rational\n1 \xff\nend\n")
         code, out, err = run(capsys, command, path)
-        assert (code, out) == (2, "")
-        assert err.startswith("error: ") and err.count("\n") == 1
+        assert (code, out, err) == (2, "", "error: line 4: byte 0xff is not UTF-8"
+                                           " (invalid start byte)\n")
+
+    @pytest.mark.parametrize("data, message", [
+        (b"\xffH-representation\n", "line 1: byte 0xff is not UTF-8 (invalid start byte)"),
+        # lines end as parse_polyfile ends them: \r\n, a lone \r, and \x0c too
+        (b"H-representation\r\nbegin\r1 2 rational\x0c\n\xe9 1\n",
+         "line 5: byte 0xe9 is not UTF-8 (invalid continuation byte)"),
+        (b"# \xc3\xa9t\xc3\xa9\n\nH-representation\nbegin\n1 2 rational\n1 1\nend\n\xe2\x82",
+         "line 8: byte 0xe2 is not UTF-8 (unexpected end of data)"),
+    ])
+    def test_bad_utf8_names_the_line_of_its_first_bad_byte(self, data, message,
+                                                          tmp_path, capsys):
+        path = tmp_path / "bad.ine"
+        path.write_bytes(data)
+        assert run(capsys, "count", path) == (2, "", f"error: {message}\n")
 
     def test_set_orbit_over_budget_is_an_input_error(self, monkeypatch, tmp_path, capsys):
         # both facet orbits of CUT_5 have more than 20 sets

@@ -933,6 +933,71 @@ class TestOrbitSweepOracle:
 
 
 # ---------------------------------------------------------------------------
+# the fiber order: the first fiber without a sort, the rest sorted on demand
+
+
+def sorted_fiber_order(ranges, terms):
+    """The sweep order as one stable sort of every fiber's index by its key,
+    the keys summed from the per-block terms in product order."""
+    keys = [sum(t) for t in product(*terms)]
+    return list(map(list(product(*ranges)).__getitem__,
+                    sorted(range(len(keys)), key=keys.__getitem__)))
+
+
+class TestFiberOrder:
+    def test_equals_one_stable_sort_of_the_product(self):
+        rng = random.Random(49)
+        seen = set()
+        for t in range(600):
+            ranges = [range(lo, lo + rng.randint(1, 4))
+                      for lo in (rng.randint(-3, 3) for _ in range(rng.randint(1, 4)))]
+            if t % 40 == 0:
+                ranges[rng.randrange(len(ranges))] = range(2, 2)
+            if t % 40 == 1:
+                ranges = [range(lo, lo + 1) for lo in (rng.randint(-3, 3) for _ in ranges)]
+            terms = [[rng.randint(-3, 2) for _ in r] for r in ranges]
+            keys = [sum(k) for k in product(*terms)]
+            assert list(symilp._fiber_order(ranges, terms)) == \
+                sorted_fiber_order(ranges, terms), (ranges, terms)
+            seen.add(min(len(keys), 2))
+            if keys.count(min(keys, default=0)) > 1:
+                seen.add("tied first")
+        assert seen == {0, 1, 2, "tied first"}
+
+    def test_small_order_by_hand(self):
+        # keys 2 0 -1 4 2 1 in product order
+        order = symilp._fiber_order([range(-1, 1), range(3)], [[0, 2], [2, 0, -1]])
+        assert next(order) == (-1, 2)
+        assert list(order) == [(-1, 1), (0, 2), (-1, 0), (0, 1), (0, 0)]
+
+    def test_first_fiber_accepted_sorts_nothing_and_builds_no_product(self, monkeypatch):
+        # a sort of fiber indices sorts a range; _row_orbits sorts tuples
+        sorted_types, products = [], []
+
+        def recording_sorted(items, **kw):
+            sorted_types.append(type(items))
+            return sorted(items, **kw)
+
+        def recording_product(*ranges):
+            products.append(ranges)
+            return product(*ranges)
+
+        monkeypatch.setattr(symilp, "sorted", recording_sorted, raising=False)
+        monkeypatch.setattr(symilp, "product", recording_product)
+        P = cube_h(3)   # -1 <= x_i <= 1
+        assert symmetric_ilp(P, (2, 1), (1, 1, 1)) == ((1, 1, 1), 1)
+        assert symmetric_ilp(P, (3,), (-1, -1, -1)) == ((-1, -1, -1), 1)
+        assert symmetric_ilp(P, (1, 2)) == ((0, 0, 0), 1)
+        assert sorted_types and range not in sorted_types and not products
+        # a sweep past its first fiber builds both: the one fiber of
+        # x1 + x2 = 1, |x1 - x2| <= 1/3 is rejected, and then the rest is asked for
+        Q = HPolyhedron.from_rows([(1, 1), (1, -1), (-1, 1)], [1, F(1, 3), F(1, 3)],
+                                  equality_rows=(1,))
+        assert symmetric_ilp(Q, (2,)) == (None, 1)
+        assert range in sorted_types and products == [(range(1, 2),)]
+
+
+# ---------------------------------------------------------------------------
 # an ilp answer depends on the polyhedron, not on how its rows are scaled
 
 
