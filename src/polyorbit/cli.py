@@ -11,11 +11,17 @@ constant term first) and a ``blocks`` header for the symmetric routes.
 Subcommands: automorphisms, convert, count, ehrhart, volume, ilp.  Exit
 codes: 0 success, 1 infeasible or empty (a computed answer), 2 input error
 (also a file that is not UTF-8 text, refused with the line of its first bad
-byte, or an input past a size budget, such as a set orbit of more than
-2,000,000 sets), 3 internal verification
-failure or any other internal error (one stderr line, never a traceback).
-``--jobs`` (default 1) and ``--period-bound`` are checked to be at least 1
-when parsed; ``--jobs`` is otherwise ignored: every subcommand runs serially.
+byte, an entry of more digits than ``sys.get_int_max_str_digits()``, or an
+input past a size budget, such as a set orbit of more than 2,000,000 sets),
+3 internal verification failure or any other internal error (one stderr
+line, never a traceback).
+
+The command line is stated once, in the command table ``_COMMANDS``.  A
+command followed by one file and that command's exact flags is read from
+the table in one pass; argparse, built from the same table, still serves
+help, abbreviations, ``--flag=value`` and every error.  ``--jobs``
+(default 1) and ``--period-bound`` are checked to be at least 1 when read;
+``--jobs`` is otherwise ignored: every subcommand runs serially.
 """
 
 from __future__ import annotations
@@ -26,8 +32,9 @@ import re
 import sys
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import islice
 from operator import neg
-from typing import Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .latcount import (count_lattice_points, count_with_symmetry, ehrhart,
                        first_lattice_point, volume)
@@ -130,11 +137,18 @@ def _parse_rational(tok: str, lineno: int) -> Fraction:
     if m is None:
         raise PolyFileError(f"line {lineno}: not a rational number: {tok!r}")
     num, den = m.groups()
-    if den is None:
-        return Fraction(int(num))
-    if int(den) == 0:
+    try:
+        if den is None:
+            return Fraction(int(num))
+        num, den = int(num), int(den)
+    except ValueError:
+        # more digits than int() reads; the limit is process-wide, and
+        # cli.main may run inside a caller's process, so it is left as set
+        raise PolyFileError(f"line {lineno}: an entry exceeds the limit of "
+                            f"{sys.get_int_max_str_digits()} digits") from None
+    if den == 0:
         raise PolyFileError(f"line {lineno}: zero denominator: {tok!r}")
-    return Fraction(int(num), int(den))
+    return Fraction(num, den)
 
 
 def parse_polyfile(text: str) -> PolyFile:
@@ -398,46 +412,107 @@ def _positive_int(raw: str) -> int:
     return value
 
 
+class _Option(NamedTuple):
+    """An option of the command table, in argparse's terms: nargs is None
+    for one value, n for a list of n values and 0 for a switch that stores
+    True; type (None: the text itself) converts each value."""
+    flag: str
+    nargs: Optional[int]
+    type: Optional[Callable[[str], object]]
+    default: object
+    metavar: Union[None, str, tuple[str, ...]]
+    help: str
+
+
+_JOBS = _Option("--jobs", None, _positive_int, 1, None,
+                "worker count (at least 1); accepted and ignored, every subcommand runs serially")
+
+# The command line, stated once: subcommand -> (handler, help, its options
+# besides the file and --jobs).  _read_argv reads argv by it, and
+# _build_parser builds argparse from it.
+_COMMANDS = {
+    "automorphisms": (cmd_automorphisms, "group order and generators on the input rows", ()),
+    "convert": (cmd_convert, "orbit representatives of the converted representation", (
+        _Option("--idm-adm-level", 2, int, (0, 1), ("L1", "L2"),
+                "recursion depths for the incidence / adjacency methods"
+                " (V input; checked but unused for an H input)"),
+        _Option("--adjacencies", 0, None, False, None,
+                "also emit the facet adjacency graph as DOT"),
+        _Option("--dot", None, None, None, "FILE",
+                "with --adjacencies, write the DOT graph here instead of stdout"))),
+    "count": (cmd_count, "exact number of lattice points", (
+        _Option("--symmetric", 0, None, False, None,
+                "count sorted points of each block, weighted by orbit size (blocks header)"),)),
+    "ehrhart": (cmd_ehrhart, "Ehrhart quasi-polynomial, one coefficient row per residue class", (
+        _Option("--period-bound", None, _positive_int, 24, None,
+                "largest allowed quasi-polynomial period"),)),
+    "volume": (cmd_volume, "exact volume, lattice-relative on the hull", ()),
+    "ilp": (cmd_ilp, "integral feasibility / optimization: core-point sweep with blocks,"
+            " else the lex-least point or maximizer of the counting walk (10^6 prefixes a level)",
+            ()),
+}
+
+
+def _read_argv(argv: Optional[Sequence[str]]) -> Optional[argparse.Namespace]:
+    """The namespace of argv (None: sys.argv[1:]), read in one pass from
+    _COMMANDS when argv is a command, then one file and that command's exact
+    flags with their values in any order, a repeated flag's last value
+    winning as in argparse.  None for anything else, left to _build_parser:
+    help, an abbreviation, --flag=value, a value or file that starts with
+    "-", a second or missing file, or a value its type refuses."""
+    argv = sys.argv[1:] if argv is None else argv
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    handler, _, options = _COMMANDS[argv[0]]
+    flags = {o.flag: o for o in (_JOBS, *options)}
+    given, files = {}, []
+    rest = iter(argv[1:])
+    for arg in rest:
+        if not arg.startswith("-"):
+            files.append(arg)
+            continue
+        o = flags.get(arg)
+        if o is None:
+            return None
+        if o.nargs == 0:
+            given[arg] = True
+            continue
+        raw = list(islice(rest, o.nargs or 1))
+        if len(raw) < (o.nargs or 1) or any(v.startswith("-") for v in raw):
+            return None
+        try:
+            values = [o.type(v) for v in raw] if o.type else raw
+        except (ValueError, argparse.ArgumentTypeError):
+            return None
+        given[arg] = values if o.nargs else values[0]
+    if len(files) != 1:
+        return None
+    return argparse.Namespace(
+        command=argv[0], file=files[0],
+        **{o.flag[2:].replace("-", "_"): given.get(flag, o.default)
+           for flag, o in flags.items()},
+        handler=handler)
+
+
 @functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser; it holds no per-call state, so it is built once."""
+    """argparse's parser of _COMMANDS, for the argv _read_argv leaves: it
+    prints help and usage, reads abbreviations and --flag=value, and
+    reports every error.  It holds no per-call state, so it is built once."""
     top = argparse.ArgumentParser(
         prog="polyorbit",
         description="Exact polyhedral computations up to symmetry.")
     sub = top.add_subparsers(dest="command", required=True)
-
-    def add(name: str, handler, help_text: str):
+    for name, (handler, help_text, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("file", help="polyhedron file (H- or V-representation)")
-        p.add_argument("--jobs", type=_positive_int, default=1,
-                       help="worker count (at least 1); accepted and ignored, "
-                            "every subcommand runs serially")
+        for o in (_JOBS, *options):
+            if o.nargs == 0:
+                p.add_argument(o.flag, action="store_true", help=o.help)
+            else:
+                p.add_argument(o.flag, nargs=o.nargs, type=o.type, default=o.default,
+                               metavar=o.metavar, help=o.help)
         p.set_defaults(handler=handler)
-        return p
-
-    add("automorphisms", cmd_automorphisms,
-        "group order and generators on the input rows")
-    conv = add("convert", cmd_convert,
-               "orbit representatives of the converted representation")
-    conv.add_argument("--idm-adm-level", type=int, nargs=2, default=(0, 1),
-                      metavar=("L1", "L2"),
-                      help="recursion depths for the incidence / adjacency methods"
-                           " (V input; checked but unused for an H input)")
-    conv.add_argument("--adjacencies", action="store_true",
-                      help="also emit the facet adjacency graph as DOT")
-    conv.add_argument("--dot", metavar="FILE",
-                      help="with --adjacencies, write the DOT graph here instead of stdout")
-    cnt = add("count", cmd_count, "exact number of lattice points")
-    cnt.add_argument("--symmetric", action="store_true",
-                     help="count sorted points of each block, weighted by orbit size"
-                          " (blocks header)")
-    ehr = add("ehrhart", cmd_ehrhart,
-              "Ehrhart quasi-polynomial, one coefficient row per residue class")
-    ehr.add_argument("--period-bound", type=_positive_int, default=24,
-                     help="largest allowed quasi-polynomial period")
-    add("volume", cmd_volume, "exact volume, lattice-relative on the hull")
-    add("ilp", cmd_ilp, "integral feasibility / optimization: core-point sweep with blocks,"
-        " else the lex-least point or maximizer of the counting walk (10^6 prefixes a level)")
     return top
 
 
@@ -455,7 +530,7 @@ def _utf8_text(data: bytes) -> str:
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _read_argv(argv) or _build_parser().parse_args(argv)
         with open(args.file, "rb") as fh:
             pf = parse_polyfile(_utf8_text(fh.read()))
         return args.handler(pf, args)

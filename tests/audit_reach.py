@@ -8,8 +8,9 @@ It records every call into src/polyorbit with sys.setprofile (and
 threading.setprofile, for the worker threads of --jobs 2) while it runs
 
 the runs of tests/snapshot_outputs.py at seeds 1 and 2: every job of the
-three benchmark workloads, and its ten commands on every fixture under
-tests/fixtures except santos.ext.
+three benchmark workloads, its malformed files, its ten commands on every
+fixture under tests/fixtures except santos.ext, and its ARGV corpus, which
+reaches the argparse parser (cli._build_parser).
 
 It then prints each function or method of src/polyorbit that was never
 called, with its line count, by module.  A function nested in one never

@@ -5,8 +5,9 @@ relabeling checks of an integer frame, automorphism search, orbit closure,
 set orbit and double description shared across test modules, the Fraction
 vector and matrix helpers and the accessors of AffineMap, AffineHull and
 IncidenceData that the references and tests use, a reference polyhedron
-file parser, and the benchmark's workload builder with a runner for its
-jobs."""
+file parser, the CLI's hand-written argument parser, and the benchmark's
+workload builder with a runner for its jobs."""
+import argparse
 import contextlib
 import importlib
 import importlib.util
@@ -22,7 +23,9 @@ from operator import mul
 from pathlib import Path
 from typing import Optional, Sequence
 
-from polyorbit.cli import PolyFile, PolyFileError, _parse_rational
+from polyorbit.cli import (PolyFile, PolyFileError, _parse_rational, _positive_int,
+                           cmd_automorphisms, cmd_convert, cmd_count, cmd_ehrhart, cmd_ilp,
+                           cmd_volume)
 from polyorbit.latcount import QuasiPolynomial
 from polyorbit.permgrp import Permutation, PermutationGroup, _inverse
 from polyorbit.repconv import _Geometry
@@ -1117,6 +1120,50 @@ def reference_parse_polyfile(text: str) -> PolyFile:
         else:
             raise PolyFileError(f"line {no}: unknown option line {ln!r}")
     return replace(body, objective=objective, blocks=blocks)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser as it was written by hand before the
+    command table, built anew on each call: the oracle of the table-built
+    parser and of the one-pass argv reader."""
+    top = argparse.ArgumentParser(
+        prog="polyorbit",
+        description="Exact polyhedral computations up to symmetry.")
+    sub = top.add_subparsers(dest="command", required=True)
+
+    def add(name: str, handler, help_text: str):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("file", help="polyhedron file (H- or V-representation)")
+        p.add_argument("--jobs", type=_positive_int, default=1,
+                       help="worker count (at least 1); accepted and ignored, "
+                            "every subcommand runs serially")
+        p.set_defaults(handler=handler)
+        return p
+
+    add("automorphisms", cmd_automorphisms,
+        "group order and generators on the input rows")
+    conv = add("convert", cmd_convert,
+               "orbit representatives of the converted representation")
+    conv.add_argument("--idm-adm-level", type=int, nargs=2, default=(0, 1),
+                      metavar=("L1", "L2"),
+                      help="recursion depths for the incidence / adjacency methods"
+                           " (V input; checked but unused for an H input)")
+    conv.add_argument("--adjacencies", action="store_true",
+                      help="also emit the facet adjacency graph as DOT")
+    conv.add_argument("--dot", metavar="FILE",
+                      help="with --adjacencies, write the DOT graph here instead of stdout")
+    cnt = add("count", cmd_count, "exact number of lattice points")
+    cnt.add_argument("--symmetric", action="store_true",
+                     help="count sorted points of each block, weighted by orbit size"
+                          " (blocks header)")
+    ehr = add("ehrhart", cmd_ehrhart,
+              "Ehrhart quasi-polynomial, one coefficient row per residue class")
+    ehr.add_argument("--period-bound", type=_positive_int, default=24,
+                     help="largest allowed quasi-polynomial period")
+    add("volume", cmd_volume, "exact volume, lattice-relative on the hull")
+    add("ilp", cmd_ilp, "integral feasibility / optimization: core-point sweep with blocks,"
+        " else the lex-least point or maximizer of the counting walk (10^6 prefixes a level)")
+    return top
 
 
 def polybench_workloads():

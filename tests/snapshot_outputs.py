@@ -12,9 +12,12 @@ record runs, through cli.main of the checkout's src/polyorbit,
   polybench.workloads.build(name, seed, 10, dir) into a temporary
   directory,
 - count on every file of MALFORMED, a corpus of H and V files that the
-  parser refuses, written into the same directory, and
+  parser refuses, written into the same directory,
 - the ten COMMANDS on every fixture under tests/fixtures except
-  santos.ext.
+  santos.ext, and
+- every argv of ARGV, a corpus of command lines that argparse reads
+  (help, abbreviations, --flag=value, refused values, a missing or extra
+  file), run against the fixture ARGV_FIXTURE.
 
 tests/audit_reach.py runs the same runs, at fewer seeds.
 
@@ -28,10 +31,12 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 import sys
 import tempfile
 from pathlib import Path
 from typing import Iterator, Optional
+from unittest import mock
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path[:0] = [str(ROOT), str(ROOT / "src")]
@@ -42,8 +47,8 @@ COMMANDS = (["automorphisms"], ["convert"], ["convert", "--adjacencies"],
             ["convert", "--idm-adm-level", "1", "1"], ["convert", "--idm-adm-level", "0", "2"],
             ["count"], ["count", "--symmetric"], ["ehrhart"], ["volume"], ["ilp"])
 # files the parser refuses, one fault each: bad tokens, short rows, bad
-# headers and linearity lines, a V row that is neither point nor ray, and
-# bytes that are not UTF-8
+# headers and linearity lines, a V row that is neither point nor ray, bytes
+# that are not UTF-8, and an entry of more digits than int() reads
 MALFORMED = {
     "token.ine": b"H-representation\nbegin\n2 3 rational\n1 -1 0\n1 0 x\nend\n",
     "sign.ine": b"H-representation\nbegin\n1 2 rational\n+-1 1\nend\n",
@@ -63,13 +68,26 @@ MALFORMED = {
     "option.ine": b"H-representation\nbegin\n1 2 rational\n1 -1\nend\nblocks 0\n",
     "latin1.ine": b"H-representation\nbegin\n1 2 rational\n1 \xff\nend\n",
     "latin1.ext": b"V-representation\r\nbegin\r\n1 2 rational\r\n1 \xe9\r\nend\r\n",
+    "digits.ine": b"H-representation\nbegin\n1 2 rational\n1 -" + b"7" * 5001 + b"\nend\n",
 }
+# command lines, "F" standing for ARGV_FIXTURE: help, an abbreviation,
+# --flag=value, a value below 1, a value that starts with "-", a flag with
+# no value, an unknown command, a missing and an extra file, and options
+# before the file
+ARGV_FIXTURE = "cube3.ine"
+ARGV = ([], ["-h"], *([command, "-h"] for command in
+                      ("automorphisms", "convert", "count", "ehrhart", "volume", "ilp")),
+        ["convert", "F", "--adj"], ["count", "F", "--jobs=2"], ["count", "F", "--jobs", "0"],
+        ["convert", "F", "--idm-adm-level", "-1", "1"], ["convert", "F", "--adjacencies", "--dot"],
+        ["cnt", "F"], ["count"], ["count", "F", "F"],
+        ["convert", "--jobs", "2", "--idm-adm-level", "0", "2", "F"])
 
 
 def runs(seeds) -> Iterator[tuple[str, list, Optional[str], str]]:
     """(key, argv, DOT path or None, directory to write as {dir}) of every
-    run: each workload job at each seed, each malformed file, then each
-    command on each fixture.  A seed's jobs are built as its turn comes."""
+    run: each workload job at each seed, each malformed file, each command
+    on each fixture, then each argv of ARGV.  A seed's jobs are built as its
+    turn comes."""
     from polybench import workloads
 
     with tempfile.TemporaryDirectory() as workdir:
@@ -87,6 +105,10 @@ def runs(seeds) -> Iterator[tuple[str, list, Optional[str], str]]:
             for cmd in COMMANDS:
                 yield (f"fixture/{fixture.name}/{' '.join(cmd)}",
                        [cmd[0], str(fixture)] + cmd[1:], None, str(ROOT))
+    fixture = str(ROOT / "tests" / "fixtures" / ARGV_FIXTURE)
+    for argv in ARGV:
+        yield (f"argv/{' '.join(argv)}", [fixture if a == "F" else a for a in argv],
+               None, str(ROOT))
 
 
 def run_one(argv: list, dot: Optional[str], workdir: str) -> dict:
@@ -94,7 +116,9 @@ def run_one(argv: list, dot: Optional[str], workdir: str) -> dict:
     that raises records code "raised" and the exception as its stderr."""
     from polyorbit import cli
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps help to the terminal's width: fixed, so records compare
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
         try:
             code = cli.main(list(argv))
         except SystemExit as exc:

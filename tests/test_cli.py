@@ -1,8 +1,12 @@
 """CLI tests: file parsing, each subcommand against known answers, exit
 codes, and byte-identical output across worker counts."""
 
+import argparse
+import contextlib
+import functools
 import importlib
 import importlib.util
+import io
 import os
 import random
 import subprocess
@@ -32,9 +36,10 @@ from polyorbit.cli import main
 from polyorbit.permgrp import orbit_of_set
 from polyorbit.polycore import VPolyhedron, matrix, primitive
 
+import snapshot_outputs
 from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v,
-                    polybench_workloads, reference_parse_polyfile, row_image,
-                    santos_prismatoid, unimodular_image)
+                    polybench_workloads, reference_parse_polyfile, reference_parser,
+                    row_image, santos_prismatoid, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -258,17 +263,24 @@ def _assert_read_as_before(text: str):
 
 
 @pytest.fixture(scope="module")
-def workload_h_files(tmp_path_factory):
-    """The text of every H input that the benchmark's workloads write for
-    seeds 1-5, read through the polybench package loaded by path."""
+def workload_builds(tmp_path_factory):
+    """(directory, jobs) of each benchmark workload at seeds 1-5, built
+    through the polybench package loaded by path; the inputs stay written."""
     workloads = polybench_workloads()
-    texts = []
+    builds = []
     for name in sorted(workloads.SETTINGS):
         for seed in range(1, 6):
             workdir = tmp_path_factory.mktemp(f"{name}-{seed}")
-            workloads.build(name, seed, 10, str(workdir))
-            texts += [p.read_text() for p in sorted(workdir.glob("*.ine"))]
-    return texts
+            builds.append((workdir, workloads.build(name, seed, 10, str(workdir))))
+    return builds
+
+
+@pytest.fixture(scope="module")
+def workload_h_files(workload_builds):
+    """The text of every H input that the benchmark's workloads write for
+    seeds 1-5."""
+    return [p.read_text() for workdir, _ in workload_builds
+            for p in sorted(workdir.glob("*.ine"))]
 
 
 class TestIntegerRead:
@@ -1159,6 +1171,138 @@ class TestJobsDeterminism:
         assert cap.out == "" and "--jobs" in cap.err and "at least 1" in cap.err
 
 
+_oracle = functools.cache(reference_parser)
+
+
+def _subparsers(parser) -> dict:
+    return next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def _reading(read, argv) -> tuple:
+    """vars() of the namespace that read gives for argv, or the SystemExit
+    code with what it printed."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            return "read", vars(read(argv))
+        except SystemExit as exc:
+            return "exit", exc.code, out.getvalue(), err.getvalue()
+
+
+class TestArgvReading:
+    """argv is read from cli._COMMANDS: in one pass when it is a command, a
+    file and exact flags, else by the argparse parser built from the same
+    table; both read it as the hand-written parser, shapes.reference_parser,
+    did."""
+
+    def test_table_parser_prints_the_hand_written_help(self, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        built, oracle = cli._build_parser(), _oracle()
+        pairs = [(built, oracle)] + [
+            (_subparsers(built)[name], sub) for name, sub in _subparsers(oracle).items()]
+        assert list(_subparsers(built)) == list(_subparsers(oracle))
+        for b, o in pairs:
+            assert (b.prog, b.format_usage(), b.format_help()) == \
+                (o.prog, o.format_usage(), o.format_help())
+
+    @pytest.mark.parametrize("argv", snapshot_outputs.ARGV, ids=" ".join)
+    def test_argv_corpus_reads_as_the_hand_written_parser(self, argv, monkeypatch):
+        # help, an abbreviation, --flag=value, refused values, an unknown
+        # command, a missing or extra file: the same namespace, or the same
+        # exit code and text
+        monkeypatch.setenv("COLUMNS", "80")
+        argv = [str(FIX / snapshot_outputs.ARGV_FIXTURE) if a == "F" else a for a in argv]
+        main_reads = lambda a: cli._read_argv(a) or cli._build_parser().parse_args(a)  # noqa: E731
+        assert _reading(main_reads, argv) == _reading(_oracle().parse_args, argv)
+
+    @pytest.mark.parametrize("argv", [
+        ["-h"], ["count", "-h"], ["count", "f", "--sym"], ["count", "f", "--jobs=2"],
+        ["count", "f", "--jobs", "-1"], ["count", "-1"], ["count", "-"], ["count", "f", "--"],
+        ["convert", "f", "--idm-adm-level", "-1", "1"], ["convert", "f", "--dot"],
+        ["convert", "f", "--idm-adm-level", "1"], ["count"], ["count", "f", "g"],
+        ["count", "f", "--jobs", "0"], ["count", "f", "--jobs", "x"], ["cnt", "f"], [],
+        ["count", "f", "--period-bound", "2"], ["volume", "f", "--symmetric"],
+    ], ids=" ".join)
+    def test_what_argparse_reads_is_left_to_it(self, argv):
+        assert cli._read_argv(argv) is None
+
+    def test_none_reads_sys_argv(self, monkeypatch):
+        monkeypatch.setattr(sys, "argv", ["polyorbit", "count", "f", "--symmetric"])
+        assert vars(cli._read_argv(None)) == vars(_oracle().parse_args(None))
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.data())
+    def test_one_pass_namespace_is_argparse_namespace(self, data):
+        # commands, exact flags (mostly the command's own) with a count of
+        # values, abbreviations, = forms, repeats, values int() reads in odd
+        # spellings, and missing and extra files
+        values = ["\u0663", "1_0", " 2", "+2", "0", "-1"]
+        arity = {"--jobs": 1, "--idm-adm-level": 2, "--adjacencies": 0, "--dot": 1,
+                 "--symmetric": 0, "--period-bound": 1}
+        own = {"automorphisms": [], "convert": ["--idm-adm-level", "--adjacencies", "--dot"],
+               "count": ["--symmetric"], "ehrhart": ["--period-bound"], "volume": [], "ilp": [],
+               "cnt": [], "-h": [], "": []}
+
+        def flag(flags):   # mostly with as many values as the flag takes
+            return st.sampled_from(flags).flatmap(lambda f: st.sampled_from(
+                [arity[f]] * 4 + [0, 1, 2]).flatmap(lambda n: st.lists(
+                    st.sampled_from(values), min_size=n, max_size=n).map(lambda v: [f, *v])))
+
+        command = data.draw(st.sampled_from(sorted(own)))
+        own_flag = flag(["--jobs", *own[command]])
+        other = st.sampled_from(["--adj", "--j", "--sym", "--period", "--idm", "--d", "-h", "--",
+                                 "--jobs=2", "--dot=x.dot", "--period-bound=3", "--symmetric=1",
+                                 "q.ext", *values]).map(lambda w: [w])
+        units = data.draw(st.lists(st.one_of(own_flag, own_flag, own_flag, own_flag,
+                                             flag(sorted(arity)), other), max_size=4))
+        if data.draw(st.integers(0, 3)):   # one file, at a drawn place
+            units.insert(data.draw(st.integers(0, len(units))), ["p.ine"])
+        argv = [command] + [w for unit in units for w in unit]
+        ns = cli._read_argv(argv)
+        if ns is not None:
+            assert _reading(_oracle().parse_args, argv) == ("read", vars(ns))
+
+    def test_workload_argv_is_read_in_one_pass(self, workload_builds):
+        # every job of the three workloads at seeds 1-5
+        argvs = [job.argv for _, jobs in workload_builds for job in jobs]
+        assert len(argvs) > 400
+        for argv in argvs:
+            ns = cli._read_argv(argv)
+            assert ns is not None and vars(ns) == vars(_oracle().parse_args(argv))
+
+    @pytest.fixture
+    def no_parser(self, monkeypatch):
+        calls = []
+
+        def refuse():
+            calls.append(True)
+            raise AssertionError("argparse was built")
+
+        monkeypatch.setattr(cli, "_build_parser", refuse)
+        return calls
+
+    @pytest.mark.parametrize("fixture", sorted(
+        p.name for p in FIX.iterdir() if p.name not in snapshot_outputs.SKIPPED_FIXTURES))
+    def test_main_builds_no_parser_for_a_fixture(self, fixture, no_parser, capsys):
+        for cmd in snapshot_outputs.COMMANDS:
+            main([cmd[0], str(FIX / fixture), *cmd[1:]])
+            assert not no_parser, cmd
+        capsys.readouterr()
+
+    def test_main_builds_no_parser_for_a_workload_job(self, workload_builds, no_parser, capsys):
+        # one job of each shape: its command and flags
+        shapes = {}
+        for _, jobs in workload_builds:
+            for job in jobs:
+                shapes.setdefault((job.argv[0], *(a for a in job.argv if a.startswith("-"))), job)
+        assert len(shapes) >= 8
+        for job in shapes.values():
+            main(list(job.argv))
+            assert not no_parser, job.argv
+        capsys.readouterr()
+
+
 class TestErrorContract:
     @pytest.mark.parametrize("command", ["automorphisms", "convert"])
     def test_one_row_half_line_is_an_input_error(self, command, tmp_path, capsys):
@@ -1199,6 +1343,24 @@ class TestErrorContract:
         path.write_text("H-representation\nbegin\n2 2 rational\n1 1/00\n1 -1\nend\n")
         code, out, err = run(capsys, "count", path)
         assert (code, out, err) == (2, "", "error: line 4: zero denominator: '1/00'\n")
+
+    @pytest.mark.parametrize("body, objective, line", [
+        ("{big} -1\n1 1", "", 4),         # an integer row, read in one pass
+        ("1 1\n{big}/7 -1", "", 5),       # a p/q entry
+        ("1 1\n1 -1", "maximize 0 {big}\n", 7),
+    ], ids=["integer-row", "p/q", "objective"])
+    def test_entry_past_the_digit_limit_is_an_input_error(self, body, objective, line,
+                                                         tmp_path, capsys):
+        # int() refuses more than sys.get_int_max_str_digits() digits; this
+        # once escaped as "internal error: ValueError" (exit 3)
+        limit = sys.get_int_max_str_digits()
+        big = "7" * (limit + 701)
+        path = tmp_path / "digits.ine"
+        body, objective = body.format(big=big), objective.format(big=big)
+        path.write_text(f"H-representation\nbegin\n2 2 rational\n{body}\nend\n{objective}")
+        assert run(capsys, "count", path) == (
+            2, "", f"error: line {line}: an entry exceeds the limit of {limit} digits\n")
+        assert sys.get_int_max_str_digits() == limit
 
     @pytest.mark.parametrize("command", ["count", "automorphisms", "ilp"])
     def test_file_that_is_not_utf8_is_an_input_error(self, command, tmp_path, capsys):
