@@ -30,7 +30,6 @@ import argparse
 import functools
 import re
 import sys
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import islice
 from operator import neg
@@ -51,6 +50,7 @@ from .polycore import (
     dot,
     vector,
 )
+from .record import Record
 from .repconv import (
     adjacency_decomposition,
     adjacency_graph,
@@ -72,8 +72,7 @@ class PolyFileError(ValueError):
     """Malformed polyhedron file; the message names the offending line."""
 
 
-@dataclass(frozen=True)
-class PolyFile:
+class PolyFile(Record):
     """Parsed polyhedron file: kind, body rows (ints in a row of integer
     tokens, Fractions in a row with a p/q token), trailing options, and the
     header's width, which a file with no rows needs to write back.  Each
@@ -129,23 +128,27 @@ class PolyFile:
 
 
 _RATIONAL = re.compile(r"^([+-]?\d+)(?:/(\d+))?$")
+_CHUNK = 10 ** 640   # the least limit sys.set_int_max_str_digits takes
+
+
+def _int(tok: str, lineno: int, refusal: str) -> int:
+    """int(tok), or a PolyFileError of its line: int()'s digit limit, left as set, or refusal."""
+    try:
+        return int(tok)
+    except ValueError:
+        m = _RATIONAL.match(tok)
+        if m and m.group(2) is None:
+            refusal = f"an entry exceeds the limit of {sys.get_int_max_str_digits()} digits"
+        raise PolyFileError(f"line {lineno}: {refusal}") from None
 
 
 def _parse_rational(tok: str, lineno: int) -> Fraction:
     # built from the match's groups: Fraction(tok) would parse tok again
     m = _RATIONAL.match(tok)
+    bad = f"not a rational number: {tok!r}"
     if m is None:
-        raise PolyFileError(f"line {lineno}: not a rational number: {tok!r}")
-    num, den = m.groups()
-    try:
-        if den is None:
-            return Fraction(int(num))
-        num, den = int(num), int(den)
-    except ValueError:
-        # more digits than int() reads; the limit is process-wide, and
-        # cli.main may run inside a caller's process, so it is left as set
-        raise PolyFileError(f"line {lineno}: an entry exceeds the limit of "
-                            f"{sys.get_int_max_str_digits()} digits") from None
+        raise PolyFileError(f"line {lineno}: {bad}")
+    num, den = (_int(t, lineno, bad) for t in m.groups("1"))
     if den == 0:
         raise PolyFileError(f"line {lineno}: zero denominator: {tok!r}")
     return Fraction(num, den)
@@ -178,11 +181,9 @@ def parse_polyfile(text: str) -> PolyFile:
     no, ln = take()
     if ln.split() and ln.split()[0] == "linearity":
         toks = ln.split()
-        try:
-            cnt = int(toks[1])
-            idx = [int(t) for t in toks[2:]]
-        except (IndexError, ValueError):
+        if len(toks) < 2:
             raise PolyFileError(f"line {no}: malformed linearity line")
+        cnt, *idx = (_int(t, no, "malformed linearity line") for t in toks[1:])
         if len(idx) != cnt or len(set(idx)) != cnt:
             raise PolyFileError(
                 f"line {no}: linearity count does not match its indices")
@@ -196,10 +197,7 @@ def parse_polyfile(text: str) -> PolyFile:
     if len(toks) != 3 or toks[2] not in ("rational", "integer"):
         raise PolyFileError(
             f"line {no}: expected header 'm n rational', got {ln!r}")
-    try:
-        m, width = int(toks[0]), int(toks[1])
-    except ValueError:
-        raise PolyFileError(f"line {no}: non-integer sizes in header")
+    m, width = (_int(t, no, "non-integer sizes in header") for t in toks[:2])
     if m < 0 or width < 1:
         raise PolyFileError(f"line {no}: invalid sizes in header")
 
@@ -223,7 +221,6 @@ def parse_polyfile(text: str) -> PolyFile:
     no, ln = take()
     if ln != "end":
         raise PolyFileError(f"line {no}: expected end, got {ln!r}")
-    body = PolyFile(kind, tuple(rows), linearity, width=width)   # checks the linearity
 
     objective = None
     blocks = None
@@ -240,15 +237,12 @@ def parse_polyfile(text: str) -> PolyFile:
         elif toks[0] == "blocks":
             if blocks is not None:
                 raise PolyFileError(f"line {no}: duplicate blocks line")
-            try:
-                blocks = tuple(int(t) for t in toks[1:])
-            except ValueError:
-                raise PolyFileError(f"line {no}: blocks must be integers")
+            blocks = tuple(_int(t, no, "blocks must be integers") for t in toks[1:])
             if not blocks or any(x < 1 for x in blocks):
                 raise PolyFileError(f"line {no}: blocks must be positive integers")
         else:
             raise PolyFileError(f"line {no}: unknown option line {ln!r}")
-    return replace(body, objective=objective, blocks=blocks)
+    return PolyFile(kind, tuple(rows), linearity, objective, blocks, width)
 
 
 def write_polyfile(pf: PolyFile) -> str:
@@ -273,6 +267,18 @@ def write_polyfile(pf: PolyFile) -> str:
 # Subcommands
 
 
+def _num(x: Union[int, Fraction]) -> str:
+    """str(x), for every number a command prints, also past the digit limit
+    of str(), which is left as set: a longer int is written 640 digits at a time."""
+    if isinstance(x, Fraction):
+        return _num(x.numerator) + ("/" + _num(x.denominator) if x.denominator != 1 else "")
+    head, low = abs(x), []
+    while head >= _CHUNK:
+        head, r = divmod(head, _CHUNK)
+        low.append(f"{r:0640d}")
+    return "-" * (x < 0) + str(head) + "".join(reversed(low))
+
+
 def _bounded_vfile(pf: PolyFile) -> VPolyhedron:
     V = pf.to_vpolyhedron()
     if V.rays:
@@ -292,7 +298,7 @@ def cmd_automorphisms(pf: PolyFile, args) -> int:
         G = affine_symmetry_group(_bounded_vfile(pf))
     else:
         G = restricted_symmetries_H(pf.to_hpolyhedron())
-    print(f"order {G.order()}")
+    print(f"order {_num(G.order())}")
     for g in G.generators:
         if g.cycles():
             print(f"generator {g.cycle_string()}")
@@ -307,22 +313,22 @@ def cmd_convert(pf: PolyFile, args) -> int:
         V = _bounded_vfile(pf)
         G = affine_symmetry_group(V)
         ledger = adjacency_decomposition(V, G, levels)
-        lines = [f"facet orbits {ledger.orbit_count}"]
+        lines = [f"facet orbits {_num(ledger.orbit_count)}"]
         for t, e in enumerate(ledger.entries.values(), start=1):
             # stored as (a | delta) for a.x <= delta; file rows carry (b, -a)
             rep = (e.row[-1],) + tuple(-x for x in e.row[:-1])
-            lines.append(f"orbit {t} size {e.size} rep "
-                         + " ".join(str(x) for x in rep))
+            lines.append(f"orbit {_num(t)} size {_num(e.size)} rep "
+                         + " ".join(map(_num, rep)))
     else:
         P = pf.to_hpolyhedron()
         G = restricted_symmetries_H(P)
         ledger = adjacency_decomposition(P, G, levels)
         orbs = sorted(ledger.vertex_group.point_orbits(), key=min)
-        lines = [f"vertex orbits {len(orbs)}"]
+        lines = [f"vertex orbits {_num(len(orbs))}"]
         for t, orb in enumerate(orbs, start=1):
             v = ledger.vertices[min(orb) - 1]
-            lines.append(f"orbit {t} size {len(orb)} rep 1 "
-                         + " ".join(str(x) for x in v))
+            lines.append(f"orbit {_num(t)} size {_num(len(orb))} rep 1 "
+                         + " ".join(map(_num, v)))
     print("\n".join(lines))
     if args.adjacencies:
         dot = write_dot(adjacency_graph(ledger))
@@ -345,23 +351,23 @@ def cmd_count(pf: PolyFile, args) -> int:
     else:
         # a V file is walked on its own points, with no conversion to H first
         total = count_lattice_points(_polyhedron(pf))
-    print(total)
+    print(_num(total))
     return 0
 
 
 def cmd_ehrhart(pf: PolyFile, args) -> int:
     # a V file goes in as given: ehrhart converts it once, to the rows that top its chain
     q = ehrhart(_polyhedron(pf), period_bound=args.period_bound)
-    print(f"period {q.period}")
-    print(f"degree {q.degree}")
+    print(f"period {_num(q.period)}")
+    print(f"degree {_num(q.degree)}")
     for i, comp in enumerate(q.components):
-        print(f"class {i}: " + " ".join(str(c) for c in comp))
+        print(f"class {_num(i)}: " + " ".join(map(_num, comp)))
     return 0
 
 
 def cmd_volume(pf: PolyFile, args) -> int:
     # a V file is measured on its own points, with no conversion to H first
-    print(volume(_polyhedron(pf)))
+    print(_num(volume(_polyhedron(pf))))
     return 0
 
 
@@ -384,16 +390,16 @@ def cmd_ilp(pf: PolyFile, args) -> int:
     if z is None:
         print("infeasible")
         if tested is not None:
-            print(f"fibers tested {tested}")
+            print(f"fibers tested {_num(tested)}")
         return 1
     if not P.contains(z):
         raise VerificationError("computed point violates the input system")
     print("feasible")
-    print("point", *z)
+    print("point", *map(_num, z))
     if c is not None:
-        print(f"objective {dot(c, z) + shift}")
+        print(f"objective {_num(dot(c, z) + shift)}")
     if tested is not None:
-        print(f"fibers tested {tested}")
+        print(f"fibers tested {_num(tested)}")
     return 0
 
 

@@ -38,7 +38,6 @@ solves an LP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
 from itertools import accumulate, count, product
@@ -66,6 +65,7 @@ from .polycore import (
     primitive,
     zero_vector,
 )
+from .record import Record
 from .symilp import (
     LinearProgram,
     block_sum_image,
@@ -426,8 +426,7 @@ def _leaves(levels: Sequence[list], prefix: list[int], up: bool,
 # Ehrhart quasi-polynomials
 
 
-@dataclass(frozen=True)
-class QuasiPolynomial:
+class QuasiPolynomial(Record):
     """Counting function lam -> p_{lam mod period}(lam) with exact coefficients.
 
     components[i] holds the coefficients of p_i, constant term first.  Every
@@ -646,8 +645,7 @@ def _facets(face: int, rows: set[int]) -> list[int]:
 # Slice decomposition along the invariant subspace
 
 
-@dataclass(frozen=True)
-class FiberOrbit:
+class FiberOrbit(Record):
     """One orbit of fibers over an integral anchor of the invariant subspace.
 
     The fiber polytope lives in fiber coordinates: x = base_point + B^T y for
@@ -660,8 +658,7 @@ class FiberOrbit:
     fiber: HPolyhedron
 
 
-@dataclass(frozen=True)
-class SliceDecomposition:
+class SliceDecomposition(Record):
     """An invariant polytope split into fibers over its invariant slice.
 
     invariant_slice describes P meet the invariant subspace in barycenter

@@ -39,8 +39,9 @@ trivial group at once, and no generator is kept that does not grow it.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Optional, Sequence, Union
+
+from .record import Record
 
 
 class OrbitBudgetExceeded(Exception):
@@ -155,13 +156,15 @@ class Permutation:
         return f"Permutation({self.cycle_string()}, degree={self.degree})"
 
 
-@dataclass
 class _ChainLevel:
-    base_point: int
-    gens: list          # strong generators fixing all earlier base points
-    orbit: dict         # point -> transversal element u with u(base_point) = point
-    inv: dict           # point -> padded image tuple of orbit[point]^-1, once read
-    checked: set = field(default_factory=set)   # (point, index into gens) already sifted
+    __slots__ = ("base_point", "gens", "orbit", "inv", "checked")
+
+    def __init__(self, base_point: int, gens: list, orbit: dict, inv: dict):
+        self.base_point = base_point
+        self.gens = gens        # strong generators fixing all earlier base points
+        self.orbit = orbit      # point -> transversal element u with u(base_point) = point
+        self.inv = inv          # point -> padded image tuple of orbit[point]^-1, once read
+        self.checked = set()    # (point, index into gens) already sifted
 
     def inverse(self, point: int) -> tuple:
         """orbit[point]^-1 as a padded image tuple, stored on first read."""
@@ -386,8 +389,7 @@ def schreier_sims(generators: Sequence[Permutation], degree: Optional[int] = Non
 # Orbits of index sets
 
 
-@dataclass(frozen=True)
-class SetOrbit:
+class SetOrbit(Record):
     """A fully expanded set orbit: its key, the least of its members, its
     size, its members as a frozenset of ascending tuples, and the
     expansion's Schreier tree: the generators it ran under and each
@@ -396,7 +398,7 @@ class SetOrbit:
     representative: tuple[int, ...]
     size: int
     elements: frozenset
-    _tree: tuple = field(default=(), compare=False, repr=False)
+    _tree: tuple = ()     # hidden: not compared, hashed or shown
 
     @property
     def expanded(self) -> bool:

@@ -46,13 +46,14 @@ without blocks that runs on its walk, solve none.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, reduce
 from itertools import islice
 from math import gcd, lcm
 from operator import and_, mul, sub
 from typing import Iterable, Iterator, Optional, Sequence, Union
+
+from .record import Record
 
 Rational = Fraction
 Vector = tuple[Fraction, ...]
@@ -391,8 +392,7 @@ class _IntegerFrame:
 # Polyhedron representations
 
 
-@dataclass(frozen=True)
-class HPolyhedron:
+class HPolyhedron(Record):
     """Inequality description {x : A x <= b} with exact rational data.
 
     m and n, the row count and the dimension (0 with no rows), and int_rows,
@@ -472,8 +472,7 @@ class HPolyhedron:
         return HPolyhedron(self.A, tuple(f * bb for bb in self.b), self.equality_rows)
 
 
-@dataclass(frozen=True)
-class VPolyhedron:
+class VPolyhedron(Record):
     """Generator description conv(vertices) + cone(rays)."""
     # k, n and int_points (s, s vertices, s rays), s the lcm of every
     # denominator, are set when V is built; of_points takes that integer form
@@ -520,8 +519,7 @@ class VPolyhedron:
         return _IntegerFrame([(s,) + p for p in pts], self.n + 1)
 
 
-@dataclass(frozen=True)
-class AffineMap:
+class AffineMap(Record):
     """x |-> A x + t with invertible linear part."""
     A: Matrix
     t: Vector
@@ -532,8 +530,7 @@ class AffineMap:
 # one fraction-free integer tableau)
 
 
-@dataclass(frozen=True)
-class LPResult:
+class LPResult(Record):
     status: str  # "optimal" | "infeasible" | "unbounded"
     value: Optional[Fraction] = None
     point: Optional[Vector] = None
@@ -838,8 +835,7 @@ def index_set(mask: int) -> tuple:
 # Incidence, affine hulls, redundancy
 
 
-@dataclass(frozen=True)
-class IncidenceData:
+class IncidenceData(Record):
     """Which generators satisfy which rows with equality (exact zero test).
 
     Stored as per-row bitmasks over generator indices: bit j of
@@ -869,8 +865,7 @@ def incidence(P: HPolyhedron, V: VPolyhedron) -> IncidenceData:
     return IncidenceData(P.m, len(gens), tuple(masks))
 
 
-@dataclass(frozen=True)
-class AffineHull:
+class AffineHull(Record):
     """aff = point + span(directions); dim = len(directions).  The
     coordinates of points in these directions come from hull_coordinates."""
     point: Vector

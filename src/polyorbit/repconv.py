@@ -43,7 +43,6 @@ supporting row per facet orbit.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import mul, sub
 from typing import Iterable, Optional, Sequence, Union
 
@@ -70,6 +69,7 @@ from .permgrp import (
     orbit_of_set,
     set_stabilizer,
 )
+from .record import Record
 from .symdetect import are_affine_symmetries
 
 # convert_dd is polycore's, like dd_cone; both stay importable from here,
@@ -337,8 +337,7 @@ class _Geometry:
         return primitive(tuple(self.scale * x for x in row[0]) + (row[1],))
 
 
-@dataclass(frozen=True)
-class FacetOrbit:
+class FacetOrbit(Record):
     """One facet orbit: the orbit itself and a supporting row for its
     representative (primitive, ambient)."""
     orbit: SetOrbit
@@ -349,8 +348,7 @@ class FacetOrbit:
         return self.orbit.size
 
 
-@dataclass(frozen=True)
-class OrbitLedger:
+class OrbitLedger(Record):
     """Facet orbits keyed by canonical incident-vertex sets (discovery order),
     together with the vertex list the keys index into and the group acting on
     those vertex indices.  A ledger from the facet walk also holds the
@@ -470,8 +468,7 @@ def incidence_decomposition(P: Union[HPolyhedron, VPolyhedron], G: PermutationGr
 # Facet adjacency up to symmetry
 
 
-@dataclass(frozen=True)
-class AdjacencyGraphUpToSymmetry:
+class AdjacencyGraphUpToSymmetry(Record):
     """Nodes are facet orbits (discovery order, numbered from 1); an edge
     joins two orbits whenever some facet of one shares a ridge with some
     facet of the other.  Self-loops record adjacency within one orbit."""

@@ -35,7 +35,6 @@ the block sum, the orbit that rejected the last probe first.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import accumulate, chain, islice, product
@@ -58,12 +57,12 @@ from .polycore import (
     zero_vector,
 )
 from .permgrp import OrbitBudgetExceeded, Permutation, PermutationGroup
+from .record import Record
 
 GroupLike = Union[PermutationGroup, Sequence]
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """max c.x over P."""
     P: HPolyhedron
     c: Vector
@@ -74,8 +73,7 @@ class LinearProgram:
             raise PolyhedronError("objective length does not match dimension")
 
 
-@dataclass(frozen=True)
-class InvariantSubspace:
+class InvariantSubspace(Record):
     """Fixed space of a coordinate permutation group on n coordinates: its
     point orbits, ordered by their largest point.
 
@@ -107,8 +105,7 @@ class InvariantSubspace:
         return tuple(mean[i] for i in range(1, self.n + 1))
 
 
-@dataclass(frozen=True)
-class CorePoint:
+class CorePoint(Record):
     """Integral point whose orbit hull contains no other integral points."""
     z: Vector
     orbit_size: int

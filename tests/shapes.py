@@ -4,9 +4,9 @@ reduced invariant LP, symmetry gram, spanning prefix, entry-by-entry
 relabeling checks of an integer frame, automorphism search, orbit closure,
 set orbit and double description shared across test modules, the Fraction
 vector and matrix helpers and the accessors of AffineMap, AffineHull and
-IncidenceData that the references and tests use, a reference polyhedron
-file parser, the CLI's hand-written argument parser, and the benchmark's
-workload builder with a runner for its jobs."""
+IncidenceData that the references and tests use, a copy-with-changes of a
+record, a reference polyhedron file parser, the CLI's hand-written argument
+parser, and the benchmark's workload builder with a runner for its jobs."""
 import argparse
 import contextlib
 import importlib
@@ -15,7 +15,6 @@ import io
 import random
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import factorial, gcd, lcm
@@ -122,6 +121,14 @@ def row_set(inc: IncidenceData, i: int) -> frozenset:
 def column_set(inc: IncidenceData, j: int) -> frozenset:
     return frozenset(i + 1 for i in range(inc.m)
                      if inc.row_masks[i] >> (j - 1) & 1)
+
+
+def replace(record, **changes):
+    """A copy of a polyorbit record with changes, as dataclasses.replace made
+    of a dataclass: built by its constructor from every constructor field,
+    hidden ones too, so __post_init__ checks it again."""
+    return type(record)(**{**{name: getattr(record, name) for name in record._init},
+                           **changes})
 
 
 def cube_h(n: int) -> HPolyhedron:

@@ -13,6 +13,8 @@ record runs, through cli.main of the checkout's src/polyorbit,
   directory,
 - count on every file of MALFORMED, a corpus of H and V files that the
   parser refuses, written into the same directory,
+- count and volume on BIG_BOX, whose answers have more digits than str()
+  writes, written there too,
 - the ten COMMANDS on every fixture under tests/fixtures except
   santos.ext, and
 - every argv of ARGV, a corpus of command lines that argparse reads
@@ -48,7 +50,8 @@ COMMANDS = (["automorphisms"], ["convert"], ["convert", "--adjacencies"],
             ["count"], ["count", "--symmetric"], ["ehrhart"], ["volume"], ["ilp"])
 # files the parser refuses, one fault each: bad tokens, short rows, bad
 # headers and linearity lines, a V row that is neither point nor ray, bytes
-# that are not UTF-8, and an entry of more digits than int() reads
+# that are not UTF-8, and an entry, a header row count, a linearity index
+# and a blocks entry of more digits than int() reads
 MALFORMED = {
     "token.ine": b"H-representation\nbegin\n2 3 rational\n1 -1 0\n1 0 x\nend\n",
     "sign.ine": b"H-representation\nbegin\n1 2 rational\n+-1 1\nend\n",
@@ -69,7 +72,17 @@ MALFORMED = {
     "latin1.ine": b"H-representation\nbegin\n1 2 rational\n1 \xff\nend\n",
     "latin1.ext": b"V-representation\r\nbegin\r\n1 2 rational\r\n1 \xe9\r\nend\r\n",
     "digits.ine": b"H-representation\nbegin\n1 2 rational\n1 -" + b"7" * 5001 + b"\nend\n",
+    "digits-header.ine": b"H-representation\nbegin\n" + b"7" * 5001 + b" 2 rational\n1 -1\nend\n",
+    "digits-linearity.ine": (b"H-representation\nlinearity 1 " + b"7" * 5001
+                             + b"\nbegin\n1 2 rational\n1 -1\nend\n"),
+    "digits-blocks.ine": (b"H-representation\nbegin\n1 2 rational\n1 -1\nend\nblocks "
+                          + b"7" * 5001 + b"\n"),
 }
+# the box 0 <= x, y <= 10^4250: entries under int()'s limit of 4,300 digits,
+# and a count and a volume of 8,501 digits
+BIG_BOX = ("big-box.ine", b"H-representation\nbegin\n4 3 integer\n0 1 0\n0 0 1\n"
+           + b"".join(b"1" + b"0" * 4250 + row for row in (b" -1 0\n", b" 0 -1\n")) + b"end\n",
+           ("count", "volume"))
 # command lines, "F" standing for ARGV_FIXTURE: help, an abbreviation,
 # --flag=value, a value below 1, a value that starts with "-", a flag with
 # no value, an unknown command, a missing and an extra file, and options
@@ -85,8 +98,8 @@ ARGV = ([], ["-h"], *([command, "-h"] for command in
 
 def runs(seeds) -> Iterator[tuple[str, list, Optional[str], str]]:
     """(key, argv, DOT path or None, directory to write as {dir}) of every
-    run: each workload job at each seed, each malformed file, each command
-    on each fixture, then each argv of ARGV.  A seed's jobs are built as its
+    run: each workload job at each seed, each malformed file, the commands
+    on BIG_BOX, each command on each fixture, then each argv of ARGV.  A seed's jobs are built as its
     turn comes."""
     from polybench import workloads
 
@@ -100,6 +113,10 @@ def runs(seeds) -> Iterator[tuple[str, list, Optional[str], str]]:
         for name, data in MALFORMED.items():
             Path(workdir, name).write_bytes(data)
             yield f"malformed/{name}", ["count", str(Path(workdir, name))], None, workdir
+        name, data, commands = BIG_BOX
+        Path(workdir, name).write_bytes(data)
+        for command in commands:
+            yield f"big/{name}/{command}", [command, str(Path(workdir, name))], None, workdir
     for fixture in sorted((ROOT / "tests" / "fixtures").iterdir()):
         if fixture.name not in SKIPPED_FIXTURES:
             for cmd in COMMANDS:

@@ -12,7 +12,6 @@ import random
 import subprocess
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction as F
 from functools import partial
 from itertools import product
@@ -39,7 +38,7 @@ from polyorbit.polycore import VPolyhedron, matrix, primitive
 import snapshot_outputs
 from shapes import (cross_h, cross_v, cube_h, cube_v, cut_v, hypersimplex_v,
                     polybench_workloads, reference_parse_polyfile, reference_parser,
-                    row_image, santos_prismatoid, unimodular_image)
+                    replace, row_image, santos_prismatoid, unimodular_image)
 
 FIX = Path(__file__).parent / "fixtures"
 
@@ -1344,23 +1343,55 @@ class TestErrorContract:
         code, out, err = run(capsys, "count", path)
         assert (code, out, err) == (2, "", "error: line 4: zero denominator: '1/00'\n")
 
-    @pytest.mark.parametrize("body, objective, line", [
-        ("{big} -1\n1 1", "", 4),         # an integer row, read in one pass
-        ("1 1\n{big}/7 -1", "", 5),       # a p/q entry
-        ("1 1\n1 -1", "maximize 0 {big}\n", 7),
-    ], ids=["integer-row", "p/q", "objective"])
-    def test_entry_past_the_digit_limit_is_an_input_error(self, body, objective, line,
-                                                         tmp_path, capsys):
+    @pytest.mark.parametrize("text, line", [
+        ("begin\n2 2 rational\n{big} -1\n1 1\nend\n", 4),   # an integer row, read in one pass
+        ("begin\n2 2 rational\n1 1\n{big}/7 -1\nend\n", 5),  # a p/q entry
+        ("begin\n2 2 rational\n1 1\n1 -1\nend\nmaximize 0 {big}\n", 7),
+        # these three once named a wrong reason: non-integer sizes in the
+        # header, a malformed linearity line, blocks that are not integers
+        ("begin\n{big} 2 rational\n1 1\nend\n", 3),
+        ("linearity 1 {big}\nbegin\n2 2 rational\n1 1\n1 -1\nend\n", 2),
+        ("begin\n2 2 rational\n1 1\n1 -1\nend\nblocks 1 {big}\n", 7),
+    ], ids=["integer-row", "p/q", "objective", "header", "linearity", "blocks"])
+    def test_entry_past_the_digit_limit_is_an_input_error(self, text, line, tmp_path, capsys):
         # int() refuses more than sys.get_int_max_str_digits() digits; this
         # once escaped as "internal error: ValueError" (exit 3)
         limit = sys.get_int_max_str_digits()
         big = "7" * (limit + 701)
         path = tmp_path / "digits.ine"
-        body, objective = body.format(big=big), objective.format(big=big)
-        path.write_text(f"H-representation\nbegin\n2 2 rational\n{body}\nend\n{objective}")
+        path.write_text("H-representation\n" + text.format(big=big))
         assert run(capsys, "count", path) == (
             2, "", f"error: line {line}: an entry exceeds the limit of {limit} digits\n")
         assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("command, answer", [
+        ("count", "1" + "0" * 4249 + "2" + "0" * 4249 + "1"),   # (B + 1)^2
+        ("volume", "1" + "0" * 8500),                           # B^2
+    ])
+    def test_answer_past_the_digit_limit_is_printed_exactly(self, command, answer,
+                                                            tmp_path, capsys):
+        # the box 0 <= x, y <= B = 10^4250: its entries are under the limit
+        # of 4,300 digits and its answers are not; str() refuses them, and
+        # this once exited 3 with "internal error: ValueError"
+        limit = sys.get_int_max_str_digits()
+        B = 10 ** 4250
+        path = tmp_path / "big-box.ine"
+        path.write_text("H-representation\nbegin\n4 3 integer\n0 1 0\n0 0 1\n"
+                        f"1{'0' * 4250} -1 0\n1{'0' * 4250} 0 -1\nend\n")
+        assert run(capsys, command, path) == (0, answer + "\n", "")
+        assert answer == cli._num((B + 1) ** 2 if command == "count" else B * B)
+        assert sys.get_int_max_str_digits() == limit
+
+    @pytest.mark.parametrize("x, text", [
+        (0, "0"), (-7, "-7"), (F(-3, 4), "-3/4"), (F(6, 3), "2"),
+        (10 ** 640, "1" + "0" * 640),                 # one whole chunk below the head
+        (10 ** 1280 + 7, "1" + "0" * 1279 + "7"),     # a chunk of zeros kept whole
+        (-(10 ** 5000 + 12345), "-1" + "0" * 4995 + "12345"),
+        (F(10 ** 5000 + 1, 3), "1" + "0" * 4999 + "1/3"),
+    ], ids=["zero", "negative", "fraction", "whole-fraction", "one-chunk", "zero-chunk",
+            "long-negative", "long-fraction"])
+    def test_numbers_print_in_decimal_past_the_digit_limit(self, x, text):
+        assert cli._num(x) == text
 
     @pytest.mark.parametrize("command", ["count", "automorphisms", "ilp"])
     def test_file_that_is_not_utf8_is_an_input_error(self, command, tmp_path, capsys):

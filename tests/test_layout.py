@@ -27,11 +27,14 @@ projection chain of latcount runs no double description, the double
 description and the projection chain pair generators through the one
 adjacency test adjacent_pairs and combine them, and the facet walk's
 rotation, through combine, an H-description is converted to integer points
-with no Fraction, and no module is long enough to grow the parser's token
-array past 8,192 slots."""
+with no Fraction, no module is long enough to grow the parser's token
+array past 8,192 slots, and none imports dataclasses, so that importing the
+CLI loads neither dataclasses nor inspect."""
 import ast
 import importlib
 import importlib.util
+import subprocess
+import sys
 import tokenize
 from fractions import Fraction
 from pathlib import Path
@@ -594,3 +597,24 @@ def test_module_stays_under_8192_tokens(source):
         tokens = sum(1 for tok in tokenize.generate_tokens(fh.readline)
                      if tok.type not in (tokenize.COMMENT, tokenize.NL))
     assert tokens < 8192, f"{source.name} has {tokens} tokens"
+
+
+@pytest.mark.parametrize("source", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_imports_dataclasses(source):
+    # @dataclass execs generated source for each method of each class, and
+    # the module loads inspect: records subclass record.Record instead
+    for node in ast.walk(ast.parse(source.read_text())):
+        if isinstance(node, ast.Import):
+            assert "dataclasses" not in {a.name for a in node.names}, source.name
+        elif isinstance(node, ast.ImportFrom):
+            assert node.module != "dataclasses", source.name
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # a fresh interpreter with no site packages and no environment, as a
+    # command starts
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import polyorbit.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))")
+    run = subprocess.run([sys.executable, "-I", "-S", "-c", code, str(ROOT / "src")],
+                         capture_output=True, text=True, timeout=120)
+    assert (run.returncode, run.stdout, run.stderr) == (0, "[]\n", "")

@@ -1,7 +1,6 @@
 """Core exact-arithmetic layer: linear algebra, LP, incidence, redundancy."""
 import random
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -43,7 +42,8 @@ from polyorbit.polycore import (
 
 from shapes import (affine_coordinates, affine_embed, column_set, cube_h, identity_matrix,
                     polybench_workloads, reference_dd_cone, reference_integer_h_to_v,
-                    reference_irredundant_rows, reference_solve_lp, row_set, run_jobs)
+                    reference_irredundant_rows, reference_solve_lp, replace, row_set,
+                    run_jobs)
 
 F = Fraction
 

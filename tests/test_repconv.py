@@ -2,7 +2,6 @@
 import random
 import sys
 from collections import Counter
-from dataclasses import replace
 from fractions import Fraction
 from functools import partial
 from operator import mul
@@ -67,6 +66,7 @@ from shapes import (
     ledger_facet_rows,
     mat_mul,
     mat_vec,
+    replace,
     row_set,
     santos_prismatoid,
     simplex_h,
